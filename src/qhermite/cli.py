@@ -20,7 +20,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .calibration import Calibration, load_calibration
 from .discrete_qho import build, dense_diagonalize, hermite_basis
-from .fast_forward import decompose, low_energy_error
+from .fast_forward import LOW_ENERGY_M_CAP, decompose, low_energy_error
 from .hermite_sampling import (
     SamplerConfig,
     general_hermite_sample,
@@ -110,6 +110,8 @@ def cmd_ff_error(args) -> int:
     infeasible = 0
     for M in Ms:
         try:
+            if M > LOW_ENERGY_M_CAP:   # checked before the eigensolve
+                raise ValueError(f"projected-error budget is M <= {LOW_ENERGY_M_CAP}")
             qho = build(GridSpec(M))
             eig = dense_diagonalize(qho)
         except ValueError:

@@ -9,30 +9,46 @@ The 2*pi reduction flips the sign of the state once per full period
 (exp(-i*H*(t + 2*pi)) = -exp(-i*H*t) for half-integer spectra), so the
 factorization carries an explicit global sign.
 
-Quadratic phases are reduced mod 2*pi in 80-bit floats before exponentiating;
-at M ~ 1000 the raw arguments reach ~10^3 and plain float64 reduction would
-inject ~1e-13 of spurious error into every factor, swamping the quantity the
-error meters measure.
+A factored evolution is applied from `EvolutionTables`, built once per
+evolution and grid: one table exp(-i*c*x_j^2) per distinct coefficient c
+(two for three factors, three for five).  Each table's argument is reduced
+mod 2*pi in 80-bit floats once, when the table is built; at M ~ 1000 the raw
+arguments reach ~10^3 and plain float64 reduction would inject ~1e-13 of
+spurious error into every factor, swamping the quantity the error meters
+measure.  x_j^2 is even in the label j, so a table stores labels 0..M/2 only.
+
+`apply_tables` is the one kernel that applies any factored evolution or its
+adjoint (the same tables in reverse order, conjugated).  With
+alt = diag((-1)^i), the centered DFT is F = s*sqrt(M)*alt*ifft*alt with
+s = (-1)^(M/2), so in a momentum factor F^-1 diag(P) F the sign s, the
+sqrt(M) and the inner pair of alt cancel: F^-1 diag(P) F v =
+alt*fft(P*ifft(alt*v)).  alt commutes with the diagonal position factors, so
+the kernel applies it only at the two ends of the whole product.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete_qho import DiscreteQHO, EigenDecomposition
-from .spectral_core import centered_dft
+from .discrete_qho import DiscreteQHO, EigenDecomposition, apply_hamiltonian
 
 __all__ = [
     "FactoredEvolution",
+    "EvolutionTables",
     "decompose",
+    "evolution_tables",
+    "apply_tables",
     "apply_factored",
     "exact_evolution",
     "chebyshev_evolution",
     "low_energy_error",
     "residual_generator_norm",
+    "LOW_ENERGY_M_CAP",
 ]
+
+LOW_ENERGY_M_CAP = 2048   # largest grid low_energy_error accepts
 
 
 @dataclass(frozen=True)
@@ -72,28 +88,73 @@ def decompose(t: float) -> FactoredEvolution:
     return FactoredEvolution(factors=factors, t_effective=t2, reps=reps, global_sign=sign)
 
 
-def _quadratic_phase(M: int, coeff: float) -> np.ndarray:
-    """exp(-i * coeff * x_j^2) with the argument reduced mod 2*pi in longdouble."""
-    j = np.arange(-M // 2, M // 2, dtype=np.longdouble)
+def _half_phases(M: int, coeffs) -> np.ndarray:
+    """Rows exp(-i * c * x_j^2) for labels j = 0..M/2, reduced mod 2*pi in longdouble."""
+    j = np.arange(M // 2 + 1, dtype=np.longdouble)
     twopi = 2 * np.longdouble(np.pi)
-    theta = np.mod(np.longdouble(coeff) * (j * j) * (twopi / np.longdouble(M)), twopi)
+    c = np.asarray(coeffs, dtype=np.longdouble)[:, None]
+    theta = np.mod(c * (j * j) * (twopi / np.longdouble(M)), twopi)
     return np.exp(-1j * theta.astype(np.float64))
 
 
+@dataclass(frozen=True)
+class EvolutionTables:
+    """Half-length phase tables of one FactoredEvolution on an M-point grid.
+
+    Row k of `halves` is exp(-i*c_k*x_j^2) for labels j = 0..M/2, one row per
+    distinct coefficient c_k; `steps` lists (axis, row) in factor order.
+    """
+
+    M: int
+    steps: tuple            # of ("position" | "momentum", row index)
+    halves: np.ndarray = field(repr=False)   # (distinct coefficients, M/2 + 1)
+    global_sign: float
+
+
+def evolution_tables(M: int, fe: FactoredEvolution) -> EvolutionTables:
+    """Build the phase tables of `fe`, one per distinct coefficient."""
+    coeffs: list = []
+    steps = []
+    for axis, c in fe.factors:
+        if c not in coeffs:
+            coeffs.append(c)
+        steps.append((axis, coeffs.index(c)))
+    return EvolutionTables(M=M, steps=tuple(steps), halves=_half_phases(M, coeffs),
+                           global_sign=fe.global_sign)
+
+
+def apply_tables(tables: EvolutionTables, state: np.ndarray,
+                 adjoint: bool = False) -> np.ndarray:
+    """Apply the tabulated evolution (or its adjoint) along the last axis.
+
+    Runs in the alternating-sign frame w = alt*v: a position factor is
+    w <- P*w and a momentum factor w <- fft(P*ifft(w)).  A half table covers
+    the labels 0..M/2-1 of array indices M/2.. and, read backwards, the
+    labels -M/2..-1 of indices ..M/2-1.
+    """
+    M = tables.M
+    v = np.array(state, dtype=complex)
+    if v.shape[-1] != M:
+        raise ValueError(f"dimension mismatch: {v.shape[-1]} vs M={M}")
+    h = M // 2
+    v[..., 1::2] *= -1.0
+    for axis, k in (reversed(tables.steps) if adjoint else tables.steps):
+        half = tables.halves[k].conj() if adjoint else tables.halves[k]
+        if axis == "momentum":
+            v = np.fft.ifft(v)
+        v[..., h:] *= half[:h]
+        v[..., :h] *= half[h:0:-1]
+        if axis == "momentum":
+            v = np.fft.fft(v)
+    v[..., 1::2] *= -1.0
+    if tables.global_sign < 0:
+        v *= -1.0
+    return v
+
+
 def apply_factored(qho: DiscreteQHO, fe: FactoredEvolution, state: np.ndarray) -> np.ndarray:
-    """Apply the phase factors; each momentum factor costs two centered DFTs."""
-    v = np.asarray(state, dtype=complex)
-    if v.shape[-1] != qho.M:
-        raise ValueError(f"dimension mismatch: {v.shape[-1]} vs M={qho.M}")
-    for axis, coeff in fe.factors:
-        phase = _quadratic_phase(qho.M, coeff)
-        if axis == "position":
-            v = phase * v
-        else:
-            v = centered_dft(v, qho.spec)
-            v = phase * v
-            v = centered_dft(v, qho.spec, inverse=True)
-    return fe.global_sign * v
+    """Apply the phase factors: build their tables, then run `apply_tables`."""
+    return apply_tables(evolution_tables(qho.M, fe), state)
 
 
 def exact_evolution(eig: EigenDecomposition, t: float, state: np.ndarray) -> np.ndarray:
@@ -144,9 +205,7 @@ def chebyshev_evolution(qho: DiscreteQHO, t: float, state: np.ndarray,
     cutoff = min(max(cutoff + 1, 2), K)
 
     def h_tilde(w):
-        hw = 0.5 * ((qho.x**2) * w + centered_dft((qho.x**2) * centered_dft(w, qho.spec),
-                                                  qho.spec, inverse=True))
-        return (2.0 / rho) * hw - w
+        return (2.0 / rho) * apply_hamiltonian(qho, w) - w
 
     t_prev = v
     t_curr = h_tilde(v)
@@ -168,14 +227,14 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
     exp(-i*E_n*t) would re-inject the eigensolver's eps*||H|| noise, which at
     M ~ 1000 sits above the quantity being measured.
     """
-    if qho.M > 2048:
-        raise ValueError("projected-error budget is M <= 2048")
-    fe = decompose(t)
+    if qho.M > LOW_ENERGY_M_CAP:
+        raise ValueError(f"projected-error budget is M <= {LOW_ENERGY_M_CAP}")
+    tables = evolution_tables(qho.M, decompose(t))
     low = eig.vectors[:, :N]
     diff = np.empty((qho.M, N), dtype=complex)
     for n in range(N):
         col = low[:, n].astype(complex)
-        diff[:, n] = chebyshev_evolution(qho, t, col) - apply_factored(qho, fe, col)
+        diff[:, n] = chebyshev_evolution(qho, t, col) - apply_tables(tables, col)
     block = low.conj().T @ diff
     return float(np.linalg.svd(block, compute_uv=False)[0])
 
@@ -195,27 +254,17 @@ def residual_generator_norm(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t
 
     low = eig.vectors[:, :N].astype(complex)
 
+    ham = [1j * apply_hamiltonian(qho, low[:, n]) for n in range(N)]
+    tables_0 = evolution_tables(qho.M, decompose(t))
+
     def projected_generator(h: float) -> np.ndarray:
-        fe_p, fe_m, fe_0 = decompose(t + h), decompose(t - h), decompose(t)
+        tables_p = evolution_tables(qho.M, decompose(t + h))
+        tables_m = evolution_tables(qho.M, decompose(t - h))
         block = np.empty((N, N), dtype=complex)
         for n in range(N):
             col = low[:, n]
-            dv = (apply_factored(qho, fe_p, col) - apply_factored(qho, fe_m, col)) / (2 * h)
-            # V(t)^-1 = V(t)^dagger: undo the factors in reverse with flipped signs
-            inv = dv
-            for axis, coeff in reversed(fe_0.factors):
-                phase = np.conj(_quadratic_phase(qho.M, coeff))
-                if axis == "position":
-                    inv = phase * inv
-                else:
-                    inv = centered_dft(inv, qho.spec)
-                    inv = phase * inv
-                    inv = centered_dft(inv, qho.spec, inverse=True)
-            inv = fe_0.global_sign * inv
-            ham = 1j * 0.5 * ((qho.x**2) * col
-                              + centered_dft((qho.x**2) * centered_dft(col, qho.spec),
-                                             qho.spec, inverse=True))
-            block[:, n] = low.conj().T @ (inv + ham)
+            dv = (apply_tables(tables_p, col) - apply_tables(tables_m, col)) / (2 * h)
+            block[:, n] = low.conj().T @ (apply_tables(tables_0, dv, adjoint=True) + ham[n])
         return block
 
     g1 = projected_generator(step)

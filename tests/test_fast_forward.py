@@ -4,12 +4,14 @@ import pytest
 from qhermite.discrete_qho import build
 from qhermite.fast_forward import (
     apply_factored,
+    apply_tables,
     decompose,
+    evolution_tables,
     exact_evolution,
     low_energy_error,
     residual_generator_norm,
 )
-from qhermite.spectral_core import GridSpec
+from qhermite.spectral_core import GridSpec, centered_dft_matrix
 
 
 class TestDecompose:
@@ -112,6 +114,42 @@ class TestApplyFactored:
         qho = build(GridSpec(64))
         with pytest.raises(ValueError):
             apply_factored(qho, decompose(1.0), np.ones(32))
+
+
+def _dense_factored(M, fe):
+    """Dense product of the factors, momentum ones as F^-1 diag(P) F."""
+    x2 = GridSpec(M).points() ** 2
+    F = centered_dft_matrix(M)
+    V = np.eye(M, dtype=complex)
+    for axis, c in fe.factors:
+        P = np.diag(np.exp(-1j * c * x2))
+        V = (P if axis == "position" else F.conj().T @ P @ F) @ V
+    return fe.global_sign * V
+
+
+class TestApplyTables:
+    # 3 factors; 5 factors; 3 and 5 factors after the 2*pi sign flip
+    TIMES = (0.4, 2.0, 2 * np.pi + 0.7, -2 * np.pi - 2.5)
+
+    @pytest.mark.parametrize("M", [30, 64])
+    def test_matches_dense_reference(self, M, rng):
+        assert any(decompose(t).global_sign < 0 for t in self.TIMES)
+        assert {decompose(t).reps for t in self.TIMES} == {1, 2}
+        v = rng.normal(size=M) + 1j * rng.normal(size=M)
+        for t in self.TIMES:
+            fe = decompose(t)
+            tables = evolution_tables(M, fe)
+            V = _dense_factored(M, fe)
+            assert np.abs(apply_tables(tables, v) - V @ v).max() < 1e-12
+            assert np.abs(apply_tables(tables, v, adjoint=True) - V.conj().T @ v).max() < 1e-12
+
+    def test_dyadic_adjoint_inverts(self):
+        M = 256
+        eye = np.eye(M, dtype=complex)
+        for j in range(8):
+            tables = evolution_tables(M, decompose(2 * np.pi * 2**j / M))
+            back = apply_tables(tables, apply_tables(tables, eye), adjoint=True)
+            assert np.abs(back - eye).max() < 1e-12
 
 
 class TestExactEvolution:

@@ -294,6 +294,40 @@ class TestUncompute:
         assert residual <= 1e-6
 
 
+class TestPipelineContext:
+    def test_holds_2m_plus_1_half_tables(self):
+        from qhermite.qht_pipeline import _ctx
+
+        cfg = QHTConfig(N=2, eps=0.01, M=1024, N_high=64)
+        tables = _ctx(cfg).dyadic_tables
+        assert len(tables) == cfg.m_bits
+        assert sum(t.halves.shape[0] for t in tables) == 2 * cfg.m_bits + 1
+        assert all(t.halves.shape[1] == cfg.M // 2 + 1 for t in tables)
+
+    def test_non_power_of_two_m_rejected(self):
+        cfg = QHTConfig(N=2, eps=0.01, M=3000, N_high=64)
+        with pytest.raises(ConfigError, match="power-of-two"):
+            qht_apply(np.array([0.0, 1.0]), cfg)
+        with pytest.raises(ConfigError):
+            filter_unitaries(1, cfg)
+        build_pr_state(1, cfg)   # state preparation does not need QPE
+
+    def test_streamed_output_matches_uncompute_index(self):
+        from qhermite.qht_pipeline import _amplify_block
+
+        cfg = choose_dimensions(4, 0.05)
+        alpha = np.array([0.5, 0.5j, -0.5, 0.5 * np.exp(1j * 0.7)])
+        res = qht_apply(alpha, cfg)
+        blocks = {}
+        for n, a_n in enumerate(alpha):
+            filt = eigenstate_filter(build_pr_state(n, cfg).normalized(), n, cfg)
+            work, _ = _amplify_block(filt.kept, filt.leaked_mass, cfg.delta_lower, cfg.eps)
+            blocks[n] = a_n * (-1.0) ** n * work
+        out, residual = uncompute_index(blocks, cfg)
+        assert np.abs(res.output - out).max() < 1e-14
+        assert abs(res.uncompute_residual - residual) < 1e-14
+
+
 class TestEndToEnd:
     def test_single_index_fidelity(self, basis_cache):
         cfg = choose_dimensions(8, 0.01)
