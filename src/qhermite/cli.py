@@ -24,6 +24,7 @@ from .fast_forward import LOW_ENERGY_M_CAP, decompose, low_energy_error
 from .hermite_sampling import (
     SamplerConfig,
     general_hermite_sample,
+    sample_distribution,
     spectrum_table,
     tv_distance,
 )
@@ -93,7 +94,7 @@ def read_table(path):
 
 def _meta(args, command: str) -> dict:
     keep = {k: v for k, v in vars(args).items()
-            if k not in ("func", "out") and v is not None}
+            if k not in ("func", "out", "cal") and v is not None}
     keep["command"] = command
     return keep
 
@@ -159,9 +160,8 @@ def cmd_overlap(args) -> int:
 def cmd_qht(args) -> int:
     N = int(args.N or 8)
     eps = float(args.eps or 0.01)
-    cal = load_calibration(args.calibration) if args.calibration else Calibration()
     try:
-        cfg = choose_dimensions(N, eps, cal)
+        cfg = choose_dimensions(N, eps, args.cal)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -204,10 +204,11 @@ def cmd_sample(args) -> int:
     rows = []
     summaries = {}
     for label, f in funcs:
+        dist = sample_distribution(f, scfg, normalized=not f.boolean)
         hist: dict = {}
         attempts = []
         for trial in range(trials):
-            s = general_hermite_sample(f, scfg, rng)
+            s = general_hermite_sample(dist, rng)
             hist[s.v] = hist.get(s.v, 0) + 1
             attempts.append(s.attempts)
             if args.log:
@@ -367,6 +368,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    try:   # loaded before any work, so a bad file fails every subcommand fast
+        args.cal = load_calibration(args.calibration) if args.calibration else Calibration()
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot load calibration: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

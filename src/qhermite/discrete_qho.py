@@ -46,6 +46,7 @@ __all__ = [
     "dense_momentum_sq",
     "dense_diagonalize",
     "hermite_basis",
+    "loewdin_orthonormalize",
     "defect_delta",
     "commutator_tail_norm",
     "dense_tail_reference",
@@ -199,6 +200,14 @@ def hermite_basis(spec: GridSpec, n_max: int) -> DiscreteHermiteBasis:
     return DiscreteHermiteBasis(spec=spec, n_max=n_max, states=rows)
 
 
+def loewdin_orthonormalize(states: np.ndarray) -> np.ndarray:
+    """Symmetric (minimal-disturbance) orthonormalization of the row vectors."""
+    g = states @ states.conj().T
+    evals, evecs = np.linalg.eigh(g)
+    inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
+    return inv_sqrt @ states
+
+
 @dataclass(frozen=True)
 class EnergyProjector:
     """Rank-N projector onto the low-energy subspace; columns orthonormal."""
@@ -212,13 +221,9 @@ class EnergyProjector:
 
     @classmethod
     def from_hermite(cls, basis: DiscreteHermiteBasis, N: int) -> "EnergyProjector":
-        cols = basis.states[:N].T.astype(complex)
-        # Loewdin symmetric orthogonalization; the Gram defect is tiny so this
-        # is a near-identity correction.
-        g = cols.conj().T @ cols
-        evals, evecs = np.linalg.eigh(g)
-        inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
-        return cls(cutoff=N, columns=cols @ inv_sqrt)
+        # the Gram defect is tiny, so Loewdin is a near-identity correction
+        rows = loewdin_orthonormalize(basis.states[:N].astype(complex))
+        return cls(cutoff=N, columns=rows.T)
 
     def project(self, state: np.ndarray) -> np.ndarray:
         return self.columns @ (self.columns.conj().T @ state)

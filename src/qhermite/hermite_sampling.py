@@ -15,6 +15,7 @@ grid for this reason.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,14 +33,14 @@ __all__ = [
     "coefficient_oracle",
     "spectrum_table",
     "sample_distribution",
-    "boolean_hermite_sample",
     "general_hermite_sample",
     "distortion",
     "tv_distance",
     "suggest_quadrature_M",
 ]
 
-FULL_GRID_BUDGET = 26  # n * log2(M_quad) cap for tensor-grid quadrature
+FULL_GRID_BUDGET = 26  # n * log2(points per axis) cap for a dense tensor grid
+_SLAB_POINTS = 1 << 16  # dense oracles are evaluated this many grid points at a time
 
 
 class PostselectionFailure(RuntimeError):
@@ -129,6 +130,62 @@ def _nu(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
 
 
+def _grid_contract(n: int, evaluate, grid: np.ndarray, mats=None, factors=None, weights=None):
+    """Contract f over the n-fold tensor grid, one mode product per axis.
+
+    With W = f * prod_k weights[k] on the grid (weights default to 1), returns
+    (T, sum |W|^2, max |f|), where T[r_1..r_n] = sum_i W(i) prod_k mats[k][r_k, i_k]
+    (T is None without mats).  A product oracle (`factors`, one callable per
+    axis) is rank-1: T is the outer product of the per-axis contractions.  Any
+    other `evaluate` (points of shape (..., n) to values (...)) is evaluated
+    in slabs of at most 2^16 points -- the trailing axes whole, the leading
+    ones flattened and walked in slices -- under the one budget
+    n * log2(len(grid)) <= FULL_GRID_BUDGET.
+    """
+    G = len(grid)
+    weights = [np.ones(G)] * n if weights is None else weights
+    if factors is not None:
+        T, sum_sq, sup = 1.0, 1.0, 1.0
+        for k, factor in enumerate(factors):
+            fk = np.asarray(factor(grid), dtype=float)
+            W = weights[k] * fk
+            sum_sq *= float(np.sum(np.abs(W) ** 2))
+            sup *= float(np.abs(fk).max())
+            T = None if mats is None else np.multiply.outer(T, mats[k] @ W)
+        return T, sum_sq, sup
+    if n * math.log2(G) > FULL_GRID_BUDGET:
+        raise ValueError(f"full-grid budget exceeded (n={n}, {G} points per axis)")
+    trail = 0
+    while trail < n - 1 and G ** (trail + 1) <= _SLAB_POINTS:
+        trail += 1
+    lead = n - trail
+    lead_idx = np.indices((G,) * lead).reshape(lead, -1)
+    trail_pts = grid[np.moveaxis(np.indices((G,) * trail), 0, -1)]
+    lead_w = np.prod([w[i] for w, i in zip(weights, lead_idx)], axis=0)
+    trail_w = functools.reduce(np.multiply.outer, weights[lead:], 1.0)
+    if mats is not None:   # the leading axes' matrices, Kronecker-merged column-wise
+        lead_mat = mats[0][:, lead_idx[0]]
+        for m, i in zip(mats[1:lead], lead_idx[1:]):
+            lead_mat = (lead_mat[:, None, :] * m[:, i]).reshape(-1, len(i))
+    T, sum_sq, sup = 0.0, 0.0, 0.0
+    step = _SLAB_POINTS // G ** trail
+    slab = (-1,) + (1,) * trail
+    for s in range(0, G ** lead, step):
+        idx = lead_idx[:, s:s + step]
+        pts = np.empty((idx.shape[1],) + (G,) * trail + (n,))
+        pts[..., :lead] = grid[idx.T].reshape(slab + (lead,))
+        pts[..., lead:] = trail_pts
+        vals = evaluate(pts)
+        sup = max(sup, float(np.abs(vals).max()))
+        W = vals * (lead_w[s:s + step].reshape(slab) * trail_w)
+        sum_sq += float(np.sum(np.abs(W) ** 2))
+        if mats is not None:
+            for m in mats[lead:]:
+                W = np.tensordot(W, m, axes=([1], [1]))
+            T = T + lead_mat[:, s:s + step] @ W.reshape(len(W), -1)
+    return (None if mats is None else T.reshape([len(m) for m in mats])), sum_sq, sup
+
+
 def coefficient_oracle(f: OracleFunction, v, M_quad: int = 512):
     """fhat(v) by tensor-grid Riemann sum of f * h_v * nu over [-L, L]^n.
 
@@ -143,63 +200,21 @@ def coefficient_oracle(f: OracleFunction, v, M_quad: int = 512):
 
 
 def _coefficient_riemann(f: OracleFunction, v, M_quad: int) -> float:
-    n = f.arity
-    if f.product_factors is not None:
-        x, h = _quad_grid(M_quad)
-        total = 1.0
-        for i in range(n):
-            rows = probabilist_rows(v[i], x)
-            fi = np.asarray(f.product_factors[i](x), dtype=float)
-            total *= float(h * np.sum(fi * rows[v[i]] * _nu(x)))
-        return total
-    if n * math.log2(M_quad) > FULL_GRID_BUDGET:
-        raise ValueError(
-            f"full-grid budget exceeded (n={n}, M_quad={M_quad}) and no product structure")
     x, h = _quad_grid(M_quad)
-    axis_rows = [probabilist_rows(v[i], x)[v[i]] * _nu(x) for i in range(n)]
-    if n == 1:
-        vals = f.evaluate(x[:, None])
-        return float(h * np.sum(vals * axis_rows[0]))
-    if n == 2:
-        X1, X2 = np.meshgrid(x, x, indexing="ij")
-        vals = f.evaluate(np.stack([X1, X2], axis=-1))
-        return float(h**2 * np.einsum("ij,i,j->", vals, axis_rows[0], axis_rows[1]))
-    if n == 3:
-        total = 0.0
-        for i, x1 in enumerate(x):  # chunk the leading axis to bound memory
-            X2, X3 = np.meshgrid(x, x, indexing="ij")
-            pts = np.stack([np.full_like(X2, x1), X2, X3], axis=-1)
-            vals = f.evaluate(pts)
-            total += axis_rows[0][i] * np.einsum("jk,j,k->", vals, axis_rows[1], axis_rows[2])
-        return float(h**3 * total)
-    raise ValueError(f"tensor-grid quadrature implemented for n <= 3, got n={n}")
+    mats = [h * probabilist_rows(d, x)[d:] * _nu(x) for d in v]
+    c, _, _ = _grid_contract(f.arity, f.evaluate, x, mats, f.product_factors)
+    return float(c.item())
 
 
 def spectrum_table(f: OracleFunction, D: int | None = None, M_quad: int = 512) -> SpectrumTable:
     """All coefficients v in [0, D]^n in one tensor contraction per axis."""
     n = f.arity
     D = f.degree_cutoff if D is None else D
-    if n * math.log2(M_quad) > FULL_GRID_BUDGET:
-        raise ValueError(f"full-grid budget exceeded (n={n}, M_quad={M_quad})")
     x, h = _quad_grid(M_quad)
-    rows = probabilist_rows(D, x)
-    weighted = rows * _nu(x)
-    coeffs = {}
-    if n == 1:
-        vals = f.evaluate(x[:, None])
-        c = h * (weighted @ vals)
-        for a in range(D + 1):
-            coeffs[(a,)] = float(c[a])
-    elif n == 2:
-        X1, X2 = np.meshgrid(x, x, indexing="ij")
-        vals = f.evaluate(np.stack([X1, X2], axis=-1))
-        c = h**2 * np.einsum("ij,ai,bj->ab", vals, weighted, weighted)
-        for a in range(D + 1):
-            for b in range(D + 1):
-                coeffs[(a, b)] = float(c[a, b])
-    else:
-        raise ValueError("spectrum_table supports n <= 2")
-    mass = float(sum(c * c for c in coeffs.values()))
+    weighted = h * probabilist_rows(D, x) * _nu(x)
+    c, _, _ = _grid_contract(n, f.evaluate, x, [weighted] * n, f.product_factors)
+    coeffs = {v: float(cv) for v, cv in np.ndenumerate(c)}
+    mass = float(sum(cv * cv for cv in coeffs.values()))
     return SpectrumTable(arity=n, D=D, coefficients=coeffs, mass=mass)
 
 
@@ -221,7 +236,13 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class SampleDistribution:
-    """Measurement distribution over v in [0, D]^n plus the out-of-range rest."""
+    """Measurement distribution over v in [0, D]^n plus the out-of-range rest.
+
+    Built once per (oracle, config) by sample_distribution and held by the
+    caller; it carries the CDF and draw total, so each draw is one inversion.
+    attempt_cap is the rejection cap of a postselected (normalized)
+    distribution, None when the circuit needs no postselection.
+    """
 
     arity: int
     D: int
@@ -229,6 +250,14 @@ class SampleDistribution:
     out_mass: float = 0.0
     norm_sq: float = 1.0                    # discrete ||f||^2
     success_prob: float = 1.0               # per-attempt postselection probability
+    attempt_cap: int | None = None
+    cdf: np.ndarray = field(init=False, repr=False)
+    total: float = field(init=False)
+
+    def __post_init__(self):
+        flat = self.probs.ravel()
+        object.__setattr__(self, "cdf", np.cumsum(flat))
+        object.__setattr__(self, "total", float(flat.sum() + self.out_mass))
 
     def prob(self, v) -> float:
         return float(self.probs[tuple(v)])
@@ -261,62 +290,15 @@ def _axis_transform_rows(scfg: SamplerConfig) -> np.ndarray:
 def _amplitude_tensor(f: OracleFunction, scfg: SamplerConfig):
     """Per-axis ground states times f at the rescaled grid, then transformed.
 
-    Returns (A, norm_sq, sup_f) with A[v] = <psibar_v x ...| f |psibar_0 x ...>.
-    Product-structured oracles factor into per-axis 1-D transforms (any
-    arity); dense tensor grids are supported for n <= 3 under the usual
-    grid budget.
+    Returns (A, norm_sq, sup_f) with A[v] = <psibar_v x ...| f |psibar_0 x ...>,
+    all three from one pass over the grid.
     """
-    n = f.arity
     spec = GridSpec(scfg.M)
-    y = spec.points()
     ground = hermite_basis(spec, 0).state(0)
     rows = _axis_transform_rows(scfg)
-    if f.product_factors is not None:
-        axis_A = []
-        norm_sq, sup_f = 1.0, 1.0
-        for i in range(n):
-            fi = np.asarray(f.product_factors[i](math.sqrt(2.0) * y), dtype=float)
-            Wi = ground * fi
-            norm_sq *= float(np.sum(np.abs(Wi) ** 2))
-            sup_f *= float(np.abs(fi).max())
-            axis_A.append(rows @ Wi.astype(complex))
-        A = axis_A[0]
-        for i in range(1, n):
-            A = np.multiply.outer(A, axis_A[i])
-        return A, norm_sq, sup_f
-    if n == 1:
-        vals = f.evaluate(math.sqrt(2.0) * y[:, None])
-        W = ground * vals
-        norm_sq = float(np.sum(np.abs(W) ** 2))
-        A = rows @ W.astype(complex)
-        return A, norm_sq, float(np.abs(vals).max())
-    if n == 2:
-        Y1, Y2 = np.meshgrid(y, y, indexing="ij")
-        vals = f.evaluate(math.sqrt(2.0) * np.stack([Y1, Y2], axis=-1))
-        W = np.outer(ground, ground) * vals
-        norm_sq = float(np.sum(np.abs(W) ** 2))
-        A = np.einsum("ai,bj,ij->ab", rows, rows, W.astype(complex))
-        return A, norm_sq, float(np.abs(vals).max())
-    if n == 3 and 3 * math.log2(scfg.M) <= FULL_GRID_BUDGET:
-        D1 = rows.shape[0]
-        A = np.zeros((D1, D1, D1), dtype=complex)
-        norm_sq, sup_f = 0.0, 0.0
-        Y2, Y3 = np.meshgrid(y, y, indexing="ij")
-        ground2 = np.outer(ground, ground)
-        for i, y1 in enumerate(y):  # chunk the leading axis to bound memory
-            pts = np.stack([np.full_like(Y2, y1), Y2, Y3], axis=-1)
-            vals = f.evaluate(math.sqrt(2.0) * pts)
-            W = ground[i] * ground2 * vals
-            norm_sq += float(np.sum(np.abs(W) ** 2))
-            sup_f = max(sup_f, float(np.abs(vals).max()))
-            A += np.multiply.outer(rows[:, i],
-                                   np.einsum("bj,ck,jk->bc", rows, rows, W.astype(complex)))
-        return A, norm_sq, sup_f
-    raise ValueError(
-        f"sampler simulation supports n <= 3 within the grid budget, got n={n}, M={scfg.M}")
-
-
-_DIST_CACHE: dict = {}
+    n = f.arity
+    return _grid_contract(n, f.evaluate, math.sqrt(2.0) * spec.points(), [rows] * n,
+                          f.product_factors, [ground] * n)
 
 
 def sample_distribution(f: OracleFunction, scfg: SamplerConfig,
@@ -326,99 +308,61 @@ def sample_distribution(f: OracleFunction, scfg: SamplerConfig,
     Unbounded oracles are admitted by folding the amplitude rescale f/sup|f|
     into the controlled rotation; the accepted distribution is unchanged (it
     is fhat^2/||f||^2 either way) and only the postselection probability
-    shrinks by sup|f|^2.  Distributions are memoized per (oracle, config):
-    repeated draws then cost one inversion lookup each.
+    shrinks by sup|f|^2.  A normalized distribution is drawn by rejection,
+    capped at attempt_cap_factor * kappa attempts.  Build it once and pass
+    it to every draw.
     """
-    key = (id(f), scfg, normalized)
-    cached = _DIST_CACHE.get(key)
-    if cached is not None and cached[0] is f:
-        return cached[1]
-    dist = _build_distribution(f, scfg, normalized)
-    if len(_DIST_CACHE) > 64:
-        _DIST_CACHE.clear()
-    _DIST_CACHE[key] = (f, dist)
-    return dist
-
-
-def _build_distribution(f: OracleFunction, scfg: SamplerConfig,
-                        normalized: bool) -> SampleDistribution:
     A, norm_sq, sup_f = _amplitude_tensor(f, scfg)
     probs = np.abs(A) ** 2
     success = norm_sq / max(1.0, sup_f) ** 2
+    cap = None
     if normalized:
         if norm_sq <= 0:
             raise ValueError("f vanishes on the grid; nothing to postselect")
         probs = probs / norm_sq
         total_target = 1.0
+        cap = max(1, int(scfg.attempt_cap_factor * f.kappa))
     else:
         total_target = norm_sq if not f.boolean else 1.0
     out = max(total_target - float(probs.sum()), 0.0)
-    return SampleDistribution(arity=f.arity, D=scfg.D, probs=probs,
-                              out_mass=out, norm_sq=norm_sq, success_prob=success)
+    return SampleDistribution(arity=f.arity, D=scfg.D, probs=probs, out_mass=out,
+                              norm_sq=norm_sq, success_prob=success, attempt_cap=cap)
 
 
-def _draw(dist: SampleDistribution, rng: np.random.Generator, attempts: int) -> HermiteSample:
-    flat = dist.probs.ravel()
-    total = flat.sum() + dist.out_mass
-    u = rng.random() * total
-    cum = np.cumsum(flat)
-    idx = int(np.searchsorted(cum, u))
-    if idx >= len(flat):
+def general_hermite_sample(dist: SampleDistribution,
+                           rng: np.random.Generator) -> HermiteSample:
+    """One draw from a held distribution: p_v tracks fhat(v)^2 / ||f||^2.
+
+    A postselected distribution is drawn by rejection: the per-attempt
+    success probability is computed exactly from the state and the attempt
+    count drawn as the matching geometric variable (the aggregated Bernoulli
+    sequence); the declared distortion promises success >= 1/(2*kappa), and
+    draws beyond the attempt cap are a reported failure, not an exception
+    swallowed.
+    """
+    attempts = 1
+    if dist.attempt_cap is not None:
+        p_succ = min(dist.success_prob, 1.0)
+        attempts = int(rng.geometric(p_succ)) if p_succ < 1.0 else 1
+        if attempts > dist.attempt_cap:
+            raise PostselectionFailure(
+                f"no acceptance in {dist.attempt_cap} attempts (success prob {p_succ:.3g})")
+    idx = int(np.searchsorted(dist.cdf, rng.random() * dist.total))
+    if idx >= len(dist.cdf):
         return HermiteSample(v=(dist.D + 1,) * dist.arity, attempts=attempts, out_of_range=True)
     v = np.unravel_index(idx, dist.probs.shape)
     return HermiteSample(v=tuple(int(c) for c in v), attempts=attempts)
 
 
-def boolean_hermite_sample(f: OracleFunction, scfg: SamplerConfig,
-                           rng: np.random.Generator) -> HermiteSample:
-    """One spectrum draw for a ±1-valued oracle: p_v tracks fhat(v)^2."""
-    if not f.boolean:
-        raise ValueError("boolean sampler requires a ±1-valued oracle")
-    dist = sample_distribution(f, scfg)
-    return _draw(dist, rng, attempts=1)
-
-
-def general_hermite_sample(f: OracleFunction, scfg: SamplerConfig,
-                           rng: np.random.Generator) -> HermiteSample:
-    """Rejection-sampled draw: p_v tracks fhat(v)^2 / ||f||^2.
-
-    The per-attempt success probability is computed exactly from the state
-    and the attempt count drawn as the matching geometric variable (the
-    aggregated Bernoulli sequence); the declared distortion promises success
-    >= 1/(2*kappa), and draws beyond attempt_cap_factor * kappa attempts are
-    a reported failure, not an exception swallowed.
-    """
-    if f.boolean:
-        dist = sample_distribution(f, scfg)
-        return _draw(dist, rng, attempts=1)
-    dist = sample_distribution(f, scfg, normalized=True)
-    p_succ = min(dist.success_prob, 1.0)
-    cap = max(1, int(scfg.attempt_cap_factor * f.kappa))
-    attempt = int(rng.geometric(p_succ)) if p_succ < 1.0 else 1
-    if attempt > cap:
-        raise PostselectionFailure(
-            f"no acceptance in {cap} attempts (success prob {p_succ:.3g}, kappa {f.kappa})")
-    return _draw(dist, rng, attempts=attempt)
-
-
 def distortion(f: OracleFunction, M_quad: int = 512) -> float:
     """kappa(f) = sup|f sqrt(nu)| / ||f sqrt(nu)||_2 over the quadrature grid."""
-    n = f.arity
-    if n * math.log2(M_quad) > FULL_GRID_BUDGET:
-        raise ValueError("distortion budget exceeded")
     x, h = _quad_grid(M_quad)
-    if n == 1:
-        vals = f.evaluate(x[:, None])
-        weighted = vals * np.sqrt(_nu(x))
-    elif n == 2:
-        X1, X2 = np.meshgrid(x, x, indexing="ij")
-        vals = f.evaluate(np.stack([X1, X2], axis=-1))
-        weighted = vals * np.sqrt(_nu(X1) * _nu(X2))
-    else:
-        raise ValueError("distortion implemented for n <= 2")
-    sup = float(np.abs(weighted).max())
-    two = float(np.sqrt(h**n * np.sum(weighted**2)))
-    return sup / two
+    factors = None if f.product_factors is None else [
+        lambda y, g=g: g(y) * np.sqrt(_nu(y)) for g in f.product_factors]
+    _, sum_sq, sup = _grid_contract(
+        f.arity, lambda pts: f.evaluate(pts) * np.sqrt(np.prod(_nu(pts), axis=-1)), x,
+        factors=factors)
+    return sup / math.sqrt(h**f.arity * sum_sq)
 
 
 def tv_distance(empirical: dict, table: SpectrumTable, D: int,

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite_sampling import OracleFunction, SamplerConfig, general_hermite_sample
+from .hermite_sampling import (
+    OracleFunction,
+    SamplerConfig,
+    _grid_contract,
+    general_hermite_sample,
+    sample_distribution,
+)
 from .spectral_core import probabilist_rows
 
 __all__ = [
@@ -196,37 +202,26 @@ def restriction_coefficient(f: OracleFunction, pattern: CoefficientPattern,
     """F_S f(z) = fhat_{J|z}(S): quadrature over the fixed block at frozen z.
 
     Cross-validates weight_estimate: averaging F_S f(z)^2 over Gaussian z
-    recovers W^S(f).  The fixed block must be small (|J| <= 2) since the
-    quadrature grid is tensored over it.
+    recovers W^S(f).  The quadrature grid is tensored over the fixed block J,
+    so |J| * log2(grid_points) must stay within the full-grid budget.
     """
-    J = pattern.fixed_positions
-    rest = pattern.wildcard_positions
-    if len(J) > 2:
-        raise ValueError("restriction quadrature supports |J| <= 2")
+    J = list(pattern.fixed_positions)
+    rest = list(pattern.wildcard_positions)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if len(z) != len(rest):
         raise ValueError(f"z must fix the {len(rest)} wildcard coordinates")
     grid = np.linspace(-grid_half_width, grid_half_width, grid_points)
-    w = np.exp(-0.5 * grid * grid) / math.sqrt(2 * math.pi)
-    step = grid[1] - grid[0]
-    if len(J) == 1:
-        pts = np.empty((grid_points, f.arity))
-        pts[:, J[0]] = grid
-        for col, pos in enumerate(rest):
-            pts[:, pos] = z[col]
-        deg = pattern.entries[J[0]]
-        h = probabilist_rows(deg, grid)[deg]
-        return float(step * np.sum(f.evaluate(pts) * h * w))
-    G1, G2 = np.meshgrid(grid, grid, indexing="ij")
-    pts = np.empty(G1.shape + (f.arity,))
-    pts[..., J[0]] = G1
-    pts[..., J[1]] = G2
-    for col, pos in enumerate(rest):
-        pts[..., pos] = z[col]
-    d1, d2 = pattern.entries[J[0]], pattern.entries[J[1]]
-    h1 = probabilist_rows(d1, grid)[d1] * w
-    h2 = probabilist_rows(d2, grid)[d2] * w
-    return float(step**2 * np.einsum("ij,i,j->", f.evaluate(pts), h1, h2))
+    weight = (grid[1] - grid[0]) * np.exp(-0.5 * grid * grid) / math.sqrt(2 * math.pi)
+
+    def on_block(y):   # points of the fixed block, with z inserted
+        pts = np.empty(y.shape[:-1] + (f.arity,))
+        pts[..., J] = y
+        pts[..., rest] = z
+        return f.evaluate(pts)
+
+    mats = [probabilist_rows(d, grid)[d:] * weight for d in (pattern.entries[j] for j in J)]
+    c, _, _ = _grid_contract(len(J), on_block, grid, mats)
+    return float(c.item())
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +266,10 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
     if mode == "sampler":
         scfg = sampler_config or SamplerConfig(D=cap)
         draws = max(int(math.ceil(32.0 / tau**2 * math.log(2.0 / delta))), 64)
+        dist = sample_distribution(f, scfg, normalized=not f.boolean)
         counts: dict = {}
         for _ in range(draws):
-            s = general_hermite_sample(f, scfg, rng)
+            s = general_hermite_sample(dist, rng)
             queries += s.attempts
             if not s.out_of_range:
                 counts[s.v] = counts.get(s.v, 0) + 1
@@ -339,9 +335,10 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
 
 def _mode_sample(f: OracleFunction, scfg: SamplerConfig, rng, repeats: int):
     """Repeated spectrum draws; returns (mode sample, draw count)."""
+    dist = sample_distribution(f, scfg, normalized=not f.boolean)
     counts: dict = {}
     for _ in range(repeats):
-        s = general_hermite_sample(f, scfg, rng)
+        s = general_hermite_sample(dist, rng)
         if not s.out_of_range:
             counts[s.v] = counts.get(s.v, 0) + 1
     if not counts:
@@ -398,9 +395,10 @@ def test_low_degree(f: OracleFunction, d: int, eps1: float, eps2: float,
     eps = eps2 - eps1
     scfg = sampler_config or SamplerConfig(D=max(9, 2 * d + 1))
     m = int(math.ceil(c_samples * math.log(1.0 / delta) / eps**2))
+    dist = sample_distribution(f, scfg, normalized=not f.boolean)
     hits = 0
     for _ in range(m):
-        s = general_hermite_sample(f, scfg, rng)
+        s = general_hermite_sample(dist, rng)
         if not s.out_of_range and sum(s.v) <= d:
             hits += 1
     x = hits / m

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .calibration import Calibration
-from .discrete_qho import DiscreteHermiteBasis, build, hermite_basis
+from .discrete_qho import DiscreteHermiteBasis, build, hermite_basis, loewdin_orthonormalize
 from .fast_forward import apply_tables, decompose, evolution_tables
 from .spectral_core import GridSpec
 
@@ -38,7 +38,6 @@ __all__ = [
     "config_to_json",
     "config_from_json",
     "pr_support",
-    "pr_function",
     "window_value",
     "build_pr_state",
     "pr_amplitude_phase",
@@ -235,13 +234,6 @@ def pr_amplitude_phase(n: int, x: np.ndarray):
     theta = (n / 2.0 + 0.25) * (np.sin(2 * phi) - 2 * phi) + 0.75 * np.pi
     amp = 2**0.25 / (math.sqrt(math.pi) * n**0.25) / np.sqrt(sin_phi)
     return amp, theta
-
-
-def pr_function(n: int, x: np.ndarray) -> np.ndarray:
-    """phi_n(x) before windowing: the oscillatory Hermite asymptotic for n >= 1,
-    the constant psi_0(0) for n = 0."""
-    amp, theta = pr_amplitude_phase(n, x)
-    return amp * np.sin(theta)
 
 
 def build_pr_state(n: int, config: QHTConfig,
@@ -511,14 +503,6 @@ def qht_reference(alpha: np.ndarray, basis: DiscreteHermiteBasis,
         signs = (-1.0) ** np.arange(len(alpha))
         return (alpha * signs) @ states
     return alpha @ states
-
-
-def loewdin_orthonormalize(states: np.ndarray) -> np.ndarray:
-    """Symmetric (minimal-disturbance) orthonormalization of the row vectors."""
-    g = states @ states.conj().T
-    evals, evecs = np.linalg.eigh(g)
-    inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
-    return inv_sqrt @ states
 
 
 def qht_apply(alpha: np.ndarray, config: QHTConfig) -> QHTResult:

@@ -26,7 +26,6 @@ __all__ = [
     "centered_dft",
     "centered_dft_matrix",
     "apply_diagonal_phase",
-    "state_norm",
 ]
 
 
@@ -112,15 +111,6 @@ class HermiteTable:
     def row(self, n: int) -> np.ndarray:
         return self.values[n]
 
-    def to_csv(self, path) -> None:
-        """Export as rows (n, j, psi_n(x_j)) for golden-value comparisons."""
-        labels = self.spec.labels
-        with open(path, "w") as fh:
-            fh.write("n,j,value\n")
-            for n in range(self.n_max + 1):
-                for i, j in enumerate(labels):
-                    fh.write(f"{n},{j},{float(self.values[n, i])!r}\n")
-
 
 def hermite_table(n_max: int, spec: GridSpec) -> HermiteTable:
     """Tabulate psi_n on the grid; see hermite_function_rows for the recurrence."""
@@ -163,7 +153,3 @@ def apply_diagonal_phase(state: np.ndarray, phases: np.ndarray) -> np.ndarray:
     if v.shape != ph.shape:
         raise ValueError(f"length mismatch: state {v.shape} vs phases {ph.shape}")
     return np.exp(-1j * ph) * v
-
-
-def state_norm(state: np.ndarray) -> float:
-    return float(np.linalg.norm(state))

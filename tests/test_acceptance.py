@@ -200,7 +200,7 @@ def test_criterion_06_hermite_sampling_correctness():
         worst_pointwise = max(worst_pointwise, pointwise)
         hist = {}
         for _ in range(10000):
-            s = general_hermite_sample(f, scfg, rng)
+            s = general_hermite_sample(dist, rng)
             hist[s.v] = hist.get(s.v, 0) + 1
         # out-of-window concentration: boolean spectra may carry real mass
         # beyond D (sgn decays like k^(-3/4)); normalized spectra capture
@@ -225,8 +225,8 @@ def test_criterion_07_distortion_postselection():
     results = {}
     for kappa, f in ((1.0, corpus.product_sign((0,), 1)),
                      (3.0, corpus.scaled_constant(3.0, 1))):
-        scfg = SamplerConfig(M=256, D=5)
-        attempts = [general_hermite_sample(f, scfg, rng).attempts for _ in range(1000)]
+        dist = sample_distribution(f, SamplerConfig(M=256, D=5), normalized=not f.boolean)
+        attempts = [general_hermite_sample(dist, rng).attempts for _ in range(1000)]
         results[kappa] = float(np.mean(attempts))
     elapsed = time.time() - t0
     ok = all(results[k] <= 2 * k + 0.5 for k in results)

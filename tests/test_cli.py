@@ -98,6 +98,27 @@ class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["bogus"]) == 1
 
+    @pytest.mark.parametrize("command", ["ff-error", "overlap", "qht", "sample", "ggl", "test"])
+    @pytest.mark.parametrize("content", [None, "not json", '{"version": 1}'],
+                             ids=["missing", "malformed", "incomplete"])
+    def test_bad_calibration_fails_fast(self, tmp_path, capsys, command, content):
+        cal = tmp_path / "cal.json"
+        if content is not None:
+            cal.write_text(content)
+        out = tmp_path / "x.csv"
+        assert main([command, "--calibration", str(cal), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_calibration_path_kept_in_provenance(self, tmp_path):
+        cal = tmp_path / "cal.json"
+        cal.write_text('{"version": 1, "c0": 1e-5, "c1": 4.0}')
+        code, out = _run(tmp_path, "q.csv", ["qht", "--N", "2", "--eps", "0.1",
+                                            "--calibration", str(cal)])
+        assert code == 0
+        meta, rows, _ = read_table(out)
+        assert meta["calibration"] == str(cal) and len(rows) == 2
+
     def test_bad_config_rejected(self, tmp_path):
         out = tmp_path / "x.csv"
         assert main(["qht", "--N", "4", "--eps", "2.0", "--out", str(out)]) == 1

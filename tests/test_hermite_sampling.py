@@ -9,7 +9,6 @@ from qhermite.hermite_sampling import (
     PostselectionFailure,
     SamplerConfig,
     SpectrumTable,
-    boolean_hermite_sample,
     coefficient_oracle,
     distortion,
     general_hermite_sample,
@@ -18,6 +17,7 @@ from qhermite.hermite_sampling import (
     suggest_quadrature_M,
     tv_distance,
 )
+from qhermite.learning_testers import CoefficientPattern, restriction_coefficient
 
 
 class TestCoefficientOracle:
@@ -59,6 +59,53 @@ class TestCoefficientOracle:
         assert abs(val - fine) <= 10 * max(err, 1e-9)
 
 
+def _dense(f):
+    """The same oracle without its per-axis factors, so it takes the dense-grid path."""
+    return OracleFunction(arity=f.arity, evaluator=f.evaluator, boolean=f.boolean,
+                          kappa=f.kappa, label=f.label)
+
+
+class TestGridContraction:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_probability_mass_conserved(self, n):
+        scfg = SamplerConfig(M=256, D=9)
+        monomial = corpus.hermite_monomial((2,) + (0,) * (n - 1), n)
+        product = [corpus.product_sign(tuple(range(min(2, n))), n), corpus.scaled_constant(3.0, n)]
+        for f in product + [_dense(f) for f in product] + [monomial]:
+            dist = sample_distribution(f, scfg, normalized=not f.boolean)
+            assert abs(dist.probs.sum() + dist.out_mass - 1.0) <= 1e-12
+            assert abs(dist.total - (dist.cdf[-1] + dist.out_mass)) <= 1e-15
+
+    def test_three_axis_spectrum_matches_pointwise_oracle(self):
+        f = corpus.mixture([((1, 2, 0), 0.8), ((0, 0, 3), 0.6)], 3)
+        table = spectrum_table(f, 3, 128)
+        for v in ((1, 2, 0), (0, 0, 3), (0, 0, 0), (3, 1, 2), (2, 2, 2)):
+            direct, _ = coefficient_oracle(f, v, 64)   # its fine grid is M_quad = 128
+            assert abs(table.coefficient(v) - direct) <= 1e-12
+        assert abs(table.mass - 1.0) < 1e-6
+
+    def test_leading_axes_walked_in_slabs(self):
+        # 8^6 points exceed one slab, so two leading axes are flattened and walked
+        f = corpus.product_sign(tuple(range(7)), 7)
+        prod = spectrum_table(f, 1, 8)
+        dense = spectrum_table(_dense(f), 1, 8)
+        assert max(abs(prod.coefficient(v) - c) for v, c in dense.coefficients.items()) <= 1e-12
+
+    @pytest.mark.parametrize("entry", [
+        lambda f: coefficient_oracle(f, (0, 0, 0), 512),
+        lambda f: spectrum_table(f, 3, 512),
+        lambda f: sample_distribution(f, SamplerConfig(M=512, D=3), normalized=True),
+        lambda f: distortion(f, 512),
+        lambda f: restriction_coefficient(f, CoefficientPattern((0, 0, 0)), np.array([]),
+                                          grid_points=512),
+    ], ids=["coefficient_oracle", "spectrum_table", "sample_distribution", "distortion",
+            "restriction_coefficient"])
+    def test_dense_three_axis_budget(self, entry):
+        f = corpus.hermite_monomial((2, 0, 0), 3)
+        with pytest.raises(ValueError, match="full-grid budget exceeded"):
+            entry(f)
+
+
 class TestOraclePrecision:
     def test_input_snapping_constant_on_cubes(self):
         f = OracleFunction(arity=1, evaluator=lambda x: x[..., 0], input_bits=3)
@@ -97,9 +144,9 @@ class TestSpectrumTable:
 
 class TestBooleanSampler:
     def test_constant_always_zero_index(self, rng):
-        scfg = SamplerConfig(M=256, D=5)
+        dist = sample_distribution(corpus.constant(1, 1.0), SamplerConfig(M=256, D=5))
         for _ in range(20):
-            s = boolean_hermite_sample(corpus.constant(1, 1.0), scfg, rng)
+            s = general_hermite_sample(dist, rng)
             assert s.v == (0,)
 
     def test_product_sign_parity_of_support(self, rng):
@@ -121,17 +168,13 @@ class TestBooleanSampler:
                     for v in table.coefficients)
         assert worst <= 0.05
 
-    def test_requires_boolean(self, rng):
-        with pytest.raises(ValueError):
-            boolean_hermite_sample(corpus.scaled_constant(3.0), SamplerConfig(), rng)
-
 
 class TestGeneralSampler:
     def test_boolean_branch_consistency(self, rng):
         f = corpus.product_sign((0,), 1)
         scfg = SamplerConfig(M=256, D=9)
         d1 = sample_distribution(f, scfg)
-        s = general_hermite_sample(f, scfg, rng)
+        s = general_hermite_sample(d1, rng)
         assert s.attempts == 1
         assert d1.prob(s.v) > 0
 
@@ -144,16 +187,17 @@ class TestGeneralSampler:
     def test_postselection_attempt_statistics(self, rng):
         # kappa = 3 with the bound-tight planted constant: mean <= 2k + .5
         f = corpus.scaled_constant(3.0, 1)
-        scfg = SamplerConfig(M=256, D=3)
-        attempts = [general_hermite_sample(f, scfg, rng).attempts for _ in range(1000)]
+        dist = sample_distribution(f, SamplerConfig(M=256, D=3), normalized=True)
+        attempts = [general_hermite_sample(dist, rng).attempts for _ in range(1000)]
         assert np.mean(attempts) <= 2 * 3.0 + 0.5
 
     def test_attempt_cap_reported(self, rng):
         f = corpus.scaled_constant(3.0, 1)
-        scfg = SamplerConfig(M=256, D=3, attempt_cap_factor=0)
+        dist = sample_distribution(f, SamplerConfig(M=256, D=3, attempt_cap_factor=0),
+                                   normalized=True)
         with pytest.raises(PostselectionFailure):
             for _ in range(50):
-                general_hermite_sample(f, scfg, rng)
+                general_hermite_sample(dist, rng)
 
 
 class TestPipelineTransformBackend:
@@ -208,11 +252,11 @@ class TestTVDistance:
 
     def test_sampled_planted_function(self, rng):
         f = corpus.product_sign((0, 1), 2)
-        scfg = SamplerConfig(M=512, D=9)
+        dist = sample_distribution(f, SamplerConfig(M=512, D=9))
         hist = {}
         trials = 4000
         for _ in range(trials):
-            s = general_hermite_sample(f, scfg, rng)
+            s = general_hermite_sample(dist, rng)
             hist[s.v] = hist.get(s.v, 0) + 1
         table = spectrum_table(f, 9, 512)
         upsilon = max(1.0 - table.mass, 0.0)

@@ -85,6 +85,13 @@ class TestRestriction:
             expected = probabilist_rows(3, np.array([z]))[3][0]
             assert abs(restriction_coefficient(f, pat, np.array([z])) - expected) < 1e-6
 
+    def test_two_axis_fixed_block(self):
+        # f = h_(1,2,0): the block J = {0, 1} carries the whole spectrum at every z
+        f = corpus.mixture([((1, 2, 0), 1.0)], 3)
+        pat = CoefficientPattern((1, 2, None))
+        for z in (-1.2, 0.0, 0.7):
+            assert abs(restriction_coefficient(f, pat, np.array([z])) - 1.0) < 1e-6
+
     def test_consistency_with_weight_estimate(self, rng):
         f = corpus.mixture([((1, 0), 0.8), ((0, 2), 0.6)], 2)
         pat = CoefficientPattern((1, None))
