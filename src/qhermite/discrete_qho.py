@@ -11,11 +11,15 @@ orders (the full-space intermediates reach ~1e50 while the projected results
 sit below 1e-40 already at M=128), so a float64 dense nesting returns pure
 rounding noise.  Because the nesting operator is diagonal in its own
 representation, [diag(d), B]_t has the exact Hadamard form (d_j - d_k)^t B_jk,
-which lets the lab evaluate projected entries term by term in multiprecision
-(mpmath) with closed-form circulant symbols for pbar^2 and {xbar, pbar}.  The
-projector uses the discrete Hermite states (the spec'd state-form realization,
-exact to arbitrary precision via the recurrence), which agrees with the
-eigenvector form to well below the quantities measured.
+and d_j - d_k = (2*pi/M) (J_j^2 - J_k^2) with an exact integer second factor.
+The lab computes its inputs once in mpmath -- the discrete Hermite columns
+(the spec'd state-form realization, exact to arbitrary precision via the
+recurrence), their centered DFTs, and closed-form circulant symbols for pbar^2
+and {xbar, pbar} -- and rounds each to fixed point.  That rounding is the only
+one: the projected sums are then accumulated in exact Python integers, so the
+cancellation costs nothing, and each term's scale is applied once when it is
+converted to float64.  The projector's state form agrees with the eigenvector
+form to well below the quantities measured.
 """
 from __future__ import annotations
 
@@ -69,6 +73,12 @@ class DiscreteQHO:
 
     spec: GridSpec
     x: np.ndarray = field(repr=False)
+    alt: np.ndarray = field(init=False, repr=False)   # (-1)^i, the centered-DFT frame
+
+    def __post_init__(self):
+        alt = np.ones(self.spec.M)
+        alt[1::2] = -1.0
+        object.__setattr__(self, "alt", alt)
 
     @property
     def M(self) -> int:
@@ -90,10 +100,13 @@ def apply_position_sq(qho: DiscreteQHO, state: np.ndarray) -> np.ndarray:
 
 
 def apply_momentum_sq(qho: DiscreteQHO, state: np.ndarray) -> np.ndarray:
-    """pbar^2 v = F^-1 diag(x^2) F v."""
-    w = centered_dft(state, qho.spec)
-    w = qho.x * qho.x * w
-    return centered_dft(w, qho.spec, inverse=True)
+    """pbar^2 v = F^-1 diag(x^2) F v = alt*fft(x^2*ifft(alt*v)) along the last axis.
+
+    The centered DFT's sign (-1)^(M/2), its sqrt(M) and the inner pair of alt
+    cancel in the conjugation (the identity `fast_forward.apply_tables` uses).
+    """
+    v = np.asarray(state, dtype=complex)
+    return qho.alt * np.fft.fft(qho.x * qho.x * np.fft.ifft(qho.alt * v))
 
 
 def apply_hamiltonian(qho: DiscreteQHO, state: np.ndarray) -> np.ndarray:
@@ -341,7 +354,7 @@ def defect_delta(qho: DiscreteQHO, n_prime: int = 8) -> DefectDelta:
 
 
 # ---------------------------------------------------------------------------
-# Multiprecision commutator tail lab
+# Commutator tail lab: mpmath inputs, exact integer accumulation
 # ---------------------------------------------------------------------------
 
 TAIL_FAMILIES = ("x2_p2", "p2_x2", "p2_anti")
@@ -356,6 +369,7 @@ class TailReport:
     tail_norm: float
     term_norms: dict          # t -> spectral norm of the projected t-th term
     dps: int
+    error_bar: float = 0.0    # ||tail(P + 64 bits) - tail(P bits)||, see commutator_tail_norm
 
 
 def export_tail_reports(reports, path) -> None:
@@ -387,36 +401,24 @@ def _mp_hermite_columns(M: int, N: int):
     return out
 
 
-def _mp_centered_dft_columns(cols, M: int):
-    """Centered DFT of each column, via a precomputed root-of-unity table."""
-    roots = [mp.e ** (2 * mp.pi * mp.mpc(0, 1) * r / M) for r in range(M)]
-    out = []
-    inv_sqrt = 1 / mp.sqrt(M)
-    for col in cols:
-        res = []
-        for jj in range(-M // 2, M // 2):
-            acc = mp.fsum(col[i] * roots[((i - M // 2) * jj) % M] for i in range(M))
-            res.append(acc * inv_sqrt)
-        out.append(res)
-    return out
-
-
 def _mp_p2_symbol(M: int):
+    """Symbol of pbar^2, c[d] = c[M - d]; only d <= M/2 is evaluated."""
     c = [mp.mpf(0)] * M
     half = M // 2
     c[0] = 2 * mp.pi / M**2 * (mp.mpf((half - 1) * half * (M - 1)) / 3 + half * half)
-    for d in range(1, M):
-        c[d] = (mp.pi / M) * (-1) ** d / mp.sin(mp.pi * mp.mpf(d) / M) ** 2
+    for d in range(1, half + 1):
+        c[d] = c[M - d] = (mp.pi / M) * (-1) ** d / mp.sin(mp.pi * mp.mpf(d) / M) ** 2
     return c
 
 
 def _mp_p1_symbol(M: int):
-    """Symbol of F xbar F^-1: entries c1[(j-k) mod M]."""
+    """Symbol of F xbar F^-1: entries c1[(j-k) mod M], c1[M - d] = conj(c1[d])."""
     h = mp.sqrt(2 * mp.pi / M)
     c = [mp.mpc(-h / 2)] + [mp.mpc(0)] * (M - 1)
-    for d in range(1, M):
+    for d in range(1, M // 2 + 1):
         w = mp.e ** (2 * mp.pi * mp.mpc(0, 1) * d / M)
         c[d] = h * ((-1) ** d) / (w - 1)
+        c[M - d] = mp.conj(c[d])
     return c
 
 
@@ -428,6 +430,113 @@ def _tail_dps(M: int, t_max: int) -> int:
     like exp(-c*M), so the digit budget grows linearly in M.
     """
     return 60 + int(0.55 * M) + max(0, 2 * (t_max - 30))
+
+
+_TAIL_GUARD_BITS = 16   # fixed-point bits beyond the decimal working precision
+_TAIL_CHECK_BITS = 64   # extra bits of the second pass that sets error_bar
+
+
+def _fixed(values, bits: int):
+    """Round mp reals or complexes to fixed point at 2^-bits: (re, im) object arrays."""
+    re = [int(mp.nint(mp.ldexp(mp.re(v), bits))) for v in values]
+    im = [int(mp.nint(mp.ldexp(mp.im(v), bits))) for v in values]
+    return np.array(re, dtype=object), np.array(im, dtype=object)
+
+
+def _shift(pair, bits: int):
+    """Re-round a fixed-point (re, im) pair to `bits` fewer fractional bits.
+
+    Ties round away from zero, so negation (and conjugation) commutes with it.
+    """
+    if not bits:
+        return pair
+    half = 1 << (bits - 1)
+    return tuple(np.array([(v + half) >> bits if v >= 0 else -((half - v) >> bits) for v in part],
+                          dtype=object) for part in pair)
+
+
+def _fixed_dft_columns(cols, M: int, bits: int):
+    """Centered DFT of the mp columns, rounded to fixed point at 2^-bits.
+
+    The products run in exact integers against a root-of-unity table held
+    _TAIL_GUARD_BITS finer; only the M outputs per column are rounded, once.
+    """
+    fine = bits + _TAIL_GUARD_BITS
+    labels = np.arange(M) - M // 2
+    idx = np.outer(labels, labels) % M        # [output label, input label]
+    rr, ri = (part[idx] for part in _fixed([mp.expjpi(mp.mpf(2 * r) / M) for r in range(M)], fine))
+    scale = mp.ldexp(1 / mp.sqrt(M), -2 * fine)
+    out = []
+    for col in cols:
+        c = _fixed(col, fine)[0]
+        sums = zip((rr * c).sum(axis=1), (ri * c).sum(axis=1))
+        out.append(_fixed([mp.mpc(int(re), int(im)) * scale for re, im in sums], bits))
+    return out
+
+
+def _fold(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum the entries of labels J and -J along `axis`; index m = |J|, 0..M/2."""
+    a = np.moveaxis(a, axis, -1)
+    half = a.shape[-1] // 2
+    out = a[..., half::-1].copy()             # J = 0, -1, ..., -M/2
+    out[..., 1:half] += a[..., half + 1:]     # J = 1, ..., M/2 - 1
+    return np.moveaxis(out, -1, axis)
+
+
+def _power_sums(H: np.ndarray, t0: int, t_max: int) -> list:
+    """sum_{n,m} (n^2 - m^2)^t H[n, m] for t = t0..t_max, exactly.
+
+    The weight is antisymmetric in (n, m) and zero on the diagonal, so only
+    n < m is visited: with H + H^T for even t and H - H^T for odd t.  A parity
+    that is all zero (real data gives one) is skipped.
+    """
+    n, m = np.triu_indices(H.shape[0], 1)
+    d = (n * n - m * m).astype(object)
+    upper, lower = H[n, m], H[m, n]
+    parity = (upper + lower, upper - lower)   # even t, odd t
+    cur = [parity[t % 2] * d**t if any(parity[t % 2]) else None for t in (t0, t0 + 1)]
+    d2 = d * d
+    sums = []
+    for i in range(t_max - t0 + 1):
+        c = cur[i % 2]
+        if c is not None and i >= 2:
+            c *= d2
+        sums.append(0 if c is None else int(c.sum()))
+    return sums
+
+
+def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int):
+    """Exact S_t[a, b] = sum_jk conj(u_a[j]) W[j, k] (J_j^2 - J_k^2)^t u_b[k].
+
+    u is a list of N fixed-point columns and g the fixed-point symbol, both
+    (re, im) pairs of integer object arrays; W[j, k] = g[(j - k) mod M],
+    times the exact integer J_j + J_k when `anti`.  g[M - d] = conj(g[d]), so
+    W is Hermitian and S_t[b, a] = (-1)^t conj(S_t[a, b]): only a <= b is
+    summed.  Returns {t: (re, im)} of N x N integer arrays, scaled by the
+    product of the three inputs' scales.
+    """
+    M = len(g[0])
+    labels = np.arange(M)
+    idx = (labels[:, None] - labels[None, :]) % M
+    wr, wi = g[0][idx], g[1][idx]
+    if anti:
+        jsum = (labels[:, None] + labels[None, :] - M).astype(object)
+        wr, wi = wr * jsum, wi * jsum
+    N = len(u)
+    S = {t: (np.zeros((N, N), dtype=object), np.zeros((N, N), dtype=object))
+         for t in range(t0, t_max + 1)}
+    for b, (ur, ui) in enumerate(u):
+        # G_b[j, m]: W u_b with the columns of labels k and -k summed (m = |J_k|)
+        gr, gi = _fold(wr * ur - wi * ui, 1), _fold(wr * ui + wi * ur, 1)
+        for a, (ar, ai) in enumerate(u[:b + 1]):
+            # H[n, m] = sum over |J_j| = n of conj(u_a[j]) G_b[j, m]
+            hr = _fold(ar[:, None] * gr + ai[:, None] * gi, 0)
+            hi = _fold(ar[:, None] * gi - ai[:, None] * gr, 0)
+            for t, re, im in zip(S, _power_sums(hr, t0, t_max), _power_sums(hi, t0, t_max)):
+                sign = -1 if t % 2 else 1
+                S[t][0][a, b], S[t][1][a, b] = re, im
+                S[t][0][b, a], S[t][1][b, a] = sign * re, -sign * im
+    return S
 
 
 def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
@@ -442,9 +551,14 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     The tail bound is stated for any constants with |c1|, |c2| <= 1; they
     enter exactly as [c1*A, c2*B]_t = c1^t c2 [A, B]_t.  Evaluated in the
     representation where A is diagonal, where the t-fold nesting is the exact
-    entrywise factor (d_j - d_k)^t; projected entries are accumulated in
-    multiprecision (see module docstring).  Per-term projected norms are
-    returned alongside the tail.
+    entrywise factor (d_j - d_k)^t = (2 pi c1 / M)^t (J_j^2 - J_k^2)^t.  The
+    columns and symbols are computed in mpmath and rounded once to fixed
+    point at P = ceil(dps log2 10) + 16 bits; the projected sums of
+    (J_j^2 - J_k^2)^t times those integers are exact, and the scale
+    c2 (2 pi c1 / M)^t / t! is applied once per t when converting to
+    float64.  The integer pass runs at P and at P + 64 bits; the second gives
+    `tail_norm` and `term_norms`, and the spectral norm of the difference of
+    the two projected tails is `error_bar`.
     """
     M = qho.M
     if M > TAIL_M_CAP:
@@ -460,71 +574,41 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
         return TailReport(family, M, N, t_max, 0.0, {}, 0)
 
     used_dps = _tail_dps(M, t_max) if dps is None else dps
-    with mp.workdps(used_dps):
-        h2 = 2 * mp.pi / M
-        # c1 scales the nesting operator, so it rides on the Hadamard factor
-        delta = [mp.mpf(c1) * (j * j) * h2 for j in range(-M // 2, M // 2)]
+    bits = math.ceil(used_dps * math.log2(10)) + _TAIL_GUARD_BITS
+    fine = bits + _TAIL_CHECK_BITS
+    with mp.workprec(fine + _TAIL_GUARD_BITS):
         cols = _mp_hermite_columns(M, N)
         if family == "x2_p2":
-            u = [[mp.mpc(v) for v in c] for c in cols]
-            sym = _mp_p2_symbol(M)
-
-            def entry(jj, kk):
-                return sym[(kk - jj) % M]
+            u = [_fixed(c, fine) for c in cols]
         else:
-            u = _mp_centered_dft_columns(cols, M)
-            if family == "p2_x2":
-                sym = _mp_p2_symbol(M)
+            u = _fixed_dft_columns(cols, M, fine)
+        if family == "p2_anti":
+            h = mp.sqrt(2 * mp.pi / M)
+            g = _fixed([h * s for s in _mp_p1_symbol(M)], fine)
+        else:
+            g = _fixed(_mp_p2_symbol(M), fine)
+        tails, terms = [], {}
+        for drop in (_TAIL_CHECK_BITS, 0):
+            S = _integer_tail_sums([_shift(c, drop) for c in u], _shift(g, drop),
+                                   family == "p2_anti", t0, t_max)
+            terms = {t: _scaled(S[t], t, M, c1, c2, 3 * (fine - drop)) for t in S}
+            tails.append(sum(terms.values(), mp.zeros(N)))
+        error_bar = _spectral_norm(tails[1] - tails[0])
+    term_norms = {t: _spectral_norm(T) for t, T in terms.items()}
+    return TailReport(family, M, N, t_max, _spectral_norm(tails[1]), term_norms, used_dps,
+                      error_bar=error_bar)
 
-                def entry(jj, kk):
-                    return sym[(kk - jj) % M]
-            else:
-                sym1 = _mp_p1_symbol(M)
-                h = mp.sqrt(h2)
-                xs = [jj * h for jj in range(-M // 2, M // 2)]
 
-                def entry(jj, kk):
-                    return (xs[jj] + xs[kk]) * sym1[(jj - kk) % M]
+def _scaled(S_t, t: int, M: int, c1: float, c2: float, bits: int):
+    """The projected t-th term c2 (2 pi c1 / M)^t / t! 2^-bits S_t, as an mp matrix."""
+    scale = mp.mpf(c2) * (2 * mp.pi * mp.mpf(c1) / M) ** t / mp.factorial(t) * mp.ldexp(1, -bits)
+    re, im = S_t
+    return mp.matrix([[mp.mpc(int(r), int(i)) * scale for r, i in zip(rr, ii)]
+                      for rr, ii in zip(re, im)])
 
-        nt = t_max - t0 + 1
-        T = [[[mp.mpc(0)] * N for _ in range(N)] for _ in range(nt)]
-        fact0 = mp.factorial(t0)
-        uconj = [[mp.conj(v) for v in col] for col in u]
-        for j in range(M):
-            row = [[mp.mpc(0)] * N for _ in range(nt)]
-            for k in range(M):
-                w = entry(j, k)
-                if w == 0:
-                    continue
-                d = delta[j] - delta[k]
-                base = [mp.mpf(c2) * w * u[b][k] for b in range(N)]
-                term = d**t0 / fact0
-                for ti in range(nt):
-                    rt = row[ti]
-                    for b in range(N):
-                        rt[b] += term * base[b]
-                    term = term * d / (t0 + ti + 1)
-            for ti in range(nt):
-                rt = row[ti]
-                Tt = T[ti]
-                for a in range(N):
-                    ua = uconj[a][j]
-                    for b in range(N):
-                        Tt[a][b] += ua * rt[b]
 
-        term_norms = {}
-        tail = np.zeros((N, N), dtype=complex)
-        # float64 is ample for the projected values; Kahan-compensate the sum.
-        comp = np.zeros_like(tail)
-        for ti in range(nt):
-            arr = np.array([[complex(T[ti][a][b]) for b in range(N)] for a in range(N)])
-            term_norms[t0 + ti] = float(np.linalg.svd(arr, compute_uv=False)[0])
-            y = arr - comp
-            s = tail + y
-            comp = (s - tail) - y
-            tail = s
-    tail_norm = float(np.linalg.svd(tail, compute_uv=False)[0])
-    return TailReport(family, M, N, t_max, tail_norm, term_norms, used_dps)
+def _spectral_norm(a) -> float:
+    return float(np.linalg.svd(np.array(a.tolist(), dtype=complex), compute_uv=False)[0])
 
 
 def dense_tail_reference(qho: DiscreteQHO, N: int, t_max: int,
@@ -534,7 +618,7 @@ def dense_tail_reference(qho: DiscreteQHO, N: int, t_max: int,
     Iterative nesting with the 1/t rescaling folded into each step.  Valid
     only while the unprojected intermediates stay small enough for float64
     (roughly M <= 32 with t_max <= 8); the production path is the
-    multiprecision Hadamard evaluation above.
+    exact-integer Hadamard evaluation above.
     """
     M = qho.M
     if M > 64:

@@ -210,6 +210,8 @@ def restriction_coefficient(f: OracleFunction, pattern: CoefficientPattern,
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if len(z) != len(rest):
         raise ValueError(f"z must fix the {len(rest)} wildcard coordinates")
+    if not J:   # no fixed coordinate: F_S f(z) is f(z) itself
+        return float(f.evaluate(z[None])[0])
     grid = np.linspace(-grid_half_width, grid_half_width, grid_points)
     weight = (grid[1] - grid[0]) * np.exp(-0.5 * grid * grid) / math.sqrt(2 * math.pi)
 

@@ -57,7 +57,7 @@ class TestDefectDelta:
 class TestTailMachinery:
     @pytest.mark.parametrize("family", TAIL_FAMILIES)
     def test_matches_dense_reference_small_scale(self, family):
-        # float64 dense nesting is valid at M=16, t_max=6; the multiprecision
+        # float64 dense nesting is valid at M=16, t_max=6; the exact-integer
         # Hadamard path must agree to rounding there
         qho = build(GridSpec(16))
         ref = dense_tail_reference(qho, N=2, t_max=6, family=family)
@@ -99,7 +99,35 @@ class TestTailMachinery:
             commutator_tail_norm(build(GridSpec(16)), 1, 80)
 
 
-@pytest.mark.slow
+class TestExactAccumulation:
+    # M = 64, N = 1, t_max = 30 tails recorded from the multiprecision (mpc)
+    # accumulation this lab replaced
+    RECORDED_M64 = {
+        "x2_p2": 9.577516769832688e-11,
+        "p2_x2": 1.0328623420085976e-12,
+        "p2_anti": 2.2543005773522406e-08,
+    }
+
+    @pytest.mark.parametrize("family", TAIL_FAMILIES)
+    def test_recorded_tails(self, family):
+        want = self.RECORDED_M64[family]
+        rep = commutator_tail_norm(build(GridSpec(64)), 1, 30, family)
+        assert abs(rep.tail_norm - want) <= 1e-9 * want
+
+    def test_odd_terms_vanish_exactly(self):
+        # a real column and a real symmetric symbol against the antisymmetric
+        # (J_j^2 - J_k^2)^t: every odd-t projected term is an exact zero
+        rep = commutator_tail_norm(build(GridSpec(64)), 1, 30, "x2_p2")
+        assert all(rep.term_norms[t] == 0.0 for t in range(3, 31, 2))
+        assert all(rep.term_norms[t] > 0.0 for t in range(4, 31, 2))
+
+    @pytest.mark.parametrize("M", [64, 128])
+    @pytest.mark.parametrize("family", TAIL_FAMILIES)
+    def test_error_bar(self, M, family):
+        rep = commutator_tail_norm(build(GridSpec(M)), 1, 30, family)
+        assert 0.0 < rep.error_bar <= 1e-6 * rep.tail_norm
+
+
 class TestTailDecay:
     def test_x2p2_tail_small_and_shrinking(self):
         # spec-scale check: M=128, N=6 tail below 1e-4 and far smaller at

@@ -60,6 +60,16 @@ class TestDecompose:
         assert all(c == 0.0 for _, c in fe.factors)
         assert decompose(4 * np.pi).global_sign == 1.0
 
+    def test_two_pi_shift_keeps_factors_and_flips_sign(self):
+        # 3 and 5 factors, both signs of t, both signs of the base sign
+        for t in (0.3, -1.2, 2.0, -2.9, 2 * np.pi + 0.7, -2 * np.pi - 2.5):
+            fe, shifted = decompose(t), decompose(t + 2 * np.pi)
+            assert shifted.global_sign == -fe.global_sign
+            assert shifted.reps == fe.reps
+            assert [a for a, _ in shifted.factors] == [a for a, _ in fe.factors]
+            np.testing.assert_allclose([c for _, c in shifted.factors],
+                                       [c for _, c in fe.factors], rtol=1e-12, atol=1e-15)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             decompose(np.inf)
@@ -142,6 +152,15 @@ class TestApplyTables:
             V = _dense_factored(M, fe)
             assert np.abs(apply_tables(tables, v) - V @ v).max() < 1e-12
             assert np.abs(apply_tables(tables, v, adjoint=True) - V.conj().T @ v).max() < 1e-12
+
+    def test_unitary_at_random_times(self):
+        M = 64
+        times = np.random.default_rng(8).uniform(-3 * np.pi, 3 * np.pi, size=8)
+        assert {decompose(t).reps for t in times} == {1, 2}
+        eye = np.eye(M, dtype=complex)
+        for t in times:
+            V = apply_tables(evolution_tables(M, decompose(t)), eye)
+            assert np.abs(V.conj().T @ V - eye).max() < 1e-12
 
     def test_dyadic_adjoint_inverts(self):
         M = 256

@@ -92,6 +92,17 @@ class TestRestriction:
         for z in (-1.2, 0.0, 0.7):
             assert abs(restriction_coefficient(f, pat, np.array([z])) - 1.0) < 1e-6
 
+    def test_all_wildcard_is_the_function(self):
+        # no fixed coordinate: F_S f(z) = f(z)
+        from qhermite.spectral_core import probabilist_rows
+
+        f = corpus.mixture([((1, 2), 0.8), ((0, 1), 0.6)], 2)
+        pat = CoefficientPattern((None, None))
+        for z in ((0.3, -1.1), (2.0, 0.5)):
+            h0, h1 = probabilist_rows(2, np.array([z[0]]))[:, 0], probabilist_rows(2, np.array([z[1]]))[:, 0]
+            expected = 0.8 * h0[1] * h1[2] + 0.6 * h0[0] * h1[1]
+            assert abs(restriction_coefficient(f, pat, np.array(z)) - expected) < 1e-12
+
     def test_consistency_with_weight_estimate(self, rng):
         f = corpus.mixture([((1, 0), 0.8), ((0, 2), 0.6)], 2)
         pat = CoefficientPattern((1, None))
