@@ -184,10 +184,9 @@ def dense_diagonalize(qho: DiscreteQHO, refine: int = 64) -> EigenDecomposition:
     labels = np.arange(-M // 2, M // 2, dtype=np.longdouble)
     x2_ld = labels * labels * (2 * np.longdouble(np.pi) / M)
     Hld = 0.5 * (c[(j[None, :] - j[:, None]) % M] + np.diag(x2_ld))
+    W = vectors[:, :k].astype(np.longdouble)
     refined = energies.copy()
-    for n in range(k):
-        v = vectors[:, n].astype(np.clongdouble)
-        refined[n] = float(np.real(np.vdot(v, Hld @ v) / np.vdot(v, v)))
+    refined[:k] = (W * (Hld @ W)).sum(axis=0) / (W * W).sum(axis=0)
     return EigenDecomposition(energies=refined, vectors=vectors)
 
 

@@ -28,11 +28,17 @@ the kernel applies it only at the two ends of the whole product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discrete_qho import DiscreteQHO, EigenDecomposition, apply_hamiltonian
+from .discrete_qho import (
+    DiscreteQHO,
+    EigenDecomposition,
+    apply_hamiltonian,
+    apply_momentum_sq,
+    apply_position_sq,
+)
 
 __all__ = [
     "FactoredEvolution",
@@ -217,57 +223,81 @@ def chebyshev_evolution(qho: DiscreteQHO, t: float, state: np.ndarray,
     return np.exp(-1j * z) * acc
 
 
+def _check_projection(qho: DiscreteQHO, eig: EigenDecomposition, N: int) -> None:
+    """Reject a projection rank N outside 1..M or an eigenbasis of another grid."""
+    if eig.dim != qho.M:
+        raise ValueError(f"eigenbasis has dimension {eig.dim}, grid has M={qho.M}")
+    if not 1 <= N <= qho.M:
+        raise ValueError(f"projection rank N={N} is outside 1..M={qho.M}")
+
+
 def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float) -> float:
     """|| Pi_N (U(t) - V(t)) Pi_N || via SVD of the projected column differences.
 
-    Assembled by applying both evolutions to each of the N lowest
+    Both evolutions act once on the (N, M) stack of the N lowest
     eigenvectors; the matrix whose largest singular value is returned is the
     N x N block <e_m| (U - V) |e_n>, which is exactly the theorem's quantity.
     The exact side runs through the Chebyshev oracle: scalar eigenphases
     exp(-i*E_n*t) would re-inject the eigensolver's eps*||H|| noise, which at
-    M ~ 1000 sits above the quantity being measured.
+    M ~ 1000 sits above the quantity being measured.  What remains is float64
+    kernel rounding: values near 1e-13 (M = 512) carry about 1e-15 of it, and
+    a change in the association of an FFT product moves them by that much.
     """
     if qho.M > LOW_ENERGY_M_CAP:
         raise ValueError(f"projected-error budget is M <= {LOW_ENERGY_M_CAP}")
+    _check_projection(qho, eig, N)
     tables = evolution_tables(qho.M, decompose(t))
     low = eig.vectors[:, :N]
-    diff = np.empty((qho.M, N), dtype=complex)
-    for n in range(N):
-        col = low[:, n].astype(complex)
-        diff[:, n] = chebyshev_evolution(qho, t, col) - apply_tables(tables, col)
-    block = low.conj().T @ diff
+    rows = low.T.astype(complex)
+    diff = chebyshev_evolution(qho, t, rows) - apply_tables(tables, rows)
+    block = low.conj().T @ diff.T
     return float(np.linalg.svd(block, compute_uv=False)[0])
 
 
-def residual_generator_norm(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float,
-                            step: float = 1e-5) -> float:
-    """|| Pi_N (V(t)^-1 dV/dt + i*Hbar) Pi_N || by central differences in t.
+def _rates(fe: FactoredEvolution) -> list:
+    """d c_k / dt for each phase factor of `fe`, in factor order.
 
-    One Richardson extrapolation step over the finite-difference stencil
-    (steps h and h/2) removes the leading O(h^2) truncation term.  Valid away
-    from the tangent blow-up at |t| = pi/2.
+    With r repetitions and s = t_eff/(2r), an outer momentum coefficient is
+    tan(s)/2 and a position one sin(2s)/2, so their rates are
+    1/(4r cos^2 s) and cos(2s)/(2r).  The middle momentum factor of the
+    five-factor split carries twice the outer coefficient, hence twice its rate.
+    """
+    r = fe.reps
+    s = fe.t_effective / (2 * r)
+    outer = {"momentum": 1.0 / (4 * r * math.cos(s) ** 2),
+             "position": math.cos(2 * s) / (2 * r)}
+    rates = [outer[axis] for axis, _ in fe.factors]
+    if r == 2:
+        rates[2] *= 2
+    return rates
+
+
+def residual_generator_norm(qho: DiscreteQHO, eig: EigenDecomposition, N: int,
+                            t: float) -> float:
+    """|| Pi_N (V(t)^-1 dV/dt + i*Hbar) Pi_N || from the closed-form derivative.
+
+    With V = F_K ... F_1 and F_k = exp(-i*c_k(t)*G_k) (G_k = xbar^2 or
+    pbar^2), V^-1 dV/dt = -i sum_k c_k'(t) S_k^dagger G_k S_k, where
+    S_k = F_{k-1} ... F_1 (F_k commutes with G_k) is applied from the
+    evolution's own tables.  No step size enters, so the value is
+    rounding-limited (~1e-15).  The closed form holds on both factorization
+    branches, so the guard near |t| = pi/2, where the branch switches, is
+    wider than the formula needs.
     """
     if qho.M > 512:
         raise ValueError("generator-residual budget is M <= 512")
     if abs(t) >= math.pi / 2 - 0.1:
         raise ValueError("t too close to the +-pi/2 tangent singularity")
-
-    low = eig.vectors[:, :N].astype(complex)
-
-    ham = [1j * apply_hamiltonian(qho, low[:, n]) for n in range(N)]
-    tables_0 = evolution_tables(qho.M, decompose(t))
-
-    def projected_generator(h: float) -> np.ndarray:
-        tables_p = evolution_tables(qho.M, decompose(t + h))
-        tables_m = evolution_tables(qho.M, decompose(t - h))
-        block = np.empty((N, N), dtype=complex)
-        for n in range(N):
-            col = low[:, n]
-            dv = (apply_tables(tables_p, col) - apply_tables(tables_m, col)) / (2 * h)
-            block[:, n] = low.conj().T @ (apply_tables(tables_0, dv, adjoint=True) + ham[n])
-        return block
-
-    g1 = projected_generator(step)
-    g2 = projected_generator(step / 2)
-    refined = (4.0 * g2 - g1) / 3.0
-    return float(np.linalg.svd(refined, compute_uv=False)[0])
+    _check_projection(qho, eig, N)
+    fe = decompose(t)
+    tables = evolution_tables(qho.M, fe)
+    low = eig.vectors[:, :N]
+    rows = low.T.astype(complex)
+    gen = apply_hamiltonian(qho, rows)
+    square = {"momentum": apply_momentum_sq, "position": apply_position_sq}
+    for k, ((axis, _), rate) in enumerate(zip(fe.factors, _rates(fe))):
+        before = replace(tables, steps=tables.steps[:k])
+        moved = square[axis](qho, apply_tables(before, rows))
+        gen -= rate * apply_tables(before, moved, adjoint=True)
+    block = low.conj().T @ gen.T    # the residual is i*gen; |i| = 1
+    return float(np.linalg.svd(block, compute_uv=False)[0])

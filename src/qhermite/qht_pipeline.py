@@ -246,6 +246,12 @@ def build_pr_state(n: int, config: QHTConfig,
     n = 0, which the paper text in the repo does not fix, the state is the
     constant psi_0(0) on |x| <= sqrt(3/4).
 
+    The labels stop at J(n), so the bump taper of g_n is not sampled: the
+    last label, (J-1)h, falls short of x_max, and only the first, -J*h, lies
+    beyond -x_max (by less than one step h, where g_n may be anywhere in
+    [0, 1]).  The prepared state is a hard, slightly asymmetric cut-off of
+    phi_n rather than the smooth window.
+
     quantize_bits rounds the amplitude- and phase-oracle outputs to that many
     fractional bits before combining, modeling the finite-precision coherent
     arithmetic of the preparation circuit; the induced state perturbation is

@@ -3,6 +3,7 @@ import pytest
 
 from qhermite.discrete_qho import (
     EnergyProjector,
+    _p2_symbol_ld,
     apply_hamiltonian,
     build,
     continuum_matrix_element,
@@ -127,6 +128,20 @@ class TestDenseDiagonalize:
         assert np.all(np.diff(eig_cache(64).energies) > 0)
         assert devs[1] < devs[0] / 10 or devs[1] < floor
         assert devs[2] < devs[1] / 10 or devs[2] < floor
+
+    @pytest.mark.parametrize("M", [64, 128])
+    def test_energies_are_rayleigh_quotients(self, eig_cache, M):
+        # per-vector clongdouble quotients against the 80-bit dense Hamiltonian
+        eig = eig_cache(M)
+        c = _p2_symbol_ld(M)
+        j = np.arange(M)
+        labels = np.arange(-M // 2, M // 2, dtype=np.longdouble)
+        Hld = 0.5 * (c[(j[None, :] - j[:, None]) % M]
+                     + np.diag(labels * labels * (2 * np.longdouble(np.pi) / M)))
+        for n in range(min(64, M)):
+            v = eig.vectors[:, n].astype(np.clongdouble)
+            ref = float(np.real(np.vdot(v, Hld @ v) / np.vdot(v, v)))
+            assert abs(eig.energies[n] - ref) <= 1e-15 * abs(ref)
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):

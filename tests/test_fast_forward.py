@@ -3,8 +3,10 @@ import pytest
 
 from qhermite.discrete_qho import build
 from qhermite.fast_forward import (
+    _rates,
     apply_factored,
     apply_tables,
+    chebyshev_evolution,
     decompose,
     evolution_tables,
     exact_evolution,
@@ -193,8 +195,6 @@ class TestExactEvolution:
 
 class TestChebyshevOracle:
     def test_matches_eigen_evolution(self, eig_cache, rng):
-        from qhermite.fast_forward import chebyshev_evolution
-
         M = 128
         qho = build(GridSpec(M))
         eig = eig_cache(M)
@@ -206,7 +206,53 @@ class TestChebyshevOracle:
             assert np.abs(u1 - u2).max() < 1e-12
 
 
+class TestStacks:
+    # 3 factors, 3 factors at negative time, 5 factors
+    TIMES = (0.45, -1.7, 3.65)
+
+    def test_stack_equals_rows(self, rng):
+        M, N = 128, 5
+        qho = build(GridSpec(M))
+        rows = rng.normal(size=(N, M)) + 1j * rng.normal(size=(N, M))
+        assert {decompose(t).reps for t in self.TIMES} == {1, 2}
+        for t in self.TIMES:
+            tables = evolution_tables(M, decompose(t))
+            cheb = chebyshev_evolution(qho, t, rows)
+            fact = apply_tables(tables, rows)
+            for n in range(N):
+                np.testing.assert_array_equal(cheb[n], chebyshev_evolution(qho, t, rows[n]))
+                np.testing.assert_array_equal(fact[n], apply_tables(tables, rows[n]))
+
+
+def _per_column_error(qho, eig, N, t):
+    """Projected error assembled one eigenvector column at a time."""
+    tables = evolution_tables(qho.M, decompose(t))
+    low = eig.vectors[:, :N]
+    diff = np.empty((qho.M, N), dtype=complex)
+    for n in range(N):
+        col = low[:, n].astype(complex)
+        diff[:, n] = chebyshev_evolution(qho, t, col) - apply_tables(tables, col)
+    return np.linalg.svd(low.conj().T @ diff, compute_uv=False)[0]
+
+
 class TestLowEnergyError:
+    @pytest.mark.parametrize("M,N,t", [(128, 8, 0.45), (128, 8, -0.45),
+                                       (256, 16, 1.7), (128, 8, 3.65)])
+    def test_matches_per_column_reference(self, eig_cache, M, N, t):
+        qho, eig = build(GridSpec(M)), eig_cache(M)
+        assert abs(low_energy_error(qho, eig, N, t) - _per_column_error(qho, eig, N, t)) <= 1e-15
+
+    @pytest.mark.parametrize("meter", [low_energy_error, residual_generator_norm])
+    @pytest.mark.parametrize("N", [0, -1, 65])
+    def test_rejects_rank_outside_grid(self, eig_cache, meter, N):
+        with pytest.raises(ValueError, match=f"N={N} .*M=64"):
+            meter(build(GridSpec(64)), eig_cache(64), N, 0.3)
+
+    @pytest.mark.parametrize("meter", [low_energy_error, residual_generator_norm])
+    def test_rejects_eigenbasis_of_other_grid(self, eig_cache, meter):
+        with pytest.raises(ValueError, match="dimension 64.*M=128"):
+            meter(build(GridSpec(128)), eig_cache(64), 4, 0.3)
+
     def test_zero_time_is_zero(self, eig_cache):
         qho = build(GridSpec(128))
         assert low_energy_error(qho, eig_cache(128), 8, 0.0) < 1e-13
@@ -219,7 +265,6 @@ class TestLowEnergyError:
         qho = build(GridSpec(512))
         assert low_energy_error(qho, eig_cache(512), 16, 1.0) < 1e-6
 
-    @pytest.mark.slow
     def test_monotone_improvement_with_floor(self, eig_cache):
         floor = 1e-12
         for t in (0.25, 1.0, 3.0):
@@ -230,7 +275,6 @@ class TestLowEnergyError:
                     assert err <= max(prev, floor)
                 prev = max(err, floor)
 
-    @pytest.mark.slow
     def test_approximate_group_law(self, eig_cache, basis_cache):
         # ||Pi(V(t1)V(t2) - V(t1+t2))Pi|| <= 10 * (sum of individual errors),
         # errors floored by measurement noise
@@ -265,6 +309,18 @@ class TestResidualGenerator:
         r128 = residual_generator_norm(build(GridSpec(128)), eig_cache(128), 6, 0.5)
         r256 = residual_generator_norm(build(GridSpec(256)), eig_cache(256), 6, 0.5)
         assert r256 <= max(r128, 1e-8)
+
+    def test_exact_at_zero_time(self, eig_cache):
+        qho = build(GridSpec(128))
+        assert residual_generator_norm(qho, eig_cache(128), 6, 0.0) < 1e-13
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, -1.2, 2.0, -2.9, 2 * np.pi + 0.7])
+    def test_rates_are_coefficient_derivatives(self, t):
+        # central differences of decompose's coefficients, 3 and 5 factors
+        h = 1e-6
+        fe, up, down = decompose(t), decompose(t + h), decompose(t - h)
+        fd = [(cu - cd) / (2 * h) for (_, cu), (_, cd) in zip(up.factors, down.factors)]
+        np.testing.assert_allclose(_rates(fe), fd, rtol=1e-8, atol=1e-9)
 
     def test_rejects_near_singularity(self, eig_cache):
         qho = build(GridSpec(128))
