@@ -19,7 +19,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .calibration import Calibration, load_calibration
-from .discrete_qho import build, dense_diagonalize, hermite_basis
+from .discrete_qho import build, dense_diagonalize
 from .fast_forward import LOW_ENERGY_M_CAP, decompose, low_energy_error
 from .hermite_sampling import (
     SamplerConfig,
@@ -39,7 +39,7 @@ from .qht_pipeline import (
     QHTConfig,
     build_pr_state,
     choose_dimensions,
-    qht_apply,
+    qht_operator,
 )
 from .spectral_core import GridSpec, hermite_function_rows
 
@@ -165,17 +165,15 @@ def cmd_qht(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    basis = hermite_basis(GridSpec(cfg.M), N - 1)
+    op = qht_operator(cfg)
     rows = []
-    for n in range(N):
-        e = np.zeros(N)
-        e[n] = 1.0
-        res = qht_apply(e, cfg)
-        ref = basis.state(n) * (-1.0) ** n if cfg.signed_output else basis.state(n)
-        ref = ref / np.linalg.norm(ref)
-        fid = abs(np.vdot(ref.astype(complex), res.output))
-        rows.append([n, f"{fid:.8f}", f"{res.block_fidelities[n]:.8f}",
-                     f"{res.filter_leaks[n]:.3e}", f"{res.uncompute_residual:.3e}"])
+    for n, u in enumerate(op.matrix()):
+        # the output for |n> is s_n u_n and its reference s_n |psibar_n>: the signs cancel
+        psi = op.basis.state(n)
+        fid = abs(np.vdot((psi / np.linalg.norm(psi)).astype(complex), u))
+        residual = max(op.input_mass[n] - float(np.vdot(u, u).real), 0.0)
+        rows.append([n, f"{fid:.8f}", f"{op.block_fidelities[n]:.8f}",
+                     f"{op.filter_leaks[n]:.3e}", f"{residual:.3e}"])
     footer = {"M": cfg.M, "N_high": cfg.N_high}
     _write_table(args.out, _meta(args, "qht"),
                  ["n", "fidelity", "block_fidelity", "filter_leak", "uncompute_residual"],

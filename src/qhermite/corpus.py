@@ -55,20 +55,24 @@ def scaled_constant(kappa: float, n: int = 1) -> OracleFunction:
     return replace(constant(n, s), kappa=kappa, label=f"const_kappa{kappa}")
 
 
-def product_sign(support, n: int) -> OracleFunction:
-    """chi_S(x) = prod_{i in S} sgn(x_i); spectrum sits on odd indices over S."""
-    support = tuple(sorted(int(i) for i in support))
+def _product(factors):
+    """The evaluator prod_i factors[i](x_i) of a product oracle."""
 
     def ev(x):
         out = np.ones(x.shape[:-1])
-        for i in support:
-            out = out * np.sign(x[..., i] + 0.0)
-        return np.where(out == 0, 1.0, out)  # measure-zero tie goes to +1
+        for i, factor in enumerate(factors):
+            out = out * factor(x[..., i])
+        return out
 
-    factors = tuple(
-        (lambda x: np.where(np.sign(x) == 0, 1.0, np.sign(x))) if i in support
-        else (lambda x: np.ones_like(x)) for i in range(n))
-    return OracleFunction(arity=n, evaluator=ev, boolean=True, kappa=1.0,
+    return ev
+
+
+def product_sign(support, n: int) -> OracleFunction:
+    """chi_S(x) = prod_{i in S} sgn(x_i), sgn(0) := +1; spectrum on odd indices over S."""
+    support = tuple(sorted(int(i) for i in support))
+    factors = tuple((lambda x: np.where(x < 0, -1.0, 1.0)) if i in support else np.ones_like
+                    for i in range(n))
+    return OracleFunction(arity=n, evaluator=_product(factors), boolean=True, kappa=1.0,
                           degree_cutoff=9, gamma=1.0, label=f"chi{support}",
                           product_factors=factors)
 
@@ -105,38 +109,31 @@ def noisy_product_sign(support, n: int, eta: float, bits: int = 6,
 
 def hermite_monomial(v, n: int, sup_range: float = 5.0,
                      bounded: bool = True) -> OracleFunction:
-    """f proportional to h_v, scaled by its sup over [-sup_range, sup_range]^n.
+    """f proportional to h_v = prod_i h_{v_i}(x_i), one factor per axis.
 
-    The bounded variant additionally clips to [-1, 1]; the clipped region
-    carries ~e^(-sup_range^2/2) Gaussian mass, so the spectrum perturbation
-    is far below every tolerance in use.  With bounded=False the raw
-    orthonormal h_v is returned (unit coefficient, range unbounded) for
-    Monte-Carlo consumers that do not need |f| <= 1.
+    The bounded variant divides each factor by its sup over [-sup_range,
+    sup_range] (at least 1) and clips it to [-1, 1], which acts only outside
+    that box: ~e^(-sup_range^2/2) Gaussian mass, far below every tolerance in
+    use.  With bounded=False the raw orthonormal h_v is returned (unit
+    coefficient, range unbounded) for Monte-Carlo consumers that do not need
+    |f| <= 1.
     """
     v = tuple(int(c) for c in v)
     if len(v) != n:
         raise ValueError("index length must equal arity")
-    if bounded:
-        grid = np.linspace(-sup_range, sup_range, 4001)
-        scale = 1.0
-        for c in v:
-            scale *= float(np.abs(probabilist_rows(c, grid)[c]).max())
-        scale = max(scale, 1.0)
-    else:
-        scale = 1.0
-
-    def ev(x):
-        out = np.ones(x.shape[:-1])
-        for i, c in enumerate(v):
-            out = out * probabilist_rows(c, x[..., i])[c]
-        out = out / scale
-        return np.clip(out, -1.0, 1.0) if bounded else out
-
+    grid = np.linspace(-sup_range, sup_range, 4001)
+    scales = [max(float(np.abs(probabilist_rows(c, grid)[c]).max()), 1.0) if bounded else 1.0
+              for c in v]
+    cap = 1.0 if bounded else np.inf
+    factors = tuple(lambda x, c=c, s=s: np.clip(probabilist_rows(c, x)[c] / s, -cap, cap)
+                    for c, s in zip(v, scales))
+    scale = math.prod(scales)
     gamma = float(sum(v)) / scale**2
-    return OracleFunction(arity=n, evaluator=ev, boolean=False,
+    return OracleFunction(arity=n, evaluator=_product(factors), boolean=False,
                           degree_cutoff=max(max(v), 1), gamma=gamma,
                           range_bounded=bounded, kappa=max(1.0, scale * scale),
-                          label=f"h{v}" + ("" if bounded else "_raw"))
+                          label=f"h{v}" + ("" if bounded else "_raw"),
+                          product_factors=factors)
 
 
 def mixture(terms, n: int, bounded: bool = False) -> OracleFunction:

@@ -281,15 +281,15 @@ def residual_generator_norm(qho: DiscreteQHO, eig: EigenDecomposition, N: int,
     S_k = F_{k-1} ... F_1 (F_k commutes with G_k) is applied from the
     evolution's own tables.  No step size enters, so the value is
     rounding-limited (~1e-15).  The closed form holds on both factorization
-    branches, so the guard near |t| = pi/2, where the branch switches, is
-    wider than the formula needs.
+    branches, so the guard near |t mod 2 pi| = pi/2, where the branch
+    switches, is wider than the formula needs.
     """
     if qho.M > 512:
         raise ValueError("generator-residual budget is M <= 512")
-    if abs(t) >= math.pi / 2 - 0.1:
+    fe = decompose(t)
+    if abs(fe.t_effective) >= math.pi / 2 - 0.1:
         raise ValueError("t too close to the +-pi/2 tangent singularity")
     _check_projection(qho, eig, N)
-    fe = decompose(t)
     tables = evolution_tables(qho.M, fe)
     low = eig.vectors[:, :N]
     rows = low.T.astype(complex)

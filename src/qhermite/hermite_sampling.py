@@ -265,26 +265,15 @@ class SampleDistribution:
 
 def _axis_transform_rows(scfg: SamplerConfig) -> np.ndarray:
     """Rows <psibar_v| used for the per-axis inverse transform."""
-    spec = GridSpec(scfg.M)
-    basis = hermite_basis(spec, scfg.D)
-    rows = basis.states.astype(complex)
     if scfg.transform == "pipeline":
-        from .qht_pipeline import QHTConfig, qht_apply
+        from .qht_pipeline import QHTConfig, qht_operator
 
         cfg = QHTConfig(N=scfg.D + 1, eps=scfg.qht_eps, M=scfg.M,
                         N_high=min(scfg.M // 2, 8 * (scfg.D + 1)))
-        cols = []
-        for n in range(scfg.D + 1):
-            e = np.zeros(scfg.D + 1)
-            e[n] = 1.0
-            out = qht_apply(e, cfg).output
-            if cfg.signed_output:
-                out = out * (-1.0) ** n
-            cols.append(out)
-        rows = np.array(cols)
-    elif scfg.transform != "reference":
+        return qht_operator(cfg).matrix()   # the columns u_v, without the output signs
+    if scfg.transform != "reference":
         raise ValueError(f"unknown transform backend {scfg.transform!r}")
-    return rows
+    return hermite_basis(GridSpec(scfg.M), scfg.D).states.astype(complex)
 
 
 def _amplitude_tensor(f: OracleFunction, scfg: SamplerConfig):

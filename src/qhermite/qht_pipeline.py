@@ -9,14 +9,16 @@ uncomputation of the index register.
 Every pipeline unitary is block-diagonal in the index n, so each block is
 simulated independently on a dimension-M work register and the blocks are
 recombined linearly; this replaces the M^2-dimensional joint statevector with
-N independent M-vectors.  Within a block, the amplification walk lives
-exactly in the 2-complex-dimensional span of the prepared joint state and its
-flagged component, so the M-qubit filter ancillas never need to be
-materialized: a block's joint state is carried as the flagged work vector
-plus one scalar coordinate along the (fixed) unflagged remainder.
+N independent M-vectors, held per config as the columns of `QHTOperator`.
+Within a block, the amplification walk lives exactly in the 2-complex-
+dimensional span of the prepared joint state and its flagged component, so
+the M-qubit filter ancillas never need to be materialized: a block's joint
+state is carried as the flagged work vector plus one scalar coordinate along
+the (fixed) unflagged remainder.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .calibration import Calibration
-from .discrete_qho import DiscreteHermiteBasis, build, hermite_basis, loewdin_orthonormalize
+from .discrete_qho import DiscreteHermiteBasis, hermite_basis, loewdin_orthonormalize
 from .fast_forward import apply_tables, decompose, evolution_tables
 from .spectral_core import GridSpec
 
@@ -46,6 +48,8 @@ __all__ = [
     "fixed_point_schedule",
     "fixed_point_amplify",
     "uncompute_index",
+    "QHTOperator",
+    "qht_operator",
     "qht_apply",
     "qht_reference",
     "loewdin_orthonormalize",
@@ -282,52 +286,6 @@ def build_pr_state(n: int, config: QHTConfig,
 # ---------------------------------------------------------------------------
 
 
-class _PipelineContext:
-    """Per-(M, N) cache: grid, oscillator, Hermite basis, and the dyadic tables.
-
-    The m = log2(M) dyadic evolutions V(2^j 2pi/M) have their phase tables
-    built once here.  All but the last take three factors and two tables;
-    the last (t = pi) takes five factors and three tables.  That is 2m+1
-    half tables of M/2+1 complex entries, (2m+1)(M/2+1)*16 bytes: 0.78 MB at
-    M = 4096 and 3.6 MB at M = 16384.
-    """
-
-    def __init__(self, config: QHTConfig):
-        self.config = config
-        self.spec = GridSpec(config.M)
-        self.qho = build(self.spec)
-        self.basis = hermite_basis(self.spec, config.N - 1)
-        m = config.m_bits
-        base = 2 * math.pi / config.M
-        self.dyadic_times = [base * (1 << j) for j in range(m)]
-        self.dyadic_tables = [evolution_tables(config.M, decompose(t))
-                              for t in self.dyadic_times]
-        self.op_passes = 0
-
-    def apply_V(self, j: int, v: np.ndarray) -> np.ndarray:
-        self.op_passes += 1
-        return apply_tables(self.dyadic_tables[j], v)
-
-    def apply_V_adjoint(self, j: int, v: np.ndarray) -> np.ndarray:
-        self.op_passes += 1
-        return apply_tables(self.dyadic_tables[j], v, adjoint=True)
-
-
-_CTX_CACHE: dict = {}
-
-
-def _ctx(config: QHTConfig) -> _PipelineContext:
-    M = config.M
-    if M < 1 or M & (M - 1):
-        raise ConfigError(f"phase estimation needs a power-of-two M, got M={M}")
-    key = (M, config.N)
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None:
-        ctx = _PipelineContext(config)
-        _CTX_CACHE[key] = ctx
-    return ctx
-
-
 @dataclass(frozen=True)
 class FilterResult:
     """Flagged component (ancillas |0...0>) and the orthogonal remainder's mass."""
@@ -341,14 +299,8 @@ class FilterResult:
 
 
 def filter_unitaries(n: int, config: QHTConfig):
-    """The W_{n,j} = V(2^j 2pi/M) * exp(i 2^j (2pi/M)(n+1/2)) as callables."""
-    ctx = _ctx(config)
-
-    def apply_w(j: int, v: np.ndarray) -> np.ndarray:
-        phase = np.exp(1j * ctx.dyadic_times[j] * (n + 0.5))
-        return phase * ctx.apply_V(j, v)
-
-    return apply_w
+    """The W_{n,j} = V(2^j 2pi/M) * exp(i 2^j (2pi/M)(n+1/2)) as apply_w(j, v)."""
+    return functools.partial(qht_operator(config).apply_w, n)
 
 
 def eigenstate_filter(state: np.ndarray, n: int, config: QHTConfig) -> FilterResult:
@@ -358,16 +310,10 @@ def eigenstate_filter(state: np.ndarray, n: int, config: QHTConfig) -> FilterRes
     (m sequential factored evolutions, not 2^m branches); unitarity of each
     W makes the unflagged mass exactly ||in||^2 - ||kept||^2.
     """
-    v = np.asarray(state, dtype=complex)
-    if v.shape[-1] != config.M:
-        raise ValueError(f"dimension mismatch: {v.shape[-1]} vs M={config.M}")
-    apply_w = filter_unitaries(n, config)
-    kept = v.copy()
-    for j in range(config.m_bits):
-        kept = 0.5 * (kept + apply_w(j, kept))
-    in_sq = float(np.vdot(v, v).real)
-    kept_sq = float(np.vdot(kept, kept).real)
-    return FilterResult(kept=kept, leaked_mass=max(in_sq - kept_sq, 0.0))
+    dim = np.shape(state)[-1]
+    if dim != config.M:
+        raise ValueError(f"dimension mismatch: {dim} vs M={config.M}")
+    return qht_operator(config).filter(state, n)
 
 
 # ---------------------------------------------------------------------------
@@ -464,23 +410,14 @@ def uncompute_index(joint_state: dict, config: QHTConfig):
     the reset register is sum_n out_n; the residual index mass is
     sum ||v_n||^2 - ||sum_n out_n||^2, reported (not raised).
     """
-    return _uncompute(_ctx(config), joint_state.items())
-
-
-def _uncompute(ctx: _PipelineContext, blocks):
-    """Uncompute (n, v_n) pairs one at a time; returns (sum_n out_n, residual)."""
-    out = np.zeros(ctx.config.M, dtype=complex)
+    op = qht_operator(config)
+    out = np.zeros(config.M, dtype=complex)
     total_in = 0.0
-    for n, v in blocks:
+    for n, v in joint_state.items():
         v = np.asarray(v, dtype=complex)
         total_in += float(np.vdot(v, v).real)
-        w = v
-        for j, t_j in enumerate(ctx.dyadic_times):
-            c = np.exp(-1j * t_j * n) * np.exp(-1j * t_j * 0.5)
-            w = 0.5 * (w + c * ctx.apply_V_adjoint(j, w))
-        out += w
-    residual = max(total_in - float(np.vdot(out, out).real), 0.0)
-    return out, residual
+        out += op.uncompute(n, v)
+    return out, max(total_in - float(np.vdot(out, out).real), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +427,116 @@ def _uncompute(ctx: _PipelineContext, blocks):
 
 @dataclass(frozen=True)
 class QHTResult:
+    """One transform call; op_passes counts the V passes this call ran (0 once held)."""
+
     output: np.ndarray = field(repr=False)
     block_fidelities: np.ndarray
     filter_leaks: np.ndarray
     aa_residuals: np.ndarray
     uncompute_residual: float
     op_passes: int
+
+
+class QHTOperator:
+    """The simulated transform of one config: sum_n a_n |n> -> sum_n a_n s_n u_n.
+
+    s_n = (-1)^n under signed_output; u_n, the uncompute of amplified block
+    n, is computed on first use of n and held with its block fidelity,
+    filter leak, AA residual and input mass ||w_n||^2.  The 2m+1 half phase
+    tables of the m = log2(M) dyadic evolutions V(2^j 2pi/M) take
+    (2m+1)(M/2+1)*16 bytes (3.6 MB at M = 16384), the columns N*M*16 (4.2 MB
+    at N = 16).  v_passes counts every V or V^dagger applied.
+    """
+
+    def __init__(self, config: QHTConfig):
+        M, N = config.M, config.N
+        if M < 1 or M & (M - 1):
+            raise ConfigError(f"phase estimation needs a power-of-two M, got M={M}")
+        self.config = config
+        self.basis = hermite_basis(GridSpec(M), N - 1)
+        base = 2 * math.pi / M
+        self.dyadic_times = [base * (1 << j) for j in range(config.m_bits)]
+        self.dyadic_tables = [evolution_tables(M, decompose(t)) for t in self.dyadic_times]
+        self.signs = (-1.0) ** np.arange(N) if config.signed_output else np.ones(N)
+        self.columns = np.zeros((N, M), dtype=complex)
+        self.held = np.zeros(N, dtype=bool)
+        self.block_fidelities = np.zeros(N)
+        self.filter_leaks = np.zeros(N)
+        self.aa_residuals = np.zeros(N)
+        self.input_mass = np.zeros(N)
+        self.v_passes = 0
+
+    def apply_w(self, n: int, j: int, v: np.ndarray) -> np.ndarray:
+        """W_{n,j} v = exp(i 2^j (2pi/M)(n+1/2)) V(2^j 2pi/M) v."""
+        self.v_passes += 1
+        phase = np.exp(1j * self.dyadic_times[j] * (n + 0.5))
+        return phase * apply_tables(self.dyadic_tables[j], v)
+
+    def filter(self, state: np.ndarray, n: int) -> FilterResult:
+        """prod_j (I + W_{n,j})/2 applied to state; see eigenstate_filter."""
+        v = np.asarray(state, dtype=complex)
+        kept = v.copy()
+        for j in range(len(self.dyadic_times)):
+            kept = 0.5 * (kept + self.apply_w(n, j, kept))
+        in_sq = float(np.vdot(v, v).real)
+        kept_sq = float(np.vdot(kept, kept).real)
+        return FilterResult(kept=kept, leaked_mass=max(in_sq - kept_sq, 0.0))
+
+    def uncompute(self, n: int, v: np.ndarray) -> np.ndarray:
+        """out_n = prod_j (I + exp(-i 2^j (2pi/M)(n+1/2)) V_j^dagger)/2 v; see uncompute_index."""
+        for j, t_j in enumerate(self.dyadic_times):
+            c = np.exp(-1j * t_j * n) * np.exp(-1j * t_j * 0.5)
+            self.v_passes += 1
+            v = 0.5 * (v + c * apply_tables(self.dyadic_tables[j], v, adjoint=True))
+        return v
+
+    def _hold(self, n: int) -> None:
+        """Prepare, filter, amplify and uncompute block n once; hold u_n and its metrics."""
+        if self.held[n]:
+            return
+        cfg = self.config
+        psi_n = self.basis.state(n)
+        psi_n = psi_n / np.linalg.norm(psi_n)
+        bits = cfg.r if cfg.quantize_oracles else None
+        filt = self.filter(build_pr_state(n, cfg, quantize_bits=bits).normalized(), n)
+        work, self.aa_residuals[n] = _amplify_block(
+            filt.kept, filt.leaked_mass, cfg.delta_lower, cfg.eps, cfg.aa_rounds)
+        self.filter_leaks[n] = filt.leaked_mass
+        self.block_fidelities[n] = abs(np.vdot(psi_n, work))
+        self.input_mass[n] = float(np.vdot(work, work).real)
+        self.columns[n] = self.uncompute(n, work)
+        self.held[n] = True
+
+    def matrix(self) -> np.ndarray:
+        """All N columns u_n as rows, read-only: every caller of a config shares them."""
+        for n in range(self.config.N):
+            self._hold(n)
+        view = self.columns.view()
+        view.flags.writeable = False
+        return view
+
+    def apply(self, alpha: np.ndarray) -> QHTResult:
+        """sum_n a_n s_n u_n for len(alpha) <= N; blocks with a_n = 0 report 0 metrics.
+
+        The uncompute residual is sum_n |a_n|^2 ||w_n||^2 - ||out||^2.
+        """
+        alpha = np.asarray(alpha, dtype=complex)
+        k, passes, touched = len(alpha), self.v_passes, alpha != 0
+        for n in np.flatnonzero(touched):
+            self._hold(n)
+        out = (alpha * self.signs[:k]) @ self.columns[:k]
+        total_in = float(np.abs(alpha) ** 2 @ self.input_mass[:k])
+        fid, leak, aa = (np.where(touched, x[:k], 0.0) for x in
+                         (self.block_fidelities, self.filter_leaks, self.aa_residuals))
+        return QHTResult(output=out, block_fidelities=fid, filter_leaks=leak, aa_residuals=aa,
+                         uncompute_residual=max(total_in - float(np.vdot(out, out).real), 0.0),
+                         op_passes=self.v_passes - passes)
+
+
+@functools.lru_cache(maxsize=4)
+def qht_operator(config: QHTConfig) -> QHTOperator:
+    """The held operator of a config; the four most recently used are kept."""
+    return QHTOperator(config)
 
 
 def qht_reference(alpha: np.ndarray, basis: DiscreteHermiteBasis,
@@ -512,52 +553,22 @@ def qht_reference(alpha: np.ndarray, basis: DiscreteHermiteBasis,
 
 
 def qht_apply(alpha: np.ndarray, config: QHTConfig) -> QHTResult:
-    """Simulate the transform on amplitude vector alpha (length <= N)."""
+    """Simulate the transform on amplitude vector alpha (length <= N).
+
+    The first call at a config computes the columns alpha touches; a later
+    call whose columns are all held is one matrix-vector product.
+    """
     alpha = np.asarray(alpha, dtype=complex)
     if len(alpha) > config.N:
         raise ConfigError(f"alpha has {len(alpha)} entries but config.N={config.N}")
     if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
         raise ValueError("alpha must be normalized")
-    ctx = _ctx(config)
-    ctx.op_passes = 0
-    fidelities = np.zeros(len(alpha))
-    leaks = np.zeros(len(alpha))
-    residuals = np.zeros(len(alpha))
-
-    def amplified_blocks():
-        # yields each block as soon as it is amplified, so the uncompute
-        # holds one block's work vector at a time
-        for n, a_n in enumerate(alpha):
-            if a_n == 0:
-                continue
-            psi_n = ctx.basis.state(n)
-            psi_n = psi_n / np.linalg.norm(psi_n)
-            bits = config.r if config.quantize_oracles else None
-            pr = build_pr_state(n, config, quantize_bits=bits)
-            filt = eigenstate_filter(pr.normalized(), n, config)
-            leaks[n] = filt.leaked_mass
-            work, residual = _amplify_block(filt.kept, filt.leaked_mass,
-                                            config.delta_lower, config.eps,
-                                            config.aa_rounds)
-            residuals[n] = residual
-            fidelities[n] = abs(np.vdot(psi_n, work))
-            sign = (-1.0) ** n if config.signed_output else 1.0
-            yield n, a_n * sign * work
-
-    out, unc_residual = _uncompute(ctx, amplified_blocks())
-    return QHTResult(output=out, block_fidelities=fidelities, filter_leaks=leaks,
-                     aa_residuals=residuals, uncompute_residual=unc_residual,
-                     op_passes=ctx.op_passes)
+    return qht_operator(config).apply(alpha)
 
 
 def isometry_singular_values(config: QHTConfig) -> np.ndarray:
     """Singular values of the simulated transform restricted to n < N."""
-    cols = []
-    for n in range(config.N):
-        e = np.zeros(config.N)
-        e[n] = 1.0
-        cols.append(qht_apply(e, config).output)
-    return np.linalg.svd(np.array(cols).T, compute_uv=False)
+    return np.linalg.svd(qht_operator(config).matrix().T, compute_uv=False)
 
 
 def pr_high_energy_leakage(n: int, config: QHTConfig, eig) -> float:

@@ -322,6 +322,17 @@ class TestResidualGenerator:
         fd = [(cu - cd) / (2 * h) for (_, cu), (_, cd) in zip(up.factors, down.factors)]
         np.testing.assert_allclose(_rates(fe), fd, rtol=1e-8, atol=1e-9)
 
+    def test_time_reduced_before_the_guard(self, eig_cache):
+        # 2*pi + 0.3 reduces to 0.3, far from the guard; the generator does not
+        # see the global sign, so the meter reads the reduced time's value
+        qho, eig = build(GridSpec(64)), eig_cache(64)
+        t = 2 * np.pi + 0.3
+        t_eff = decompose(t).t_effective
+        assert abs(t_eff - 0.3) < 1e-15
+        shifted = residual_generator_norm(qho, eig, 4, t)
+        assert shifted == residual_generator_norm(qho, eig, 4, t_eff)
+        assert abs(shifted - residual_generator_norm(qho, eig, 4, 0.3)) < 1e-15
+
     def test_rejects_near_singularity(self, eig_cache):
         qho = build(GridSpec(128))
         with pytest.raises(ValueError):

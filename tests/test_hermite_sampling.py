@@ -101,9 +101,56 @@ class TestGridContraction:
     ], ids=["coefficient_oracle", "spectrum_table", "sample_distribution", "distortion",
             "restriction_coefficient"])
     def test_dense_three_axis_budget(self, entry):
-        f = corpus.hermite_monomial((2, 0, 0), 3)
+        f = _dense(corpus.hermite_monomial((2, 0, 0), 3))
         with pytest.raises(ValueError, match="full-grid budget exceeded"):
             entry(f)
+
+
+class TestCorpusProducts:
+    # one instance per corpus family; the product families carry per-axis factors
+    ENTRIES = [
+        {"family": "constant", "n": 2, "value": -0.7},
+        {"family": "scaled_constant", "kappa": 3.0, "n": 3},
+        {"family": "product_sign", "n": 3, "support": [0, 2]},
+        {"family": "noisy_product_sign", "n": 2, "support": [0, 1], "eta": 0.1},
+        {"family": "hermite_monomial", "n": 2, "v": [3, 3]},
+        {"family": "hermite_monomial", "n": 3, "v": [2, 0, 1]},
+        {"family": "hermite_monomial", "n": 2, "v": [2, 1], "bounded": False},
+        {"family": "mixture", "n": 2, "terms": [[[1, 0], 0.8], [[0, 2], 0.6]]},
+        {"family": "indicator_bump", "n": 2, "half_width": 0.5},
+    ]
+
+    def test_every_family_listed(self):
+        assert {e["family"] for e in self.ENTRIES} == set(corpus._FAMILIES)
+
+    def test_evaluator_is_the_product_of_its_factors(self):
+        # the axis values include the sgn tie at 0 and points outside the
+        # monomials' [-5, 5] sup box
+        axis = np.array([-6.0, -1.3, -0.0, 0.0, 0.4, 2.5, 6.0])
+        checked = 0
+        for entry in self.ENTRIES:
+            f = corpus.build_entry(entry)
+            if f.product_factors is None:
+                continue
+            n = f.arity
+            pts = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1)
+            product = np.ones(pts.shape[:-1])
+            for i, factor in enumerate(f.product_factors):
+                product = product * factor(pts[..., i])
+            np.testing.assert_allclose(f.evaluate(pts), product, rtol=1e-13, atol=1e-15,
+                                       err_msg=f.label)
+            checked += 1
+        assert checked == 6
+
+    def test_sign_tie_same_on_dense_and_rank1_paths(self):
+        # the M = 256 grid holds x = 0 on both axes, where the sgn tie
+        # convention decides bin (0, 0)
+        f = corpus.product_sign((0, 1), 2)
+        scfg = SamplerConfig(M=256, D=9)
+        rank1 = sample_distribution(f, scfg)
+        dense = sample_distribution(_dense(f), scfg)
+        assert np.abs(rank1.probs - dense.probs).max() <= 1e-14
+        assert abs(rank1.out_mass - dense.out_mass) <= 1e-14
 
 
 class TestOraclePrecision:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis
 from qhermite.qht_pipeline import (
     ConfigError,
     QHTConfig,
+    QHTOperator,
     WindowFunction,
     build_pr_state,
     choose_dimensions,
@@ -18,6 +21,7 @@ from qhermite.qht_pipeline import (
     pr_high_energy_leakage,
     pr_support,
     qht_apply,
+    qht_operator,
     qht_reference,
     uncompute_index,
     window_value,
@@ -296,10 +300,8 @@ class TestUncompute:
 
 class TestPipelineContext:
     def test_holds_2m_plus_1_half_tables(self):
-        from qhermite.qht_pipeline import _ctx
-
         cfg = QHTConfig(N=2, eps=0.01, M=1024, N_high=64)
-        tables = _ctx(cfg).dyadic_tables
+        tables = qht_operator(cfg).dyadic_tables
         assert len(tables) == cfg.m_bits
         assert sum(t.halves.shape[0] for t in tables) == 2 * cfg.m_bits + 1
         assert all(t.halves.shape[1] == cfg.M // 2 + 1 for t in tables)
@@ -326,6 +328,70 @@ class TestPipelineContext:
         out, residual = uncompute_index(blocks, cfg)
         assert np.abs(res.output - out).max() < 1e-14
         assert abs(res.uncompute_residual - residual) < 1e-14
+
+
+class TestOperator:
+    ALPHA = np.array([0.5, 0.5j, -0.5, 0.5 * np.exp(1j * 0.7)])
+
+    def test_apply_is_the_sum_of_columns(self):
+        from qhermite.qht_pipeline import _amplify_block
+
+        cfg = choose_dimensions(4, 0.05)
+        op = QHTOperator(cfg)
+        res = op.apply(self.ALPHA)
+        U = op.matrix()
+        explicit = sum(a_n * (-1.0) ** n * U[n] for n, a_n in enumerate(self.ALPHA))
+        assert np.abs(res.output - explicit).max() < 1e-14
+        blocks = {}
+        for n, a_n in enumerate(self.ALPHA):
+            filt = eigenstate_filter(build_pr_state(n, cfg).normalized(), n, cfg)
+            work, _ = _amplify_block(filt.kept, filt.leaked_mass, cfg.delta_lower, cfg.eps)
+            # column n is the uncompute of amplified block n
+            out_n, _ = uncompute_index({n: work}, cfg)
+            assert np.abs(U[n] - out_n).max() < 1e-14
+            blocks[n] = a_n * (-1.0) ** n * work
+        _, residual = uncompute_index(blocks, cfg)
+        assert abs(res.uncompute_residual - residual) < 1e-14
+
+    def test_columns_computed_once(self):
+        cfg = choose_dimensions(4, 0.05)
+        op = QHTOperator(cfg)
+        e1 = np.array([0.0, 1.0])
+        first = op.apply(e1)
+        assert first.op_passes == 2 * cfg.m_bits      # one block: filter and uncompute
+        assert list(op.held) == [False, True, False, False]
+        assert first.block_fidelities[0] == 0.0       # untouched block reports 0
+        again = op.apply(e1)
+        assert again.op_passes == 0
+        assert np.array_equal(again.output, first.output)
+        dense = op.apply(self.ALPHA)
+        assert dense.op_passes == 3 * 2 * cfg.m_bits  # only the three blocks not held yet
+        assert op.apply(self.ALPHA).op_passes == 0
+        held_e1 = op.apply(e1)                        # block 0 is held but untouched
+        assert held_e1.block_fidelities[0] == held_e1.filter_leaks[0] == 0.0
+        assert not op.matrix().flags.writeable   # callers of a config share its columns
+
+    def test_second_call_runs_no_passes(self):
+        cfg = replace(choose_dimensions(4, 0.05), r=31)   # a config no other test holds
+        first = qht_apply(self.ALPHA, cfg)
+        second = qht_apply(self.ALPHA, cfg)
+        assert first.op_passes == 4 * 2 * cfg.m_bits
+        assert second.op_passes == 0
+        assert np.array_equal(first.output, second.output)
+        assert qht_operator(cfg) is qht_operator(replace(cfg))   # keyed on the config's value
+
+    def test_configs_differing_in_eps_or_rounds_hold_their_own_columns(self):
+        base = choose_dimensions(2, 0.05)
+        others = [replace(base, eps=0.2), replace(base, aa_rounds=1)]
+        e0 = np.array([1.0, 0.0])
+        ref = qht_apply(e0, base)
+        for cfg in others:
+            assert (cfg.M, cfg.N) == (base.M, base.N)
+            assert qht_operator(cfg) is not qht_operator(base)
+            res = qht_apply(e0, cfg)
+            assert np.abs(res.output - ref.output).max() > 1e-6
+            assert res.block_fidelities[0] != ref.block_fidelities[0]
+        assert np.array_equal(qht_apply(e0, base).output, ref.output)
 
 
 class TestEndToEnd:
@@ -403,8 +469,6 @@ class TestEndToEnd:
         # r-bit rounding of the amplitude/phase oracles perturbs the prepared
         # state by O(2^-r); r ~ log2(1/eps) bits already keep the end-to-end
         # fidelity within budget, confirming the logarithmic-precision claim
-        from dataclasses import replace
-
         base = choose_dimensions(4, 0.01)
         basis = basis_cache(base.M, 3)
         alpha = np.ones(4) / 2.0
@@ -426,8 +490,6 @@ class TestEndToEnd:
             assert np.abs(rough - exact).max() <= 4.0 * 2.0**-r
 
     def test_aa_rounds_override(self):
-        from dataclasses import replace
-
         base = choose_dimensions(2, 0.05)
         e0 = np.zeros(2)
         e0[0] = 1.0
