@@ -22,6 +22,7 @@ from .calibration import Calibration, load_calibration
 from .discrete_qho import build, dense_diagonalize
 from .fast_forward import LOW_ENERGY_M_CAP, decompose, low_energy_error
 from .hermite_sampling import (
+    PostselectionFailure,
     SamplerConfig,
     general_hermite_sample,
     sample_distribution,
@@ -166,15 +167,20 @@ def cmd_qht(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     op = qht_operator(cfg)
+    t0 = time.perf_counter()
+    columns = op.matrix()
+    build_s = time.perf_counter() - t0
     rows = []
-    for n, u in enumerate(op.matrix()):
+    for n, u in enumerate(columns):
         # the output for |n> is s_n u_n and its reference s_n |psibar_n>: the signs cancel
         psi = op.basis.state(n)
         fid = abs(np.vdot((psi / np.linalg.norm(psi)).astype(complex), u))
         residual = max(op.input_mass[n] - float(np.vdot(u, u).real), 0.0)
         rows.append([n, f"{fid:.8f}", f"{op.block_fidelities[n]:.8f}",
                      f"{op.filter_leaks[n]:.3e}", f"{residual:.3e}"])
-    footer = {"M": cfg.M, "N_high": cfg.N_high}
+    footer = {"M": cfg.M, "N_high": cfg.N_high, "v_passes": op.v_passes}
+    if args.timings:
+        footer["columns_ms"] = int(build_s * 1000)
     _write_table(args.out, _meta(args, "qht"),
                  ["n", "fidelity", "block_fidelity", "filter_leak", "uncompute_residual"],
                  rows, args.format, footer)
@@ -211,7 +217,7 @@ def cmd_sample(args) -> int:
             attempts.append(s.attempts)
             if args.log:
                 rows.append([label, trial, "|".join(map(str, s.v)), s.attempts])
-        table = spectrum_table(f, D, M_quad=512)
+        table = spectrum_table(f, D, M_quad=scfg.M)
         dist_norm = 1.0 if f.boolean else max(table.mass, 1e-12)
         tv = tv_distance(hist, table, D, norm_sq=dist_norm)
         if not args.log:
@@ -373,7 +379,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, PostselectionFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,8 +22,21 @@ adjoint (the same tables in reverse order, conjugated).  With
 alt = diag((-1)^i), the centered DFT is F = s*sqrt(M)*alt*ifft*alt with
 s = (-1)^(M/2), so in a momentum factor F^-1 diag(P) F the sign s, the
 sqrt(M) and the inner pair of alt cancel: F^-1 diag(P) F v =
-alt*fft(P*ifft(alt*v)).  alt commutes with the diagonal position factors, so
-the kernel applies it only at the two ends of the whole product.
+alt*fft(P*ifft(alt*v)).  The kernel therefore works in the momentum frame
+w = ifft(alt*v): a momentum factor is the plain product P*w and a position
+factor is ifft(P*fft(w)).  A whole evolution table starts and ends with a
+momentum factor, so entering the frame (alt, then ifft), running the factors
+and leaving it (fft, then alt) is the sequence
+alt, ifft, P_a, fft, P_b, ifft, P_a, fft, alt: the same operations, in the
+same order, as applying each momentum factor as alt*fft(P*ifft(alt*v)) with
+alt taken out to the two ends, so one `apply_tables` call pays nothing for
+the frame.  (A truncated table that ends on a position factor, as the
+generator meter builds, pays one extra fft/ifft pair.)  Products and linear
+combinations of several evolutions, like the transform's dyadic filter and
+uncompute sweeps, stay in the frame between evolutions: a three-factor pass
+costs two FFTs there and a five-factor pass four, against four and six when
+each pass enters and leaves the frame.  The FFTs run in place; every entry
+into the frame copies its input first.
 """
 from __future__ import annotations
 
@@ -129,30 +142,50 @@ def evolution_tables(M: int, fe: FactoredEvolution) -> EvolutionTables:
                            global_sign=fe.global_sign)
 
 
+def _to_frame(state: np.ndarray, M: int) -> np.ndarray:
+    """A fresh array w = ifft(alt*v) along the last axis: the momentum frame."""
+    w = np.array(state, dtype=complex)
+    if w.shape[-1] != M:
+        raise ValueError(f"dimension mismatch: {w.shape[-1]} vs M={M}")
+    w[..., 1::2] *= -1.0
+    return np.fft.ifft(w, out=w)
+
+
+def _frame_steps(tables: EvolutionTables, w: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Apply the factors (or their adjoints) to a momentum-frame w, in place.
+
+    A momentum factor is w <- P*w and a position factor w <- ifft(P*fft(w)).
+    A half table covers the labels 0..M/2-1 of array indices M/2.. and, read
+    backwards, the labels -M/2..-1 of indices ..M/2-1.  The global sign is
+    left to the caller.
+    """
+    h = tables.M // 2
+    for axis, k in (reversed(tables.steps) if adjoint else tables.steps):
+        half = tables.halves[k].conj() if adjoint else tables.halves[k]
+        if axis == "position":
+            np.fft.fft(w, out=w)
+        w[..., h:] *= half[:h]
+        w[..., :h] *= half[h:0:-1]
+        if axis == "position":
+            np.fft.ifft(w, out=w)
+    return w
+
+
+def _from_frame(w: np.ndarray) -> np.ndarray:
+    """v = alt*fft(w), in place: leave the momentum frame."""
+    np.fft.fft(w, out=w)
+    w[..., 1::2] *= -1.0
+    return w
+
+
 def apply_tables(tables: EvolutionTables, state: np.ndarray,
                  adjoint: bool = False) -> np.ndarray:
     """Apply the tabulated evolution (or its adjoint) along the last axis.
 
-    Runs in the alternating-sign frame w = alt*v: a position factor is
-    w <- P*w and a momentum factor w <- fft(P*ifft(w)).  A half table covers
-    the labels 0..M/2-1 of array indices M/2.. and, read backwards, the
-    labels -M/2..-1 of indices ..M/2-1.
+    Enters the momentum frame, runs the factors there and leaves it; `state`
+    is not modified.
     """
-    M = tables.M
-    v = np.array(state, dtype=complex)
-    if v.shape[-1] != M:
-        raise ValueError(f"dimension mismatch: {v.shape[-1]} vs M={M}")
-    h = M // 2
-    v[..., 1::2] *= -1.0
-    for axis, k in (reversed(tables.steps) if adjoint else tables.steps):
-        half = tables.halves[k].conj() if adjoint else tables.halves[k]
-        if axis == "momentum":
-            v = np.fft.ifft(v)
-        v[..., h:] *= half[:h]
-        v[..., :h] *= half[h:0:-1]
-        if axis == "momentum":
-            v = np.fft.fft(v)
-    v[..., 1::2] *= -1.0
+    v = _from_frame(_frame_steps(tables, _to_frame(state, tables.M), adjoint))
     if tables.global_sign < 0:
         v *= -1.0
     return v

@@ -27,7 +27,14 @@ from numpy.polynomial.legendre import leggauss
 
 from .calibration import Calibration
 from .discrete_qho import DiscreteHermiteBasis, hermite_basis, loewdin_orthonormalize
-from .fast_forward import apply_tables, decompose, evolution_tables
+from .fast_forward import (
+    _frame_steps,
+    _from_frame,
+    _to_frame,
+    apply_tables,
+    decompose,
+    evolution_tables,
+)
 from .spectral_core import GridSpec
 
 __all__ = [
@@ -469,26 +476,40 @@ class QHTOperator:
     def apply_w(self, n: int, j: int, v: np.ndarray) -> np.ndarray:
         """W_{n,j} v = exp(i 2^j (2pi/M)(n+1/2)) V(2^j 2pi/M) v."""
         self.v_passes += 1
-        phase = np.exp(1j * self.dyadic_times[j] * (n + 0.5))
-        return phase * apply_tables(self.dyadic_tables[j], v)
+        return self._phases(n)[j] * apply_tables(self.dyadic_tables[j], v)
+
+    def _phases(self, n: int) -> np.ndarray:
+        """exp(i 2^j (2pi/M)(n+1/2)) for j = 0..m-1, the W_{n,j} phases."""
+        return np.exp(1j * np.asarray(self.dyadic_times) * (n + 0.5))
+
+    def _sweep(self, v: np.ndarray, coeffs: np.ndarray, adjoint: bool) -> np.ndarray:
+        """prod_j (I + c_j V_j)/2 v (V_j^dagger under adjoint), j = 0 first.
+
+        All m passes run in the momentum frame of `fast_forward`, entered and
+        left once, with one scratch buffer; `v` is not modified.
+        """
+        w = _to_frame(v, self.config.M)
+        tmp = np.empty_like(w)
+        for tables, c in zip(self.dyadic_tables, coeffs):
+            np.copyto(tmp, w)
+            _frame_steps(tables, tmp, adjoint)
+            tmp *= c * tables.global_sign
+            w += tmp
+            w *= 0.5
+        self.v_passes += len(coeffs)
+        return _from_frame(w)
 
     def filter(self, state: np.ndarray, n: int) -> FilterResult:
         """prod_j (I + W_{n,j})/2 applied to state; see eigenstate_filter."""
         v = np.asarray(state, dtype=complex)
-        kept = v.copy()
-        for j in range(len(self.dyadic_times)):
-            kept = 0.5 * (kept + self.apply_w(n, j, kept))
+        kept = self._sweep(v, self._phases(n), adjoint=False)
         in_sq = float(np.vdot(v, v).real)
         kept_sq = float(np.vdot(kept, kept).real)
         return FilterResult(kept=kept, leaked_mass=max(in_sq - kept_sq, 0.0))
 
     def uncompute(self, n: int, v: np.ndarray) -> np.ndarray:
         """out_n = prod_j (I + exp(-i 2^j (2pi/M)(n+1/2)) V_j^dagger)/2 v; see uncompute_index."""
-        for j, t_j in enumerate(self.dyadic_times):
-            c = np.exp(-1j * t_j * n) * np.exp(-1j * t_j * 0.5)
-            self.v_passes += 1
-            v = 0.5 * (v + c * apply_tables(self.dyadic_tables[j], v, adjoint=True))
-        return v
+        return self._sweep(v, self._phases(n).conj(), adjoint=True)
 
     def _hold(self, n: int) -> None:
         """Prepare, filter, amplify and uncompute block n once; hold u_n and its metrics."""

@@ -80,6 +80,20 @@ class TestRoundTrip:
         assert all(float(r["fidelity"]) >= 0.9 for r in rows)
         assert summary and "M" in summary
 
+    def test_qht_footer_counts_passes(self, tmp_path):
+        code, out = _run(tmp_path, "q.csv", ["qht", "--N", "2", "--eps", "0.1"])
+        assert code == 0
+        _, _, summary = read_table(out)
+        m = summary["M"].bit_length() - 1
+        assert summary["v_passes"] == 2 * m * 2       # filter and uncompute per block
+        assert "columns_ms" not in summary
+        code, timed = _run(tmp_path, "t.csv", ["qht", "--N", "2", "--eps", "0.1", "--timings"])
+        assert code == 0
+        _, timed_rows, timed_summary = read_table(timed)
+        assert timed_summary.pop("columns_ms") >= 0
+        assert timed_summary == summary
+        assert timed_rows == read_table(out)[1]
+
     def test_csv_summary_line(self, tmp_path):
         code, out = _run(tmp_path, "s.csv",
                          ["sample", "--n", "1", "--trials", "40", "--seed", "2"])
@@ -140,6 +154,33 @@ class TestSampleCorpusFile:
         assert set(rows[0]) == {"instance", "trial", "v", "accepted_attempts"}
         assert summary["instances"]["const(1.0)"]["tv"] <= 1e-6
 
+
+    def test_postselection_failure_is_an_error_line(self, tmp_path, capsys):
+        # unbounded, with its default kappa = 1: the rejection loop gives up
+        corpus_file = tmp_path / "corpus.json"
+        corpus_file.write_text(json.dumps([
+            {"family": "mixture", "n": 3, "terms": [[[1, 0, 0], 0.9], [[0, 1, 2], 0.436]]},
+        ]))
+        code, out = _run(tmp_path, "s.csv", ["sample", "--n", "3", "--M", "256", "--trials", "100",
+                                            "--corpus", str(corpus_file)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: no acceptance in ")
+        assert not out.exists()
+
+    def test_dense_three_axis_reference_on_the_command_grid(self, tmp_path):
+        # a dense n = 3 oracle fits the full-grid budget at M = 256, not at 512
+        corpus_file = tmp_path / "corpus.json"
+        corpus_file.write_text(json.dumps([
+            {"family": "mixture", "n": 3, "bounded": True,
+             "terms": [[[0, 0, 0], 0.9], [[1, 0, 0], 0.3]]},
+        ]))
+        code, out = _run(tmp_path, "s.csv", ["sample", "--n", "3", "--M", "256", "--trials", "20",
+                                            "--seed", "3", "--corpus", str(corpus_file)])
+        assert code == 0
+        _, rows, summary = read_table(out)
+        assert sum(int(r["count"]) for r in rows) == 20
+        (instance,) = summary["instances"].values()
+        assert 0.0 <= instance["tv"] <= 1.0
 
 class TestGGLCommand:
     def test_transcript_and_success_rate(self, tmp_path):

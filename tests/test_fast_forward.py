@@ -173,6 +173,20 @@ class TestApplyTables:
             assert np.abs(back - eye).max() < 1e-12
 
 
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_input_left_unchanged(self, rng, adjoint):
+        # the kernel runs its FFTs in place on its own copy
+        M = 64
+        for t in self.TIMES:
+            tables = evolution_tables(M, decompose(t))
+            for shape in ((M,), (3, M)):
+                v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                before = v.copy()
+                out = apply_tables(tables, v, adjoint=adjoint)
+                assert np.array_equal(v, before)
+                assert not np.shares_memory(out, v)
+
+
 class TestExactEvolution:
     def test_zero_time(self, eig_cache, rng):
         eig = eig_cache(64)

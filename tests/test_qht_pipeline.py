@@ -5,6 +5,7 @@ import pytest
 
 from qhermite.calibration import Calibration
 from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis
+from qhermite.fast_forward import apply_tables
 from qhermite.qht_pipeline import (
     ConfigError,
     QHTConfig,
@@ -393,6 +394,72 @@ class TestOperator:
             assert res.block_fidelities[0] != ref.block_fidelities[0]
         assert np.array_equal(qht_apply(e0, base).output, ref.output)
 
+
+class TestFrameSweep:
+    """The filter and uncompute sweeps against a pass-by-pass composition."""
+
+    CONFIGS = (choose_dimensions(4, 0.05), QHTConfig(N=2, eps=0.05, M=64, N_high=16))
+
+    @staticmethod
+    def _filter_passes(op, n, v):
+        for j in range(op.config.m_bits):
+            v = 0.5 * (v + op.apply_w(n, j, v))
+        return v
+
+    @staticmethod
+    def _uncompute_passes(op, n, v):
+        for tables, t_j in zip(op.dyadic_tables, op.dyadic_times):
+            c = np.exp(-1j * t_j * (n + 0.5))
+            v = 0.5 * (v + c * apply_tables(tables, v, adjoint=True))
+        return v
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["N4", "M64"])
+    def test_top_table_has_five_factors(self, cfg):
+        steps = [len(t.steps) for t in qht_operator(cfg).dyadic_tables]
+        assert steps == [3] * (cfg.m_bits - 1) + [5]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["N4", "M64"])
+    def test_sweeps_match_passes(self, cfg, rng):
+        op = QHTOperator(cfg)
+        for n in range(cfg.N):
+            v = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
+            assert np.abs(op.filter(v, n).kept - self._filter_passes(op, n, v)).max() < 1e-13
+            assert np.abs(op.uncompute(n, v) - self._uncompute_passes(op, n, v)).max() < 1e-13
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["N4", "M64"])
+    def test_columns_match_passes(self, cfg):
+        from qhermite.qht_pipeline import _amplify_block
+
+        op = QHTOperator(cfg)
+        U = op.matrix()
+        for n in range(cfg.N):
+            v = build_pr_state(n, cfg).normalized().astype(complex)
+            kept = self._filter_passes(op, n, v)
+            leak = 1.0 - float(np.vdot(kept, kept).real)
+            work, _ = _amplify_block(kept, leak, cfg.delta_lower, cfg.eps)
+            assert abs(op.filter_leaks[n] - leak) < 1e-13
+            assert np.abs(U[n] - self._uncompute_passes(op, n, work)).max() < 1e-13
+
+    def test_inputs_left_unchanged(self, rng):
+        cfg = self.CONFIGS[1]
+        v = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
+        before = v.copy()
+        kept = eigenstate_filter(v, 1, cfg).kept
+        out, _ = uncompute_index({0: v, 1: v}, cfg)
+        assert np.array_equal(v, before)
+        assert not np.shares_memory(kept, v) and not np.shares_memory(out, v)
+
+    def test_pass_counts(self, rng):
+        cfg = self.CONFIGS[0]
+        m = cfg.m_bits
+        op = QHTOperator(cfg)
+        v = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
+        op.filter(v, 2)
+        assert op.v_passes == m
+        op.uncompute(2, v)
+        assert op.v_passes == 2 * m
+        assert op.apply(np.array([0.6, 0.0, 0.8])).op_passes == 2 * 2 * m
+        assert op.v_passes == 6 * m
 
 class TestEndToEnd:
     def test_single_index_fidelity(self, basis_cache):
