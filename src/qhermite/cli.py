@@ -100,30 +100,31 @@ def _meta(args, command: str) -> dict:
     return keep
 
 
-def _parse_list(text, cast):
-    return [cast(tok) for tok in str(text).split(",") if tok]
+def _int_list(text):
+    return [int(tok) for tok in text.split(",")]
+
+
+def _float_list(text):
+    return [float(tok) for tok in text.split(",")]
 
 
 def cmd_ff_error(args) -> int:
-    Ms = _parse_list(args.M or "128,256,512", int)
-    Ns = _parse_list(args.N or "4,8,16", int)
-    ts = _parse_list(args.t or "0.25,1.0,3.0", float)
     rows = []
     infeasible = 0
-    for M in Ms:
+    for M in args.M:
         try:
             if M > LOW_ENERGY_M_CAP:   # checked before the eigensolve
                 raise ValueError(f"projected-error budget is M <= {LOW_ENERGY_M_CAP}")
             qho = build(GridSpec(M))
             eig = dense_diagonalize(qho)
         except ValueError:
-            for N in Ns:
-                for t in ts:
+            for N in args.N:
+                for t in args.t:
                     rows.append([M, N, t, decompose(t).reps, "", "infeasible"])
                     infeasible += 1
             continue
-        for N in Ns:
-            for t in ts:
+        for N in args.N:
+            for t in args.t:
                 t0 = time.perf_counter()
                 try:
                     err = low_energy_error(qho, eig, N, t)
@@ -143,8 +144,7 @@ def cmd_ff_error(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    M = int(args.M or 100000)
-    n_max = int(args.n if args.n is not None else 100)
+    M, n_max = args.M, args.n
     spec = GridSpec(M)
     x = spec.points()
     sqh = np.sqrt(spec.h)
@@ -159,10 +159,8 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_qht(args) -> int:
-    N = int(args.N or 8)
-    eps = float(args.eps or 0.01)
     try:
-        cfg = choose_dimensions(N, eps, args.cal)
+        cfg = choose_dimensions(args.N, args.eps, args.cal)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -196,15 +194,13 @@ def _default_corpus(n: int):
 
 
 def cmd_sample(args) -> int:
-    n = int(args.n or 1)
-    D = int(args.D or 9)
-    trials = int(args.trials or 2000)
-    rng = np.random.default_rng(int(args.seed))
-    scfg = SamplerConfig(M=int(args.M or 512), D=D)
+    D, trials = args.D, args.trials
+    rng = np.random.default_rng(args.seed)
+    scfg = SamplerConfig(M=args.M, D=D)
     if args.corpus:
         funcs = [(f.label or f"f{i}", f) for i, f in enumerate(corpus_mod.load_corpus(args.corpus))]
     else:
-        funcs = _default_corpus(n)
+        funcs = _default_corpus(args.n)
     rows = []
     summaries = {}
     for label, f in funcs:
@@ -251,18 +247,14 @@ def _ggl_corpus(n: int, mode: str):
 
 
 def cmd_ggl(args) -> int:
-    n = int(args.n or 2)
-    tau = float(args.tau or 0.5)
-    delta = float(args.delta or 0.1)
-    seeds = _parse_list(args.seeds or "0,1,2,3,4", int)
-    mode = args.mode or "classical"
+    mode = args.mode
     rows = []
     successes = 0
     total = 0
-    for label, f, heavy in _ggl_corpus(n, mode):
-        for seed in seeds:
+    for label, f, heavy in _ggl_corpus(args.n, mode):
+        for seed in args.seeds:
             rng = np.random.default_rng(seed)
-            res = gaussian_goldreich_levin(f, tau, delta, rng, mode=mode)
+            res = gaussian_goldreich_levin(f, args.tau, args.delta, rng, mode=mode)
             complete = all(tuple(v) in res.found for v in heavy)
             successes += complete
             total += 1
@@ -277,12 +269,9 @@ def cmd_ggl(args) -> int:
 
 
 def cmd_test(args) -> int:
-    eps1 = float(args.eps1 or 0.1)
-    eps2 = float(args.eps2 or 0.3)
-    delta = float(args.delta or 0.1)
-    rng = np.random.default_rng(int(args.seed))
-    n = int(args.n or 2)
-    scfg = SamplerConfig(M=int(args.M or 512), D=int(args.D or 9))
+    eps1, eps2, delta, n = args.eps1, args.eps2, args.delta, args.n
+    rng = np.random.default_rng(args.seed)
+    scfg = SamplerConfig(M=args.M, D=args.D)
     lowdeg_yes = corpus_mod.mixture([((1, 0), 0.8), ((0, 2), 0.6)], n, bounded=True)
     lowdeg_no = corpus_mod.hermite_monomial((3, 3), n)
     instances = [
@@ -313,36 +302,36 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", default=0)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="-")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--calibration", default=None)
         p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("ff-error", help="fast-forwarding error atlas")
-    p.add_argument("--M", default=None)
-    p.add_argument("--N", default=None)
-    p.add_argument("--t", default=None)
+    p.add_argument("--M", type=_int_list, default="128,256,512")
+    p.add_argument("--N", type=_int_list, default="4,8,16")
+    p.add_argument("--t", type=_float_list, default="0.25,1.0,3.0")
     common(p)
     p.set_defaults(func=cmd_ff_error)
 
     p = sub.add_parser("overlap", help="Plancherel-Rotach overlap curve")
-    p.add_argument("--M", default=None)
-    p.add_argument("--n", default=None)
+    p.add_argument("--M", type=int, default=100000)
+    p.add_argument("--n", type=int, default=100)
     common(p)
     p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser("qht", help="end-to-end transform fidelity report")
-    p.add_argument("--N", default=None)
-    p.add_argument("--eps", default=None)
+    p.add_argument("--N", type=int, default=8)
+    p.add_argument("--eps", type=float, default=0.01)
     common(p)
     p.set_defaults(func=cmd_qht)
 
     p = sub.add_parser("sample", help="Hermite sampling histogram + TV report")
-    p.add_argument("--n", default=None)
-    p.add_argument("--D", default=None)
-    p.add_argument("--M", default=None)
-    p.add_argument("--trials", default=None)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--D", type=int, default=9)
+    p.add_argument("--M", type=int, default=512)
+    p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--corpus", default=None)
     p.add_argument("--log", action="store_true",
                    help="emit per-trial rows (trial, v, accepted_attempts)")
@@ -350,21 +339,21 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("ggl", help="Gaussian Goldreich-Levin transcript")
-    p.add_argument("--n", default=None)
-    p.add_argument("--tau", default=None)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--seeds", default=None)
-    p.add_argument("--mode", default=None, choices=(None, "classical", "sampler"))
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--seeds", type=_int_list, default="0,1,2,3,4")
+    p.add_argument("--mode", default="classical", choices=("classical", "sampler"))
     common(p)
     p.set_defaults(func=cmd_ggl)
 
     p = sub.add_parser("test", help="property-tester verdict table")
-    p.add_argument("--n", default=None)
-    p.add_argument("--D", default=None)
-    p.add_argument("--M", default=None)
-    p.add_argument("--eps1", default=None)
-    p.add_argument("--eps2", default=None)
-    p.add_argument("--delta", default=None)
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--D", type=int, default=9)
+    p.add_argument("--M", type=int, default=512)
+    p.add_argument("--eps1", type=float, default=0.1)
+    p.add_argument("--eps2", type=float, default=0.3)
+    p.add_argument("--delta", type=float, default=0.1)
     common(p)
     p.set_defaults(func=cmd_test)
 

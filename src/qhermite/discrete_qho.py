@@ -117,22 +117,28 @@ def apply_hamiltonian(qho: DiscreteQHO, state: np.ndarray) -> np.ndarray:
     return 0.5 * (apply_position_sq(qho, v) + apply_momentum_sq(qho, v))
 
 
+_PI_LD = 4 * np.arctan(np.longdouble(1))   # np.longdouble(np.pi) is float64's pi
+
+
 def _p2_symbol_ld(M: int) -> np.ndarray:
     """Circulant symbol of pbar^2 in 80-bit floats: (pbar^2)_{jk} = c[(k-j) mod M].
 
     c_0 = (2*pi/M^2) * sum l^2 over the signed label range; for d != 0 the
     closed form is c_d = (pi/M) (-1)^d / sin^2(pi d / M).  Extended precision
     keeps the dense oracle within one float64 ulp of the operator the FFT
-    fast path realizes, which the evolution error meters depend on.
+    fast path realizes, which the evolution error meters depend on.  Only
+    d <= M/2 is evaluated and mirrored, c[M - d] = c[d], as `_mp_p2_symbol`
+    does: near d = M the argument error of sin(pi d/M) is amplified ~M/pi-fold.
     """
-    pi = np.longdouble(np.pi)
+    pi = _PI_LD
     Ml = np.longdouble(M)
     c = np.empty(M, dtype=np.longdouble)
     half = M // 2
     c[0] = 2.0 * pi / Ml**2 * (np.longdouble((half - 1) * half * (M - 1)) / 3.0
                                + np.longdouble(half) * half)
-    d = np.arange(1, M, dtype=np.longdouble)
-    c[1:] = (pi / Ml) * (-1.0) ** np.arange(1, M) / np.sin(pi * d / Ml) ** 2
+    d = np.arange(1, half + 1)
+    c[1:half + 1] = (pi / Ml) * (-1.0) ** d / np.sin(pi * d.astype(np.longdouble) / Ml) ** 2
+    c[half + 1:] = c[half - 1:0:-1]
     return c
 
 
@@ -167,26 +173,28 @@ class EigenDecomposition:
         return len(self.energies)
 
 
-def dense_diagonalize(qho: DiscreteQHO, refine: int = 64) -> EigenDecomposition:
+def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     """Ground-truth eigendecomposition of the dense Hbar (M <= 4096).
 
-    The lowest `refine` eigenvalues are recomputed as Rayleigh quotients
-    against the extended-precision circulant Hamiltonian: LAPACK returns them
-    with absolute error ~eps*||H||, which at M=1024 already exceeds the true
-    distance to n + 1/2 (and would dominate every projected-error meter).
+    LAPACK returns the eigenvalues with absolute error ~eps*||H||, which at
+    M=1024 already exceeds the true distance to n + 1/2 (and would dominate
+    every projected-error meter).  The lowest 64 are therefore recomputed in
+    80-bit floats as Rayleigh quotients in the frame of the FFT kernel: with
+    pbar^2 = F^-1 xbar^2 F and u = ifft(alt*w),
+        E = (sum_i x_i^2 w_i^2 + M sum_i x_i^2 |u_i|^2) / (2 sum_i w_i^2),
+    two sums of non-negative terms, so rounding stays relative to E.
     """
     M = qho.M
     H = dense_hamiltonian(qho)
     energies, vectors = np.linalg.eigh(H)
-    k = min(refine, M)
-    c = _p2_symbol_ld(M)
-    j = np.arange(M)
-    labels = np.arange(-M // 2, M // 2, dtype=np.longdouble)
-    x2_ld = labels * labels * (2 * np.longdouble(np.pi) / M)
-    Hld = 0.5 * (c[(j[None, :] - j[:, None]) % M] + np.diag(x2_ld))
+    k = min(64, M)
     W = vectors[:, :k].astype(np.longdouble)
+    labels = np.arange(-M // 2, M // 2, dtype=np.longdouble)
+    x2 = (labels * labels * (2 * _PI_LD / M))[:, None]
+    U = np.fft.ifft(qho.alt[:, None] * W, axis=0)
     refined = energies.copy()
-    refined[:k] = (W * (Hld @ W)).sum(axis=0) / (W * W).sum(axis=0)
+    refined[:k] = (((x2 * W * W).sum(axis=0) + M * (x2 * (U.real**2 + U.imag**2)).sum(axis=0))
+                   / (2 * (W * W).sum(axis=0)))
     return EigenDecomposition(energies=refined, vectors=vectors)
 
 

@@ -9,12 +9,14 @@ uncomputation of the index register.
 Every pipeline unitary is block-diagonal in the index n, so each block is
 simulated independently on a dimension-M work register and the blocks are
 recombined linearly; this replaces the M^2-dimensional joint statevector with
-N independent M-vectors, held per config as the columns of `QHTOperator`.
-Within a block, the amplification walk lives exactly in the 2-complex-
-dimensional span of the prepared joint state and its flagged component, so
-the M-qubit filter ancillas never need to be materialized: a block's joint
-state is carried as the flagged work vector plus one scalar coordinate along
-the (fixed) unflagged remainder.
+N independent M-vectors, held per config as the columns of `QHTOperator`,
+whose `filter` and `uncompute` methods are the only way into those stages.
+Within a block, the amplification walk lives exactly in the 2-D span
+{flagged, rest} of the prepared joint state, where fixed-point search is
+defined (Yoder, Low & Chuang, PRL 113, 210501, 2014), so the M-qubit filter
+ancillas never need to be materialized: `fixed_point_amplify` runs on the
+two amplitudes of that span, and the amplified work vector is the filter's
+flagged output rescaled by the final flagged amplitude.
 """
 from __future__ import annotations
 
@@ -27,14 +29,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .calibration import Calibration
 from .discrete_qho import DiscreteHermiteBasis, hermite_basis, loewdin_orthonormalize
-from .fast_forward import (
-    _frame_steps,
-    _from_frame,
-    _to_frame,
-    apply_tables,
-    decompose,
-    evolution_tables,
-)
+from .fast_forward import _frame_steps, _from_frame, _to_frame, decompose, evolution_tables
 from .spectral_core import GridSpec
 
 __all__ = [
@@ -42,7 +37,6 @@ __all__ = [
     "ConfigError",
     "WindowFunction",
     "PlancherelRotachState",
-    "FilterResult",
     "choose_dimensions",
     "config_to_json",
     "config_from_json",
@@ -50,11 +44,8 @@ __all__ = [
     "window_value",
     "build_pr_state",
     "pr_amplitude_phase",
-    "eigenstate_filter",
-    "filter_unitaries",
     "fixed_point_schedule",
     "fixed_point_amplify",
-    "uncompute_index",
     "QHTOperator",
     "qht_operator",
     "qht_apply",
@@ -289,41 +280,6 @@ def build_pr_state(n: int, config: QHTConfig,
 
 
 # ---------------------------------------------------------------------------
-# Eigenstate filtering (QPE interferometer)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FilterResult:
-    """Flagged component (ancillas |0...0>) and the orthogonal remainder's mass."""
-
-    kept: np.ndarray = field(repr=False)
-    leaked_mass: float
-
-    @property
-    def kept_norm(self) -> float:
-        return float(np.linalg.norm(self.kept))
-
-
-def filter_unitaries(n: int, config: QHTConfig):
-    """The W_{n,j} = V(2^j 2pi/M) * exp(i 2^j (2pi/M)(n+1/2)) as apply_w(j, v)."""
-    return functools.partial(qht_operator(config).apply_w, n)
-
-
-def eigenstate_filter(state: np.ndarray, n: int, config: QHTConfig) -> FilterResult:
-    """Simulate the m-ancilla QPE interferometer flagging |psibar_n>.
-
-    The flagged component is prod_j (I + W_{n,j})/2 applied to the input
-    (m sequential factored evolutions, not 2^m branches); unitarity of each
-    W makes the unflagged mass exactly ||in||^2 - ||kept||^2.
-    """
-    dim = np.shape(state)[-1]
-    if dim != config.M:
-        raise ValueError(f"dimension mismatch: {dim} vs M={config.M}")
-    return qht_operator(config).filter(state, n)
-
-
-# ---------------------------------------------------------------------------
 # Fixed-point amplitude amplification
 # ---------------------------------------------------------------------------
 
@@ -355,76 +311,32 @@ def fixed_point_schedule(delta_lower: float, eps: float,
     return L, list(zip(alpha.tolist(), beta.tolist()))
 
 
-def fixed_point_amplify(prepare_op, flag_projector, delta_lower: float, eps: float,
-                        degree_override: int = 0):
-    """Amplify the flagged component of the prepared state to within eps.
+def fixed_point_amplify(kept_norm: float, leak_norm: float, delta_lower: float,
+                        eps: float, degree_override: int = 0):
+    """Amplify the flagged amplitude of one block to within eps; returns (goal, rest).
 
-    prepare_op() returns the joint initial vector |init>; flag_projector(v)
-    projects onto the flagged subspace.  Each round applies the flag phase
-    exp(-i beta P) followed by the reflection-phase about |init| itself
-    (exp(+i alpha |init><init|) -- legitimate because the prepared state is
-    rank one).  Returns the final joint vector, which carries every
-    amplified block to within eps of its flagged target simultaneously.
+    The walk lives in the 2-D span {flagged, rest}: the unit initial state is
+    (a, b) = (kept_norm, leak_norm)/norm, and each round applies the flag phase
+    exp(-i beta) to the flagged amplitude, then the reflection phase about the
+    initial state itself, exp(+i alpha |init><init|) -- legitimate because the
+    prepared state is rank one.  Both amplitudes are inputs because
+    sqrt(1 - a^2) cancels near a = 1.  A zero state returns (0, 0), and
+    a >= 1 - 1e-12 returns (a, b) unamplified.  The flagged work vector is
+    kept * goal/kept_norm and |rest|^2 the unflagged mass left.
     """
-    init = np.asarray(prepare_op(), dtype=complex)
-    p_init = flag_projector(init)
-    if float(np.linalg.norm(p_init)) >= 1.0 - 1e-12:
-        return init.copy()
+    norm = math.hypot(kept_norm, leak_norm)
+    if norm == 0:
+        return 0j, 0j
+    a, b = kept_norm / norm, leak_norm / norm
+    goal, rest = complex(a), complex(b)
+    if a >= 1.0 - 1e-12:
+        return goal, rest
     _, phases = fixed_point_schedule(delta_lower, eps, degree_override)
-    v = init.copy()
     for alpha, beta in phases:
-        v = v + (np.exp(-1j * beta) - 1.0) * flag_projector(v)
-        v = v + (np.exp(1j * alpha) - 1.0) * np.vdot(init, v) * init
-    return v
-
-
-def _amplify_block(kept: np.ndarray, leaked_mass: float, delta_lower: float,
-                   eps: float, degree_override: int = 0):
-    """Run the amplification on one block's (work, leak-coordinate) joint vector.
-
-    Returns (work_vector, residual_unflagged_mass) after the walk.
-    """
-    M = len(kept)
-    init = np.concatenate([kept, [math.sqrt(max(leaked_mass, 0.0))]])
-    nrm = np.linalg.norm(init)
-    if nrm == 0:
-        return kept.copy(), 0.0
-    init = init / nrm
-
-    def project(v):
-        out = v.copy()
-        out[-1] = 0.0
-        return out
-
-    final = fixed_point_amplify(lambda: init, project, delta_lower, eps,
-                                degree_override)
-    return final[:M], float(abs(final[-1]) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# Uncomputation of the index register
-# ---------------------------------------------------------------------------
-
-
-def uncompute_index(joint_state: dict, config: QHTConfig):
-    """Inverse-QPE reset of the index register, blockwise.
-
-    joint_state maps n -> work vector v_n (the |n> block).  Exchanging the
-    sum over index basis states with the dyadic product collapses the inverse
-    QPE to m sequential operations per block:
-        out_n = prod_j (I + exp(-i 2 pi n 2^j / M) V_j^dagger) / 2 . v_n
-    with V_j = V(2^j 2pi/M) exp(i 2^j (2pi/M)/2).  The transform output on
-    the reset register is sum_n out_n; the residual index mass is
-    sum ||v_n||^2 - ||sum_n out_n||^2, reported (not raised).
-    """
-    op = qht_operator(config)
-    out = np.zeros(config.M, dtype=complex)
-    total_in = 0.0
-    for n, v in joint_state.items():
-        v = np.asarray(v, dtype=complex)
-        total_in += float(np.vdot(v, v).real)
-        out += op.uncompute(n, v)
-    return out, max(total_in - float(np.vdot(out, out).real), 0.0)
+        goal *= np.exp(-1j * beta)
+        kick = (np.exp(1j * alpha) - 1.0) * (a * goal + b * rest)
+        goal, rest = goal + kick * a, rest + kick * b
+    return goal, rest
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +385,6 @@ class QHTOperator:
         self.input_mass = np.zeros(N)
         self.v_passes = 0
 
-    def apply_w(self, n: int, j: int, v: np.ndarray) -> np.ndarray:
-        """W_{n,j} v = exp(i 2^j (2pi/M)(n+1/2)) V(2^j 2pi/M) v."""
-        self.v_passes += 1
-        return self._phases(n)[j] * apply_tables(self.dyadic_tables[j], v)
-
     def _phases(self, n: int) -> np.ndarray:
         """exp(i 2^j (2pi/M)(n+1/2)) for j = 0..m-1, the W_{n,j} phases."""
         return np.exp(1j * np.asarray(self.dyadic_times) * (n + 0.5))
@@ -499,16 +406,31 @@ class QHTOperator:
         self.v_passes += len(coeffs)
         return _from_frame(w)
 
-    def filter(self, state: np.ndarray, n: int) -> FilterResult:
-        """prod_j (I + W_{n,j})/2 applied to state; see eigenstate_filter."""
+    def filter(self, state: np.ndarray, n: int):
+        """The m-ancilla QPE interferometer flagging |psibar_n>: (kept, leaked_mass).
+
+        kept, the flagged component (ancillas |0...0>), is
+        prod_j (I + W_{n,j})/2 applied to state, with
+        W_{n,j} = exp(i 2^j (2pi/M)(n+1/2)) V(2^j 2pi/M): m sequential
+        evolutions, not 2^m branches.  Unitarity of each W makes the
+        unflagged mass exactly ||state||^2 - ||kept||^2.
+        """
         v = np.asarray(state, dtype=complex)
         kept = self._sweep(v, self._phases(n), adjoint=False)
         in_sq = float(np.vdot(v, v).real)
         kept_sq = float(np.vdot(kept, kept).real)
-        return FilterResult(kept=kept, leaked_mass=max(in_sq - kept_sq, 0.0))
+        return kept, max(in_sq - kept_sq, 0.0)
 
     def uncompute(self, n: int, v: np.ndarray) -> np.ndarray:
-        """out_n = prod_j (I + exp(-i 2^j (2pi/M)(n+1/2)) V_j^dagger)/2 v; see uncompute_index."""
+        """Inverse-QPE reset of the index register on the |n> block's work vector v.
+
+        Exchanging the sum over index basis states with the dyadic product
+        collapses the inverse QPE to m products per block:
+            out_n = prod_j (I + exp(-i 2^j (2pi/M)(n+1/2)) V_j^dagger)/2 v.
+        The transform output on the reset register is sum_n out_n, and the
+        residual index mass sum_n ||v_n||^2 - ||sum_n out_n||^2 is reported
+        by `apply`, not raised.
+        """
         return self._sweep(v, self._phases(n).conj(), adjoint=True)
 
     def _hold(self, n: int) -> None:
@@ -519,10 +441,13 @@ class QHTOperator:
         psi_n = self.basis.state(n)
         psi_n = psi_n / np.linalg.norm(psi_n)
         bits = cfg.r if cfg.quantize_oracles else None
-        filt = self.filter(build_pr_state(n, cfg, quantize_bits=bits).normalized(), n)
-        work, self.aa_residuals[n] = _amplify_block(
-            filt.kept, filt.leaked_mass, cfg.delta_lower, cfg.eps, cfg.aa_rounds)
-        self.filter_leaks[n] = filt.leaked_mass
+        kept, leak = self.filter(build_pr_state(n, cfg, quantize_bits=bits).normalized(), n)
+        kept_norm = float(np.linalg.norm(kept))
+        goal, rest = fixed_point_amplify(kept_norm, math.sqrt(leak), cfg.delta_lower,
+                                         cfg.eps, cfg.aa_rounds)
+        work = kept * (goal / kept_norm) if kept_norm else kept
+        self.filter_leaks[n] = leak
+        self.aa_residuals[n] = abs(rest) ** 2
         self.block_fidelities[n] = abs(np.vdot(psi_n, work))
         self.input_mass[n] = float(np.vdot(work, work).real)
         self.columns[n] = self.uncompute(n, work)

@@ -66,7 +66,12 @@ class TestDeterminism:
     def test_header_echoes_config(self, tmp_path):
         _, out = _run(tmp_path, "a.csv", ["overlap", "--M", "512", "--n", "2", "--seed", "9"])
         meta, _, _ = read_table(out)
-        assert meta["M"] == "512" and meta["seed"] == "9"
+        assert meta["M"] == 512 and meta["seed"] == 9
+        # options left out are recorded with their typed defaults
+        _, out = _run(tmp_path, "b.csv", ["ff-error", "--M", "64", "--N", "2,4"])
+        meta, _, _ = read_table(out)
+        assert meta["M"] == [64] and meta["N"] == [2, 4] and meta["t"] == [0.25, 1.0, 3.0]
+        assert meta["seed"] == 0
 
 
 class TestRoundTrip:
@@ -122,6 +127,15 @@ class TestUsageErrors:
         out = tmp_path / "x.csv"
         assert main([command, "--calibration", str(cal), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["overlap", "--seed", "x"], ["qht", "--N", "8.5"],
+                                      ["ff-error", "--t", "0.5,y"], ["ff-error", "--M", ""],
+                                      ["ggl", "--mode", "quantum"]])
+    def test_malformed_option_is_a_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        assert main(args + ["--out", str(out)]) == 1
+        assert "invalid" in capsys.readouterr().err
         assert not out.exists()
 
     def test_calibration_path_kept_in_provenance(self, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qhermite.discrete_qho import (
+    _PI_LD,
     EnergyProjector,
     _p2_symbol_ld,
     apply_hamiltonian,
@@ -137,11 +138,24 @@ class TestDenseDiagonalize:
         j = np.arange(M)
         labels = np.arange(-M // 2, M // 2, dtype=np.longdouble)
         Hld = 0.5 * (c[(j[None, :] - j[:, None]) % M]
-                     + np.diag(labels * labels * (2 * np.longdouble(np.pi) / M)))
+                     + np.diag(labels * labels * (2 * _PI_LD / M)))
         for n in range(min(64, M)):
             v = eig.vectors[:, n].astype(np.clongdouble)
             ref = float(np.real(np.vdot(v, Hld @ v) / np.vdot(v, v)))
             assert abs(eig.energies[n] - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("M", [64, 128, 256, 512, 1024, 2048, 4096])
+    def test_symbol_is_mirror_symmetric(self, M):
+        # pbar^2 is symmetric, so c[d] = c[M - d] must hold to the last bit
+        c = _p2_symbol_ld(M)
+        assert np.array_equal(c[1:], c[:0:-1])
+
+    @pytest.mark.parametrize("M", [512, 1024])
+    def test_low_energies_at_half_integers(self, eig_cache, M):
+        # the exact eigenvalues are n + 1/2 to far below float64 for n < 16;
+        # a float64 pi in the symbol put them 3e-12 (M=512) to 1e-11 away
+        eig = eig_cache(M)
+        assert np.abs(eig.energies[:16] - (np.arange(16) + 0.5)).max() <= 1e-13
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):

@@ -13,8 +13,6 @@ from qhermite.qht_pipeline import (
     WindowFunction,
     build_pr_state,
     choose_dimensions,
-    eigenstate_filter,
-    filter_unitaries,
     fixed_point_amplify,
     fixed_point_schedule,
     isometry_singular_values,
@@ -24,10 +22,24 @@ from qhermite.qht_pipeline import (
     qht_apply,
     qht_operator,
     qht_reference,
-    uncompute_index,
     window_value,
 )
 from qhermite.spectral_core import GridSpec
+
+
+def _amplified(cfg, kept, leak):
+    """The flagged work vector after the walk, as QHTOperator computes it."""
+    norm = float(np.linalg.norm(kept))
+    goal, _ = fixed_point_amplify(norm, np.sqrt(leak), cfg.delta_lower, cfg.eps)
+    return kept * (goal / norm)
+
+
+def _uncompute_blocks(cfg, blocks):
+    """sum_n out_n over the blocks {n: v_n} and the residual index mass."""
+    op = qht_operator(cfg)
+    out = sum(op.uncompute(n, np.asarray(v, dtype=complex)) for n, v in blocks.items())
+    total_in = sum(float(np.vdot(v, v).real) for v in blocks.values())
+    return out, max(total_in - float(np.vdot(out, out).real), 0.0)
 
 
 class TestChooseDimensions:
@@ -162,45 +174,47 @@ class TestEigenstateFilter:
         cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=64)
         psi = basis_cache(M, n).state(n).astype(complex)
         psi /= np.linalg.norm(psi)
-        res = eigenstate_filter(psi, n, cfg)
-        assert res.kept_norm >= 1 - 1e-4
+        kept, _ = qht_operator(cfg).filter(psi, n)
+        assert np.linalg.norm(kept) >= 1 - 1e-4
 
     def test_rejects_mismatched_state(self, basis_cache):
         M = 512
         cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=64)
         psi = basis_cache(M, 5).state(5).astype(complex)
         psi /= np.linalg.norm(psi)
-        res = eigenstate_filter(psi, 2, cfg)
-        assert res.kept_norm <= 1e-4
+        kept, _ = qht_operator(cfg).filter(psi, 2)
+        assert np.linalg.norm(kept) <= 1e-4
 
     def test_pr_state_retention_tracks_overlap(self, basis_cache):
         M, n = 2048, 2
         cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=256)
         pr = build_pr_state(n, cfg)
-        res = eigenstate_filter(pr.normalized(), n, cfg)
+        kept, _ = qht_operator(cfg).filter(pr.normalized(), n)
         psi = basis_cache(M, n).state(n)
         beta = abs(float(psi @ pr.amplitudes)) / pr.norm
-        assert abs(res.kept_norm - beta) <= 2 * cfg.eps
+        assert abs(np.linalg.norm(kept) - beta) <= 2 * cfg.eps
 
     def test_interferometer_mass_conservation(self, rng):
         # materialize all 2^m ancilla branches at M=64 and check completeness
         M = 64
         cfg = QHTConfig(N=2, eps=0.1, M=M, N_high=16)
-        apply_w = filter_unitaries(1, cfg)
+        op = qht_operator(cfg)
         v = rng.normal(size=M) + 1j * rng.normal(size=M)
         v /= np.linalg.norm(v)
         branches = [v]
-        for j in range(cfg.m_bits):
+        for tables, t_j in zip(op.dyadic_tables, op.dyadic_times):
             nxt = []
             for b in branches:
-                wb = apply_w(j, b)
+                wb = np.exp(1j * t_j * 1.5) * apply_tables(tables, b)   # W_{1,j} b
                 nxt.append(0.5 * (b + wb))
                 nxt.append(0.5 * (b - wb))
             branches = nxt
         total = sum(float(np.vdot(b, b).real) for b in branches)
         assert abs(total - 1.0) < 1e-10
-        kept = eigenstate_filter(v, 1, cfg)
-        assert abs(float(np.vdot(branches[0], branches[0]).real) - kept.kept_norm**2) < 1e-12
+        kept, leak = op.filter(v, 1)
+        kept_sq = float(np.vdot(kept, kept).real)
+        assert abs(float(np.vdot(branches[0], branches[0]).real) - kept_sq) < 1e-12
+        assert abs(leak - (total - kept_sq)) < 1e-10
 
 
 class TestFixedPointAmplify:
@@ -209,56 +223,59 @@ class TestFixedPointAmplify:
         assert L == 17 and len(phases) == 8
 
     def test_overlap_one_is_identity(self):
-        init = np.array([1.0, 0.0], dtype=complex)
-        out = fixed_point_amplify(lambda: init, lambda v: np.array([v[0], 0]), 0.5, 1e-3)
-        assert np.allclose(out, init)
+        assert fixed_point_amplify(1.0, 0.0, 0.5, 1e-3) == (1.0, 0.0)
+        assert fixed_point_amplify(0.0, 0.0, 0.5, 1e-3) == (0.0, 0.0)   # zero state
 
     def test_scalar_model_reaches_target(self):
         # a = 0.5, eps = 1e-3: final overlap >= 1 - 1e-3 with L <= 17
         a = 0.5
-        init = np.array([a, np.sqrt(1 - a * a)], dtype=complex)
-
-        def proj(v):
-            out = v.copy()
-            out[1] = 0.0
-            return out
-
         L, _ = fixed_point_schedule(0.5, 1e-3)
-        out = fixed_point_amplify(lambda: init, proj, 0.5, 1e-3)
+        goal, rest = fixed_point_amplify(a, np.sqrt(1 - a * a), 0.5, 1e-3)
         assert L <= 17
-        assert abs(out[0]) >= 1 - 1e-3
+        assert abs(goal) >= 1 - 1e-3
+        assert abs(abs(goal) ** 2 + abs(rest) ** 2 - 1.0) < 1e-14   # the walk is unitary
 
     @pytest.mark.parametrize("a", [0.3, 0.45, 0.6, 0.8, 0.95])
     def test_no_overshoot_across_overlaps(self, a):
-        init = np.array([a, np.sqrt(1 - a * a)], dtype=complex)
-
-        def proj(v):
-            out = v.copy()
-            out[1] = 0.0
-            return out
-
-        out = fixed_point_amplify(lambda: init, proj, 0.3, 1e-2)
-        assert abs(out[0]) >= 1 - 1e-2
+        goal, _ = fixed_point_amplify(a, np.sqrt(1 - a * a), 0.3, 1e-2)
+        assert abs(goal) >= 1 - 1e-2
 
     def test_two_block_shared_schedule(self):
-        # blocks with different overlaps amplified by one schedule
-        a0, a1 = 0.60, 0.72
-        init = np.zeros(4, dtype=complex)
-        init[0], init[1] = a0, np.sqrt(1 - a0**2)   # block 0: (goal, perp)
-        init[2], init[3] = a1, np.sqrt(1 - a1**2)   # block 1
-        init /= np.linalg.norm(init)
+        # blocks with different overlaps amplified by walks with one (delta, eps)
+        for a in (0.60, 0.72):
+            goal, _ = fixed_point_amplify(a, np.sqrt(1 - a * a), 0.55, 1e-3)
+            assert abs(goal) >= 1 - 1e-3
 
-        def proj(v):
-            out = v.copy()
-            out[1] = 0.0
-            out[3] = 0.0
-            return out
+    @staticmethod
+    def _vector_walk(kept, leak, delta_lower, eps):
+        """The walk on the (M+1)-vector (kept, sqrt(leak))/norm with an explicit flag projector."""
+        init = np.concatenate([kept, [np.sqrt(leak)]])
+        init = init / np.linalg.norm(init)
+        if np.linalg.norm(init[:-1]) >= 1.0 - 1e-12:
+            return init
+        v = init.copy()
+        for alpha, beta in fixed_point_schedule(delta_lower, eps)[1]:
+            flagged = v.copy()
+            flagged[-1] = 0.0
+            v = v + (np.exp(-1j * beta) - 1.0) * flagged
+            v = v + (np.exp(1j * alpha) - 1.0) * np.vdot(init, v) * init
+        return v
 
-        out = fixed_point_amplify(lambda: init, proj, 0.55, 1e-3)
-        # per-block normalized overlap with each goal
-        b0 = out[0] / np.sqrt(abs(out[0]) ** 2 + abs(out[1]) ** 2)
-        b1 = out[2] / np.sqrt(abs(out[2]) ** 2 + abs(out[3]) ** 2)
-        assert abs(b0) >= 1 - 1e-3 and abs(b1) >= 1 - 1e-3
+    def test_two_amplitudes_match_the_vector_walk(self, rng):
+        M = 64
+        cases = []
+        for a in (0.3, 0.55, 0.8, 1.0 - 1e-9, 1.0 - 1e-13):
+            kept = rng.normal(size=M) + 1j * rng.normal(size=M)
+            kept *= a / np.linalg.norm(kept)
+            cases.append((kept, 1.0 - a * a))
+        cases.append((np.zeros(M, dtype=complex), 1.0))   # nothing flagged
+        for kept, leak in cases:
+            ref = self._vector_walk(kept, leak, 0.3, 1e-3)
+            norm = np.linalg.norm(kept)
+            goal, rest = fixed_point_amplify(norm, np.sqrt(leak), 0.3, 1e-3)
+            work = kept * (goal / norm) if norm else kept
+            assert np.abs(work - ref[:M]).max() <= 1e-14
+            assert abs(abs(rest) ** 2 - abs(ref[-1]) ** 2) <= 1e-14
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
@@ -271,7 +288,7 @@ class TestUncompute:
         cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=64)
         psi = basis_cache(M, n).state(n).astype(complex)
         psi /= np.linalg.norm(psi)
-        out, residual = uncompute_index({n: psi}, cfg)
+        out, residual = _uncompute_blocks(cfg, {n: psi})
         assert residual <= 1e-3
         assert abs(np.vdot(psi, out)) >= 1 - 1e-3
 
@@ -283,7 +300,7 @@ class TestUncompute:
         for n in range(4):
             psi = basis.state(n).astype(complex)
             blocks[n] = 0.5 * psi / np.linalg.norm(psi)
-        out, residual = uncompute_index(blocks, cfg)
+        out, residual = _uncompute_blocks(cfg, blocks)
         target = sum(blocks.values())
         assert residual <= 4 * 0.01
         fid = abs(np.vdot(target / np.linalg.norm(target), out / np.linalg.norm(out)))
@@ -295,7 +312,7 @@ class TestUncompute:
         M = 256
         cfg = QHTConfig(N=1, eps=0.01, M=M, N_high=16)
         psi = basis_cache(M, 0).state(0).astype(complex)
-        out, residual = uncompute_index({0: psi}, cfg)
+        out, residual = _uncompute_blocks(cfg, {0: psi})
         assert residual <= 1e-6
 
 
@@ -312,21 +329,19 @@ class TestPipelineContext:
         with pytest.raises(ConfigError, match="power-of-two"):
             qht_apply(np.array([0.0, 1.0]), cfg)
         with pytest.raises(ConfigError):
-            filter_unitaries(1, cfg)
+            QHTOperator(cfg)
         build_pr_state(1, cfg)   # state preparation does not need QPE
 
-    def test_streamed_output_matches_uncompute_index(self):
-        from qhermite.qht_pipeline import _amplify_block
-
+    def test_streamed_output_matches_blockwise_uncompute(self):
         cfg = choose_dimensions(4, 0.05)
         alpha = np.array([0.5, 0.5j, -0.5, 0.5 * np.exp(1j * 0.7)])
         res = qht_apply(alpha, cfg)
+        op = qht_operator(cfg)
         blocks = {}
         for n, a_n in enumerate(alpha):
-            filt = eigenstate_filter(build_pr_state(n, cfg).normalized(), n, cfg)
-            work, _ = _amplify_block(filt.kept, filt.leaked_mass, cfg.delta_lower, cfg.eps)
+            work = _amplified(cfg, *op.filter(build_pr_state(n, cfg).normalized(), n))
             blocks[n] = a_n * (-1.0) ** n * work
-        out, residual = uncompute_index(blocks, cfg)
+        out, residual = _uncompute_blocks(cfg, blocks)
         assert np.abs(res.output - out).max() < 1e-14
         assert abs(res.uncompute_residual - residual) < 1e-14
 
@@ -335,8 +350,6 @@ class TestOperator:
     ALPHA = np.array([0.5, 0.5j, -0.5, 0.5 * np.exp(1j * 0.7)])
 
     def test_apply_is_the_sum_of_columns(self):
-        from qhermite.qht_pipeline import _amplify_block
-
         cfg = choose_dimensions(4, 0.05)
         op = QHTOperator(cfg)
         res = op.apply(self.ALPHA)
@@ -345,13 +358,11 @@ class TestOperator:
         assert np.abs(res.output - explicit).max() < 1e-14
         blocks = {}
         for n, a_n in enumerate(self.ALPHA):
-            filt = eigenstate_filter(build_pr_state(n, cfg).normalized(), n, cfg)
-            work, _ = _amplify_block(filt.kept, filt.leaked_mass, cfg.delta_lower, cfg.eps)
+            work = _amplified(cfg, *op.filter(build_pr_state(n, cfg).normalized(), n))
             # column n is the uncompute of amplified block n
-            out_n, _ = uncompute_index({n: work}, cfg)
-            assert np.abs(U[n] - out_n).max() < 1e-14
+            assert np.abs(U[n] - op.uncompute(n, work)).max() < 1e-14
             blocks[n] = a_n * (-1.0) ** n * work
-        _, residual = uncompute_index(blocks, cfg)
+        _, residual = _uncompute_blocks(cfg, blocks)
         assert abs(res.uncompute_residual - residual) < 1e-14
 
     def test_columns_computed_once(self):
@@ -402,8 +413,9 @@ class TestFrameSweep:
 
     @staticmethod
     def _filter_passes(op, n, v):
-        for j in range(op.config.m_bits):
-            v = 0.5 * (v + op.apply_w(n, j, v))
+        for tables, t_j in zip(op.dyadic_tables, op.dyadic_times):
+            c = np.exp(1j * t_j * (n + 0.5))
+            v = 0.5 * (v + c * apply_tables(tables, v))
         return v
 
     @staticmethod
@@ -423,20 +435,18 @@ class TestFrameSweep:
         op = QHTOperator(cfg)
         for n in range(cfg.N):
             v = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
-            assert np.abs(op.filter(v, n).kept - self._filter_passes(op, n, v)).max() < 1e-13
+            assert np.abs(op.filter(v, n)[0] - self._filter_passes(op, n, v)).max() < 1e-13
             assert np.abs(op.uncompute(n, v) - self._uncompute_passes(op, n, v)).max() < 1e-13
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["N4", "M64"])
     def test_columns_match_passes(self, cfg):
-        from qhermite.qht_pipeline import _amplify_block
-
         op = QHTOperator(cfg)
         U = op.matrix()
         for n in range(cfg.N):
             v = build_pr_state(n, cfg).normalized().astype(complex)
             kept = self._filter_passes(op, n, v)
             leak = 1.0 - float(np.vdot(kept, kept).real)
-            work, _ = _amplify_block(kept, leak, cfg.delta_lower, cfg.eps)
+            work = _amplified(cfg, kept, leak)
             assert abs(op.filter_leaks[n] - leak) < 1e-13
             assert np.abs(U[n] - self._uncompute_passes(op, n, work)).max() < 1e-13
 
@@ -444,8 +454,9 @@ class TestFrameSweep:
         cfg = self.CONFIGS[1]
         v = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
         before = v.copy()
-        kept = eigenstate_filter(v, 1, cfg).kept
-        out, _ = uncompute_index({0: v, 1: v}, cfg)
+        op = QHTOperator(cfg)
+        kept, _ = op.filter(v, 1)
+        out = op.uncompute(0, v)
         assert np.array_equal(v, before)
         assert not np.shares_memory(kept, v) and not np.shares_memory(out, v)
 
