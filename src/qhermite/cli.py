@@ -108,6 +108,13 @@ def _float_list(text):
     return [float(tok) for tok in text.split(",")]
 
 
+def _timed(footer: dict, args, t0: float) -> dict:
+    """The footer, plus the command's wall-clock runtime_ms under --timings."""
+    if args.timings:
+        footer["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
+    return footer
+
+
 def cmd_ff_error(args) -> int:
     rows = []
     infeasible = 0
@@ -144,6 +151,7 @@ def cmd_ff_error(args) -> int:
 
 
 def cmd_overlap(args) -> int:
+    t0 = time.perf_counter()
     M, n_max = args.M, args.n
     spec = GridSpec(M)
     x = spec.points()
@@ -154,7 +162,8 @@ def cmd_overlap(args) -> int:
     for n in range(n_max + 1):
         pr = build_pr_state(n, cfg)
         rows.append([n, f"{float(psi[n] @ pr.amplitudes):.10f}"])
-    _write_table(args.out, _meta(args, "overlap"), ["n", "overlap"], rows, args.format)
+    _write_table(args.out, _meta(args, "overlap"), ["n", "overlap"], rows, args.format,
+                 _timed({}, args, t0))
     return 0
 
 
@@ -194,6 +203,7 @@ def _default_corpus(n: int):
 
 
 def cmd_sample(args) -> int:
+    t0 = time.perf_counter()
     D, trials = args.D, args.trials
     rng = np.random.default_rng(args.seed)
     scfg = SamplerConfig(M=args.M, D=D)
@@ -224,7 +234,7 @@ def cmd_sample(args) -> int:
     header = (["instance", "trial", "v", "accepted_attempts"] if args.log
               else ["instance", "v", "count", "frequency"])
     _write_table(args.out, _meta(args, "sample"), header, rows, args.format,
-                 {"trials": trials, "instances": summaries})
+                 _timed({"trials": trials, "instances": summaries}, args, t0))
     return 0
 
 
@@ -247,6 +257,7 @@ def _ggl_corpus(n: int, mode: str):
 
 
 def cmd_ggl(args) -> int:
+    t0 = time.perf_counter()
     mode = args.mode
     rows = []
     successes = 0
@@ -261,7 +272,7 @@ def cmd_ggl(args) -> int:
             rows.append([label, mode, seed, res.oracle_queries,
                          ";".join("|".join(map(str, v)) for v in res.found),
                          int(complete), int(not res.failed)])
-    footer = {"success_rate": successes / max(total, 1)}
+    footer = _timed({"success_rate": successes / max(total, 1)}, args, t0)
     _write_table(args.out, _meta(args, "ggl"),
                  ["instance", "mode", "seed", "queries", "found", "complete", "ok"],
                  rows, args.format, footer)
@@ -269,6 +280,7 @@ def cmd_ggl(args) -> int:
 
 
 def cmd_test(args) -> int:
+    t0 = time.perf_counter()
     eps1, eps2, delta, n = args.eps1, args.eps2, args.delta, args.n
     rng = np.random.default_rng(args.seed)
     scfg = SamplerConfig(M=args.M, D=args.D)
@@ -292,7 +304,8 @@ def cmd_test(args) -> int:
         rows.append([label, tester, int(verdict.accept), int(verdict.accept == expected),
                      verdict.samples_used])
     _write_table(args.out, _meta(args, "test"),
-                 ["instance", "tester", "accept", "correct", "samples"], rows, args.format)
+                 ["instance", "tester", "accept", "correct", "samples"], rows, args.format,
+                 _timed({}, args, t0))
     return 0
 
 
@@ -348,7 +361,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_ggl)
 
     p = sub.add_parser("test", help="property-tester verdict table")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, choices=(2,),
+                   help="arity; the five test instances are defined on two axes")
     p.add_argument("--D", type=int, default=9)
     p.add_argument("--M", type=int, default=512)
     p.add_argument("--eps1", type=float, default=0.1)

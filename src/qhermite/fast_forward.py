@@ -142,33 +142,50 @@ def evolution_tables(M: int, fe: FactoredEvolution) -> EvolutionTables:
                            global_sign=fe.global_sign)
 
 
+def _enter_frame(w: np.ndarray) -> np.ndarray:
+    """w <- ifft(alt*w) along the last axis, in place: enter the momentum frame."""
+    w[..., 1::2] *= -1.0
+    return np.fft.ifft(w, out=w)
+
+
 def _to_frame(state: np.ndarray, M: int) -> np.ndarray:
     """A fresh array w = ifft(alt*v) along the last axis: the momentum frame."""
     w = np.array(state, dtype=complex)
     if w.shape[-1] != M:
         raise ValueError(f"dimension mismatch: {w.shape[-1]} vs M={M}")
-    w[..., 1::2] *= -1.0
-    return np.fft.ifft(w, out=w)
+    return _enter_frame(w)
 
 
-def _frame_steps(tables: EvolutionTables, w: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """Apply the factors (or their adjoints) to a momentum-frame w, in place.
+def _frame_steps(tables: EvolutionTables, w: np.ndarray, adjoint: bool = False,
+                 out: np.ndarray | None = None, conj: np.ndarray | None = None) -> np.ndarray:
+    """Apply the factors (or their adjoints) to a momentum-frame w; returns `out`.
 
     A momentum factor is w <- P*w and a position factor w <- ifft(P*fft(w)).
     A half table covers the labels 0..M/2-1 of array indices M/2.. and, read
-    backwards, the labels -M/2..-1 of indices ..M/2-1.  The global sign is
-    left to the caller.
+    backwards, the labels -M/2..-1 of indices ..M/2-1.  Without `out` the
+    factors run on w in place; with it, the first factor reads w and writes
+    `out`, so w is left as it was and the copy costs nothing.  An
+    adjoint run conjugates each table once, into `conj` (an M/2+1 scratch,
+    allocated when not given), whatever the number of rows in w.  The global
+    sign is left to the caller.
     """
     h = tables.M // 2
+    if out is None:
+        out = w
+    if adjoint and conj is None:
+        conj = np.empty(h + 1, dtype=complex)
+    src = w
     for axis, k in (reversed(tables.steps) if adjoint else tables.steps):
-        half = tables.halves[k].conj() if adjoint else tables.halves[k]
+        half = np.conjugate(tables.halves[k], out=conj) if adjoint else tables.halves[k]
         if axis == "position":
-            np.fft.fft(w, out=w)
-        w[..., h:] *= half[:h]
-        w[..., :h] *= half[h:0:-1]
+            np.fft.fft(src, out=out)
+            src = out
+        np.multiply(src[..., h:], half[:h], out=out[..., h:])
+        np.multiply(src[..., :h], half[h:0:-1], out=out[..., :h])
+        src = out
         if axis == "position":
-            np.fft.ifft(w, out=w)
-    return w
+            np.fft.ifft(out, out=out)
+    return out
 
 
 def _from_frame(w: np.ndarray) -> np.ndarray:

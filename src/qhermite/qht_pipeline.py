@@ -29,7 +29,14 @@ from numpy.polynomial.legendre import leggauss
 
 from .calibration import Calibration
 from .discrete_qho import DiscreteHermiteBasis, hermite_basis, loewdin_orthonormalize
-from .fast_forward import _frame_steps, _from_frame, _to_frame, decompose, evolution_tables
+from .fast_forward import (
+    _enter_frame,
+    _frame_steps,
+    _from_frame,
+    _to_frame,
+    decompose,
+    evolution_tables,
+)
 from .spectral_core import GridSpec
 
 __all__ = [
@@ -344,6 +351,14 @@ def fixed_point_amplify(kept_norm: float, leak_norm: float, delta_lower: float,
 # ---------------------------------------------------------------------------
 
 
+FRAME_BUDGET_BYTES = 1 << 21   # the two (k, M) frame buffers of one stacked hold
+
+
+def _stack_rows(M: int) -> int:
+    """Rows k of a stacked hold: two complex (k, M) buffers within FRAME_BUDGET_BYTES."""
+    return max(1, FRAME_BUDGET_BYTES // (2 * 16 * M))
+
+
 @dataclass(frozen=True)
 class QHTResult:
     """One transform call; op_passes counts the V passes this call ran (0 once held)."""
@@ -361,10 +376,13 @@ class QHTOperator:
 
     s_n = (-1)^n under signed_output; u_n, the uncompute of amplified block
     n, is computed on first use of n and held with its block fidelity,
-    filter leak, AA residual and input mass ||w_n||^2.  The 2m+1 half phase
-    tables of the m = log2(M) dyadic evolutions V(2^j 2pi/M) take
+    filter leak, AA residual and input mass ||w_n||^2.  The blocks a call
+    needs are computed together, as row stacks.  The 2m+1 half phase tables
+    of the m = log2(M) dyadic evolutions V(2^j 2pi/M) take
     (2m+1)(M/2+1)*16 bytes (3.6 MB at M = 16384), the columns N*M*16 (4.2 MB
-    at N = 16).  v_passes counts every V or V^dagger applied.
+    at N = 16), and the two frame buffers of a stack, held only while it
+    runs, 2k*M*16 bytes for k = `_stack_rows(M)` rows (2.1 MB: k = 4 at
+    M = 16384).  v_passes counts every V or V^dagger applied.
     """
 
     def __init__(self, config: QHTConfig):
@@ -385,26 +403,29 @@ class QHTOperator:
         self.input_mass = np.zeros(N)
         self.v_passes = 0
 
-    def _phases(self, n: int) -> np.ndarray:
-        """exp(i 2^j (2pi/M)(n+1/2)) for j = 0..m-1, the W_{n,j} phases."""
-        return np.exp(1j * np.asarray(self.dyadic_times) * (n + 0.5))
+    def _phases(self, ns) -> np.ndarray:
+        """exp(i 2^j (2pi/M)(n+1/2)), row n of ns, column j = 0..m-1: the W_{n,j} phases."""
+        return np.exp(1j * np.asarray(self.dyadic_times) * (np.asarray(ns)[:, None] + 0.5))
 
-    def _sweep(self, v: np.ndarray, coeffs: np.ndarray, adjoint: bool) -> np.ndarray:
-        """prod_j (I + c_j V_j)/2 v (V_j^dagger under adjoint), j = 0 first.
+    def _sweep(self, w: np.ndarray, coeffs: np.ndarray, adjoint: bool,
+               tmp: np.ndarray | None = None) -> np.ndarray:
+        """prod_j (I + c_j V_j)/2 (V_j^dagger under adjoint), j = 0 first, on w in place.
 
-        All m passes run in the momentum frame of `fast_forward`, entered and
-        left once, with one scratch buffer; `v` is not modified.
+        w is a (k, M) stack in the momentum frame of `fast_forward` and coeffs
+        the (k, m) array of its rows' c_j.  Each dyadic evolution runs once on
+        the whole stack, into the (k, M) scratch `tmp`.  The halvings are left
+        out of the passes and applied once, as 2^-m at the end: power-of-two
+        scaling is exact, so the result is bitwise that of halving each pass.
         """
-        w = _to_frame(v, self.config.M)
-        tmp = np.empty_like(w)
-        for tables, c in zip(self.dyadic_tables, coeffs):
-            np.copyto(tmp, w)
-            _frame_steps(tables, tmp, adjoint)
-            tmp *= c * tables.global_sign
+        tmp = np.empty_like(w) if tmp is None else tmp
+        conj = np.empty(self.config.M // 2 + 1, dtype=complex) if adjoint else None
+        for j, tables in enumerate(self.dyadic_tables):
+            _frame_steps(tables, w, adjoint, out=tmp, conj=conj)
+            tmp *= (coeffs[:, j] * tables.global_sign)[:, None]
             w += tmp
-            w *= 0.5
-        self.v_passes += len(coeffs)
-        return _from_frame(w)
+        w *= 0.5 ** len(self.dyadic_tables)
+        self.v_passes += coeffs.size
+        return w
 
     def filter(self, state: np.ndarray, n: int):
         """The m-ancilla QPE interferometer flagging |psibar_n>: (kept, leaked_mass).
@@ -416,7 +437,8 @@ class QHTOperator:
         unflagged mass exactly ||state||^2 - ||kept||^2.
         """
         v = np.asarray(state, dtype=complex)
-        kept = self._sweep(v, self._phases(n), adjoint=False)
+        w = _to_frame(v, self.config.M)[None]
+        kept = _from_frame(self._sweep(w, self._phases([n]), adjoint=False))[0]
         in_sq = float(np.vdot(v, v).real)
         kept_sq = float(np.vdot(kept, kept).real)
         return kept, max(in_sq - kept_sq, 0.0)
@@ -431,32 +453,52 @@ class QHTOperator:
         residual index mass sum_n ||v_n||^2 - ||sum_n out_n||^2 is reported
         by `apply`, not raised.
         """
-        return self._sweep(v, self._phases(n).conj(), adjoint=True)
+        w = _to_frame(v, self.config.M)[None]
+        return _from_frame(self._sweep(w, self._phases([n]).conj(), adjoint=True))[0]
 
-    def _hold(self, n: int) -> None:
-        """Prepare, filter, amplify and uncompute block n once; hold u_n and its metrics."""
-        if self.held[n]:
+    def _hold(self, blocks) -> None:
+        """Prepare, filter, amplify and uncompute the blocks not held yet; hold u_n and metrics.
+
+        The blocks run as row stacks of at most `_stack_rows(M)` rows: the PR
+        states are written into the frame buffer, filtered there, amplified
+        row by row in place, uncomputed in place and written to `columns`.
+        """
+        todo = [int(n) for n in blocks if not self.held[n]]
+        if not todo:
             return
         cfg = self.config
-        psi_n = self.basis.state(n)
-        psi_n = psi_n / np.linalg.norm(psi_n)
         bits = cfg.r if cfg.quantize_oracles else None
-        kept, leak = self.filter(build_pr_state(n, cfg, quantize_bits=bits).normalized(), n)
-        kept_norm = float(np.linalg.norm(kept))
-        goal, rest = fixed_point_amplify(kept_norm, math.sqrt(leak), cfg.delta_lower,
-                                         cfg.eps, cfg.aa_rounds)
-        work = kept * (goal / kept_norm) if kept_norm else kept
-        self.filter_leaks[n] = leak
-        self.aa_residuals[n] = abs(rest) ** 2
-        self.block_fidelities[n] = abs(np.vdot(psi_n, work))
-        self.input_mass[n] = float(np.vdot(work, work).real)
-        self.columns[n] = self.uncompute(n, work)
-        self.held[n] = True
+        rows = _stack_rows(cfg.M)
+        buf = np.empty((min(rows, len(todo)), cfg.M), dtype=complex)
+        scratch = np.empty_like(buf)
+        for start in range(0, len(todo), rows):
+            chunk = todo[start:start + rows]
+            w, tmp = buf[:len(chunk)], scratch[:len(chunk)]
+            for row, n in zip(w, chunk):
+                row[:] = build_pr_state(n, cfg, quantize_bits=bits).normalized()
+            in_sq = [float(np.vdot(row, row).real) for row in w]
+            phases = self._phases(chunk)
+            _from_frame(self._sweep(_enter_frame(w), phases, False, tmp))
+            for row, n, mass in zip(w, chunk, in_sq):
+                leak = max(mass - float(np.vdot(row, row).real), 0.0)
+                kept_norm = float(np.linalg.norm(row))
+                goal, rest = fixed_point_amplify(kept_norm, math.sqrt(leak), cfg.delta_lower,
+                                                 cfg.eps, cfg.aa_rounds)
+                if kept_norm:
+                    row *= goal / kept_norm
+                psi_n = self.basis.state(n)
+                psi_n = psi_n / np.linalg.norm(psi_n)
+                self.filter_leaks[n] = leak
+                self.aa_residuals[n] = abs(rest) ** 2
+                self.block_fidelities[n] = abs(np.vdot(psi_n, row))
+                self.input_mass[n] = float(np.vdot(row, row).real)
+            _from_frame(self._sweep(_enter_frame(w), phases.conj(), True, tmp))
+            self.columns[chunk] = w
+            self.held[chunk] = True
 
     def matrix(self) -> np.ndarray:
         """All N columns u_n as rows, read-only: every caller of a config shares them."""
-        for n in range(self.config.N):
-            self._hold(n)
+        self._hold(range(self.config.N))
         view = self.columns.view()
         view.flags.writeable = False
         return view
@@ -468,8 +510,7 @@ class QHTOperator:
         """
         alpha = np.asarray(alpha, dtype=complex)
         k, passes, touched = len(alpha), self.v_passes, alpha != 0
-        for n in np.flatnonzero(touched):
-            self._hold(n)
+        self._hold(np.flatnonzero(touched))
         out = (alpha * self.signs[:k]) @ self.columns[:k]
         total_in = float(np.abs(alpha) ** 2 @ self.input_mass[:k])
         fid, leak, aa = (np.where(touched, x[:k], 0.0) for x in

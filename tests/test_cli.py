@@ -223,3 +223,34 @@ class TestTestCommand:
         assert code == 0
         _, rows, _ = read_table(out)
         assert all(r["correct"] == "1" for r in rows)
+
+    @pytest.mark.parametrize("n", ["1", "3"])
+    def test_arity_other_than_two_is_a_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "t.csv"
+        assert main(["test", "--n", n, "--M", "64", "--out", str(out)]) == 1
+        assert "argument --n: invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestTimings:
+    """--timings adds one wall-clock footer field; without it the output is unchanged."""
+
+    @pytest.mark.parametrize("args", [
+        ["overlap", "--M", "512", "--n", "3"],
+        ["sample", "--n", "1", "--trials", "30", "--seed", "5"],
+        ["ggl", "--n", "2", "--seeds", "0"],
+        ["test", "--M", "256", "--seed", "1"],
+    ], ids=["overlap", "sample", "ggl", "test"])
+    def test_runtime_only_under_the_flag(self, tmp_path, args):
+        _, plain = _run(tmp_path, "a.csv", list(args))
+        _, again = _run(tmp_path, "b.csv", list(args))
+        assert plain.read_bytes() == again.read_bytes()
+        meta, rows, summary = read_table(plain)
+        assert "runtime_ms" not in (summary or {})
+        code, timed = _run(tmp_path, "t.csv", args + ["--timings"])
+        assert code == 0
+        timed_meta, timed_rows, timed_summary = read_table(timed)
+        assert timed_summary.pop("runtime_ms") >= 0
+        assert timed_summary == (summary or {})
+        assert timed_rows == rows
+        assert timed_meta == {**meta, "timings": True}

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qhermite.discrete_qho import build
 from qhermite.fast_forward import (
+    _frame_steps,
     _rates,
     apply_factored,
     apply_tables,
@@ -185,6 +188,20 @@ class TestApplyTables:
                 out = apply_tables(tables, v, adjoint=adjoint)
                 assert np.array_equal(v, before)
                 assert not np.shares_memory(out, v)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_steps_into_out_equal_steps_in_place(self, rng, adjoint):
+        # every prefix of the factors, so some adjoint runs start on a position factor
+        M = 64
+        for t in self.TIMES:
+            tables = evolution_tables(M, decompose(t))
+            for k in range(1, len(tables.steps) + 1):
+                prefix = replace(tables, steps=tables.steps[:k])
+                w = rng.normal(size=(3, M)) + 1j * rng.normal(size=(3, M))
+                before = w.copy()
+                out = _frame_steps(prefix, w, adjoint, out=np.empty_like(w))
+                assert np.array_equal(w, before)
+                assert np.array_equal(out, _frame_steps(prefix, w.copy(), adjoint))
 
 
 class TestExactEvolution:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qhermite import qht_pipeline
 from qhermite.calibration import Calibration
 from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis
 from qhermite.fast_forward import apply_tables
@@ -11,6 +12,7 @@ from qhermite.qht_pipeline import (
     QHTConfig,
     QHTOperator,
     WindowFunction,
+    _stack_rows,
     build_pr_state,
     choose_dimensions,
     fixed_point_amplify,
@@ -471,6 +473,61 @@ class TestFrameSweep:
         assert op.v_passes == 2 * m
         assert op.apply(np.array([0.6, 0.0, 0.8])).op_passes == 2 * 2 * m
         assert op.v_passes == 6 * m
+        stack = np.stack([v, 2 * v, 3 * v])
+        op._sweep(stack, op._phases([0, 1, 3]), adjoint=True)   # m passes per row
+        assert op.v_passes == 9 * m
+        op.matrix()                                   # the two blocks not held yet, as one stack
+        assert op.v_passes == 13 * m
+
+
+class TestStackedHold:
+    """Blocks held as row stacks, across a chunk boundary, against one-at-a-time holds."""
+
+    M = 4096
+    CFG = QHTConfig(N=_stack_rows(M) + 3, eps=0.01, M=M, N_high=1000)
+    SMALL = QHTConfig(N=2, eps=0.05, M=64, N_high=16)
+    METRICS = ("columns", "held", "block_fidelities", "filter_leaks", "aa_residuals",
+               "input_mass", "v_passes")
+
+    def test_config_crosses_a_chunk_boundary(self):
+        assert _stack_rows(self.M) < self.CFG.N < 2 * _stack_rows(self.M)
+
+    @pytest.mark.parametrize("quantize", [False, True], ids=["exact", "quantized"])
+    def test_one_block_at_a_time_equals_matrix(self, quantize):
+        cfg = replace(self.CFG, quantize_oracles=quantize)
+        whole = QHTOperator(cfg)
+        whole.matrix()
+        single = QHTOperator(cfg)
+        order = np.random.default_rng(3).permutation(cfg.N)
+        for n in order:
+            res = single.apply(np.eye(cfg.N)[n])
+            assert res.op_passes == 2 * cfg.m_bits
+        for name in self.METRICS:
+            assert np.array_equal(getattr(single, name), getattr(whole, name)), name
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["filter", "uncompute"])
+    def test_stack_sweep_equals_its_rows(self, adjoint, rng):
+        op = QHTOperator(self.SMALL)
+        ns = [1, 0, 1, 0, 1]
+        stack = rng.normal(size=(len(ns), 64)) + 1j * rng.normal(size=(len(ns), 64))
+        coeffs = op._phases(ns)
+        rows = [op._sweep(row[None].copy(), c[None], adjoint)[0] for row, c in zip(stack, coeffs)]
+        assert np.array_equal(op._sweep(stack, coeffs, adjoint), np.array(rows))
+
+    def test_fully_held_apply_builds_no_stack(self, monkeypatch):
+        op = QHTOperator(self.SMALL)
+        alpha = np.array([0.6, 0.8])
+        first = op.apply(alpha)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a held block was rebuilt")
+
+        monkeypatch.setattr(qht_pipeline, "build_pr_state", refuse)
+        monkeypatch.setattr(op, "_sweep", refuse)
+        again = op.apply(alpha)
+        assert again.op_passes == 0
+        assert np.array_equal(again.output, first.output)
+        op.matrix()
 
 class TestEndToEnd:
     def test_single_index_fidelity(self, basis_cache):
