@@ -100,6 +100,12 @@ def _meta(args, command: str) -> dict:
     return keep
 
 
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+    return int(text)
+
+
 def _int_list(text):
     return [int(tok) for tok in text.split(",")]
 
@@ -344,7 +350,7 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--D", type=int, default=9)
     p.add_argument("--M", type=int, default=512)
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=_positive_int, default=2000)
     p.add_argument("--corpus", default=None)
     p.add_argument("--log", action="store_true",
                    help="emit per-trial rows (trial, v, accepted_attempts)")

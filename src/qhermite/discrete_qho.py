@@ -32,7 +32,6 @@ import numpy as np
 from .spectral_core import (
     GridSpec,
     InvalidSpecError,
-    centered_dft,
     centered_dft_matrix,
     hermite_function_rows,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "DiscreteQHO",
     "EigenDecomposition",
     "DiscreteHermiteBasis",
-    "EnergyProjector",
     "build",
     "apply_position_sq",
     "apply_momentum_sq",
@@ -51,18 +49,11 @@ __all__ = [
     "dense_diagonalize",
     "hermite_basis",
     "loewdin_orthonormalize",
-    "defect_delta",
     "commutator_tail_norm",
     "dense_tail_reference",
-    "export_tail_reports",
-    "continuum_matrix_element",
-    "discrete_matrix_element",
-    "leakage_norm",
-    "poisson_tail",
 ]
 
 DENSE_EIG_CAP = 4096
-DENSE_DELTA_CAP = 512
 TAIL_M_CAP = 256
 TAIL_T_CAP = 40
 
@@ -228,138 +219,6 @@ def loewdin_orthonormalize(states: np.ndarray) -> np.ndarray:
     return inv_sqrt @ states
 
 
-@dataclass(frozen=True)
-class EnergyProjector:
-    """Rank-N projector onto the low-energy subspace; columns orthonormal."""
-
-    cutoff: int
-    columns: np.ndarray = field(repr=False)  # M x N
-
-    @classmethod
-    def from_eigen(cls, eig: EigenDecomposition, N: int) -> "EnergyProjector":
-        return cls(cutoff=N, columns=eig.vectors[:, :N].copy())
-
-    @classmethod
-    def from_hermite(cls, basis: DiscreteHermiteBasis, N: int) -> "EnergyProjector":
-        # the Gram defect is tiny, so Loewdin is a near-identity correction
-        rows = loewdin_orthonormalize(basis.states[:N].astype(complex))
-        return cls(cutoff=N, columns=rows.T)
-
-    def project(self, state: np.ndarray) -> np.ndarray:
-        return self.columns @ (self.columns.conj().T @ state)
-
-    def matrix(self) -> np.ndarray:
-        return self.columns @ self.columns.conj().T
-
-
-def continuum_matrix_element(a_pow: int, b_pow: int, k: int, l: int) -> complex:
-    """<k| x^a p^b |l> for the continuum operators that the grid represents.
-
-    Computed exactly via truncated ladder matrices (the truncation exceeds
-    max(k, l) + a + b, and each factor shifts levels by at most one).  Note
-    the momentum sign: with the centered transform kernel exp(+2*pi*i*j*k/M),
-    the conjugated operator F^-1 xbar F realizes the continuum -p_hat, so the
-    ladder form used here is p = i(a - a^dagger)/sqrt(2).  Only odd powers of
-    p see the difference; the Hamiltonian and every evolution factor use p^2.
-    """
-    K = max(k, l) + a_pow + b_pow + 2
-    lower = np.diag(np.sqrt(np.arange(1, K)), 1)  # annihilation
-    raise_ = lower.T
-    X = (raise_ + lower) / np.sqrt(2.0)
-    P = 1j * (lower - raise_) / np.sqrt(2.0)
-    op = np.linalg.matrix_power(X, a_pow) @ np.linalg.matrix_power(P.astype(complex), b_pow)
-    return complex(op[k, l])
-
-
-def discrete_matrix_element(qho: DiscreteQHO, basis: DiscreteHermiteBasis,
-                            a_pow: int, b_pow: int, k: int, l: int) -> complex:
-    """<psibar_k| xbar^a pbar^b |psibar_l> via FFT application."""
-    v = basis.state(l).astype(complex)
-    if b_pow:
-        w = centered_dft(v, qho.spec)
-        w = (qho.x**b_pow) * w
-        v = centered_dft(w, qho.spec, inverse=True)
-    if a_pow:
-        v = (qho.x**a_pow) * v
-    return complex(np.vdot(basis.state(k).astype(complex), v))
-
-
-def leakage_norm(qho: DiscreteQHO, eig: EigenDecomposition, a_pow: int, N: int, n_prime: int) -> float:
-    """||(I - Pi_N') xbar^a Pi_N|| via SVD of the residual columns."""
-    cols = (qho.x**a_pow)[:, None] * eig.vectors[:, :N]
-    low = eig.vectors[:, :n_prime]
-    resid = cols - low @ (low.conj().T @ cols)
-    return float(np.linalg.svd(resid, compute_uv=False)[0])
-
-
-def poisson_tail(a: float, start: int | None = None) -> float:
-    """sum_{k >= start} a^k / k! with start defaulting to ceil(3a)."""
-    k0 = int(math.ceil(3 * a)) if start is None else start
-    term = a**k0 / math.factorial(k0)
-    total = 0.0
-    k = k0
-    while term > 1e-30 * (total + term) and k < k0 + 10000:
-        total += term
-        k += 1
-        term *= a / k
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Defect operator Delta
-# ---------------------------------------------------------------------------
-
-_DELTA_CANDIDATES = {
-    "-4i": 4j,    # Delta = [x2,[x2,p2]] - 4i x2, the paper's defining line
-    "-8i": 8j,    # the variant the paper's proof expands
-    "+8": -8.0,   # continuum algebra: [x2,[x2,p2]] = -8 x2, so subtract -8 x2
-    "-8": 8.0,
-}
-
-
-@dataclass(frozen=True)
-class DefectDelta:
-    """Resolved discretization-error operator and the candidate bookkeeping."""
-
-    matrix: np.ndarray = field(repr=False)
-    coefficient: complex              # Delta = [x2,[x2,p2]] - coefficient * x2
-    label: str
-    candidate_projected_norms: dict
-    norm: float                       # spectral norm of the chosen Delta
-    projected_norm: float             # ||Pi_N' Delta Pi_N'|| for the chosen one
-
-
-def defect_delta(qho: DiscreteQHO, n_prime: int = 8) -> DefectDelta:
-    """Nested-commutator defect with the x2 coefficient resolved numerically.
-
-    Builds C = [xbar^2, [xbar^2, pbar^2]] densely (a double Hadamard scaling
-    of pbar^2 since xbar^2 is diagonal), then picks the candidate constant
-    from {-4i, -8i, +8, -8} minimizing the projected norm ||Pi_N' Delta Pi_N'||.
-    Continuum algebra gives [x^2,[x^2,p^2]] = -8 x^2 so the "+8" candidate is
-    the one that vanishes in the continuum; the projected sweep confirms it.
-    """
-    M = qho.M
-    if M > DENSE_DELTA_CAP:
-        raise ValueError(f"defect budget exceeded: M={M} > {DENSE_DELTA_CAP}")
-    x2 = qho.x * qho.x
-    P2 = dense_momentum_sq(qho.spec)
-    d = x2[:, None] - x2[None, :]
-    C = (d * d) * P2  # [diag(x2), [diag(x2), P2]] exactly
-    basis = hermite_basis(qho.spec, n_prime - 1)
-    U = basis.states.T / np.linalg.norm(basis.states, axis=1)
-    proj_norms = {}
-    for label, coeff in _DELTA_CANDIDATES.items():
-        delta_proj = U.T @ C @ U - coeff * (U.T @ (x2[:, None] * U))
-        proj_norms[label] = float(np.linalg.svd(delta_proj, compute_uv=False)[0])
-    best = min(proj_norms, key=proj_norms.get)
-    coeff = _DELTA_CANDIDATES[best]
-    delta = C.astype(complex) - coeff * np.diag(x2)
-    nrm = float(np.linalg.svd(delta, compute_uv=False)[0])
-    return DefectDelta(matrix=delta, coefficient=coeff, label=best,
-                       candidate_projected_norms=proj_norms, norm=nrm,
-                       projected_norm=proj_norms[best])
-
-
 # ---------------------------------------------------------------------------
 # Commutator tail lab: mpmath inputs, exact integer accumulation
 # ---------------------------------------------------------------------------
@@ -377,16 +236,6 @@ class TailReport:
     term_norms: dict          # t -> spectral norm of the projected t-th term
     dps: int
     error_bar: float = 0.0    # ||tail(P + 64 bits) - tail(P bits)||, see commutator_tail_norm
-
-
-def export_tail_reports(reports, path) -> None:
-    """Write commutator-lab sweeps as CSV rows (family, M, N, t, term_norm, tail_norm)."""
-    with open(path, "w") as fh:
-        fh.write("family,M,N,t,term_norm,tail_norm\n")
-        for rep in reports:
-            for t in sorted(rep.term_norms):
-                fh.write(f"{rep.family},{rep.M},{rep.N},{t},"
-                         f"{rep.term_norms[t]!r},{rep.tail_norm!r}\n")
 
 
 def _mp_hermite_columns(M: int, N: int):

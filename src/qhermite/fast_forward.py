@@ -236,16 +236,15 @@ def _chebyshev_phase_coefficients(z: float, K: int) -> np.ndarray:
     return coeffs
 
 
-def chebyshev_evolution(qho: DiscreteQHO, t: float, state: np.ndarray,
-                        tail_tol: float = 1e-16) -> np.ndarray:
+def chebyshev_evolution(qho: DiscreteQHO, t: float, state: np.ndarray) -> np.ndarray:
     """U(t) = exp(-i*Hbar*t) via a Chebyshev expansion with FFT-applied Hbar.
 
     An eigenpair-free oracle for the exact evolution: the spectrum of Hbar
     lies in [0, rho] with rho = pi*M/2, so exp(-i*H*t) =
     exp(-i*rho*t/2) * g(Htilde) for Htilde = (2/rho)H - 1 and
     g(x) = exp(-i*(rho*t/2)*x), expanded in Chebyshev polynomials applied by
-    the three-term recurrence.  Truncation error is controlled by the decay
-    of the interpolated coefficients; rounding stays at the FFT level
+    the three-term recurrence.  The expansion stops where the remaining
+    coefficients sum to 1e-16 of their total; rounding stays at the FFT level
     (~1e-14) rather than the eps*||H|| level an eigensolve would inject.
     """
     v = np.asarray(state, dtype=complex)
@@ -257,7 +256,7 @@ def chebyshev_evolution(qho: DiscreteQHO, t: float, state: np.ndarray,
     K = 1 << int(math.ceil(math.log2(need)))
     coeffs = _chebyshev_phase_coefficients(z, K)
     tail = np.cumsum(np.abs(coeffs[::-1]))[::-1]
-    cutoff = int(np.searchsorted(-tail, -tail_tol * np.abs(coeffs).sum()))
+    cutoff = int(np.searchsorted(-tail, -1e-16 * np.abs(coeffs).sum()))
     cutoff = min(max(cutoff + 1, 2), K)
 
     def h_tilde(w):

@@ -36,7 +36,6 @@ __all__ = [
     "general_hermite_sample",
     "distortion",
     "tv_distance",
-    "suggest_quadrature_M",
 ]
 
 FULL_GRID_BUDGET = 26  # n * log2(points per axis) cap for a dense tensor grid
@@ -376,25 +375,3 @@ def tv_distance(empirical: dict, table: SpectrumTable, D: int,
         if v not in seen and all(c <= D for c in v):
             acc += qv
     return 0.5 * acc + out_mass
-
-
-def suggest_quadrature_M(f: OracleFunction, eps: float, gamma_const: float = 1.0,
-                         c_const: float = 1.0) -> int:
-    """Grid-size suggestion from the sampling analysis, constants taken as 1.
-
-    The bound couples M to itself through L = sqrt(pi*M/2); one fixed-point
-    pass starting from the degree term resolves it.  Unpinned constants mean
-    this is advisory; the sampler takes M from its config.
-    """
-    P = f.input_bits if f.input_bits is not None else 8
-    n, D = f.arity, max(f.degree_cutoff, 1)
-    M = max(int(40 * gamma_const * D * math.log(2 * D)), 64)
-    for _ in range(8):
-        L = math.sqrt(math.pi * M / 2)
-        target = max(2 * L * (2.0**P) * P * (n + math.log(max(n, 2)) + math.log(8 / eps)) / c_const,
-                     40 * gamma_const * D * math.log(2 * D))
-        new_M = 1 << max(6, int(math.ceil(math.log2(target))))
-        if new_M == M:
-            break
-        M = new_M
-    return M

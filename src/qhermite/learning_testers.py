@@ -138,6 +138,12 @@ def _resolve_gamma(f: OracleFunction, rng, gamma):
     return max(estimate_gamma(f, rng), 1e-6)
 
 
+def _check_delta(delta: float) -> None:
+    """Reject a failure probability outside (0, 1): ln(1/delta) sizes every sample count."""
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+
+
 def _pattern_rows(pattern: CoefficientPattern, y: np.ndarray) -> np.ndarray:
     """h_S(y) for draws y over the fixed coordinates (columns follow J order)."""
     vals = np.ones(y.shape[0])
@@ -157,6 +163,7 @@ def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: flo
     variance through gamma = E||grad f||^2.  The reported half-width is the
     empirical-Bernstein bound at the same confidence.
     """
+    _check_delta(delta)
     g = _resolve_gamma(f, rng, gamma)
     m = int(math.ceil(max(g, 1.0) ** 2 / eps_est**2 * math.log(2.0 / delta)))
     m = max(m, 64)
@@ -187,6 +194,7 @@ def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: flo
 def coefficient_estimate(f: OracleFunction, v, eps_est: float, delta: float,
                          rng: np.random.Generator) -> float:
     """Monte-Carlo fhat(v) = E[f(x) h_v(x)] to +-eps_est w.p. 1 - delta."""
+    _check_delta(delta)
     v = tuple(int(c) for c in v)
     m = max(int(math.ceil(8.0 * max(1.0, sum(v)) / eps_est**2 * math.log(2.0 / delta))), 64)
     pts = rng.standard_normal((m, f.arity))
@@ -255,6 +263,7 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
     """
     if not (0 < tau < 1):
         raise ValueError("tau must be in (0, 1)")
+    _check_delta(delta)
     g = _resolve_gamma(f, rng, gamma)
     cap = degree_cap
     if cap is None:
@@ -363,6 +372,7 @@ def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
     """
     if not 0 < eps1 < eps2:
         raise ValueError("need eps2 > eps1 > 0")
+    _check_delta(delta)
     scfg = sampler_config or SamplerConfig(D=9)
     repeats = max(4, int(math.ceil(4 * math.log(2.0 / delta))))
     v_mode, used = _mode_sample(f, scfg, rng, repeats)
@@ -394,6 +404,7 @@ def test_low_degree(f: OracleFunction, d: int, eps1: float, eps2: float,
     """
     if not 0 < eps1 < eps2:
         raise ValueError("need eps2 > eps1 > 0")
+    _check_delta(delta)
     eps = eps2 - eps1
     scfg = sampler_config or SamplerConfig(D=max(9, 2 * d + 1))
     m = int(math.ceil(c_samples * math.log(1.0 / delta) / eps**2))
@@ -423,6 +434,7 @@ def test_hermite_polynomial(f: OracleFunction, k: int, eps1: float, eps2: float,
     """
     if not 0 < eps1 < eps2:
         raise ValueError("need eps2 > eps1 > 0")
+    _check_delta(delta)
     scfg = sampler_config or SamplerConfig(D=9)
     repeats = max(4, int(math.ceil(4 * math.log(2.0 / delta))))
     v_mode, used = _mode_sample(f, scfg, rng, repeats)

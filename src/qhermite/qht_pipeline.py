@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .calibration import Calibration
-from .discrete_qho import DiscreteHermiteBasis, hermite_basis, loewdin_orthonormalize
+from .discrete_qho import DiscreteHermiteBasis, hermite_basis
 from .fast_forward import (
     _enter_frame,
     _frame_steps,
@@ -45,10 +45,7 @@ __all__ = [
     "WindowFunction",
     "PlancherelRotachState",
     "choose_dimensions",
-    "config_to_json",
-    "config_from_json",
     "pr_support",
-    "window_value",
     "build_pr_state",
     "pr_amplitude_phase",
     "fixed_point_schedule",
@@ -57,7 +54,6 @@ __all__ = [
     "qht_operator",
     "qht_apply",
     "qht_reference",
-    "loewdin_orthonormalize",
     "isometry_singular_values",
     "pr_high_energy_leakage",
     "QHTResult",
@@ -79,7 +75,6 @@ class QHTConfig:
     r: int = 32             # amplitude/phase oracle precision bits
     aa_rounds: int = 0      # fixed-point degree L override; 0 derives from eps
     delta_lower: float = 0.3  # guaranteed flagged-overlap lower bound
-    signed_output: bool = True  # reinstate the (-1)^n sign convention
     quantize_oracles: bool = False  # inject r-bit rounding into state prep
 
     @property
@@ -129,25 +124,6 @@ def pr_support(n: int, M: int) -> int:
     ceil(sqrt((3/4) M / (2 pi))) for n = 0 (see _window_x_max_sq).
     """
     return int(math.ceil(math.sqrt(_window_x_max_sq(n) * M / (2 * math.pi))))
-
-
-def config_to_json(config: QHTConfig, path) -> None:
-    """Persist a transform configuration as human-readable key/value JSON."""
-    import json
-    from dataclasses import asdict
-
-    with open(path, "w") as fh:
-        json.dump({"version": 1, **asdict(config)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def config_from_json(path) -> QHTConfig:
-    import json
-
-    with open(path) as fh:
-        data = json.load(fh)
-    data.pop("version", None)
-    return QHTConfig(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +176,6 @@ class WindowFunction:
         out = np.where(ax <= self.x_max, 1.0, out)
         out = np.where(ax >= self.x_max + 2 * self.delta, 0.0, out)
         return out
-
-
-def window_value(n: int, x):
-    """g_n(x); scalar in, scalar out."""
-    res = WindowFunction(n).value(np.asarray(x, dtype=float))
-    return float(res) if np.isscalar(x) or np.asarray(x).ndim == 0 else res
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +344,7 @@ class QHTResult:
 class QHTOperator:
     """The simulated transform of one config: sum_n a_n |n> -> sum_n a_n s_n u_n.
 
-    s_n = (-1)^n under signed_output; u_n, the uncompute of amplified block
+    s_n = (-1)^n; u_n, the uncompute of amplified block
     n, is computed on first use of n and held with its block fidelity,
     filter leak, AA residual and input mass ||w_n||^2.  The blocks a call
     needs are computed together, as row stacks.  The 2m+1 half phase tables
@@ -394,7 +364,7 @@ class QHTOperator:
         base = 2 * math.pi / M
         self.dyadic_times = [base * (1 << j) for j in range(config.m_bits)]
         self.dyadic_tables = [evolution_tables(M, decompose(t)) for t in self.dyadic_times]
-        self.signs = (-1.0) ** np.arange(N) if config.signed_output else np.ones(N)
+        self.signs = (-1.0) ** np.arange(N)
         self.columns = np.zeros((N, M), dtype=complex)
         self.held = np.zeros(N, dtype=bool)
         self.block_fidelities = np.zeros(N)
@@ -527,12 +497,10 @@ def qht_operator(config: QHTConfig) -> QHTOperator:
 
 
 def qht_reference(alpha: np.ndarray, basis: DiscreteHermiteBasis,
-                  signed: bool = True, loewdin: bool = False) -> np.ndarray:
-    """Ground truth sum_n alpha_n |psibar_n> (optionally Loewdin-orthonormalized)."""
+                  signed: bool = True) -> np.ndarray:
+    """Ground truth sum_n alpha_n |psibar_n>, with the signs (-1)^n when signed."""
     alpha = np.asarray(alpha, dtype=complex)
     states = basis.states[:len(alpha)].astype(complex)
-    if loewdin:
-        states = loewdin_orthonormalize(states)
     if signed:
         signs = (-1.0) ** np.arange(len(alpha))
         return (alpha * signs) @ states

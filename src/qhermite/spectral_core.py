@@ -2,9 +2,11 @@
 
 Everything downstream builds on three objects defined here: the uniform
 position grid x_j = j*sqrt(2*pi/M) with signed labels j in {-M/2, ..., M/2-1},
-tables of orthonormal Hermite functions psi_n evaluated on that grid, and the
-centered discrete Fourier transform F_{jk} = exp(2*pi*i*j*k/M)/sqrt(M) that
-conjugates the position operator into the momentum operator.
+orthonormal Hermite functions psi_n evaluated on that grid, and the centered
+discrete Fourier transform F_{jk} = exp(2*pi*i*j*k/M)/sqrt(M) that conjugates
+the position operator into the momentum operator.  F is kept here only as a
+dense reference matrix; the kernels apply it as an FFT between (-1)^i
+relabelings (see `fast_forward`).
 
 Statevectors are plain complex numpy arrays of length M; array index i
 corresponds to grid label j = i - M/2 throughout the package, so arrays are
@@ -12,20 +14,15 @@ already ordered by increasing position.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GridSpec",
-    "HermiteTable",
-    "grid_points",
-    "hermite_table",
     "hermite_function_rows",
     "probabilist_rows",
-    "centered_dft",
     "centered_dft_matrix",
-    "apply_diagonal_phase",
 ]
 
 
@@ -53,11 +50,6 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         return self.labels * self.h
-
-
-def grid_points(spec: GridSpec) -> np.ndarray:
-    """Grid points x_j = j*h for j = -M/2 .. M/2-1, strictly increasing."""
-    return spec.points()
 
 
 def hermite_function_rows(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -100,56 +92,9 @@ def probabilist_rows(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HermiteTable:
-    """psi_n(x_j) for n in [0, n_max] over the grid of `spec`."""
-
-    spec: GridSpec
-    n_max: int
-    values: np.ndarray = field(repr=False)
-
-    def row(self, n: int) -> np.ndarray:
-        return self.values[n]
-
-
-def hermite_table(n_max: int, spec: GridSpec) -> HermiteTable:
-    """Tabulate psi_n on the grid; see hermite_function_rows for the recurrence."""
-    vals = hermite_function_rows(n_max, spec.points())
-    return HermiteTable(spec=spec, n_max=n_max, values=vals)
-
-
 def centered_dft_matrix(M: int) -> np.ndarray:
     """Dense F_{jk} = exp(2*pi*i*j*k/M)/sqrt(M), signed labels. Reference only."""
     if M > 4096:
         raise ValueError("dense reference transform capped at M=4096")
     j = np.arange(-M // 2, M // 2)
     return np.exp(2j * np.pi * np.outer(j, j) / M) / np.sqrt(M)
-
-
-def centered_dft(state: np.ndarray, spec: GridSpec | None = None, inverse: bool = False) -> np.ndarray:
-    """Centered DFT via index relabeling around the standard FFT.
-
-    With arrays stored in label order (index i <-> label i - M/2), the
-    centered transform is diag((-1)^i) . FFT-kernel . diag((-1)^i) up to the
-    scalar (-1)^(M/2); for M divisible by 4 that scalar is +1, recovering the
-    sigma_z . QFT . sigma_z form.
-    """
-    v = np.asarray(state, dtype=complex)
-    M = v.shape[-1]
-    if spec is not None and spec.M != M:
-        raise ValueError(f"state dimension {M} does not match grid M={spec.M}")
-    alt = np.ones(M)
-    alt[1::2] = -1.0
-    sgn = -1.0 if (M // 2) % 2 else 1.0
-    if not inverse:
-        return sgn * alt * np.sqrt(M) * np.fft.ifft(alt * v)
-    return sgn * alt * np.fft.fft(alt * v) / np.sqrt(M)
-
-
-def apply_diagonal_phase(state: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """amp_j <- exp(-i*phase_j) * amp_j; exactly norm-preserving."""
-    v = np.asarray(state, dtype=complex)
-    ph = np.asarray(phases, dtype=float)
-    if v.shape != ph.shape:
-        raise ValueError(f"length mismatch: state {v.shape} vs phases {ph.shape}")
-    return np.exp(-1j * ph) * v

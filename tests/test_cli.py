@@ -131,11 +131,20 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("args", [["overlap", "--seed", "x"], ["qht", "--N", "8.5"],
                                       ["ff-error", "--t", "0.5,y"], ["ff-error", "--M", ""],
-                                      ["ggl", "--mode", "quantum"]])
+                                      ["ggl", "--mode", "quantum"], ["sample", "--trials", "-5"]])
     def test_malformed_option_is_a_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "x.csv"
         assert main(args + ["--out", str(out)]) == 1
         assert "invalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["test", "--delta", "1.5"], ["test", "--delta", "0"],
+                                      ["ggl", "--delta", "0"]])
+    def test_confidence_outside_unit_interval_is_an_error(self, tmp_path, capsys, args):
+        # rejected before any sampling: main returns 1 instead of raising
+        out = tmp_path / "x.csv"
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: delta must be in (0, 1)")
         assert not out.exists()
 
     def test_calibration_path_kept_in_provenance(self, tmp_path):

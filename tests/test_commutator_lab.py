@@ -5,53 +5,24 @@ from qhermite.discrete_qho import (
     TAIL_FAMILIES,
     build,
     commutator_tail_norm,
-    defect_delta,
+    dense_momentum_sq,
     dense_tail_reference,
 )
 from qhermite.spectral_core import GridSpec
 
 
 class TestDefectDelta:
-    def test_constant_resolved_to_plus_eight(self):
-        # continuum algebra: [x^2,[x^2,p^2]] = -8 x^2, so the defect that
-        # vanishes on the low-energy block is C + 8 x^2
-        rep = defect_delta(build(GridSpec(64)), n_prime=7)
-        assert rep.label == "+8"
-        assert rep.coefficient == -8.0
-        # the written-down candidates are orders of magnitude worse
-        assert rep.candidate_projected_norms["+8"] < 1e-6
-        assert rep.candidate_projected_norms["-4i"] > 1.0
-        assert rep.candidate_projected_norms["-8i"] > 1.0
-
     def test_low_block_matrix_elements_match_continuum(self, basis_cache):
-        # <psibar_k|[x2,[x2,p2]]|psibar_l> = -8 <psibar_k|x2|psibar_l> to 1e-6
+        # <psibar_k|[x2,[x2,p2]]|psibar_l> = -8 <psibar_k|x2|psibar_l> to 1e-6;
+        # x2 is diagonal, so C is a double Hadamard scaling of p2
         M = 64
         qho = build(GridSpec(M))
-        rep = defect_delta(qho, n_prime=7)
-        basis = basis_cache(M, 6)
-        U = basis.states.T
         x2 = qho.x**2
-        # rep.matrix = C + 8 x^2, so ||proj(rep.matrix)|| small iff C = -8 x^2 there
-        block = U.T @ rep.matrix @ U
+        d = x2[:, None] - x2[None, :]
+        C = d * d * dense_momentum_sq(qho.spec)
+        U = basis_cache(M, 6).states.T
+        block = U.T @ (C + 8 * np.diag(x2)) @ U
         assert np.abs(block).max() < 1e-6
-
-    def test_full_norm_bound(self):
-        # ||Delta|| <= 17 M^3
-        for M in (64, 128):
-            rep = defect_delta(build(GridSpec(M)))
-            assert rep.norm <= 17 * M**3
-
-    def test_projected_norm_shrinks_with_m(self):
-        # the true projected defect is below the float64 projection noise
-        # (~1e-12) already at M=64, so shrinkage is only asserted above it
-        n1 = defect_delta(build(GridSpec(64)), n_prime=8).projected_norm
-        n2 = defect_delta(build(GridSpec(128)), n_prime=8).projected_norm
-        assert n2 <= 1e-6
-        assert n2 < n1 or n2 < 1e-12
-
-    def test_budget(self):
-        with pytest.raises(ValueError):
-            defect_delta(build(GridSpec(1024)))
 
 
 class TestTailMachinery:
@@ -145,13 +116,3 @@ class TestTailDecay:
         rep = commutator_tail_norm(build(GridSpec(64)), N=2, t_max=10)
         assert set(rep.term_norms) == set(range(3, 11))
         assert all(v >= 0 for v in rep.term_norms.values())
-
-    def test_csv_export(self, tmp_path):
-        from qhermite.discrete_qho import export_tail_reports
-
-        rep = commutator_tail_norm(build(GridSpec(16)), N=1, t_max=5)
-        path = tmp_path / "tails.csv"
-        export_tail_reports([rep], path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "family,M,N,t,term_norm,tail_norm"
-        assert len(lines) == 1 + 3  # t = 3, 4, 5

@@ -14,7 +14,6 @@ from qhermite.hermite_sampling import (
     general_hermite_sample,
     sample_distribution,
     spectrum_table,
-    suggest_quadrature_M,
     tv_distance,
 )
 from qhermite.learning_testers import CoefficientPattern, restriction_coefficient
@@ -346,11 +345,3 @@ class TestGaussianTailBound:
         total = h * integrand.sum()
         truncated = h * integrand[inner].sum()
         assert abs(total - truncated) <= math.exp(-L * L / 8)
-
-
-class TestSuggestM:
-    def test_power_of_two_and_degree_floor(self):
-        f = corpus.product_sign((0,), 1)
-        M = suggest_quadrature_M(f, 0.1)
-        assert M >= 40 * f.degree_cutoff
-        assert M & (M - 1) == 0

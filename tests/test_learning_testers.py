@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 from qhermite import corpus
 from qhermite.hermite_sampling import SamplerConfig
-from qhermite.learning_testers import CoefficientPattern
+from qhermite.learning_testers import CoefficientPattern, coefficient_estimate
 from qhermite.learning_testers import estimate_gamma, gaussian_goldreich_levin
 from qhermite.learning_testers import restriction_coefficient, weight_estimate
 from qhermite.learning_testers import test_hermite_polynomial as run_hermite_tester
@@ -232,3 +233,22 @@ class TestHermitePolynomialTester:
         for eps2 in (0.25, 0.3, 0.4, 0.6):
             rng2 = np.random.default_rng(5)
             assert run_hermite_tester(f, 1, 0.1, eps2, 0.1, rng2, SCFG).accept
+
+
+class TestConfidenceParameter:
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1])
+    def test_delta_outside_unit_interval_rejected(self, rng, delta):
+        # ln(1/delta) sizes every sample count: delta >= 1 gave negative counts
+        # and delta = 0 a ZeroDivisionError
+        f = corpus.product_sign((0, 1), 2)
+        calls = [
+            lambda: weight_estimate(f, CoefficientPattern((1, None)), 0.1, delta, rng),
+            lambda: coefficient_estimate(f, (1, 1), 0.1, delta, rng),
+            lambda: gaussian_goldreich_levin(f, 0.5, delta, rng),
+            lambda: run_product_sign_tester(f, 2, 0.1, 0.3, delta, rng, SCFG),
+            lambda: run_low_degree_tester(f, 3, 0.1, 0.3, delta, rng, SCFG),
+            lambda: run_hermite_tester(f, 1, 0.1, 0.3, delta, rng, SCFG),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="delta"):
+                call()

@@ -5,7 +5,7 @@ import pytest
 
 from qhermite import qht_pipeline
 from qhermite.calibration import Calibration
-from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis
+from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis, loewdin_orthonormalize
 from qhermite.fast_forward import apply_tables
 from qhermite.qht_pipeline import (
     ConfigError,
@@ -18,13 +18,11 @@ from qhermite.qht_pipeline import (
     fixed_point_amplify,
     fixed_point_schedule,
     isometry_singular_values,
-    loewdin_orthonormalize,
     pr_high_energy_leakage,
     pr_support,
     qht_apply,
     qht_operator,
     qht_reference,
-    window_value,
 )
 from qhermite.spectral_core import GridSpec
 
@@ -50,14 +48,6 @@ class TestChooseDimensions:
         cfg = choose_dimensions(1, 0.5, Calibration.paper_scaling())
         assert cfg.M == 16
         assert cfg.N_high == 8
-
-    def test_config_file_round_trip(self, tmp_path):
-        from qhermite.qht_pipeline import config_from_json, config_to_json
-
-        cfg = choose_dimensions(4, 0.05)
-        path = tmp_path / "config.json"
-        config_to_json(cfg, path)
-        assert config_from_json(path) == cfg
 
     def test_n_high_formula(self):
         cfg = choose_dimensions(16, 0.1)
@@ -86,25 +76,24 @@ class TestChooseDimensions:
 
 class TestWindow:
     def test_interior_is_one(self):
-        assert window_value(10, 0.0) == 1.0
-        assert window_value(0, 0.5) == 1.0
+        assert WindowFunction(10).value(0.0) == 1.0
+        assert WindowFunction(0).value(0.5) == 1.0
 
     def test_outside_is_zero(self):
         w = WindowFunction(10)
-        assert window_value(10, w.x_max + 2 * w.delta) == 0.0
-        assert window_value(10, -(w.x_max + 3 * w.delta)) == 0.0
+        assert w.value(w.x_max + 2 * w.delta) == 0.0
+        assert w.value(-(w.x_max + 3 * w.delta)) == 0.0
 
     def test_band_center_half(self):
         w = WindowFunction(10)
-        mid = w.x_max + w.delta
-        val = window_value(10, mid)
+        val = w.value(w.x_max + w.delta)
         assert 0.0 < val < 1.0
         assert abs(val - 0.5) < 1e-10  # bump kernel is symmetric
 
     def test_band_endpoints_exact(self):
         w = WindowFunction(7)
-        assert abs(window_value(7, w.x_max) - 1.0) < 1e-10
-        assert abs(window_value(7, w.x_max + 2 * w.delta)) < 1e-10
+        assert abs(w.value(w.x_max) - 1.0) < 1e-10
+        assert abs(w.value(w.x_max + 2 * w.delta)) < 1e-10
 
     def test_monotone_on_band(self):
         w = WindowFunction(5)
