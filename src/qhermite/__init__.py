@@ -1,15 +1,11 @@
-"""Simulation and verification toolkit for the discrete quantum Hermite transform."""
+"""Simulation and verification toolkit for the discrete quantum Hermite transform.
 
-from . import (
-    calibration,
-    corpus,
-    discrete_qho,
-    fast_forward,
-    hermite_sampling,
-    learning_testers,
-    qht_pipeline,
-    spectral_core,
-)
+Importing the package loads no submodule: each one is imported on first
+attribute access (PEP 562), so a CLI process pays only for the modules its
+subcommand runs.
+"""
+
+import importlib
 
 __all__ = [
     "spectral_core",
@@ -23,3 +19,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,32 +17,7 @@ import time
 
 import numpy as np
 
-from . import corpus as corpus_mod
 from .calibration import Calibration, load_calibration
-from .discrete_qho import build, dense_diagonalize
-from .fast_forward import LOW_ENERGY_M_CAP, decompose, low_energy_error
-from .hermite_sampling import (
-    PostselectionFailure,
-    SamplerConfig,
-    general_hermite_sample,
-    sample_distribution,
-    spectrum_table,
-    tv_distance,
-)
-from .learning_testers import (
-    gaussian_goldreich_levin,
-    test_hermite_polynomial,
-    test_low_degree,
-    test_product_sign,
-)
-from .qht_pipeline import (
-    ConfigError,
-    QHTConfig,
-    build_pr_state,
-    choose_dimensions,
-    qht_operator,
-)
-from .spectral_core import GridSpec, hermite_function_rows
 
 __all__ = ["main", "read_table"]
 
@@ -122,6 +97,10 @@ def _timed(footer: dict, args, t0: float) -> dict:
 
 
 def cmd_ff_error(args) -> int:
+    from .discrete_qho import build, dense_diagonalize
+    from .fast_forward import LOW_ENERGY_M_CAP, decompose, low_energy_error
+    from .spectral_core import GridSpec
+
     rows = []
     infeasible = 0
     for M in args.M:
@@ -157,6 +136,9 @@ def cmd_ff_error(args) -> int:
 
 
 def cmd_overlap(args) -> int:
+    from .qht_pipeline import QHTConfig, build_pr_state
+    from .spectral_core import GridSpec, hermite_function_rows
+
     t0 = time.perf_counter()
     M, n_max = args.M, args.n
     spec = GridSpec(M)
@@ -174,6 +156,8 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_qht(args) -> int:
+    from .qht_pipeline import ConfigError, choose_dimensions, qht_operator
+
     try:
         cfg = choose_dimensions(args.N, args.eps, args.cal)
     except ConfigError as exc:
@@ -201,6 +185,8 @@ def cmd_qht(args) -> int:
 
 
 def _default_corpus(n: int):
+    from . import corpus as corpus_mod
+
     return [
         ("const", corpus_mod.constant(n, 1.0)),
         ("product_sign", corpus_mod.product_sign(tuple(range(min(2, n))), n)),
@@ -209,6 +195,15 @@ def _default_corpus(n: int):
 
 
 def cmd_sample(args) -> int:
+    from . import corpus as corpus_mod
+    from .hermite_sampling import (
+        SamplerConfig,
+        general_hermite_sample,
+        sample_distribution,
+        spectrum_table,
+        tv_distance,
+    )
+
     t0 = time.perf_counter()
     D, trials = args.D, args.trials
     rng = np.random.default_rng(args.seed)
@@ -245,6 +240,8 @@ def cmd_sample(args) -> int:
 
 
 def _ggl_corpus(n: int, mode: str):
+    from . import corpus as corpus_mod
+
     if mode == "sampler":
         # sampler mode verifies raw coefficients, so its instances must be
         # unit-norm (boolean) oracles whose declared kappa covers the
@@ -263,6 +260,8 @@ def _ggl_corpus(n: int, mode: str):
 
 
 def cmd_ggl(args) -> int:
+    from .learning_testers import gaussian_goldreich_levin
+
     t0 = time.perf_counter()
     mode = args.mode
     rows = []
@@ -286,6 +285,13 @@ def cmd_ggl(args) -> int:
 
 
 def cmd_test(args) -> int:
+    from . import corpus as corpus_mod
+    from .hermite_sampling import SamplerConfig
+    from .learning_testers import test_hermite_polynomial, test_low_degree, test_product_sign
+
+    d = 3   # the degree the low-degree instances are tested at
+    if args.D < d:
+        raise ValueError(f"--D {args.D} is below the tested degree {d}")
     t0 = time.perf_counter()
     eps1, eps2, delta, n = args.eps1, args.eps2, args.delta, args.n
     rng = np.random.default_rng(args.seed)
@@ -300,9 +306,9 @@ def cmd_test(args) -> int:
         ("h2_yes", corpus_mod.hermite_monomial((2,) + (0,) * (n - 1), n), "hermite",
          lambda f: test_hermite_polynomial(f, 1, eps1, eps2, delta, rng, scfg), True),
         ("lowdeg_yes", lowdeg_yes, "low_degree",
-         lambda f: test_low_degree(f, 3, eps1, eps2, delta, rng, scfg), True),
+         lambda f: test_low_degree(f, d, eps1, eps2, delta, rng, scfg), True),
         ("lowdeg_no", lowdeg_no, "low_degree",
-         lambda f: test_low_degree(f, 3, eps1, eps2, delta, rng, scfg), False),
+         lambda f: test_low_degree(f, d, eps1, eps2, delta, rng, scfg), False),
     ]
     rows = []
     for label, f, tester, run, expected in instances:
@@ -347,7 +353,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_qht)
 
     p = sub.add_parser("sample", help="Hermite sampling histogram + TV report")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--D", type=int, default=9)
     p.add_argument("--M", type=int, default=512)
     p.add_argument("--trials", type=_positive_int, default=2000)
@@ -358,7 +364,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("ggl", help="Gaussian Goldreich-Levin transcript")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--seeds", type=_int_list, default="0,1,2,3,4")
@@ -388,7 +394,12 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ConfigError, ValueError, PostselectionFailure) as exc:
+    except (ValueError, RuntimeError) as exc:   # a ConfigError is a ValueError
+        if isinstance(exc, RuntimeError):   # hermite_sampling is loaded only on this path
+            from .hermite_sampling import PostselectionFailure
+
+            if not isinstance(exc, PostselectionFailure):
+                raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from .spectral_core import (
@@ -48,7 +47,6 @@ __all__ = [
     "dense_momentum_sq",
     "dense_diagonalize",
     "hermite_basis",
-    "loewdin_orthonormalize",
     "commutator_tail_norm",
     "dense_tail_reference",
 ]
@@ -211,14 +209,6 @@ def hermite_basis(spec: GridSpec, n_max: int) -> DiscreteHermiteBasis:
     return DiscreteHermiteBasis(spec=spec, n_max=n_max, states=rows)
 
 
-def loewdin_orthonormalize(states: np.ndarray) -> np.ndarray:
-    """Symmetric (minimal-disturbance) orthonormalization of the row vectors."""
-    g = states @ states.conj().T
-    evals, evecs = np.linalg.eigh(g)
-    inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
-    return inv_sqrt @ states
-
-
 # ---------------------------------------------------------------------------
 # Commutator tail lab: mpmath inputs, exact integer accumulation
 # ---------------------------------------------------------------------------
@@ -240,6 +230,8 @@ class TailReport:
 
 def _mp_hermite_columns(M: int, N: int):
     """Normalized discrete Hermite states at current mp precision."""
+    import mpmath as mp
+
     h = mp.sqrt(2 * mp.pi / M)
     sqh = mp.sqrt(h)
     xs = [j * h for j in range(-M // 2, M // 2)]
@@ -259,6 +251,8 @@ def _mp_hermite_columns(M: int, N: int):
 
 def _mp_p2_symbol(M: int):
     """Symbol of pbar^2, c[d] = c[M - d]; only d <= M/2 is evaluated."""
+    import mpmath as mp
+
     c = [mp.mpf(0)] * M
     half = M // 2
     c[0] = 2 * mp.pi / M**2 * (mp.mpf((half - 1) * half * (M - 1)) / 3 + half * half)
@@ -269,6 +263,8 @@ def _mp_p2_symbol(M: int):
 
 def _mp_p1_symbol(M: int):
     """Symbol of F xbar F^-1: entries c1[(j-k) mod M], c1[M - d] = conj(c1[d])."""
+    import mpmath as mp
+
     h = mp.sqrt(2 * mp.pi / M)
     c = [mp.mpc(-h / 2)] + [mp.mpc(0)] * (M - 1)
     for d in range(1, M // 2 + 1):
@@ -294,6 +290,8 @@ _TAIL_CHECK_BITS = 64   # extra bits of the second pass that sets error_bar
 
 def _fixed(values, bits: int):
     """Round mp reals or complexes to fixed point at 2^-bits: (re, im) object arrays."""
+    import mpmath as mp
+
     re = [int(mp.nint(mp.ldexp(mp.re(v), bits))) for v in values]
     im = [int(mp.nint(mp.ldexp(mp.im(v), bits))) for v in values]
     return np.array(re, dtype=object), np.array(im, dtype=object)
@@ -317,6 +315,8 @@ def _fixed_dft_columns(cols, M: int, bits: int):
     The products run in exact integers against a root-of-unity table held
     _TAIL_GUARD_BITS finer; only the M outputs per column are rounded, once.
     """
+    import mpmath as mp
+
     fine = bits + _TAIL_GUARD_BITS
     labels = np.arange(M) - M // 2
     idx = np.outer(labels, labels) % M        # [output label, input label]
@@ -416,6 +416,8 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     `tail_norm` and `term_norms`, and the spectral norm of the difference of
     the two projected tails is `error_bar`.
     """
+    import mpmath as mp
+
     M = qho.M
     if M > TAIL_M_CAP:
         raise ValueError(f"tail budget exceeded: M={M} > {TAIL_M_CAP}")
@@ -457,6 +459,8 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
 
 def _scaled(S_t, t: int, M: int, c1: float, c2: float, bits: int):
     """The projected t-th term c2 (2 pi c1 / M)^t / t! 2^-bits S_t, as an mp matrix."""
+    import mpmath as mp
+
     scale = mp.mpf(c2) * (2 * mp.pi * mp.mpf(c1) / M) ** t / mp.factorial(t) * mp.ldexp(1, -bits)
     re, im = S_t
     return mp.matrix([[mp.mpc(int(r), int(i)) * scale for r, i in zip(rr, ii)]

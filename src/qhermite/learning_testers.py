@@ -407,6 +407,8 @@ def test_low_degree(f: OracleFunction, d: int, eps1: float, eps2: float,
     _check_delta(delta)
     eps = eps2 - eps1
     scfg = sampler_config or SamplerConfig(D=max(9, 2 * d + 1))
+    if scfg.D < d:   # a per-axis cutoff below d would count degree-<=d mass as high
+        raise ValueError(f"sampler cutoff D={scfg.D} is below the tested degree d={d}")
     m = int(math.ceil(c_samples * math.log(1.0 / delta) / eps**2))
     dist = sample_distribution(f, scfg, normalized=not f.boolean)
     hits = 0

@@ -5,6 +5,14 @@ from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis
 from qhermite.spectral_core import GridSpec
 
 
+def loewdin_orthonormalize(states: np.ndarray) -> np.ndarray:
+    """Symmetric (minimal-disturbance) orthonormalization of the row vectors (a test reference)."""
+    g = states @ states.conj().T
+    evals, evecs = np.linalg.eigh(g)
+    inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
+    return inv_sqrt @ states
+
+
 @pytest.fixture(scope="session")
 def eig_cache():
     """Memoized dense eigendecompositions, shared across test modules."""

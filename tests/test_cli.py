@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qhermite import learning_testers
 from qhermite.cli import main, read_table
 
 
@@ -131,7 +132,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("args", [["overlap", "--seed", "x"], ["qht", "--N", "8.5"],
                                       ["ff-error", "--t", "0.5,y"], ["ff-error", "--M", ""],
-                                      ["ggl", "--mode", "quantum"], ["sample", "--trials", "-5"]])
+                                      ["ggl", "--mode", "quantum"], ["sample", "--trials", "-5"],
+                                      ["sample", "--n", "0", "--trials", "10"],
+                                      ["ggl", "--n", "0", "--seeds", "0"]])
     def test_malformed_option_is_a_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "x.csv"
         assert main(args + ["--out", str(out)]) == 1
@@ -238,6 +241,16 @@ class TestTestCommand:
         out = tmp_path / "t.csv"
         assert main(["test", "--n", n, "--M", "64", "--out", str(out)]) == 1
         assert "argument --n: invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("D", ["0", "2"])
+    def test_cutoff_below_tested_degree_is_an_error(self, tmp_path, capsys, monkeypatch, D):
+        # rejected before the first instance runs
+        monkeypatch.setattr(learning_testers, "test_product_sign",
+                            lambda *a, **k: pytest.fail("an instance ran"))
+        out = tmp_path / "t.csv"
+        assert main(["test", "--D", D, "--M", "64", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --D {D} is below the tested degree 3")
         assert not out.exists()
 
 

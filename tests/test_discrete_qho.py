@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import loewdin_orthonormalize
 
 from qhermite.discrete_qho import (
     _PI_LD,
@@ -10,7 +11,6 @@ from qhermite.discrete_qho import (
     dense_hamiltonian,
     dense_momentum_sq,
     hermite_basis,
-    loewdin_orthonormalize,
 )
 from qhermite.spectral_core import GridSpec, centered_dft_matrix
 

@@ -207,6 +207,17 @@ class TestLowDegreeTester:
         expected = int(np.ceil(c * np.log(1 / 0.1) / 0.2**2))
         assert verdict.samples_used == expected
 
+    @pytest.mark.parametrize("D", [0, 2])
+    def test_cutoff_below_degree_rejected(self, rng, D):
+        # a per-axis cutoff below d would count the degree-<=3 mass as high
+        f = corpus.mixture([((1, 0), 0.8), ((0, 2), 0.6)], 2, bounded=True)
+        with pytest.raises(ValueError, match="below the tested degree"):
+            run_low_degree_tester(f, 3, 0.1, 0.3, 0.1, rng, SamplerConfig(M=64, D=D))
+
+    def test_cutoff_at_degree_accepts(self, rng):
+        f = corpus.mixture([((1, 0), 0.8), ((0, 2), 0.6)], 2, bounded=True)
+        assert run_low_degree_tester(f, 3, 0.1, 0.3, 0.1, rng, SamplerConfig(M=256, D=3)).accept
+
 
 class TestHermitePolynomialTester:
     def test_monomial_accepts(self, rng):

@@ -1,6 +1,10 @@
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,15 @@ import qhermite
 
 MODULES = ["cli", *qhermite.__all__]
 SOURCES = sorted(Path(qhermite.__file__).parent.glob("*.py"))
+LOADED = "[m for m in sorted(sys.modules) if m.startswith('qhermite.') or m == 'mpmath']"
+
+
+def _fresh(code: str):
+    """Run `code` in a fresh interpreter on this tree's package; its last stdout line, as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qhermite.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -51,3 +64,46 @@ def test_no_unused_top_level_import(path):
             exported = set(ast.literal_eval(node.value))
     unused = sorted(name for name in imported if name not in used | exported)
     assert unused == []
+
+
+def test_package_import_loads_no_submodule():
+    loaded, star = _fresh(f"""
+import json, sys
+import qhermite
+loaded = {LOADED}
+ns = {{}}
+exec("from qhermite import *", ns)
+print(json.dumps([loaded, sorted(k for k in ns if not k.startswith("__"))]))
+""")
+    assert loaded == []
+    assert star == sorted(qhermite.__all__)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["ff-error", "--M", "64", "--N", "2", "--t", "0.5"],
+     ["mpmath", "qhermite.hermite_sampling", "qhermite.learning_testers", "qhermite.qht_pipeline"]),
+    (["sample", "--n", "1", "--M", "64", "--D", "3", "--trials", "5"],
+     ["mpmath", "qhermite.qht_pipeline", "qhermite.fast_forward", "qhermite.learning_testers"]),
+], ids=["ff-error", "sample"])
+def test_subcommand_imports_only_what_it_runs(tmp_path, argv, absent):
+    code, loaded = _fresh(f"""
+import json, sys
+from qhermite import cli
+code = cli.main({argv + ["--out", str(tmp_path / "out.csv")]!r})
+print(json.dumps([code, {LOADED}]))
+""")
+    assert code == 0
+    assert sorted(set(absent) & set(loaded)) == []
+
+
+def test_commutator_lab_loads_mpmath_on_demand():
+    before, tail, after = _fresh(f"""
+import json, sys
+from qhermite.discrete_qho import build, commutator_tail_norm
+from qhermite.spectral_core import GridSpec
+before = "mpmath" in sys.modules
+report = commutator_tail_norm(build(GridSpec(16)), 2, 8)
+print(json.dumps([before, report.tail_norm, "mpmath" in sys.modules]))
+""")
+    assert not before and after
+    assert 0.0 < tail < 1.0

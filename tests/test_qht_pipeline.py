@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import loewdin_orthonormalize
 
 from qhermite import qht_pipeline
 from qhermite.calibration import Calibration
-from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis, loewdin_orthonormalize
+from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis
 from qhermite.fast_forward import apply_tables
 from qhermite.qht_pipeline import (
     ConfigError,
