@@ -85,6 +85,10 @@ def _int_list(text):
     return [int(tok) for tok in text.split(",")]
 
 
+def _positive_int_list(text):
+    return [_positive_int(tok) for tok in text.split(",")]
+
+
 def _float_list(text):
     return [float(tok) for tok in text.split(",")]
 
@@ -102,7 +106,6 @@ def cmd_ff_error(args) -> int:
     from .spectral_core import GridSpec
 
     rows = []
-    infeasible = 0
     for M in args.M:
         try:
             if M > LOW_ENERGY_M_CAP:   # checked before the eigensolve
@@ -110,29 +113,21 @@ def cmd_ff_error(args) -> int:
             qho = build(GridSpec(M))
             eig = dense_diagonalize(qho)
         except ValueError:
-            for N in args.N:
-                for t in args.t:
-                    rows.append([M, N, t, decompose(t).reps, "", "infeasible"])
-                    infeasible += 1
-            continue
+            qho = None
         for N in args.N:
             for t in args.t:
                 t0 = time.perf_counter()
-                try:
-                    err = low_energy_error(qho, eig, N, t)
-                except ValueError:
-                    rows.append([M, N, t, decompose(t).reps, "", "infeasible"])
-                    infeasible += 1
-                    continue
-                row = [M, N, t, decompose(t).reps, f"{err:.6e}", "ok"]
-                if args.timings:
-                    row.append(int((time.perf_counter() - t0) * 1000))
+                row = [M, N, t, decompose(t).reps, "", "infeasible"]
+                if qho is not None and N <= M:   # --N is positive, so 1 <= N <= M
+                    row[4:] = [f"{low_energy_error(qho, eig, N, t):.6e}", "ok"]
+                    if args.timings:
+                        row.append(int((time.perf_counter() - t0) * 1000))
                 rows.append(row)
     header = ["M", "N", "t", "reps", "projected_error", "status"]
     if args.timings:
         header.append("runtime_ms")
     _write_table(args.out, _meta(args, "ff-error"), header, rows, args.format)
-    return 2 if infeasible else 0
+    return 2 if any(r[5] == "infeasible" for r in rows) else 0
 
 
 def cmd_overlap(args) -> int:
@@ -198,7 +193,8 @@ def cmd_sample(args) -> int:
     from . import corpus as corpus_mod
     from .hermite_sampling import (
         SamplerConfig,
-        general_hermite_sample,
+        _tally,
+        draw,
         sample_distribution,
         spectrum_table,
         tv_distance,
@@ -216,14 +212,11 @@ def cmd_sample(args) -> int:
     summaries = {}
     for label, f in funcs:
         dist = sample_distribution(f, scfg, normalized=not f.boolean)
-        hist: dict = {}
-        attempts = []
-        for trial in range(trials):
-            s = general_hermite_sample(dist, rng)
-            hist[s.v] = hist.get(s.v, 0) + 1
-            attempts.append(s.attempts)
-            if args.log:
-                rows.append([label, trial, "|".join(map(str, s.v)), s.attempts])
+        v, attempts = draw(dist, rng, trials)
+        hist = _tally(v)
+        if args.log:
+            rows += [[label, trial, "|".join(map(str, vt)), a]
+                     for trial, (vt, a) in enumerate(zip(v.tolist(), attempts.tolist()))]
         table = spectrum_table(f, D, M_quad=scfg.M)
         dist_norm = 1.0 if f.boolean else max(table.mass, 1e-12)
         tv = tv_distance(hist, table, D, norm_sq=dist_norm)
@@ -335,7 +328,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("ff-error", help="fast-forwarding error atlas")
     p.add_argument("--M", type=_int_list, default="128,256,512")
-    p.add_argument("--N", type=_int_list, default="4,8,16")
+    p.add_argument("--N", type=_positive_int_list, default="4,8,16")
     p.add_argument("--t", type=_float_list, default="0.25,1.0,3.0")
     common(p)
     p.set_defaults(func=cmd_ff_error)

@@ -27,13 +27,12 @@ from .spectral_core import GridSpec, probabilist_rows
 __all__ = [
     "OracleFunction",
     "SamplerConfig",
-    "HermiteSample",
     "SpectrumTable",
     "SampleDistribution",
     "coefficient_oracle",
     "spectrum_table",
     "sample_distribution",
-    "general_hermite_sample",
+    "draw",
     "distortion",
     "tv_distance",
 ]
@@ -85,15 +84,6 @@ class OracleFunction:
             oscale = 2.0**self.output_bits
             vals = np.round(vals * oscale) / oscale
         return vals
-
-
-@dataclass(frozen=True)
-class HermiteSample:
-    """One draw v from the spectrum distribution (coordinates within [0, D])."""
-
-    v: tuple
-    attempts: int = 1
-    out_of_range: bool = False
 
 
 @dataclass(frozen=True)
@@ -238,7 +228,8 @@ class SampleDistribution:
     """Measurement distribution over v in [0, D]^n plus the out-of-range rest.
 
     Built once per (oracle, config) by sample_distribution and held by the
-    caller; it carries the CDF and draw total, so each draw is one inversion.
+    caller; it carries the CDF and draw total, so a batch of draws is one
+    inversion (one searchsorted over the uniforms).
     attempt_cap is the rejection cap of a postselected (normalized)
     distribution, None when the circuit needs no postselection.
     """
@@ -298,7 +289,7 @@ def sample_distribution(f: OracleFunction, scfg: SamplerConfig,
     is fhat^2/||f||^2 either way) and only the postselection probability
     shrinks by sup|f|^2.  A normalized distribution is drawn by rejection,
     capped at attempt_cap_factor * kappa attempts.  Build it once and pass
-    it to every draw.
+    it to every batch of draws.
     """
     A, norm_sq, sup_f = _amplitude_tensor(f, scfg)
     probs = np.abs(A) ** 2
@@ -317,29 +308,42 @@ def sample_distribution(f: OracleFunction, scfg: SamplerConfig,
                               norm_sq=norm_sq, success_prob=success, attempt_cap=cap)
 
 
-def general_hermite_sample(dist: SampleDistribution,
-                           rng: np.random.Generator) -> HermiteSample:
-    """One draw from a held distribution: p_v tracks fhat(v)^2 / ||f||^2.
+def draw(dist: SampleDistribution, rng: np.random.Generator, k: int):
+    """k draws from a held distribution: p_v tracks fhat(v)^2 / ||f||^2.
 
-    A postselected distribution is drawn by rejection: the per-attempt
-    success probability is computed exactly from the state and the attempt
-    count drawn as the matching geometric variable (the aggregated Bernoulli
-    sequence); the declared distortion promises success >= 1/(2*kappa), and
-    draws beyond the attempt cap are a reported failure, not an exception
-    swallowed.
+    Returns (v, attempts): v is a (k, n) int array whose out-of-range rows
+    read D + 1 in every coordinate, attempts a (k,) array.  A postselected
+    distribution is drawn by rejection: the per-attempt success probability
+    is computed exactly from the state and each attempt count drawn as the
+    matching geometric variable (the aggregated Bernoulli sequence); the
+    declared distortion promises success >= 1/(2*kappa), and a batch with a
+    count beyond the attempt cap is a reported failure, not an exception
+    swallowed.  All k counts are drawn before the k uniforms, so k = 1 and
+    an unpostselected batch read the rng as k single draws would.
     """
-    attempts = 1
+    attempts = np.ones(k, dtype=np.int64)
     if dist.attempt_cap is not None:
         p_succ = min(dist.success_prob, 1.0)
-        attempts = int(rng.geometric(p_succ)) if p_succ < 1.0 else 1
-        if attempts > dist.attempt_cap:
+        if p_succ < 1.0:
+            attempts = rng.geometric(p_succ, k)
+        if (attempts > dist.attempt_cap).any():
             raise PostselectionFailure(
                 f"no acceptance in {dist.attempt_cap} attempts (success prob {p_succ:.3g})")
-    idx = int(np.searchsorted(dist.cdf, rng.random() * dist.total))
-    if idx >= len(dist.cdf):
-        return HermiteSample(v=(dist.D + 1,) * dist.arity, attempts=attempts, out_of_range=True)
-    v = np.unravel_index(idx, dist.probs.shape)
-    return HermiteSample(v=tuple(int(c) for c in v), attempts=attempts)
+    idx = np.searchsorted(dist.cdf, rng.random(k) * dist.total)
+    out = idx >= len(dist.cdf)
+    v = np.stack(np.unravel_index(np.where(out, 0, idx), dist.probs.shape), axis=-1)
+    v[out] = dist.D + 1
+    return v, attempts
+
+
+def _tally(v: np.ndarray, D: int | None = None) -> dict:
+    """Count per drawn index, keyed in order of first draw (so ties break by it).
+
+    With D, the out-of-range rows (coordinates above D) are dropped.
+    """
+    rows, first, counts = np.unique(v, axis=0, return_index=True, return_counts=True)
+    return {tuple(rows[i].tolist()): int(counts[i]) for i in np.argsort(first)
+            if D is None or rows[i][0] <= D}
 
 
 def distortion(f: OracleFunction, M_quad: int = 512) -> float:

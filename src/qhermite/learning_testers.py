@@ -24,7 +24,8 @@ from .hermite_sampling import (
     OracleFunction,
     SamplerConfig,
     _grid_contract,
-    general_hermite_sample,
+    _tally,
+    draw,
     sample_distribution,
 )
 from .spectral_core import probabilist_rows
@@ -278,12 +279,9 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
         scfg = sampler_config or SamplerConfig(D=cap)
         draws = max(int(math.ceil(32.0 / tau**2 * math.log(2.0 / delta))), 64)
         dist = sample_distribution(f, scfg, normalized=not f.boolean)
-        counts: dict = {}
-        for _ in range(draws):
-            s = general_hermite_sample(dist, rng)
-            queries += s.attempts
-            if not s.out_of_range:
-                counts[s.v] = counts.get(s.v, 0) + 1
+        drawn, attempts = draw(dist, rng, draws)
+        queries += int(attempts.sum())
+        counts = _tally(drawn, dist.D)
         found = []
         for v, c in sorted(counts.items(), key=lambda kv: -kv[1]):
             nodes += 1
@@ -347,15 +345,10 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
 def _mode_sample(f: OracleFunction, scfg: SamplerConfig, rng, repeats: int):
     """Repeated spectrum draws; returns (mode sample, draw count)."""
     dist = sample_distribution(f, scfg, normalized=not f.boolean)
-    counts: dict = {}
-    for _ in range(repeats):
-        s = general_hermite_sample(dist, rng)
-        if not s.out_of_range:
-            counts[s.v] = counts.get(s.v, 0) + 1
+    counts = _tally(draw(dist, rng, repeats)[0], dist.D)
     if not counts:
         return None, repeats
-    best = max(counts.items(), key=lambda kv: kv[1])[0]
-    return best, repeats
+    return max(counts, key=counts.get), repeats   # the first-drawn index on a tie
 
 
 def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
@@ -411,12 +404,9 @@ def test_low_degree(f: OracleFunction, d: int, eps1: float, eps2: float,
         raise ValueError(f"sampler cutoff D={scfg.D} is below the tested degree d={d}")
     m = int(math.ceil(c_samples * math.log(1.0 / delta) / eps**2))
     dist = sample_distribution(f, scfg, normalized=not f.boolean)
-    hits = 0
-    for _ in range(m):
-        s = general_hermite_sample(dist, rng)
-        if not s.out_of_range and sum(s.v) <= d:
-            hits += 1
-    x = hits / m
+    v, _ = draw(dist, rng, m)
+    # an out-of-range row sums to n * (D + 1) > d, so the mask drops it
+    x = int(np.count_nonzero(v.sum(axis=1) <= d)) / m
     threshold = 1.0 - (eps1 + eps2) / 2.0
     return TesterVerdict(accept=bool(x >= threshold), estimate=x, samples_used=m)
 

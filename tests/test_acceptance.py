@@ -23,8 +23,9 @@ from qhermite.discrete_qho import (
 from qhermite.fast_forward import apply_factored, decompose, low_energy_error
 from qhermite.hermite_sampling import (
     SamplerConfig,
+    _tally,
     coefficient_oracle,
-    general_hermite_sample,
+    draw,
     sample_distribution,
     spectrum_table,
     tv_distance,
@@ -198,10 +199,7 @@ def test_criterion_06_hermite_sampling_correctness():
         q = table.probabilities(norm_sq)
         pointwise = max(abs(dist.prob(v) - q[v]) for v in q)
         worst_pointwise = max(worst_pointwise, pointwise)
-        hist = {}
-        for _ in range(10000):
-            s = general_hermite_sample(dist, rng)
-            hist[s.v] = hist.get(s.v, 0) + 1
+        hist = _tally(draw(dist, rng, 10000)[0])
         # out-of-window concentration: boolean spectra may carry real mass
         # beyond D (sgn decays like k^(-3/4)); normalized spectra capture
         # everything up to the clipping residue
@@ -226,7 +224,7 @@ def test_criterion_07_distortion_postselection():
     for kappa, f in ((1.0, corpus.product_sign((0,), 1)),
                      (3.0, corpus.scaled_constant(3.0, 1))):
         dist = sample_distribution(f, SamplerConfig(M=256, D=5), normalized=not f.boolean)
-        attempts = [general_hermite_sample(dist, rng).attempts for _ in range(1000)]
+        _, attempts = draw(dist, rng, 1000)
         results[kappa] = float(np.mean(attempts))
     elapsed = time.time() - t0
     ok = all(results[k] <= 2 * k + 0.5 for k in results)

@@ -132,6 +132,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("args", [["overlap", "--seed", "x"], ["qht", "--N", "8.5"],
                                       ["ff-error", "--t", "0.5,y"], ["ff-error", "--M", ""],
+                                      ["ff-error", "--N", "0", "--M", "64"],
                                       ["ggl", "--mode", "quantum"], ["sample", "--trials", "-5"],
                                       ["sample", "--n", "0", "--trials", "10"],
                                       ["ggl", "--n", "0", "--seeds", "0"]])

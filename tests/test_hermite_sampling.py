@@ -7,16 +7,18 @@ from qhermite import corpus
 from qhermite.hermite_sampling import (
     OracleFunction,
     PostselectionFailure,
+    SampleDistribution,
     SamplerConfig,
     SpectrumTable,
+    _tally,
     coefficient_oracle,
     distortion,
-    general_hermite_sample,
+    draw,
     sample_distribution,
     spectrum_table,
     tv_distance,
 )
-from qhermite.learning_testers import CoefficientPattern, restriction_coefficient
+from qhermite.learning_testers import CoefficientPattern, _mode_sample, restriction_coefficient
 
 
 class TestCoefficientOracle:
@@ -191,9 +193,8 @@ class TestSpectrumTable:
 class TestBooleanSampler:
     def test_constant_always_zero_index(self, rng):
         dist = sample_distribution(corpus.constant(1, 1.0), SamplerConfig(M=256, D=5))
-        for _ in range(20):
-            s = general_hermite_sample(dist, rng)
-            assert s.v == (0,)
+        v, _ = draw(dist, rng, 20)
+        assert (v == 0).all()
 
     def test_product_sign_parity_of_support(self, rng):
         # f is odd in each supported coordinate, so even indices there carry
@@ -215,14 +216,66 @@ class TestBooleanSampler:
         assert worst <= 0.05
 
 
+class TestDraw:
+    def test_unpostselected_batch_equals_single_draws(self):
+        # product_sign is boolean, so drawn without postselection; its
+        # spectrum also leaves mass above D, so out-of-range rows occur
+        dist = sample_distribution(corpus.product_sign((0, 1), 2), SamplerConfig(M=256, D=5))
+        v, attempts = draw(dist, np.random.default_rng(3), 200)
+        rng = np.random.default_rng(3)
+        singles = [draw(dist, rng, 1) for _ in range(200)]
+        assert v.shape == (200, 2) and attempts.shape == (200,)
+        assert np.array_equal(v, np.concatenate([s[0] for s in singles]))
+        assert np.array_equal(attempts, np.concatenate([s[1] for s in singles]))
+
+    def test_single_postselected_draw_matches_reference_stream(self):
+        # the single-draw stream: one geometric attempt count, then one
+        # uniform inverted through the CDF
+        dist = SampleDistribution(arity=1, D=3, probs=np.array([0.1, 0.2, 0.3, 0.3]),
+                                  out_mass=0.1, success_prob=0.3, attempt_cap=10**6)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(50):
+            v, attempts = draw(dist, rng, 1)
+            want_attempts = ref.geometric(0.3)
+            idx = int(np.searchsorted(dist.cdf, ref.random() * dist.total))
+            assert attempts[0] == want_attempts
+            assert v[0, 0] == min(idx, dist.D + 1)
+
+    def test_out_of_range_rows_and_tally(self):
+        probs = np.array([[0.1, 0.0], [0.0, 0.1]])
+        dist = SampleDistribution(arity=2, D=1, probs=probs, out_mass=0.8)
+        v, _ = draw(dist, np.random.default_rng(1), 400)
+        out = (v > dist.D).any(axis=1)
+        assert (v[out] == dist.D + 1).all()
+        assert 0.7 < out.mean() < 0.9
+        everything = _tally(v)
+        in_range = _tally(v, dist.D)
+        assert everything[(2, 2)] == out.sum()
+        assert set(in_range) == {(0, 0), (1, 1)}
+        assert sum(in_range.values()) == 400 - out.sum()
+
+    def test_ties_break_by_first_draw(self):
+        assert list(_tally(np.array([[3], [1], [1], [3]]))) == [(3,), (1,)]
+        f = corpus.product_sign((0,), 1)
+        scfg = SamplerConfig(M=256, D=9)
+        dist = sample_distribution(f, scfg)
+        for seed in range(50):   # the first seed whose two draws differ, both in range
+            v, _ = draw(dist, np.random.default_rng(seed), 2)
+            if v[0, 0] != v[1, 0] and v.max() <= dist.D:
+                break
+        mode, used = _mode_sample(f, scfg, np.random.default_rng(seed), 2)
+        assert v[0, 0] != v[1, 0] and used == 2
+        assert mode == (v[0, 0],)
+
+
 class TestGeneralSampler:
     def test_boolean_branch_consistency(self, rng):
         f = corpus.product_sign((0,), 1)
         scfg = SamplerConfig(M=256, D=9)
         d1 = sample_distribution(f, scfg)
-        s = general_hermite_sample(d1, rng)
-        assert s.attempts == 1
-        assert d1.prob(s.v) > 0
+        v, attempts = draw(d1, rng, 1)
+        assert attempts[0] == 1
+        assert d1.prob(v[0]) > 0
 
     def test_monomial_concentrates(self, rng):
         f = corpus.hermite_monomial((2,), 1)
@@ -234,7 +287,7 @@ class TestGeneralSampler:
         # kappa = 3 with the bound-tight planted constant: mean <= 2k + .5
         f = corpus.scaled_constant(3.0, 1)
         dist = sample_distribution(f, SamplerConfig(M=256, D=3), normalized=True)
-        attempts = [general_hermite_sample(dist, rng).attempts for _ in range(1000)]
+        _, attempts = draw(dist, rng, 1000)
         assert np.mean(attempts) <= 2 * 3.0 + 0.5
 
     def test_attempt_cap_reported(self, rng):
@@ -242,8 +295,7 @@ class TestGeneralSampler:
         dist = sample_distribution(f, SamplerConfig(M=256, D=3, attempt_cap_factor=0),
                                    normalized=True)
         with pytest.raises(PostselectionFailure):
-            for _ in range(50):
-                general_hermite_sample(dist, rng)
+            draw(dist, rng, 50)
 
 
 class TestPipelineTransformBackend:
@@ -299,11 +351,8 @@ class TestTVDistance:
     def test_sampled_planted_function(self, rng):
         f = corpus.product_sign((0, 1), 2)
         dist = sample_distribution(f, SamplerConfig(M=512, D=9))
-        hist = {}
         trials = 4000
-        for _ in range(trials):
-            s = general_hermite_sample(dist, rng)
-            hist[s.v] = hist.get(s.v, 0) + 1
+        hist = _tally(draw(dist, rng, trials)[0])
         table = spectrum_table(f, 9, 512)
         upsilon = max(1.0 - table.mass, 0.0)
         noise = 3.0 * math.sqrt(len(table.coefficients) / trials) / 2
