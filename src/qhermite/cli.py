@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .calibration import Calibration, load_calibration
+from .calibration import load_calibration
 
 __all__ = ["main", "read_table"]
 
@@ -70,7 +70,7 @@ def read_table(path):
 
 def _meta(args, command: str) -> dict:
     keep = {k: v for k, v in vars(args).items()
-            if k not in ("func", "out", "cal") and v is not None}
+            if k not in ("func", "out") and v is not None}
     keep["command"] = command
     return keep
 
@@ -131,20 +131,17 @@ def cmd_ff_error(args) -> int:
 
 
 def cmd_overlap(args) -> int:
+    from .discrete_qho import hermite_basis
     from .qht_pipeline import QHTConfig, build_pr_state
-    from .spectral_core import GridSpec, hermite_function_rows
+    from .spectral_core import GridSpec
 
     t0 = time.perf_counter()
     M, n_max = args.M, args.n
-    spec = GridSpec(M)
-    x = spec.points()
-    sqh = np.sqrt(spec.h)
-    psi = hermite_function_rows(n_max, x) * sqh
+    psi = hermite_basis(GridSpec(M), n_max)
     cfg = QHTConfig(N=n_max + 1, eps=0.01, M=M, N_high=M // 2)
     rows = []
     for n in range(n_max + 1):
-        pr = build_pr_state(n, cfg)
-        rows.append([n, f"{float(psi[n] @ pr.amplitudes):.10f}"])
+        rows.append([n, f"{float(psi[n] @ build_pr_state(n, cfg)):.10f}"])
     _write_table(args.out, _meta(args, "overlap"), ["n", "overlap"], rows, args.format,
                  _timed({}, args, t0))
     return 0
@@ -153,8 +150,13 @@ def cmd_overlap(args) -> int:
 def cmd_qht(args) -> int:
     from .qht_pipeline import ConfigError, choose_dimensions, qht_operator
 
+    try:   # loaded before any work, so a bad file fails fast
+        cal = load_calibration(args.calibration) if args.calibration else None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot load calibration: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     try:
-        cfg = choose_dimensions(args.N, args.eps, args.cal)
+        cfg = choose_dimensions(args.N, args.eps, cal)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -165,11 +167,10 @@ def cmd_qht(args) -> int:
     rows = []
     for n, u in enumerate(columns):
         # the output for |n> is s_n u_n and its reference s_n |psibar_n>: the signs cancel
-        psi = op.basis.state(n)
+        psi = op.basis[n]
         fid = abs(np.vdot((psi / np.linalg.norm(psi)).astype(complex), u))
-        residual = max(op.input_mass[n] - float(np.vdot(u, u).real), 0.0)
         rows.append([n, f"{fid:.8f}", f"{op.block_fidelities[n]:.8f}",
-                     f"{op.filter_leaks[n]:.3e}", f"{residual:.3e}"])
+                     f"{op.filter_leaks[n]:.3e}", f"{op.uncompute_residuals[n]:.3e}"])
     footer = {"M": cfg.M, "N_high": cfg.N_high, "v_passes": op.v_passes}
     if args.timings:
         footer["columns_ms"] = int(build_s * 1000)
@@ -193,7 +194,7 @@ def cmd_sample(args) -> int:
     from . import corpus as corpus_mod
     from .hermite_sampling import (
         SamplerConfig,
-        _tally,
+        _histogram,
         draw,
         sample_distribution,
         spectrum_table,
@@ -213,17 +214,17 @@ def cmd_sample(args) -> int:
     for label, f in funcs:
         dist = sample_distribution(f, scfg, normalized=not f.boolean)
         v, attempts = draw(dist, rng, trials)
-        hist = _tally(v)
+        counts = _histogram(v, D)
         if args.log:
             rows += [[label, trial, "|".join(map(str, vt)), a]
                      for trial, (vt, a) in enumerate(zip(v.tolist(), attempts.tolist()))]
-        table = spectrum_table(f, D, M_quad=scfg.M)
-        dist_norm = 1.0 if f.boolean else max(table.mass, 1e-12)
-        tv = tv_distance(hist, table, D, norm_sq=dist_norm)
+        c = spectrum_table(f, D, M_quad=scfg.M)
+        dist_norm = 1.0 if f.boolean else max(float(np.sum(c * c)), 1e-12)
+        tv = tv_distance(counts, c * c / dist_norm)
         if not args.log:
-            for v in sorted(hist):
-                rows.append([label, "|".join(map(str, v)), hist[v],
-                             f"{hist[v] / trials:.6f}"])
+            for u in zip(*np.nonzero(counts)):   # C order: the drawn indices ascending
+                rows.append([label, "|".join(map(str, u)), int(counts[u]),
+                             f"{counts[u] / trials:.6f}"])
         summaries[label] = {"tv": round(tv, 6), "mean_attempts": float(np.mean(attempts))}
     header = (["instance", "trial", "v", "accepted_attempts"] if args.log
               else ["instance", "v", "count", "frequency"])
@@ -320,10 +321,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="-")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--calibration", default=None)
         p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("ff-error", help="fast-forwarding error atlas")
@@ -342,6 +341,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("qht", help="end-to-end transform fidelity report")
     p.add_argument("--N", type=int, default=8)
     p.add_argument("--eps", type=float, default=0.01)
+    p.add_argument("--calibration", default=None)
     common(p)
     p.set_defaults(func=cmd_qht)
 
@@ -353,6 +353,7 @@ def main(argv=None) -> int:
     p.add_argument("--corpus", default=None)
     p.add_argument("--log", action="store_true",
                    help="emit per-trial rows (trial, v, accepted_attempts)")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_sample)
 
@@ -373,6 +374,7 @@ def main(argv=None) -> int:
     p.add_argument("--eps1", type=float, default=0.1)
     p.add_argument("--eps2", type=float, default=0.3)
     p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_test)
 
@@ -380,11 +382,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    try:   # loaded before any work, so a bad file fails every subcommand fast
-        args.cal = load_calibration(args.calibration) if args.calibration else Calibration()
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot load calibration: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:   # a ConfigError is a ValueError

@@ -38,7 +38,6 @@ from .spectral_core import (
 __all__ = [
     "DiscreteQHO",
     "EigenDecomposition",
-    "DiscreteHermiteBasis",
     "build",
     "apply_position_sq",
     "apply_momentum_sq",
@@ -72,10 +71,6 @@ class DiscreteQHO:
     @property
     def M(self) -> int:
         return self.spec.M
-
-    def operator_norm_x(self) -> float:
-        """||xbar|| = ||pbar|| = sqrt(pi*M/2), attained at label -M/2."""
-        return float(np.abs(self.x).max())
 
 
 def build(spec: GridSpec) -> DiscreteQHO:
@@ -187,26 +182,11 @@ def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     return EigenDecomposition(energies=refined, vectors=vectors)
 
 
-@dataclass(frozen=True)
-class DiscreteHermiteBasis:
-    """States |psibar_n> = (2*pi/M)^(1/4) sum_j psi_n(x_j)|j>, not re-normalized."""
-
-    spec: GridSpec
-    n_max: int
-    states: np.ndarray = field(repr=False)  # row n is psibar_n
-
-    def state(self, n: int) -> np.ndarray:
-        return self.states[n]
-
-    def gram(self) -> np.ndarray:
-        return self.states @ self.states.T
-
-
-def hermite_basis(spec: GridSpec, n_max: int) -> DiscreteHermiteBasis:
+def hermite_basis(spec: GridSpec, n_max: int) -> np.ndarray:
+    """The (n_max+1, M) rows |psibar_n> = (2*pi/M)^(1/4) sum_j psi_n(x_j)|j>, not re-normalized."""
     if n_max >= spec.M:
         raise ValueError(f"n_max={n_max} must be < M={spec.M}")
-    rows = hermite_function_rows(n_max, spec.points()) * np.sqrt(spec.h)
-    return DiscreteHermiteBasis(spec=spec, n_max=n_max, states=rows)
+    return hermite_function_rows(n_max, spec.points()) * np.sqrt(spec.h)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +475,8 @@ def dense_tail_reference(qho: DiscreteQHO, N: int, t_max: int,
         A, B = P2, x2
     else:
         A, B = P2, anti
-    basis = hermite_basis(qho.spec, N - 1)
-    U = (basis.states.T / np.linalg.norm(basis.states, axis=1)).astype(complex)
+    rows = hermite_basis(qho.spec, N - 1)
+    U = (rows.T / np.linalg.norm(rows, axis=1)).astype(complex)
     # R_t = [A,B]_t / t!, built by R_t = [A, R_{t-1}] / t
     R = B.copy()
     tail = np.zeros((N, N), dtype=complex)

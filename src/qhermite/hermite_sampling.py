@@ -27,7 +27,6 @@ from .spectral_core import GridSpec, probabilist_rows
 __all__ = [
     "OracleFunction",
     "SamplerConfig",
-    "SpectrumTable",
     "SampleDistribution",
     "coefficient_oracle",
     "spectrum_table",
@@ -84,23 +83,6 @@ class OracleFunction:
             oscale = 2.0**self.output_bits
             vals = np.round(vals * oscale) / oscale
         return vals
-
-
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Map v -> fhat(v) for v in [0, D]^n, with the captured mass."""
-
-    arity: int
-    D: int
-    coefficients: dict = field(repr=False)
-    mass: float = 0.0
-    basis: str = "probabilist-orthonormal"
-
-    def coefficient(self, v) -> float:
-        return self.coefficients.get(tuple(v), 0.0)
-
-    def probabilities(self, norm_sq: float = 1.0) -> dict:
-        return {v: c * c / norm_sq for v, c in self.coefficients.items()}
 
 
 def _quad_grid(M_quad: int):
@@ -195,16 +177,13 @@ def _coefficient_riemann(f: OracleFunction, v, M_quad: int) -> float:
     return float(c.item())
 
 
-def spectrum_table(f: OracleFunction, D: int | None = None, M_quad: int = 512) -> SpectrumTable:
-    """All coefficients v in [0, D]^n in one tensor contraction per axis."""
-    n = f.arity
+def spectrum_table(f: OracleFunction, D: int | None = None, M_quad: int = 512) -> np.ndarray:
+    """The (D+1,)*n array of fhat(v), v in [0, D]^n, in one tensor contraction per axis."""
     D = f.degree_cutoff if D is None else D
     x, h = _quad_grid(M_quad)
     weighted = h * probabilist_rows(D, x) * _nu(x)
-    c, _, _ = _grid_contract(n, f.evaluate, x, [weighted] * n, f.product_factors)
-    coeffs = {v: float(cv) for v, cv in np.ndenumerate(c)}
-    mass = float(sum(cv * cv for cv in coeffs.values()))
-    return SpectrumTable(arity=n, D=D, coefficients=coeffs, mass=mass)
+    c, _, _ = _grid_contract(f.arity, f.evaluate, x, [weighted] * f.arity, f.product_factors)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +242,7 @@ def _axis_transform_rows(scfg: SamplerConfig) -> np.ndarray:
         return qht_operator(cfg).matrix()   # the columns u_v, without the output signs
     if scfg.transform != "reference":
         raise ValueError(f"unknown transform backend {scfg.transform!r}")
-    return hermite_basis(GridSpec(scfg.M), scfg.D).states.astype(complex)
+    return hermite_basis(GridSpec(scfg.M), scfg.D).astype(complex)
 
 
 def _amplitude_tensor(f: OracleFunction, scfg: SamplerConfig):
@@ -273,7 +252,7 @@ def _amplitude_tensor(f: OracleFunction, scfg: SamplerConfig):
     all three from one pass over the grid.
     """
     spec = GridSpec(scfg.M)
-    ground = hermite_basis(spec, 0).state(0)
+    ground = hermite_basis(spec, 0)[0]
     rows = _axis_transform_rows(scfg)
     n = f.arity
     return _grid_contract(n, f.evaluate, math.sqrt(2.0) * spec.points(), [rows] * n,
@@ -346,6 +325,16 @@ def _tally(v: np.ndarray, D: int | None = None) -> dict:
             if D is None or rows[i][0] <= D}
 
 
+def _histogram(v: np.ndarray, D: int) -> np.ndarray:
+    """Counts of the (k, n) draws v on the (D+2,)*n grid.
+
+    The out-of-range rows read D + 1 in every coordinate, so they all land
+    in the corner (D+1, ..., D+1); every other entry outside [0, D]^n is 0.
+    """
+    shape = (D + 2,) * v.shape[1]
+    return np.bincount(np.ravel_multi_index(v.T, shape), minlength=math.prod(shape)).reshape(shape)
+
+
 def distortion(f: OracleFunction, M_quad: int = 512) -> float:
     """kappa(f) = sup|f sqrt(nu)| / ||f sqrt(nu)||_2 over the quadrature grid."""
     x, h = _quad_grid(M_quad)
@@ -357,25 +346,15 @@ def distortion(f: OracleFunction, M_quad: int = 512) -> float:
     return sup / math.sqrt(h**f.arity * sum_sq)
 
 
-def tv_distance(empirical: dict, table: SpectrumTable, D: int,
-                norm_sq: float = 1.0) -> float:
-    """(1/2) sum_v |phat_v - q_v| over [0, D]^n plus the out-of-range mass."""
-    total = sum(empirical.values())
-    if total <= 0:
+def tv_distance(counts: np.ndarray, q: np.ndarray) -> float:
+    """(1/2) sum_v |phat_v - q_v| over [0, D]^n plus the out-of-range share.
+
+    counts is the (D+2,)*n `_histogram` of the draws and q the (D+1,)*n
+    target distribution; phat = counts / k over the k draws.
+    """
+    k = counts.sum()
+    if k <= 0:
         raise ValueError("empty histogram")
-    q = table.probabilities(norm_sq)
-    acc = 0.0
-    out_mass = 0.0
-    n = table.arity
-    seen = set()
-    for v, count in empirical.items():
-        p_hat = count / total
-        if any(c > D or c < 0 for c in v):
-            out_mass += p_hat
-            continue
-        acc += abs(p_hat - q.get(tuple(v), 0.0))
-        seen.add(tuple(v))
-    for v, qv in q.items():
-        if v not in seen and all(c <= D for c in v):
-            acc += qv
-    return 0.5 * acc + out_mass
+    n = counts.ndim
+    inside = counts[(slice(-1),) * n] / k
+    return 0.5 * float(np.abs(inside - q).sum()) + float(counts[(-1,) * n] / k)

@@ -68,24 +68,11 @@ class CoefficientPattern:
     def fixed_len(self) -> int:
         return len(self.fixed_positions)
 
-    def is_prefix_form(self) -> bool:
-        """Wildcards forming a suffix -- the GGL sweep discipline."""
-        seen_wild = False
-        for e in self.entries:
-            if e is None:
-                seen_wild = True
-            elif seen_wild:
-                return False
-        return True
-
     def extend(self, value: int) -> "CoefficientPattern":
         k = self.fixed_len
         new = list(self.entries)
         new[k] = int(value)
         return CoefficientPattern(tuple(new))
-
-    def matches(self, v) -> bool:
-        return all(e is None or e == c for e, c in zip(self.entries, v))
 
 
 @dataclass(frozen=True)

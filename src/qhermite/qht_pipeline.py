@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .calibration import Calibration
-from .discrete_qho import DiscreteHermiteBasis, hermite_basis
+from .discrete_qho import hermite_basis
 from .fast_forward import (
     _enter_frame,
     _frame_steps,
@@ -43,7 +43,6 @@ __all__ = [
     "QHTConfig",
     "ConfigError",
     "WindowFunction",
-    "PlancherelRotachState",
     "choose_dimensions",
     "pr_support",
     "build_pr_state",
@@ -183,20 +182,6 @@ class WindowFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlancherelRotachState:
-    """Windowed oscillatory approximant of |psibar_n>, stored unnormalized."""
-
-    n: int
-    M: int
-    J: int
-    amplitudes: np.ndarray = field(repr=False)  # length M, sqrt(h)*phi_n(x_j)
-    norm: float
-
-    def normalized(self) -> np.ndarray:
-        return self.amplitudes / self.norm
-
-
 def pr_amplitude_phase(n: int, x: np.ndarray):
     """The envelope A_n(x) and oscillation phase Theta_n(x) of the approximant.
 
@@ -215,9 +200,8 @@ def pr_amplitude_phase(n: int, x: np.ndarray):
     return amp, theta
 
 
-def build_pr_state(n: int, config: QHTConfig,
-                   quantize_bits: int | None = None) -> PlancherelRotachState:
-    """Amplitudes sqrt(h)*phi_n(x_j)*g_n(x_j) on labels -J(n) .. J(n)-1.
+def build_pr_state(n: int, config: QHTConfig, quantize_bits: int | None = None) -> np.ndarray:
+    """Unnormalized length-M amplitudes sqrt(h)*phi_n(x_j)*g_n(x_j) on labels -J(n) .. J(n)-1.
 
     The labels cover the flat part of the window, |x| <= x_max with
     x_max = sqrt(3n/2) for n >= 1, so J(n) = ceil(sqrt((3/4) 2n M / (2 pi))).
@@ -252,8 +236,7 @@ def build_pr_state(n: int, config: QHTConfig,
     vals = amp * np.sin(theta) * WindowFunction(n).value(xs) * np.sqrt(spec.h)
     amps = np.zeros(M)
     amps[idx] = vals
-    return PlancherelRotachState(n=n, M=M, J=J, amplitudes=amps,
-                                 norm=float(np.linalg.norm(amps)))
+    return amps
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +329,8 @@ class QHTOperator:
 
     s_n = (-1)^n; u_n, the uncompute of amplified block
     n, is computed on first use of n and held with its block fidelity,
-    filter leak, AA residual and input mass ||w_n||^2.  The blocks a call
+    filter leak, AA residual, input mass ||w_n||^2 and uncompute residual
+    ||w_n||^2 - ||u_n||^2.  The blocks a call
     needs are computed together, as row stacks.  The 2m+1 half phase tables
     of the m = log2(M) dyadic evolutions V(2^j 2pi/M) take
     (2m+1)(M/2+1)*16 bytes (3.6 MB at M = 16384), the columns N*M*16 (4.2 MB
@@ -360,7 +344,7 @@ class QHTOperator:
         if M < 1 or M & (M - 1):
             raise ConfigError(f"phase estimation needs a power-of-two M, got M={M}")
         self.config = config
-        self.basis = hermite_basis(GridSpec(M), N - 1)
+        self.basis = hermite_basis(GridSpec(M), N - 1)   # row n is |psibar_n>
         base = 2 * math.pi / M
         self.dyadic_times = [base * (1 << j) for j in range(config.m_bits)]
         self.dyadic_tables = [evolution_tables(M, decompose(t)) for t in self.dyadic_times]
@@ -371,6 +355,7 @@ class QHTOperator:
         self.filter_leaks = np.zeros(N)
         self.aa_residuals = np.zeros(N)
         self.input_mass = np.zeros(N)
+        self.uncompute_residuals = np.zeros(N)
         self.v_passes = 0
 
     def _phases(self, ns) -> np.ndarray:
@@ -378,7 +363,7 @@ class QHTOperator:
         return np.exp(1j * np.asarray(self.dyadic_times) * (np.asarray(ns)[:, None] + 0.5))
 
     def _sweep(self, w: np.ndarray, coeffs: np.ndarray, adjoint: bool,
-               tmp: np.ndarray | None = None) -> np.ndarray:
+               tmp: np.ndarray | None = None, lost: np.ndarray | None = None) -> np.ndarray:
         """prod_j (I + c_j V_j)/2 (V_j^dagger under adjoint), j = 0 first, on w in place.
 
         w is a (k, M) stack in the momentum frame of `fast_forward` and coeffs
@@ -386,12 +371,23 @@ class QHTOperator:
         the whole stack, into the (k, M) scratch `tmp`.  The halvings are left
         out of the passes and applied once, as 2^-m at the end: power-of-two
         scaling is exact, so the result is bitwise that of halving each pass.
+
+        With `lost`, a (k,) array, each row's discarded-branch mass
+        sum_j ||(I - c_j V_j) x_j / 2||^2 is added to it, x_j being the row
+        before pass j.  Each c_j V_j is unitary, so that sum is exactly
+        ||w||^2 - ||out||^2, summed from non-negative terms instead of taken
+        as a difference.  It is measured in the position frame: the momentum
+        frame scales squared norms by 1/M, undone exactly with the halvings.
         """
         tmp = np.empty_like(w) if tmp is None else tmp
         conj = np.empty(self.config.M // 2 + 1, dtype=complex) if adjoint else None
+        diff = None if lost is None else np.empty_like(w)
         for j, tables in enumerate(self.dyadic_tables):
             _frame_steps(tables, w, adjoint, out=tmp, conj=conj)
             tmp *= (coeffs[:, j] * tables.global_sign)[:, None]
+            if diff is not None:   # w and tmp carry 2^j x_j and 2^j c_j V_j x_j
+                flat = np.subtract(w, tmp, out=diff).view(float)
+                lost += np.einsum("ij,ij->i", flat, flat) * (self.config.M * 0.25 ** (j + 1))
             w += tmp
         w *= 0.5 ** len(self.dyadic_tables)
         self.v_passes += coeffs.size
@@ -445,7 +441,8 @@ class QHTOperator:
             chunk = todo[start:start + rows]
             w, tmp = buf[:len(chunk)], scratch[:len(chunk)]
             for row, n in zip(w, chunk):
-                row[:] = build_pr_state(n, cfg, quantize_bits=bits).normalized()
+                amps = build_pr_state(n, cfg, quantize_bits=bits)
+                row[:] = amps / np.linalg.norm(amps)
             in_sq = [float(np.vdot(row, row).real) for row in w]
             phases = self._phases(chunk)
             _from_frame(self._sweep(_enter_frame(w), phases, False, tmp))
@@ -456,13 +453,14 @@ class QHTOperator:
                                                  cfg.eps, cfg.aa_rounds)
                 if kept_norm:
                     row *= goal / kept_norm
-                psi_n = self.basis.state(n)
-                psi_n = psi_n / np.linalg.norm(psi_n)
+                psi_n = self.basis[n] / np.linalg.norm(self.basis[n])
                 self.filter_leaks[n] = leak
                 self.aa_residuals[n] = abs(rest) ** 2
                 self.block_fidelities[n] = abs(np.vdot(psi_n, row))
                 self.input_mass[n] = float(np.vdot(row, row).real)
-            _from_frame(self._sweep(_enter_frame(w), phases.conj(), True, tmp))
+            lost = np.zeros(len(chunk))
+            _from_frame(self._sweep(_enter_frame(w), phases.conj(), True, tmp, lost))
+            self.uncompute_residuals[chunk] = lost
             self.columns[chunk] = w
             self.held[chunk] = True
 
@@ -496,15 +494,11 @@ def qht_operator(config: QHTConfig) -> QHTOperator:
     return QHTOperator(config)
 
 
-def qht_reference(alpha: np.ndarray, basis: DiscreteHermiteBasis,
-                  signed: bool = True) -> np.ndarray:
-    """Ground truth sum_n alpha_n |psibar_n>, with the signs (-1)^n when signed."""
+def qht_reference(alpha: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Ground truth sum_n alpha_n (-1)^n |psibar_n>; row n of basis is |psibar_n>."""
     alpha = np.asarray(alpha, dtype=complex)
-    states = basis.states[:len(alpha)].astype(complex)
-    if signed:
-        signs = (-1.0) ** np.arange(len(alpha))
-        return (alpha * signs) @ states
-    return alpha @ states
+    signs = (-1.0) ** np.arange(len(alpha))
+    return (alpha * signs) @ basis[:len(alpha)].astype(complex)
 
 
 def qht_apply(alpha: np.ndarray, config: QHTConfig) -> QHTResult:
@@ -528,8 +522,7 @@ def isometry_singular_values(config: QHTConfig) -> np.ndarray:
 
 def pr_high_energy_leakage(n: int, config: QHTConfig, eig) -> float:
     """||Pi_{>N_high} |phi_n>||^2 for the unnormalized prepared state."""
-    pr = build_pr_state(n, config)
     low = eig.vectors[:, :config.N_high + 1]
-    amps = pr.amplitudes.astype(complex)
+    amps = build_pr_state(n, config).astype(complex)
     inside = low.conj().T @ amps
     return float(max(np.vdot(amps, amps).real - np.vdot(inside, inside).real, 0.0))

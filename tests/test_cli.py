@@ -65,14 +65,14 @@ class TestDeterminism:
         assert h1 == h2
 
     def test_header_echoes_config(self, tmp_path):
-        _, out = _run(tmp_path, "a.csv", ["overlap", "--M", "512", "--n", "2", "--seed", "9"])
+        _, out = _run(tmp_path, "a.csv", ["sample", "--M", "512", "--trials", "10", "--seed", "9"])
         meta, _, _ = read_table(out)
         assert meta["M"] == 512 and meta["seed"] == 9
         # options left out are recorded with their typed defaults
         _, out = _run(tmp_path, "b.csv", ["ff-error", "--M", "64", "--N", "2,4"])
         meta, _, _ = read_table(out)
         assert meta["M"] == [64] and meta["N"] == [2, 4] and meta["t"] == [0.25, 1.0, 3.0]
-        assert meta["seed"] == 0
+        assert "seed" not in meta   # ff-error draws nothing
 
 
 class TestRoundTrip:
@@ -122,15 +122,20 @@ class TestUsageErrors:
     @pytest.mark.parametrize("content", [None, "not json", '{"version": 1}'],
                              ids=["missing", "malformed", "incomplete"])
     def test_bad_calibration_fails_fast(self, tmp_path, capsys, command, content):
+        # qht reads --calibration; the other subcommands do not take the option
         cal = tmp_path / "cal.json"
         if content is not None:
             cal.write_text(content)
         out = tmp_path / "x.csv"
         assert main([command, "--calibration", str(cal), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        if command == "qht":
+            assert err.startswith("error: cannot load calibration: ")
+        else:
+            assert "unrecognized arguments: --calibration" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [["overlap", "--seed", "x"], ["qht", "--N", "8.5"],
+    @pytest.mark.parametrize("args", [["sample", "--seed", "x"], ["qht", "--N", "8.5"],
                                       ["ff-error", "--t", "0.5,y"], ["ff-error", "--M", ""],
                                       ["ff-error", "--N", "0", "--M", "64"],
                                       ["ggl", "--mode", "quantum"], ["sample", "--trials", "-5"],

@@ -20,7 +20,7 @@ class TestDefectDelta:
         x2 = qho.x**2
         d = x2[:, None] - x2[None, :]
         C = d * d * dense_momentum_sq(qho.spec)
-        U = basis_cache(M, 6).states.T
+        U = basis_cache(M, 6).T
         block = U.T @ (C + 8 * np.diag(x2)) @ U
         assert np.abs(block).max() < 1e-6
 

@@ -92,14 +92,14 @@ class TestApplyFactored:
         # because the reduced factors vanish and only the tracked sign remains
         qho = build(GridSpec(256))
         basis = basis_cache(256, 8)
-        v = basis.states[:9].sum(axis=0).astype(complex)
+        v = basis[:9].sum(axis=0).astype(complex)
         v /= np.linalg.norm(v)
         out = apply_factored(qho, decompose(2 * np.pi), v)
         assert np.linalg.norm(out + v) < 1e-6
 
     def test_eigenphase_on_hermite_state(self, basis_cache):
         qho = build(GridSpec(512))
-        psi3 = basis_cache(512, 3).state(3).astype(complex)
+        psi3 = basis_cache(512, 3)[3].astype(complex)
         out = apply_factored(qho, decompose(1.0), psi3)
         assert np.linalg.norm(out - np.exp(-1j * 3.5) * psi3) < 1e-7
 
@@ -118,7 +118,7 @@ class TestApplyFactored:
         for t in (0.1, 1.0, 3.0):
             fe = decompose(t)
             for n in range(9):
-                psi = basis.state(n).astype(complex)
+                psi = basis[n].astype(complex)
                 psi /= np.linalg.norm(psi)
                 amp = np.vdot(psi, apply_factored(qho, fe, psi))
                 assert abs(amp) >= 1 - 1e-6

@@ -9,7 +9,7 @@ from qhermite.hermite_sampling import (
     PostselectionFailure,
     SampleDistribution,
     SamplerConfig,
-    SpectrumTable,
+    _histogram,
     _tally,
     coefficient_oracle,
     distortion,
@@ -79,18 +79,19 @@ class TestGridContraction:
 
     def test_three_axis_spectrum_matches_pointwise_oracle(self):
         f = corpus.mixture([((1, 2, 0), 0.8), ((0, 0, 3), 0.6)], 3)
-        table = spectrum_table(f, 3, 128)
+        c = spectrum_table(f, 3, 128)
+        assert c.shape == (4, 4, 4)
         for v in ((1, 2, 0), (0, 0, 3), (0, 0, 0), (3, 1, 2), (2, 2, 2)):
             direct, _ = coefficient_oracle(f, v, 64)   # its fine grid is M_quad = 128
-            assert abs(table.coefficient(v) - direct) <= 1e-12
-        assert abs(table.mass - 1.0) < 1e-6
+            assert abs(c[v] - direct) <= 1e-12
+        assert abs(np.sum(c * c) - 1.0) < 1e-6
 
     def test_leading_axes_walked_in_slabs(self):
         # 8^6 points exceed one slab, so two leading axes are flattened and walked
         f = corpus.product_sign(tuple(range(7)), 7)
         prod = spectrum_table(f, 1, 8)
         dense = spectrum_table(_dense(f), 1, 8)
-        assert max(abs(prod.coefficient(v) - c) for v, c in dense.coefficients.items()) <= 1e-12
+        assert np.abs(prod - dense).max() <= 1e-12
 
     @pytest.mark.parametrize("entry", [
         lambda f: coefficient_oracle(f, (0, 0, 0), 512),
@@ -177,17 +178,17 @@ class TestOraclePrecision:
 class TestSpectrumTable:
     def test_matches_pointwise_oracle(self):
         f = corpus.mixture([((1, 0), 0.8), ((0, 2), 0.6)], 2)
-        table = spectrum_table(f, 3, 256)
+        c = spectrum_table(f, 3, 256)
         for v in ((1, 0), (0, 2), (0, 0), (3, 3)):
             direct, _ = coefficient_oracle(f, v, 256)
-            assert abs(table.coefficient(v) - direct) < 1e-8
+            assert abs(c[v] - direct) < 1e-8
 
     def test_parseval_at_desk_scale(self):
         # planted smooth f: captured mass <= quadrature ||f||^2 + 1e-6
         f = corpus.mixture([((1, 0), 0.8), ((0, 2), 0.6)], 2)
-        table = spectrum_table(f, 6, 256)
-        assert table.mass <= 1.0 + 1e-6
-        assert abs(table.mass - 1.0) < 1e-6  # exactly the planted mass
+        mass = np.sum(spectrum_table(f, 6, 256) ** 2)
+        assert mass <= 1.0 + 1e-6
+        assert abs(mass - 1.0) < 1e-6  # exactly the planted mass
 
 
 class TestBooleanSampler:
@@ -210,9 +211,7 @@ class TestBooleanSampler:
         f = corpus.product_sign((0, 1), 2)
         scfg = SamplerConfig(M=512, D=9)
         dist = sample_distribution(f, scfg)
-        table = spectrum_table(f, 9, 512)
-        worst = max(abs(dist.prob(v) - table.coefficient(v) ** 2)
-                    for v in table.coefficients)
+        worst = np.abs(dist.probs - spectrum_table(f, 9, 512) ** 2).max()
         assert worst <= 0.05
 
 
@@ -331,32 +330,81 @@ class TestDistortion:
         assert vals[0] < vals[1] < vals[2]
 
 
+def _dict_tv(v, c, D, norm_sq=1.0):
+    """The dict form of the TV distance: a reference for the array form."""
+    hist = _tally(v)
+    total = sum(hist.values())
+    q = {u: cu * cu / norm_sq for u, cu in np.ndenumerate(c)}
+    acc = out_mass = 0.0
+    for u, count in hist.items():
+        if any(x > D for x in u):
+            out_mass += count / total
+        else:
+            acc += abs(count / total - q[u])
+    acc += sum(qu for u, qu in q.items() if u not in hist)
+    return 0.5 * acc + out_mass
+
+
 class TestTVDistance:
+    @staticmethod
+    def _counts(rows, D):
+        return _histogram(np.array(rows).reshape(len(rows), -1), D)
+
     def test_identical_distributions(self):
-        table = SpectrumTable(arity=1, D=3, coefficients={(0,): 0.6, (2,): 0.8})
-        hist = {(0,): 360, (2,): 640}
-        assert tv_distance(hist, table, 3) < 1e-12
+        q = np.array([0.36, 0.0, 0.64, 0.0])
+        counts = self._counts([0] * 360 + [2] * 640, 3)
+        assert tv_distance(counts, q) < 1e-12
 
     def test_disjoint_singletons(self):
-        table = SpectrumTable(arity=1, D=3, coefficients={(1,): 1.0})
-        hist = {(2,): 100}
-        assert abs(tv_distance(hist, table, 3) - 1.0) < 1e-12
+        q = np.array([0.0, 1.0, 0.0, 0.0])
+        assert abs(tv_distance(self._counts([2] * 100, 3), q) - 1.0) < 1e-12
 
     def test_out_of_range_counted(self):
-        table = SpectrumTable(arity=1, D=3, coefficients={(0,): 1.0})
-        hist = {(0,): 50, (7,): 50}
+        # an out-of-range draw reads D + 1 = 4 in every coordinate
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+        counts = self._counts([0] * 50 + [4] * 50, 3)
+        assert counts.shape == (5,) and counts[4] == 50
         # half the mass out of range: 0.5*(|0.5-1|) + 0.5 = 0.75
-        assert abs(tv_distance(hist, table, 3) - 0.75) < 1e-12
+        assert abs(tv_distance(counts, q) - 0.75) < 1e-12
+
+    def test_out_of_range_row_lands_in_the_corner(self):
+        counts = self._counts([[0, 1], [3, 3], [3, 3]], 2)
+        assert counts.shape == (4, 4) and counts[0, 1] == 1 and counts[3, 3] == 2
+        assert counts.sum() == 3
+        q = np.zeros((3, 3))
+        q[0, 1] = 1.0
+        # 0.5 * (|1/3 - 1|) + 2/3
+        assert abs(tv_distance(counts, q) - 1.0) < 1e-12
+
+    def test_empty_histogram_rejected(self):
+        with pytest.raises(ValueError, match="empty histogram"):
+            tv_distance(np.zeros(5, dtype=int), np.ones(4) / 4)
 
     def test_sampled_planted_function(self, rng):
         f = corpus.product_sign((0, 1), 2)
         dist = sample_distribution(f, SamplerConfig(M=512, D=9))
         trials = 4000
-        hist = _tally(draw(dist, rng, trials)[0])
-        table = spectrum_table(f, 9, 512)
-        upsilon = max(1.0 - table.mass, 0.0)
-        noise = 3.0 * math.sqrt(len(table.coefficients) / trials) / 2
-        assert tv_distance(hist, table, 9) <= 0.05 + upsilon + noise
+        counts = _histogram(draw(dist, rng, trials)[0], 9)
+        c = spectrum_table(f, 9, 512)
+        upsilon = max(1.0 - np.sum(c * c), 0.0)
+        noise = 3.0 * math.sqrt(c.size / trials) / 2
+        assert tv_distance(counts, c * c) <= 0.05 + upsilon + noise
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_array_form_matches_dict_form(self, n):
+        # the corpus `sample` draws from by default, at several seeds
+        D = 9
+        scfg = SamplerConfig(M=256, D=D)
+        instances = [corpus.constant(n, 1.0), corpus.product_sign(tuple(range(min(2, n))), n),
+                     corpus.hermite_monomial((2,) + (0,) * (n - 1), n)]
+        for f in instances:
+            dist = sample_distribution(f, scfg, normalized=not f.boolean)
+            c = spectrum_table(f, D, M_quad=scfg.M)
+            norm_sq = 1.0 if f.boolean else float(np.sum(c * c))
+            for seed in range(4):
+                v, _ = draw(dist, np.random.default_rng(seed), 500)
+                tv = tv_distance(_histogram(v, D), c * c / norm_sq)
+                assert abs(tv - _dict_tv(v, c, D, norm_sq)) <= 1e-15
 
 
 class TestRiemannHybridBound:

@@ -20,17 +20,9 @@ class TestPattern:
         assert p.wildcard_positions == (1, 3)
         assert p.fixed_len == 2
 
-    def test_prefix_form(self):
-        assert CoefficientPattern((1, 2, None, None)).is_prefix_form()
-        assert not CoefficientPattern((1, None, 2)).is_prefix_form()
-
     def test_extend(self):
         p = CoefficientPattern((3, None, None)).extend(5)
         assert p.entries == (3, 5, None)
-
-    def test_matches(self):
-        p = CoefficientPattern((1, None))
-        assert p.matches((1, 7)) and not p.matches((2, 0))
 
 
 class TestGammaEstimate:

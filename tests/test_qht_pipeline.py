@@ -28,6 +28,12 @@ from qhermite.qht_pipeline import (
 from qhermite.spectral_core import GridSpec
 
 
+def _prepared(cfg, n):
+    """The normalized prepared state of block n, as QHTOperator holds it."""
+    amps = build_pr_state(n, cfg)
+    return amps / np.linalg.norm(amps)
+
+
 def _amplified(cfg, kept, leak):
     """The flagged work vector after the walk, as QHTOperator computes it."""
     norm = float(np.linalg.norm(kept))
@@ -106,31 +112,28 @@ class TestWindow:
 class TestPRStates:
     def test_support_size(self):
         cfg = QHTConfig(N=2, eps=0.1, M=2048, N_high=64)
-        pr = build_pr_state(0, cfg)
         # J(0) = ceil(sqrt(0.75 * 1 * 2048 / (2 pi))) = 16
-        assert pr.J == 16
         assert pr_support(0, 2048) == 16
-        support = np.nonzero(pr.amplitudes)[0]
+        support = np.nonzero(build_pr_state(0, cfg))[0]
         assert support.min() >= 2048 // 2 - 16 and support.max() < 2048 // 2 + 16
         # n >= 1: J(10) = ceil(sqrt(0.75 * 2*10 * 2048 / (2 pi))) = 70; the
         # sqrt(2n+1) scale would give 72
         assert pr_support(10, 2048) == 70
-        assert build_pr_state(10, cfg).J == 70
+        support = np.nonzero(build_pr_state(10, cfg))[0]
+        assert support.min() >= 2048 // 2 - 70 and support.max() < 2048 // 2 + 70
 
     def test_ground_overlap(self, basis_cache):
         cfg = QHTConfig(N=1, eps=0.01, M=4096, N_high=64)
-        pr = build_pr_state(0, cfg)
-        psi0 = basis_cache(4096, 0).state(0)
-        assert psi0 @ pr.amplitudes >= 0.6
+        psi0 = basis_cache(4096, 0)[0]
+        assert psi0 @ build_pr_state(0, cfg) >= 0.6
 
     @pytest.mark.slow
     def test_paper_figure_point(self):
         # n=10, M=1e5: overlap 2/3 +- 0.05
         M = 100000
         cfg = QHTConfig(N=11, eps=0.01, M=M, N_high=1000)
-        pr = build_pr_state(10, cfg)
-        psi = hermite_basis(GridSpec(M), 10).state(10)
-        assert abs(float(psi @ pr.amplitudes) - 2.0 / 3.0) <= 0.05
+        psi = hermite_basis(GridSpec(M), 10)[10]
+        assert abs(float(psi @ build_pr_state(10, cfg)) - 2.0 / 3.0) <= 0.05
 
     def test_magnitude_bound_scaling(self):
         # max |phi_n| <= C n^(-1/4) with one fitted C across n in [4, 64];
@@ -141,8 +144,7 @@ class TestPRStates:
         cfg = QHTConfig(N=65, eps=0.01, M=M, N_high=1000)
         ratios = []
         for n in range(4, 65, 6):
-            pr = build_pr_state(n, cfg)
-            peak = np.abs(pr.amplitudes).max() / np.sqrt(GridSpec(M).h)
+            peak = np.abs(build_pr_state(n, cfg)).max() / np.sqrt(GridSpec(M).h)
             ratios.append(peak * n**0.25)
         C = max(ratios)
         assert C <= 2**0.25 * np.sqrt(2 / np.pi) + 1e-6
@@ -154,17 +156,12 @@ class TestPRStates:
         with pytest.raises(ConfigError):
             build_pr_state(80, cfg)
 
-    def test_stored_norm_matches(self):
-        cfg = QHTConfig(N=4, eps=0.1, M=1024, N_high=128)
-        pr = build_pr_state(3, cfg)
-        assert abs(pr.norm - np.linalg.norm(pr.amplitudes)) < 1e-14
-
 
 class TestEigenstateFilter:
     def test_keeps_matching_hermite_state(self, basis_cache):
         M, n = 512, 3
         cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=64)
-        psi = basis_cache(M, n).state(n).astype(complex)
+        psi = basis_cache(M, n)[n].astype(complex)
         psi /= np.linalg.norm(psi)
         kept, _ = qht_operator(cfg).filter(psi, n)
         assert np.linalg.norm(kept) >= 1 - 1e-4
@@ -172,7 +169,7 @@ class TestEigenstateFilter:
     def test_rejects_mismatched_state(self, basis_cache):
         M = 512
         cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=64)
-        psi = basis_cache(M, 5).state(5).astype(complex)
+        psi = basis_cache(M, 5)[5].astype(complex)
         psi /= np.linalg.norm(psi)
         kept, _ = qht_operator(cfg).filter(psi, 2)
         assert np.linalg.norm(kept) <= 1e-4
@@ -180,10 +177,9 @@ class TestEigenstateFilter:
     def test_pr_state_retention_tracks_overlap(self, basis_cache):
         M, n = 2048, 2
         cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=256)
-        pr = build_pr_state(n, cfg)
-        kept, _ = qht_operator(cfg).filter(pr.normalized(), n)
-        psi = basis_cache(M, n).state(n)
-        beta = abs(float(psi @ pr.amplitudes)) / pr.norm
+        kept, _ = qht_operator(cfg).filter(_prepared(cfg, n), n)
+        psi = basis_cache(M, n)[n]
+        beta = abs(float(psi @ _prepared(cfg, n)))
         assert abs(np.linalg.norm(kept) - beta) <= 2 * cfg.eps
 
     def test_interferometer_mass_conservation(self, rng):
@@ -278,7 +274,7 @@ class TestUncompute:
     def test_single_block_returns_to_zero(self, basis_cache):
         M, n = 256, 2
         cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=64)
-        psi = basis_cache(M, n).state(n).astype(complex)
+        psi = basis_cache(M, n)[n].astype(complex)
         psi /= np.linalg.norm(psi)
         out, residual = _uncompute_blocks(cfg, {n: psi})
         assert residual <= 1e-3
@@ -290,7 +286,7 @@ class TestUncompute:
         basis = basis_cache(M, 3)
         blocks = {}
         for n in range(4):
-            psi = basis.state(n).astype(complex)
+            psi = basis[n].astype(complex)
             blocks[n] = 0.5 * psi / np.linalg.norm(psi)
         out, residual = _uncompute_blocks(cfg, blocks)
         target = sum(blocks.values())
@@ -303,7 +299,7 @@ class TestUncompute:
         # fast-forward error
         M = 256
         cfg = QHTConfig(N=1, eps=0.01, M=M, N_high=16)
-        psi = basis_cache(M, 0).state(0).astype(complex)
+        psi = basis_cache(M, 0)[0].astype(complex)
         out, residual = _uncompute_blocks(cfg, {0: psi})
         assert residual <= 1e-6
 
@@ -331,7 +327,7 @@ class TestPipelineContext:
         op = qht_operator(cfg)
         blocks = {}
         for n, a_n in enumerate(alpha):
-            work = _amplified(cfg, *op.filter(build_pr_state(n, cfg).normalized(), n))
+            work = _amplified(cfg, *op.filter(_prepared(cfg, n), n))
             blocks[n] = a_n * (-1.0) ** n * work
         out, residual = _uncompute_blocks(cfg, blocks)
         assert np.abs(res.output - out).max() < 1e-14
@@ -350,12 +346,21 @@ class TestOperator:
         assert np.abs(res.output - explicit).max() < 1e-14
         blocks = {}
         for n, a_n in enumerate(self.ALPHA):
-            work = _amplified(cfg, *op.filter(build_pr_state(n, cfg).normalized(), n))
+            work = _amplified(cfg, *op.filter(_prepared(cfg, n), n))
             # column n is the uncompute of amplified block n
             assert np.abs(U[n] - op.uncompute(n, work)).max() < 1e-14
             blocks[n] = a_n * (-1.0) ** n * work
         _, residual = _uncompute_blocks(cfg, blocks)
         assert abs(res.uncompute_residual - residual) < 1e-14
+
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_held_uncompute_residual_is_the_lost_mass(self, N):
+        # summed from the discarded branches, it is >= 0 and equals ||w_n||^2 - ||u_n||^2
+        op = QHTOperator(choose_dimensions(N, 0.05))
+        U = op.matrix()
+        lost = op.input_mass - np.sum(np.abs(U) ** 2, axis=1)
+        assert np.all(op.uncompute_residuals >= 0.0)
+        assert np.abs(op.uncompute_residuals - lost).max() <= 1e-12
 
     def test_columns_computed_once(self):
         cfg = choose_dimensions(4, 0.05)
@@ -435,7 +440,7 @@ class TestFrameSweep:
         op = QHTOperator(cfg)
         U = op.matrix()
         for n in range(cfg.N):
-            v = build_pr_state(n, cfg).normalized().astype(complex)
+            v = _prepared(cfg, n).astype(complex)
             kept = self._filter_passes(op, n, v)
             leak = 1.0 - float(np.vdot(kept, kept).real)
             work = _amplified(cfg, kept, leak)
@@ -572,16 +577,14 @@ class TestEndToEnd:
         basis = basis_cache(256, 5)
         e3 = np.zeros(4)
         e3[3] = 1.0
-        ref = qht_reference(e3, basis, signed=False)
-        assert np.abs(ref - basis.state(3)).max() < 1e-14
-        signed = qht_reference(e3, basis, signed=True)
-        assert np.abs(signed + basis.state(3)).max() < 1e-14
+        # the reference carries the output signs: -|psibar_3> for |3>
+        assert np.abs(qht_reference(e3, basis) + e3 @ basis[:4]).max() < 1e-14
         alpha = np.ones(4) / 2.0
         assert abs(np.linalg.norm(qht_reference(alpha, basis)) - 1.0) < 1e-8
 
     def test_loewdin_reference_isometric(self, basis_cache):
         basis = basis_cache(256, 7)
-        rows = loewdin_orthonormalize(basis.states.astype(complex))
+        rows = loewdin_orthonormalize(basis.astype(complex))
         gram = rows @ rows.conj().T
         assert np.abs(gram - np.eye(8)).max() < 1e-12
 
@@ -609,9 +612,9 @@ class TestEndToEnd:
         assert degraded[24] <= 2 * base.eps**2 + 1e-4
 
         # quantized prepared state deviates by O(2^-r) from the exact one
-        exact = build_pr_state(2, base).amplitudes
+        exact = build_pr_state(2, base)
         for r in (4, 8, 12):
-            rough = build_pr_state(2, base, quantize_bits=r).amplitudes
+            rough = build_pr_state(2, base, quantize_bits=r)
             assert np.abs(rough - exact).max() <= 4.0 * 2.0**-r
 
     def test_aa_rounds_override(self):
