@@ -5,6 +5,7 @@ import pytest
 
 from qhermite.discrete_qho import build
 from qhermite.fast_forward import (
+    _bessel_coefficients,
     _frame_steps,
     _rates,
     apply_factored,
@@ -236,6 +237,71 @@ class TestChebyshevOracle:
             u2 = exact_evolution(eig, t, v)
             assert np.abs(u1 - u2).max() < 1e-12
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            chebyshev_evolution(build(GridSpec(64)), t, np.ones(64))
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, -2.0])
+    def test_rejects_wrong_length_at_every_time(self, t):
+        with pytest.raises(ValueError, match="dimension mismatch: 32 vs M=64"):
+            chebyshev_evolution(build(GridSpec(64)), t, np.ones((2, 32)))
+
+    def test_rejects_time_beyond_budget(self):
+        # |z| = pi*M*|t|/4 steps of the recurrence; refused before any is taken
+        with pytest.raises(ValueError, match="Chebyshev budget"):
+            chebyshev_evolution(build(GridSpec(64)), 1e6, np.ones(64))
+
+    @pytest.mark.parametrize("t", [1e-300, 5e-324, -1e-12])
+    def test_tiny_time(self, rng, t):
+        # one or two terms survive the tail rule; the start of the backward
+        # recurrence is rescaled instead of overflowing
+        qho = build(GridSpec(64))
+        v = rng.normal(size=64)
+        assert np.abs(chebyshev_evolution(qho, t, v) - v).max() <= 1e-9
+
+    @pytest.mark.parametrize("z", [25.0, 181.0, -684.0, 1468.0])
+    def test_coefficients_match_mpmath(self, z):
+        # c_0 = J_0(z), c_k = 2(-i)^k J_k(z); about 40 orders spread over the kept range
+        import mpmath as mp
+
+        re, im = _bessel_coefficients(np.longdouble(z))
+        quarter = ((1, 0), (0, -1), (-1, 0), (0, 1))     # (-i)^k, exactly
+        orders = sorted(set(range(0, len(re), max(1, len(re) // 40))) | {len(re) - 1})
+        with mp.workdps(30):
+            for k in orders:
+                scale = (1 if k == 0 else 2) * mp.besselj(k, z)
+                want = mp.mpc(quarter[k % 4][0] * scale, quarter[k % 4][1] * scale)
+                got = mp.mpc(mp.mpf(str(re[k])), mp.mpf(str(im[k])))
+                assert abs(got - want) <= 1e-17, k
+
+    @pytest.mark.parametrize("t,steps", [(0.45, 242), (1.7, 776), (3.65, 1585)])
+    def test_truncation_matches_exact_tail(self, t, steps):
+        # oscillator_lab's three times at M = 512.  The exact length is the
+        # first K whose mpmath tail sum_{k >= K} |c_k| is at most 1e-16 of the
+        # total; the total is the kept coefficients' own, which the test above
+        # checks entry by entry.  Orders past K + 40 add below 1e-22.
+        import mpmath as mp
+
+        z = np.pi * 512 * t / 4
+        re, im = _bessel_coefficients(np.longdouble(z))
+        K = len(re)
+        total = float(np.abs(re).sum() + np.abs(im).sum())
+        with mp.workdps(30):
+            mags = [2 * abs(mp.besselj(k, z)) for k in range(K - 10, K + 40)]
+        tail = np.cumsum([float(m) for m in mags[::-1]])[::-1]
+        exact = K - 10 + int(np.argmax(tail <= 1e-16 * total))
+        assert abs(K - exact) <= 2
+        assert abs(K - steps) <= 2
+
+    def test_real_rows_equal_zero_imaginary_rows(self, rng):
+        M = 128
+        qho = build(GridSpec(M))
+        rows = rng.normal(size=(4, M))
+        for t in (0.45, -1.7, 3.65):
+            np.testing.assert_array_equal(chebyshev_evolution(qho, t, rows),
+                                          chebyshev_evolution(qho, t, rows + 0j))
+
 
 class TestStacks:
     # 3 factors, 3 factors at negative time, 5 factors
@@ -295,6 +361,25 @@ class TestLowEnergyError:
     def test_acceptance_point(self, eig_cache):
         qho = build(GridSpec(512))
         assert low_energy_error(qho, eig_cache(512), 16, 1.0) < 1e-6
+
+    # Values read by the earlier oracle (float64 DCT coefficients, complex
+    # recurrence) where the signal stands above rounding; its own float64
+    # noise was ~4e-14 on the M = 64 grid (it read 3.8e-14 at (64, 8, 3.0)),
+    # 1.2e-5 of the smallest value.  The Bessel oracle moves them by at most
+    # 4.5e-6 relative, so 1e-5 relative holds the values with 2x margin.
+    @pytest.mark.parametrize("M,N,t,value", [(32, 16, 3.0, 6.486949032086163e-03),
+                                             (48, 16, 3.0, 1.579948267086134e-05),
+                                             (64, 16, 3.0, 3.1030015190530927e-09)])
+    def test_pinned_where_signal_exists(self, eig_cache, M, N, t, value):
+        err = low_energy_error(build(GridSpec(M)), eig_cache(M), N, t)
+        assert abs(err - value) <= 1e-5 * value
+
+    @pytest.mark.parametrize("M", [512, 1024])
+    def test_rounding_floor(self, eig_cache, M):
+        # no signal is left at N = 8 on these grids (80-bit runs put it below
+        # 2e-17 from M = 80 on); the meter reads its float64 floor, 5.2e-15
+        # and 7.5e-15, where the DCT-coefficient oracle read 1.1e-13 and 1.9e-13
+        assert low_energy_error(build(GridSpec(M)), eig_cache(M), 8, 3.0) < 2e-14
 
     def test_monotone_improvement_with_floor(self, eig_cache):
         floor = 1e-12
