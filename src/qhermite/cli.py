@@ -131,17 +131,19 @@ def cmd_ff_error(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    from .discrete_qho import hermite_basis
     from .qht_pipeline import QHTConfig, build_pr_state
-    from .spectral_core import GridSpec
+    from .spectral_core import GridSpec, hermite_functions
 
     t0 = time.perf_counter()
     M, n_max = args.M, args.n
-    psi = hermite_basis(GridSpec(M), n_max)
+    spec = GridSpec(M)
+    if n_max >= M:
+        raise ValueError(f"n_max={n_max} must be < M={M}")
     cfg = QHTConfig(N=n_max + 1, eps=0.01, M=M, N_high=M // 2)
+    scale = np.sqrt(spec.h)   # the rows of `hermite_basis`, streamed one at a time
     rows = []
-    for n in range(n_max + 1):
-        rows.append([n, f"{float(psi[n] @ build_pr_state(n, cfg)):.10f}"])
+    for n, psi in enumerate(hermite_functions(n_max, spec.points())):
+        rows.append([n, f"{float((psi * scale) @ build_pr_state(n, cfg)):.10f}"])
     _write_table(args.out, _meta(args, "overlap"), ["n", "overlap"], rows, args.format,
                  _timed({}, args, t0))
     return 0
@@ -169,13 +171,16 @@ def cmd_qht(args) -> int:
         # the output for |n> is s_n u_n and its reference s_n |psibar_n>: the signs cancel
         psi = op.basis[n]
         fid = abs(np.vdot((psi / np.linalg.norm(psi)).astype(complex), u))
-        rows.append([n, f"{fid:.8f}", f"{op.block_fidelities[n]:.8f}",
-                     f"{op.filter_leaks[n]:.3e}", f"{op.uncompute_residuals[n]:.3e}"])
+        block_fid = op.block_fidelities[n]
+        rows.append([n, f"{fid:.8f}", f"{block_fid:.8f}", f"{1.0 - fid:.3e}",
+                     f"{1.0 - block_fid:.3e}", f"{op.filter_leaks[n]:.3e}",
+                     f"{op.uncompute_residuals[n]:.3e}"])
     footer = {"M": cfg.M, "N_high": cfg.N_high, "v_passes": op.v_passes}
     if args.timings:
         footer["columns_ms"] = int(build_s * 1000)
     _write_table(args.out, _meta(args, "qht"),
-                 ["n", "fidelity", "block_fidelity", "filter_leak", "uncompute_residual"],
+                 ["n", "fidelity", "block_fidelity", "infidelity", "block_infidelity",
+                  "filter_leak", "uncompute_residual"],
                  rows, args.format, footer)
     return 0
 

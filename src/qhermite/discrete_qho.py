@@ -42,7 +42,6 @@ __all__ = [
     "apply_position_sq",
     "apply_momentum_sq",
     "apply_hamiltonian",
-    "dense_hamiltonian",
     "dense_momentum_sq",
     "dense_diagonalize",
     "hermite_basis",
@@ -139,12 +138,6 @@ def dense_momentum_sq(spec: GridSpec) -> np.ndarray:
     return c[(j[None, :] - j[:, None]) % spec.M]
 
 
-def dense_hamiltonian(qho: DiscreteQHO) -> np.ndarray:
-    if qho.M > DENSE_EIG_CAP:
-        raise ValueError(f"dense budget exceeded: M={qho.M}")
-    return 0.5 * (np.diag(qho.x * qho.x) + dense_momentum_sq(qho.spec))
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Ascending eigenvalues and orthonormal eigenvectors of Hbar."""
@@ -157,8 +150,45 @@ class EigenDecomposition:
         return len(self.energies)
 
 
+def _sector_blocks(M: int) -> tuple:
+    """Hbar restricted to the even and the odd sector of the reflection l -> -l (mod M).
+
+    Hbar = (xbar^2 + C)/2 with C_{lk} = c[(k - l) mod M] commutes with the
+    reflection.  The even sector has the orthonormal basis |0>, |-M/2> (labels
+    that are their own mirror) and (|a> + |-a>)/sqrt(2), a = 1..M/2-1; the
+    odd sector has (|a> - |-a>)/sqrt(2), a = 1..M/2-1.  In these bases
+        even[a, b] = w_a w_b (c[a-b] + c[a+b]) / 2 + delta_ab pi a^2 / M,
+        odd[a, b]  = (c[a-b] - c[a+b]) / 2 + delta_ab pi a^2 / M,
+    with w = 1/sqrt(2) at a = 0 and a = M/2 and w = 1 otherwise.  Returns the
+    (M/2+1, M/2+1) even and (M/2-1, M/2-1) odd blocks.
+    """
+    half = M // 2
+    c = _p2_symbol(M)
+    a = np.arange(half + 1)
+    diff = c[np.abs(a[:, None] - a[None, :])]
+    summ = c[(a[:, None] + a[None, :]) % M]
+    diag = np.pi * a * a / M
+    w = np.ones(half + 1)
+    w[[0, half]] = np.sqrt(0.5)
+    even = 0.5 * w[:, None] * w[None, :] * (diff + summ)
+    even[np.diag_indices(half + 1)] += diag
+    odd = 0.5 * (diff[1:half, 1:half] - summ[1:half, 1:half])
+    odd[np.diag_indices(half - 1)] += diag[1:half]
+    return even, odd
+
+
 def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
-    """Ground-truth eigendecomposition of the dense Hbar (M <= 4096).
+    """Ground-truth eigendecomposition of Hbar (M <= 4096), solved per parity sector.
+
+    Hbar commutes with the grid reflection l -> -l (mod M), so one `eigh` of
+    the (M/2+1)-dimensional even block and one of the (M/2-1)-dimensional odd
+    block (see `_sector_blocks`, built from the circulant symbol of pbar^2; no
+    M x M Hamiltonian is formed) give the whole spectrum.  Each sector vector
+    is scattered back to the grid, so every column is exactly parity-definite:
+    v[-l] = v[l] or v[-l] = -v[l] bit for bit.  The energies of both sectors
+    are merged by a stable sort (even first on a tie).  Sign rule: each
+    column's largest-magnitude entry at a label >= 0 is positive, the first
+    such label on a tie.
 
     LAPACK returns the eigenvalues with absolute error ~eps*||H||, which at
     M=1024 already exceeds the true distance to n + 1/2 (and would dominate
@@ -169,17 +199,39 @@ def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     two sums of non-negative terms, so rounding stays relative to E.
     """
     M = qho.M
-    H = dense_hamiltonian(qho)
-    energies, vectors = np.linalg.eigh(H)
+    if M > DENSE_EIG_CAP:
+        raise ValueError(f"dense budget exceeded: M={M}")
+    half = M // 2
+    even, odd = _sector_blocks(M)
+    e_even, y_even = np.linalg.eigh(even)
+    e_odd, y_odd = np.linalg.eigh(odd)
+    # the grid entries: y_even[:half] at labels 0..M/2-1 and y_even[half] at -M/2;
+    # y_odd at labels 1..M/2-1
+    y_even[1:half] *= np.sqrt(0.5)
+    y_odd *= np.sqrt(0.5)
+    for y, signed in ((y_even, y_even[:half]), (y_odd, y_odd)):
+        lead = signed[np.abs(signed).argmax(axis=0), np.arange(y.shape[1])]
+        y[:, lead < 0] *= -1.0
+    energies = np.concatenate([e_even, e_odd])
+    order = np.argsort(energies, kind="stable")
+    column = np.empty(M, dtype=np.intp)   # sector eigenvector i becomes column[i]
+    column[order] = np.arange(M)
+    ce, co = column[:half + 1], column[half + 1:]
+    vectors = np.zeros((M, M))
+    vectors[half:, ce] = y_even[:half]
+    vectors[half - 1:0:-1, ce] = y_even[1:half]
+    vectors[0, ce] = y_even[half]
+    vectors[half + 1:, co] = y_odd
+    vectors[half - 1:0:-1, co] = -y_odd
+    energies = energies[order]
     k = min(64, M)
     W = vectors[:, :k].astype(np.longdouble)
     labels = np.arange(-M // 2, M // 2, dtype=np.longdouble)
     x2 = (labels * labels * (2 * _PI_LD / M))[:, None]
     U = np.fft.ifft(qho.alt[:, None] * W, axis=0)
-    refined = energies.copy()
-    refined[:k] = (((x2 * W * W).sum(axis=0) + M * (x2 * (U.real**2 + U.imag**2)).sum(axis=0))
-                   / (2 * (W * W).sum(axis=0)))
-    return EigenDecomposition(energies=refined, vectors=vectors)
+    energies[:k] = (((x2 * W * W).sum(axis=0) + M * (x2 * (U.real**2 + U.imag**2)).sum(axis=0))
+                    / (2 * (W * W).sum(axis=0)))
+    return EigenDecomposition(energies=energies, vectors=vectors)
 
 
 def hermite_basis(spec: GridSpec, n_max: int) -> np.ndarray:

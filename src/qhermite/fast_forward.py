@@ -111,7 +111,7 @@ def decompose(t: float) -> FactoredEvolution:
 def _half_phases(M: int, coeffs) -> np.ndarray:
     """Rows exp(-i * c * x_j^2) for labels j = 0..M/2, reduced mod 2*pi in longdouble."""
     j = np.arange(M // 2 + 1, dtype=np.longdouble)
-    twopi = 2 * np.longdouble(np.pi)
+    twopi = 2 * _PI_LD
     c = np.asarray(coeffs, dtype=np.longdouble)[:, None]
     theta = np.mod(c * (j * j) * (twopi / np.longdouble(M)), twopi)
     return np.exp(-1j * theta.astype(np.float64))

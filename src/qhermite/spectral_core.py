@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "GridSpec",
+    "hermite_functions",
     "hermite_function_rows",
     "probabilist_rows",
     "centered_dft_matrix",
@@ -52,8 +53,8 @@ class GridSpec:
         return self.labels * self.h
 
 
-def hermite_function_rows(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite functions psi_0..psi_n_max evaluated at x.
+def hermite_functions(n_max: int, x: np.ndarray):
+    """Yield the orthonormal Hermite functions psi_0..psi_n_max at x, one row at a time.
 
     Row n is psi_n(x) = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)), built by
     the normalized three-term recurrence
@@ -61,17 +62,26 @@ def hermite_function_rows(n_max: int, x: np.ndarray) -> np.ndarray:
     which never forms H_n and the Gaussian separately (H_n overflows near
     n ~ 150 while psi_n stays bounded by ~1.086 for all n).  Underflow in the
     Gaussian seed flushes to zero, which is the documented behavior for grid
-    points far outside the classically allowed region.
+    points far outside the classically allowed region.  Only the last two
+    rows are held, so a caller that reads one row at a time needs no
+    (n_max+1)-row array.
     """
     x = np.asarray(x, dtype=float)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    out = np.zeros((n_max + 1,) + x.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n_max >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = np.sqrt(2.0 / (n + 1)) * x * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
+    prev, cur = 0.0, np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    yield cur
+    for n in range(n_max):
+        prev, cur = cur, np.sqrt(2.0 / (n + 1)) * x * cur - np.sqrt(n / (n + 1.0)) * prev
+        yield cur
+
+
+def hermite_function_rows(n_max: int, x: np.ndarray) -> np.ndarray:
+    """The rows of `hermite_functions` as one (n_max+1,) + x.shape array."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n_max + 1,) + x.shape)
+    for n, row in enumerate(hermite_functions(n_max, x)):
+        out[n] = row
     return out
 
 

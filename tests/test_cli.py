@@ -50,6 +50,38 @@ class TestOverlap:
         assert all(0.55 <= vals[n] <= 0.75 for n in range(1, 5))
         assert all(0.60 <= vals[n] <= 0.72 for n in range(5, 21))
 
+    def test_streamed_rows_match_the_basis_array(self, tmp_path):
+        # each row is the overlap of row n of `hermite_basis` with the prepared state
+        import numpy as np
+
+        from qhermite.discrete_qho import hermite_basis
+        from qhermite.qht_pipeline import QHTConfig, build_pr_state
+        from qhermite.spectral_core import GridSpec
+
+        M, n_max = 512, 8
+        code, out = _run(tmp_path, "ov.csv", ["overlap", "--M", str(M), "--n", str(n_max)])
+        assert code == 0
+        psi = hermite_basis(GridSpec(M), n_max)
+        cfg = QHTConfig(N=n_max + 1, eps=0.01, M=M, N_high=M // 2)
+        want = [f"{n},{float(psi[n] @ build_pr_state(n, cfg)):.10f}" for n in range(n_max + 1)]
+        assert out.read_text().splitlines()[2:] == want
+
+
+class TestQHTColumns:
+    def test_infidelity_columns(self, tmp_path):
+        code, out = _run(tmp_path, "q.csv", ["qht", "--N", "2", "--eps", "0.1"])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[1] == ("n,fidelity,block_fidelity,infidelity,block_infidelity,"
+                            "filter_leak,uncompute_residual")
+        _, rows, _ = read_table(out)
+        for r in rows:
+            for fid, infid in (("fidelity", "infidelity"), ("block_fidelity", "block_infidelity")):
+                assert len(r[fid].split(".")[1]) == 8
+                assert r[infid] == f"{float(r[infid]):.3e}"
+                # each printed value is rounded: 4 significant digits against 8 decimals
+                assert abs(float(r[infid]) - (1 - float(r[fid]))) <= 5e-4 * float(r[infid]) + 5e-9
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [

@@ -5,10 +5,11 @@ from conftest import loewdin_orthonormalize
 from qhermite.discrete_qho import (
     _PI_LD,
     _p2_symbol_ld,
+    _sector_blocks,
     apply_hamiltonian,
     apply_momentum_sq,
     build,
-    dense_hamiltonian,
+    dense_diagonalize,
     dense_momentum_sq,
     hermite_basis,
 )
@@ -16,6 +17,18 @@ from qhermite.spectral_core import GridSpec, centered_dft_matrix
 
 # grid sizes for the DFT conjugation checks; 10 and 30 are 2 (mod 4)
 CONJUGATION_SIZES = (10, 30, 64)
+SPLIT_SIZES = (64, 128, 256, 512, 1024, 2048)
+EPS = np.finfo(float).eps
+
+
+def _dense_hamiltonian(qho) -> np.ndarray:
+    """Dense Hbar = (xbar^2 + pbar^2)/2 from the circulant symbol (a test oracle)."""
+    return 0.5 * (np.diag(qho.x * qho.x) + dense_momentum_sq(qho.spec))
+
+
+def _mirror(M: int) -> np.ndarray:
+    """Index of label -l (mod M) for each index i of label l = i - M/2."""
+    return (-np.arange(M)) % M
 
 
 def _continuum_matrix_element(a_pow: int, b_pow: int, k: int, l: int) -> complex:
@@ -80,7 +93,7 @@ class TestHamiltonian:
     def test_matches_dense(self, rng):
         M = 64
         qho = build(GridSpec(M))
-        H = dense_hamiltonian(qho)
+        H = _dense_hamiltonian(qho)
         v = rng.normal(size=M) + 1j * rng.normal(size=M)
         assert np.abs(apply_hamiltonian(qho, v) - H @ v).max() < 1e-12 * np.linalg.norm(H @ v)
 
@@ -143,7 +156,7 @@ class TestDenseDiagonalize:
 
     def test_residuals(self, eig_cache):
         qho = build(GridSpec(128))
-        H = dense_hamiltonian(qho)
+        H = _dense_hamiltonian(qho)
         eig = eig_cache(128)
         norm_H = np.abs(eig.energies).max()
         for n in (0, 3, 17, 127):
@@ -192,7 +205,70 @@ class TestDenseDiagonalize:
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
-            dense_hamiltonian(build(GridSpec(8192)))
+            dense_diagonalize(build(GridSpec(8192)))
+
+
+class TestParitySplit:
+    """The two-sector solve against the dense Hbar; tolerances are stated in the data's units.
+
+    Measured with one BLAS thread over M = 64-2048, with ||Hbar|| the largest
+    energy: the sector blocks rebuild Hbar to <= 2.0 eps ||Hbar||; the
+    energies sit 7.8-59 eps ||Hbar|| from a full `eigh` of Hbar, growing
+    about like sqrt(M); V^T V - I reads 6-16 eps.  Each bound is about twice
+    the largest reading.
+    """
+
+    @pytest.mark.parametrize("M", SPLIT_SIZES)
+    def test_columns_are_parity_definite(self, eig_cache, M):
+        V = eig_cache(M).vectors
+        reflected = V[_mirror(M)]
+        even = (reflected == V).all(axis=0)
+        odd = (reflected == -V).all(axis=0)
+        assert np.all(even ^ odd)
+        assert (even.sum(), odd.sum()) == (M // 2 + 1, M // 2 - 1)
+
+    @pytest.mark.parametrize("M", SPLIT_SIZES)
+    def test_sign_rule(self, eig_cache, M):
+        # the largest-magnitude entry at a label >= 0 is positive (first on a tie)
+        upper = eig_cache(M).vectors[M // 2:]
+        lead = upper[np.abs(upper).argmax(axis=0), np.arange(M)]
+        assert np.all(lead > 0)
+
+    def test_repeat_calls_are_bitwise_equal(self, eig_cache):
+        again = dense_diagonalize(build(GridSpec(256)))
+        assert np.array_equal(again.vectors, eig_cache(256).vectors)
+        assert np.array_equal(again.energies, eig_cache(256).energies)
+
+    @pytest.mark.parametrize("M", SPLIT_SIZES)
+    def test_sector_blocks_reassemble_hamiltonian(self, eig_cache, M):
+        half = M // 2
+        even, odd = _sector_blocks(M)
+        a = np.arange(1, half)
+        Qe, Qo = np.zeros((M, half + 1)), np.zeros((M, half - 1))
+        Qe[half, 0] = Qe[0, half] = 1.0
+        Qe[half + a, a] = Qe[half - a, a] = np.sqrt(0.5)
+        Qo[half + a, a - 1], Qo[half - a, a - 1] = np.sqrt(0.5), -np.sqrt(0.5)
+        H = _dense_hamiltonian(build(GridSpec(M)))
+        rebuilt = Qe @ even @ Qe.T + Qo @ odd @ Qo.T
+        assert np.abs(rebuilt - H).max() <= 4 * EPS * np.abs(eig_cache(M).energies).max()
+
+    @pytest.mark.parametrize("M", SPLIT_SIZES)
+    def test_energies_match_full_eigh(self, eig_cache, M):
+        full = np.linalg.eigvalsh(_dense_hamiltonian(build(GridSpec(M))))
+        scale = np.abs(full).max()
+        assert np.abs(eig_cache(M).energies - full).max() <= 2 * np.sqrt(M) * EPS * scale
+
+    @pytest.mark.parametrize("M", SPLIT_SIZES)
+    def test_basis_is_orthonormal(self, eig_cache, M):
+        V = eig_cache(M).vectors
+        assert np.abs(V.T @ V - np.eye(M)).max() <= 32 * EPS
+
+    @pytest.mark.slow
+    def test_m4096_low_spectrum(self):
+        eig = dense_diagonalize(build(GridSpec(4096)))
+        assert np.abs(eig.energies[:16] - (np.arange(16) + 0.5)).max() <= 1e-13
+        low = eig.vectors[:, :64]
+        assert np.abs(low.T @ low - np.eye(64)).max() <= 32 * EPS
 
 
 class TestHermiteBasis:

@@ -7,6 +7,7 @@ from qhermite.discrete_qho import build
 from qhermite.fast_forward import (
     _bessel_coefficients,
     _frame_steps,
+    _half_phases,
     _rates,
     apply_factored,
     apply_tables,
@@ -176,6 +177,26 @@ class TestApplyTables:
             back = apply_tables(tables, apply_tables(tables, eye), adjoint=True)
             assert np.abs(back - eye).max() < 1e-12
 
+    def test_phase_table_against_mpmath(self):
+        # exp(-i c x_j^2) against 2*pi*frac(c j^2 / M) in mpmath, at M = 16384,
+        # for the t = 3 momentum coefficient.  A float64 pi in the reduction
+        # shifts every phase by -2 (pi_64 - pi) frac(c j^2 / M): the mean
+        # signed error read 1.2e-16 with it and 3.3e-18 with an 80-bit pi.
+        # Per label the error stays at the float64 rounding of the argument:
+        # 1.2e-15 at most over the row, 1.2e-16 at label M/2.
+        import mpmath as mp
+
+        M, c = 16384, np.tan(3.0 / 4) / 2
+        row = _half_phases(M, [c])[0]
+        errs = np.empty(M // 2 + 1)
+        with mp.workprec(128):
+            for j in range(M // 2 + 1):
+                q = mp.mpf(c) * j * j / M
+                z = complex(row[j])
+                errs[j] = float(mp.arg(mp.mpc(z.real, z.imag) * mp.expj(2 * mp.pi * (q - mp.floor(q)))))
+        assert abs(errs[M // 2]) <= 4e-16
+        assert np.abs(errs).max() <= 2e-15
+        assert abs(errs.mean()) <= 2e-17
 
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_input_left_unchanged(self, rng, adjoint):

@@ -6,6 +6,7 @@ from qhermite.spectral_core import (
     InvalidSpecError,
     centered_dft_matrix,
     hermite_function_rows,
+    hermite_functions,
     probabilist_rows,
 )
 
@@ -84,6 +85,18 @@ class TestHermiteTable:
         psi = hermite_function_rows(32, spec.points())
         gram = spec.h * psi @ psi.T
         assert np.abs(gram - np.eye(33)).max() < 1e-10
+
+    def test_rows_match_array_recurrence_bitwise(self):
+        # the streamed rows against the recurrence written over one (n+1, M) array
+        x = GridSpec(256).points()
+        ref = np.zeros((41, 256))
+        ref[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+        ref[1] = np.sqrt(2.0) * x * ref[0]
+        for n in range(1, 40):
+            ref[n + 1] = np.sqrt(2.0 / (n + 1)) * x * ref[n] - np.sqrt(n / (n + 1.0)) * ref[n - 1]
+        assert np.array_equal(hermite_function_rows(40, x), ref)
+        assert all(np.array_equal(row, ref[n]) for n, row in enumerate(hermite_functions(40, x)))
+        assert np.array_equal(hermite_function_rows(0, x), ref[:1])
 
     def test_underflow_flushes_to_zero(self):
         psi = hermite_function_rows(2, GridSpec(4096).points())
