@@ -178,6 +178,7 @@ def cmd_qht(args) -> int:
     footer = {"M": cfg.M, "N_high": cfg.N_high, "v_passes": op.v_passes}
     if args.timings:
         footer["columns_ms"] = int(build_s * 1000)
+        footer["workers"] = op.build_workers
     _write_table(args.out, _meta(args, "qht"),
                  ["n", "fidelity", "block_fidelity", "infidelity", "block_infidelity",
                   "filter_leak", "uncompute_residual"],

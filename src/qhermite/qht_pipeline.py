@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,12 +306,19 @@ def fixed_point_amplify(kept_norm: float, leak_norm: float, delta_lower: float,
 # ---------------------------------------------------------------------------
 
 
-FRAME_BUDGET_BYTES = 1 << 21   # the two (k, M) frame buffers of one stacked hold
+FRAME_BUDGET_BYTES = 1 << 21   # the two (k, M) frame buffers of one build worker
 
 
 def _stack_rows(M: int) -> int:
     """Rows k of a stacked hold: two complex (k, M) buffers within FRAME_BUDGET_BYTES."""
     return max(1, FRAME_BUDGET_BYTES // (2 * 16 * M))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -331,12 +340,15 @@ class QHTOperator:
     n, is computed on first use of n and held with its block fidelity,
     filter leak, AA residual, input mass ||w_n||^2 and uncompute residual
     ||w_n||^2 - ||u_n||^2.  The blocks a call
-    needs are computed together, as row stacks.  The 2m+1 half phase tables
-    of the m = log2(M) dyadic evolutions V(2^j 2pi/M) take
-    (2m+1)(M/2+1)*16 bytes (3.6 MB at M = 16384), the columns N*M*16 (4.2 MB
-    at N = 16), and the two frame buffers of a stack, held only while it
-    runs, 2k*M*16 bytes for k = `_stack_rows(M)` rows (2.1 MB: k = 4 at
-    M = 16384).  v_passes counts every V or V^dagger applied.
+    needs are computed together, as row stacks spread over one worker
+    thread per usable CPU; build_workers is the number of workers that ran
+    the latest build (0 before any).  The 2m+1 half phase tables of the
+    m = log2(M) dyadic evolutions V(2^j 2pi/M) take (2m+1)(M/2+1)*16 bytes
+    (3.6 MB at M = 16384) and the columns N*M*16 (4.2 MB at N = 16).  Each
+    worker holds, only while the build runs, two frame buffers of
+    2k*M*16 bytes for k = `_stack_rows(M)` rows (2.1 MB: k = 4 at
+    M = 16384) and an M*16-byte uncompute scratch (0.26 MB), so two workers
+    take 4.7 MB there.  v_passes counts every V or V^dagger applied.
     """
 
     def __init__(self, config: QHTConfig):
@@ -357,6 +369,8 @@ class QHTOperator:
         self.input_mass = np.zeros(N)
         self.uncompute_residuals = np.zeros(N)
         self.v_passes = 0
+        self.build_workers = 0
+        self._passes_lock = threading.Lock()
 
     def _phases(self, ns) -> np.ndarray:
         """exp(i 2^j (2pi/M)(n+1/2)), row n of ns, column j = 0..m-1: the W_{n,j} phases."""
@@ -378,19 +392,27 @@ class QHTOperator:
         ||w||^2 - ||out||^2, summed from non-negative terms instead of taken
         as a difference.  It is measured in the position frame: the momentum
         frame scales squared norms by 1/M, undone exactly with the halvings.
+        Each row's term goes through one M-length scratch, so a row's mass
+        has the same bits whatever stack it runs in.
+
+        v_passes is shared by the build workers of `_hold` and counted under
+        a lock.
         """
         tmp = np.empty_like(w) if tmp is None else tmp
         conj = np.empty(self.config.M // 2 + 1, dtype=complex) if adjoint else None
-        diff = None if lost is None else np.empty_like(w)
+        diff = None if lost is None else np.empty(self.config.M, dtype=complex)
         for j, tables in enumerate(self.dyadic_tables):
             _frame_steps(tables, w, adjoint, out=tmp, conj=conj)
             tmp *= (coeffs[:, j] * tables.global_sign)[:, None]
             if diff is not None:   # w and tmp carry 2^j x_j and 2^j c_j V_j x_j
-                flat = np.subtract(w, tmp, out=diff).view(float)
-                lost += np.einsum("ij,ij->i", flat, flat) * (self.config.M * 0.25 ** (j + 1))
+                scale = self.config.M * 0.25 ** (j + 1)
+                for i, (row, kick) in enumerate(zip(w, tmp)):
+                    flat = np.subtract(row, kick, out=diff).view(float)
+                    lost[i] += np.einsum("i,i->", flat, flat) * scale
             w += tmp
         w *= 0.5 ** len(self.dyadic_tables)
-        self.v_passes += coeffs.size
+        with self._passes_lock:
+            self.v_passes += coeffs.size
         return w
 
     def filter(self, state: np.ndarray, n: int):
@@ -425,20 +447,52 @@ class QHTOperator:
     def _hold(self, blocks) -> None:
         """Prepare, filter, amplify and uncompute the blocks not held yet; hold u_n and metrics.
 
-        The blocks run as row stacks of at most `_stack_rows(M)` rows: the PR
-        states are written into the frame buffer, filtered there, amplified
-        row by row in place, uncomputed in place and written to `columns`.
+        The blocks run as row stacks of at most `_stack_rows(M)` rows, dealt
+        round-robin to one worker per usable CPU, but no more workers than
+        stacks.  The calling thread is the first worker and starts a thread
+        for each other one, so with one worker no thread is started.  numpy's
+        FFTs release the interpreter lock, so the workers' sweeps overlap.  A
+        worker's error is raised here once every worker has stopped; the
+        blocks of a stack that did not finish stay unheld.
         """
         todo = [int(n) for n in blocks if not self.held[n]]
         if not todo:
             return
+        rows = _stack_rows(self.config.M)
+        stacks = [todo[start:start + rows] for start in range(0, len(todo), rows)]
+        workers = self.build_workers = min(_usable_cpus(), len(stacks))
+        errors = []
+
+        def work(share):
+            try:
+                self._hold_stacks(share)
+            except Exception as exc:   # raised again in the calling thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(stacks[i::workers],))
+                   for i in range(1, workers)]
+        for thread in threads:
+            thread.start()
+        try:
+            self._hold_stacks(stacks[::workers])
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+
+    def _hold_stacks(self, stacks) -> None:
+        """Run the stacks in turn through one pair of frame buffers, holding each as it ends.
+
+        A stack's PR states are written into the frame buffer, filtered
+        there, amplified row by row in place, uncomputed in place and written
+        to `columns`.
+        """
         cfg = self.config
         bits = cfg.r if cfg.quantize_oracles else None
-        rows = _stack_rows(cfg.M)
-        buf = np.empty((min(rows, len(todo)), cfg.M), dtype=complex)
+        buf = np.empty((max(map(len, stacks)), cfg.M), dtype=complex)
         scratch = np.empty_like(buf)
-        for start in range(0, len(todo), rows):
-            chunk = todo[start:start + rows]
+        for chunk in stacks:
             w, tmp = buf[:len(chunk)], scratch[:len(chunk)]
             for row, n in zip(w, chunk):
                 amps = build_pr_state(n, cfg, quantize_bits=bits)

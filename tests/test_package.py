@@ -13,7 +13,8 @@ import qhermite
 
 MODULES = ["cli", *qhermite.__all__]
 SOURCES = sorted(Path(qhermite.__file__).parent.glob("*.py"))
-LOADED = "[m for m in sorted(sys.modules) if m.startswith('qhermite.') or m == 'mpmath']"
+LOADED = ("[m for m in sorted(sys.modules)"
+          " if m.startswith('qhermite.') or m in ('mpmath', 'concurrent.futures')]")
 
 
 def _fresh(code: str):
@@ -84,7 +85,10 @@ print(json.dumps([loaded, sorted(k for k in ns if not k.startswith("__"))]))
      ["mpmath", "qhermite.hermite_sampling", "qhermite.learning_testers", "qhermite.qht_pipeline"]),
     (["sample", "--n", "1", "--M", "64", "--D", "3", "--trials", "5"],
      ["mpmath", "qhermite.qht_pipeline", "qhermite.fast_forward", "qhermite.learning_testers"]),
-], ids=["ff-error", "sample"])
+    # loads qht_pipeline but builds no column, so the worker pool stays unloaded
+    (["overlap", "--M", "512", "--n", "3"],
+     ["concurrent.futures", "mpmath", "qhermite.hermite_sampling", "qhermite.learning_testers"]),
+], ids=["ff-error", "sample", "overlap"])
 def test_subcommand_imports_only_what_it_runs(tmp_path, argv, absent):
     code, loaded = _fresh(f"""
 import json, sys

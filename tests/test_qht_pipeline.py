@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -482,7 +484,7 @@ class TestStackedHold:
     CFG = QHTConfig(N=_stack_rows(M) + 3, eps=0.01, M=M, N_high=1000)
     SMALL = QHTConfig(N=2, eps=0.05, M=64, N_high=16)
     METRICS = ("columns", "held", "block_fidelities", "filter_leaks", "aa_residuals",
-               "input_mass", "v_passes")
+               "input_mass", "uncompute_residuals", "v_passes")
 
     def test_config_crosses_a_chunk_boundary(self):
         assert _stack_rows(self.M) < self.CFG.N < 2 * _stack_rows(self.M)
@@ -523,6 +525,91 @@ class TestStackedHold:
         assert again.op_passes == 0
         assert np.array_equal(again.output, first.output)
         op.matrix()
+
+    def test_row_loss_does_not_depend_on_its_stack(self, rng):
+        M = 16384
+        op = QHTOperator(QHTConfig(N=3, eps=0.01, M=M, N_high=1000))
+        stack = rng.normal(size=(3, M)) + 1j * rng.normal(size=(3, M))
+        coeffs = op._phases([0, 1, 2]).conj()
+        lost = np.zeros(3)
+        op._sweep(stack.copy(), coeffs, True, lost=lost)
+        for i in range(3):
+            alone = np.zeros(1)
+            op._sweep(stack[i:i + 1].copy(), coeffs[i:i + 1], True, lost=alone)
+            assert alone[0] == lost[i]
+
+    @pytest.mark.parametrize("cfg", [choose_dimensions(8, 0.01), CFG], ids=["N8", "two-stacks"])
+    def test_parallel_build_equals_serial(self, cfg, monkeypatch):
+        stacks = -(-cfg.N // _stack_rows(cfg.M))
+        ops = []
+        for workers in (1, 2):
+            monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda w=workers: w)
+            op = QHTOperator(cfg)
+            op.matrix()
+            assert op.build_workers == min(workers, stacks)
+            ops.append(op)
+        for name in self.METRICS:
+            assert np.array_equal(getattr(ops[0], name), getattr(ops[1], name)), name
+
+    @pytest.mark.parametrize("stack", [0, 1], ids=["calling-thread", "started-thread"])
+    def test_worker_error_reaches_the_caller(self, stack, monkeypatch):
+        # stack 0 runs on the calling thread, stack 1 on the one thread it starts
+        rows, real = _stack_rows(self.M), qht_pipeline.build_pr_state
+        bad = 0 if stack == 0 else self.CFG.N - 1
+
+        def refuse(n, cfg, **kwargs):
+            if n == bad:
+                raise ConfigError(f"refused n={n}")
+            return real(n, cfg, **kwargs)
+
+        monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(qht_pipeline, "build_pr_state", refuse)
+        op = QHTOperator(self.CFG)
+        with pytest.raises(ConfigError, match=f"refused n={bad}"):
+            op.matrix()
+        assert op.build_workers == 2
+        unfinished = slice(0, rows) if stack == 0 else slice(rows, None)
+        assert not op.held[unfinished].any() and not op.columns[unfinished].any()
+        assert op.held.sum() == (self.CFG.N - rows if stack == 0 else rows)
+
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a build thread was started")
+
+        monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        op = QHTOperator(self.CFG)
+        op.matrix()
+        assert op.build_workers == 1 and op.held.all()
+
+    def test_pass_counter_loses_no_update(self):
+        # more threads than cores, switching as often as the interpreter allows
+        op = QHTOperator(self.SMALL)
+        coeffs = op._phases([0])
+        threads = 8
+        sweeps = 100
+        errors = []
+
+        def run():
+            try:
+                for _ in range(sweeps):
+                    op._sweep(np.ones((1, 64), dtype=complex), coeffs, adjoint=False)
+            except Exception as exc:   # reported below; a thread's error is otherwise lost
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=run) for _ in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        assert errors == []
+        assert op.v_passes == threads * sweeps * coeffs.size
 
 class TestEndToEnd:
     def test_single_index_fidelity(self, basis_cache):
