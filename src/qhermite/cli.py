@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -89,8 +90,11 @@ def _positive_int_list(text):
     return [_positive_int(tok) for tok in text.split(",")]
 
 
-def _float_list(text):
-    return [float(tok) for tok in text.split(",")]
+def _finite_float_list(text):
+    values = [float(tok) for tok in text.split(",")]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"invalid finite float list: {text!r}")
+    return values
 
 
 def _timed(footer: dict, args, t0: float) -> dict:
@@ -334,7 +338,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("ff-error", help="fast-forwarding error atlas")
     p.add_argument("--M", type=_int_list, default="128,256,512")
     p.add_argument("--N", type=_positive_int_list, default="4,8,16")
-    p.add_argument("--t", type=_float_list, default="0.25,1.0,3.0")
+    p.add_argument("--t", type=_finite_float_list, default="0.25,1.0,3.0")
     common(p)
     p.set_defaults(func=cmd_ff_error)
 

@@ -361,24 +361,56 @@ def _check_projection(qho: DiscreteQHO, eig: EigenDecomposition, N: int) -> None
 def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float) -> float:
     """|| Pi_N (U(t) - V(t)) Pi_N || via SVD of the projected column differences.
 
-    Both evolutions act once on the (N, M) stack of the N lowest
-    eigenvectors, passed as real rows; the matrix whose largest singular
-    value is returned is the N x N block <e_m| (U - V) |e_n>, which is
-    exactly the theorem's quantity.  The exact side runs through the
-    Chebyshev oracle: scalar eigenphases exp(-i*E_n*t) would re-inject the
-    eigensolver's noise, which reads ~1e-13 at M = 512.  The meter's floor is
-    float64 rounding, almost all of it the Chebyshev recurrence's (the
-    factored side sits within ~1.3e-15 of a longdouble recurrence): the
-    default `ff-error` grid (M = 128-512, N = 4-16, t = 0.25-3) reads
-    5.8e-16 to 6.3e-15, and (1024, 8, 3.0) reads 7.5e-15.  Where the signal
-    exists it stands clear of that, e.g. 3.103e-9 at (64, 16, 3.0).
+    Both evolutions act once on one stack of rows built from the N lowest
+    eigenvectors; the matrix whose largest singular value is returned is the
+    N x N block <e_m| (U - V) |e_n>, which is exactly the theorem's quantity.
+    The exact side runs through the Chebyshev oracle: scalar eigenphases
+    exp(-i*E_n*t) would re-inject the eigensolver's noise, which reads ~1e-13
+    at M = 512.
+
+    Columns of definite parity share rows.  A column is even when it equals
+    its mirror (label l -> -l mod M) bit for bit, odd when it equals minus
+    its mirror; `dense_diagonalize` returns only such columns.  Each even
+    column is added to one odd column, and the image of the sum under U - V
+    is split back into its even part (d + mirror(d))/2 and its odd part
+    (d - mirror(d))/2.  This is exact in exact arithmetic: xbar^2's diagonal,
+    pbar^2's symbol and the half phase tables are all mirror-symmetric, so U
+    and V commute with the reflection and keep each parity.  A column
+    without a partner or without definite parity takes a row of its own.  At
+    N = 8 the stack has 4 rows, which about halves the recurrence's cost: at
+    M = 512 (one BLAS thread) a call takes about 15, 70 and 100 ms at
+    (N, t) = (8, 0.45), (16, 1.7) and (8, 3.65), against 21, 115 and 133 ms
+    with a row per column.
+
+    The meter's floor is float64 rounding, almost all of it the Chebyshev
+    recurrence's (the factored side sits within ~1.3e-15 of a longdouble
+    recurrence): the default `ff-error` grid (M = 128-512, N = 4-16,
+    t = 0.25-3) reads 7.3e-16 to 5.7e-15, and (1024, 8, 3.0) reads 7.0e-15
+    to 7.2e-15 (the eigenvectors' last bits depend on the BLAS thread count).
+    Where the signal exists it stands clear of that, e.g. 3.103e-9 at
+    (64, 16, 3.0).
     """
     if qho.M > LOW_ENERGY_M_CAP:
         raise ValueError(f"projected-error budget is M <= {LOW_ENERGY_M_CAP}")
     _check_projection(qho, eig, N)
     tables = evolution_tables(qho.M, decompose(t))
     low = eig.vectors[:, :N]
-    diff = chebyshev_evolution(qho, t, low.T) - apply_tables(tables, low.T)
+    cols = low.T
+    mirror = -np.arange(qho.M) % qho.M      # index of label -l, for label l at index i
+    flipped = cols[:, mirror]
+    even = (cols == flipped).all(axis=1)
+    evens = np.flatnonzero(even)
+    odds = np.flatnonzero((cols == -flipped).all(axis=1) & ~even)
+    k = min(len(evens), len(odds))
+    evens, odds = evens[:k], odds[:k]
+    single = np.ones(N, dtype=bool)
+    single[evens] = single[odds] = False
+    stack = np.concatenate([cols[evens] + cols[odds], cols[single]])
+    d = chebyshev_evolution(qho, t, stack) - apply_tables(tables, stack)
+    diff = np.empty((N, qho.M), dtype=complex)
+    diff[evens] = (d[:k] + d[:k, mirror]) / 2
+    diff[odds] = (d[:k] - d[:k, mirror]) / 2
+    diff[single] = d[k:]
     block = low.conj().T @ diff.T
     return float(np.linalg.svd(block, compute_uv=False)[0])
 

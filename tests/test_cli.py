@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qhermite import learning_testers
+from qhermite import discrete_qho, learning_testers
 from qhermite.cli import main, read_table
 
 QHT_N4 = """\
@@ -197,6 +197,18 @@ class TestUsageErrors:
         out = tmp_path / "x.csv"
         assert main(args + ["--out", str(out)]) == 1
         assert "invalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", [["--t", "1.0,nan"], ["--t=-inf"]])
+    def test_non_finite_time_fails_before_the_eigensolve(self, tmp_path, capsys,
+                                                         monkeypatch, t):
+        def refuse(qho):
+            raise AssertionError("the eigensolve ran")
+
+        monkeypatch.setattr(discrete_qho, "dense_diagonalize", refuse)
+        out = tmp_path / "x.csv"
+        assert main(["ff-error", "--M", "2048"] + t + ["--out", str(out)]) == 1
+        assert "argument --t: invalid finite float list" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [["test", "--delta", "1.5"], ["test", "--delta", "0"],

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qhermite.discrete_qho import build
+from qhermite import fast_forward
+from qhermite.discrete_qho import EigenDecomposition, build
 from qhermite.fast_forward import (
     _bessel_coefficients,
     _frame_steps,
@@ -342,6 +343,43 @@ class TestStacks:
                 np.testing.assert_array_equal(fact[n], apply_tables(tables, rows[n]))
 
 
+def _mirror(M: int) -> np.ndarray:
+    """Index of label -l (mod M) for each index i of label l = i - M/2."""
+    return -np.arange(M) % M
+
+
+class TestReflection:
+    # The reflection l -> -l (mod M) maps xbar^2's diagonal, pbar^2's symbol
+    # and every half phase table to themselves, so both evolutions commute
+    # with it.  On random complex (3, M) rows, max |U(Rv) - R U(v)| over the
+    # row's 2-norm read up to 1.4e-15 for the Chebyshev recurrence (M = 512,
+    # t = 3.65) and up to 1.9e-16 for the factored evolution, forward and
+    # adjoint; the bounds are about twice those readings.
+    TIMES = (0.45, -1.7, 3.65)    # 3 factors, 3 factors, 5 factors
+
+    @pytest.mark.parametrize("M", [64, 128, 256, 512])
+    def test_chebyshev_commutes_with_reflection(self, rng, M):
+        qho, mirror = build(GridSpec(M)), _mirror(M)
+        v = rng.normal(size=(3, M)) + 1j * rng.normal(size=(3, M))
+        scale = np.linalg.norm(v, axis=1).max()
+        for t in self.TIMES:
+            gap = chebyshev_evolution(qho, t, v[:, mirror]) - chebyshev_evolution(qho, t, v)[:, mirror]
+            assert np.abs(gap).max() <= 3e-15 * scale
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("M", [64, 128, 256, 512])
+    def test_factored_commutes_with_reflection(self, rng, M, adjoint):
+        mirror = _mirror(M)
+        v = rng.normal(size=(3, M)) + 1j * rng.normal(size=(3, M))
+        scale = np.linalg.norm(v, axis=1).max()
+        assert {decompose(t).reps for t in self.TIMES} == {1, 2}
+        for t in self.TIMES:
+            tables = evolution_tables(M, decompose(t))
+            gap = (apply_tables(tables, v[:, mirror], adjoint)
+                   - apply_tables(tables, v, adjoint)[:, mirror])
+            assert np.abs(gap).max() <= 4e-16 * scale
+
+
 def _per_column_error(qho, eig, N, t):
     """Projected error assembled one eigenvector column at a time."""
     tables = evolution_tables(qho.M, decompose(t))
@@ -431,6 +469,55 @@ class TestLowEnergyError:
             budget = (low_energy_error(qho, eig, N, t1)
                       + low_energy_error(qho, eig, N, t2))
             assert gap <= 10 * max(budget, 1e-13)
+
+
+class TestParityPairs:
+    """low_energy_error evolves each even eigenvector plus one odd one as one row."""
+
+    @staticmethod
+    def _metered(monkeypatch, qho, eig, N, t):
+        """The meter's value and the shape of the stack the Chebyshev oracle received."""
+        shapes = []
+
+        def recording(qho, t, state):
+            shapes.append(np.shape(state))
+            return chebyshev_evolution(qho, t, state)
+
+        monkeypatch.setattr(fast_forward, "chebyshev_evolution", recording)
+        value = low_energy_error(qho, eig, N, t)
+        assert len(shapes) == 1
+        return value, shapes[0]
+
+    @pytest.mark.parametrize("N,rows", [(8, 4), (5, 3), (1, 1)])
+    def test_parity_definite_columns_share_rows(self, monkeypatch, eig_cache, N, rows):
+        M = 128
+        _, shape = self._metered(monkeypatch, build(GridSpec(M)), eig_cache(M), N, 0.45)
+        assert shape == (rows, M)
+
+    @pytest.mark.parametrize("t", [0.45, -1.7, 3.65])
+    def test_columns_without_parity_run_alone(self, monkeypatch, eig_cache, t):
+        # e_0 and e_1 rotated by 45 degrees: alone (N = 2) and beside the
+        # paired e_2, e_3 (N = 4); then a random orthonormal set of 4 columns
+        M = 128
+        qho, eig = build(GridSpec(M)), eig_cache(M)
+        turned = eig.vectors.copy()
+        turned[:, 0] = (eig.vectors[:, 0] + eig.vectors[:, 1]) / np.sqrt(2)
+        turned[:, 1] = (eig.vectors[:, 0] - eig.vectors[:, 1]) / np.sqrt(2)
+        scattered = np.linalg.qr(np.random.default_rng(19).normal(size=(M, 4)))[0]
+        for vectors, N, rows in ((turned, 2, 2), (turned, 4, 3), (scattered, 4, 4)):
+            basis = EigenDecomposition(energies=eig.energies, vectors=vectors)
+            value, shape = self._metered(monkeypatch, qho, basis, N, t)
+            assert shape == (rows, M)
+            assert abs(value - _per_column_error(qho, basis, N, t)) <= 1e-15
+
+    @pytest.mark.parametrize("N,t", [(8, 0.45), (16, 1.7), (8, 3.65)])
+    def test_matches_per_column_reference_at_lab_points(self, eig_cache, N, t):
+        # oscillator_lab's three centres on its M = 512 grid, where both read
+        # the float64 floor (1.4e-15 to 6.2e-15 with one or two BLAS threads,
+        # whose eigenvectors differ in the last bits); the two differed by up
+        # to 1.3e-15, and the bound is about twice that
+        qho, eig = build(GridSpec(512)), eig_cache(512)
+        assert abs(low_energy_error(qho, eig, N, t) - _per_column_error(qho, eig, N, t)) <= 2.5e-15
 
 
 class TestResidualGenerator:

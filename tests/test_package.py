@@ -14,7 +14,7 @@ import qhermite
 MODULES = ["cli", *qhermite.__all__]
 SOURCES = sorted(Path(qhermite.__file__).parent.glob("*.py"))
 LOADED = ("[m for m in sorted(sys.modules)"
-          " if m.startswith('qhermite.') or m in ('mpmath', 'concurrent.futures')]")
+          " if m.startswith('qhermite.') or m in ('mpmath', 'concurrent.futures', 'numpy.ma')]")
 
 
 def _fresh(code: str):
@@ -81,8 +81,10 @@ print(json.dumps([loaded, sorted(k for k in ns if not k.startswith("__"))]))
 
 
 @pytest.mark.parametrize("argv, absent", [
+    # numpy.ma (loaded by np.setdiff1d, for one) adds about 2 MB and 14 ms
     (["ff-error", "--M", "64", "--N", "2", "--t", "0.5"],
-     ["mpmath", "qhermite.hermite_sampling", "qhermite.learning_testers", "qhermite.qht_pipeline"]),
+     ["mpmath", "numpy.ma", "qhermite.hermite_sampling", "qhermite.learning_testers",
+      "qhermite.qht_pipeline"]),
     (["sample", "--n", "1", "--M", "64", "--D", "3", "--trials", "5"],
      ["mpmath", "qhermite.qht_pipeline", "qhermite.fast_forward", "qhermite.learning_testers"]),
     # loads qht_pipeline but builds no column, so the worker pool stays unloaded
