@@ -135,7 +135,7 @@ def cmd_ff_error(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    from .qht_pipeline import QHTConfig, build_pr_state
+    from .qht_pipeline import build_pr_state
     from .spectral_core import GridSpec, hermite_functions
 
     t0 = time.perf_counter()
@@ -143,18 +143,17 @@ def cmd_overlap(args) -> int:
     spec = GridSpec(M)
     if n_max >= M:
         raise ValueError(f"n_max={n_max} must be < M={M}")
-    cfg = QHTConfig(N=n_max + 1, eps=0.01, M=M, N_high=M // 2)
     scale = np.sqrt(spec.h)   # the rows of `hermite_basis`, streamed one at a time
     rows = []
     for n, psi in enumerate(hermite_functions(n_max, spec.points())):
-        rows.append([n, f"{float((psi * scale) @ build_pr_state(n, cfg)):.10f}"])
+        rows.append([n, f"{float((psi * scale) @ build_pr_state(n, M)):.10f}"])
     _write_table(args.out, _meta(args, "overlap"), ["n", "overlap"], rows, args.format,
                  _timed({}, args, t0))
     return 0
 
 
 def cmd_qht(args) -> int:
-    from .qht_pipeline import ConfigError, choose_dimensions, qht_operator
+    from .qht_pipeline import ConfigError, choose_dimensions, high_energy_cutoff, qht_operator
 
     try:   # loaded before any work, so a bad file fails fast
         cal = load_calibration(args.calibration) if args.calibration else None
@@ -179,7 +178,8 @@ def cmd_qht(args) -> int:
         rows.append([n, f"{fid:.8f}", f"{block_fid:.8f}", f"{1.0 - fid:.3e}",
                      f"{1.0 - block_fid:.3e}", f"{op.filter_leaks[n]:.3e}",
                      f"{op.uncompute_residuals[n]:.3e}"])
-    footer = {"M": cfg.M, "N_high": cfg.N_high, "v_passes": op.v_passes}
+    footer = {"M": cfg.M, "N_high": high_energy_cutoff(cfg.N, cfg.eps, cal),
+              "v_passes": op.v_passes}
     if args.timings:
         footer["columns_ms"] = int(build_s * 1000)
         footer["workers"] = op.build_workers
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
         p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("ff-error", help="fast-forwarding error atlas")
-    p.add_argument("--M", type=_int_list, default="128,256,512")
+    p.add_argument("--M", type=_positive_int_list, default="128,256,512")
     p.add_argument("--N", type=_positive_int_list, default="4,8,16")
     p.add_argument("--t", type=_finite_float_list, default="0.25,1.0,3.0")
     common(p)

@@ -193,13 +193,12 @@ def spectrum_table(f: OracleFunction, D: int | None = None, M_quad: int = 512) -
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Grid size per axis, measured degree window, and transform backend."""
+    """Grid size per axis, measured degree window, and transform accuracy."""
 
     M: int = 512
     D: int = 9
-    transform: str = "reference"     # "reference" | "pipeline"
     attempt_cap_factor: int = 64     # rejection cap = factor * kappa
-    qht_eps: float = 0.01            # pipeline-mode transform accuracy
+    qht_eps: float | None = None     # simulated-transform eps; None takes the exact rows
 
 
 @dataclass(frozen=True)
@@ -234,15 +233,12 @@ class SampleDistribution:
 
 def _axis_transform_rows(scfg: SamplerConfig) -> np.ndarray:
     """Rows <psibar_v| used for the per-axis inverse transform."""
-    if scfg.transform == "pipeline":
-        from .qht_pipeline import QHTConfig, qht_operator
+    if scfg.qht_eps is None:
+        return hermite_basis(GridSpec(scfg.M), scfg.D).astype(complex)
+    from .qht_pipeline import QHTConfig, qht_operator
 
-        cfg = QHTConfig(N=scfg.D + 1, eps=scfg.qht_eps, M=scfg.M,
-                        N_high=min(scfg.M // 2, 8 * (scfg.D + 1)))
-        return qht_operator(cfg).matrix()   # the columns u_v, without the output signs
-    if scfg.transform != "reference":
-        raise ValueError(f"unknown transform backend {scfg.transform!r}")
-    return hermite_basis(GridSpec(scfg.M), scfg.D).astype(complex)
+    cfg = QHTConfig(N=scfg.D + 1, eps=scfg.qht_eps, M=scfg.M)
+    return qht_operator(cfg).matrix()   # the columns u_v, without the output signs
 
 
 def _amplitude_tensor(f: OracleFunction, scfg: SamplerConfig):

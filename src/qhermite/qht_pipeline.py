@@ -46,6 +46,7 @@ __all__ = [
     "ConfigError",
     "WindowFunction",
     "choose_dimensions",
+    "high_energy_cutoff",
     "pr_support",
     "build_pr_state",
     "pr_amplitude_phase",
@@ -67,36 +68,38 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class QHTConfig:
-    """Dimensions and knobs for one transform instance."""
+    """One transform instance: every field changes the columns it builds."""
 
     N: int                  # transform dimension (indices 0..N-1)
     eps: float              # target additive error
     M: int                  # ambient work-register dimension (power of two)
-    N_high: int             # high-energy cutoff for leakage accounting
-    r: int = 32             # amplitude/phase oracle precision bits
+    oracle_bits: int | None = None  # amplitude/phase oracle precision; None is exact
     aa_rounds: int = 0      # fixed-point degree L override; 0 derives from eps
     delta_lower: float = 0.3  # guaranteed flagged-overlap lower bound
-    quantize_oracles: bool = False  # inject r-bit rounding into state prep
 
     @property
     def m_bits(self) -> int:
         return int(round(math.log2(self.M)))
 
 
+def high_energy_cutoff(N: int, eps: float, calibration: Calibration | None = None) -> int:
+    """N_high = ceil(c1*N/eps), the eigenindex past which prepared-state mass counts as leaked."""
+    return int(math.ceil((calibration or Calibration()).c1 * N / eps))
+
+
 def choose_dimensions(N: int, eps: float, calibration: Calibration | None = None,
                       hard_cap: int = 1 << 20) -> QHTConfig:
     """Smallest power-of-two M >= c0*N^(9/4)/eps^(13/4) (plus feasibility floors).
 
-    N_high = ceil(c1*N/eps).  The floors keep N_high < M and leave the
-    oscillatory support of every prepared state strictly inside the grid.
+    The floors keep `high_energy_cutoff` below M and leave the oscillatory
+    support of every prepared state strictly inside the grid.
     """
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
     if not (0 < eps < 1):
         raise ConfigError(f"eps must be in (0, 1), got {eps}")
     cal = calibration or Calibration()
-    n_high = int(math.ceil(cal.c1 * N / eps))
-    floor = max(cal.c0 * N**2.25 / eps**3.25, n_high + 2, 16 * N, 16)
+    floor = max(cal.c0 * N**2.25 / eps**3.25, high_energy_cutoff(N, eps, cal) + 2, 16 * N, 16)
     M = 1 << max(4, int(math.ceil(math.log2(floor))))
     if M > hard_cap:
         raise ConfigError(
@@ -104,7 +107,7 @@ def choose_dimensions(N: int, eps: float, calibration: Calibration | None = None
             f"requested (N={N}, eps={eps}) with c0={cal.c0}")
     if pr_support(N - 1, M) >= M // 2:
         raise ConfigError(f"M={M} too small for the n={N - 1} oscillatory support")
-    return QHTConfig(N=N, eps=eps, M=M, N_high=n_high)
+    return QHTConfig(N=N, eps=eps, M=M)
 
 
 def _window_x_max_sq(n: int) -> float:
@@ -202,7 +205,7 @@ def pr_amplitude_phase(n: int, x: np.ndarray):
     return amp, theta
 
 
-def build_pr_state(n: int, config: QHTConfig, quantize_bits: int | None = None) -> np.ndarray:
+def build_pr_state(n: int, M: int, oracle_bits: int | None = None) -> np.ndarray:
     """Unnormalized length-M amplitudes sqrt(h)*phi_n(x_j)*g_n(x_j) on labels -J(n) .. J(n)-1.
 
     The labels cover the flat part of the window, |x| <= x_max with
@@ -217,13 +220,12 @@ def build_pr_state(n: int, config: QHTConfig, quantize_bits: int | None = None) 
     [0, 1]).  The prepared state is a hard, slightly asymmetric cut-off of
     phi_n rather than the smooth window.
 
-    quantize_bits rounds the amplitude- and phase-oracle outputs to that many
+    oracle_bits rounds the amplitude- and phase-oracle outputs to that many
     fractional bits before combining, modeling the finite-precision coherent
     arithmetic of the preparation circuit; the induced state perturbation is
     O(2^-bits), so bits ~ log2(1/eps) suffices (confirmed by the r-sweep
     tests).  None evaluates the oracles exactly.
     """
-    M = config.M
     J = pr_support(n, M)
     if J >= M // 2:
         raise ConfigError(f"M={M} too small for the n={n} oscillatory support (J={J})")
@@ -231,8 +233,8 @@ def build_pr_state(n: int, config: QHTConfig, quantize_bits: int | None = None) 
     idx = np.arange(M // 2 - J, M // 2 + J)
     xs = (idx - M // 2) * spec.h
     amp, theta = pr_amplitude_phase(n, xs)
-    if quantize_bits is not None:
-        scale = 2.0**quantize_bits
+    if oracle_bits is not None:
+        scale = 2.0**oracle_bits
         amp = np.round(amp * scale) / scale
         theta = 2 * np.pi * np.round(theta / (2 * np.pi) * scale) / scale
     vals = amp * np.sin(theta) * WindowFunction(n).value(xs) * np.sqrt(spec.h)
@@ -355,6 +357,8 @@ class QHTOperator:
         M, N = config.M, config.N
         if M < 1 or M & (M - 1):
             raise ConfigError(f"phase estimation needs a power-of-two M, got M={M}")
+        if not (0 < config.eps < 1):
+            raise ConfigError(f"eps must be in (0, 1), got {config.eps}")
         self.config = config
         self.basis = hermite_basis(GridSpec(M), N - 1)   # row n is |psibar_n>
         base = 2 * math.pi / M
@@ -489,13 +493,12 @@ class QHTOperator:
         to `columns`.
         """
         cfg = self.config
-        bits = cfg.r if cfg.quantize_oracles else None
         buf = np.empty((max(map(len, stacks)), cfg.M), dtype=complex)
         scratch = np.empty_like(buf)
         for chunk in stacks:
             w, tmp = buf[:len(chunk)], scratch[:len(chunk)]
             for row, n in zip(w, chunk):
-                amps = build_pr_state(n, cfg, quantize_bits=bits)
+                amps = build_pr_state(n, cfg.M, cfg.oracle_bits)
                 row[:] = amps / np.linalg.norm(amps)
             in_sq = [float(np.vdot(row, row).real) for row in w]
             phases = self._phases(chunk)
@@ -574,9 +577,9 @@ def isometry_singular_values(config: QHTConfig) -> np.ndarray:
     return np.linalg.svd(qht_operator(config).matrix().T, compute_uv=False)
 
 
-def pr_high_energy_leakage(n: int, config: QHTConfig, eig) -> float:
-    """||Pi_{>N_high} |phi_n>||^2 for the unnormalized prepared state."""
-    low = eig.vectors[:, :config.N_high + 1]
-    amps = build_pr_state(n, config).astype(complex)
+def pr_high_energy_leakage(n: int, n_high: int, eig) -> float:
+    """||Pi_{>n_high} |phi_n>||^2 for the unnormalized prepared state on eig's grid."""
+    low = eig.vectors[:, :n_high + 1]
+    amps = build_pr_state(n, eig.vectors.shape[0]).astype(complex)
     inside = low.conj().T @ amps
     return float(max(np.vdot(amps, amps).real - np.vdot(inside, inside).real, 0.0))

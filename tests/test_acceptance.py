@@ -35,7 +35,6 @@ from qhermite.learning_testers import test_hermite_polynomial as hermite_tester
 from qhermite.learning_testers import test_low_degree as low_degree_tester
 from qhermite.learning_testers import test_product_sign as product_sign_tester
 from qhermite.qht_pipeline import (
-    QHTConfig,
     build_pr_state,
     choose_dimensions,
     isometry_singular_values,
@@ -58,10 +57,9 @@ def test_criterion_01_overlap_figure():
     M = 100000
     spec = GridSpec(M)
     psi = hermite_function_rows(100, spec.points()) * np.sqrt(spec.h)
-    cfg = QHTConfig(N=101, eps=0.01, M=M, N_high=M // 2)
     overlaps = {}
     for n in range(1, 101):
-        overlaps[n] = abs(float(psi[n] @ build_pr_state(n, cfg)))
+        overlaps[n] = abs(float(psi[n] @ build_pr_state(n, M)))
     elapsed = time.time() - t0
     violations = []
     for n, v in overlaps.items():

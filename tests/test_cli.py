@@ -65,15 +65,14 @@ class TestOverlap:
         import numpy as np
 
         from qhermite.discrete_qho import hermite_basis
-        from qhermite.qht_pipeline import QHTConfig, build_pr_state
+        from qhermite.qht_pipeline import build_pr_state
         from qhermite.spectral_core import GridSpec
 
         M, n_max = 512, 8
         code, out = _run(tmp_path, "ov.csv", ["overlap", "--M", str(M), "--n", str(n_max)])
         assert code == 0
         psi = hermite_basis(GridSpec(M), n_max)
-        cfg = QHTConfig(N=n_max + 1, eps=0.01, M=M, N_high=M // 2)
-        want = [f"{n},{float(psi[n] @ build_pr_state(n, cfg)):.10f}" for n in range(n_max + 1)]
+        want = [f"{n},{float(psi[n] @ build_pr_state(n, M)):.10f}" for n in range(n_max + 1)]
         assert out.read_text().splitlines()[2:] == want
 
 
@@ -192,7 +191,8 @@ class TestUsageErrors:
                                       ["ff-error", "--N", "0", "--M", "64"],
                                       ["ggl", "--mode", "quantum"], ["sample", "--trials", "-5"],
                                       ["sample", "--n", "0", "--trials", "10"],
-                                      ["ggl", "--n", "0", "--seeds", "0"]])
+                                      ["ggl", "--n", "0", "--seeds", "0"],
+                                      ["ff-error", "--M", "0"], ["ff-error", "--M", "128,-4"]])
     def test_malformed_option_is_a_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "x.csv"
         assert main(args + ["--out", str(out)]) == 1
@@ -222,12 +222,13 @@ class TestUsageErrors:
 
     def test_calibration_path_kept_in_provenance(self, tmp_path):
         cal = tmp_path / "cal.json"
-        cal.write_text('{"version": 1, "c0": 1e-5, "c1": 4.0}')
+        cal.write_text('{"version": 1, "c0": 1e-5, "c1": 3.0}')   # c1 = 4 is the default
         code, out = _run(tmp_path, "q.csv", ["qht", "--N", "2", "--eps", "0.1",
                                             "--calibration", str(cal)])
         assert code == 0
-        meta, rows, _ = read_table(out)
+        meta, rows, summary = read_table(out)
         assert meta["calibration"] == str(cal) and len(rows) == 2
+        assert summary["N_high"] == 60   # ceil(3.0 * 2 / 0.1), from the loaded file
 
     def test_bad_config_rejected(self, tmp_path):
         out = tmp_path / "x.csv"

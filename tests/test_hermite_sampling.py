@@ -19,6 +19,7 @@ from qhermite.hermite_sampling import (
     tv_distance,
 )
 from qhermite.learning_testers import CoefficientPattern, _mode_sample, restriction_coefficient
+from qhermite.qht_pipeline import ConfigError
 
 
 class TestCoefficientOracle:
@@ -303,15 +304,15 @@ class TestPipelineTransformBackend:
         # pipeline outputs; distributions agree to the pipeline's eps
         f = corpus.product_sign((0,), 1)
         ref = sample_distribution(f, SamplerConfig(M=256, D=3))
-        pipe = sample_distribution(f, SamplerConfig(M=256, D=3, transform="pipeline",
-                                                    qht_eps=0.01))
+        pipe = sample_distribution(f, SamplerConfig(M=256, D=3, qht_eps=0.01))
         for v in ((0,), (1,), (2,), (3,)):
             assert abs(ref.prob(v) - pipe.prob(v)) < 1e-3
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            sample_distribution(corpus.constant(1, 1.0),
-                                SamplerConfig(M=256, D=3, transform="bogus"))
+    @pytest.mark.parametrize("eps", [1.5, 0.0, -0.1, float("nan")])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(ConfigError, match=f"got {eps}"):
+            sample_distribution(corpus.product_sign((0,), 1),
+                                SamplerConfig(M=256, D=3, qht_eps=eps), normalized=True)
 
 
 class TestDistortion:

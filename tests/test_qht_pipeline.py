@@ -20,6 +20,7 @@ from qhermite.qht_pipeline import (
     choose_dimensions,
     fixed_point_amplify,
     fixed_point_schedule,
+    high_energy_cutoff,
     isometry_singular_values,
     pr_high_energy_leakage,
     pr_support,
@@ -32,7 +33,7 @@ from qhermite.spectral_core import GridSpec
 
 def _prepared(cfg, n):
     """The normalized prepared state of block n, as QHTOperator holds it."""
-    amps = build_pr_state(n, cfg)
+    amps = build_pr_state(n, cfg.M)
     return amps / np.linalg.norm(amps)
 
 
@@ -54,13 +55,13 @@ def _uncompute_blocks(cfg, blocks):
 class TestChooseDimensions:
     def test_small_instance_defaults(self):
         # with the literal formula constants, N=1 eps=0.5 needs only M=16
-        cfg = choose_dimensions(1, 0.5, Calibration.paper_scaling())
-        assert cfg.M == 16
-        assert cfg.N_high == 8
+        cal = Calibration.paper_scaling()
+        assert choose_dimensions(1, 0.5, cal).M == 16
+        assert high_energy_cutoff(1, 0.5, cal) == 8
 
     def test_n_high_formula(self):
-        cfg = choose_dimensions(16, 0.1)
-        assert cfg.N_high == 640
+        assert high_energy_cutoff(16, 0.1) == 640
+        assert high_energy_cutoff(2, 0.1, Calibration(c1=3.0)) == 60
 
     def test_monotone_in_eps(self):
         prev = 0
@@ -80,7 +81,7 @@ class TestChooseDimensions:
     def test_acceptance_scale_instance(self):
         cfg = choose_dimensions(8, 0.01)
         assert cfg.M == 4096
-        assert cfg.N < cfg.N_high < cfg.M
+        assert cfg.N < high_energy_cutoff(cfg.N, cfg.eps) < cfg.M
 
 
 class TestWindow:
@@ -113,29 +114,26 @@ class TestWindow:
 
 class TestPRStates:
     def test_support_size(self):
-        cfg = QHTConfig(N=2, eps=0.1, M=2048, N_high=64)
         # J(0) = ceil(sqrt(0.75 * 1 * 2048 / (2 pi))) = 16
         assert pr_support(0, 2048) == 16
-        support = np.nonzero(build_pr_state(0, cfg))[0]
+        support = np.nonzero(build_pr_state(0, 2048))[0]
         assert support.min() >= 2048 // 2 - 16 and support.max() < 2048 // 2 + 16
         # n >= 1: J(10) = ceil(sqrt(0.75 * 2*10 * 2048 / (2 pi))) = 70; the
         # sqrt(2n+1) scale would give 72
         assert pr_support(10, 2048) == 70
-        support = np.nonzero(build_pr_state(10, cfg))[0]
+        support = np.nonzero(build_pr_state(10, 2048))[0]
         assert support.min() >= 2048 // 2 - 70 and support.max() < 2048 // 2 + 70
 
     def test_ground_overlap(self, basis_cache):
-        cfg = QHTConfig(N=1, eps=0.01, M=4096, N_high=64)
         psi0 = basis_cache(4096, 0)[0]
-        assert psi0 @ build_pr_state(0, cfg) >= 0.6
+        assert psi0 @ build_pr_state(0, 4096) >= 0.6
 
     @pytest.mark.slow
     def test_paper_figure_point(self):
         # n=10, M=1e5: overlap 2/3 +- 0.05
         M = 100000
-        cfg = QHTConfig(N=11, eps=0.01, M=M, N_high=1000)
         psi = hermite_basis(GridSpec(M), 10)[10]
-        assert abs(float(psi @ build_pr_state(10, cfg)) - 2.0 / 3.0) <= 0.05
+        assert abs(float(psi @ build_pr_state(10, M)) - 2.0 / 3.0) <= 0.05
 
     def test_magnitude_bound_scaling(self):
         # max |phi_n| <= C n^(-1/4) with one fitted C across n in [4, 64];
@@ -143,10 +141,9 @@ class TestPRStates:
         # its value where sin(phi) = 1/2; at the window edge sqrt(3n/2),
         # sin(phi) is above 1/2, so the cap is approached as n grows
         M = 65536
-        cfg = QHTConfig(N=65, eps=0.01, M=M, N_high=1000)
         ratios = []
         for n in range(4, 65, 6):
-            peak = np.abs(build_pr_state(n, cfg)).max() / np.sqrt(GridSpec(M).h)
+            peak = np.abs(build_pr_state(n, M)).max() / np.sqrt(GridSpec(M).h)
             ratios.append(peak * n**0.25)
         C = max(ratios)
         assert C <= 2**0.25 * np.sqrt(2 / np.pi) + 1e-6
@@ -154,15 +151,14 @@ class TestPRStates:
 
     def test_too_small_grid_rejected(self):
         # the oscillatory window only outgrows the grid for n ~ > 1.05 M
-        cfg = QHTConfig(N=81, eps=0.1, M=64, N_high=70)
         with pytest.raises(ConfigError):
-            build_pr_state(80, cfg)
+            build_pr_state(80, 64)
 
 
 class TestEigenstateFilter:
     def test_keeps_matching_hermite_state(self, basis_cache):
         M, n = 512, 3
-        cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=64)
+        cfg = QHTConfig(N=4, eps=0.01, M=M)
         psi = basis_cache(M, n)[n].astype(complex)
         psi /= np.linalg.norm(psi)
         kept, _ = qht_operator(cfg).filter(psi, n)
@@ -170,7 +166,7 @@ class TestEigenstateFilter:
 
     def test_rejects_mismatched_state(self, basis_cache):
         M = 512
-        cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=64)
+        cfg = QHTConfig(N=4, eps=0.01, M=M)
         psi = basis_cache(M, 5)[5].astype(complex)
         psi /= np.linalg.norm(psi)
         kept, _ = qht_operator(cfg).filter(psi, 2)
@@ -178,7 +174,7 @@ class TestEigenstateFilter:
 
     def test_pr_state_retention_tracks_overlap(self, basis_cache):
         M, n = 2048, 2
-        cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=256)
+        cfg = QHTConfig(N=4, eps=0.01, M=M)
         kept, _ = qht_operator(cfg).filter(_prepared(cfg, n), n)
         psi = basis_cache(M, n)[n]
         beta = abs(float(psi @ _prepared(cfg, n)))
@@ -187,7 +183,7 @@ class TestEigenstateFilter:
     def test_interferometer_mass_conservation(self, rng):
         # materialize all 2^m ancilla branches at M=64 and check completeness
         M = 64
-        cfg = QHTConfig(N=2, eps=0.1, M=M, N_high=16)
+        cfg = QHTConfig(N=2, eps=0.1, M=M)
         op = qht_operator(cfg)
         v = rng.normal(size=M) + 1j * rng.normal(size=M)
         v /= np.linalg.norm(v)
@@ -275,7 +271,7 @@ class TestFixedPointAmplify:
 class TestUncompute:
     def test_single_block_returns_to_zero(self, basis_cache):
         M, n = 256, 2
-        cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=64)
+        cfg = QHTConfig(N=4, eps=0.01, M=M)
         psi = basis_cache(M, n)[n].astype(complex)
         psi /= np.linalg.norm(psi)
         out, residual = _uncompute_blocks(cfg, {n: psi})
@@ -284,7 +280,7 @@ class TestUncompute:
 
     def test_uniform_blocks(self, basis_cache):
         M = 256
-        cfg = QHTConfig(N=4, eps=0.01, M=M, N_high=64)
+        cfg = QHTConfig(N=4, eps=0.01, M=M)
         basis = basis_cache(M, 3)
         blocks = {}
         for n in range(4):
@@ -300,7 +296,7 @@ class TestUncompute:
         # N=1: all controlled phases reduce to the half-shift, exact up to
         # fast-forward error
         M = 256
-        cfg = QHTConfig(N=1, eps=0.01, M=M, N_high=16)
+        cfg = QHTConfig(N=1, eps=0.01, M=M)
         psi = basis_cache(M, 0)[0].astype(complex)
         out, residual = _uncompute_blocks(cfg, {0: psi})
         assert residual <= 1e-6
@@ -308,19 +304,28 @@ class TestUncompute:
 
 class TestPipelineContext:
     def test_holds_2m_plus_1_half_tables(self):
-        cfg = QHTConfig(N=2, eps=0.01, M=1024, N_high=64)
+        cfg = QHTConfig(N=2, eps=0.01, M=1024)
         tables = qht_operator(cfg).dyadic_tables
         assert len(tables) == cfg.m_bits
         assert sum(t.halves.shape[0] for t in tables) == 2 * cfg.m_bits + 1
         assert all(t.halves.shape[1] == cfg.M // 2 + 1 for t in tables)
 
+    @pytest.mark.parametrize("eps", [1.5, 1.0, 0.0, -0.1, float("nan")])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        # a hand-built config skips choose_dimensions' check; the operator repeats it
+        cfg = QHTConfig(N=2, eps=eps, M=256)
+        with pytest.raises(ConfigError, match=f"eps must be in \\(0, 1\\), got {eps}"):
+            QHTOperator(cfg)
+        with pytest.raises(ConfigError, match="eps must be in"):
+            qht_apply(np.array([1.0, 0.0]), cfg)
+
     def test_non_power_of_two_m_rejected(self):
-        cfg = QHTConfig(N=2, eps=0.01, M=3000, N_high=64)
+        cfg = QHTConfig(N=2, eps=0.01, M=3000)
         with pytest.raises(ConfigError, match="power-of-two"):
             qht_apply(np.array([0.0, 1.0]), cfg)
         with pytest.raises(ConfigError):
             QHTOperator(cfg)
-        build_pr_state(1, cfg)   # state preparation does not need QPE
+        build_pr_state(1, cfg.M)   # state preparation does not need QPE
 
     def test_streamed_output_matches_blockwise_uncompute(self):
         cfg = choose_dimensions(4, 0.05)
@@ -383,7 +388,8 @@ class TestOperator:
         assert not op.matrix().flags.writeable   # callers of a config share its columns
 
     def test_second_call_runs_no_passes(self):
-        cfg = replace(choose_dimensions(4, 0.05), r=31)   # a config no other test holds
+        qht_operator.cache_clear()   # no other test's operator is held
+        cfg = choose_dimensions(4, 0.05)
         first = qht_apply(self.ALPHA, cfg)
         second = qht_apply(self.ALPHA, cfg)
         assert first.op_passes == 4 * 2 * cfg.m_bits
@@ -391,24 +397,27 @@ class TestOperator:
         assert np.array_equal(first.output, second.output)
         assert qht_operator(cfg) is qht_operator(replace(cfg))   # keyed on the config's value
 
-    def test_configs_differing_in_eps_or_rounds_hold_their_own_columns(self):
+    def test_configs_differing_in_any_knob_hold_their_own_columns(self):
         base = choose_dimensions(2, 0.05)
-        others = [replace(base, eps=0.2), replace(base, aa_rounds=1)]
-        e0 = np.array([1.0, 0.0])
-        ref = qht_apply(e0, base)
+        others = [replace(base, eps=0.2), replace(base, oracle_bits=6),
+                  replace(base, aa_rounds=1), replace(base, delta_lower=0.5)]
+        # block 1: rounding block 0's constant amplitude and phase leaves its
+        # normalized state unchanged, so oracle_bits shows only from n = 1 on
+        e1 = np.array([0.0, 1.0])
+        ref = qht_apply(e1, base)
         for cfg in others:
             assert (cfg.M, cfg.N) == (base.M, base.N)
             assert qht_operator(cfg) is not qht_operator(base)
-            res = qht_apply(e0, cfg)
+            res = qht_apply(e1, cfg)
             assert np.abs(res.output - ref.output).max() > 1e-6
-            assert res.block_fidelities[0] != ref.block_fidelities[0]
-        assert np.array_equal(qht_apply(e0, base).output, ref.output)
+            assert res.block_fidelities[1] != ref.block_fidelities[1]
+        assert np.array_equal(qht_apply(e1, base).output, ref.output)
 
 
 class TestFrameSweep:
     """The filter and uncompute sweeps against a pass-by-pass composition."""
 
-    CONFIGS = (choose_dimensions(4, 0.05), QHTConfig(N=2, eps=0.05, M=64, N_high=16))
+    CONFIGS = (choose_dimensions(4, 0.05), QHTConfig(N=2, eps=0.05, M=64))
 
     @staticmethod
     def _filter_passes(op, n, v):
@@ -481,17 +490,17 @@ class TestStackedHold:
     """Blocks held as row stacks, across a chunk boundary, against one-at-a-time holds."""
 
     M = 4096
-    CFG = QHTConfig(N=_stack_rows(M) + 3, eps=0.01, M=M, N_high=1000)
-    SMALL = QHTConfig(N=2, eps=0.05, M=64, N_high=16)
+    CFG = QHTConfig(N=_stack_rows(M) + 3, eps=0.01, M=M)
+    SMALL = QHTConfig(N=2, eps=0.05, M=64)
     METRICS = ("columns", "held", "block_fidelities", "filter_leaks", "aa_residuals",
                "input_mass", "uncompute_residuals", "v_passes")
 
     def test_config_crosses_a_chunk_boundary(self):
         assert _stack_rows(self.M) < self.CFG.N < 2 * _stack_rows(self.M)
 
-    @pytest.mark.parametrize("quantize", [False, True], ids=["exact", "quantized"])
-    def test_one_block_at_a_time_equals_matrix(self, quantize):
-        cfg = replace(self.CFG, quantize_oracles=quantize)
+    @pytest.mark.parametrize("bits", [None, 32], ids=["exact", "quantized"])
+    def test_one_block_at_a_time_equals_matrix(self, bits):
+        cfg = replace(self.CFG, oracle_bits=bits)
         whole = QHTOperator(cfg)
         whole.matrix()
         single = QHTOperator(cfg)
@@ -528,7 +537,7 @@ class TestStackedHold:
 
     def test_row_loss_does_not_depend_on_its_stack(self, rng):
         M = 16384
-        op = QHTOperator(QHTConfig(N=3, eps=0.01, M=M, N_high=1000))
+        op = QHTOperator(QHTConfig(N=3, eps=0.01, M=M))
         stack = rng.normal(size=(3, M)) + 1j * rng.normal(size=(3, M))
         coeffs = op._phases([0, 1, 2]).conj()
         lost = np.zeros(3)
@@ -557,10 +566,10 @@ class TestStackedHold:
         rows, real = _stack_rows(self.M), qht_pipeline.build_pr_state
         bad = 0 if stack == 0 else self.CFG.N - 1
 
-        def refuse(n, cfg, **kwargs):
+        def refuse(n, *args):
             if n == bad:
                 raise ConfigError(f"refused n={n}")
-            return real(n, cfg, **kwargs)
+            return real(n, *args)
 
         monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(qht_pipeline, "build_pr_state", refuse)
@@ -691,7 +700,7 @@ class TestEndToEnd:
         ref /= np.linalg.norm(ref)
         degraded = {}
         for r in (3, 7, 10, 24):
-            cfg = replace(base, r=r, quantize_oracles=True)
+            cfg = replace(base, oracle_bits=r)
             out = qht_apply(alpha, cfg).output
             degraded[r] = 1.0 - abs(np.vdot(ref, out))
         assert degraded[24] < degraded[3]
@@ -699,9 +708,9 @@ class TestEndToEnd:
         assert degraded[24] <= 2 * base.eps**2 + 1e-4
 
         # quantized prepared state deviates by O(2^-r) from the exact one
-        exact = build_pr_state(2, base)
+        exact = build_pr_state(2, base.M)
         for r in (4, 8, 12):
-            rough = build_pr_state(2, base, quantize_bits=r)
+            rough = build_pr_state(2, base.M, oracle_bits=r)
             assert np.abs(rough - exact).max() <= 4.0 * 2.0**-r
 
     def test_aa_rounds_override(self):
@@ -724,5 +733,6 @@ class TestEndToEnd:
         # N_high stays within eps
         cfg = choose_dimensions(8, 0.1)
         eig = dense_diagonalize(build(GridSpec(cfg.M)))
+        n_high = high_energy_cutoff(cfg.N, cfg.eps)
         for n in range(8):
-            assert pr_high_energy_leakage(n, cfg, eig) <= cfg.eps
+            assert pr_high_energy_leakage(n, n_high, eig) <= cfg.eps
