@@ -149,14 +149,6 @@ def _enter_frame(w: np.ndarray) -> np.ndarray:
     return np.fft.ifft(w, out=w)
 
 
-def _to_frame(state: np.ndarray, M: int) -> np.ndarray:
-    """A fresh array w = ifft(alt*v) along the last axis: the momentum frame."""
-    w = np.array(state, dtype=complex)
-    if w.shape[-1] != M:
-        raise ValueError(f"dimension mismatch: {w.shape[-1]} vs M={M}")
-    return _enter_frame(w)
-
-
 def _frame_steps(tables: EvolutionTables, w: np.ndarray, adjoint: bool = False,
                  out: np.ndarray | None = None, conj: np.ndarray | None = None) -> np.ndarray:
     """Apply the factors (or their adjoints) to a momentum-frame w; returns `out`.
@@ -203,7 +195,10 @@ def apply_tables(tables: EvolutionTables, state: np.ndarray,
     Enters the momentum frame, runs the factors there and leaves it; `state`
     is not modified.
     """
-    v = _from_frame(_frame_steps(tables, _to_frame(state, tables.M), adjoint))
+    w = np.array(state, dtype=complex)
+    if w.shape[-1] != tables.M:
+        raise ValueError(f"dimension mismatch: {w.shape[-1]} vs M={tables.M}")
+    v = _from_frame(_frame_steps(tables, _enter_frame(w), adjoint))
     if tables.global_sign < 0:
         v *= -1.0
     return v

@@ -9,8 +9,9 @@ uncomputation of the index register.
 Every pipeline unitary is block-diagonal in the index n, so each block is
 simulated independently on a dimension-M work register and the blocks are
 recombined linearly; this replaces the M^2-dimensional joint statevector with
-N independent M-vectors, held per config as the columns of `QHTOperator`,
-whose `filter` and `uncompute` methods are the only way into those stages.
+N independent M-vectors, held per config as the columns of `QHTOperator`.
+Every column takes one path through the stages, `QHTOperator._hold_stacks`,
+and `QHTOperator._sweep` is both its filter and its uncompute.
 Within a block, the amplification walk lives exactly in the 2-D span
 {flagged, rest} of the prepared joint state, where fixed-point search is
 defined (Yoder, Low & Chuang, PRL 113, 210501, 2014), so the M-qubit filter
@@ -35,7 +36,6 @@ from .fast_forward import (
     _enter_frame,
     _frame_steps,
     _from_frame,
-    _to_frame,
     decompose,
     evolution_tables,
 )
@@ -259,8 +259,10 @@ def fixed_point_schedule(delta_lower: float, eps: float,
     standard fixed-point sequence that drives any initial overlap
     a >= delta_lower to at least 1 - eps without overshoot.
     """
-    if delta_lower <= 0:
-        raise ValueError("overlap lower bound must be positive")
+    if not delta_lower > 0:   # NaN included
+        raise ValueError(f"overlap lower bound must be positive, got {delta_lower}")
+    if degree_override < 0:
+        raise ValueError(f"degree override must be >= 0, got {degree_override}")
     L = degree_override or int(math.ceil(math.log(2.0 / eps) / delta_lower))
     if L % 2 == 0:
         L += 1
@@ -350,7 +352,8 @@ class QHTOperator:
     worker holds, only while the build runs, two frame buffers of
     2k*M*16 bytes for k = `_stack_rows(M)` rows (2.1 MB: k = 4 at
     M = 16384) and an M*16-byte uncompute scratch (0.26 MB), so two workers
-    take 4.7 MB there.  v_passes counts every V or V^dagger applied.
+    take 4.7 MB there.  v_passes is derived from the held blocks: 2m
+    passes of V or V^dagger each.
     """
 
     def __init__(self, config: QHTConfig):
@@ -359,6 +362,14 @@ class QHTOperator:
             raise ConfigError(f"phase estimation needs a power-of-two M, got M={M}")
         if not (0 < config.eps < 1):
             raise ConfigError(f"eps must be in (0, 1), got {config.eps}")
+        # one bit rounds the oscillation phase to multiples of pi, where sin vanishes
+        if config.oracle_bits is not None and config.oracle_bits < 2:
+            raise ConfigError(f"oracle_bits must be None or >= 2, got {config.oracle_bits}")
+        if config.aa_rounds < 0:
+            raise ConfigError(f"aa_rounds must be >= 0, got {config.aa_rounds}")
+        # an overlap is at most 1; a larger bound only shrinks the degree L toward 1
+        if not (0 < config.delta_lower <= 1):
+            raise ConfigError(f"delta_lower must be in (0, 1], got {config.delta_lower}")
         self.config = config
         self.basis = hermite_basis(GridSpec(M), N - 1)   # row n is |psibar_n>
         base = 2 * math.pi / M
@@ -372,39 +383,46 @@ class QHTOperator:
         self.aa_residuals = np.zeros(N)
         self.input_mass = np.zeros(N)
         self.uncompute_residuals = np.zeros(N)
-        self.v_passes = 0
         self.build_workers = 0
-        self._passes_lock = threading.Lock()
 
-    def _phases(self, ns) -> np.ndarray:
-        """exp(i 2^j (2pi/M)(n+1/2)), row n of ns, column j = 0..m-1: the W_{n,j} phases."""
-        return np.exp(1j * np.asarray(self.dyadic_times) * (np.asarray(ns)[:, None] + 0.5))
-
-    def _sweep(self, w: np.ndarray, coeffs: np.ndarray, adjoint: bool,
+    def _sweep(self, w: np.ndarray, ns, adjoint: bool,
                tmp: np.ndarray | None = None, lost: np.ndarray | None = None) -> np.ndarray:
-        """prod_j (I + c_j V_j)/2 (V_j^dagger under adjoint), j = 0 first, on w in place.
+        """Block ns[i]'s QPE filter (its uncompute under adjoint) on row i of w, in place.
 
-        w is a (k, M) stack in the momentum frame of `fast_forward` and coeffs
-        the (k, m) array of its rows' c_j.  Each dyadic evolution runs once on
-        the whole stack, into the (k, M) scratch `tmp`.  The halvings are left
-        out of the passes and applied once, as 2^-m at the end: power-of-two
-        scaling is exact, so the result is bitwise that of halving each pass.
+        The filter is the m-ancilla QPE interferometer flagging |psibar_n>.
+        Its flagged component (ancillas |0...0>) is prod_j (I + c_{n,j} V_j)/2,
+        j = 0 first, with c_{n,j} = exp(i 2^j (2pi/M)(n+1/2)) and
+        V_j = V(2^j 2pi/M): m sequential evolutions, not 2^m branches.  Each
+        c_{n,j} V_j is unitary, so the unflagged mass is exactly
+        ||w||^2 - ||kept||^2.  Exchanging the sum over index basis states with
+        the dyadic product collapses the inverse QPE to m products per block:
+        prod_j (I + conj(c_{n,j}) V_j^dagger)/2.  The uncompute conjugates the
+        filter's coefficients rather than evaluating exp(-i ...), so both
+        stages see the same bits.
+
+        w is a (k, M) stack of position-frame rows.  It enters the momentum
+        frame of `fast_forward` and leaves it at the end.  Each dyadic
+        evolution runs once on the whole stack, into the (k, M) scratch `tmp`.
+        The halvings are left out of the passes and applied once, as 2^-m at
+        the end: power-of-two scaling is exact, so the result is bitwise that
+        of halving each pass.
 
         With `lost`, a (k,) array, each row's discarded-branch mass
         sum_j ||(I - c_j V_j) x_j / 2||^2 is added to it, x_j being the row
-        before pass j.  Each c_j V_j is unitary, so that sum is exactly
-        ||w||^2 - ||out||^2, summed from non-negative terms instead of taken
-        as a difference.  It is measured in the position frame: the momentum
-        frame scales squared norms by 1/M, undone exactly with the halvings.
-        Each row's term goes through one M-length scratch, so a row's mass
-        has the same bits whatever stack it runs in.
-
-        v_passes is shared by the build workers of `_hold` and counted under
-        a lock.
+        before pass j.  That sum is exactly ||w||^2 - ||out||^2, summed from
+        non-negative terms instead of taken as a difference.  It is measured
+        in the position frame: the momentum frame scales squared norms by
+        1/M, undone exactly with the halvings.  Each row's term goes through
+        one M-length scratch, so a row's mass has the same bits whatever stack
+        it runs in.
         """
+        coeffs = np.exp(1j * np.asarray(self.dyadic_times) * (np.asarray(ns)[:, None] + 0.5))
+        if adjoint:
+            coeffs = coeffs.conj()
         tmp = np.empty_like(w) if tmp is None else tmp
         conj = np.empty(self.config.M // 2 + 1, dtype=complex) if adjoint else None
         diff = None if lost is None else np.empty(self.config.M, dtype=complex)
+        _enter_frame(w)
         for j, tables in enumerate(self.dyadic_tables):
             _frame_steps(tables, w, adjoint, out=tmp, conj=conj)
             tmp *= (coeffs[:, j] * tables.global_sign)[:, None]
@@ -415,40 +433,14 @@ class QHTOperator:
                     lost[i] += np.einsum("i,i->", flat, flat) * scale
             w += tmp
         w *= 0.5 ** len(self.dyadic_tables)
-        with self._passes_lock:
-            self.v_passes += coeffs.size
-        return w
+        return _from_frame(w)
 
-    def filter(self, state: np.ndarray, n: int):
-        """The m-ancilla QPE interferometer flagging |psibar_n>: (kept, leaked_mass).
+    @property
+    def v_passes(self) -> int:
+        """V or V^dagger passes run: m by the filter and m by the uncompute of each held block."""
+        return 2 * self.config.m_bits * int(self.held.sum())
 
-        kept, the flagged component (ancillas |0...0>), is
-        prod_j (I + W_{n,j})/2 applied to state, with
-        W_{n,j} = exp(i 2^j (2pi/M)(n+1/2)) V(2^j 2pi/M): m sequential
-        evolutions, not 2^m branches.  Unitarity of each W makes the
-        unflagged mass exactly ||state||^2 - ||kept||^2.
-        """
-        v = np.asarray(state, dtype=complex)
-        w = _to_frame(v, self.config.M)[None]
-        kept = _from_frame(self._sweep(w, self._phases([n]), adjoint=False))[0]
-        in_sq = float(np.vdot(v, v).real)
-        kept_sq = float(np.vdot(kept, kept).real)
-        return kept, max(in_sq - kept_sq, 0.0)
-
-    def uncompute(self, n: int, v: np.ndarray) -> np.ndarray:
-        """Inverse-QPE reset of the index register on the |n> block's work vector v.
-
-        Exchanging the sum over index basis states with the dyadic product
-        collapses the inverse QPE to m products per block:
-            out_n = prod_j (I + exp(-i 2^j (2pi/M)(n+1/2)) V_j^dagger)/2 v.
-        The transform output on the reset register is sum_n out_n, and the
-        residual index mass sum_n ||v_n||^2 - ||sum_n out_n||^2 is reported
-        by `apply`, not raised.
-        """
-        w = _to_frame(v, self.config.M)[None]
-        return _from_frame(self._sweep(w, self._phases([n]).conj(), adjoint=True))[0]
-
-    def _hold(self, blocks) -> None:
+    def _hold(self, blocks) -> int:
         """Prepare, filter, amplify and uncompute the blocks not held yet; hold u_n and metrics.
 
         The blocks run as row stacks of at most `_stack_rows(M)` rows, dealt
@@ -457,11 +449,12 @@ class QHTOperator:
         for each other one, so with one worker no thread is started.  numpy's
         FFTs release the interpreter lock, so the workers' sweeps overlap.  A
         worker's error is raised here once every worker has stopped; the
-        blocks of a stack that did not finish stay unheld.
+        blocks of a stack that did not finish stay unheld.  Returns the number
+        of blocks built.
         """
         todo = [int(n) for n in blocks if not self.held[n]]
         if not todo:
-            return
+            return 0
         rows = _stack_rows(self.config.M)
         stacks = [todo[start:start + rows] for start in range(0, len(todo), rows)]
         workers = self.build_workers = min(_usable_cpus(), len(stacks))
@@ -484,6 +477,7 @@ class QHTOperator:
                 thread.join()
         if errors:
             raise errors[0]
+        return len(todo)
 
     def _hold_stacks(self, stacks) -> None:
         """Run the stacks in turn through one pair of frame buffers, holding each as it ends.
@@ -501,8 +495,7 @@ class QHTOperator:
                 amps = build_pr_state(n, cfg.M, cfg.oracle_bits)
                 row[:] = amps / np.linalg.norm(amps)
             in_sq = [float(np.vdot(row, row).real) for row in w]
-            phases = self._phases(chunk)
-            _from_frame(self._sweep(_enter_frame(w), phases, False, tmp))
+            self._sweep(w, chunk, False, tmp)
             for row, n, mass in zip(w, chunk, in_sq):
                 leak = max(mass - float(np.vdot(row, row).real), 0.0)
                 kept_norm = float(np.linalg.norm(row))
@@ -516,7 +509,7 @@ class QHTOperator:
                 self.block_fidelities[n] = abs(np.vdot(psi_n, row))
                 self.input_mass[n] = float(np.vdot(row, row).real)
             lost = np.zeros(len(chunk))
-            _from_frame(self._sweep(_enter_frame(w), phases.conj(), True, tmp, lost))
+            self._sweep(w, chunk, True, tmp, lost)
             self.uncompute_residuals[chunk] = lost
             self.columns[chunk] = w
             self.held[chunk] = True
@@ -534,15 +527,15 @@ class QHTOperator:
         The uncompute residual is sum_n |a_n|^2 ||w_n||^2 - ||out||^2.
         """
         alpha = np.asarray(alpha, dtype=complex)
-        k, passes, touched = len(alpha), self.v_passes, alpha != 0
-        self._hold(np.flatnonzero(touched))
+        k, touched = len(alpha), alpha != 0
+        built = self._hold(np.flatnonzero(touched))
         out = (alpha * self.signs[:k]) @ self.columns[:k]
         total_in = float(np.abs(alpha) ** 2 @ self.input_mass[:k])
         fid, leak, aa = (np.where(touched, x[:k], 0.0) for x in
                          (self.block_fidelities, self.filter_leaks, self.aa_residuals))
         return QHTResult(output=out, block_fidelities=fid, filter_leaks=leak, aa_residuals=aa,
                          uncompute_residual=max(total_in - float(np.vdot(out, out).real), 0.0),
-                         op_passes=self.v_passes - passes)
+                         op_passes=2 * self.config.m_bits * built)
 
 
 @functools.lru_cache(maxsize=4)
