@@ -188,6 +188,20 @@ def _from_frame(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _reflect(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x at the mirrored labels, l -> -l: index i -> -i mod M along the last axis.
+
+    Written from two slices into `out` (allocated when not given), so no
+    index array is built.  The map is the same in the position frame and the
+    momentum frame: alt is symmetric and the DFT commutes with it.
+    """
+    if out is None:
+        out = np.empty_like(x)
+    out[..., 0] = x[..., 0]
+    out[..., 1:] = x[..., :0:-1]
+    return out
+
+
 def apply_tables(tables: EvolutionTables, state: np.ndarray,
                  adjoint: bool = False) -> np.ndarray:
     """Apply the tabulated evolution (or its adjoint) along the last axis.
@@ -391,8 +405,7 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
     tables = evolution_tables(qho.M, decompose(t))
     low = eig.vectors[:, :N]
     cols = low.T
-    mirror = -np.arange(qho.M) % qho.M      # index of label -l, for label l at index i
-    flipped = cols[:, mirror]
+    flipped = _reflect(cols)
     even = (cols == flipped).all(axis=1)
     evens = np.flatnonzero(even)
     odds = np.flatnonzero((cols == -flipped).all(axis=1) & ~even)
@@ -403,8 +416,9 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
     stack = np.concatenate([cols[evens] + cols[odds], cols[single]])
     d = chebyshev_evolution(qho, t, stack) - apply_tables(tables, stack)
     diff = np.empty((N, qho.M), dtype=complex)
-    diff[evens] = (d[:k] + d[:k, mirror]) / 2
-    diff[odds] = (d[:k] - d[:k, mirror]) / 2
+    flipped = _reflect(d[:k])
+    diff[evens] = (d[:k] + flipped) / 2
+    diff[odds] = (d[:k] - flipped) / 2
     diff[single] = d[k:]
     block = low.conj().T @ diff.T
     return float(np.linalg.svd(block, compute_uv=False)[0])

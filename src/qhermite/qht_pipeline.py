@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ from .fast_forward import (
     _enter_frame,
     _frame_steps,
     _from_frame,
+    _reflect,
     decompose,
     evolution_tables,
 )
@@ -206,7 +208,7 @@ def pr_amplitude_phase(n: int, x: np.ndarray):
 
 
 def build_pr_state(n: int, M: int, oracle_bits: int | None = None) -> np.ndarray:
-    """Unnormalized length-M amplitudes sqrt(h)*phi_n(x_j)*g_n(x_j) on labels -J(n) .. J(n)-1.
+    """Unnormalized length-M amplitudes sqrt(h)*phi_n(x_j)*g_n(x_j) on labels -J(n) .. J(n).
 
     The labels cover the flat part of the window, |x| <= x_max with
     x_max = sqrt(3n/2) for n >= 1, so J(n) = ceil(sqrt((3/4) 2n M / (2 pi))).
@@ -214,11 +216,10 @@ def build_pr_state(n: int, M: int, oracle_bits: int | None = None) -> np.ndarray
     n = 0, which the paper text in the repo does not fix, the state is the
     constant psi_0(0) on |x| <= sqrt(3/4).
 
-    The labels stop at J(n), so the bump taper of g_n is not sampled: the
-    last label, (J-1)h, falls short of x_max, and only the first, -J*h, lies
-    beyond -x_max (by less than one step h, where g_n may be anywhere in
-    [0, 1]).  The prepared state is a hard, slightly asymmetric cut-off of
-    phi_n rather than the smooth window.
+    Only the labels 0..J are evaluated; label -l holds (-1)^n times label l,
+    so the state has psi_n's parity bit for bit, and an odd state is exactly
+    0 at label 0.  The outermost labels +-J lie at or beyond x_max, by less
+    than one step h, where g_n may be anywhere in [0, 1].
 
     oracle_bits rounds the amplitude- and phase-oracle outputs to that many
     fractional bits before combining, modeling the finite-precision coherent
@@ -230,16 +231,18 @@ def build_pr_state(n: int, M: int, oracle_bits: int | None = None) -> np.ndarray
     if J >= M // 2:
         raise ConfigError(f"M={M} too small for the n={n} oscillatory support (J={J})")
     spec = GridSpec(M)
-    idx = np.arange(M // 2 - J, M // 2 + J)
-    xs = (idx - M // 2) * spec.h
+    xs = np.arange(J + 1) * spec.h
     amp, theta = pr_amplitude_phase(n, xs)
     if oracle_bits is not None:
         scale = 2.0**oracle_bits
         amp = np.round(amp * scale) / scale
         theta = 2 * np.pi * np.round(theta / (2 * np.pi) * scale) / scale
     vals = amp * np.sin(theta) * WindowFunction(n).value(xs) * np.sqrt(spec.h)
+    if n % 2:
+        vals[0] = 0.0
     amps = np.zeros(M)
-    amps[idx] = vals
+    amps[M // 2:M // 2 + J + 1] = vals
+    amps[M // 2 - J:M // 2] = (-1.0) ** n * vals[J:0:-1]
     return amps
 
 
@@ -325,6 +328,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _parity_part(row: np.ndarray, sign: float, out: np.ndarray) -> np.ndarray:
+    """out <- (row + sign * P row)/2: the even part of row for sign +1, its odd part for -1.
+
+    P is the reflection l -> -l, written into `out` first, so `out` may not
+    be `row`.  The part is (anti)symmetric bit for bit, since x + y = y + x
+    and x - y = -(y - x) in floating point.
+    """
+    (np.add if sign > 0 else np.subtract)(row, _reflect(row, out=out), out=out)
+    out *= 0.5
+    return out
+
+
 @dataclass(frozen=True)
 class QHTResult:
     """One transform call; op_passes counts the V passes this call ran (0 once held)."""
@@ -343,17 +358,21 @@ class QHTOperator:
     s_n = (-1)^n; u_n, the uncompute of amplified block
     n, is computed on first use of n and held with its block fidelity,
     filter leak, AA residual, input mass ||w_n||^2 and uncompute residual
-    ||w_n||^2 - ||u_n||^2.  The blocks a call
-    needs are computed together, as row stacks spread over one worker
-    thread per usable CPU; build_workers is the number of workers that ran
-    the latest build (0 before any).  The 2m+1 half phase tables of the
-    m = log2(M) dyadic evolutions V(2^j 2pi/M) take (2m+1)(M/2+1)*16 bytes
-    (3.6 MB at M = 16384) and the columns N*M*16 (4.2 MB at N = 16).  Each
-    worker holds, only while the build runs, two frame buffers of
-    2k*M*16 bytes for k = `_stack_rows(M)` rows (2.1 MB: k = 4 at
-    M = 16384) and an M*16-byte uncompute scratch (0.26 MB), so two workers
-    take 4.7 MB there.  v_passes is derived from the held blocks: 2m
-    passes of V or V^dagger each.
+    ||w_n||^2 - ||u_n||^2.  Block 2p and block 2p+1 share one row of the
+    sweeps (block N-1 has a row of its own when N is odd), so a block is
+    built with its partner.  The rows a call needs are computed together,
+    as stacks of at most min(`_stack_rows(M)`, ceil(rows / CPUs)) rows
+    spread over one worker thread per usable CPU; build_workers is the
+    number of workers that ran the latest build (0 before any).  The 2m+1
+    half phase tables of the m = log2(M) dyadic evolutions V(2^j 2pi/M)
+    take (2m+1)(M/2+1)*16 bytes (3.6 MB at M = 16384) and the columns
+    N*M*16 (4.2 MB at N = 16).  Each worker holds, only while the build
+    runs, two frame buffers of 2k*M*16 bytes for a stack of k rows (2.1 MB:
+    k = 4 at M = 16384) and three M*16-byte rows (0.79 MB): the odd part
+    between the sweeps, the reflected row and the uncompute's discarded
+    branch.  So two workers take 5.8 MB there at N = 16, and 5.2 MB when
+    blocks 0 and 1 are held already.  v_passes is derived from the held
+    blocks: 2m passes of V or V^dagger each.
     """
 
     def __init__(self, config: QHTConfig):
@@ -362,6 +381,11 @@ class QHTOperator:
             raise ConfigError(f"phase estimation needs a power-of-two M, got M={M}")
         if not (0 < config.eps < 1):
             raise ConfigError(f"eps must be in (0, 1), got {config.eps}")
+        # a fractional bit count or degree would be silently floored or ignored
+        if not (config.oracle_bits is None or isinstance(config.oracle_bits, numbers.Integral)):
+            raise ConfigError(f"oracle_bits must be None or an integer, got {config.oracle_bits}")
+        if not isinstance(config.aa_rounds, numbers.Integral):
+            raise ConfigError(f"aa_rounds must be an integer, got {config.aa_rounds}")
         # one bit rounds the oscillation phase to multiples of pi, where sin vanishes
         if config.oracle_bits is not None and config.oracle_bits < 2:
             raise ConfigError(f"oracle_bits must be None or >= 2, got {config.oracle_bits}")
@@ -385,9 +409,9 @@ class QHTOperator:
         self.uncompute_residuals = np.zeros(N)
         self.build_workers = 0
 
-    def _sweep(self, w: np.ndarray, ns, adjoint: bool,
+    def _sweep(self, w: np.ndarray, rows, adjoint: bool,
                tmp: np.ndarray | None = None, lost: np.ndarray | None = None) -> np.ndarray:
-        """Block ns[i]'s QPE filter (its uncompute under adjoint) on row i of w, in place.
+        """The QPE filter (uncompute under adjoint) of the blocks rows[i] on row i of w, in place.
 
         The filter is the m-ancilla QPE interferometer flagging |psibar_n>.
         Its flagged component (ancillas |0...0>) is prod_j (I + c_{n,j} V_j)/2,
@@ -400,64 +424,106 @@ class QHTOperator:
         filter's coefficients rather than evaluating exp(-i ...), so both
         stages see the same bits.
 
-        w is a (k, M) stack of position-frame rows.  It enters the momentum
-        frame of `fast_forward` and leaves it at the end.  Each dyadic
-        evolution runs once on the whole stack, into the (k, M) scratch `tmp`.
-        The halvings are left out of the passes and applied once, as 2^-m at
-        the end: power-of-two scaling is exact, so the result is bitwise that
-        of halving each pass.
+        rows[i] is one block (n,), or an even block and an odd one (n, n').
+        A paired row carries e + o, e even and o odd under the reflection P
+        (label l -> -l).  V_j commutes with P: the position factors' x^2, the
+        momentum factors' symbol and the frame change are all symmetric.  So
+        V_j e stays even and V_j o odd, and with t = V_j (e + o), P t = V_j e
+        - V_j o.  A pass therefore adds c_{n,j} V_j e + c_{n',j} V_j o to the
+        row as a_j t + b_j P t, with a_j = (c_{n,j} + c_{n',j})/2 and
+        b_j = (c_{n,j} - c_{n',j})/2: one evolution serves both blocks, and
+        the row's even and odd parts are exactly what each block alone would
+        give.  A single row has b_j = 0 and takes c_{n,j} t.
 
-        With `lost`, a (k,) array, each row's discarded-branch mass
-        sum_j ||(I - c_j V_j) x_j / 2||^2 is added to it, x_j being the row
-        before pass j.  That sum is exactly ||w||^2 - ||out||^2, summed from
-        non-negative terms instead of taken as a difference.  It is measured
-        in the position frame: the momentum frame scales squared norms by
-        1/M, undone exactly with the halvings.  Each row's term goes through
-        one M-length scratch, so a row's mass has the same bits whatever stack
-        it runs in.
+        w is a (k, M) stack of position-frame rows.  It enters the momentum
+        frame of `fast_forward` and leaves it at the end; P is the same index
+        map in both frames.  Each dyadic evolution runs once on the whole
+        stack, into the (k, M) scratch `tmp`; P t is written row by row into
+        one M-length scratch.  The halvings are left out of the passes and
+        applied once, as 2^-m at the end: power-of-two scaling is exact, so
+        the result is bitwise that of halving each pass.
+
+        With `lost`, a (k, 2) array, each block's discarded-branch mass
+        sum_j ||(I - c_j V_j) x_j / 2||^2 is added to lost[i, 0] for
+        rows[i][0] and lost[i, 1] for a partner, x_j being the block's part
+        of the row before pass j.  A paired row's discarded vector is split
+        into its even and odd parts, and each block gets the sum of squares
+        of its part.  That sum is exactly ||w||^2 - ||out||^2 of the block,
+        summed from non-negative terms instead of taken as a difference.  It
+        is measured in the position frame: the momentum frame scales squared
+        norms by 1/M, undone exactly with the halvings.  Each row's terms go
+        through M-length scratches, so a row's masses have the same bits
+        whatever stack it runs in.
         """
-        coeffs = np.exp(1j * np.asarray(self.dyadic_times) * (np.asarray(ns)[:, None] + 0.5))
+        M = self.config.M
+        paired = [len(blocks) == 2 for blocks in rows]
+        first, last = (np.exp(1j * np.asarray(self.dyadic_times)
+                              * (np.array([blocks[k] for blocks in rows])[:, None] + 0.5))
+                       for k in (0, -1))
         if adjoint:
-            coeffs = coeffs.conj()
+            first, last = first.conj(), last.conj()
+        # a single row has first == last, so a = c exactly and b = 0
+        a, b = (first + last) / 2, (first - last) / 2
         tmp = np.empty_like(w) if tmp is None else tmp
-        conj = np.empty(self.config.M // 2 + 1, dtype=complex) if adjoint else None
-        diff = None if lost is None else np.empty(self.config.M, dtype=complex)
+        conj = np.empty(M // 2 + 1, dtype=complex) if adjoint else None
+        refl = np.empty(M, dtype=complex) if any(paired) else None
+        diff = None if lost is None else np.empty(M, dtype=complex)
         _enter_frame(w)
         for j, tables in enumerate(self.dyadic_tables):
             _frame_steps(tables, w, adjoint, out=tmp, conj=conj)
-            tmp *= (coeffs[:, j] * tables.global_sign)[:, None]
-            if diff is not None:   # w and tmp carry 2^j x_j and 2^j c_j V_j x_j
-                scale = self.config.M * 0.25 ** (j + 1)
-                for i, (row, kick) in enumerate(zip(w, tmp)):
-                    flat = np.subtract(row, kick, out=diff).view(float)
-                    lost[i] += np.einsum("i,i->", flat, flat) * scale
+            a_j, b_j = a[:, j] * tables.global_sign, b[:, j] * tables.global_sign
+            scale = M * 0.25 ** (j + 1)
+            for i, (row, kick) in enumerate(zip(w, tmp)):
+                if paired[i]:
+                    np.multiply(_reflect(kick, out=refl), b_j[i], out=refl)
+                    kick *= a_j[i]
+                    kick += refl
+                else:
+                    kick *= a_j[i]
+                if lost is not None:   # row and kick carry 2^j x_j and 2^j c_j V_j x_j
+                    np.subtract(row, kick, out=diff)
+                    parts = (_parity_part(diff, s, refl) for s in (1, -1)) if paired[i] else [diff]
+                    for k, part in enumerate(parts):
+                        flat = part.view(float)
+                        lost[i, k] += np.einsum("i,i->", flat, flat) * scale
             w += tmp
         w *= 0.5 ** len(self.dyadic_tables)
         return _from_frame(w)
 
     @property
     def v_passes(self) -> int:
-        """V or V^dagger passes run: m by the filter and m by the uncompute of each held block."""
+        """V or V^dagger passes run: m by the filter and m by the uncompute of each held block.
+
+        A paired row runs its two blocks' passes on one evolution each.
+        """
         return 2 * self.config.m_bits * int(self.held.sum())
+
+    def _row(self, n: int) -> tuple:
+        """The blocks that share block n's row: (2p, 2p+1), or (N-1,) alone when N is odd."""
+        even = n - n % 2
+        return (even, even + 1) if even + 1 < self.config.N else (even,)
 
     def _hold(self, blocks) -> int:
         """Prepare, filter, amplify and uncompute the blocks not held yet; hold u_n and metrics.
 
-        The blocks run as row stacks of at most `_stack_rows(M)` rows, dealt
-        round-robin to one worker per usable CPU, but no more workers than
-        stacks.  The calling thread is the first worker and starts a thread
-        for each other one, so with one worker no thread is started.  numpy's
-        FFTs release the interpreter lock, so the workers' sweeps overlap.  A
-        worker's error is raised here once every worker has stopped; the
-        blocks of a stack that did not finish stay unheld.  Returns the number
-        of blocks built.
+        The blocks run as rows of `_row`, so a block's partner is built with
+        it and the bits of a column do not depend on which blocks a call
+        asked for.  The rows run as stacks of at most `_stack_rows(M)` rows
+        and at most ceil(rows / usable CPUs), dealt round-robin to one worker
+        per usable CPU, but no more workers than stacks.  The calling thread
+        is the first worker and starts a thread for each other one, so with
+        one worker no thread is started.  numpy's FFTs release the
+        interpreter lock, so the workers' sweeps overlap.  A worker's error
+        is raised here once every worker has stopped; the blocks of a stack
+        that did not finish stay unheld.  Returns the number of blocks built.
         """
-        todo = [int(n) for n in blocks if not self.held[n]]
-        if not todo:
+        rows = sorted({self._row(int(n)) for n in blocks if not self.held[n]})
+        if not rows:
             return 0
-        rows = _stack_rows(self.config.M)
-        stacks = [todo[start:start + rows] for start in range(0, len(todo), rows)]
-        workers = self.build_workers = min(_usable_cpus(), len(stacks))
+        cpus = _usable_cpus()
+        height = min(_stack_rows(self.config.M), -(-len(rows) // cpus))
+        stacks = [rows[start:start + height] for start in range(0, len(rows), height)]
+        workers = self.build_workers = min(cpus, len(stacks))
         errors = []
 
         def work(share):
@@ -477,42 +543,61 @@ class QHTOperator:
                 thread.join()
         if errors:
             raise errors[0]
-        return len(todo)
+        return sum(map(len, rows))
 
     def _hold_stacks(self, stacks) -> None:
-        """Run the stacks in turn through one pair of frame buffers, holding each as it ends.
+        """Run the stacks of rows through one pair of frame buffers, holding each as it ends.
 
-        A stack's PR states are written into the frame buffer, filtered
-        there, amplified row by row in place, uncomputed in place and written
-        to `columns`.
+        A row's PR states are summed into the frame buffer and filtered
+        there.  A paired row is then split into its even part, in the
+        stack's scratch, and its odd part, in one M-length spare row; each
+        part is amplified as its own block and the parts are added back
+        into the row.  The stack is uncomputed in place, and the same
+        split writes the columns, so column n has (-1)^n parity bit for bit.
+        A single row is amplified whole and its column is its part of the
+        block's parity.
         """
         cfg = self.config
         buf = np.empty((max(map(len, stacks)), cfg.M), dtype=complex)
         scratch = np.empty_like(buf)
+        spare = np.empty(cfg.M, dtype=complex)
         for chunk in stacks:
             w, tmp = buf[:len(chunk)], scratch[:len(chunk)]
-            for row, n in zip(w, chunk):
-                amps = build_pr_state(n, cfg.M, cfg.oracle_bits)
-                row[:] = amps / np.linalg.norm(amps)
-            in_sq = [float(np.vdot(row, row).real) for row in w]
+            in_sq = []
+            for row, part, blocks in zip(w, tmp, chunk):
+                for dest, n in zip((row, part), blocks):
+                    amps = build_pr_state(n, cfg.M, cfg.oracle_bits)
+                    dest[:] = amps / np.linalg.norm(amps)
+                    in_sq.append(float(np.vdot(dest, dest).real))
+                if len(blocks) == 2:
+                    row += part
             self._sweep(w, chunk, False, tmp)
-            for row, n, mass in zip(w, chunk, in_sq):
-                leak = max(mass - float(np.vdot(row, row).real), 0.0)
-                kept_norm = float(np.linalg.norm(row))
-                goal, rest = fixed_point_amplify(kept_norm, math.sqrt(leak), cfg.delta_lower,
-                                                 cfg.eps, cfg.aa_rounds)
-                if kept_norm:
-                    row *= goal / kept_norm
-                psi_n = self.basis[n] / np.linalg.norm(self.basis[n])
-                self.filter_leaks[n] = leak
-                self.aa_residuals[n] = abs(rest) ** 2
-                self.block_fidelities[n] = abs(np.vdot(psi_n, row))
-                self.input_mass[n] = float(np.vdot(row, row).real)
-            lost = np.zeros(len(chunk))
+            masses = iter(in_sq)
+            for row, part, blocks in zip(w, tmp, chunk):
+                parts = [row] if len(blocks) == 1 else [
+                    _parity_part(row, (-1) ** n, out) for n, out in zip(blocks, (part, spare))]
+                for vec, n in zip(parts, blocks):
+                    mass = next(masses)
+                    leak = max(mass - float(np.vdot(vec, vec).real), 0.0)
+                    kept_norm = float(np.linalg.norm(vec))
+                    goal, rest = fixed_point_amplify(kept_norm, math.sqrt(leak), cfg.delta_lower,
+                                                     cfg.eps, cfg.aa_rounds)
+                    if kept_norm:
+                        vec *= goal / kept_norm
+                    psi_n = self.basis[n] / np.linalg.norm(self.basis[n])
+                    self.filter_leaks[n] = leak
+                    self.aa_residuals[n] = abs(rest) ** 2
+                    self.block_fidelities[n] = abs(np.vdot(psi_n, vec))
+                    self.input_mass[n] = float(np.vdot(vec, vec).real)
+                if len(blocks) == 2:
+                    np.add(part, spare, out=row)
+            lost = np.zeros((len(chunk), 2))
             self._sweep(w, chunk, True, tmp, lost)
-            self.uncompute_residuals[chunk] = lost
-            self.columns[chunk] = w
-            self.held[chunk] = True
+            for row, blocks, row_lost in zip(w, chunk, lost):
+                for n in blocks:
+                    _parity_part(row, (-1) ** n, self.columns[n])
+                self.uncompute_residuals[list(blocks)] = row_lost[:len(blocks)]
+            self.held[[n for blocks in chunk for n in blocks]] = True
 
     def matrix(self) -> np.ndarray:
         """All N columns u_n as rows, read-only: every caller of a config shares them."""

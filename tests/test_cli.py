@@ -9,7 +9,7 @@ from qhermite.cli import main, read_table
 QHT_N4 = """\
 # {"N": 4, "command": "qht", "eps": 0.01, "format": "csv", "timings": false}
 n,fidelity,block_fidelity,infidelity,block_infidelity,filter_leak,uncompute_residual
-0,0.99999681,0.99999681,3.188e-06,3.188e-06,2.203e-01,1.057e-14
+0,0.99999982,0.99999982,1.785e-07,1.785e-07,2.074e-01,5.873e-10
 1,0.99998591,0.99998591,1.409e-05,1.409e-05,3.760e-01,1.198e-10
 2,0.99999980,0.99999980,1.988e-07,1.988e-07,3.464e-01,1.092e-09
 3,0.99999850,0.99999850,1.503e-06,1.503e-06,3.412e-01,3.128e-10
@@ -143,7 +143,7 @@ class TestRoundTrip:
         assert timed_rows == read_table(out)[1]
 
     def test_qht_output_is_pinned(self, tmp_path):
-        # the bytes of the serial build before the columns were built on worker threads
+        # the bytes of the paired-row build from parity-definite prepared states
         code, out = _run(tmp_path, "q.csv", ["qht", "--N", "4"])
         assert code == 0
         assert out.read_text() == QHT_N4

@@ -9,7 +9,7 @@ from conftest import loewdin_orthonormalize
 from qhermite import qht_pipeline
 from qhermite.calibration import Calibration
 from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis
-from qhermite.fast_forward import apply_tables
+from qhermite.fast_forward import _reflect, apply_tables
 from qhermite.qht_pipeline import (
     ConfigError,
     QHTConfig,
@@ -41,13 +41,13 @@ def _filtered(op, v, n):
     """Block n's filter on the row v, run by `_sweep`: (kept, unflagged mass)."""
     w = np.array(v, dtype=complex)[None]
     in_sq = float(np.vdot(w, w).real)
-    kept = op._sweep(w, [n], False)[0]
+    kept = op._sweep(w, [(n,)], False)[0]
     return kept, max(in_sq - float(np.vdot(kept, kept).real), 0.0)
 
 
 def _uncomputed(op, n, v):
     """Block n's uncompute of the row v, run by `_sweep`."""
-    return op._sweep(np.array(v, dtype=complex)[None], [n], True)[0]
+    return op._sweep(np.array(v, dtype=complex)[None], [(n,)], True)[0]
 
 
 def _amplified(cfg, kept, leak):
@@ -127,15 +127,27 @@ class TestWindow:
 
 class TestPRStates:
     def test_support_size(self):
+        # labels -J..J, at indices M/2 - J .. M/2 + J
         # J(0) = ceil(sqrt(0.75 * 1 * 2048 / (2 pi))) = 16
         assert pr_support(0, 2048) == 16
         support = np.nonzero(build_pr_state(0, 2048))[0]
-        assert support.min() >= 2048 // 2 - 16 and support.max() < 2048 // 2 + 16
+        assert support.min() >= 2048 // 2 - 16 and support.max() <= 2048 // 2 + 16
+        assert support.min() == 2048 - support.max()
         # n >= 1: J(10) = ceil(sqrt(0.75 * 2*10 * 2048 / (2 pi))) = 70; the
         # sqrt(2n+1) scale would give 72
         assert pr_support(10, 2048) == 70
         support = np.nonzero(build_pr_state(10, 2048))[0]
-        assert support.min() >= 2048 // 2 - 70 and support.max() < 2048 // 2 + 70
+        assert support.min() >= 2048 // 2 - 70 and support.max() <= 2048 // 2 + 70
+        assert support.min() == 2048 - support.max()
+
+    @pytest.mark.parametrize("bits", [None, 10], ids=["exact", "quantized"])
+    @pytest.mark.parametrize("M", [256, 2048])
+    def test_state_has_the_parity_of_psi_n(self, M, bits):
+        # label -l holds (-1)^n times label l, bit for bit; odd states vanish at label 0
+        for n in range(21):
+            amps = build_pr_state(n, M, bits)
+            assert np.array_equal(_reflect(amps), (-1.0) ** n * amps), n
+            assert n % 2 == 0 or amps[M // 2] == 0.0
 
     def test_ground_overlap(self, basis_cache):
         psi0 = basis_cache(4096, 0)[0]
@@ -343,6 +355,8 @@ class TestPipelineContext:
         ("oracle_bits", -3, "None or >= 2"), ("aa_rounds", -3, ">= 0"),
         ("delta_lower", 5.0, "in (0, 1]"), ("delta_lower", 0.0, "in (0, 1]"),
         ("delta_lower", -0.3, "in (0, 1]"), ("delta_lower", float("nan"), "in (0, 1]"),
+        ("oracle_bits", 2.5, "None or an integer"), ("aa_rounds", 2.5, "an integer"),
+        ("aa_rounds", float("nan"), "an integer"),
     ])
     def test_no_amplification_or_vanished_state_rejected(self, knob, value, rule):
         # each would build without amplification, or from a prepared state of rounding only
@@ -357,6 +371,12 @@ class TestPipelineContext:
         for cfg in (replace(base, oracle_bits=2), replace(base, aa_rounds=1),
                     replace(base, delta_lower=1.0)):
             assert np.all(np.isfinite(QHTOperator(cfg).apply(np.array([0.6, 0.8])).block_fidelities))
+
+    def test_numpy_integer_knobs_build(self):
+        base = QHTConfig(N=2, eps=0.05, M=256)
+        ref = QHTOperator(replace(base, oracle_bits=8, aa_rounds=3)).matrix()
+        cfg = replace(base, oracle_bits=np.int64(8), aa_rounds=np.int32(3))
+        assert np.array_equal(QHTOperator(cfg).matrix(), ref)
 
     def test_non_power_of_two_m_rejected(self):
         cfg = QHTConfig(N=2, eps=0.01, M=3000)
@@ -413,14 +433,14 @@ class TestOperator:
         op = QHTOperator(cfg)
         e1 = np.array([0.0, 1.0])
         first = op.apply(e1)
-        assert first.op_passes == 2 * cfg.m_bits      # one block: filter and uncompute
-        assert list(op.held) == [False, True, False, False]
+        assert first.op_passes == 2 * 2 * cfg.m_bits  # block 1 and its row partner, block 0
+        assert list(op.held) == [True, True, False, False]
         assert first.block_fidelities[0] == 0.0       # untouched block reports 0
         again = op.apply(e1)
         assert again.op_passes == 0
         assert np.array_equal(again.output, first.output)
         dense = op.apply(self.ALPHA)
-        assert dense.op_passes == 3 * 2 * cfg.m_bits  # only the three blocks not held yet
+        assert dense.op_passes == 2 * 2 * cfg.m_bits  # only the two blocks not held yet
         assert op.apply(self.ALPHA).op_passes == 0
         held_e1 = op.apply(e1)                        # block 0 is held but untouched
         assert held_e1.block_fidelities[0] == held_e1.filter_leaks[0] == 0.0
@@ -482,8 +502,9 @@ class TestFrameSweep:
         op = QHTOperator(cfg)
         stack = np.array([rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
                           for _ in range(cfg.N)])
-        kept = op._sweep(stack.copy(), range(cfg.N), False)
-        out = op._sweep(stack.copy(), range(cfg.N), True)
+        rows = [(n,) for n in range(cfg.N)]
+        kept = op._sweep(stack.copy(), rows, False)
+        out = op._sweep(stack.copy(), rows, True)
         for n, v in enumerate(stack):
             assert np.abs(kept[n] - self._filter_passes(op, n, v)).max() < 1e-13
             assert np.abs(out[n] - self._uncompute_passes(op, n, v)).max() < 1e-13
@@ -501,32 +522,44 @@ class TestFrameSweep:
             assert np.abs(U[n] - self._uncompute_passes(op, n, work)).max() < 1e-13
 
     def test_pass_counts(self):
-        # m filter and m uncompute passes per held block
+        # m filter and m uncompute passes per held block; a block's row partner is built with it
         cfg = self.CONFIGS[0]
         m = cfg.m_bits
         op = QHTOperator(cfg)
         assert op.v_passes == 0
-        alpha = np.array([0.6, 0.0, 0.8])
-        assert op.apply(alpha).op_passes == 2 * 2 * m     # blocks 0 and 2
+        alpha = np.array([0.0, 0.0, 0.6])
+        assert op.apply(alpha).op_passes == 2 * 2 * m     # block 2 and its partner, block 3
         assert op.v_passes == 4 * m
         assert op.apply(alpha).op_passes == 0             # both held
+        assert op.apply(np.array([0.0, 0.0, 0.6, 0.8])).op_passes == 0
         assert op.v_passes == 4 * m
         op.matrix()                                       # the two blocks not held yet
         assert op.v_passes == 8 * m
         assert type(op.v_passes) is int                   # the qht footer writes it as JSON
 
 
+def _stack_layout(cfg, cpus):
+    """(stack height, stacks) of a full build: ceil(N/2) rows, stacks capped by M and the CPUs."""
+    rows = -(-cfg.N // 2)
+    height = min(_stack_rows(cfg.M), -(-rows // cpus))
+    return height, -(-rows // height)
+
+
 class TestStackedHold:
-    """Blocks held as row stacks, across a chunk boundary, against one-at-a-time holds."""
+    """Paired rows held in stacks, across a stack boundary, against one-at-a-time holds."""
 
     M = 4096
-    CFG = QHTConfig(N=_stack_rows(M) + 3, eps=0.01, M=M)
+    CFG = QHTConfig(N=2 * _stack_rows(M) + 3, eps=0.01, M=M)
     SMALL = QHTConfig(N=2, eps=0.05, M=64)
-    METRICS = ("columns", "held", "block_fidelities", "filter_leaks", "aa_residuals",
-               "input_mass", "uncompute_residuals", "v_passes")
+    HELD = ("columns", "block_fidelities", "filter_leaks", "aa_residuals", "input_mass",
+            "uncompute_residuals")
+    METRICS = HELD + ("held", "v_passes")
 
     def test_config_crosses_a_chunk_boundary(self):
-        assert _stack_rows(self.M) < self.CFG.N < 2 * _stack_rows(self.M)
+        # more rows than one stack holds, and an odd N, so the last block has a row of its own
+        rows = -(-self.CFG.N // 2)
+        assert _stack_rows(self.M) < rows < 2 * _stack_rows(self.M)
+        assert self.CFG.N % 2 == 1
 
     @pytest.mark.parametrize("bits", [None, 32], ids=["exact", "quantized"])
     def test_one_block_at_a_time_equals_matrix(self, bits):
@@ -536,18 +569,79 @@ class TestStackedHold:
         single = QHTOperator(cfg)
         order = np.random.default_rng(3).permutation(cfg.N)
         for n in order:
+            built = 0 if single.held[n] else len(single._row(n))   # a partner comes along
             res = single.apply(np.eye(cfg.N)[n])
-            assert res.op_passes == 2 * cfg.m_bits
+            assert res.op_passes == 2 * cfg.m_bits * built
         for name in self.METRICS:
             assert np.array_equal(getattr(single, name), getattr(whole, name)), name
 
     @pytest.mark.parametrize("adjoint", [False, True], ids=["filter", "uncompute"])
     def test_stack_sweep_equals_its_rows(self, adjoint, rng):
         op = QHTOperator(self.SMALL)
-        ns = [1, 0, 1, 0, 1]
-        stack = rng.normal(size=(len(ns), 64)) + 1j * rng.normal(size=(len(ns), 64))
-        rows = [op._sweep(row[None].copy(), [n], adjoint)[0] for row, n in zip(stack, ns)]
-        assert np.array_equal(op._sweep(stack, ns, adjoint), np.array(rows))
+        rows = [(0, 1), (1,), (0, 1), (0,), (1,)]
+        stack = rng.normal(size=(len(rows), 64)) + 1j * rng.normal(size=(len(rows), 64))
+        lost = np.zeros((len(rows), 2))
+        out = op._sweep(stack.copy(), rows, adjoint, lost=lost)
+        for i, blocks in enumerate(rows):
+            alone = np.zeros((1, 2))
+            assert np.array_equal(op._sweep(stack[i:i + 1].copy(), [blocks], adjoint, lost=alone),
+                                  out[i:i + 1])
+            assert np.array_equal(alone[0], lost[i])
+        assert not lost[[1, 3, 4], 1].any()   # a single row's mass is its one block's
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["filter", "uncompute"])
+    @pytest.mark.parametrize("cfg", [SMALL, choose_dimensions(4, 0.05)], ids=["M64", "N4"])
+    def test_paired_row_equals_its_blocks(self, cfg, adjoint, rng):
+        # an even and an odd vector swept as one row split back into each swept alone
+        op = QHTOperator(cfg)
+        v = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
+        even, odd = (qht_pipeline._parity_part(v / np.linalg.norm(v), s, np.empty_like(v))
+                     for s in (1, -1))
+        for n in range(0, cfg.N, 2):
+            lost = np.zeros((1, 2))
+            row = op._sweep((even + odd)[None], [(n, n + 1)], adjoint, lost=lost)[0]
+            parts = [qht_pipeline._parity_part(row, s, np.empty_like(row)) for s in (1, -1)]
+            for k, vec in enumerate((even, odd)):
+                alone = np.zeros((1, 2))
+                ref = op._sweep(vec[None].copy(), [(n + k,)], adjoint, lost=alone)[0]
+                assert np.abs(parts[k] - ref).max() <= 1e-15
+                assert abs(lost[0, k] - alone[0, 0]) <= 1e-14 * alone[0, 0]
+
+    def test_paired_columns_equal_rows_per_block(self):
+        # the held columns against each prepared state filtered, amplified and uncomputed alone
+        cfg = choose_dimensions(5, 0.05)
+        op = QHTOperator(cfg)
+        U = op.matrix()
+        for n in range(cfg.N):
+            kept, leak = _filtered(op, _prepared(cfg, n), n)
+            assert abs(op.filter_leaks[n] - leak) <= 1e-15
+            work = _amplified(cfg, kept, leak)
+            lost = np.zeros((1, 2))
+            col = op._sweep(work[None], [(n,)], True, lost=lost)[0]
+            assert np.abs(U[n] - col).max() <= 1e-15
+            # masses of 1e-15 to 1e-7, moved by the inputs' last bits
+            assert abs(op.uncompute_residuals[n] - lost[0, 0]) <= 1e-18
+
+    @pytest.mark.parametrize("N", [7, 8])
+    def test_held_columns_have_the_parity_of_psi_n(self, N):
+        U = QHTOperator(choose_dimensions(N, 0.01)).matrix()
+        for n, col in enumerate(U):
+            assert np.array_equal(_reflect(col), (-1.0) ** n * col), n
+
+    @pytest.mark.parametrize("N", [7, 8, 16])
+    def test_columns_do_not_depend_on_call_order_or_workers(self, N, monkeypatch):
+        cfg = choose_dimensions(N, 0.01)
+        ops = []
+        for workers, order in ((1, None), (2, None), (2, [N - 1, 2, 1]), (1, [3, 0])):
+            monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda w=workers: w)
+            op = QHTOperator(cfg)
+            for n in order or []:
+                op.apply(np.eye(N)[n])
+            op.matrix()
+            ops.append(op)
+        for op in ops[1:]:
+            for name in self.HELD:
+                assert np.array_equal(getattr(op, name), getattr(ops[0], name)), name
 
     def test_fully_held_apply_builds_no_stack(self, monkeypatch):
         op = QHTOperator(self.SMALL)
@@ -567,31 +661,34 @@ class TestStackedHold:
     def test_row_loss_does_not_depend_on_its_stack(self, rng):
         M = 16384
         op = QHTOperator(QHTConfig(N=3, eps=0.01, M=M))
-        stack = rng.normal(size=(3, M)) + 1j * rng.normal(size=(3, M))
-        lost = np.zeros(3)
-        op._sweep(stack.copy(), [0, 1, 2], True, lost=lost)
-        for i in range(3):
-            alone = np.zeros(1)
-            op._sweep(stack[i:i + 1].copy(), [i], True, lost=alone)
-            assert alone[0] == lost[i]
+        rows = [(0, 1), (2,)]
+        stack = rng.normal(size=(2, M)) + 1j * rng.normal(size=(2, M))
+        lost = np.zeros((2, 2))
+        op._sweep(stack.copy(), rows, True, lost=lost)
+        assert lost[0].all() and lost[1, 1] == 0.0   # each block of a pair has its own mass
+        for i, blocks in enumerate(rows):
+            alone = np.zeros((1, 2))
+            op._sweep(stack[i:i + 1].copy(), [blocks], True, lost=alone)
+            assert np.array_equal(alone[0], lost[i])
 
     @pytest.mark.parametrize("cfg", [choose_dimensions(8, 0.01), CFG], ids=["N8", "two-stacks"])
     def test_parallel_build_equals_serial(self, cfg, monkeypatch):
-        stacks = -(-cfg.N // _stack_rows(cfg.M))
         ops = []
         for workers in (1, 2):
             monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda w=workers: w)
             op = QHTOperator(cfg)
             op.matrix()
-            assert op.build_workers == min(workers, stacks)
+            assert op.build_workers == min(workers, _stack_layout(cfg, workers)[1])
             ops.append(op)
+        assert ops[1].build_workers == 2   # both configs run as two stacks on two workers
         for name in self.METRICS:
             assert np.array_equal(getattr(ops[0], name), getattr(ops[1], name)), name
 
     @pytest.mark.parametrize("stack", [0, 1], ids=["calling-thread", "started-thread"])
     def test_worker_error_reaches_the_caller(self, stack, monkeypatch):
         # stack 0 runs on the calling thread, stack 1 on the one thread it starts
-        rows, real = _stack_rows(self.M), qht_pipeline.build_pr_state
+        real = qht_pipeline.build_pr_state
+        first = 2 * _stack_layout(self.CFG, 2)[0]   # the blocks of stack 0
         bad = 0 if stack == 0 else self.CFG.N - 1
 
         def refuse(n, *args):
@@ -605,9 +702,9 @@ class TestStackedHold:
         with pytest.raises(ConfigError, match=f"refused n={bad}"):
             op.matrix()
         assert op.build_workers == 2
-        unfinished = slice(0, rows) if stack == 0 else slice(rows, None)
+        unfinished = slice(0, first) if stack == 0 else slice(first, None)
         assert not op.held[unfinished].any() and not op.columns[unfinished].any()
-        assert op.held.sum() == (self.CFG.N - rows if stack == 0 else rows)
+        assert op.held.sum() == (self.CFG.N - first if stack == 0 else first)
         assert op.v_passes == 2 * self.CFG.m_bits * op.held.sum()   # only held blocks count
 
     def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
