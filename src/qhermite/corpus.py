@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .hermite_sampling import OracleFunction
-from .spectral_core import probabilist_rows
+from .spectral_core import probabilist_product, probabilist_rows
 
 __all__ = [
     "constant",
@@ -145,33 +145,24 @@ def mixture(terms, n: int, bounded: bool = False) -> OracleFunction:
     label); the declared kappa then covers the shrunken postselection rate.
     """
     terms = [(tuple(int(c) for c in v), float(c)) for v, c in terms]
-    scale = 1.0
-    if bounded:
-        grid = np.linspace(-5.0, 5.0, 2001)
-        if n == 1:
-            tot = np.zeros_like(grid)
-            for v, c in terms:
-                tot += c * probabilist_rows(v[0], grid)[v[0]]
-            scale = max(1.0, float(np.abs(tot).max()))
-        else:
-            rng = np.random.default_rng(7)
-            pts = rng.uniform(-5, 5, size=(20000, n))
-            tot = np.zeros(len(pts))
-            for v, c in terms:
-                term = np.full(len(pts), c)
-                for i, d in enumerate(v):
-                    term = term * probabilist_rows(d, pts[:, i])[d]
-                tot += term
-            scale = max(1.0, float(np.abs(tot).max()) * 1.05)
 
-    def ev(x):
+    def unscaled(x):   # sum_k c_k h_{v_k} at points x of shape (..., n)
         out = np.zeros(x.shape[:-1])
         for v, c in terms:
-            term = np.full(x.shape[:-1], c)
-            for i, d in enumerate(v):
-                term = term * probabilist_rows(d, x[..., i])[d]
-            out = out + term
-        out = out / scale
+            out = out + probabilist_product(v, x, np.full(x.shape[:-1], c))
+        return out
+
+    scale = 1.0
+    if bounded:
+        if n == 1:
+            tot = unscaled(np.linspace(-5.0, 5.0, 2001)[:, None])
+            scale = max(1.0, float(np.abs(tot).max()))
+        else:
+            pts = np.random.default_rng(7).uniform(-5, 5, size=(20000, n))
+            scale = max(1.0, float(np.abs(unscaled(pts)).max()) * 1.05)
+
+    def ev(x):
+        out = unscaled(x) / scale
         return np.clip(out, -1.0, 1.0) if bounded else out
 
     gamma = sum(c * c * sum(v) for v, c in terms) / scale**2

@@ -202,6 +202,18 @@ def _reflect(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _parity_part(row: np.ndarray, sign: float, out: np.ndarray) -> np.ndarray:
+    """out <- (row + sign * P row)/2: the even part of row for sign +1, its odd part for -1.
+
+    P is `_reflect`, written into `out` first, so `out` may not be `row`.
+    The part is (anti)symmetric bit for bit, since x + y = y + x and
+    x - y = -(y - x) in floating point.
+    """
+    (np.add if sign > 0 else np.subtract)(row, _reflect(row, out=out), out=out)
+    out *= 0.5
+    return out
+
+
 def apply_tables(tables: EvolutionTables, state: np.ndarray,
                  adjoint: bool = False) -> np.ndarray:
     """Apply the tabulated evolution (or its adjoint) along the last axis.
@@ -381,15 +393,15 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
     its mirror (label l -> -l mod M) bit for bit, odd when it equals minus
     its mirror; `dense_diagonalize` returns only such columns.  Each even
     column is added to one odd column, and the image of the sum under U - V
-    is split back into its even part (d + mirror(d))/2 and its odd part
-    (d - mirror(d))/2.  This is exact in exact arithmetic: xbar^2's diagonal,
-    pbar^2's symbol and the half phase tables are all mirror-symmetric, so U
-    and V commute with the reflection and keep each parity.  A column
-    without a partner or without definite parity takes a row of its own.  At
-    N = 8 the stack has 4 rows, which about halves the recurrence's cost: at
-    M = 512 (one BLAS thread) a call takes about 15, 70 and 100 ms at
-    (N, t) = (8, 0.45), (16, 1.7) and (8, 3.65), against 21, 115 and 133 ms
-    with a row per column.
+    is split back by `_parity_part` into its even part (d + mirror(d))/2 and
+    its odd part (d - mirror(d))/2.  This is exact in exact arithmetic:
+    xbar^2's diagonal, pbar^2's symbol and the half phase tables are all
+    mirror-symmetric, so U and V commute with the reflection and keep each
+    parity.  A column without a partner or without definite parity takes a
+    row of its own.  At N = 8 the stack has 4 rows, which about halves the
+    recurrence's cost: at M = 512 (one BLAS thread) a call takes about 15,
+    70 and 100 ms at (N, t) = (8, 0.45), (16, 1.7) and (8, 3.65), against
+    21, 115 and 133 ms with a row per column.
 
     The meter's floor is float64 rounding, almost all of it the Chebyshev
     recurrence's (the factored side sits within ~1.3e-15 of a longdouble
@@ -416,9 +428,7 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
     stack = np.concatenate([cols[evens] + cols[odds], cols[single]])
     d = chebyshev_evolution(qho, t, stack) - apply_tables(tables, stack)
     diff = np.empty((N, qho.M), dtype=complex)
-    flipped = _reflect(d[:k])
-    diff[evens] = (d[:k] + flipped) / 2
-    diff[odds] = (d[:k] - flipped) / 2
+    diff[evens], diff[odds] = (_parity_part(d[:k], s, np.empty_like(d[:k])) for s in (1, -1))
     diff[single] = d[k:]
     block = low.conj().T @ diff.T
     return float(np.linalg.svd(block, compute_uv=False)[0])

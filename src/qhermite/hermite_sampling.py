@@ -38,6 +38,7 @@ __all__ = [
 
 FULL_GRID_BUDGET = 26  # n * log2(points per axis) cap for a dense tensor grid
 _SLAB_POINTS = 1 << 16  # dense oracles are evaluated this many grid points at a time
+ATTEMPT_CAP_FACTOR = 64  # a normalized distribution's rejection cap is this times kappa
 
 
 class PostselectionFailure(RuntimeError):
@@ -197,7 +198,6 @@ class SamplerConfig:
 
     M: int = 512
     D: int = 9
-    attempt_cap_factor: int = 64     # rejection cap = factor * kappa
     qht_eps: float | None = None     # simulated-transform eps; None takes the exact rows
 
 
@@ -263,7 +263,7 @@ def sample_distribution(f: OracleFunction, scfg: SamplerConfig,
     into the controlled rotation; the accepted distribution is unchanged (it
     is fhat^2/||f||^2 either way) and only the postselection probability
     shrinks by sup|f|^2.  A normalized distribution is drawn by rejection,
-    capped at attempt_cap_factor * kappa attempts.  Build it once and pass
+    capped at ATTEMPT_CAP_FACTOR * kappa attempts.  Build it once and pass
     it to every batch of draws.
     """
     A, norm_sq, sup_f = _amplitude_tensor(f, scfg)
@@ -275,7 +275,7 @@ def sample_distribution(f: OracleFunction, scfg: SamplerConfig,
             raise ValueError("f vanishes on the grid; nothing to postselect")
         probs = probs / norm_sq
         total_target = 1.0
-        cap = max(1, int(scfg.attempt_cap_factor * f.kappa))
+        cap = max(1, int(ATTEMPT_CAP_FACTOR * f.kappa))
     else:
         total_target = norm_sq if not f.boolean else 1.0
     out = max(total_target - float(probs.sum()), 0.0)

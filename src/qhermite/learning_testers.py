@@ -28,7 +28,7 @@ from .hermite_sampling import (
     draw,
     sample_distribution,
 )
-from .spectral_core import probabilist_rows
+from .spectral_core import probabilist_product, probabilist_rows
 
 __all__ = [
     "CoefficientPattern",
@@ -134,11 +134,8 @@ def _check_delta(delta: float) -> None:
 
 def _pattern_rows(pattern: CoefficientPattern, y: np.ndarray) -> np.ndarray:
     """h_S(y) for draws y over the fixed coordinates (columns follow J order)."""
-    vals = np.ones(y.shape[0])
-    for col, pos in enumerate(pattern.fixed_positions):
-        deg = pattern.entries[pos]
-        vals = vals * probabilist_rows(deg, y[:, col])[deg]
-    return vals
+    degrees = [pattern.entries[pos] for pos in pattern.fixed_positions]
+    return probabilist_product(degrees, y, np.ones(y.shape[0]))
 
 
 def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: float,
@@ -186,10 +183,7 @@ def coefficient_estimate(f: OracleFunction, v, eps_est: float, delta: float,
     v = tuple(int(c) for c in v)
     m = max(int(math.ceil(8.0 * max(1.0, sum(v)) / eps_est**2 * math.log(2.0 / delta))), 64)
     pts = rng.standard_normal((m, f.arity))
-    vals = f.evaluate(pts)
-    for i, d in enumerate(v):
-        vals = vals * probabilist_rows(d, pts[:, i])[d]
-    return float(vals.mean())
+    return float(probabilist_product(v, pts, f.evaluate(pts)).mean())
 
 
 def restriction_coefficient(f: OracleFunction, pattern: CoefficientPattern,

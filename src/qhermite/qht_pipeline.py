@@ -37,6 +37,7 @@ from .fast_forward import (
     _enter_frame,
     _frame_steps,
     _from_frame,
+    _parity_part,
     _reflect,
     decompose,
     evolution_tables,
@@ -328,18 +329,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _parity_part(row: np.ndarray, sign: float, out: np.ndarray) -> np.ndarray:
-    """out <- (row + sign * P row)/2: the even part of row for sign +1, its odd part for -1.
-
-    P is the reflection l -> -l, written into `out` first, so `out` may not
-    be `row`.  The part is (anti)symmetric bit for bit, since x + y = y + x
-    and x - y = -(y - x) in floating point.
-    """
-    (np.add if sign > 0 else np.subtract)(row, _reflect(row, out=out), out=out)
-    out *= 0.5
-    return out
-
-
 @dataclass(frozen=True)
 class QHTResult:
     """One transform call; op_passes counts the V passes this call ran (0 once held)."""
@@ -359,20 +348,20 @@ class QHTOperator:
     n, is computed on first use of n and held with its block fidelity,
     filter leak, AA residual, input mass ||w_n||^2 and uncompute residual
     ||w_n||^2 - ||u_n||^2.  Block 2p and block 2p+1 share one row of the
-    sweeps (block N-1 has a row of its own when N is odd), so a block is
-    built with its partner.  The rows a call needs are computed together,
-    as stacks of at most min(`_stack_rows(M)`, ceil(rows / CPUs)) rows
-    spread over one worker thread per usable CPU; build_workers is the
+    sweeps, and block N-1 has a row of its own when N is odd; every row
+    takes the same path, so a block is built with its partner.  The rows a
+    call needs are computed together, as stacks of at most `_stack_rows(M)`
+    rows spread over one worker thread per usable CPU; build_workers is the
     number of workers that ran the latest build (0 before any).  The 2m+1
     half phase tables of the m = log2(M) dyadic evolutions V(2^j 2pi/M)
     take (2m+1)(M/2+1)*16 bytes (3.6 MB at M = 16384) and the columns
-    N*M*16 (4.2 MB at N = 16).  Each worker holds, only while the build
-    runs, two frame buffers of 2k*M*16 bytes for a stack of k rows (2.1 MB:
-    k = 4 at M = 16384) and three M*16-byte rows (0.79 MB): the odd part
-    between the sweeps, the reflected row and the uncompute's discarded
-    branch.  So two workers take 5.8 MB there at N = 16, and 5.2 MB when
-    blocks 0 and 1 are held already.  v_passes is derived from the held
-    blocks: 2m passes of V or V^dagger each.
+    N*M*16 (4.2 MB at N = 16).  Each worker has scratch of its own, held
+    only while the build runs: two frame buffers of 2k*M*16 bytes for a
+    stack of k rows (2.1 MB: k = 4 at M = 16384) and three M*16-byte rows
+    (0.79 MB): the odd part between the sweeps, the reflected row and the
+    uncompute's discarded branch.  So two workers take 5.8 MB there at
+    N = 16, and 5.2 MB when blocks 0 and 1 are held already.  v_passes is
+    derived from the held blocks: 2m passes of V or V^dagger each.
     """
 
     def __init__(self, config: QHTConfig):
@@ -424,16 +413,17 @@ class QHTOperator:
         filter's coefficients rather than evaluating exp(-i ...), so both
         stages see the same bits.
 
-        rows[i] is one block (n,), or an even block and an odd one (n, n').
-        A paired row carries e + o, e even and o odd under the reflection P
+        rows[i] is an even block and an odd one (n, n'), or a lone block
+        (n,).  Row i carries e + o, e even and o odd under the reflection P
         (label l -> -l).  V_j commutes with P: the position factors' x^2, the
         momentum factors' symbol and the frame change are all symmetric.  So
         V_j e stays even and V_j o odd, and with t = V_j (e + o), P t = V_j e
-        - V_j o.  A pass therefore adds c_{n,j} V_j e + c_{n',j} V_j o to the
-        row as a_j t + b_j P t, with a_j = (c_{n,j} + c_{n',j})/2 and
-        b_j = (c_{n,j} - c_{n',j})/2: one evolution serves both blocks, and
-        the row's even and odd parts are exactly what each block alone would
-        give.  A single row has b_j = 0 and takes c_{n,j} t.
+        - V_j o.  Every pass adds c_{n,j} V_j e + c_{n',j} V_j o to the row
+        as a_j t + b_j P t, with a_j = (c_{n,j} + c_{n',j})/2 and
+        b_j = (c_{n,j} - c_{n',j})/2, taking n' = n for a lone block: one
+        evolution serves both blocks, and the row's even and odd parts are
+        exactly what each block alone would give.  A lone block's two phases
+        are the same, so a_j = c_{n,j} and b_j = 0 exactly.
 
         w is a (k, M) stack of position-frame rows.  It enters the momentum
         frame of `fast_forward` and leaves it at the end; P is the same index
@@ -443,30 +433,28 @@ class QHTOperator:
         applied once, as 2^-m at the end: power-of-two scaling is exact, so
         the result is bitwise that of halving each pass.
 
-        With `lost`, a (k, 2) array, each block's discarded-branch mass
-        sum_j ||(I - c_j V_j) x_j / 2||^2 is added to lost[i, 0] for
-        rows[i][0] and lost[i, 1] for a partner, x_j being the block's part
-        of the row before pass j.  A paired row's discarded vector is split
-        into its even and odd parts, and each block gets the sum of squares
-        of its part.  That sum is exactly ||w||^2 - ||out||^2 of the block,
-        summed from non-negative terms instead of taken as a difference.  It
-        is measured in the position frame: the momentum frame scales squared
-        norms by 1/M, undone exactly with the halvings.  Each row's terms go
-        through M-length scratches, so a row's masses have the same bits
-        whatever stack it runs in.
+        With `lost`, a (k, 2) array, the discarded-branch mass
+        sum_j ||(I - c_j V_j) x_j / 2||^2 of row i's even part is added to
+        lost[i, 0] and that of its odd part to lost[i, 1], x_j being the
+        part before pass j; block n reads slot n mod 2.  The discarded vector
+        is split into its even and odd parts, and each slot gets the sum of
+        squares of its part.  For a block that sum is exactly
+        ||w||^2 - ||out||^2, summed from non-negative terms instead of taken
+        as a difference.  It is measured in the position frame: the momentum
+        frame scales squared norms by 1/M, undone exactly with the halvings.
+        Each row's terms go through M-length scratches, so a row's masses
+        have the same bits whatever stack it runs in.
         """
         M = self.config.M
-        paired = [len(blocks) == 2 for blocks in rows]
         first, last = (np.exp(1j * np.asarray(self.dyadic_times)
                               * (np.array([blocks[k] for blocks in rows])[:, None] + 0.5))
                        for k in (0, -1))
         if adjoint:
             first, last = first.conj(), last.conj()
-        # a single row has first == last, so a = c exactly and b = 0
         a, b = (first + last) / 2, (first - last) / 2
         tmp = np.empty_like(w) if tmp is None else tmp
         conj = np.empty(M // 2 + 1, dtype=complex) if adjoint else None
-        refl = np.empty(M, dtype=complex) if any(paired) else None
+        refl = np.empty(M, dtype=complex)
         diff = None if lost is None else np.empty(M, dtype=complex)
         _enter_frame(w)
         for j, tables in enumerate(self.dyadic_tables):
@@ -474,17 +462,13 @@ class QHTOperator:
             a_j, b_j = a[:, j] * tables.global_sign, b[:, j] * tables.global_sign
             scale = M * 0.25 ** (j + 1)
             for i, (row, kick) in enumerate(zip(w, tmp)):
-                if paired[i]:
-                    np.multiply(_reflect(kick, out=refl), b_j[i], out=refl)
-                    kick *= a_j[i]
-                    kick += refl
-                else:
-                    kick *= a_j[i]
+                np.multiply(_reflect(kick, out=refl), b_j[i], out=refl)
+                kick *= a_j[i]
+                kick += refl
                 if lost is not None:   # row and kick carry 2^j x_j and 2^j c_j V_j x_j
                     np.subtract(row, kick, out=diff)
-                    parts = (_parity_part(diff, s, refl) for s in (1, -1)) if paired[i] else [diff]
-                    for k, part in enumerate(parts):
-                        flat = part.view(float)
+                    for k, sign in enumerate((1, -1)):
+                        flat = _parity_part(diff, sign, refl).view(float)
                         lost[i, k] += np.einsum("i,i->", flat, flat) * scale
             w += tmp
         w *= 0.5 ** len(self.dyadic_tables)
@@ -492,9 +476,11 @@ class QHTOperator:
 
     @property
     def v_passes(self) -> int:
-        """V or V^dagger passes run: m by the filter and m by the uncompute of each held block.
+        """Circuit passes of V or V^dagger: m by the filter and m by the uncompute per held block.
 
-        A paired row runs its two blocks' passes on one evolution each.
+        The simulator runs one evolution per pass of a row for both of its
+        blocks, so it runs 2m evolutions per row, not per block: `qht --N 16`
+        counts 448 and runs 224.
         """
         return 2 * self.config.m_bits * int(self.held.sum())
 
@@ -508,22 +494,23 @@ class QHTOperator:
 
         The blocks run as rows of `_row`, so a block's partner is built with
         it and the bits of a column do not depend on which blocks a call
-        asked for.  The rows run as stacks of at most `_stack_rows(M)` rows
-        and at most ceil(rows / usable CPUs), dealt round-robin to one worker
-        per usable CPU, but no more workers than stacks.  The calling thread
-        is the first worker and starts a thread for each other one, so with
-        one worker no thread is started.  numpy's FFTs release the
-        interpreter lock, so the workers' sweeps overlap.  A worker's error
-        is raised here once every worker has stopped; the blocks of a stack
-        that did not finish stay unheld.  Returns the number of blocks built.
+        asked for.  The rows run as stacks of `_stack_rows(M)` rows (the last
+        may be shorter), dealt round-robin to one worker per usable CPU, but
+        no more workers than stacks: N = 8 at M = 4096 builds as one stack on
+        one worker.  Each worker runs its stacks through scratch of its own.
+        The calling thread is the first worker and starts a thread for each
+        other one, so with one worker no thread is started.  numpy's FFTs
+        release the interpreter lock, so the workers' sweeps overlap.  A
+        worker's error is raised here once every worker has stopped; the
+        blocks of a stack that did not finish stay unheld.  Returns the
+        number of blocks built.
         """
         rows = sorted({self._row(int(n)) for n in blocks if not self.held[n]})
         if not rows:
             return 0
-        cpus = _usable_cpus()
-        height = min(_stack_rows(self.config.M), -(-len(rows) // cpus))
+        height = _stack_rows(self.config.M)
         stacks = [rows[start:start + height] for start in range(0, len(rows), height)]
-        workers = self.build_workers = min(cpus, len(stacks))
+        workers = self.build_workers = min(_usable_cpus(), len(stacks))
         errors = []
 
         def work(share):
@@ -549,13 +536,13 @@ class QHTOperator:
         """Run the stacks of rows through one pair of frame buffers, holding each as it ends.
 
         A row's PR states are summed into the frame buffer and filtered
-        there.  A paired row is then split into its even part, in the
-        stack's scratch, and its odd part, in one M-length spare row; each
-        part is amplified as its own block and the parts are added back
-        into the row.  The stack is uncomputed in place, and the same
-        split writes the columns, so column n has (-1)^n parity bit for bit.
-        A single row is amplified whole and its column is its part of the
-        block's parity.
+        there.  The row is then split into its blocks' parity parts: the
+        even block's in the stack's scratch, the odd block's in one M-length
+        spare row.  Each part is amplified as its own block and the row is
+        set to the sum of the parts, so between the sweeps every block is
+        its row's parity part.  The stack is uncomputed in place, and the
+        same split writes the columns, so column n has (-1)^n parity bit for
+        bit.
         """
         cfg = self.config
         buf = np.empty((max(map(len, stacks)), cfg.M), dtype=complex)
@@ -563,19 +550,19 @@ class QHTOperator:
         spare = np.empty(cfg.M, dtype=complex)
         for chunk in stacks:
             w, tmp = buf[:len(chunk)], scratch[:len(chunk)]
+            w[:] = 0.0
             in_sq = []
             for row, part, blocks in zip(w, tmp, chunk):
-                for dest, n in zip((row, part), blocks):
+                for n in blocks:
                     amps = build_pr_state(n, cfg.M, cfg.oracle_bits)
-                    dest[:] = amps / np.linalg.norm(amps)
-                    in_sq.append(float(np.vdot(dest, dest).real))
-                if len(blocks) == 2:
+                    part[:] = amps / np.linalg.norm(amps)
+                    in_sq.append(float(np.vdot(part, part).real))
                     row += part
             self._sweep(w, chunk, False, tmp)
             masses = iter(in_sq)
             for row, part, blocks in zip(w, tmp, chunk):
-                parts = [row] if len(blocks) == 1 else [
-                    _parity_part(row, (-1) ** n, out) for n, out in zip(blocks, (part, spare))]
+                parts = [_parity_part(row, (-1) ** n, out) for n, out in zip(blocks, (part, spare))]
+                row[:] = 0.0
                 for vec, n in zip(parts, blocks):
                     mass = next(masses)
                     leak = max(mass - float(np.vdot(vec, vec).real), 0.0)
@@ -589,14 +576,13 @@ class QHTOperator:
                     self.aa_residuals[n] = abs(rest) ** 2
                     self.block_fidelities[n] = abs(np.vdot(psi_n, vec))
                     self.input_mass[n] = float(np.vdot(vec, vec).real)
-                if len(blocks) == 2:
-                    np.add(part, spare, out=row)
+                    row += vec
             lost = np.zeros((len(chunk), 2))
             self._sweep(w, chunk, True, tmp, lost)
             for row, blocks, row_lost in zip(w, chunk, lost):
                 for n in blocks:
                     _parity_part(row, (-1) ** n, self.columns[n])
-                self.uncompute_residuals[list(blocks)] = row_lost[:len(blocks)]
+                    self.uncompute_residuals[n] = row_lost[n % 2]
             self.held[[n for blocks in chunk for n in blocks]] = True
 
     def matrix(self) -> np.ndarray:

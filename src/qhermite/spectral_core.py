@@ -23,6 +23,7 @@ __all__ = [
     "hermite_functions",
     "hermite_function_rows",
     "probabilist_rows",
+    "probabilist_product",
     "centered_dft_matrix",
 ]
 
@@ -100,6 +101,13 @@ def probabilist_rows(n_max: int, x: np.ndarray) -> np.ndarray:
     for k in range(1, n_max):
         out[k + 1] = (x * out[k] - np.sqrt(k) * out[k - 1]) / np.sqrt(k + 1.0)
     return out
+
+
+def probabilist_product(v, x: np.ndarray, start):
+    """start * h_v(x) = start * prod_i h_{v_i}(x[..., i]), multiplied axis by axis in order."""
+    for i, d in enumerate(v):
+        start = start * probabilist_rows(d, x[..., i])[d]
+    return start
 
 
 def centered_dft_matrix(M: int) -> np.ndarray:

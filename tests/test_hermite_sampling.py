@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,9 +292,11 @@ class TestGeneralSampler:
         assert np.mean(attempts) <= 2 * 3.0 + 0.5
 
     def test_attempt_cap_reported(self, rng):
-        f = corpus.scaled_constant(3.0, 1)
-        dist = sample_distribution(f, SamplerConfig(M=256, D=3, attempt_cap_factor=0),
-                                   normalized=True)
+        # a declared kappa below 1/64 gives a cap of one attempt; the constant's true
+        # success probability is 1/6, so all 50 draws succeed at once only w.p. 6^-50
+        f = replace(corpus.scaled_constant(3.0, 1), kappa=1 / 128)
+        dist = sample_distribution(f, SamplerConfig(M=256, D=3), normalized=True)
+        assert dist.attempt_cap == 1
         with pytest.raises(PostselectionFailure):
             draw(dist, rng, 50)
 
