@@ -30,13 +30,12 @@ and leaving it (fft, then alt) is the sequence
 alt, ifft, P_a, fft, P_b, ifft, P_a, fft, alt: the same operations, in the
 same order, as applying each momentum factor as alt*fft(P*ifft(alt*v)) with
 alt taken out to the two ends, so one `apply_tables` call pays nothing for
-the frame.  (A truncated table that ends on a position factor, as the
-generator meter builds, pays one extra fft/ifft pair.)  Products and linear
-combinations of several evolutions, like the transform's dyadic filter and
-uncompute sweeps, stay in the frame between evolutions: a three-factor pass
-costs two FFTs there and a five-factor pass four, against four and six when
-each pass enters and leaves the frame.  The FFTs run in place; every entry
-into the frame copies its input first.
+the frame.  Products and linear combinations of several evolutions, like
+the transform's dyadic filter and uncompute sweeps, stay in the frame
+between evolutions: a three-factor pass costs two FFTs there and a
+five-factor pass four, against four and six when each pass enters and
+leaves the frame.  The FFTs run in place; every entry into the frame copies
+its input first.
 """
 from __future__ import annotations
 
@@ -50,8 +49,6 @@ from .discrete_qho import (
     DiscreteQHO,
     EigenDecomposition,
     apply_hamiltonian,
-    apply_momentum_sq,
-    apply_position_sq,
 )
 
 __all__ = [
@@ -285,11 +282,15 @@ def _bessel_coefficients(z) -> tuple:
 def chebyshev_evolution(qho: DiscreteQHO, t: float, state: np.ndarray) -> np.ndarray:
     """U(t) = exp(-i*Hbar*t) along the last axis by a Chebyshev expansion.
 
-    An eigenpair-free oracle for the exact evolution (Tal-Ezer and Kosloff's
-    propagator): the spectrum of Hbar lies in [0, rho] with rho = pi*M/2, so
-    exp(-i*H*t) = exp(-i*z) * exp(-i*z*Htilde) for Htilde = (2/rho)H - 1 and
-    z = rho*t/2, and exp(-i*z*x) = sum_k c_k T_k(x) with the closed-form
-    coefficients of `_bessel_coefficients`.  With x_j^2 = 2*pi*j^2/M, pi
+    An eigenpair-free oracle for the exact evolution of any state on the
+    grid (Tal-Ezer and Kosloff's propagator).  No meter runs it: the tests
+    hold `low_energy_error`'s Rayleigh-Ritz block against it, and it is the
+    evolution an exact-evolution twin of the transform would apply, whose
+    states do not lie in a low-energy span.  The spectrum of Hbar lies in
+    [0, rho] with rho = pi*M/2, so exp(-i*H*t) = exp(-i*z) * exp(-i*z*Htilde)
+    for Htilde = (2/rho)H - 1 and z = rho*t/2, and
+    exp(-i*z*x) = sum_k c_k T_k(x) with the closed-form coefficients of
+    `_bessel_coefficients`.  With x_j^2 = 2*pi*j^2/M, pi
     cancels from Htilde: its diagonal is 4j^2/M^2 - 1 and its momentum symbol
     4j^2/M^2, each rounded once, so the recurrence applies the grid
     Hamiltonian to within an ulp per entry; z is formed and reduced mod 2*pi
@@ -379,59 +380,97 @@ def _check_projection(qho: DiscreteQHO, eig: EigenDecomposition, N: int) -> None
         raise ValueError(f"projection rank N={N} is outside 1..M={qho.M}")
 
 
+_INVARIANCE_TOL = 4e-9   # largest max(1, |t|) * ||r|| accepted: t^2 ||r||^2 / 2 <= 8e-18
+
+
+def _ritz_evolution(qho: DiscreteQHO, low: np.ndarray, t: float) -> np.ndarray:
+    """<W| U(t) |W> for the columns W of `low`, by Rayleigh-Ritz on their span, in longdouble.
+
+    H = W^T Hbar W and G = W^T W are formed in 80-bit floats; H from the two
+    terms of `dense_diagonalize`'s Rayleigh quotients, x^2 w_m w_n and
+    M x^2 conj(u_m) u_n with u = ifft(alt*w).  W is real, so u is Hermitian
+    (u at index k and M - k are conjugates, and so is x^2's weight there):
+    the second term is the real part of a sum over k = 0..M/2 only, taken
+    from v = rfft(alt*w) = M conj(u) with weights x^2/M, doubled except at
+    k = 0 and M/2.  To first order in S = G - I,
+    W G^(-1/2) = W (I - S/2) is an orthonormal basis of the span, on which
+    Hbar is Ho = (I - S/2) H (I - S/2).  A float64 `eigh` of Ho gives the
+    rotation Q, re-orthonormalised as Q (I - (Q^T Q - I)/2) in 80 bits, and
+    Q^T Ho Q = D + Delta with D its diagonal.  exp(-i(D + Delta)t) is taken
+    as exp(-iDt), each phase D_m t reduced mod 2*pi in longdouble, plus the
+    first-order term Delta_mn (exp(-i D_m t) - exp(-i D_n t)) / (D_m - D_n),
+    and the block is mapped back through G^(1/2) = I + S/2.
+
+    On an exactly invariant span this is exact.  Otherwise the residual
+    r = Hbar W - W H (spectral norm, float64) makes an error of at most
+    t^2 ||r||^2 / 2, so a span with max(1, |t|) ||r|| > 4e-9 is rejected
+    before anything is evolved; that keeps the term below 8e-18.  The lowest
+    eigenvectors of `dense_diagonalize` give ||r|| <= 6.4e-13 at M = 512 and
+    3.5e-12 at M = 2048 (N <= 64), rounding of Hbar W; a random orthonormal
+    basis gives tens (80 at M = 128, N = 4).
+    """
+    M, N = low.shape
+    resid = apply_hamiltonian(qho, low.T).real.T
+    W = low.astype(np.longdouble)
+    v = np.fft.rfft(qho.alt[:, None] * W, axis=0)
+    x2 = np.arange(-M // 2, M // 2, dtype=np.longdouble) ** 2 * (2 * _PI_LD / M)
+    half = x2[:M // 2 + 1] * (2 / np.longdouble(M))
+    half[[0, -1]] /= 2
+    terms = np.concatenate([W, v.real, v.imag])
+    weights = np.concatenate([x2, half, half])[:, None]
+    H = (weights * terms).T @ terms / 2
+    resid -= low @ H.astype(np.float64)
+    r = float(np.linalg.norm(resid, 2))
+    if max(1.0, abs(t)) * r > _INVARIANCE_TOL:
+        raise ValueError(f"the {N} columns do not span an invariant subspace of Hbar to the "
+                         f"accuracy t = {t:.6g} needs: ||r|| = ||Hbar W - W (W^T Hbar W)|| = "
+                         f"{r:.3g}, and max(1, |t|) ||r|| must be <= {_INVARIANCE_TOL:g}")
+    eye = np.eye(N, dtype=np.longdouble)
+    half_s = (W.T @ W - eye) / 2
+    Ho = (eye - half_s) @ H @ (eye - half_s)
+    Q = np.linalg.eigh(Ho.astype(np.float64))[1].astype(np.longdouble)
+    Q = Q @ (eye - (Q.T @ Q - eye) / 2)
+    R = Q.T @ Ho @ Q
+    D = np.diagonal(R).copy()
+    phase = np.exp(-1j * np.mod(D * np.longdouble(t), 2 * _PI_LD))
+    gap = D[:, None] - D[None, :]
+    np.fill_diagonal(gap, 1)
+    B = (R - np.diag(D)) * (phase[:, None] - phase[None, :]) / gap
+    B[np.diag_indices(N)] = phase
+    return (eye + half_s) @ Q @ B @ Q.T @ (eye + half_s)
+
+
 def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float) -> float:
-    """|| Pi_N (U(t) - V(t)) Pi_N || via SVD of the projected column differences.
+    """|| Pi_N (U(t) - V(t)) Pi_N ||: the largest singular value of <e_m| (U - V) |e_n>.
 
-    Both evolutions act once on one stack of rows built from the N lowest
-    eigenvectors; the matrix whose largest singular value is returned is the
-    N x N block <e_m| (U - V) |e_n>, which is exactly the theorem's quantity.
-    The exact side runs through the Chebyshev oracle: scalar eigenphases
-    exp(-i*E_n*t) would re-inject the eigensolver's noise, which reads ~1e-13
-    at M = 512.
+    The N x N block on the N lowest eigenvectors W is exactly the theorem's
+    quantity.  Its exact side <W|U(t)|W> is `_ritz_evolution`: a Rayleigh-Ritz
+    block on the span of W in 80-bit floats, which needs no evolution on the
+    grid.  Scalar eigenphases exp(-i*E_n*t) would re-inject the eigensolver's
+    noise (~1e-13 at M = 512); the Ritz block takes its phases from the span
+    itself, and its error is second order in the span's invariance residual
+    r, t^2 ||r||^2 / 2 ~ 2e-24 at M = 512 and t = 3.  A basis that is not
+    invariant (max(1, |t|) ||r|| > 4e-9) raises ValueError before V is
+    applied.  The factored side is one `apply_tables` call on the N columns,
+    projected on W in longdouble.  At M = 512 with one BLAS thread a call takes about
+    2-3, 5-7 and 2-3 ms at (N, t) = (8, 0.45), (16, 1.7) and (8, 3.65).
 
-    Columns of definite parity share rows.  A column is even when it equals
-    its mirror (label l -> -l mod M) bit for bit, odd when it equals minus
-    its mirror; `dense_diagonalize` returns only such columns.  Each even
-    column is added to one odd column, and the image of the sum under U - V
-    is split back by `_parity_part` into its even part (d + mirror(d))/2 and
-    its odd part (d - mirror(d))/2.  This is exact in exact arithmetic:
-    xbar^2's diagonal, pbar^2's symbol and the half phase tables are all
-    mirror-symmetric, so U and V commute with the reflection and keep each
-    parity.  A column without a partner or without definite parity takes a
-    row of its own.  At N = 8 the stack has 4 rows, which about halves the
-    recurrence's cost: at M = 512 (one BLAS thread) a call takes about 15,
-    70 and 100 ms at (N, t) = (8, 0.45), (16, 1.7) and (8, 3.65), against
-    21, 115 and 133 ms with a row per column.
-
-    The meter's floor is float64 rounding, almost all of it the Chebyshev
-    recurrence's (the factored side sits within ~1.3e-15 of a longdouble
-    recurrence): the default `ff-error` grid (M = 128-512, N = 4-16,
-    t = 0.25-3) reads 7.3e-16 to 5.7e-15, and (1024, 8, 3.0) reads 7.0e-15
-    to 7.2e-15 (the eigenvectors' last bits depend on the BLAS thread count).
-    Where the signal exists it stands clear of that, e.g. 3.103e-9 at
-    (64, 16, 3.0).
+    The meter's floor is the float64 rounding of the factored side and of
+    the eigenvectors: the default `ff-error` grid (M = 128-512, N = 4-16,
+    t = 0.25-3) reads 1.5e-16 to 1.1e-15, and the exact block agrees with
+    `chebyshev_evolution`'s <W|U|W> to within that recurrence's own rounding
+    (5e-15 up to M = 1024).  Where the signal exists it stands clear of the
+    floor, e.g. 3.103e-9 at (64, 16, 3.0).
     """
     if qho.M > LOW_ENERGY_M_CAP:
         raise ValueError(f"projected-error budget is M <= {LOW_ENERGY_M_CAP}")
     _check_projection(qho, eig, N)
-    tables = evolution_tables(qho.M, decompose(t))
     low = eig.vectors[:, :N]
-    cols = low.T
-    flipped = _reflect(cols)
-    even = (cols == flipped).all(axis=1)
-    evens = np.flatnonzero(even)
-    odds = np.flatnonzero((cols == -flipped).all(axis=1) & ~even)
-    k = min(len(evens), len(odds))
-    evens, odds = evens[:k], odds[:k]
-    single = np.ones(N, dtype=bool)
-    single[evens] = single[odds] = False
-    stack = np.concatenate([cols[evens] + cols[odds], cols[single]])
-    d = chebyshev_evolution(qho, t, stack) - apply_tables(tables, stack)
-    diff = np.empty((N, qho.M), dtype=complex)
-    diff[evens], diff[odds] = (_parity_part(d[:k], s, np.empty_like(d[:k])) for s in (1, -1))
-    diff[single] = d[k:]
-    block = low.conj().T @ diff.T
-    return float(np.linalg.svd(block, compute_uv=False)[0])
+    exact = _ritz_evolution(qho, low, t)
+    image = apply_tables(evolution_tables(qho.M, decompose(t)), low.T)
+    parts = low.T.astype(np.longdouble) @ np.concatenate([image.real, image.imag]).T
+    block = exact - (parts[:, :N] + 1j * parts[:, N:])
+    return float(np.linalg.svd(block.astype(complex), compute_uv=False)[0])
 
 
 def _rates(fe: FactoredEvolution) -> list:
@@ -458,8 +497,11 @@ def residual_generator_norm(qho: DiscreteQHO, eig: EigenDecomposition, N: int,
 
     With V = F_K ... F_1 and F_k = exp(-i*c_k(t)*G_k) (G_k = xbar^2 or
     pbar^2), V^-1 dV/dt = -i sum_k c_k'(t) S_k^dagger G_k S_k, where
-    S_k = F_{k-1} ... F_1 (F_k commutes with G_k) is applied from the
-    evolution's own tables.  No step size enters, so the value is
+    S_k = F_{k-1} ... F_1 (F_k commutes with G_k).  The sum is run in the
+    momentum frame with one factor per step each way: the prefixes S_k W are
+    built forward, F_k after F_{k-1}, keeping each c_k' G_k S_k W, and the
+    sum is folded back Horner-wise, acc <- F_k^dagger acc + c_k' G_k S_k W
+    from k = K - 1 down to 1.  No step size enters, so the value is
     rounding-limited (~1e-15).  The closed form holds on both factorization
     branches, so the guard near |t mod 2 pi| = pi/2, where the branch
     switches, is wider than the formula needs.
@@ -471,13 +513,22 @@ def residual_generator_norm(qho: DiscreteQHO, eig: EigenDecomposition, N: int,
         raise ValueError("t too close to the +-pi/2 tangent singularity")
     _check_projection(qho, eig, N)
     tables = evolution_tables(qho.M, fe)
+    factors = [replace(tables, steps=(step,)) for step in tables.steps]
     low = eig.vectors[:, :N]
-    rows = low.T.astype(complex)
-    gen = apply_hamiltonian(qho, rows)
-    square = {"momentum": apply_momentum_sq, "position": apply_position_sq}
-    for k, ((axis, _), rate) in enumerate(zip(fe.factors, _rates(fe))):
-        before = replace(tables, steps=tables.steps[:k])
-        moved = square[axis](qho, apply_tables(before, rows))
-        gen -= rate * apply_tables(before, moved, adjoint=True)
+    x2 = qho.x * qho.x
+    w = _enter_frame(low.T.astype(complex))
+    terms = []   # c_k' G_k S_k W in the frame: pbar^2 is x^2 * w there, xbar^2 ifft(x^2 * fft(w))
+    for k, rate in enumerate(_rates(fe)):
+        if k:
+            _frame_steps(factors[k - 1], w)
+        if tables.steps[k][0] == "momentum":
+            terms.append(rate * x2 * w)
+        else:
+            terms.append(rate * np.fft.ifft(x2 * np.fft.fft(w)))
+    acc = terms.pop()
+    while terms:
+        _frame_steps(factors[len(terms) - 1], acc, adjoint=True)
+        acc += terms.pop()
+    gen = apply_hamiltonian(qho, low.T) - _from_frame(acc)
     block = low.conj().T @ gen.T    # the residual is i*gen; |i| = 1
     return float(np.linalg.svd(block, compute_uv=False)[0])

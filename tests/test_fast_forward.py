@@ -10,6 +10,7 @@ from qhermite.fast_forward import (
     _frame_steps,
     _half_phases,
     _rates,
+    _ritz_evolution,
     apply_factored,
     apply_tables,
     chebyshev_evolution,
@@ -380,24 +381,7 @@ class TestReflection:
             assert np.abs(gap).max() <= 4e-16 * scale
 
 
-def _per_column_error(qho, eig, N, t):
-    """Projected error assembled one eigenvector column at a time."""
-    tables = evolution_tables(qho.M, decompose(t))
-    low = eig.vectors[:, :N]
-    diff = np.empty((qho.M, N), dtype=complex)
-    for n in range(N):
-        col = low[:, n].astype(complex)
-        diff[:, n] = chebyshev_evolution(qho, t, col) - apply_tables(tables, col)
-    return np.linalg.svd(low.conj().T @ diff, compute_uv=False)[0]
-
-
 class TestLowEnergyError:
-    @pytest.mark.parametrize("M,N,t", [(128, 8, 0.45), (128, 8, -0.45),
-                                       (256, 16, 1.7), (128, 8, 3.65)])
-    def test_matches_per_column_reference(self, eig_cache, M, N, t):
-        qho, eig = build(GridSpec(M)), eig_cache(M)
-        assert abs(low_energy_error(qho, eig, N, t) - _per_column_error(qho, eig, N, t)) <= 1e-15
-
     @pytest.mark.parametrize("meter", [low_energy_error, residual_generator_norm])
     @pytest.mark.parametrize("N", [0, -1, 65])
     def test_rejects_rank_outside_grid(self, eig_cache, meter, N):
@@ -471,53 +455,88 @@ class TestLowEnergyError:
             assert gap <= 10 * max(budget, 1e-13)
 
 
-class TestParityPairs:
-    """low_energy_error evolves each even eigenvector plus one odd one as one row."""
+class TestRitzBlock:
+    """low_energy_error's exact side: a Rayleigh-Ritz block on the span of its columns."""
 
-    @staticmethod
-    def _metered(monkeypatch, qho, eig, N, t):
-        """The meter's value and the shape of the stack the Chebyshev oracle received."""
-        shapes = []
+    TIMES = (0.25, 1.0, 3.0, 0.45, 1.7, -3.65)    # 3 and 5 factors, both signs
 
-        def recording(qho, t, state):
-            shapes.append(np.shape(state))
-            return chebyshev_evolution(qho, t, state)
+    @pytest.mark.parametrize("M", [64, 128, 256, 512, 1024])
+    def test_matches_chebyshev_block(self, eig_cache, M):
+        # <W|U|W> against the Chebyshev oracle's block over N = 4, 8, 16 and
+        # TIMES: the largest gaps read 1.2e-15, 2.4e-15, 2.3e-15, 3.8e-15 and
+        # 5.2e-15 at M = 64-1024 (1.2e-14 at M = 2048, left out for its 10 s),
+        # the recurrence's own rounding; the bound is about twice the largest
+        qho, eig = build(GridSpec(M)), eig_cache(M)
+        low = eig.vectors[:, :16]
+        for t in self.TIMES:
+            cheb = low.T @ chebyshev_evolution(qho, t, low.T).T
+            for N in (4, 8, 16):
+                ritz = _ritz_evolution(qho, low[:, :N], t).astype(complex)
+                assert np.abs(ritz - cheb[:N, :N]).max() <= 1e-14
 
-        monkeypatch.setattr(fast_forward, "chebyshev_evolution", recording)
-        value = low_energy_error(qho, eig, N, t)
-        assert len(shapes) == 1
-        return value, shapes[0]
+    @pytest.mark.parametrize("M", [64, 512])
+    def test_matches_chebyshev_block_on_high_states(self, eig_cache, M):
+        # eigenvectors from the middle and the top of the spectrum carry the
+        # highest momenta, which the low ones leave empty; the gaps read up
+        # to 1.3e-15 at M = 64 and 1.1e-14 at M = 512, and the bound is
+        # about twice the larger
+        qho, eig = build(GridSpec(M)), eig_cache(M)
+        for cols in (slice(M // 2 - 4, M // 2 + 4), slice(M - 8, M)):
+            span = eig.vectors[:, cols]
+            for t in (0.25, 1.0):
+                cheb = span.T @ chebyshev_evolution(qho, t, span.T).T
+                assert np.abs(_ritz_evolution(qho, span, t).astype(complex) - cheb).max() <= 2.5e-14
 
-    @pytest.mark.parametrize("N,rows", [(8, 4), (5, 3), (1, 1)])
-    def test_parity_definite_columns_share_rows(self, monkeypatch, eig_cache, N, rows):
-        M = 128
-        _, shape = self._metered(monkeypatch, build(GridSpec(M)), eig_cache(M), N, 0.45)
-        assert shape == (rows, M)
+    def test_group_law_at_long_times(self, eig_cache):
+        # U(t1) U(t2) = U(t1 + t2) on the span, with t1 + t2 exact in float64;
+        # long times test the 80-bit reduction of the phases (float64 phases
+        # D t would be off by up to ~1e-11 at t = 4096).  The gaps read up to
+        # 1.2e-15, the size of G - I, and the bound is about four times that
+        qho, eig = build(GridSpec(128)), eig_cache(128)
+        low = eig.vectors[:, :16]
+        for t1 in (1000.0, 4096.0, -2000.0):
+            for t2 in (0.25, -1.75):
+                ritz = [_ritz_evolution(qho, low, t).astype(complex) for t in (t1, t2, t1 + t2)]
+                assert np.abs(ritz[0] @ ritz[1] - ritz[2]).max() <= 5e-15
 
-    @pytest.mark.parametrize("t", [0.45, -1.7, 3.65])
-    def test_columns_without_parity_run_alone(self, monkeypatch, eig_cache, t):
-        # e_0 and e_1 rotated by 45 degrees: alone (N = 2) and beside the
-        # paired e_2, e_3 (N = 4); then a random orthonormal set of 4 columns
+    @pytest.mark.parametrize("M", [64, 128, 512])
+    def test_turned_span_reads_the_eigenbasis_value(self, eig_cache, M):
+        # e_0 and e_1 turned to (e_0 +- e_1)/sqrt(2): the span and so the
+        # quantity are the same; the two read within 8.2e-17 of each other
+        # over M = 64, 128, 512, N = 2-16 and four times, and the bound is
+        # about twice that
+        qho, eig = build(GridSpec(M)), eig_cache(M)
+        vectors = eig.vectors.copy()
+        vectors[:, 0] = (eig.vectors[:, 0] + eig.vectors[:, 1]) / np.sqrt(2)
+        vectors[:, 1] = (eig.vectors[:, 0] - eig.vectors[:, 1]) / np.sqrt(2)
+        turned = EigenDecomposition(energies=eig.energies, vectors=vectors)
+        for N in (2, 4, 8, 16):
+            for t in (0.45, -1.7, 3.0, 3.65):
+                want = low_energy_error(qho, eig, N, t)
+                assert abs(low_energy_error(qho, turned, N, t) - want) <= 2e-16
+
+    def test_non_invariant_basis_rejected_before_any_evolution(self, monkeypatch, eig_cache):
         M = 128
         qho, eig = build(GridSpec(M)), eig_cache(M)
-        turned = eig.vectors.copy()
-        turned[:, 0] = (eig.vectors[:, 0] + eig.vectors[:, 1]) / np.sqrt(2)
-        turned[:, 1] = (eig.vectors[:, 0] - eig.vectors[:, 1]) / np.sqrt(2)
-        scattered = np.linalg.qr(np.random.default_rng(19).normal(size=(M, 4)))[0]
-        for vectors, N, rows in ((turned, 2, 2), (turned, 4, 3), (scattered, 4, 4)):
-            basis = EigenDecomposition(energies=eig.energies, vectors=vectors)
-            value, shape = self._metered(monkeypatch, qho, basis, N, t)
-            assert shape == (rows, M)
-            assert abs(value - _per_column_error(qho, basis, N, t)) <= 1e-15
+        scattered = np.linalg.qr(np.random.default_rng(19).normal(size=(M, M)))[0]
+        basis = EigenDecomposition(energies=eig.energies, vectors=scattered)
 
-    @pytest.mark.parametrize("N,t", [(8, 0.45), (16, 1.7), (8, 3.65)])
-    def test_matches_per_column_reference_at_lab_points(self, eig_cache, N, t):
-        # oscillator_lab's three centres on its M = 512 grid, where both read
-        # the float64 floor (1.4e-15 to 6.2e-15 with one or two BLAS threads,
-        # whose eigenvectors differ in the last bits); the two differed by up
-        # to 1.3e-15, and the bound is about twice that
+        def evolved(*args, **kwargs):
+            raise AssertionError("evolved before the invariance check")
+
+        for name in ("apply_tables", "evolution_tables", "chebyshev_evolution"):
+            monkeypatch.setattr(fast_forward, name, evolved)
+        for t in (0.0, 0.45, -1.7, 3.65):
+            with pytest.raises(ValueError, match="do not span an invariant subspace"):
+                low_energy_error(qho, basis, 4, t)
+
+    def test_guard_weighs_the_residual_by_time(self, eig_cache):
+        # ||r|| reads 6.4e-13 at M = 512, N = 16, so |t| up to about 6000
+        # keeps t^2 ||r||^2 / 2 below 8e-18
         qho, eig = build(GridSpec(512)), eig_cache(512)
-        assert abs(low_energy_error(qho, eig, N, t) - _per_column_error(qho, eig, N, t)) <= 2.5e-15
+        assert low_energy_error(qho, eig, 16, 1000.0) < 1e-12
+        with pytest.raises(ValueError, match="max\\(1, \\|t\\|\\)"):
+            low_energy_error(qho, eig, 16, 1e5)
 
 
 class TestResidualGenerator:
