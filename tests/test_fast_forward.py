@@ -381,7 +381,30 @@ class TestReflection:
             assert np.abs(gap).max() <= 4e-16 * scale
 
 
+def _per_column_error(qho, eig, N, t):
+    """Projected error with the factored side applied one eigenvector column at a time.
+
+    The exact block is the meter's own Ritz block (held against the Chebyshev
+    oracle in TestRitzBlock); V's columns are applied and projected singly in
+    float64, not as one block projected in longdouble.
+    """
+    tables = evolution_tables(qho.M, decompose(t))
+    low = eig.vectors[:, :N]
+    factored = np.empty((N, N), dtype=complex)
+    for n in range(N):
+        factored[:, n] = low.T @ apply_tables(tables, low[:, n].astype(complex))
+    block = _ritz_evolution(qho, low, t).astype(complex) - factored
+    return np.linalg.svd(block, compute_uv=False)[0]
+
+
 class TestLowEnergyError:
+    @pytest.mark.parametrize("M,N,t", [(128, 8, 0.45), (128, 8, -0.45),
+                                       (256, 16, 1.7), (128, 8, 3.65)])
+    def test_matches_per_column_reference(self, eig_cache, M, N, t):
+        # the two read within 1.2e-16 of each other
+        qho, eig = build(GridSpec(M)), eig_cache(M)
+        assert abs(low_energy_error(qho, eig, N, t) - _per_column_error(qho, eig, N, t)) <= 1e-15
+
     @pytest.mark.parametrize("meter", [low_energy_error, residual_generator_norm])
     @pytest.mark.parametrize("N", [0, -1, 65])
     def test_rejects_rank_outside_grid(self, eig_cache, meter, N):
@@ -537,6 +560,55 @@ class TestRitzBlock:
         assert low_energy_error(qho, eig, 16, 1000.0) < 1e-12
         with pytest.raises(ValueError, match="max\\(1, \\|t\\|\\)"):
             low_energy_error(qho, eig, 16, 1e5)
+
+
+class TestParityPairs:
+    """low_energy_error applies V to its N columns as N rows of one block, whatever their parity."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        """The shapes of the stacks the meter's factored side receives, as they come."""
+        shapes = []
+
+        def recording(tables, state, *args, **kwargs):
+            shapes.append(np.shape(state))
+            return apply_tables(tables, state, *args, **kwargs)
+
+        monkeypatch.setattr(fast_forward, "apply_tables", recording)
+        return shapes
+
+    @pytest.mark.parametrize("t", [0.45, -1.7, 3.65])
+    def test_columns_without_parity_run_alone(self, monkeypatch, eig_cache, t):
+        # e_0 and e_1 rotated by 45 degrees: alone (N = 2) and beside e_2, e_3
+        # (N = 4), each column one row of the single stack; a random
+        # orthonormal set of 4 columns spans no invariant subspace and is
+        # rejected before V is applied
+        M = 128
+        qho, eig = build(GridSpec(M)), eig_cache(M)
+        turned = eig.vectors.copy()
+        turned[:, 0] = (eig.vectors[:, 0] + eig.vectors[:, 1]) / np.sqrt(2)
+        turned[:, 1] = (eig.vectors[:, 0] - eig.vectors[:, 1]) / np.sqrt(2)
+        shapes = self._recording(monkeypatch)
+        basis = EigenDecomposition(energies=eig.energies, vectors=turned)
+        for N in (2, 4):
+            shapes.clear()
+            value = low_energy_error(qho, basis, N, t)
+            assert shapes == [(N, M)]
+            assert abs(value - _per_column_error(qho, basis, N, t)) <= 1e-15
+        scattered = np.linalg.qr(np.random.default_rng(19).normal(size=(M, 4)))[0]
+        basis = EigenDecomposition(energies=eig.energies, vectors=scattered)
+        shapes.clear()
+        with pytest.raises(ValueError, match="do not span an invariant subspace"):
+            low_energy_error(qho, basis, 4, t)
+        assert shapes == []
+
+    @pytest.mark.parametrize("N,t", [(8, 0.45), (16, 1.7), (8, 3.65)])
+    def test_matches_per_column_reference_at_lab_points(self, eig_cache, N, t):
+        # oscillator_lab's three centres on its M = 512 grid, where the meter
+        # reads its float64 floor (3.2e-16 to 2.2e-15 with one or two BLAS
+        # threads); the two differ by up to 1.7e-16
+        qho, eig = build(GridSpec(512)), eig_cache(512)
+        assert abs(low_energy_error(qho, eig, N, t) - _per_column_error(qho, eig, N, t)) <= 2.5e-15
 
 
 class TestResidualGenerator:
