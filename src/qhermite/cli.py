@@ -123,9 +123,13 @@ def cmd_ff_error(args) -> int:
                 t0 = time.perf_counter()
                 row = [M, N, t, decompose(t).reps, "", "infeasible"]
                 if qho is not None and N <= M:   # --N is positive, so 1 <= N <= M
-                    row[4:] = [f"{low_energy_error(qho, eig, N, t):.6e}", "ok"]
-                    if args.timings:
-                        row.append(int((time.perf_counter() - t0) * 1000))
+                    try:
+                        row[4:] = [f"{low_energy_error(qho, eig, N, t):.6e}", "ok"]
+                    except ValueError:   # the invariance guard refused t; the row stays infeasible
+                        pass
+                    else:
+                        if args.timings:
+                            row.append(int((time.perf_counter() - t0) * 1000))
                 rows.append(row)
     header = ["M", "N", "t", "reps", "projected_error", "status"]
     if args.timings:

@@ -109,7 +109,7 @@ def _p2_symbol_ld(M: int) -> np.ndarray:
     c_0 = (2*pi/M^2) * sum l^2 over the signed label range; for d != 0 the
     closed form is c_d = (pi/M) (-1)^d / sin^2(pi d / M).  Extended precision
     keeps the dense oracle within one float64 ulp of the operator the FFT
-    fast path realizes, which the evolution error meters depend on.  Only
+    fast path realizes, which the projected-error meter depends on.  Only
     d <= M/2 is evaluated and mirrored, c[M - d] = c[d], as `_mp_p2_symbol`
     does: near d = M the argument error of sin(pi d/M) is amplified ~M/pi-fold.
     """
@@ -177,6 +177,26 @@ def _sector_blocks(M: int) -> tuple:
     return even, odd
 
 
+def _rayleigh_terms(qho: DiscreteQHO, W: np.ndarray) -> tuple:
+    """Terms T and weights g of a real (M, k) longdouble block W: W^T Hbar W = (g*T)^T T / 2.
+
+    In the frame of the FFT kernel, pbar^2 = F^-1 xbar^2 F, so with
+    u = ifft(alt*w) a quotient is w^T Hbar w' = (sum_i x_i^2 w_i w'_i
+    + M sum_i x_i^2 conj(u_i) u'_i) / 2.  W is real, so u is Hermitian (u at
+    index k and M - k are conjugates, and so is x^2's weight there): the
+    second sum is the real part of a sum over k = 0..M/2 only, taken from
+    v = rfft(alt*w) = M conj(u) with weights x^2/M, doubled except at k = 0
+    and M/2.  T stacks W, Re v and Im v, (2M + 2, k), and g the matching
+    (2M + 2, 1) column of non-negative weights, all in 80-bit floats.
+    """
+    M = qho.M
+    v = np.fft.rfft(qho.alt[:, None] * W, axis=0)
+    x2 = np.arange(-M // 2, M // 2, dtype=np.longdouble) ** 2 * (2 * _PI_LD / M)
+    half = x2[:M // 2 + 1] * (2 / np.longdouble(M))
+    half[[0, -1]] /= 2
+    return np.concatenate([W, v.real, v.imag]), np.concatenate([x2, half, half])[:, None]
+
+
 def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     """Ground-truth eigendecomposition of Hbar (M <= 4096), solved per parity sector.
 
@@ -193,10 +213,9 @@ def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     LAPACK returns the eigenvalues with absolute error ~eps*||H||, which at
     M=1024 already exceeds the true distance to n + 1/2 (and would dominate
     every projected-error meter).  The lowest 64 are therefore recomputed in
-    80-bit floats as Rayleigh quotients in the frame of the FFT kernel: with
-    pbar^2 = F^-1 xbar^2 F and u = ifft(alt*w),
-        E = (sum_i x_i^2 w_i^2 + M sum_i x_i^2 |u_i|^2) / (2 sum_i w_i^2),
-    two sums of non-negative terms, so rounding stays relative to E.
+    80-bit floats as Rayleigh quotients, the diagonal of `_rayleigh_terms`'s
+    block over diag(W^T W): sums of non-negative terms, so rounding stays
+    relative to E.
     """
     M = qho.M
     if M > DENSE_EIG_CAP:
@@ -224,13 +243,9 @@ def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     vectors[half + 1:, co] = y_odd
     vectors[half - 1:0:-1, co] = -y_odd
     energies = energies[order]
-    k = min(64, M)
-    W = vectors[:, :k].astype(np.longdouble)
-    labels = np.arange(-M // 2, M // 2, dtype=np.longdouble)
-    x2 = (labels * labels * (2 * _PI_LD / M))[:, None]
-    U = np.fft.ifft(qho.alt[:, None] * W, axis=0)
-    energies[:k] = (((x2 * W * W).sum(axis=0) + M * (x2 * (U.real**2 + U.imag**2)).sum(axis=0))
-                    / (2 * (W * W).sum(axis=0)))
+    W = vectors[:, :min(64, M)].astype(np.longdouble)
+    terms, weights = _rayleigh_terms(qho, W)
+    energies[:W.shape[1]] = (weights * terms * terms).sum(axis=0) / (2 * (W * W).sum(axis=0))
     return EigenDecomposition(energies=energies, vectors=vectors)
 
 

@@ -1,4 +1,4 @@
-"""Factored evolution of the discrete oscillator and its error meters.
+"""Factored evolution of the discrete oscillator and its projected-error meter.
 
 exp(-i*Hbar*t) is approximated by three or five alternating quadratic phase
 factors: exp(-i*a*pbar^2) exp(-i*b*xbar^2) exp(-i*a*pbar^2) with
@@ -14,8 +14,8 @@ evolution and grid: one table exp(-i*c*x_j^2) per distinct coefficient c
 (two for three factors, three for five).  Each table's argument is reduced
 mod 2*pi in 80-bit floats once, when the table is built; at M ~ 1000 the raw
 arguments reach ~10^3 and plain float64 reduction would inject ~1e-13 of
-spurious error into every factor, swamping the quantity the error meters
-measure.  x_j^2 is even in the label j, so a table stores labels 0..M/2 only.
+spurious error into every factor, swamping the quantity the error meter
+measures.  x_j^2 is even in the label j, so a table stores labels 0..M/2 only.
 
 `apply_tables` is the one kernel that applies any factored evolution or its
 adjoint (the same tables in reverse order, conjugated).  With
@@ -40,7 +40,7 @@ its input first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .discrete_qho import (
     _PI_LD,
     DiscreteQHO,
     EigenDecomposition,
+    _rayleigh_terms,
     apply_hamiltonian,
 )
 
@@ -61,7 +62,6 @@ __all__ = [
     "exact_evolution",
     "chebyshev_evolution",
     "low_energy_error",
-    "residual_generator_norm",
     "LOW_ENERGY_M_CAP",
 ]
 
@@ -183,32 +183,6 @@ def _from_frame(w: np.ndarray) -> np.ndarray:
     np.fft.fft(w, out=w)
     w[..., 1::2] *= -1.0
     return w
-
-
-def _reflect(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x at the mirrored labels, l -> -l: index i -> -i mod M along the last axis.
-
-    Written from two slices into `out` (allocated when not given), so no
-    index array is built.  The map is the same in the position frame and the
-    momentum frame: alt is symmetric and the DFT commutes with it.
-    """
-    if out is None:
-        out = np.empty_like(x)
-    out[..., 0] = x[..., 0]
-    out[..., 1:] = x[..., :0:-1]
-    return out
-
-
-def _parity_part(row: np.ndarray, sign: float, out: np.ndarray) -> np.ndarray:
-    """out <- (row + sign * P row)/2: the even part of row for sign +1, its odd part for -1.
-
-    P is `_reflect`, written into `out` first, so `out` may not be `row`.
-    The part is (anti)symmetric bit for bit, since x + y = y + x and
-    x - y = -(y - x) in floating point.
-    """
-    (np.add if sign > 0 else np.subtract)(row, _reflect(row, out=out), out=out)
-    out *= 0.5
-    return out
 
 
 def apply_tables(tables: EvolutionTables, state: np.ndarray,
@@ -372,27 +346,15 @@ def chebyshev_evolution(qho: DiscreteQHO, t: float, state: np.ndarray) -> np.nda
     return out.reshape(v.shape)
 
 
-def _check_projection(qho: DiscreteQHO, eig: EigenDecomposition, N: int) -> None:
-    """Reject a projection rank N outside 1..M or an eigenbasis of another grid."""
-    if eig.dim != qho.M:
-        raise ValueError(f"eigenbasis has dimension {eig.dim}, grid has M={qho.M}")
-    if not 1 <= N <= qho.M:
-        raise ValueError(f"projection rank N={N} is outside 1..M={qho.M}")
-
-
 _INVARIANCE_TOL = 4e-9   # largest max(1, |t|) * ||r|| accepted: t^2 ||r||^2 / 2 <= 8e-18
 
 
 def _ritz_evolution(qho: DiscreteQHO, low: np.ndarray, t: float) -> np.ndarray:
     """<W| U(t) |W> for the columns W of `low`, by Rayleigh-Ritz on their span, in longdouble.
 
-    H = W^T Hbar W and G = W^T W are formed in 80-bit floats; H from the two
-    terms of `dense_diagonalize`'s Rayleigh quotients, x^2 w_m w_n and
-    M x^2 conj(u_m) u_n with u = ifft(alt*w).  W is real, so u is Hermitian
-    (u at index k and M - k are conjugates, and so is x^2's weight there):
-    the second term is the real part of a sum over k = 0..M/2 only, taken
-    from v = rfft(alt*w) = M conj(u) with weights x^2/M, doubled except at
-    k = 0 and M/2.  To first order in S = G - I,
+    H = W^T Hbar W and G = W^T W are formed in 80-bit floats; H is the full
+    block of `discrete_qho._rayleigh_terms`, whose diagonal gives
+    `dense_diagonalize` its refined energies.  To first order in S = G - I,
     W G^(-1/2) = W (I - S/2) is an orthonormal basis of the span, on which
     Hbar is Ho = (I - S/2) H (I - S/2).  A float64 `eigh` of Ho gives the
     rotation Q, re-orthonormalised as Q (I - (Q^T Q - I)/2) in 80 bits, and
@@ -409,15 +371,10 @@ def _ritz_evolution(qho: DiscreteQHO, low: np.ndarray, t: float) -> np.ndarray:
     3.5e-12 at M = 2048 (N <= 64), rounding of Hbar W; a random orthonormal
     basis gives tens (80 at M = 128, N = 4).
     """
-    M, N = low.shape
+    N = low.shape[1]
     resid = apply_hamiltonian(qho, low.T).real.T
     W = low.astype(np.longdouble)
-    v = np.fft.rfft(qho.alt[:, None] * W, axis=0)
-    x2 = np.arange(-M // 2, M // 2, dtype=np.longdouble) ** 2 * (2 * _PI_LD / M)
-    half = x2[:M // 2 + 1] * (2 / np.longdouble(M))
-    half[[0, -1]] /= 2
-    terms = np.concatenate([W, v.real, v.imag])
-    weights = np.concatenate([x2, half, half])[:, None]
+    terms, weights = _rayleigh_terms(qho, W)
     H = (weights * terms).T @ terms / 2
     resid -= low @ H.astype(np.float64)
     r = float(np.linalg.norm(resid, 2))
@@ -464,71 +421,13 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
     """
     if qho.M > LOW_ENERGY_M_CAP:
         raise ValueError(f"projected-error budget is M <= {LOW_ENERGY_M_CAP}")
-    _check_projection(qho, eig, N)
+    if eig.dim != qho.M:
+        raise ValueError(f"eigenbasis has dimension {eig.dim}, grid has M={qho.M}")
+    if not 1 <= N <= qho.M:
+        raise ValueError(f"projection rank N={N} is outside 1..M={qho.M}")
     low = eig.vectors[:, :N]
     exact = _ritz_evolution(qho, low, t)
     image = apply_tables(evolution_tables(qho.M, decompose(t)), low.T)
     parts = low.T.astype(np.longdouble) @ np.concatenate([image.real, image.imag]).T
     block = exact - (parts[:, :N] + 1j * parts[:, N:])
     return float(np.linalg.svd(block.astype(complex), compute_uv=False)[0])
-
-
-def _rates(fe: FactoredEvolution) -> list:
-    """d c_k / dt for each phase factor of `fe`, in factor order.
-
-    With r repetitions and s = t_eff/(2r), an outer momentum coefficient is
-    tan(s)/2 and a position one sin(2s)/2, so their rates are
-    1/(4r cos^2 s) and cos(2s)/(2r).  The middle momentum factor of the
-    five-factor split carries twice the outer coefficient, hence twice its rate.
-    """
-    r = fe.reps
-    s = fe.t_effective / (2 * r)
-    outer = {"momentum": 1.0 / (4 * r * math.cos(s) ** 2),
-             "position": math.cos(2 * s) / (2 * r)}
-    rates = [outer[axis] for axis, _ in fe.factors]
-    if r == 2:
-        rates[2] *= 2
-    return rates
-
-
-def residual_generator_norm(qho: DiscreteQHO, eig: EigenDecomposition, N: int,
-                            t: float) -> float:
-    """|| Pi_N (V(t)^-1 dV/dt + i*Hbar) Pi_N || from the closed-form derivative.
-
-    With V = F_K ... F_1 and F_k = exp(-i*c_k(t)*G_k) (G_k = xbar^2 or
-    pbar^2), V^-1 dV/dt = -i sum_k c_k'(t) S_k^dagger G_k S_k, where
-    S_k = F_{k-1} ... F_1 (F_k commutes with G_k).  The sum is run in the
-    momentum frame with one factor per step each way: the prefixes S_k W are
-    built forward, F_k after F_{k-1}, keeping each c_k' G_k S_k W, and the
-    sum is folded back Horner-wise, acc <- F_k^dagger acc + c_k' G_k S_k W
-    from k = K - 1 down to 1.  No step size enters, so the value is
-    rounding-limited (~1e-15).  The closed form holds on both factorization
-    branches, so the guard near |t mod 2 pi| = pi/2, where the branch
-    switches, is wider than the formula needs.
-    """
-    if qho.M > 512:
-        raise ValueError("generator-residual budget is M <= 512")
-    fe = decompose(t)
-    if abs(fe.t_effective) >= math.pi / 2 - 0.1:
-        raise ValueError("t too close to the +-pi/2 tangent singularity")
-    _check_projection(qho, eig, N)
-    tables = evolution_tables(qho.M, fe)
-    factors = [replace(tables, steps=(step,)) for step in tables.steps]
-    low = eig.vectors[:, :N]
-    x2 = qho.x * qho.x
-    w = _enter_frame(low.T.astype(complex))
-    terms = []   # c_k' G_k S_k W in the frame: pbar^2 is x^2 * w there, xbar^2 ifft(x^2 * fft(w))
-    for k, rate in enumerate(_rates(fe)):
-        if k:
-            _frame_steps(factors[k - 1], w)
-        if tables.steps[k][0] == "momentum":
-            terms.append(rate * x2 * w)
-        else:
-            terms.append(rate * np.fft.ifft(x2 * np.fft.fft(w)))
-    acc = terms.pop()
-    while terms:
-        _frame_steps(factors[len(terms) - 1], acc, adjoint=True)
-        acc += terms.pop()
-    gen = apply_hamiltonian(qho, low.T) - _from_frame(acc)
-    block = low.conj().T @ gen.T    # the residual is i*gen; |i| = 1
-    return float(np.linalg.svd(block, compute_uv=False)[0])

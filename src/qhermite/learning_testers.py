@@ -101,8 +101,9 @@ class GGLResult:
 
 
 def estimate_gamma(f: OracleFunction, rng: np.random.Generator,
-                   n_points: int = 1000, step: float = 1e-4) -> float:
-    """Monte-Carlo E||grad f||^2 via central differences (heuristic fallback)."""
+                   n_points: int = 1000) -> float:
+    """Monte-Carlo E||grad f||^2 via central differences of step 1e-4 (heuristic fallback)."""
+    step = 1e-4
     pts = rng.standard_normal((n_points, f.arity))
     acc = np.zeros(n_points)
     for i in range(f.arity):
@@ -187,13 +188,13 @@ def coefficient_estimate(f: OracleFunction, v, eps_est: float, delta: float,
 
 
 def restriction_coefficient(f: OracleFunction, pattern: CoefficientPattern,
-                            z: np.ndarray, grid_points: int = 2001,
-                            grid_half_width: float = 10.0) -> float:
+                            z: np.ndarray, grid_points: int = 2001) -> float:
     """F_S f(z) = fhat_{J|z}(S): quadrature over the fixed block at frozen z.
 
     Cross-validates weight_estimate: averaging F_S f(z)^2 over Gaussian z
-    recovers W^S(f).  The quadrature grid is tensored over the fixed block J,
-    so |J| * log2(grid_points) must stay within the full-grid budget.
+    recovers W^S(f).  The quadrature grid spans [-10, 10] per coordinate and
+    is tensored over the fixed block J, so |J| * log2(grid_points) must stay
+    within the full-grid budget.
     """
     J = list(pattern.fixed_positions)
     rest = list(pattern.wildcard_positions)
@@ -202,7 +203,7 @@ def restriction_coefficient(f: OracleFunction, pattern: CoefficientPattern,
         raise ValueError(f"z must fix the {len(rest)} wildcard coordinates")
     if not J:   # no fixed coordinate: F_S f(z) is f(z) itself
         return float(f.evaluate(z[None])[0])
-    grid = np.linspace(-grid_half_width, grid_half_width, grid_points)
+    grid = np.linspace(-10.0, 10.0, grid_points)
     weight = (grid[1] - grid[0]) * np.exp(-0.5 * grid * grid) / math.sqrt(2 * math.pi)
 
     def on_block(y):   # points of the fixed block, with z inserted
@@ -223,13 +224,13 @@ def restriction_coefficient(f: OracleFunction, pattern: CoefficientPattern,
 
 def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
                              rng: np.random.Generator, gamma: float | None = None,
-                             degree_cap: int | None = None, node_budget: int = 4096,
-                             mode: str = "classical",
+                             node_budget: int = 4096, mode: str = "classical",
                              sampler_config: SamplerConfig | None = None) -> GGLResult:
     """List every v with |fhat(v)| >= tau; everything listed has |fhat| >= tau/2.
 
     classical mode runs the prefix sweep: at level k each live pattern is
-    extended by all degrees a_k <= degree cap, and the extension is retained
+    extended by all degrees a_k <= the degree cap ceil(4 gamma^2/tau) + 4 (at
+    most the oracle's degree cutoff), and the extension is retained
     when its estimated weight W^(S a_k) clears tau^2/2 (estimates are taken
     to within tau^2/4, so true weights >= tau^2 survive and true weights
     < tau^2/4 are dropped, the standard argument).  The live list is capped
@@ -247,11 +248,9 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
         raise ValueError("tau must be in (0, 1)")
     _check_delta(delta)
     g = _resolve_gamma(f, rng, gamma)
-    cap = degree_cap
-    if cap is None:
-        cap = int(math.ceil(4.0 * g * g / tau)) + 4
-        if f.degree_cutoff:
-            cap = min(cap, f.degree_cutoff)
+    cap = int(math.ceil(4.0 * g * g / tau)) + 4
+    if f.degree_cutoff:
+        cap = min(cap, f.degree_cutoff)
     list_cap = max(1, int(math.floor(4.0 / tau**2)))
     queries = 0
     nodes = 0

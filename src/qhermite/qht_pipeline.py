@@ -37,8 +37,6 @@ from .fast_forward import (
     _enter_frame,
     _frame_steps,
     _from_frame,
-    _parity_part,
-    _reflect,
     decompose,
     evolution_tables,
 )
@@ -329,6 +327,33 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _reflect(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x at the mirrored labels, l -> -l: index i -> -i mod M along the last axis.
+
+    Written from two slices into `out` (allocated when not given), so no
+    index array is built.  The map is the same in the position frame and
+    `fast_forward`'s momentum frame: alt is symmetric and the DFT commutes
+    with it.
+    """
+    if out is None:
+        out = np.empty_like(x)
+    out[..., 0] = x[..., 0]
+    out[..., 1:] = x[..., :0:-1]
+    return out
+
+
+def _parity_part(row: np.ndarray, sign: float, out: np.ndarray) -> np.ndarray:
+    """out <- (row + sign * P row)/2: the even part of row for sign +1, its odd part for -1.
+
+    P is `_reflect`, written into `out` first, so `out` may not be `row`.
+    The part is (anti)symmetric bit for bit, since x + y = y + x and
+    x - y = -(y - x) in floating point.
+    """
+    (np.add if sign > 0 else np.subtract)(row, _reflect(row, out=out), out=out)
+    out *= 0.5
+    return out
+
+
 @dataclass(frozen=True)
 class QHTResult:
     """One transform call; op_passes counts the V passes this call ran (0 once held)."""
@@ -426,8 +451,8 @@ class QHTOperator:
         are the same, so a_j = c_{n,j} and b_j = 0 exactly.
 
         w is a (k, M) stack of position-frame rows.  It enters the momentum
-        frame of `fast_forward` and leaves it at the end; P is the same index
-        map in both frames.  Each dyadic evolution runs once on the whole
+        frame of `fast_forward` and leaves it at the end; P, `_reflect`, is the
+        same index map in both frames.  Each dyadic evolution runs once on the whole
         stack, into the (k, M) scratch `tmp`; P t is written row by row into
         one M-length scratch.  The halvings are left out of the passes and
         applied once, as 2^-m at the end: power-of-two scaling is exact, so

@@ -42,6 +42,18 @@ class TestFFError:
         _, rows, _ = read_table(out)
         assert rows[0]["status"] == "infeasible"
 
+    def test_guard_refusal_is_an_infeasible_row(self, tmp_path):
+        # the meter's invariance guard refuses (512, 10000) before any evolution;
+        # the other rows are still written
+        code, out = _run(tmp_path, "ff.csv",
+                         ["ff-error", "--M", "128,512", "--N", "16", "--t", "1.0,10000"])
+        assert code == 2
+        _, rows, _ = read_table(out)
+        status = {(int(r["M"]), float(r["t"])): r["status"] for r in rows}
+        assert status == {(128, 1.0): "ok", (128, 10000.0): "ok",
+                          (512, 1.0): "ok", (512, 10000.0): "infeasible"}
+        assert all(float(r["projected_error"]) < 1e-11 for r in rows if r["status"] == "ok")
+
 
 class TestOverlap:
     def test_single_row_when_nmax_zero(self, tmp_path):

@@ -5,6 +5,7 @@ from conftest import loewdin_orthonormalize
 from qhermite.discrete_qho import (
     _PI_LD,
     _p2_symbol_ld,
+    _rayleigh_terms,
     _sector_blocks,
     apply_hamiltonian,
     apply_momentum_sq,
@@ -24,6 +25,14 @@ EPS = np.finfo(float).eps
 def _dense_hamiltonian(qho) -> np.ndarray:
     """Dense Hbar = (xbar^2 + pbar^2)/2 from the circulant symbol (a test oracle)."""
     return 0.5 * (np.diag(qho.x * qho.x) + dense_momentum_sq(qho.spec))
+
+
+def _dense_hamiltonian_ld(M: int) -> np.ndarray:
+    """Dense Hbar in 80-bit floats, from the 80-bit circulant symbol (a test oracle)."""
+    c = _p2_symbol_ld(M)
+    j = np.arange(M)
+    labels = np.arange(-M // 2, M // 2, dtype=np.longdouble)
+    return 0.5 * (c[(j[None, :] - j[:, None]) % M] + np.diag(labels * labels * (2 * _PI_LD / M)))
 
 
 def _mirror(M: int) -> np.ndarray:
@@ -180,15 +189,26 @@ class TestDenseDiagonalize:
     def test_energies_are_rayleigh_quotients(self, eig_cache, M):
         # per-vector clongdouble quotients against the 80-bit dense Hamiltonian
         eig = eig_cache(M)
-        c = _p2_symbol_ld(M)
-        j = np.arange(M)
-        labels = np.arange(-M // 2, M // 2, dtype=np.longdouble)
-        Hld = 0.5 * (c[(j[None, :] - j[:, None]) % M]
-                     + np.diag(labels * labels * (2 * _PI_LD / M)))
+        Hld = _dense_hamiltonian_ld(M)
         for n in range(min(64, M)):
             v = eig.vectors[:, n].astype(np.clongdouble)
             ref = float(np.real(np.vdot(v, Hld @ v) / np.vdot(v, v)))
             assert abs(eig.energies[n] - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("M", [64, 128])
+    def test_rayleigh_block_is_the_dense_quotient(self, eig_cache, M):
+        # the full k x k block, off-diagonal entries (~5e-14 here) included,
+        # against W^T Hld W in 80 bits: entries differ by at most 4.4e-19 times
+        # the largest |entry|, about 4 longdouble ulps; the bound is about twice that
+        eig = eig_cache(M)
+        W = eig.vectors[:, :64].astype(np.longdouble)
+        terms, weights = _rayleigh_terms(build(GridSpec(M)), W)
+        block = (weights * terms).T @ terms / 2
+        ref = W.T @ _dense_hamiltonian_ld(M) @ W
+        assert np.abs(block - ref).max() <= 1e-18 * np.abs(ref).max()
+        # the refined energies are the block's diagonal over diag(W^T W), bit for bit
+        energies = (np.diagonal(block) / np.diagonal(W.T @ W)).astype(np.float64)
+        assert np.array_equal(eig.energies[:64], energies)
 
     @pytest.mark.parametrize("M", [64, 128, 256, 512, 1024, 2048, 4096])
     def test_symbol_is_mirror_symmetric(self, M):

@@ -9,12 +9,14 @@ from conftest import loewdin_orthonormalize
 from qhermite import qht_pipeline
 from qhermite.calibration import Calibration
 from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis
-from qhermite.fast_forward import _parity_part, _reflect, apply_tables
+from qhermite.fast_forward import apply_tables
 from qhermite.qht_pipeline import (
     ConfigError,
     QHTConfig,
     QHTOperator,
     WindowFunction,
+    _parity_part,
+    _reflect,
     _stack_rows,
     build_pr_state,
     choose_dimensions,
