@@ -20,10 +20,22 @@ one: the projected sums are then accumulated in exact Python integers, so the
 cancellation costs nothing, and each term's scale is applied once when it is
 converted to float64.  The projector's state form agrees with the eigenvector
 form to well below the quantities measured.
+
+Every input is parity-folded, bit for bit.  Each part (real or imaginary) of a
+fixed-point column is even or odd under J -> -J, the symbols satisfy
+g[M - d] = conj(g[d]), and the weight depends on |J| only.  So the columns are
+evaluated on labels 0..M/2-1 and -M/2, the DFT pairs the inputs +K and -K
+against a mirrored root table, and each projected sum over labels j, k is a
+sum over n = |J_j|, m = |J_k| of u_a[n] K[n, m] u_b[m], with K the symbol
+folded over +-j and +-k with the parts' signs (gathers and sign flips, and
+the anticommutator's exact factor J_j + J_k).  A pair of columns costs a few
+(M/2+1)^2 big-integer products in place of about 8 M^2; at M = 64, N = 1,
+t_max = 30 each family takes about 20-25 ms (one BLAS thread).
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +43,6 @@ import numpy as np
 from .spectral_core import (
     GridSpec,
     InvalidSpecError,
-    centered_dft_matrix,
     hermite_function_rows,
 )
 
@@ -46,7 +57,6 @@ __all__ = [
     "dense_diagonalize",
     "hermite_basis",
     "commutator_tail_norm",
-    "dense_tail_reference",
 ]
 
 DENSE_EIG_CAP = 4096
@@ -275,23 +285,43 @@ class TailReport:
     error_bar: float = 0.0    # ||tail(P + 64 bits) - tail(P bits)||, see commutator_tail_norm
 
 
+def _half_labels(M: int) -> tuple:
+    """The labels of the folded index n = 0..M/2 (n itself, and -M/2 at n = M/2) and
+    whether each has a mirror -n on the grid (all but the lone labels 0 and -M/2)."""
+    labels = np.arange(M // 2 + 1)
+    labels[-1] = -labels[-1]
+    paired = np.ones(len(labels), dtype=bool)
+    paired[[0, -1]] = False
+    return labels, paired
+
+
 def _mp_hermite_columns(M: int, N: int):
-    """Normalized discrete Hermite states at current mp precision."""
+    """Normalized discrete Hermite states at current mp precision, on `_half_labels`.
+
+    The entry of column n at label -J (0 < J < M/2) is (-1)^n times the one
+    at J, bit for bit: the recurrence is odd in x and mp rounding is
+    symmetric.  So only x >= 0 is evaluated, and the lone label -M/2 is
+    (-1)^n times the value at x = +M/2 h.  The norm sums the squares over
+    the whole grid in label order.
+    """
     import mpmath as mp
 
+    half = M // 2
     h = mp.sqrt(2 * mp.pi / M)
     sqh = mp.sqrt(h)
-    xs = [j * h for j in range(-M // 2, M // 2)]
+    xs = [j * h for j in range(half + 1)]
     quarter = mp.power(mp.pi, mp.mpf(-1) / 4)
-    rows = [[quarter * mp.e ** (-x * x / 2) * sqh for x in xs]]
+    rows = [[quarter * mp.exp(-x * x / 2) * sqh for x in xs]]
     if N >= 2:
         rows.append([mp.sqrt(2) * x * v for x, v in zip(xs, rows[0])])
     for n in range(1, N - 1):
         c1, c2 = mp.sqrt(mp.mpf(2) / (n + 1)), mp.sqrt(mp.mpf(n) / (n + 1))
         rows.append([c1 * x * a - c2 * b for x, a, b in zip(xs, rows[n], rows[n - 1])])
     out = []
-    for r in rows[:N]:
-        nrm = mp.sqrt(mp.fsum(v * v for v in r))
+    for n, r in enumerate(rows[:N]):
+        r[half] *= (-1) ** n
+        sq = [v * v for v in r]
+        nrm = mp.sqrt(mp.fsum(sq[half:] + sq[half - 1:0:-1] + sq[:half]))
         out.append([v / nrm for v in r])
     return out
 
@@ -315,8 +345,7 @@ def _mp_p1_symbol(M: int):
     h = mp.sqrt(2 * mp.pi / M)
     c = [mp.mpc(-h / 2)] + [mp.mpc(0)] * (M - 1)
     for d in range(1, M // 2 + 1):
-        w = mp.e ** (2 * mp.pi * mp.mpc(0, 1) * d / M)
-        c[d] = h * ((-1) ** d) / (w - 1)
+        c[d] = h * ((-1) ** d) / (mp.expjpi(mp.mpf(2 * d) / M) - 1)
         c[M - d] = mp.conj(c[d])
     return c
 
@@ -335,55 +364,103 @@ _TAIL_GUARD_BITS = 16   # fixed-point bits beyond the decimal working precision
 _TAIL_CHECK_BITS = 64   # extra bits of the second pass that sets error_bar
 
 
-def _fixed(values, bits: int):
-    """Round mp reals or complexes to fixed point at 2^-bits: (re, im) object arrays."""
-    import mpmath as mp
+def _fixed(values, bits: int) -> np.ndarray:
+    """Round mp reals to fixed point at 2^-bits, ties to even: an integer object array."""
+    from mpmath.libmp import mpf_shift, round_nearest, to_int
 
-    re = [int(mp.nint(mp.ldexp(mp.re(v), bits))) for v in values]
-    im = [int(mp.nint(mp.ldexp(mp.im(v), bits))) for v in values]
-    return np.array(re, dtype=object), np.array(im, dtype=object)
+    return np.array([to_int(mpf_shift(v._mpf_, bits), round_nearest) for v in values], dtype=object)
 
 
-def _shift(pair, bits: int):
-    """Re-round a fixed-point (re, im) pair to `bits` fewer fractional bits.
+def _shift(a: np.ndarray, bits: int) -> np.ndarray:
+    """Re-round a fixed-point integer array to `bits` fewer fractional bits.
 
     Ties round away from zero, so negation (and conjugation) commutes with it.
     """
     if not bits:
-        return pair
+        return a
     half = 1 << (bits - 1)
-    return tuple(np.array([(v + half) >> bits if v >= 0 else -((half - v) >> bits) for v in part],
-                          dtype=object) for part in pair)
+    return np.array([(v + half) >> bits if v >= 0 else -((half - v) >> bits) for v in a], dtype=object)
 
 
 def _fixed_dft_columns(cols, M: int, bits: int):
-    """Centered DFT of the mp columns, rounded to fixed point at 2^-bits.
+    """Centered DFT of the mp half columns, rounded to fixed point at 2^-bits: (re, im) halves.
 
-    The products run in exact integers against a root-of-unity table held
-    _TAIL_GUARD_BITS finer; only the M outputs per column are rounded, once.
+    Column n has parity (-1)^n, and the root table r[d] = exp(2 pi i d / M)
+    is evaluated for d <= M/2 and mirrored, r[M - d] = conj(r[d]).  So input
+    labels +K and -K (0 < K < M/2) contribute 2 c[K] Re r[JK] to output J for
+    an even column and 2i c[K] Im r[JK] for an odd one, while the lone labels
+    0 and -M/2 meet the real roots 1 and (-1)^J.  The real part is even in J
+    and the imaginary part odd, so only the outputs on `_half_labels` are
+    formed.  The products run in exact integers against the table held
+    _TAIL_GUARD_BITS finer; each output is rounded once.
     """
     import mpmath as mp
 
     fine = bits + _TAIL_GUARD_BITS
-    labels = np.arange(M) - M // 2
+    half = M // 2
+    roots = [mp.expjpi(mp.mpf(2 * d) / M) for d in range(half + 1)]
+    rr, ri = _fixed([z.real for z in roots], fine), _fixed([z.imag for z in roots], fine)
+    tables = (np.concatenate([rr, rr[half - 1:0:-1]]), np.concatenate([ri, -ri[half - 1:0:-1]]))
+    labels, paired = _half_labels(M)
     idx = np.outer(labels, labels) % M        # [output label, input label]
-    rr, ri = (part[idx] for part in _fixed([mp.expjpi(mp.mpf(2 * r) / M) for r in range(M)], fine))
     scale = mp.ldexp(1 / mp.sqrt(M), -2 * fine)
     out = []
-    for col in cols:
-        c = _fixed(col, fine)[0]
-        sums = zip((rr * c).sum(axis=1), (ri * c).sum(axis=1))
-        out.append(_fixed([mp.mpc(int(re), int(im)) * scale for re, im in sums], bits))
+    for n, col in enumerate(cols):
+        c = _fixed(col, fine)
+        s = (-1) ** n
+        parts = []
+        for table, w in zip(tables, (np.where(paired, 1 + s, 1), np.where(paired, 1 - s, 0))):
+            k = np.flatnonzero(w)
+            sums = (table[idx[:, k]] * (c[k] * w[k])).sum(axis=1) if len(k) else [0] * (half + 1)
+            parts.append(_fixed([mp.mpf(v) * scale for v in sums], bits))
+        out.append(tuple(parts))
     return out
 
 
-def _fold(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum the entries of labels J and -J along `axis`; index m = |J|, 0..M/2."""
-    a = np.moveaxis(a, axis, -1)
-    half = a.shape[-1] // 2
-    out = a[..., half::-1].copy()             # J = 0, -1, ..., -M/2
-    out[..., 1:half] += a[..., half + 1:]     # J = 1, ..., M/2 - 1
-    return np.moveaxis(out, -1, axis)
+def _tail_inputs(M: int, N: int, family: str, bits: int):
+    """One family's fixed-point columns and symbol at 2^-bits, at the current mp precision.
+
+    A column is its (real, imaginary) pair of parts, each as (half, parity):
+    the entries on `_half_labels` and the sign that gives the entry at -J
+    from the one at J.  The symbol is the (re, im) pair of its M entries.
+    """
+    import mpmath as mp
+
+    cols = _mp_hermite_columns(M, N)
+    if family == "x2_p2":
+        zero = np.zeros(M // 2 + 1, dtype=object)
+        u = [((_fixed(c, bits), (-1) ** n), (zero, 1)) for n, c in enumerate(cols)]
+    else:
+        u = [((re, 1), (im, -1)) for re, im in _fixed_dft_columns(cols, M, bits)]
+    if family == "p2_anti":
+        h = mp.sqrt(2 * mp.pi / M)
+        symbol = [h * s for s in _mp_p1_symbol(M)]
+    else:
+        symbol = _mp_p2_symbol(M)
+    return u, (_fixed([v.real for v in symbol], bits), _fixed([v.imag for v in symbol], bits))
+
+
+def _folded_symbol(g, sa: int, sb: int, anti: bool) -> list:
+    """K[n, m] = sum over j in I(n), k in I(m) of s_a(j) s_b(k) W[j, k], per part of g.
+
+    I(n) holds the labels +n and -n, except that 0 and -M/2 stand alone; s(J)
+    is 1 on the label of `_half_labels` and the part's parity sign on its
+    mirror.  W[j, k] = g[(J_j - J_k) mod M], times J_j + J_k when `anti`.
+    Only gathers, sign flips and the exact anti factor: no product of two
+    wide integers.  A part that is all zero is None.
+    """
+    M = len(g[0])
+    labels, paired = _half_labels(M)
+    one = np.ones_like(labels)
+    terms = []
+    for lj, wj in ((labels, one), (-labels, sa * paired)):
+        for lk, wk in ((labels, one), (-labels, sb * paired)):
+            w = np.outer(wj, wk)
+            if anti:
+                w *= lj[:, None] + lk[None, :]
+            terms.append(((lj[:, None] - lk[None, :]) % M, w))
+    K = [sum(part[d] * w for d, w in terms) if any(part) else None for part in g]
+    return [k if k is not None and any(k.flat) else None for k in K]
 
 
 def _power_sums(H: np.ndarray, t0: int, t_max: int) -> list:
@@ -409,33 +486,48 @@ def _power_sums(H: np.ndarray, t0: int, t_max: int) -> list:
 
 
 def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int):
-    """Exact S_t[a, b] = sum_jk conj(u_a[j]) W[j, k] (J_j^2 - J_k^2)^t u_b[k].
+    """Exact S_t[a, b] = sum_jk conj(u_a[j]) W[j, k] (J_j^2 - J_k^2)^t u_b[k], parity-folded.
 
-    u is a list of N fixed-point columns and g the fixed-point symbol, both
-    (re, im) pairs of integer object arrays; W[j, k] = g[(j - k) mod M],
-    times the exact integer J_j + J_k when `anti`.  g[M - d] = conj(g[d]), so
-    W is Hermitian and S_t[b, a] = (-1)^t conj(S_t[a, b]): only a <= b is
-    summed.  Returns {t: (re, im)} of N x N integer arrays, scaled by the
-    product of the three inputs' scales.
+    u holds N columns as `_tail_inputs` gives them and g the fixed-point
+    symbol, W[j, k] = g[(j - k) mod M] (times J_j + J_k when `anti`).  With
+    j and k grouped by n = |J_j| and m = |J_k| (0..M/2), the weight is
+    (n^2 - m^2)^t and the rest is H[n, m], the sum over I(n) x I(m).  Since
+    conj(u_a) = re_a - i im_a and u_b = re_b + i im_b, the parts p of u_a and
+    q of u_b (0 real, 1 imaginary) add u_a,p[n] i^(q-p) K[n, m] u_b,q[m] to
+    H, K being `_folded_symbol` for their two parities: (M/2+1)^2 products
+    for the outer product of the two halves and as many per nonzero part of
+    K, where the unfolded sum took about 8 M^2 per pair of columns.
+    g[M - d] = conj(g[d]), so W is Hermitian and S_t[b, a] = (-1)^t
+    conj(S_t[a, b]): only a <= b is summed.  Returns {t: (re, im)} of N x N
+    integer arrays, scaled by the product of the three inputs' scales.
     """
-    M = len(g[0])
-    labels = np.arange(M)
-    idx = (labels[:, None] - labels[None, :]) % M
-    wr, wi = g[0][idx], g[1][idx]
-    if anti:
-        jsum = (labels[:, None] + labels[None, :] - M).astype(object)
-        wr, wi = wr * jsum, wi * jsum
+    size = len(g[0]) // 2 + 1
+    kernels = {}
+
+    def kernel(sa, sb, q):
+        """The (re, im) parts of i^q K for the parities sa and sb."""
+        if (sa, sb, q) not in kernels:
+            kr, ki = _folded_symbol(g, sa, sb, anti)
+            for _ in range(q):   # times i: (re, im) -> (-im, re)
+                kr, ki = (None if ki is None else -ki), kr
+            kernels[sa, sb, q] = kr, ki
+        return kernels[sa, sb, q]
+
     N = len(u)
     S = {t: (np.zeros((N, N), dtype=object), np.zeros((N, N), dtype=object))
          for t in range(t0, t_max + 1)}
-    for b, (ur, ui) in enumerate(u):
-        # G_b[j, m]: W u_b with the columns of labels k and -k summed (m = |J_k|)
-        gr, gi = _fold(wr * ur - wi * ui, 1), _fold(wr * ui + wi * ur, 1)
-        for a, (ar, ai) in enumerate(u[:b + 1]):
-            # H[n, m] = sum over |J_j| = n of conj(u_a[j]) G_b[j, m]
-            hr = _fold(ar[:, None] * gr + ai[:, None] * gi, 0)
-            hi = _fold(ar[:, None] * gi - ai[:, None] * gr, 0)
-            for t, re, im in zip(S, _power_sums(hr, t0, t_max), _power_sums(hi, t0, t_max)):
+    for b, col_b in enumerate(u):
+        for a, col_a in enumerate(u[:b + 1]):
+            H = np.zeros((2, size, size), dtype=object)
+            for p, (xa, sa) in enumerate(col_a):
+                for q, (xb, sb) in enumerate(col_b):
+                    if not (any(xa) and any(xb)):
+                        continue
+                    X = np.outer(xa, xb)
+                    for h, k in zip(H, kernel(sa, sb, (q - p) % 4)):
+                        if k is not None:
+                            h += X * k
+            for t, re, im in zip(S, _power_sums(H[0], t0, t_max), _power_sums(H[1], t0, t_max)):
                 sign = -1 if t % 2 else 1
                 S[t][0][a, b], S[t][1][a, b] = re, im
                 S[t][0][b, a], S[t][1][b, a] = sign * re, -sign * im
@@ -461,42 +553,44 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     c2 (2 pi c1 / M)^t / t! is applied once per t when converting to
     float64.  The integer pass runs at P and at P + 64 bits; the second gives
     `tail_norm` and `term_norms`, and the spectral norm of the difference of
-    the two projected tails is `error_bar`.
+    the two projected tails is `error_bar`.  N must be an integer in [1, M]
+    (a grid of M labels holds M Hermite columns), t_max an integer, and dps
+    None (`_tail_dps`) or an integer >= 1.
     """
-    import mpmath as mp
-
     M = qho.M
     if M > TAIL_M_CAP:
         raise ValueError(f"tail budget exceeded: M={M} > {TAIL_M_CAP}")
+    if not isinstance(N, numbers.Integral) or not 1 <= N <= M:
+        raise ValueError(f"N must be an integer in [1, M={M}], got {N!r}")
+    if not isinstance(t_max, numbers.Integral):
+        raise ValueError(f"t_max must be an integer, got {t_max!r}")
     if t_max > TAIL_T_CAP:
         raise ValueError(f"tail budget exceeded: t_max={t_max} > {TAIL_T_CAP}")
+    if not (dps is None or isinstance(dps, numbers.Integral) and dps >= 1):
+        raise ValueError(f"dps must be None or an integer >= 1, got {dps!r}")
     if family not in TAIL_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if max(abs(c1), abs(c2)) > 1.0:
+    if not (abs(c1) <= 1.0 and abs(c2) <= 1.0):   # a NaN fails here too
         raise ValueError("coefficient constants must satisfy |c1|, |c2| <= 1")
     t0 = 2 if family == "p2_anti" else 3
     if t_max < t0:
         return TailReport(family, M, N, t_max, 0.0, {}, 0)
 
+    import mpmath as mp
+
     used_dps = _tail_dps(M, t_max) if dps is None else dps
     bits = math.ceil(used_dps * math.log2(10)) + _TAIL_GUARD_BITS
     fine = bits + _TAIL_CHECK_BITS
     with mp.workprec(fine + _TAIL_GUARD_BITS):
-        cols = _mp_hermite_columns(M, N)
-        if family == "x2_p2":
-            u = [_fixed(c, fine) for c in cols]
-        else:
-            u = _fixed_dft_columns(cols, M, fine)
-        if family == "p2_anti":
-            h = mp.sqrt(2 * mp.pi / M)
-            g = _fixed([h * s for s in _mp_p1_symbol(M)], fine)
-        else:
-            g = _fixed(_mp_p2_symbol(M), fine)
+        u, g = _tail_inputs(M, N, family, fine)
+        step = 2 * mp.pi * mp.mpf(c1) / M
+        scales = {t: mp.mpf(c2) * step ** t / mp.factorial(t) for t in range(t0, t_max + 1)}
         tails, terms = [], {}
         for drop in (_TAIL_CHECK_BITS, 0):
-            S = _integer_tail_sums([_shift(c, drop) for c in u], _shift(g, drop),
+            S = _integer_tail_sums([tuple((_shift(x, drop), s) for x, s in col) for col in u],
+                                   tuple(_shift(part, drop) for part in g),
                                    family == "p2_anti", t0, t_max)
-            terms = {t: _scaled(S[t], t, M, c1, c2, 3 * (fine - drop)) for t in S}
+            terms = {t: _scaled(S[t], mp.ldexp(scales[t], -3 * (fine - drop))) for t in S}
             tails.append(sum(terms.values(), mp.zeros(N)))
         error_bar = _spectral_norm(tails[1] - tails[0])
     term_norms = {t: _spectral_norm(T) for t, T in terms.items()}
@@ -504,11 +598,10 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
                       error_bar=error_bar)
 
 
-def _scaled(S_t, t: int, M: int, c1: float, c2: float, bits: int):
-    """The projected t-th term c2 (2 pi c1 / M)^t / t! 2^-bits S_t, as an mp matrix."""
+def _scaled(S_t, scale):
+    """The projected term scale * S_t as an mp matrix."""
     import mpmath as mp
 
-    scale = mp.mpf(c2) * (2 * mp.pi * mp.mpf(c1) / M) ** t / mp.factorial(t) * mp.ldexp(1, -bits)
     re, im = S_t
     return mp.matrix([[mp.mpc(int(r), int(i)) * scale for r, i in zip(rr, ii)]
                       for rr, ii in zip(re, im)])
@@ -516,45 +609,3 @@ def _scaled(S_t, t: int, M: int, c1: float, c2: float, bits: int):
 
 def _spectral_norm(a) -> float:
     return float(np.linalg.svd(np.array(a.tolist(), dtype=complex), compute_uv=False)[0])
-
-
-def dense_tail_reference(qho: DiscreteQHO, N: int, t_max: int,
-                         family: str = "x2_p2") -> float:
-    """Float64 dense reference for the projected tail, small scales only.
-
-    Iterative nesting with the 1/t rescaling folded into each step.  Valid
-    only while the unprojected intermediates stay small enough for float64
-    (roughly M <= 32 with t_max <= 8); the production path is the
-    exact-integer Hadamard evaluation above.
-    """
-    M = qho.M
-    if M > 64:
-        raise ValueError("dense reference only supported for M <= 64")
-    t0 = 2 if family == "p2_anti" else 3
-    x2 = np.diag(qho.x * qho.x).astype(complex)
-    P2 = dense_momentum_sq(qho.spec).astype(complex)
-    F = centered_dft_matrix(M)
-    pbar = F.conj().T @ np.diag(qho.x).astype(complex) @ F
-    anti = np.diag(qho.x) @ pbar + pbar @ np.diag(qho.x)
-    if family == "x2_p2":
-        A, B = x2, P2
-    elif family == "p2_x2":
-        A, B = P2, x2
-    else:
-        A, B = P2, anti
-    rows = hermite_basis(qho.spec, N - 1)
-    U = (rows.T / np.linalg.norm(rows, axis=1)).astype(complex)
-    # R_t = [A,B]_t / t!, built by R_t = [A, R_{t-1}] / t
-    R = B.copy()
-    tail = np.zeros((N, N), dtype=complex)
-    comp = np.zeros_like(tail)
-    for t in range(1, t_max + 1):
-        R = (A @ R - R @ A) / t
-        if t < t0:
-            continue
-        term = U.conj().T @ R @ U
-        y = term - comp
-        s = tail + y
-        comp = (s - tail) - y
-        tail = s
-    return float(np.linalg.svd(tail, compute_uv=False)[0])

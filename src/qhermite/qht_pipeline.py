@@ -393,6 +393,11 @@ class QHTOperator:
         M, N = config.M, config.N
         if M < 1 or M & (M - 1):
             raise ConfigError(f"phase estimation needs a power-of-two M, got M={M}")
+        # hermite_basis and build_pr_state would refuse these only inside the build
+        if not 1 <= N < M:
+            raise ConfigError(f"N={N} must be in [1, M={M})")
+        if pr_support(N - 1, M) >= M // 2:
+            raise ConfigError(f"M={M} too small for the n={N - 1} oscillatory support")
         if not (0 < config.eps < 1):
             raise ConfigError(f"eps must be in (0, 1), got {config.eps}")
         # a fractional bit count or degree would be silently floored or ignored

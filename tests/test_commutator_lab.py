@@ -1,14 +1,160 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
+from qhermite import discrete_qho
 from qhermite.discrete_qho import (
     TAIL_FAMILIES,
     build,
     commutator_tail_norm,
     dense_momentum_sq,
-    dense_tail_reference,
+    hermite_basis,
 )
-from qhermite.spectral_core import GridSpec
+from qhermite.spectral_core import GridSpec, centered_dft_matrix
+
+
+def dense_tail_reference(qho, N: int, t_max: int, family: str = "x2_p2") -> float:
+    """Float64 dense reference for the projected tail, small scales only.
+
+    Iterative nesting with the 1/t rescaling folded into each step.  Valid
+    only while the unprojected intermediates stay small enough for float64
+    (roughly M <= 32 with t_max <= 8); the lab itself uses the exact-integer
+    Hadamard evaluation.
+    """
+    M = qho.M
+    if M > 64:
+        raise ValueError("dense reference only supported for M <= 64")
+    t0 = 2 if family == "p2_anti" else 3
+    x2 = np.diag(qho.x * qho.x).astype(complex)
+    P2 = dense_momentum_sq(qho.spec).astype(complex)
+    F = centered_dft_matrix(M)
+    pbar = F.conj().T @ np.diag(qho.x).astype(complex) @ F
+    anti = np.diag(qho.x) @ pbar + pbar @ np.diag(qho.x)
+    if family == "x2_p2":
+        A, B = x2, P2
+    elif family == "p2_x2":
+        A, B = P2, x2
+    else:
+        A, B = P2, anti
+    rows = hermite_basis(qho.spec, N - 1)
+    U = (rows.T / np.linalg.norm(rows, axis=1)).astype(complex)
+    # R_t = [A,B]_t / t!, built by R_t = [A, R_{t-1}] / t
+    R = B.copy()
+    tail = np.zeros((N, N), dtype=complex)
+    comp = np.zeros_like(tail)
+    for t in range(1, t_max + 1):
+        R = (A @ R - R @ A) / t
+        if t < t0:
+            continue
+        term = U.conj().T @ R @ U
+        y = term - comp
+        s = tail + y
+        comp = (s - tail) - y
+        tail = s
+    return float(np.linalg.svd(tail, compute_uv=False)[0])
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracles of the parity-folded lab: every label evaluated, M^2 sums
+# ---------------------------------------------------------------------------
+
+def _fold(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum the entries of labels J and -J along `axis`; index m = |J|, 0..M/2."""
+    a = np.moveaxis(a, axis, -1)
+    half = a.shape[-1] // 2
+    out = a[..., half::-1].copy()             # J = 0, -1, ..., -M/2
+    out[..., 1:half] += a[..., half + 1:]     # J = 1, ..., M/2 - 1
+    return np.moveaxis(out, -1, axis)
+
+
+def unfolded_tail_sums(u, g, anti: bool, t0: int, t_max: int):
+    """Exact S_t[a, b] = sum_jk conj(u_a[j]) W[j, k] (J_j^2 - J_k^2)^t u_b[k], unfolded.
+
+    u is a list of N full fixed-point columns (re, im) in label order
+    -M/2..M/2-1 and g the fixed-point symbol; W[j, k] = g[(j - k) mod M],
+    times the exact integer J_j + J_k when `anti`.  About 8 M^2 products per
+    pair (a, b).
+    """
+    M = len(g[0])
+    labels = np.arange(M)
+    idx = (labels[:, None] - labels[None, :]) % M
+    wr, wi = g[0][idx], g[1][idx]
+    if anti:
+        jsum = (labels[:, None] + labels[None, :] - M).astype(object)
+        wr, wi = wr * jsum, wi * jsum
+    N = len(u)
+    S = {t: (np.zeros((N, N), dtype=object), np.zeros((N, N), dtype=object))
+         for t in range(t0, t_max + 1)}
+    for b, (ur, ui) in enumerate(u):
+        # G_b[j, m]: W u_b with the columns of labels k and -k summed (m = |J_k|)
+        gr, gi = _fold(wr * ur - wi * ui, 1), _fold(wr * ui + wi * ur, 1)
+        for a, (ar, ai) in enumerate(u[:b + 1]):
+            # H[n, m] = sum over |J_j| = n of conj(u_a[j]) G_b[j, m]
+            hr = _fold(ar[:, None] * gr + ai[:, None] * gi, 0)
+            hi = _fold(ar[:, None] * gi - ai[:, None] * gr, 0)
+            for t, re, im in zip(S, discrete_qho._power_sums(hr, t0, t_max),
+                                 discrete_qho._power_sums(hi, t0, t_max)):
+                sign = -1 if t % 2 else 1
+                S[t][0][a, b], S[t][1][a, b] = re, im
+                S[t][0][b, a], S[t][1][b, a] = sign * re, -sign * im
+    return S
+
+
+def unfold(part, sign: int) -> np.ndarray:
+    """The full column (labels -M/2..M/2-1) of a half on `_half_labels` with its parity."""
+    half = len(part) - 1
+    out = np.empty(2 * half, dtype=object)
+    out[half:] = part[:half]
+    out[half - 1:0:-1] = [sign * v for v in part[1:half]]
+    out[0] = part[half]
+    return out
+
+
+def full_hermite_columns(M: int, N: int):
+    """The normalized discrete Hermite states evaluated at every label, in label order."""
+    h = mp.sqrt(2 * mp.pi / M)
+    xs = [j * h for j in range(-M // 2, M // 2)]
+    rows = [[mp.power(mp.pi, mp.mpf(-1) / 4) * mp.exp(-x * x / 2) * mp.sqrt(h) for x in xs]]
+    if N >= 2:
+        rows.append([mp.sqrt(2) * x * v for x, v in zip(xs, rows[0])])
+    for n in range(1, N - 1):
+        c1, c2 = mp.sqrt(mp.mpf(2) / (n + 1)), mp.sqrt(mp.mpf(n) / (n + 1))
+        rows.append([c1 * x * a - c2 * b for x, a, b in zip(xs, rows[n], rows[n - 1])])
+    return [[v / mp.sqrt(mp.fsum(w * w for w in r)) for v in r] for r in rows[:N]]
+
+
+def full_roots(M: int, bits: int):
+    """The fixed-point root table exp(2 pi i r / M), every r = 0..M-1 evaluated."""
+    roots = [mp.expjpi(mp.mpf(2 * r) / M) for r in range(M)]
+    return (discrete_qho._fixed([z.real for z in roots], bits),
+            discrete_qho._fixed([z.imag for z in roots], bits))
+
+
+def full_dft_columns(cols, M: int, bits: int):
+    """Centered DFT of full mp columns: M^2 integer products per column, each output rounded once."""
+    fine = bits + discrete_qho._TAIL_GUARD_BITS
+    labels = np.arange(M) - M // 2
+    idx = np.outer(labels, labels) % M
+    rr, ri = (part[idx] for part in full_roots(M, fine))
+    scale = mp.ldexp(1 / mp.sqrt(M), -2 * fine)
+    out = []
+    for col in cols:
+        c = discrete_qho._fixed(col, fine)
+        out.append(tuple(discrete_qho._fixed([mp.mpf(v) * scale for v in (table * c).sum(axis=1)], bits)
+                         for table in (rr, ri)))
+    return out
+
+
+def has_parity(full, sign: int) -> bool:
+    """Whether the full column is even (sign 1) or odd (-1) on the mirrored labels +-J, 0 < J < M/2."""
+    half = len(full) // 2
+    return all(full[half + 1:] == [sign * v for v in full[half - 1:0:-1]])
+
+
+def _bits(M: int, t_max: int) -> int:
+    return math.ceil(discrete_qho._tail_dps(M, t_max) * math.log2(10)) + discrete_qho._TAIL_GUARD_BITS
 
 
 class TestDefectDelta:
@@ -116,3 +262,89 @@ class TestTailDecay:
         rep = commutator_tail_norm(build(GridSpec(64)), N=2, t_max=10)
         assert set(rep.term_norms) == set(range(3, 11))
         assert all(v >= 0 for v in rep.term_norms.values())
+
+
+class TestInputValidation:
+    # each case used to compute a meaningless report or fail inside mpmath
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"N": 0}, "N must be an integer in \\[1, M=16\\], got 0"),
+        ({"N": -1}, "N must be an integer in \\[1, M=16\\], got -1"),
+        ({"N": 17}, "N must be an integer in \\[1, M=16\\], got 17"),
+        ({"N": 20}, "N must be an integer in \\[1, M=16\\], got 20"),
+        ({"N": 2.0}, "N must be an integer in \\[1, M=16\\], got 2.0"),
+        ({"t_max": 6.0}, "t_max must be an integer, got 6.0"),
+        ({"dps": 0}, "dps must be None or an integer >= 1, got 0"),
+        ({"dps": -3}, "dps must be None or an integer >= 1, got -3"),
+        ({"dps": 40.0}, "dps must be None or an integer >= 1, got 40.0"),
+        ({"c1": float("nan")}, "coefficient constants must satisfy"),
+        ({"c2": float("nan")}, "coefficient constants must satisfy"),
+    ])
+    def test_rejected_before_mpmath(self, monkeypatch, kwargs, message):
+        def no_inputs(*args):
+            raise AssertionError("mpmath inputs built for a rejected call")
+
+        monkeypatch.setattr(discrete_qho, "_tail_inputs", no_inputs)
+        args = {"N": 2, "t_max": 6, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            commutator_tail_norm(build(GridSpec(16)), args.pop("N"), args.pop("t_max"), **args)
+
+    def test_edges_accepted(self):
+        qho = build(GridSpec(16))
+        full = commutator_tail_norm(qho, 16, 4, "p2_anti", dps=1)
+        assert full.N == 16 and full.dps == 1 and np.isfinite(full.tail_norm)
+        ref = commutator_tail_norm(qho, 2, 6, dps=60)
+        same = commutator_tail_norm(qho, np.int64(2), np.int32(6), dps=np.int64(60))
+        assert same.tail_norm == ref.tail_norm and same.error_bar == ref.error_bar
+
+
+class TestParityFold:
+    """The folded lab equals the brute-force one bit for bit, because its inputs are parity-definite."""
+
+    @pytest.mark.parametrize("M", [16, 64, 128])
+    def test_inputs_parity_definite_and_equal_to_brute_force(self, M):
+        N, bits = 3, _bits(M, 10)
+        with mp.workprec(bits + discrete_qho._TAIL_GUARD_BITS):
+            cols = full_hermite_columns(M, N)
+            position = [discrete_qho._fixed(c, bits) for c in cols]
+            dft = full_dft_columns(cols, M, bits)
+            rr, ri = full_roots(M, bits)
+            p2 = discrete_qho._mp_p2_symbol(M)
+            h = mp.sqrt(2 * mp.pi / M)
+            p1 = [h * s for s in discrete_qho._mp_p1_symbol(M)]
+            folded = {fam: discrete_qho._tail_inputs(M, N, fam, bits) for fam in TAIL_FAMILIES}
+        d = np.arange(1, M)
+        for n in range(N):
+            assert has_parity(position[n], (-1) ** n)
+            assert has_parity(dft[n][0], 1) and has_parity(dft[n][1], -1)
+            assert any(dft[n][n % 2])
+            for fam, want in zip(TAIL_FAMILIES, ((position[n], 0 * position[n]), dft[n], dft[n])):
+                got = [unfold(part, sign) for part, sign in folded[fam][0][n]]
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # the root table and both symbols are conjugate-symmetric, part by part
+        assert np.array_equal(rr[M - d], rr[d]) and np.array_equal(ri[M - d], -ri[d])
+        assert ri[0] == ri[M // 2] == 0
+        for fam, symbol in (("x2_p2", p2), ("p2_anti", p1)):
+            gr = discrete_qho._fixed([v.real for v in symbol], bits)
+            gi = discrete_qho._fixed([v.imag for v in symbol], bits)
+            assert np.array_equal(gr[M - d], gr[d]) and np.array_equal(gi[M - d], -gi[d])
+            assert gi[0] == gi[M // 2] == 0
+            assert all(np.array_equal(a, b) for a, b in zip(folded[fam][1], (gr, gi)))
+        assert not any(folded["x2_p2"][1][1]) and any(folded["p2_anti"][1][1])   # pbar^2 is real
+
+    @pytest.mark.parametrize("M, N", [(16, 3), (64, 2), (128, 1)])
+    @pytest.mark.parametrize("family", TAIL_FAMILIES)
+    def test_sums_equal_unfolded_oracle(self, M, N, family):
+        t_max = 12
+        t0, bits = (2 if family == "p2_anti" else 3), _bits(M, t_max)
+        with mp.workprec(bits + discrete_qho._TAIL_GUARD_BITS):
+            u, g = discrete_qho._tail_inputs(M, N, family, bits)
+        for drop in (discrete_qho._TAIL_CHECK_BITS, 0):   # both passes of the lab
+            cols = [tuple((discrete_qho._shift(x, drop), s) for x, s in col) for col in u]
+            sym = tuple(discrete_qho._shift(part, drop) for part in g)
+            folded = discrete_qho._integer_tail_sums(cols, sym, family == "p2_anti", t0, t_max)
+            full = [tuple(unfold(x, s) for x, s in col) for col in cols]
+            brute = unfolded_tail_sums(full, sym, family == "p2_anti", t0, t_max)
+            assert folded.keys() == brute.keys()
+            for t in brute:
+                assert all(np.array_equal(f, b) for f, b in zip(folded[t], brute[t])), t
+            assert any(np.any(part != 0) for t in brute for part in brute[t])

@@ -368,6 +368,16 @@ class TestPipelineContext:
         with pytest.raises(ConfigError, match=f"{knob} must be"):
             qht_apply(np.array([1.0, 0.0]), cfg)
 
+    @pytest.mark.parametrize("N, M, reason", [
+        (16, 8, "N=16 must be in \\[1, M=8\\)"), (8, 8, "N=8 must be in \\[1, M=8\\)"),
+        (0, 16, "N=0 must be in \\[1, M=16\\)"),
+        (7, 8, "M=8 too small for the n=6 oscillatory support"),
+    ])
+    def test_too_small_grid_rejected_at_construction(self, N, M, reason):
+        # hermite_basis and build_pr_state refused these only once the build ran
+        with pytest.raises(ConfigError, match=reason):
+            QHTOperator(QHTConfig(N=N, eps=0.1, M=M))
+
     def test_smallest_legal_knobs_build(self):
         base = QHTConfig(N=2, eps=0.05, M=256)
         for cfg in (replace(base, oracle_bits=2), replace(base, aa_rounds=1),
