@@ -4,18 +4,16 @@ The sufficient condition M >= c0 * N^(9/4) / eps^(13/4) carries an unspecified
 constant; taken at c0 = 1 it demands M ~ 5e8 already for N = 8, eps = 0.01,
 far beyond desk scale and far beyond what the discretization actually needs
 (the low-energy subspace is numerically converged to ~1e-13 by M ~ a few
-thousand).  The shipped calibration therefore uses the smallest power-of-ten
-c0 for which the end-to-end acceptance sweep passes; the literal constants
-are kept available for comparison via `paper_scaling()`.
+thousand).  The shipped calibration therefore uses c0 = 1e-5; the literal
+constants are kept available for comparison via `paper_scaling()`, and a
+JSON file of the three fields replaces the default (`qht --calibration`).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["Calibration", "load_calibration", "save_calibration", "calibrate"]
+__all__ = ["Calibration", "load_calibration"]
 
 
 @dataclass(frozen=True)
@@ -34,37 +32,3 @@ def load_calibration(path) -> Calibration:
     with open(path) as fh:
         data = json.load(fh)
     return Calibration(version=int(data["version"]), c0=float(data["c0"]), c1=float(data["c1"]))
-
-
-def save_calibration(cal: Calibration, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(cal), fh, indent=2)
-        fh.write("\n")
-
-
-def calibrate(N: int, eps: float, c1: float = 4.0, hard_cap: int = 1 << 16,
-              out_path=None) -> Calibration:
-    """Sweep c0 downward by decades until the end-to-end run meets its budget.
-
-    For each candidate the full transform is driven on every basis index and
-    the isometry band checked against eps; the largest feasible-and-passing
-    c0 is kept.  Writes the result when out_path is given.
-    """
-    from .qht_pipeline import ConfigError, choose_dimensions, isometry_singular_values
-
-    chosen = None
-    for exponent in range(0, -9, -1):
-        cand = Calibration(c0=10.0**exponent, c1=c1)
-        try:
-            cfg = choose_dimensions(N, eps, cand, hard_cap=hard_cap)
-        except ConfigError:
-            continue
-        sv = isometry_singular_values(cfg)
-        if np.all(sv >= 1 - eps) and np.all(sv <= 1 + eps):
-            chosen = cand
-            break
-    if chosen is None:
-        raise RuntimeError(f"no c0 in [1e-8, 1] meets the budget for N={N}, eps={eps}")
-    if out_path is not None:
-        save_calibration(chosen, out_path)
-    return chosen

@@ -254,11 +254,11 @@ def _ggl_corpus(n: int, mode: str):
         # sampler mode verifies raw coefficients, so its instances must be
         # unit-norm (boolean) oracles whose declared kappa covers the
         # postselection rate
-        e1 = (1,) + (0,) * (n - 1)
-        return [
-            ("sign_1", corpus_mod.product_sign((0,), n), [e1]),
-            ("sign_12", corpus_mod.product_sign((0, 1), n), [(1, 1) + (0,) * (n - 2)]),
-        ]
+        instances = [("sign_1", corpus_mod.product_sign((0,), n), [(1,) + (0,) * (n - 1)])]
+        if n >= 2:   # sign_12 needs a second axis
+            instances.append(("sign_12", corpus_mod.product_sign((0, 1), n),
+                              [(1, 1) + (0,) * (n - 2)]))
+        return instances
     return [
         ("spike", corpus_mod.mixture([((1,) + (0,) * (n - 1), 1.0)], n), [(1,) + (0,) * (n - 1)]),
         ("two_term", corpus_mod.mixture([((1,) + (0,) * (n - 1), 0.9),

@@ -68,8 +68,13 @@ def _product(factors):
 
 
 def product_sign(support, n: int) -> OracleFunction:
-    """chi_S(x) = prod_{i in S} sgn(x_i), sgn(0) := +1; spectrum on odd indices over S."""
+    """chi_S(x) = prod_{i in S} sgn(x_i), sgn(0) := +1; spectrum on odd indices over S.
+
+    S must name distinct axes in [0, n).
+    """
     support = tuple(sorted(int(i) for i in support))
+    if any(not 0 <= i < n for i in support) or len(set(support)) < len(support):
+        raise ValueError(f"support {support} must list distinct axes in [0, {n})")
     factors = tuple((lambda x: np.where(x < 0, -1.0, 1.0)) if i in support else np.ones_like
                     for i in range(n))
     return OracleFunction(arity=n, evaluator=_product(factors), boolean=True, kappa=1.0,
@@ -145,6 +150,9 @@ def mixture(terms, n: int, bounded: bool = False) -> OracleFunction:
     label); the declared kappa then covers the shrunken postselection rate.
     """
     terms = [(tuple(int(c) for c in v), float(c)) for v, c in terms]
+    for v, _ in terms:
+        if len(v) != n or min(v, default=0) < 0:
+            raise ValueError(f"mixture index {v} must have length {n} and no negative degree")
 
     def unscaled(x):   # sum_k c_k h_{v_k} at points x of shape (..., n)
         out = np.zeros(x.shape[:-1])

@@ -1,9 +1,9 @@
 """Discretized harmonic oscillator: operators, eigen-oracle, and commutator lab.
 
 The position operator xbar is diagonal with entries x_j; the momentum operator
-pbar = F^-1 xbar F is never materialized in the fast path (applying it costs
-two centered DFTs).  Dense forms exist only under explicit size budgets as
-ground-truth oracles.
+pbar = F^-1 xbar F is never materialized (applying it costs two centered
+DFTs).  The dense eigen-oracle builds Hbar's two parity blocks from pbar^2's
+circulant symbol under an explicit size budget.
 
 The commutator laboratory measures projected nested-commutator tails
 ||Pi_N sum_t [A,B]_t / t! Pi_N||.  Those values cancel across tens of decimal
@@ -53,7 +53,6 @@ __all__ = [
     "apply_position_sq",
     "apply_momentum_sq",
     "apply_hamiltonian",
-    "dense_momentum_sq",
     "dense_diagonalize",
     "hermite_basis",
     "commutator_tail_norm",
@@ -137,15 +136,6 @@ def _p2_symbol_ld(M: int) -> np.ndarray:
 
 def _p2_symbol(M: int) -> np.ndarray:
     return _p2_symbol_ld(M).astype(np.float64)
-
-
-def dense_momentum_sq(spec: GridSpec) -> np.ndarray:
-    """Dense pbar^2 from the circulant symbol (oracle; M <= 4096)."""
-    if spec.M > DENSE_EIG_CAP:
-        raise ValueError(f"dense budget exceeded: M={spec.M}")
-    c = _p2_symbol(spec.M)
-    j = np.arange(spec.M)
-    return c[(j[None, :] - j[:, None]) % spec.M]
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,6 @@ __all__ = [
     "decompose",
     "evolution_tables",
     "apply_tables",
-    "apply_factored",
-    "exact_evolution",
-    "chebyshev_evolution",
     "low_energy_error",
     "LOW_ENERGY_M_CAP",
 ]
@@ -201,151 +198,6 @@ def apply_tables(tables: EvolutionTables, state: np.ndarray,
     return v
 
 
-def apply_factored(qho: DiscreteQHO, fe: FactoredEvolution, state: np.ndarray) -> np.ndarray:
-    """Apply the phase factors: build their tables, then run `apply_tables`."""
-    return apply_tables(evolution_tables(qho.M, fe), state)
-
-
-def exact_evolution(eig: EigenDecomposition, t: float, state: np.ndarray) -> np.ndarray:
-    """Ground truth U(t) = sum_n exp(-i*E_n*t) |e_n><e_n| applied to state."""
-    coeffs = eig.vectors.conj().T @ np.asarray(state, dtype=complex)
-    return eig.vectors @ (np.exp(-1j * eig.energies * t) * coeffs)
-
-
-_TAIL_SHARE = 1e-16          # dropped coefficients sum to at most this share of all
-_CHEBYSHEV_Z_CAP = 2**20     # largest |z| = pi*M*|t|/4, about one recurrence step each
-_BESSEL_RESCALE = np.longdouble(2) ** 4000   # keeps the backward recurrence finite
-
-
-def _bessel_coefficients(z) -> tuple:
-    """Chebyshev coefficients of exp(-i*z*x) on [-1, 1], truncated; (Re c_k, Im c_k).
-
-    Jacobi-Anger: c_0 = J_0(z) and c_k = 2(-i)^k J_k(z), so even k carry only
-    a real part and odd k only an imaginary one; J_k(-z) = (-1)^k J_k(z)
-    makes the coefficients at -|z| the conjugates of those at |z|.  J_k(|z|)
-    comes from Miller's backward recurrence J_{k-1} = (2k/|z|) J_k - J_{k+1}
-    in longdouble, started well past the last coefficient kept (where J_k is
-    below 1e-50 of its peak), rescaled when it grows past 2^4000 and
-    normalized by J_0 + 2 sum_k J_2k = 1.  The series stops at the first K
-    whose remaining coefficients sum to 1e-16 of the total; both arrays have
-    length K >= 1.
-    """
-    x = abs(np.longdouble(z))
-    top = int(x + 25.0 * float(x) ** (1 / 3) + 64)
-    two_over_x = 2 / x
-    prev, cur = np.longdouble(0), np.longdouble(1)
-    j = np.zeros(top + 1, dtype=np.longdouble)
-    j[top] = cur
-    for k in range(top, 0, -1):
-        prev, cur = cur, k * two_over_x * cur - prev
-        if abs(cur) > _BESSEL_RESCALE:
-            j[k:] /= _BESSEL_RESCALE
-            prev, cur = prev / _BESSEL_RESCALE, cur / _BESSEL_RESCALE
-        j[k - 1] = cur
-    j /= j[0] + 2 * j[2::2].sum()
-    c = 2 * j
-    c[0] = j[0]
-    tail = np.cumsum(np.abs(c[::-1]))[::-1]
-    K = max(int(np.searchsorted(-tail, -_TAIL_SHARE * tail[0])), 1)
-    quarter = np.arange(K) % 4      # (-i)^k = 1, -i, -1, i
-    re = c[:K] * np.array([1, 0, -1, 0])[quarter]
-    im = c[:K] * np.array([0, -1, 0, 1])[quarter]
-    return re, (im if z > 0 else -im)
-
-
-def chebyshev_evolution(qho: DiscreteQHO, t: float, state: np.ndarray) -> np.ndarray:
-    """U(t) = exp(-i*Hbar*t) along the last axis by a Chebyshev expansion.
-
-    An eigenpair-free oracle for the exact evolution of any state on the
-    grid (Tal-Ezer and Kosloff's propagator).  No meter runs it: the tests
-    hold `low_energy_error`'s Rayleigh-Ritz block against it, and it is the
-    evolution an exact-evolution twin of the transform would apply, whose
-    states do not lie in a low-energy span.  The spectrum of Hbar lies in
-    [0, rho] with rho = pi*M/2, so exp(-i*H*t) = exp(-i*z) * exp(-i*z*Htilde)
-    for Htilde = (2/rho)H - 1 and z = rho*t/2, and
-    exp(-i*z*x) = sum_k c_k T_k(x) with the closed-form coefficients of
-    `_bessel_coefficients`.  With x_j^2 = 2*pi*j^2/M, pi
-    cancels from Htilde: its diagonal is 4j^2/M^2 - 1 and its momentum symbol
-    4j^2/M^2, each rounded once, so the recurrence applies the grid
-    Hamiltonian to within an ulp per entry; z is formed and reduced mod 2*pi
-    in longdouble, as the phase tables' arguments are.  The expansion keeps
-    about |z| + 10|z|^(1/3) terms (241, 775 and 1584 at |z| = 181, 684, 1468).
-
-    Htilde is real symmetric, so the three-term recurrence
-    T_k = 2*Htilde*T_{k-1} - T_{k-2} runs on real rows; a complex state is
-    stacked as its real rows over its imaginary rows.  It runs in the alt
-    frame y = alt*v, where pbar^2 y is irfft(x^2[:M/2+1] * rfft(y)), so a
-    step is one rfft/irfft pair and six in-place ufuncs on preallocated
-    buffers, with the factor 2/rho folded into the diagonal and the symbol
-    once.  The real coefficients (even k) and the imaginary ones (odd k)
-    accumulate into two real arrays.  What remains is the recurrence's
-    float64 rounding: against the same recurrence in longdouble it reads
-    2e-15 on the lowest 8 states at M = 64-128 and 5e-15 at M = 512 (t = 3).
-    Each row of a stack is evolved on its own, and real rows give bitwise the
-    values of the same rows with a zero imaginary part.
-    """
-    if not math.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
-    v = np.asarray(state)
-    M = qho.M
-    if v.shape[-1] != M:
-        raise ValueError(f"dimension mismatch: {v.shape[-1]} vs M={M}")
-    z = _PI_LD * M * np.longdouble(t) / 4
-    if abs(z) > _CHEBYSHEV_Z_CAP:
-        raise ValueError(f"Chebyshev budget is pi*M*|t|/4 <= {_CHEBYSHEV_Z_CAP}, "
-                         f"got {float(abs(z)):.4g}")
-    if z == 0:
-        return v.astype(complex)
-    re, im = (c.astype(np.float64) for c in _bessel_coefficients(z))
-    rows = v.reshape(-1, M)
-    n = len(rows)
-    stacked = np.iscomplexobj(rows)
-    y = np.empty((2 * n if stacked else n, M))
-    np.multiply(rows.real, qho.alt, out=y[:n])
-    if stacked:
-        np.multiply(rows.imag, qho.alt, out=y[n:])
-    j2 = (np.arange(M) - M // 2) ** 2
-    diag2 = (8 * j2 - 2 * M * M) / (M * M)      # 2*Htilde's diagonal, 8j^2/M^2 - 2
-    symbol2 = 8 * j2[:M // 2 + 1] / (M * M)     # 2*pbar^2/rho on frequencies 0..M/2
-    spec = np.empty((len(y), M // 2 + 1), dtype=complex)
-    scratch = np.empty_like(y)
-
-    def doubled_momentum(src):
-        np.fft.rfft(src, out=spec)
-        np.multiply(spec, symbol2, out=spec)
-        return np.fft.irfft(spec, n=M, out=scratch)
-
-    even = re[0] * y                # sum over even k of Re(c_k) T_k
-    odd = np.zeros_like(y)          # sum over odd k of Im(c_k) T_k
-
-    def gather(k, T):
-        acc, c = (odd, im[k]) if k % 2 else (even, re[k])
-        np.multiply(T, c, out=scratch)
-        acc += scratch
-
-    prev, cur = y, np.empty_like(y)
-    if len(re) > 1:                 # T_1 = Htilde*T_0, half the doubled operator exactly
-        np.multiply(y, diag2, out=cur)
-        cur += doubled_momentum(y)
-        cur *= 0.5
-        gather(1, cur)
-    for k in range(2, len(re)):     # T_k = 2*Htilde*T_{k-1} - T_{k-2}, over T_{k-2}
-        np.subtract(doubled_momentum(cur), prev, out=prev)
-        np.multiply(cur, diag2, out=scratch)
-        prev += scratch
-        prev, cur = cur, prev
-        gather(k, cur)
-    if stacked:
-        real = even[:n] - odd[n:]
-        imag = odd[:n] + even[n:]
-    else:
-        real, imag = even, odd
-    out = np.empty(rows.shape, dtype=complex)
-    out.real, out.imag = real, imag
-    out *= np.exp(-1j * float(np.mod(z, 2 * _PI_LD))) * qho.alt
-    return out.reshape(v.shape)
-
-
 _INVARIANCE_TOL = 4e-9   # largest max(1, |t|) * ||r|| accepted: t^2 ||r||^2 / 2 <= 8e-18
 
 
@@ -415,9 +267,10 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
     The meter's floor is the float64 rounding of the factored side and of
     the eigenvectors: the default `ff-error` grid (M = 128-512, N = 4-16,
     t = 0.25-3) reads 1.5e-16 to 1.1e-15, and the exact block agrees with
-    `chebyshev_evolution`'s <W|U|W> to within that recurrence's own rounding
-    (5e-15 up to M = 1024).  Where the signal exists it stands clear of the
-    floor, e.g. 3.103e-9 at (64, 16, 3.0).
+    an eigenpair-free Chebyshev evolution's <W|U|W> (a test reference) to
+    within that recurrence's own rounding (5e-15 up to M = 1024).  Where the
+    signal exists it stands clear of the floor, e.g. 3.103e-9 at (64, 16, 3.0).
+    A non-finite t raises ValueError with the other input checks.
     """
     if qho.M > LOW_ENERGY_M_CAP:
         raise ValueError(f"projected-error budget is M <= {LOW_ENERGY_M_CAP}")
@@ -425,6 +278,8 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
         raise ValueError(f"eigenbasis has dimension {eig.dim}, grid has M={qho.M}")
     if not 1 <= N <= qho.M:
         raise ValueError(f"projection rank N={N} is outside 1..M={qho.M}")
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
     low = eig.vectors[:, :N]
     exact = _ritz_evolution(qho, low, t)
     image = apply_tables(evolution_tables(qho.M, decompose(t)), low.T)

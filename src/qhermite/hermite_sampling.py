@@ -28,7 +28,6 @@ __all__ = [
     "OracleFunction",
     "SamplerConfig",
     "SampleDistribution",
-    "coefficient_oracle",
     "spectrum_table",
     "sample_distribution",
     "draw",
@@ -156,26 +155,6 @@ def _grid_contract(n: int, evaluate, grid: np.ndarray, mats=None, factors=None, 
                 W = np.tensordot(W, m, axes=([1], [1]))
             T = T + lead_mat[:, s:s + step] @ W.reshape(len(W), -1)
     return (None if mats is None else T.reshape([len(m) for m in mats])), sum_sq, sup
-
-
-def coefficient_oracle(f: OracleFunction, v, M_quad: int = 512):
-    """fhat(v) by tensor-grid Riemann sum of f * h_v * nu over [-L, L]^n.
-
-    Returns (value, error_estimate); the estimate is the change under one
-    grid doubling (a conservative Richardson gauge -- the integrand is
-    analytic apart from f's dyadic steps, so actual convergence is faster).
-    """
-    v = tuple(int(c) for c in v)
-    coarse = _coefficient_riemann(f, v, M_quad)
-    fine = _coefficient_riemann(f, v, 2 * M_quad)
-    return fine, abs(fine - coarse)
-
-
-def _coefficient_riemann(f: OracleFunction, v, M_quad: int) -> float:
-    x, h = _quad_grid(M_quad)
-    mats = [h * probabilist_rows(d, x)[d:] * _nu(x) for d in v]
-    c, _, _ = _grid_contract(f.arity, f.evaluate, x, mats, f.product_factors)
-    return float(c.item())
 
 
 def spectrum_table(f: OracleFunction, D: int | None = None, M_quad: int = 512) -> np.ndarray:

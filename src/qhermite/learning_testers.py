@@ -23,12 +23,11 @@ import numpy as np
 from .hermite_sampling import (
     OracleFunction,
     SamplerConfig,
-    _grid_contract,
     _tally,
     draw,
     sample_distribution,
 )
-from .spectral_core import probabilist_product, probabilist_rows
+from .spectral_core import probabilist_product
 
 __all__ = [
     "CoefficientPattern",
@@ -42,7 +41,6 @@ __all__ = [
     "test_product_sign",
     "test_low_degree",
     "test_hermite_polynomial",
-    "restriction_coefficient",
 ]
 
 
@@ -185,36 +183,6 @@ def coefficient_estimate(f: OracleFunction, v, eps_est: float, delta: float,
     m = max(int(math.ceil(8.0 * max(1.0, sum(v)) / eps_est**2 * math.log(2.0 / delta))), 64)
     pts = rng.standard_normal((m, f.arity))
     return float(probabilist_product(v, pts, f.evaluate(pts)).mean())
-
-
-def restriction_coefficient(f: OracleFunction, pattern: CoefficientPattern,
-                            z: np.ndarray, grid_points: int = 2001) -> float:
-    """F_S f(z) = fhat_{J|z}(S): quadrature over the fixed block at frozen z.
-
-    Cross-validates weight_estimate: averaging F_S f(z)^2 over Gaussian z
-    recovers W^S(f).  The quadrature grid spans [-10, 10] per coordinate and
-    is tensored over the fixed block J, so |J| * log2(grid_points) must stay
-    within the full-grid budget.
-    """
-    J = list(pattern.fixed_positions)
-    rest = list(pattern.wildcard_positions)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if len(z) != len(rest):
-        raise ValueError(f"z must fix the {len(rest)} wildcard coordinates")
-    if not J:   # no fixed coordinate: F_S f(z) is f(z) itself
-        return float(f.evaluate(z[None])[0])
-    grid = np.linspace(-10.0, 10.0, grid_points)
-    weight = (grid[1] - grid[0]) * np.exp(-0.5 * grid * grid) / math.sqrt(2 * math.pi)
-
-    def on_block(y):   # points of the fixed block, with z inserted
-        pts = np.empty(y.shape[:-1] + (f.arity,))
-        pts[..., J] = y
-        pts[..., rest] = z
-        return f.evaluate(pts)
-
-    mats = [probabilist_rows(d, grid)[d:] * weight for d in (pattern.entries[j] for j in J)]
-    c, _, _ = _grid_contract(len(J), on_block, grid, mats)
-    return float(c.item())
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ __all__ = [
     "QHTResult",
 ]
 
+M_CAP = 1 << 20   # largest grid choose_dimensions returns
+
 
 class ConfigError(ValueError):
     """Infeasible transform configuration (reported, never silently clamped)."""
@@ -88,8 +90,7 @@ def high_energy_cutoff(N: int, eps: float, calibration: Calibration | None = Non
     return int(math.ceil((calibration or Calibration()).c1 * N / eps))
 
 
-def choose_dimensions(N: int, eps: float, calibration: Calibration | None = None,
-                      hard_cap: int = 1 << 20) -> QHTConfig:
+def choose_dimensions(N: int, eps: float, calibration: Calibration | None = None) -> QHTConfig:
     """Smallest power-of-two M >= c0*N^(9/4)/eps^(13/4) (plus feasibility floors).
 
     The floors keep `high_energy_cutoff` below M and leave the oscillatory
@@ -102,9 +103,9 @@ def choose_dimensions(N: int, eps: float, calibration: Calibration | None = None
     cal = calibration or Calibration()
     floor = max(cal.c0 * N**2.25 / eps**3.25, high_energy_cutoff(N, eps, cal) + 2, 16 * N, 16)
     M = 1 << max(4, int(math.ceil(math.log2(floor))))
-    if M > hard_cap:
+    if M > M_CAP:
         raise ConfigError(
-            f"required M={M} exceeds the hard cap {hard_cap}; "
+            f"required M={M} exceeds the hard cap {M_CAP}; "
             f"requested (N={N}, eps={eps}) with c0={cal.c0}")
     if pr_support(N - 1, M) >= M // 2:
         raise ConfigError(f"M={M} too small for the n={N - 1} oscillatory support")
@@ -656,12 +657,17 @@ def qht_apply(alpha: np.ndarray, config: QHTConfig) -> QHTResult:
     """Simulate the transform on amplitude vector alpha (length <= N).
 
     The first call at a config computes the columns alpha touches; a later
-    call whose columns are all held is one matrix-vector product.
+    call whose columns are all held is one matrix-vector product.  alpha is
+    checked before any column is built.
     """
     alpha = np.asarray(alpha, dtype=complex)
+    if alpha.ndim != 1:
+        raise ValueError(f"alpha must be a 1-D amplitude vector, got shape {alpha.shape}")
     if len(alpha) > config.N:
         raise ConfigError(f"alpha has {len(alpha)} entries but config.N={config.N}")
-    if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
+    if not np.isfinite(alpha).all():
+        raise ValueError("alpha must be finite")
+    if not abs(np.linalg.norm(alpha) - 1.0) <= 1e-9:   # NaN fails too
         raise ValueError("alpha must be normalized")
     return qht_operator(config).apply(alpha)
 

@@ -4,9 +4,8 @@ Everything downstream builds on three objects defined here: the uniform
 position grid x_j = j*sqrt(2*pi/M) with signed labels j in {-M/2, ..., M/2-1},
 orthonormal Hermite functions psi_n evaluated on that grid, and the centered
 discrete Fourier transform F_{jk} = exp(2*pi*i*j*k/M)/sqrt(M) that conjugates
-the position operator into the momentum operator.  F is kept here only as a
-dense reference matrix; the kernels apply it as an FFT between (-1)^i
-relabelings (see `fast_forward`).
+the position operator into the momentum operator.  F is never formed: the
+kernels apply it as an FFT between (-1)^i relabelings (see `fast_forward`).
 
 Statevectors are plain complex numpy arrays of length M; array index i
 corresponds to grid label j = i - M/2 throughout the package, so arrays are
@@ -24,7 +23,6 @@ __all__ = [
     "hermite_function_rows",
     "probabilist_rows",
     "probabilist_product",
-    "centered_dft_matrix",
 ]
 
 
@@ -108,11 +106,3 @@ def probabilist_product(v, x: np.ndarray, start):
     for i, d in enumerate(v):
         start = start * probabilist_rows(d, x[..., i])[d]
     return start
-
-
-def centered_dft_matrix(M: int) -> np.ndarray:
-    """Dense F_{jk} = exp(2*pi*i*j*k/M)/sqrt(M), signed labels. Reference only."""
-    if M > 4096:
-        raise ValueError("dense reference transform capped at M=4096")
-    j = np.arange(-M // 2, M // 2)
-    return np.exp(2j * np.pi * np.outer(j, j) / M) / np.sqrt(M)

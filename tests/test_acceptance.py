@@ -12,6 +12,7 @@ import zlib
 
 import numpy as np
 import pytest
+from conftest import apply_factored, coefficient_oracle
 
 from qhermite import corpus
 from qhermite.discrete_qho import (
@@ -20,11 +21,10 @@ from qhermite.discrete_qho import (
     dense_diagonalize,
     hermite_basis,
 )
-from qhermite.fast_forward import apply_factored, decompose, low_energy_error
+from qhermite.fast_forward import decompose, low_energy_error
 from qhermite.hermite_sampling import (
     SamplerConfig,
     _histogram,
-    coefficient_oracle,
     draw,
     sample_distribution,
     spectrum_table,

@@ -1,33 +1,17 @@
-import pytest
+import json
+from dataclasses import asdict
 
-from qhermite.calibration import Calibration, calibrate, load_calibration, save_calibration
+from qhermite.calibration import Calibration, load_calibration
 
 
 def test_round_trip(tmp_path):
     cal = Calibration(c0=2.5e-4, c1=3.0)
     path = tmp_path / "cal.json"
-    save_calibration(cal, path)
+    with open(path, "w") as fh:
+        json.dump(asdict(cal), fh)
     assert load_calibration(path) == cal
 
 
 def test_paper_scaling_constants():
     cal = Calibration.paper_scaling()
     assert cal.c0 == 1.0 and cal.c1 == 4.0
-
-
-def test_sweep_finds_passing_constant(tmp_path):
-    path = tmp_path / "cal.json"
-    cal = calibrate(2, 0.1, out_path=path)
-    assert 0 < cal.c0 <= 1.0
-    assert load_calibration(path) == cal
-    # the produced calibration actually configures a passing transform
-    from qhermite.qht_pipeline import choose_dimensions, isometry_singular_values
-
-    cfg = choose_dimensions(2, 0.1, cal)
-    sv = isometry_singular_values(cfg)
-    assert sv.min() >= 1 - 0.1 and sv.max() <= 1 + 0.1
-
-
-def test_sweep_reports_impossible_budget():
-    with pytest.raises(RuntimeError):
-        calibrate(64, 0.001, hard_cap=256)

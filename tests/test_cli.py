@@ -276,6 +276,16 @@ class TestSampleCorpusFile:
         assert capsys.readouterr().err.startswith("error: no acceptance in ")
         assert not out.exists()
 
+    def test_entry_outside_its_arity_is_an_error_line(self, tmp_path, capsys):
+        corpus_file = tmp_path / "corpus.json"
+        corpus_file.write_text(json.dumps([
+            {"family": "product_sign", "n": 2, "support": [0, 3]},
+        ]))
+        code, out = _run(tmp_path, "s.csv", ["sample", "--n", "2", "--corpus", str(corpus_file)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: support (0, 3) must list distinct axes")
+        assert not out.exists()
+
     def test_dense_three_axis_reference_on_the_command_grid(self, tmp_path):
         # a dense n = 3 oracle fits the full-grid budget at M = 256, not at 512
         corpus_file = tmp_path / "corpus.json"
@@ -310,6 +320,15 @@ class TestGGLCommand:
         # the spectrum-sampling route needs orders of magnitude fewer queries
         # than the classical prefix sweep at the same tau
         assert all(int(r["queries"]) < 1000 for r in rows)
+
+    def test_sampler_mode_on_one_axis_runs_only_one_axis_instances(self, tmp_path):
+        # sign_12 needs two axes; on one it was built as sgn(x0) and never complete
+        code, out = _run(tmp_path, "gs1.csv",
+                         ["ggl", "--n", "1", "--seeds", "0,1", "--mode", "sampler"])
+        assert code == 0
+        _, rows, summary = read_table(out)
+        assert [r["instance"] for r in rows] == ["sign_1", "sign_1"]
+        assert summary["success_rate"] == 1.0
 
 
 class TestTestCommand:

@@ -3,16 +3,16 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from conftest import centered_dft_matrix, dense_momentum_sq
 
 from qhermite import discrete_qho
 from qhermite.discrete_qho import (
     TAIL_FAMILIES,
     build,
     commutator_tail_norm,
-    dense_momentum_sq,
     hermite_basis,
 )
-from qhermite.spectral_core import GridSpec, centered_dft_matrix
+from qhermite.spectral_core import GridSpec
 
 
 def dense_tail_reference(qho, N: int, t_max: int, family: str = "x2_p2") -> float:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import loewdin_orthonormalize
+from conftest import centered_dft_matrix, dense_momentum_sq, loewdin_orthonormalize
 
 from qhermite.discrete_qho import (
     _PI_LD,
@@ -11,10 +11,9 @@ from qhermite.discrete_qho import (
     apply_momentum_sq,
     build,
     dense_diagonalize,
-    dense_momentum_sq,
     hermite_basis,
 )
-from qhermite.spectral_core import GridSpec, centered_dft_matrix
+from qhermite.spectral_core import GridSpec
 
 # grid sizes for the DFT conjugation checks; 10 and 30 are 2 (mod 4)
 CONJUGATION_SIZES = (10, 30, 64)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import coefficient_oracle, restriction_coefficient
 
 from qhermite import corpus
 from qhermite.hermite_sampling import (
@@ -12,14 +13,13 @@ from qhermite.hermite_sampling import (
     SamplerConfig,
     _histogram,
     _tally,
-    coefficient_oracle,
     distortion,
     draw,
     sample_distribution,
     spectrum_table,
     tv_distance,
 )
-from qhermite.learning_testers import CoefficientPattern, _mode_sample, restriction_coefficient
+from qhermite.learning_testers import CoefficientPattern, _mode_sample
 from qhermite.qht_pipeline import ConfigError
 
 
@@ -145,6 +145,26 @@ class TestCorpusProducts:
                                        err_msg=f.label)
             checked += 1
         assert checked == 6
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"family": "product_sign", "n": 2, "support": [0, 3]}, "distinct axes in \\[0, 2\\)"),
+        ({"family": "product_sign", "n": 2, "support": [-1]}, "distinct axes in \\[0, 2\\)"),
+        ({"family": "product_sign", "n": 2, "support": [1, 1]}, "distinct axes in \\[0, 2\\)"),
+        ({"family": "noisy_product_sign", "n": 1, "support": [0, 1], "eta": 0.1},
+         "distinct axes in \\[0, 1\\)"),
+        ({"family": "mixture", "n": 2, "terms": [[[1, 0, 2], 1.0]]},
+         "index \\(1, 0, 2\\) must have length 2"),
+        ({"family": "mixture", "n": 2, "terms": [[[1, 0], 0.8], [[2], 0.6]]},
+         "index \\(2,\\) must have length 2"),
+        ({"family": "mixture", "n": 1, "terms": [[[-1], 1.0]]},
+         "index \\(-1,\\) must have length 1 and no negative degree"),
+    ], ids=["outside", "negative", "repeated", "noisy", "long-term", "short-term",
+            "negative-degree"])
+    def test_index_outside_the_arity_rejected_at_build(self, entry, message):
+        # each used to build: a support index past n was dropped from the
+        # oracle but kept in its label, and a mixture term failed on evaluation
+        with pytest.raises(ValueError, match=message):
+            corpus.build_entry(entry)
 
     def test_sign_tie_same_on_dense_and_rank1_paths(self):
         # the M = 256 grid holds x = 0 on both axes, where the sgn tie

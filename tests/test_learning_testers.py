@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from conftest import restriction_coefficient
 
 from qhermite import corpus
 from qhermite.hermite_sampling import SamplerConfig
 from qhermite.learning_testers import CoefficientPattern, coefficient_estimate
 from qhermite.learning_testers import estimate_gamma, gaussian_goldreich_levin
-from qhermite.learning_testers import restriction_coefficient, weight_estimate
+from qhermite.learning_testers import weight_estimate
 from qhermite.learning_testers import test_hermite_polynomial as run_hermite_tester
 from qhermite.learning_testers import test_low_degree as run_low_degree_tester
 from qhermite.learning_testers import test_product_sign as run_product_sign_tester

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -13,6 +14,7 @@ import qhermite
 
 MODULES = ["cli", *qhermite.__all__]
 SOURCES = sorted(Path(qhermite.__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LOADED = ("[m for m in sorted(sys.modules)"
           " if m.startswith('qhermite.') or m in ('mpmath', 'concurrent.futures', 'numpy.ma')]")
 
@@ -67,6 +69,34 @@ def test_no_unused_top_level_import(path):
     assert unused == []
 
 
+def _perfbench_trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))}
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark harness imports program names directly; a moved or
+    # deleted name would fail only when its workload runs
+    missing = []
+    for file, tree in _perfbench_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qhermite"):
+                mod = importlib.import_module(node.module)
+                missing += [f"{file}: {node.module}.{alias.name}" for alias in node.names
+                            if not hasattr(mod, alias.name)
+                            and importlib.util.find_spec(f"{node.module}.{alias.name}") is None]
+    assert missing == []
+
+
+def test_traced_modules_import():
+    # the tracer wraps these modules by name; each must import
+    (names,) = [ast.literal_eval(node.value) for node in _perfbench_trees()["tracer.py"].body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "MODULES" for t in node.targets)]
+    assert names
+    for name in names:
+        importlib.import_module(f"qhermite.{name}")
+
+
 def test_package_import_loads_no_submodule():
     loaded, star = _fresh(f"""
 import json, sys
@@ -87,7 +117,8 @@ print(json.dumps([loaded, sorted(k for k in ns if not k.startswith("__"))]))
       "qhermite.qht_pipeline"]),
     (["sample", "--n", "1", "--M", "64", "--D", "3", "--trials", "5"],
      ["mpmath", "qhermite.qht_pipeline", "qhermite.fast_forward", "qhermite.learning_testers"]),
-    # loads qht_pipeline but builds no column, so the worker pool stays unloaded
+    # loads qht_pipeline but builds no column; the column build runs on plain
+    # threads, so concurrent.futures stays out unless an executor comes back
     (["overlap", "--M", "512", "--n", "3"],
      ["concurrent.futures", "mpmath", "qhermite.hermite_sampling", "qhermite.learning_testers"]),
 ], ids=["ff-error", "sample", "overlap"])

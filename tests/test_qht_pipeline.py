@@ -87,7 +87,7 @@ class TestChooseDimensions:
 
     def test_hard_cap_reported(self):
         with pytest.raises(ConfigError):
-            choose_dimensions(64, 1e-3, Calibration.paper_scaling(), hard_cap=1 << 16)
+            choose_dimensions(64, 1e-3, Calibration.paper_scaling())
 
     def test_invalid_eps(self):
         with pytest.raises(ConfigError):
@@ -824,6 +824,20 @@ class TestEndToEnd:
         cfg = choose_dimensions(2, 0.1)
         with pytest.raises(ValueError):
             qht_apply(np.array([1.0, 1.0]), cfg)
+
+    @pytest.mark.parametrize("alpha, message", [
+        ([np.nan, 0.0, 0.0, 0.0], "alpha must be finite"),
+        ([np.inf, 0.0, 0.0, 0.0], "alpha must be finite"),
+        ([[1.0, 0.0], [0.0, 0.0]], "alpha must be a 1-D amplitude vector, got shape \\(2, 2\\)"),
+    ], ids=["nan", "inf", "2-D"])
+    def test_malformed_alpha_rejected_before_any_build(self, monkeypatch, alpha, message):
+        # a NaN norm passed `abs(norm - 1) > 1e-9` and built the column it touched
+        def hold(self, blocks):
+            raise AssertionError("built a column for a malformed alpha")
+
+        monkeypatch.setattr(QHTOperator, "_hold", hold)
+        with pytest.raises(ValueError, match=message):
+            qht_apply(np.array(alpha), QHTConfig(N=4, eps=0.1, M=64))
 
     def test_oracle_bit_sweep(self, basis_cache):
         # r-bit rounding of the amplitude/phase oracles perturbs the prepared

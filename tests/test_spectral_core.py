@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from conftest import centered_dft_matrix
 
 from qhermite.spectral_core import (
     GridSpec,
     InvalidSpecError,
-    centered_dft_matrix,
     hermite_function_rows,
     hermite_functions,
     probabilist_rows,
