@@ -304,23 +304,19 @@ def cmd_test(args) -> int:
     eps1, eps2, delta, n = args.eps1, args.eps2, args.delta, args.n
     rng = np.random.default_rng(args.seed)
     scfg = SamplerConfig(M=args.M, D=args.D)
-    lowdeg_yes = corpus_mod.mixture([((1, 0), 0.8), ((0, 2), 0.6)], n, bounded=True)
-    lowdeg_no = corpus_mod.hermite_monomial((3, 3), n)
-    instances = [
-        ("chi01_yes", corpus_mod.product_sign((0, 1), n), "product_sign",
-         lambda f: test_product_sign(f, 2, eps1, eps2, delta, rng, scfg), True),
-        ("chi012_no", corpus_mod.product_sign((0,), n), "product_sign",
-         lambda f: test_product_sign(f, 2, eps1, eps2, delta, rng, scfg), False),
-        ("h2_yes", corpus_mod.hermite_monomial((2,) + (0,) * (n - 1), n), "hermite",
-         lambda f: test_hermite_polynomial(f, 1, eps1, eps2, delta, rng, scfg), True),
-        ("lowdeg_yes", lowdeg_yes, "low_degree",
-         lambda f: test_low_degree(f, d, eps1, eps2, delta, rng, scfg), True),
-        ("lowdeg_no", lowdeg_no, "low_degree",
-         lambda f: test_low_degree(f, d, eps1, eps2, delta, rng, scfg), False),
+    testers = {"product_sign": test_product_sign, "hermite": test_hermite_polynomial,
+               "low_degree": test_low_degree}
+    instances = [   # (label, oracle, tester, k or d, expected verdict)
+        ("chi01_yes", corpus_mod.product_sign((0, 1), n), "product_sign", 2, True),
+        ("chi012_no", corpus_mod.product_sign((0,), n), "product_sign", 2, False),
+        ("h2_yes", corpus_mod.hermite_monomial((2,) + (0,) * (n - 1), n), "hermite", 1, True),
+        ("lowdeg_yes", corpus_mod.mixture([((1, 0), 0.8), ((0, 2), 0.6)], n, bounded=True),
+         "low_degree", d, True),
+        ("lowdeg_no", corpus_mod.hermite_monomial((3, 3), n), "low_degree", d, False),
     ]
     rows = []
-    for label, f, tester, run, expected in instances:
-        verdict = run(f)
+    for label, f, tester, k, expected in instances:
+        verdict = testers[tester](f, k, eps1, eps2, delta, rng, scfg)
         rows.append([label, tester, int(verdict.accept), int(verdict.accept == expected),
                      verdict.samples_used])
     _write_table(args.out, _meta(args, "test"),

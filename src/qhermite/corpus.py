@@ -2,19 +2,28 @@
 
 Families mirror the shared corpus format used by the samplers, learners, and
 the CLI: constants, product signs (optionally with deterministic label
-noise), Hermite monomials, and sparse coefficient mixtures.  Each builder
-returns an OracleFunction; where a family has closed-form spectral data the
-builder records enough metadata (gamma, kappa, boolean) for the consumers.
+noise), Hermite monomials, sparse coefficient mixtures and indicator bumps.
+Each builder returns an OracleFunction; where a family has closed-form
+spectral data the builder records enough metadata (gamma, kappa, boolean)
+for the consumers.  Each builder checks its own arguments before it builds
+anything: n is a positive integer, an index (a support axis or a degree) is
+a plain integer (no bool, no float), and a bad value is a `ValueError` that
+names it.
 
 A corpus file is a JSON list of entries like
     {"family": "product_sign", "n": 2, "support": [0, 1]}
     {"family": "mixture", "n": 2, "terms": [[[1, 0], 0.9], [[0, 3], 0.436]]}
-loaded by `load_corpus`.
+loaded by `load_corpus`.  "family" names a builder below; every other key
+is one of that builder's arguments, under the builder's parameter name and
+with its default when left out.  An unknown family, an unknown key and a
+missing required key are each a `ValueError` that names the entry.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import numbers
 from dataclasses import replace
 
 import numpy as np
@@ -34,8 +43,38 @@ __all__ = [
     "build_entry",
 ]
 
+SUP_RANGE = 5.0   # bounded oracles are scaled by their sup over [-SUP_RANGE, SUP_RANGE]^n
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _arity(n) -> int:
+    """n as an int; anything but a positive integer is a ValueError."""
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def _indices(values, what: str) -> tuple:
+    """values as a tuple of ints; a bool, a float or any other non-integer is a ValueError."""
+    values = tuple(values)
+    if not all(map(_is_int, values)):
+        raise ValueError(f"{what} {values} must hold plain integers")
+    return tuple(int(c) for c in values)
+
+
+def _degrees(v, n: int, what: str) -> tuple:
+    """A multi-index of n non-negative degrees."""
+    v = _indices(v, f"{what} index")
+    if len(v) != n or min(v, default=0) < 0:
+        raise ValueError(f"{what} index {v} must have length {n} and no negative degree")
+    return v
+
 
 def constant(n: int = 1, value: float = 1.0) -> OracleFunction:
+    n = _arity(n)
     if not -1.0 <= value <= 1.0:
         raise ValueError("constant must lie in [-1, 1]")
     mag = abs(value) ** (1.0 / n)
@@ -51,6 +90,8 @@ def constant(n: int = 1, value: float = 1.0) -> OracleFunction:
 
 def scaled_constant(kappa: float, n: int = 1) -> OracleFunction:
     """Constant s with ||f||^2 = s^2 = 1/(2*kappa): postselection bound tight."""
+    if not (math.isfinite(kappa) and kappa >= 0.5):   # s <= 1
+        raise ValueError(f"kappa must be finite and at least 1/2, got {kappa!r}")
     s = math.sqrt(1.0 / (2.0 * kappa))
     return replace(constant(n, s), kappa=kappa, label=f"const_kappa{kappa}")
 
@@ -72,7 +113,8 @@ def product_sign(support, n: int) -> OracleFunction:
 
     S must name distinct axes in [0, n).
     """
-    support = tuple(sorted(int(i) for i in support))
+    n = _arity(n)
+    support = tuple(sorted(_indices(support, "support")))
     if any(not 0 <= i < n for i in support) or len(set(support)) < len(support):
         raise ValueError(f"support {support} must list distinct axes in [0, {n})")
     factors = tuple((lambda x: np.where(x < 0, -1.0, 1.0)) if i in support else np.ones_like
@@ -102,31 +144,32 @@ def noisy_product_sign(support, n: int, eta: float, bits: int = 6,
     cell-boundary measure, so every retained coefficient is attenuated by
     the same factor.
     """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
+    if not (_is_int(bits) and bits >= 0 and _is_int(seed) and 0 <= seed < 2**64):
+        raise ValueError(f"bits and seed must be non-negative integers (seed below 2^64), "
+                         f"got {bits!r} and {seed!r}")
     base = product_sign(support, n)
 
     def ev(x):
         return base.evaluator(x) * _cell_noise_flip(x, eta, bits, seed)
 
-    return OracleFunction(arity=n, evaluator=ev, boolean=True, kappa=1.0,
-                          degree_cutoff=9, input_bits=None, gamma=1.0,
-                          label=f"noisy_chi{tuple(support)}@{eta}")
+    return replace(base, evaluator=ev, product_factors=None, label=f"noisy_{base.label}@{eta}")
 
 
-def hermite_monomial(v, n: int, sup_range: float = 5.0,
-                     bounded: bool = True) -> OracleFunction:
+def hermite_monomial(v, n: int, bounded: bool = True) -> OracleFunction:
     """f proportional to h_v = prod_i h_{v_i}(x_i), one factor per axis.
 
-    The bounded variant divides each factor by its sup over [-sup_range,
-    sup_range] (at least 1) and clips it to [-1, 1], which acts only outside
-    that box: ~e^(-sup_range^2/2) Gaussian mass, far below every tolerance in
+    The bounded variant divides each factor by its sup over [-SUP_RANGE,
+    SUP_RANGE] (at least 1) and clips it to [-1, 1], which acts only outside
+    that box: ~e^(-SUP_RANGE^2/2) Gaussian mass, far below every tolerance in
     use.  With bounded=False the raw orthonormal h_v is returned (unit
     coefficient, range unbounded) for Monte-Carlo consumers that do not need
     |f| <= 1.
     """
-    v = tuple(int(c) for c in v)
-    if len(v) != n:
-        raise ValueError("index length must equal arity")
-    grid = np.linspace(-sup_range, sup_range, 4001)
+    n = _arity(n)
+    v = _degrees(v, n, "monomial")
+    grid = np.linspace(-SUP_RANGE, SUP_RANGE, 4001)
     scales = [max(float(np.abs(probabilist_rows(c, grid)[c]).max()), 1.0) if bounded else 1.0
               for c in v]
     cap = 1.0 if bounded else np.inf
@@ -145,14 +188,15 @@ def mixture(terms, n: int, bounded: bool = False) -> OracleFunction:
     """f = sum_k c_k h_{v_k} with exact coefficients (range unbounded).
 
     gamma = E||grad f||^2 = sum c_k^2 |v_k|_1 in this basis, recorded for the
-    Monte-Carlo consumers.  bounded=True rescales by the sup on [-5, 5]^n and
-    clips, changing every coefficient by the same factor (recorded in the
-    label); the declared kappa then covers the shrunken postselection rate.
+    Monte-Carlo consumers.  bounded=True rescales by the sup on
+    [-SUP_RANGE, SUP_RANGE]^n and clips, changing every coefficient by the
+    same factor (recorded in the label); the declared kappa then covers the
+    shrunken postselection rate.
     """
-    terms = [(tuple(int(c) for c in v), float(c)) for v, c in terms]
-    for v, _ in terms:
-        if len(v) != n or min(v, default=0) < 0:
-            raise ValueError(f"mixture index {v} must have length {n} and no negative degree")
+    n = _arity(n)
+    terms = [(_degrees(v, n, "mixture"), float(c)) for v, c in terms]
+    if not terms:
+        raise ValueError("mixture needs at least one term")
 
     def unscaled(x):   # sum_k c_k h_{v_k} at points x of shape (..., n)
         out = np.zeros(x.shape[:-1])
@@ -163,10 +207,10 @@ def mixture(terms, n: int, bounded: bool = False) -> OracleFunction:
     scale = 1.0
     if bounded:
         if n == 1:
-            tot = unscaled(np.linspace(-5.0, 5.0, 2001)[:, None])
+            tot = unscaled(np.linspace(-SUP_RANGE, SUP_RANGE, 2001)[:, None])
             scale = max(1.0, float(np.abs(tot).max()))
         else:
-            pts = np.random.default_rng(7).uniform(-5, 5, size=(20000, n))
+            pts = np.random.default_rng(7).uniform(-SUP_RANGE, SUP_RANGE, size=(20000, n))
             scale = max(1.0, float(np.abs(unscaled(pts)).max()) * 1.05)
 
     def ev(x):
@@ -184,6 +228,9 @@ def mixture(terms, n: int, bounded: bool = False) -> OracleFunction:
 
 def indicator_bump(half_width: float, n: int = 1) -> OracleFunction:
     """Indicator of [-w, w]^n: distortion grows as the bump narrows."""
+    n = _arity(n)
+    if not half_width > 0:
+        raise ValueError(f"half_width must be > 0, got {half_width!r}")
 
     def ev(x):
         inside = np.all(np.abs(x) <= half_width, axis=-1)
@@ -193,24 +240,25 @@ def indicator_bump(half_width: float, n: int = 1) -> OracleFunction:
                           degree_cutoff=9, label=f"bump({half_width})")
 
 
-_FAMILIES = {
-    "constant": lambda e: constant(e.get("n", 1), e.get("value", 1.0)),
-    "scaled_constant": lambda e: scaled_constant(e["kappa"], e.get("n", 1)),
-    "product_sign": lambda e: product_sign(e["support"], e["n"]),
-    "noisy_product_sign": lambda e: noisy_product_sign(
-        e["support"], e["n"], e["eta"], e.get("bits", 6), e.get("seed", 17)),
-    "hermite_monomial": lambda e: hermite_monomial(
-        e["v"], e["n"], bounded=e.get("bounded", True)),
-    "mixture": lambda e: mixture(e["terms"], e["n"], bounded=e.get("bounded", False)),
-    "indicator_bump": lambda e: indicator_bump(e["half_width"], e.get("n", 1)),
-}
+_FAMILIES = {builder.__name__: builder for builder in (
+    constant, scaled_constant, product_sign, noisy_product_sign, hermite_monomial, mixture,
+    indicator_bump)}
 
 
 def build_entry(entry: dict) -> OracleFunction:
-    family = entry.get("family")
+    """The oracle of one corpus entry: its "family" builder called with its other keys."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"corpus entry {entry!r} must be a JSON object")
+    params = dict(entry)
+    family = params.pop("family", None)
     if family not in _FAMILIES:
         raise ValueError(f"unknown corpus family {family!r}")
-    return _FAMILIES[family](entry)
+    builder = _FAMILIES[family]
+    try:
+        bound = inspect.signature(builder).bind(**params)
+    except TypeError as exc:   # a key the builder does not take, or a required one left out
+        raise ValueError(f"corpus entry {entry}: {exc}") from None
+    return builder(*bound.args, **bound.kwargs)
 
 
 def load_corpus(path) -> list:

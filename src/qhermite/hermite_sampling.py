@@ -191,11 +191,9 @@ class SampleDistribution:
     distribution, None when the circuit needs no postselection.
     """
 
-    arity: int
     D: int
     probs: np.ndarray = field(repr=False)   # shape (D+1,)*n
     out_mass: float = 0.0
-    norm_sq: float = 1.0                    # discrete ||f||^2
     success_prob: float = 1.0               # per-attempt postselection probability
     attempt_cap: int | None = None
     cdf: np.ndarray = field(init=False, repr=False)
@@ -258,8 +256,8 @@ def sample_distribution(f: OracleFunction, scfg: SamplerConfig,
     else:
         total_target = norm_sq if not f.boolean else 1.0
     out = max(total_target - float(probs.sum()), 0.0)
-    return SampleDistribution(arity=f.arity, D=scfg.D, probs=probs, out_mass=out,
-                              norm_sq=norm_sq, success_prob=success, attempt_cap=cap)
+    return SampleDistribution(D=scfg.D, probs=probs, out_mass=out, success_prob=success,
+                              attempt_cap=cap)
 
 
 def draw(dist: SampleDistribution, rng: np.random.Generator, k: int):

@@ -131,6 +131,19 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
 
 
+def _promise(eps1: float, eps2: float, delta: float) -> float:
+    """Check a tester's promise gap and delta; return the midpoint threshold 1 - (eps1+eps2)/2."""
+    if not 0 < eps1 < eps2:
+        raise ValueError("need eps2 > eps1 > 0")
+    _check_delta(delta)
+    return 1.0 - (eps1 + eps2) / 2.0
+
+
+def _spectrum_draws(f: OracleFunction, scfg: SamplerConfig, rng, k: int):
+    """k draws (v, attempts) from f's sampler distribution, postselected unless f is boolean."""
+    return draw(sample_distribution(f, scfg, normalized=not f.boolean), rng, k)
+
+
 def _pattern_rows(pattern: CoefficientPattern, y: np.ndarray) -> np.ndarray:
     """h_S(y) for draws y over the fixed coordinates (columns follow J order)."""
     degrees = [pattern.entries[pos] for pos in pattern.fixed_positions]
@@ -203,7 +216,7 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
     to within tau^2/4, so true weights >= tau^2 survive and true weights
     < tau^2/4 are dropped, the standard argument).  The live list is capped
     at floor(4/tau^2) by Parseval; hitting the node budget aborts with the
-    partial result flagged failed.
+    result flagged failed and nothing found.
 
     sampler mode draws O(1/tau^2 log 1/delta) spectrum samples and thresholds
     their frequencies -- the pure sampling route, whose query count is
@@ -217,8 +230,7 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
     _check_delta(delta)
     g = _resolve_gamma(f, rng, gamma)
     cap = int(math.ceil(4.0 * g * g / tau)) + 4
-    if f.degree_cutoff:
-        cap = min(cap, f.degree_cutoff)
+    cap = min(cap, f.degree_cutoff)
     list_cap = max(1, int(math.floor(4.0 / tau**2)))
     queries = 0
     nodes = 0
@@ -226,10 +238,9 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
     if mode == "sampler":
         scfg = sampler_config or SamplerConfig(D=cap)
         draws = max(int(math.ceil(32.0 / tau**2 * math.log(2.0 / delta))), 64)
-        dist = sample_distribution(f, scfg, normalized=not f.boolean)
-        drawn, attempts = draw(dist, rng, draws)
+        drawn, attempts = _spectrum_draws(f, scfg, rng, draws)
         queries += int(attempts.sum())
-        counts = _tally(drawn, dist.D)
+        counts = _tally(drawn, scfg.D)
         found = []
         for v, c in sorted(counts.items(), key=lambda kv: -kv[1]):
             nodes += 1
@@ -244,24 +255,19 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
     n = f.arity
     live = [CoefficientPattern((None,) * n)]
     per_node_delta = delta / max(1, 2 * n * list_cap * (cap + 1))
-    failed = False
     for _level in range(n):
         scored = []
         for pattern in live:
             for a_k in range(cap + 1):
-                cand = pattern.extend(a_k)
                 nodes += 1
-                if nodes > node_budget:
-                    failed = True
-                    break
+                if nodes > node_budget:   # no pattern is complete before the last level ends
+                    return GGLResult(found=(), failed=True, nodes_examined=nodes,
+                                     oracle_queries=queries)
+                cand = pattern.extend(a_k)
                 est = weight_estimate(f, cand, tau**2 / 4.0, per_node_delta, rng, gamma=g)
                 queries += 2 * est.samples
                 if est.value >= tau**2 / 2.0:
                     scored.append((est.value, cand))
-            if failed:
-                break
-        if failed:
-            break
         scored.sort(key=lambda t: -t[0])
         live = [cand for _, cand in scored[:list_cap]]
         if not live:
@@ -281,7 +287,7 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
         queries += 1
         if abs(est) >= 0.75 * tau:
             found.append(v)
-    return GGLResult(found=tuple(sorted(found)), failed=failed, nodes_examined=nodes,
+    return GGLResult(found=tuple(sorted(found)), failed=False, nodes_examined=nodes,
                      oracle_queries=queries)
 
 
@@ -292,8 +298,7 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
 
 def _mode_sample(f: OracleFunction, scfg: SamplerConfig, rng, repeats: int):
     """Repeated spectrum draws; returns (mode sample, draw count)."""
-    dist = sample_distribution(f, scfg, normalized=not f.boolean)
-    counts = _tally(draw(dist, rng, repeats)[0], dist.D)
+    counts = _tally(_spectrum_draws(f, scfg, rng, repeats)[0], scfg.D)
     if not counts:
         return None, repeats
     return max(counts, key=counts.get), repeats   # the first-drawn index on a tie
@@ -311,9 +316,7 @@ def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
     wrong size is an immediate reject (a k'-sign function with k' != k is at
     distance 1 from every k-sign function).
     """
-    if not 0 < eps1 < eps2:
-        raise ValueError("need eps2 > eps1 > 0")
-    _check_delta(delta)
+    threshold = _promise(eps1, eps2, delta)
     scfg = sampler_config or SamplerConfig(D=9)
     repeats = max(4, int(math.ceil(4 * math.log(2.0 / delta))))
     v_mode, used = _mode_sample(f, scfg, rng, repeats)
@@ -326,7 +329,6 @@ def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
     pattern = CoefficientPattern(tuple(entries))
     eps = eps2 - eps1
     est = weight_estimate(f, pattern, eps / 4.0, delta / 2.0, rng)
-    threshold = 1.0 - (eps1 + eps2) / 2.0
     return TesterVerdict(accept=bool(est.value >= threshold), witness=pattern,
                          estimate=est.value, samples_used=used + est.samples)
 
@@ -343,19 +345,15 @@ def test_low_degree(f: OracleFunction, d: int, eps1: float, eps2: float,
     low-degree draws estimates the low-degree mass, so the acceptance
     threshold sits at one minus the distance midpoint.)
     """
-    if not 0 < eps1 < eps2:
-        raise ValueError("need eps2 > eps1 > 0")
-    _check_delta(delta)
+    threshold = _promise(eps1, eps2, delta)
     eps = eps2 - eps1
     scfg = sampler_config or SamplerConfig(D=max(9, 2 * d + 1))
     if scfg.D < d:   # a per-axis cutoff below d would count degree-<=d mass as high
         raise ValueError(f"sampler cutoff D={scfg.D} is below the tested degree d={d}")
     m = int(math.ceil(c_samples * math.log(1.0 / delta) / eps**2))
-    dist = sample_distribution(f, scfg, normalized=not f.boolean)
-    v, _ = draw(dist, rng, m)
+    v, _ = _spectrum_draws(f, scfg, rng, m)
     # an out-of-range row sums to n * (D + 1) > d, so the mask drops it
     x = int(np.count_nonzero(v.sum(axis=1) <= d)) / m
-    threshold = 1.0 - (eps1 + eps2) / 2.0
     return TesterVerdict(accept=bool(x >= threshold), estimate=x, samples_used=m)
 
 
@@ -372,9 +370,7 @@ def test_hermite_polynomial(f: OracleFunction, k: int, eps1: float, eps2: float,
     sampler's own distribution fhat^2/||f||^2 is normalized the same way.)
     Candidates with the wrong variable count are rejected outright.
     """
-    if not 0 < eps1 < eps2:
-        raise ValueError("need eps2 > eps1 > 0")
-    _check_delta(delta)
+    threshold = _promise(eps1, eps2, delta)
     scfg = sampler_config or SamplerConfig(D=9)
     repeats = max(4, int(math.ceil(4 * math.log(2.0 / delta))))
     v_mode, used = _mode_sample(f, scfg, rng, repeats)
@@ -392,6 +388,5 @@ def test_hermite_polynomial(f: OracleFunction, k: int, eps1: float, eps2: float,
     chunks = np.array_split(sq, 8)
     norm = math.sqrt(max(float(np.median([c.mean() for c in chunks])), 1e-12))
     est = coeff / norm
-    threshold = 1.0 - (eps1 + eps2) / 2.0
     return TesterVerdict(accept=bool(abs(est) >= threshold), witness=v_mode,
                          estimate=est, samples_used=used + m)

@@ -286,6 +286,34 @@ class TestSampleCorpusFile:
         assert capsys.readouterr().err.startswith("error: support (0, 3) must list distinct axes")
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", [
+        {"family": "scaled_constant", "kappa": 0},
+        {"family": "constant", "n": 0},
+        {"family": "product_sign", "n": 1.5, "support": [0]},
+        {"family": "noisy_product_sign", "n": 1, "support": [0], "eta": 1.5},
+        {"family": "mixture", "n": 1, "terms": []},
+        {"family": "indicator_bump", "half_width": -1},
+        {"family": "hermite_monomial", "n": 1, "v": [-2]},
+        {"family": "product_sign", "n": 1, "support": [0.7]},
+        {"family": "mixture", "n": 1, "terms": [[[1.9], 1.0]]},
+        {"family": "hermite_monomial", "n": 1, "v": [True]},
+        {"family": "hermite_monomial", "n": 1, "v": [2], "bouned": False},
+        {"family": "product_sign", "n": 2},
+        {"family": "noisy_product_sign", "n": 1, "support": [0], "eta": 0.1, "seed": -1},
+        ["product_sign", 1],
+    ], ids=["kappa-zero", "n-zero", "n-float", "eta-above-one", "no-terms",
+            "negative-half-width", "negative-degree", "float-axis", "float-degree",
+            "bool-degree", "unknown-key", "missing-key", "negative-seed", "not-an-object"])
+    def test_bad_entry_is_one_error_line(self, tmp_path, capsys, entry):
+        corpus_file = tmp_path / "corpus.json"
+        corpus_file.write_text(json.dumps([entry]))
+        code, out = _run(tmp_path, "s.csv", ["sample", "--n", "1", "--M", "64", "--D", "3",
+                                            "--trials", "5", "--corpus", str(corpus_file)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     def test_dense_three_axis_reference_on_the_command_grid(self, tmp_path):
         # a dense n = 3 oracle fits the full-grid budget at M = 256, not at 512
         corpus_file = tmp_path / "corpus.json"

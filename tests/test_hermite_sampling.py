@@ -1,3 +1,5 @@
+import inspect
+import json
 import math
 from dataclasses import replace
 
@@ -166,6 +168,73 @@ class TestCorpusProducts:
         with pytest.raises(ValueError, match=message):
             corpus.build_entry(entry)
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"family": "hermite_monomial", "n": 1, "v": [-2]},
+         "monomial index \\(-2,\\) must have length 1 and no negative degree"),
+        ({"family": "product_sign", "n": 1, "support": [0.7]}, "support \\(0.7,\\) must hold"),
+        ({"family": "mixture", "n": 1, "terms": [[[1.9], 1.0]]},
+         "mixture index \\(1.9,\\) must hold"),
+        ({"family": "hermite_monomial", "n": 1, "v": [True]},
+         "monomial index \\(True,\\) must hold"),
+    ], ids=["negative-degree", "float-axis", "float-degree", "bool-degree"])
+    def test_index_not_a_degree_or_axis_rejected_at_build(self, entry, message):
+        # an index is a plain integer: a float is not truncated, a bool not read as 1
+        with pytest.raises(ValueError, match=message):
+            corpus.build_entry(entry)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: corpus.constant(0), "n must be a positive integer, got 0"),
+        (lambda: corpus.constant(1.5), "n must be a positive integer, got 1.5"),
+        (lambda: corpus.product_sign((0,), True), "n must be a positive integer, got True"),
+        (lambda: corpus.scaled_constant(0), "kappa must be finite and at least 1/2, got 0"),
+        (lambda: corpus.scaled_constant(math.inf), "kappa must be finite"),
+        (lambda: corpus.noisy_product_sign((0,), 1, eta=1.5), "eta must lie in \\[0, 1\\]"),
+        (lambda: corpus.noisy_product_sign((0,), 1, eta=math.nan), "eta must lie in \\[0, 1\\]"),
+        (lambda: corpus.noisy_product_sign((0,), 1, 0.1, seed=-1), "got 6 and -1"),
+        (lambda: corpus.noisy_product_sign((0,), 1, 0.1, bits=2.5), "got 2.5 and 17"),
+        (lambda: corpus.mixture([], 1), "mixture needs at least one term"),
+        (lambda: corpus.indicator_bump(-1), "half_width must be > 0, got -1"),
+        (lambda: corpus.indicator_bump(0.5, n=-2), "n must be a positive integer, got -2"),
+    ], ids=["n-zero", "n-float", "n-bool", "kappa-zero", "kappa-inf", "eta-above-one",
+            "eta-nan", "negative-seed", "float-bits", "no-terms", "negative-half-width", "bump-n"])
+    def test_scalar_rejected_by_name_at_build(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"family": "hermite_monomial", "n": 1, "v": [2], "bouned": False},
+         "unexpected keyword argument 'bouned'"),
+        ({"family": "product_sign", "n": 2}, "missing a required argument: 'support'"),
+    ], ids=["unknown-key", "missing-key"])
+    def test_key_outside_the_signature_names_the_entry(self, entry, message):
+        with pytest.raises(ValueError, match=message) as info:
+            corpus.build_entry(entry)
+        assert str(info.value).startswith(f"corpus entry {entry}: ")
+
+    def test_every_family_loads_with_every_parameter_named(self, tmp_path):
+        entries = [
+            {"family": "constant", "n": 2, "value": -0.5},
+            {"family": "scaled_constant", "kappa": 2.0, "n": 2},
+            {"family": "product_sign", "support": [1], "n": 2},
+            {"family": "noisy_product_sign", "support": [0, 1], "n": 2, "eta": 0.1, "bits": 5,
+             "seed": 3},
+            {"family": "hermite_monomial", "v": [2, 1], "n": 2, "bounded": False},
+            {"family": "mixture", "terms": [[[1, 0], 0.8], [[0, 2], 0.6]], "n": 2,
+             "bounded": True},
+            {"family": "indicator_bump", "half_width": 0.5, "n": 2},
+        ]
+        for entry in entries:   # every key is a parameter name, and every parameter is named
+            params = inspect.signature(corpus._FAMILIES[entry["family"]]).parameters
+            assert set(entry) - {"family"} == set(params)
+        assert [e["family"] for e in entries] == list(corpus._FAMILIES)
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(entries))
+        labels = [f.label for f in corpus.load_corpus(path)]
+        assert labels == ["const(-0.5)", "const_kappa2.0", "chi(1,)", "noisy_chi(0, 1)@0.1",
+                          "h(2, 1)_raw", labels[5], "bump(0.5)"]
+        assert labels[5].startswith("mix[((1, 0), 0.8), ((0, 2), 0.6)]/")
+        assert all(b is getattr(corpus, name) for name, b in corpus._FAMILIES.items())
+
     def test_sign_tie_same_on_dense_and_rank1_paths(self):
         # the M = 256 grid holds x = 0 on both axes, where the sgn tie
         # convention decides bin (0, 0)
@@ -252,7 +321,7 @@ class TestDraw:
     def test_single_postselected_draw_matches_reference_stream(self):
         # the single-draw stream: one geometric attempt count, then one
         # uniform inverted through the CDF
-        dist = SampleDistribution(arity=1, D=3, probs=np.array([0.1, 0.2, 0.3, 0.3]),
+        dist = SampleDistribution(D=3, probs=np.array([0.1, 0.2, 0.3, 0.3]),
                                   out_mass=0.1, success_prob=0.3, attempt_cap=10**6)
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(50):
@@ -264,7 +333,7 @@ class TestDraw:
 
     def test_out_of_range_rows_and_tally(self):
         probs = np.array([[0.1, 0.0], [0.0, 0.1]])
-        dist = SampleDistribution(arity=2, D=1, probs=probs, out_mass=0.8)
+        dist = SampleDistribution(D=1, probs=probs, out_mass=0.8)
         v, _ = draw(dist, np.random.default_rng(1), 400)
         out = (v > dist.D).any(axis=1)
         assert (v[out] == dist.D + 1).all()

@@ -138,7 +138,13 @@ class TestGGL:
     def test_node_budget_flags_failure(self, rng):
         f = corpus.mixture([((1, 0), 0.9), ((0, 3), 0.436)], 2)
         res = gaussian_goldreich_levin(f, 0.5, 0.1, rng, node_budget=2)
-        assert res.failed
+        assert res.failed and res.found == () and res.nodes_examined == 3
+
+    def test_constant_capped_at_its_degree_cutoff(self, rng):
+        # a degree cutoff of 0 caps like any other: one node per axis
+        res = gaussian_goldreich_levin(corpus.constant(2, 1.0), 0.5, 0.1, rng)
+        assert res.found == ((0, 0),) and not res.failed
+        assert res.nodes_examined == 2
 
     def test_sampler_mode_agrees(self, rng):
         f = corpus.mixture([((1, 0), 0.9), ((0, 2), 0.436)], 2, bounded=True)
