@@ -5,6 +5,10 @@ configuration and seed; identical configuration and seed produce
 byte-identical files (wall-clock timings are therefore opt-in via --timings,
 which breaks the hash on purpose).  Exit code 0 means every row computed,
 2 means some rows were infeasible (reported in-file), 1 means usage error.
+
+Each `cmd_*` computes and returns (header, rows, footer, exit code); `main`
+alone writes the table, adds `runtime_ms` to the footer under --timings, and
+turns a failure into one `error:` line.
 """
 from __future__ import annotations
 
@@ -23,7 +27,11 @@ from .calibration import load_calibration
 __all__ = ["main", "read_table"]
 
 
-def _write_table(path, meta: dict, header: list, rows: list, fmt: str, footer: dict | None = None):
+def _write_table(path, meta: dict, header: list, rows: list, fmt: str, footer: dict):
+    for r in rows:
+        if len(r) != len(header):
+            raise ValueError(f"row {r} has {len(r)} fields under the {len(header)}-field "
+                             f"header {header}")
     meta_json = json.dumps(meta, sort_keys=True)
     if fmt == "json":
         payload = {"meta": meta, "rows": [dict(zip(header, r)) for r in rows]}
@@ -69,17 +77,22 @@ def read_table(path):
     return meta, rows, summary
 
 
-def _meta(args, command: str) -> dict:
-    keep = {k: v for k, v in vars(args).items()
-            if k not in ("func", "out") and v is not None}
-    keep["command"] = command
-    return keep
+def _meta(args) -> dict:
+    """The provenance line: every option set, and the subcommand under "command"."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
 
 
-def _positive_int(text):
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
-    return int(text)
+def _int_at_least(low: int, what: str):
+    def parse(text):
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"invalid {what} int value: {text!r}")
+        return int(text)
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _int_list(text):
@@ -97,14 +110,7 @@ def _finite_float_list(text):
     return values
 
 
-def _timed(footer: dict, args, t0: float) -> dict:
-    """The footer, plus the command's wall-clock runtime_ms under --timings."""
-    if args.timings:
-        footer["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
-    return footer
-
-
-def cmd_ff_error(args) -> int:
+def cmd_ff_error(args):
     from .discrete_qho import build, dense_diagonalize
     from .fast_forward import LOW_ENERGY_M_CAP, decompose, low_energy_error
     from .spectral_core import GridSpec
@@ -121,28 +127,26 @@ def cmd_ff_error(args) -> int:
         for N in args.N:
             for t in args.t:
                 t0 = time.perf_counter()
-                row = [M, N, t, decompose(t).reps, "", "infeasible"]
+                error = ""
                 if qho is not None and N <= M:   # --N is positive, so 1 <= N <= M
                     try:
-                        row[4:] = [f"{low_energy_error(qho, eig, N, t):.6e}", "ok"]
+                        error = f"{low_energy_error(qho, eig, N, t):.6e}"
                     except ValueError:   # the invariance guard refused t; the row stays infeasible
                         pass
-                    else:
-                        if args.timings:
-                            row.append(int((time.perf_counter() - t0) * 1000))
+                row = [M, N, t, decompose(t).reps, error, "ok" if error else "infeasible"]
+                if args.timings:   # left empty where no error was computed
+                    row.append(int((time.perf_counter() - t0) * 1000) if error else "")
                 rows.append(row)
     header = ["M", "N", "t", "reps", "projected_error", "status"]
     if args.timings:
         header.append("runtime_ms")
-    _write_table(args.out, _meta(args, "ff-error"), header, rows, args.format)
-    return 2 if any(r[5] == "infeasible" for r in rows) else 0
+    return header, rows, {}, 2 if any(r[5] == "infeasible" for r in rows) else 0
 
 
-def cmd_overlap(args) -> int:
+def cmd_overlap(args):
     from .qht_pipeline import build_pr_state
     from .spectral_core import GridSpec, hermite_functions
 
-    t0 = time.perf_counter()
     M, n_max = args.M, args.n
     spec = GridSpec(M)
     if n_max >= M:
@@ -151,24 +155,17 @@ def cmd_overlap(args) -> int:
     rows = []
     for n, psi in enumerate(hermite_functions(n_max, spec.points())):
         rows.append([n, f"{float((psi * scale) @ build_pr_state(n, M)):.10f}"])
-    _write_table(args.out, _meta(args, "overlap"), ["n", "overlap"], rows, args.format,
-                 _timed({}, args, t0))
-    return 0
+    return ["n", "overlap"], rows, {}, 0
 
 
-def cmd_qht(args) -> int:
-    from .qht_pipeline import ConfigError, choose_dimensions, high_energy_cutoff, qht_operator
+def cmd_qht(args):
+    from .qht_pipeline import choose_dimensions, high_energy_cutoff, qht_operator
 
     try:   # loaded before any work, so a bad file fails fast
         cal = load_calibration(args.calibration) if args.calibration else None
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot load calibration: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        cfg = choose_dimensions(args.N, args.eps, cal)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot load calibration: {type(exc).__name__}: {exc}") from None
+    cfg = choose_dimensions(args.N, args.eps, cal)
     op = qht_operator(cfg)
     t0 = time.perf_counter()
     columns = op.matrix()
@@ -187,11 +184,8 @@ def cmd_qht(args) -> int:
     if args.timings:
         footer["columns_ms"] = int(build_s * 1000)
         footer["workers"] = op.build_workers
-    _write_table(args.out, _meta(args, "qht"),
-                 ["n", "fidelity", "block_fidelity", "infidelity", "block_infidelity",
-                  "filter_leak", "uncompute_residual"],
-                 rows, args.format, footer)
-    return 0
+    return (["n", "fidelity", "block_fidelity", "infidelity", "block_infidelity",
+             "filter_leak", "uncompute_residual"], rows, footer, 0)
 
 
 def _default_corpus(n: int):
@@ -204,7 +198,7 @@ def _default_corpus(n: int):
     ]
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args):
     from . import corpus as corpus_mod
     from .hermite_sampling import (
         SamplerConfig,
@@ -215,7 +209,6 @@ def cmd_sample(args) -> int:
         tv_distance,
     )
 
-    t0 = time.perf_counter()
     D, trials = args.D, args.trials
     rng = np.random.default_rng(args.seed)
     scfg = SamplerConfig(M=args.M, D=D)
@@ -242,9 +235,7 @@ def cmd_sample(args) -> int:
         summaries[label] = {"tv": round(tv, 6), "mean_attempts": float(np.mean(attempts))}
     header = (["instance", "trial", "v", "accepted_attempts"] if args.log
               else ["instance", "v", "count", "frequency"])
-    _write_table(args.out, _meta(args, "sample"), header, rows, args.format,
-                 _timed({"trials": trials, "instances": summaries}, args, t0))
-    return 0
+    return header, rows, {"trials": trials, "instances": summaries}, 0
 
 
 def _ggl_corpus(n: int, mode: str):
@@ -267,10 +258,9 @@ def _ggl_corpus(n: int, mode: str):
     ]
 
 
-def cmd_ggl(args) -> int:
+def cmd_ggl(args):
     from .learning_testers import gaussian_goldreich_levin
 
-    t0 = time.perf_counter()
     mode = args.mode
     rows = []
     successes = 0
@@ -285,14 +275,11 @@ def cmd_ggl(args) -> int:
             rows.append([label, mode, seed, res.oracle_queries,
                          ";".join("|".join(map(str, v)) for v in res.found),
                          int(complete), int(not res.failed)])
-    footer = _timed({"success_rate": successes / max(total, 1)}, args, t0)
-    _write_table(args.out, _meta(args, "ggl"),
-                 ["instance", "mode", "seed", "queries", "found", "complete", "ok"],
-                 rows, args.format, footer)
-    return 0
+    return (["instance", "mode", "seed", "queries", "found", "complete", "ok"], rows,
+            {"success_rate": successes / max(total, 1)}, 0)
 
 
-def cmd_test(args) -> int:
+def cmd_test(args):
     from . import corpus as corpus_mod
     from .hermite_sampling import SamplerConfig
     from .learning_testers import test_hermite_polynomial, test_low_degree, test_product_sign
@@ -300,7 +287,6 @@ def cmd_test(args) -> int:
     d = 3   # the degree the low-degree instances are tested at
     if args.D < d:
         raise ValueError(f"--D {args.D} is below the tested degree {d}")
-    t0 = time.perf_counter()
     eps1, eps2, delta, n = args.eps1, args.eps2, args.delta, args.n
     rng = np.random.default_rng(args.seed)
     scfg = SamplerConfig(M=args.M, D=args.D)
@@ -319,10 +305,7 @@ def cmd_test(args) -> int:
         verdict = testers[tester](f, k, eps1, eps2, delta, rng, scfg)
         rows.append([label, tester, int(verdict.accept), int(verdict.accept == expected),
                      verdict.samples_used])
-    _write_table(args.out, _meta(args, "test"),
-                 ["instance", "tester", "accept", "correct", "samples"], rows, args.format,
-                 _timed({}, args, t0))
-    return 0
+    return ["instance", "tester", "accept", "correct", "samples"], rows, {}, 0
 
 
 def main(argv=None) -> int:
@@ -344,7 +327,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("overlap", help="Plancherel-Rotach overlap curve")
     p.add_argument("--M", type=int, default=100000)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=_non_negative_int, default=100)
     common(p)
     p.set_defaults(func=cmd_overlap)
 
@@ -357,7 +340,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sample", help="Hermite sampling histogram + TV report")
     p.add_argument("--n", type=_positive_int, default=1)
-    p.add_argument("--D", type=int, default=9)
+    p.add_argument("--D", type=_non_negative_int, default=9)
     p.add_argument("--M", type=int, default=512)
     p.add_argument("--trials", type=_positive_int, default=2000)
     p.add_argument("--corpus", default=None)
@@ -379,7 +362,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("test", help="property-tester verdict table")
     p.add_argument("--n", type=int, default=2, choices=(2,),
                    help="arity; the five test instances are defined on two axes")
-    p.add_argument("--D", type=int, default=9)
+    p.add_argument("--D", type=_non_negative_int, default=9)
     p.add_argument("--M", type=int, default=512)
     p.add_argument("--eps1", type=float, default=0.1)
     p.add_argument("--eps2", type=float, default=0.3)
@@ -392,8 +375,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    t0 = time.perf_counter()   # runtime_ms counts the subcommand's imports too
     try:
-        return args.func(args)
+        header, rows, footer, code = args.func(args)
+        if args.timings:
+            footer["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
+        _write_table(args.out, _meta(args), header, rows, args.format, footer)
     except (ValueError, RuntimeError) as exc:   # a ConfigError is a ValueError
         if isinstance(exc, RuntimeError):   # hermite_sampling is loaded only on this path
             from .hermite_sampling import PostselectionFailure
@@ -402,6 +389,7 @@ def main(argv=None) -> int:
                 raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

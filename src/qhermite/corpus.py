@@ -15,8 +15,9 @@ A corpus file is a JSON list of entries like
     {"family": "mixture", "n": 2, "terms": [[[1, 0], 0.9], [[0, 3], 0.436]]}
 loaded by `load_corpus`.  "family" names a builder below; every other key
 is one of that builder's arguments, under the builder's parameter name and
-with its default when left out.  An unknown family, an unknown key and a
-missing required key are each a `ValueError` that names the entry.
+with its default when left out.  An unknown family, an unknown key, a
+missing required key and a value of the wrong JSON type are each a
+`ValueError` that names the entry.
 """
 from __future__ import annotations
 
@@ -63,6 +64,13 @@ def _indices(values, what: str) -> tuple:
     if not all(map(_is_int, values)):
         raise ValueError(f"{what} {values} must hold plain integers")
     return tuple(int(c) for c in values)
+
+
+def _flag(value, what: str) -> bool:
+    """A JSON true/false; any other value (a string "no" is truthy) is a ValueError."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _degrees(v, n: int, what: str) -> tuple:
@@ -169,6 +177,7 @@ def hermite_monomial(v, n: int, bounded: bool = True) -> OracleFunction:
     """
     n = _arity(n)
     v = _degrees(v, n, "monomial")
+    bounded = _flag(bounded, "bounded")
     grid = np.linspace(-SUP_RANGE, SUP_RANGE, 4001)
     scales = [max(float(np.abs(probabilist_rows(c, grid)[c]).max()), 1.0) if bounded else 1.0
               for c in v]
@@ -194,6 +203,7 @@ def mixture(terms, n: int, bounded: bool = False) -> OracleFunction:
     shrunken postselection rate.
     """
     n = _arity(n)
+    bounded = _flag(bounded, "bounded")
     terms = [(_degrees(v, n, "mixture"), float(c)) for v, c in terms]
     if not terms:
         raise ValueError("mixture needs at least one term")
@@ -251,14 +261,14 @@ def build_entry(entry: dict) -> OracleFunction:
         raise ValueError(f"corpus entry {entry!r} must be a JSON object")
     params = dict(entry)
     family = params.pop("family", None)
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown corpus family {family!r}")
     builder = _FAMILIES[family]
-    try:
+    try:   # a key outside the signature, a missing one, or a value of the wrong JSON type
         bound = inspect.signature(builder).bind(**params)
-    except TypeError as exc:   # a key the builder does not take, or a required one left out
+        return builder(*bound.args, **bound.kwargs)
+    except TypeError as exc:
         raise ValueError(f"corpus entry {entry}: {exc}") from None
-    return builder(*bound.args, **bound.kwargs)
 
 
 def load_corpus(path) -> list:

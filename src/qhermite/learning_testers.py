@@ -232,25 +232,21 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
     cap = int(math.ceil(4.0 * g * g / tau)) + 4
     cap = min(cap, f.degree_cutoff)
     list_cap = max(1, int(math.floor(4.0 / tau**2)))
-    queries = 0
-    nodes = 0
 
     if mode == "sampler":
         scfg = sampler_config or SamplerConfig(D=cap)
         draws = max(int(math.ceil(32.0 / tau**2 * math.log(2.0 / delta))), 64)
         drawn, attempts = _spectrum_draws(f, scfg, rng, draws)
-        queries += int(attempts.sum())
         counts = _tally(drawn, scfg.D)
-        found = []
-        for v, c in sorted(counts.items(), key=lambda kv: -kv[1]):
-            nodes += 1
-            if c / draws >= tau**2 / 2:
-                found.append(v)
-        return GGLResult(found=tuple(sorted(found[:list_cap])), failed=False,
-                         nodes_examined=nodes, oracle_queries=queries)
+        # each kept index holds >= tau^2/2 of the draws, so at most 2/tau^2 <= list_cap are kept
+        found = sorted(v for v, c in counts.items() if c / draws >= tau**2 / 2)
+        return GGLResult(found=tuple(found), failed=False, nodes_examined=len(counts),
+                         oracle_queries=int(attempts.sum()))
 
     if mode != "classical":
         raise ValueError(f"unknown GGL mode {mode!r}")
+    queries = 0
+    nodes = 0
 
     n = f.arity
     live = [CoefficientPattern((None,) * n)]

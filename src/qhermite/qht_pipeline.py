@@ -90,12 +90,19 @@ def high_energy_cutoff(N: int, eps: float, calibration: Calibration | None = Non
     return int(math.ceil((calibration or Calibration()).c1 * N / eps))
 
 
+def _check_size(name: str, value) -> None:
+    """A dimension is a plain integer: a float or a bool fails only deep in the build."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def choose_dimensions(N: int, eps: float, calibration: Calibration | None = None) -> QHTConfig:
     """Smallest power-of-two M >= c0*N^(9/4)/eps^(13/4) (plus feasibility floors).
 
     The floors keep `high_energy_cutoff` below M and leave the oscillatory
     support of every prepared state strictly inside the grid.
     """
+    _check_size("N", N)
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
     if not (0 < eps < 1):
@@ -392,6 +399,8 @@ class QHTOperator:
 
     def __init__(self, config: QHTConfig):
         M, N = config.M, config.N
+        _check_size("N", N)
+        _check_size("M", M)
         if M < 1 or M & (M - 1):
             raise ConfigError(f"phase estimation needs a power-of-two M, got M={M}")
         # hermite_basis and build_pr_state would refuse these only inside the build

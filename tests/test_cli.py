@@ -4,7 +4,7 @@ import json
 import pytest
 
 from qhermite import discrete_qho, learning_testers
-from qhermite.cli import main, read_table
+from qhermite.cli import _write_table, main, read_table
 
 QHT_N4 = """\
 # {"N": 4, "command": "qht", "eps": 0.01, "format": "csv", "timings": false}
@@ -151,6 +151,7 @@ class TestRoundTrip:
         _, timed_rows, timed_summary = read_table(timed)
         assert timed_summary.pop("columns_ms") >= 0
         assert timed_summary.pop("workers") >= 1
+        assert timed_summary.pop("runtime_ms") >= 0
         assert timed_summary == summary
         assert timed_rows == read_table(out)[1]
 
@@ -204,7 +205,9 @@ class TestUsageErrors:
                                       ["ggl", "--mode", "quantum"], ["sample", "--trials", "-5"],
                                       ["sample", "--n", "0", "--trials", "10"],
                                       ["ggl", "--n", "0", "--seeds", "0"],
-                                      ["ff-error", "--M", "0"], ["ff-error", "--M", "128,-4"]])
+                                      ["ff-error", "--M", "0"], ["ff-error", "--M", "128,-4"],
+                                      ["sample", "--D", "-1"], ["test", "--D", "-1"],
+                                      ["overlap", "--n", "-2"]])
     def test_malformed_option_is_a_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "x.csv"
         assert main(args + ["--out", str(out)]) == 1
@@ -242,9 +245,12 @@ class TestUsageErrors:
         assert meta["calibration"] == str(cal) and len(rows) == 2
         assert summary["N_high"] == 60   # ceil(3.0 * 2 / 0.1), from the loaded file
 
-    def test_bad_config_rejected(self, tmp_path):
+    def test_bad_config_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["qht", "--N", "4", "--eps", "2.0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: eps must be in (0, 1), got 2.0"]
+        assert not out.exists()
 
 
 class TestSampleCorpusFile:
@@ -301,9 +307,16 @@ class TestSampleCorpusFile:
         {"family": "product_sign", "n": 2},
         {"family": "noisy_product_sign", "n": 1, "support": [0], "eta": 0.1, "seed": -1},
         ["product_sign", 1],
+        {"family": "constant", "value": "x"},
+        {"family": ["product_sign"], "n": 1},
+        {"family": "mixture", "n": 1, "terms": [[1, 0.5]]},
+        {"family": "product_sign", "n": 1, "support": 0},
+        {"family": "hermite_monomial", "n": 1, "v": [2], "bounded": "no"},
     ], ids=["kappa-zero", "n-zero", "n-float", "eta-above-one", "no-terms",
             "negative-half-width", "negative-degree", "float-axis", "float-degree",
-            "bool-degree", "unknown-key", "missing-key", "negative-seed", "not-an-object"])
+            "bool-degree", "unknown-key", "missing-key", "negative-seed", "not-an-object",
+            "string-value", "list-family", "term-not-a-pair", "support-not-a-list",
+            "string-flag"])
     def test_bad_entry_is_one_error_line(self, tmp_path, capsys, entry):
         corpus_file = tmp_path / "corpus.json"
         corpus_file.write_text(json.dumps([entry]))
@@ -385,15 +398,21 @@ class TestTestCommand:
 
 
 class TestTimings:
-    """--timings adds one wall-clock footer field; without it the output is unchanged."""
+    """--timings adds one wall-clock footer field; without it the output is unchanged.
 
-    @pytest.mark.parametrize("args", [
-        ["overlap", "--M", "512", "--n", "3"],
-        ["sample", "--n", "1", "--trials", "30", "--seed", "5"],
-        ["ggl", "--n", "2", "--seeds", "0"],
-        ["test", "--M", "256", "--seed", "1"],
-    ], ids=["overlap", "sample", "ggl", "test"])
-    def test_runtime_only_under_the_flag(self, tmp_path, args):
+    ff-error also adds a per-row runtime_ms column, and qht its build's
+    columns_ms and workers.
+    """
+
+    @pytest.mark.parametrize("args, row_fields, footer_fields", [
+        (["ff-error", "--M", "64", "--N", "2,4", "--t", "0.5"], ["runtime_ms"], []),
+        (["overlap", "--M", "512", "--n", "3"], [], []),
+        (["qht", "--N", "2", "--eps", "0.1"], [], ["columns_ms", "workers"]),
+        (["sample", "--n", "1", "--trials", "30", "--seed", "5"], [], []),
+        (["ggl", "--n", "2", "--seeds", "0"], [], []),
+        (["test", "--M", "256", "--seed", "1"], [], []),
+    ], ids=["ff-error", "overlap", "qht", "sample", "ggl", "test"])
+    def test_runtime_only_under_the_flag(self, tmp_path, args, row_fields, footer_fields):
         _, plain = _run(tmp_path, "a.csv", list(args))
         _, again = _run(tmp_path, "b.csv", list(args))
         assert plain.read_bytes() == again.read_bytes()
@@ -402,7 +421,30 @@ class TestTimings:
         code, timed = _run(tmp_path, "t.csv", args + ["--timings"])
         assert code == 0
         timed_meta, timed_rows, timed_summary = read_table(timed)
-        assert timed_summary.pop("runtime_ms") >= 0
+        assert isinstance(timed_summary.pop("runtime_ms"), int)
+        for field in footer_fields:
+            assert timed_summary.pop(field) >= 0
         assert timed_summary == (summary or {})
+        for field in row_fields:
+            assert all(int(r.pop(field)) >= 0 for r in timed_rows)
         assert timed_rows == rows
         assert timed_meta == {**meta, "timings": True}
+
+    def test_infeasible_rows_keep_the_runtime_column(self, tmp_path):
+        # M = 4096 is past the meter's budget and N = 100 > M = 64: those rows are
+        # infeasible, and their runtime_ms is left empty
+        code, out = _run(tmp_path, "ff.csv", ["ff-error", "--M", "64,4096", "--N", "2,100",
+                                              "--t", "0.5", "--timings"])
+        assert code == 2
+        lines = out.read_text().splitlines()[1:-1]
+        assert {line.count(",") for line in lines} == {6}
+        _, rows, summary = read_table(out)
+        assert [(r["status"], r["runtime_ms"] == "") for r in rows] == [
+            ("ok", False), ("infeasible", True), ("infeasible", True), ("infeasible", True)]
+        assert summary["runtime_ms"] >= 0
+
+    def test_writer_refuses_a_ragged_row(self, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="row \\[1\\] has 1 fields under the 2-field"):
+            _write_table(str(out), {}, ["a", "b"], [[1, 2], [1]], "csv", {})
+        assert not out.exists()

@@ -93,6 +93,12 @@ class TestChooseDimensions:
         with pytest.raises(ConfigError):
             choose_dimensions(4, 1.0)
 
+    @pytest.mark.parametrize("N", [2.5, 4.0, True])
+    def test_non_integer_n_rejected(self, N):
+        # 2.5 used to come back as a config with N=2.5
+        with pytest.raises(ConfigError, match=re.escape(f"N must be an integer, got {N!r}")):
+            choose_dimensions(N, 0.1)
+
     def test_acceptance_scale_instance(self):
         cfg = choose_dimensions(8, 0.01)
         assert cfg.M == 4096
@@ -372,9 +378,12 @@ class TestPipelineContext:
         (16, 8, "N=16 must be in \\[1, M=8\\)"), (8, 8, "N=8 must be in \\[1, M=8\\)"),
         (0, 16, "N=0 must be in \\[1, M=16\\)"),
         (7, 8, "M=8 too small for the n=6 oscillatory support"),
+        (2.5, 256, "N must be an integer, got 2.5"), (True, 256, "N must be an integer, got True"),
+        (2, 256.0, "M must be an integer, got 256.0"),
     ])
     def test_too_small_grid_rejected_at_construction(self, N, M, reason):
-        # hermite_basis and build_pr_state refused these only once the build ran
+        # hermite_basis and build_pr_state refused these only once the build ran,
+        # a float or bool size with a bare TypeError
         with pytest.raises(ConfigError, match=reason):
             QHTOperator(QHTConfig(N=N, eps=0.1, M=M))
 
