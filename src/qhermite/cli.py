@@ -7,8 +7,8 @@ which breaks the hash on purpose).  Exit code 0 means every row computed,
 2 means some rows were infeasible (reported in-file), 1 means usage error.
 
 Each `cmd_*` computes and returns (header, rows, footer, exit code); `main`
-alone writes the table, adds `runtime_ms` to the footer under --timings, and
-turns a failure into one `error:` line.
+alone checks --out before any work, writes the table, adds `runtime_ms` to
+the footer under --timings, and turns a failure into one `error:` line.
 """
 from __future__ import annotations
 
@@ -17,12 +17,11 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 
 import numpy as np
-
-from .calibration import load_calibration
 
 __all__ = ["main", "read_table"]
 
@@ -75,6 +74,17 @@ def read_table(path):
         elif line:
             rows.append(dict(zip(header, next(csv.reader([line])))))
     return meta, rows, summary
+
+
+def _check_out(path) -> None:
+    """Refuse an --out that cannot be opened for writing, before any work is done."""
+    if path == "-":
+        return
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {path}: no directory {parent}")
 
 
 def _meta(args) -> dict:
@@ -161,11 +171,7 @@ def cmd_overlap(args):
 def cmd_qht(args):
     from .qht_pipeline import choose_dimensions, high_energy_cutoff, qht_operator
 
-    try:   # loaded before any work, so a bad file fails fast
-        cal = load_calibration(args.calibration) if args.calibration else None
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"cannot load calibration: {type(exc).__name__}: {exc}") from None
-    cfg = choose_dimensions(args.N, args.eps, cal)
+    cfg = choose_dimensions(args.N, args.eps)
     op = qht_operator(cfg)
     t0 = time.perf_counter()
     columns = op.matrix()
@@ -179,7 +185,7 @@ def cmd_qht(args):
         rows.append([n, f"{fid:.8f}", f"{block_fid:.8f}", f"{1.0 - fid:.3e}",
                      f"{1.0 - block_fid:.3e}", f"{op.filter_leaks[n]:.3e}",
                      f"{op.uncompute_residuals[n]:.3e}"])
-    footer = {"M": cfg.M, "N_high": high_energy_cutoff(cfg.N, cfg.eps, cal),
+    footer = {"M": cfg.M, "N_high": high_energy_cutoff(cfg.N, cfg.eps),
               "v_passes": op.v_passes}
     if args.timings:
         footer["columns_ms"] = int(build_s * 1000)
@@ -334,7 +340,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("qht", help="end-to-end transform fidelity report")
     p.add_argument("--N", type=int, default=8)
     p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--calibration", default=None)
     common(p)
     p.set_defaults(func=cmd_qht)
 
@@ -377,11 +382,12 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     t0 = time.perf_counter()   # runtime_ms counts the subcommand's imports too
     try:
+        _check_out(args.out)
         header, rows, footer, code = args.func(args)
         if args.timings:
             footer["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
         _write_table(args.out, _meta(args), header, rows, args.format, footer)
-    except (ValueError, RuntimeError) as exc:   # a ConfigError is a ValueError
+    except (ValueError, RuntimeError, OSError) as exc:   # ConfigError is a ValueError
         if isinstance(exc, RuntimeError):   # hermite_sampling is loaded only on this path
             from .hermite_sampling import PostselectionFailure
 

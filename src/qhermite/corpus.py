@@ -24,13 +24,12 @@ from __future__ import annotations
 import inspect
 import json
 import math
-import numbers
 from dataclasses import replace
 
 import numpy as np
 
 from .hermite_sampling import OracleFunction
-from .spectral_core import probabilist_product, probabilist_rows
+from .spectral_core import _is_int, probabilist_product, probabilist_rows
 
 __all__ = [
     "constant",
@@ -45,10 +44,6 @@ __all__ = [
 ]
 
 SUP_RANGE = 5.0   # bounded oracles are scaled by their sup over [-SUP_RANGE, SUP_RANGE]^n
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _arity(n) -> int:

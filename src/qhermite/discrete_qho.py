@@ -35,7 +35,6 @@ t_max = 30 each family takes about 20-25 ms (one BLAS thread).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +42,7 @@ import numpy as np
 from .spectral_core import (
     GridSpec,
     InvalidSpecError,
+    _is_int,
     hermite_function_rows,
 )
 
@@ -550,13 +550,13 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     M = qho.M
     if M > TAIL_M_CAP:
         raise ValueError(f"tail budget exceeded: M={M} > {TAIL_M_CAP}")
-    if not isinstance(N, numbers.Integral) or not 1 <= N <= M:
+    if not _is_int(N) or not 1 <= N <= M:
         raise ValueError(f"N must be an integer in [1, M={M}], got {N!r}")
-    if not isinstance(t_max, numbers.Integral):
+    if not _is_int(t_max):
         raise ValueError(f"t_max must be an integer, got {t_max!r}")
     if t_max > TAIL_T_CAP:
         raise ValueError(f"tail budget exceeded: t_max={t_max} > {TAIL_T_CAP}")
-    if not (dps is None or isinstance(dps, numbers.Integral) and dps >= 1):
+    if not (dps is None or _is_int(dps) and dps >= 1):
         raise ValueError(f"dps must be None or an integer >= 1, got {dps!r}")
     if family not in TAIL_FAMILIES:
         raise ValueError(f"unknown family {family!r}")

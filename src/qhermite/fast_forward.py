@@ -51,6 +51,7 @@ from .discrete_qho import (
     _rayleigh_terms,
     apply_hamiltonian,
 )
+from .spectral_core import _is_int
 
 __all__ = [
     "FactoredEvolution",
@@ -276,8 +277,8 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
         raise ValueError(f"projected-error budget is M <= {LOW_ENERGY_M_CAP}")
     if eig.dim != qho.M:
         raise ValueError(f"eigenbasis has dimension {eig.dim}, grid has M={qho.M}")
-    if not 1 <= N <= qho.M:
-        raise ValueError(f"projection rank N={N} is outside 1..M={qho.M}")
+    if not _is_int(N) or not 1 <= N <= qho.M:
+        raise ValueError(f"projection rank N={N!r} must be an integer in 1..M={qho.M}")
     if not math.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t}")
     low = eig.vectors[:, :N]

@@ -166,17 +166,14 @@ def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: flo
     m = max(m, 64)
     J = pattern.fixed_positions
     rest = pattern.wildcard_positions
-    pts1 = np.empty((m, f.arity))
-    pts2 = np.empty((m, f.arity))
     z = rng.standard_normal((m, len(rest)))
     y1 = rng.standard_normal((m, len(J)))
     y2 = rng.standard_normal((m, len(J)))
-    for col, pos in enumerate(rest):
-        pts1[:, pos] = z[:, col]
-        pts2[:, pos] = z[:, col]
-    for col, pos in enumerate(J):
-        pts1[:, pos] = y1[:, col]
-        pts2[:, pos] = y2[:, col]
+    pts1 = np.empty((m, f.arity))
+    pts1[:, list(rest)] = z   # the two points share the wildcard coordinates
+    pts2 = pts1.copy()
+    pts1[:, list(J)] = y1
+    pts2[:, list(J)] = y2
     prods = (f.evaluate(pts1) * f.evaluate(pts2)
              * _pattern_rows(pattern, y1) * _pattern_rows(pattern, y2))
     mean = float(prods.mean())
@@ -292,8 +289,10 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
 # ---------------------------------------------------------------------------
 
 
-def _mode_sample(f: OracleFunction, scfg: SamplerConfig, rng, repeats: int):
-    """Repeated spectrum draws; returns (mode sample, draw count)."""
+def _mode_sample(f: OracleFunction, sampler_config: SamplerConfig | None, rng, delta: float):
+    """The mode of max(4, ceil(4 ln(2/delta))) spectrum draws (D = 9 by default), and that count."""
+    scfg = sampler_config or SamplerConfig(D=9)
+    repeats = max(4, int(math.ceil(4 * math.log(2.0 / delta))))
     counts = _tally(_spectrum_draws(f, scfg, rng, repeats)[0], scfg.D)
     if not counts:
         return None, repeats
@@ -313,9 +312,7 @@ def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
     distance 1 from every k-sign function).
     """
     threshold = _promise(eps1, eps2, delta)
-    scfg = sampler_config or SamplerConfig(D=9)
-    repeats = max(4, int(math.ceil(4 * math.log(2.0 / delta))))
-    v_mode, used = _mode_sample(f, scfg, rng, repeats)
+    v_mode, used = _mode_sample(f, sampler_config, rng, delta)
     if v_mode is None:
         return TesterVerdict(accept=False, samples_used=used)
     support = tuple(i for i, c in enumerate(v_mode) if c > 0)
@@ -367,9 +364,7 @@ def test_hermite_polynomial(f: OracleFunction, k: int, eps1: float, eps2: float,
     Candidates with the wrong variable count are rejected outright.
     """
     threshold = _promise(eps1, eps2, delta)
-    scfg = sampler_config or SamplerConfig(D=9)
-    repeats = max(4, int(math.ceil(4 * math.log(2.0 / delta))))
-    v_mode, used = _mode_sample(f, scfg, rng, repeats)
+    v_mode, used = _mode_sample(f, sampler_config, rng, delta)
     if v_mode is None:
         return TesterVerdict(accept=False, samples_used=used)
     if sum(1 for c in v_mode if c > 0) != k:

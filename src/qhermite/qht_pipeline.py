@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .calibration import Calibration
+from .calibration import C0, C1
 from .discrete_qho import hermite_basis
 from .fast_forward import (
     _enter_frame,
@@ -40,7 +39,7 @@ from .fast_forward import (
     decompose,
     evolution_tables,
 )
-from .spectral_core import GridSpec
+from .spectral_core import GridSpec, _is_int
 
 __all__ = [
     "QHTConfig",
@@ -69,9 +68,25 @@ class ConfigError(ValueError):
     """Infeasible transform configuration (reported, never silently clamped)."""
 
 
+def _check_size(name: str, value) -> None:
+    """A dimension is a plain integer: a float or a bool fails only deep in the build."""
+    if not _is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_eps(eps) -> None:
+    if not (0 < eps < 1):
+        raise ConfigError(f"eps must be in (0, 1), got {eps}")
+
+
 @dataclass(frozen=True)
 class QHTConfig:
-    """One transform instance: every field changes the columns it builds."""
+    """One transform instance: every field changes the columns it builds.
+
+    Every field is checked at construction, and so by `dataclasses.replace`:
+    an invalid config raises ConfigError and never exists, so no cache or
+    caller holds one.
+    """
 
     N: int                  # transform dimension (indices 0..N-1)
     eps: float              # target additive error
@@ -80,24 +95,44 @@ class QHTConfig:
     aa_rounds: int = 0      # fixed-point degree L override; 0 derives from eps
     delta_lower: float = 0.3  # guaranteed flagged-overlap lower bound
 
+    def __post_init__(self):
+        N, M = self.N, self.M
+        _check_size("N", N)
+        _check_size("M", M)
+        if M < 1 or M & (M - 1):
+            raise ConfigError(f"phase estimation needs a power-of-two M, got M={M}")
+        # hermite_basis and build_pr_state would refuse these only inside the build
+        if not 1 <= N < M:
+            raise ConfigError(f"N={N} must be in [1, M={M})")
+        if pr_support(N - 1, M) >= M // 2:
+            raise ConfigError(f"M={M} too small for the n={N - 1} oscillatory support")
+        _check_eps(self.eps)
+        # a fractional bit count or degree would be silently floored or ignored
+        if not (self.oracle_bits is None or _is_int(self.oracle_bits)):
+            raise ConfigError(f"oracle_bits must be None or an integer, got {self.oracle_bits}")
+        if not _is_int(self.aa_rounds):
+            raise ConfigError(f"aa_rounds must be an integer, got {self.aa_rounds}")
+        # one bit rounds the oscillation phase to multiples of pi, where sin vanishes
+        if self.oracle_bits is not None and self.oracle_bits < 2:
+            raise ConfigError(f"oracle_bits must be None or >= 2, got {self.oracle_bits}")
+        if self.aa_rounds < 0:
+            raise ConfigError(f"aa_rounds must be >= 0, got {self.aa_rounds}")
+        # an overlap is at most 1; a larger bound only shrinks the degree L toward 1
+        if not (0 < self.delta_lower <= 1):
+            raise ConfigError(f"delta_lower must be in (0, 1], got {self.delta_lower}")
+
     @property
     def m_bits(self) -> int:
         return int(round(math.log2(self.M)))
 
 
-def high_energy_cutoff(N: int, eps: float, calibration: Calibration | None = None) -> int:
-    """N_high = ceil(c1*N/eps), the eigenindex past which prepared-state mass counts as leaked."""
-    return int(math.ceil((calibration or Calibration()).c1 * N / eps))
+def high_energy_cutoff(N: int, eps: float) -> int:
+    """N_high = ceil(C1*N/eps), the eigenindex past which prepared-state mass counts as leaked."""
+    return int(math.ceil(C1 * N / eps))
 
 
-def _check_size(name: str, value) -> None:
-    """A dimension is a plain integer: a float or a bool fails only deep in the build."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def choose_dimensions(N: int, eps: float, calibration: Calibration | None = None) -> QHTConfig:
-    """Smallest power-of-two M >= c0*N^(9/4)/eps^(13/4) (plus feasibility floors).
+def choose_dimensions(N: int, eps: float) -> QHTConfig:
+    """Smallest power-of-two M >= C0*N^(9/4)/eps^(13/4) (plus feasibility floors).
 
     The floors keep `high_energy_cutoff` below M and leave the oscillatory
     support of every prepared state strictly inside the grid.
@@ -105,17 +140,13 @@ def choose_dimensions(N: int, eps: float, calibration: Calibration | None = None
     _check_size("N", N)
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
-    if not (0 < eps < 1):
-        raise ConfigError(f"eps must be in (0, 1), got {eps}")
-    cal = calibration or Calibration()
-    floor = max(cal.c0 * N**2.25 / eps**3.25, high_energy_cutoff(N, eps, cal) + 2, 16 * N, 16)
+    _check_eps(eps)
+    floor = max(C0 * N**2.25 / eps**3.25, high_energy_cutoff(N, eps) + 2, 16 * N, 16)
     M = 1 << max(4, int(math.ceil(math.log2(floor))))
     if M > M_CAP:
         raise ConfigError(
             f"required M={M} exceeds the hard cap {M_CAP}; "
-            f"requested (N={N}, eps={eps}) with c0={cal.c0}")
-    if pr_support(N - 1, M) >= M // 2:
-        raise ConfigError(f"M={M} too small for the n={N - 1} oscillatory support")
+            f"requested (N={N}, eps={eps}) with c0={C0}")
     return QHTConfig(N=N, eps=eps, M=M)
 
 
@@ -399,30 +430,6 @@ class QHTOperator:
 
     def __init__(self, config: QHTConfig):
         M, N = config.M, config.N
-        _check_size("N", N)
-        _check_size("M", M)
-        if M < 1 or M & (M - 1):
-            raise ConfigError(f"phase estimation needs a power-of-two M, got M={M}")
-        # hermite_basis and build_pr_state would refuse these only inside the build
-        if not 1 <= N < M:
-            raise ConfigError(f"N={N} must be in [1, M={M})")
-        if pr_support(N - 1, M) >= M // 2:
-            raise ConfigError(f"M={M} too small for the n={N - 1} oscillatory support")
-        if not (0 < config.eps < 1):
-            raise ConfigError(f"eps must be in (0, 1), got {config.eps}")
-        # a fractional bit count or degree would be silently floored or ignored
-        if not (config.oracle_bits is None or isinstance(config.oracle_bits, numbers.Integral)):
-            raise ConfigError(f"oracle_bits must be None or an integer, got {config.oracle_bits}")
-        if not isinstance(config.aa_rounds, numbers.Integral):
-            raise ConfigError(f"aa_rounds must be an integer, got {config.aa_rounds}")
-        # one bit rounds the oscillation phase to multiples of pi, where sin vanishes
-        if config.oracle_bits is not None and config.oracle_bits < 2:
-            raise ConfigError(f"oracle_bits must be None or >= 2, got {config.oracle_bits}")
-        if config.aa_rounds < 0:
-            raise ConfigError(f"aa_rounds must be >= 0, got {config.aa_rounds}")
-        # an overlap is at most 1; a larger bound only shrinks the degree L toward 1
-        if not (0 < config.delta_lower <= 1):
-            raise ConfigError(f"delta_lower must be in (0, 1], got {config.delta_lower}")
         self.config = config
         self.basis = hermite_basis(GridSpec(M), N - 1)   # row n is |psibar_n>
         base = 2 * math.pi / M

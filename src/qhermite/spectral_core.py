@@ -13,6 +13,7 @@ already ordered by increasing position.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ __all__ = [
     "probabilist_rows",
     "probabilist_product",
 ]
+
+
+def _is_int(value) -> bool:
+    """An integer count or size: numpy integers pass, a bool or a float does not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class InvalidSpecError(ValueError):

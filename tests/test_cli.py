@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qhermite import discrete_qho, learning_testers
+from qhermite import cli, discrete_qho, learning_testers
 from qhermite.cli import _write_table, main, read_table
 
 QHT_N4 = """\
@@ -186,17 +186,13 @@ class TestUsageErrors:
     @pytest.mark.parametrize("content", [None, "not json", '{"version": 1}'],
                              ids=["missing", "malformed", "incomplete"])
     def test_bad_calibration_fails_fast(self, tmp_path, capsys, command, content):
-        # qht reads --calibration; the other subcommands do not take the option
+        # no subcommand takes the option, whatever the file holds
         cal = tmp_path / "cal.json"
         if content is not None:
             cal.write_text(content)
         out = tmp_path / "x.csv"
         assert main([command, "--calibration", str(cal), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        if command == "qht":
-            assert err.startswith("error: cannot load calibration: ")
-        else:
-            assert "unrecognized arguments: --calibration" in err
+        assert "unrecognized arguments: --calibration" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [["sample", "--seed", "x"], ["qht", "--N", "8.5"],
@@ -235,21 +231,31 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: delta must be in (0, 1)")
         assert not out.exists()
 
-    def test_calibration_path_kept_in_provenance(self, tmp_path):
-        cal = tmp_path / "cal.json"
-        cal.write_text('{"version": 1, "c0": 1e-5, "c1": 3.0}')   # c1 = 4 is the default
-        code, out = _run(tmp_path, "q.csv", ["qht", "--N", "2", "--eps", "0.1",
-                                            "--calibration", str(cal)])
-        assert code == 0
-        meta, rows, summary = read_table(out)
-        assert meta["calibration"] == str(cal) and len(rows) == 2
-        assert summary["N_high"] == 60   # ceil(3.0 * 2 / 0.1), from the loaded file
-
     def test_bad_config_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["qht", "--N", "4", "--eps", "2.0", "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: eps must be in (0, 1), got 2.0"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing_dir/x.csv", "."], ids=["no-parent", "directory"])
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, where):
+        def refuse(args):
+            raise AssertionError("the subcommand ran")
+
+        monkeypatch.setattr(cli, "cmd_overlap", refuse)
+        out = tmp_path / where
+        assert main(["overlap", "--M", "512", "--n", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --out {out}")
+        assert not (tmp_path / "missing_dir").exists()
+
+    def test_missing_corpus_is_an_error_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sample", "--corpus", str(tmp_path / "missing.json"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "missing.json" in err[0]
         assert not out.exists()
 
 

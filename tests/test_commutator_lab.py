@@ -278,6 +278,9 @@ class TestInputValidation:
         ({"dps": 40.0}, "dps must be None or an integer >= 1, got 40.0"),
         ({"c1": float("nan")}, "coefficient constants must satisfy"),
         ({"c2": float("nan")}, "coefficient constants must satisfy"),
+        ({"N": True}, "N must be an integer in \\[1, M=16\\], got True"),
+        ({"t_max": True}, "t_max must be an integer, got True"),
+        ({"dps": True}, "dps must be None or an integer >= 1, got True"),
     ])
     def test_rejected_before_mpmath(self, monkeypatch, kwargs, message):
         def no_inputs(*args):

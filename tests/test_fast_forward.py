@@ -549,7 +549,7 @@ class TestLowEnergyError:
 
     # one meter is left; the parameter keeps the cases' names
     @pytest.mark.parametrize("meter", [low_energy_error])
-    @pytest.mark.parametrize("N", [0, -1, 65])
+    @pytest.mark.parametrize("N", [0, -1, 65, True, 2.5])
     def test_rejects_rank_outside_grid(self, eig_cache, meter, N):
         with pytest.raises(ValueError, match=f"N={N} .*M=64"):
             meter(build(GridSpec(64)), eig_cache(64), N, 0.3)

@@ -349,13 +349,16 @@ class TestDraw:
         f = corpus.product_sign((0,), 1)
         scfg = SamplerConfig(M=256, D=9)
         dist = sample_distribution(f, scfg)
-        for seed in range(50):   # the first seed whose two draws differ, both in range
-            v, _ = draw(dist, np.random.default_rng(seed), 2)
-            if v[0, 0] != v[1, 0] and v.max() <= dist.D:
+        for seed in range(200):   # the first seed whose 4 draws are in range and tie at the top
+            v, _ = draw(dist, np.random.default_rng(seed), 4)
+            counts = list(_tally(v).items())
+            top = max(c for _, c in counts)
+            if v.max() <= dist.D and sum(c == top for _, c in counts) > 1:
                 break
-        mode, used = _mode_sample(f, scfg, np.random.default_rng(seed), 2)
-        assert v[0, 0] != v[1, 0] and used == 2
-        assert mode == (v[0, 0],)
+        # delta = 0.9 asks for the fewest draws, max(4, ceil(4 ln(2/0.9))) = 4
+        mode, used = _mode_sample(f, scfg, np.random.default_rng(seed), 0.9)
+        assert sum(c == top for _, c in counts) > 1 and used == 4
+        assert mode == next(u for u, c in counts if c == top)
 
 
 class TestGeneralSampler:

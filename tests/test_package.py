@@ -113,10 +113,11 @@ print(json.dumps([loaded, sorted(k for k in ns if not k.startswith("__"))]))
 @pytest.mark.parametrize("argv, absent", [
     # numpy.ma (loaded by np.setdiff1d, for one) adds about 2 MB and 14 ms
     (["ff-error", "--M", "64", "--N", "2", "--t", "0.5"],
-     ["mpmath", "numpy.ma", "qhermite.hermite_sampling", "qhermite.learning_testers",
-      "qhermite.qht_pipeline"]),
+     ["mpmath", "numpy.ma", "qhermite.calibration", "qhermite.hermite_sampling",
+      "qhermite.learning_testers", "qhermite.qht_pipeline"]),
     (["sample", "--n", "1", "--M", "64", "--D", "3", "--trials", "5"],
-     ["mpmath", "qhermite.qht_pipeline", "qhermite.fast_forward", "qhermite.learning_testers"]),
+     ["mpmath", "qhermite.calibration", "qhermite.qht_pipeline", "qhermite.fast_forward",
+      "qhermite.learning_testers"]),
     # loads qht_pipeline but builds no column; the column build runs on plain
     # threads, so concurrent.futures stays out unless an executor comes back
     (["overlap", "--M", "512", "--n", "3"],

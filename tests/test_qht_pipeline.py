@@ -7,7 +7,6 @@ import pytest
 from conftest import loewdin_orthonormalize
 
 from qhermite import qht_pipeline
-from qhermite.calibration import Calibration
 from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis
 from qhermite.fast_forward import apply_tables
 from qhermite.qht_pipeline import (
@@ -69,14 +68,12 @@ def _uncompute_blocks(cfg, blocks):
 
 class TestChooseDimensions:
     def test_small_instance_defaults(self):
-        # with the literal formula constants, N=1 eps=0.5 needs only M=16
-        cal = Calibration.paper_scaling()
-        assert choose_dimensions(1, 0.5, cal).M == 16
-        assert high_energy_cutoff(1, 0.5, cal) == 8
+        # N=1 eps=0.5 needs only the smallest grid, M=16
+        assert choose_dimensions(1, 0.5).M == 16
+        assert high_energy_cutoff(1, 0.5) == 8
 
     def test_n_high_formula(self):
         assert high_energy_cutoff(16, 0.1) == 640
-        assert high_energy_cutoff(2, 0.1, Calibration(c1=3.0)) == 60
 
     def test_monotone_in_eps(self):
         prev = 0
@@ -87,7 +84,7 @@ class TestChooseDimensions:
 
     def test_hard_cap_reported(self):
         with pytest.raises(ConfigError):
-            choose_dimensions(64, 1e-3, Calibration.paper_scaling())
+            choose_dimensions(64, 1e-3)
 
     def test_invalid_eps(self):
         with pytest.raises(ConfigError):
@@ -351,12 +348,11 @@ class TestPipelineContext:
 
     @pytest.mark.parametrize("eps", [1.5, 1.0, 0.0, -0.1, float("nan")])
     def test_eps_outside_unit_interval_rejected(self, eps):
-        # a hand-built config skips choose_dimensions' check; the operator repeats it
-        cfg = QHTConfig(N=2, eps=eps, M=256)
+        # a hand-built config is checked at construction, as choose_dimensions' is
         with pytest.raises(ConfigError, match=f"eps must be in \\(0, 1\\), got {eps}"):
-            QHTOperator(cfg)
+            QHTConfig(N=2, eps=eps, M=256)
         with pytest.raises(ConfigError, match="eps must be in"):
-            qht_apply(np.array([1.0, 0.0]), cfg)
+            replace(QHTConfig(N=2, eps=0.05, M=256), eps=eps)
 
     @pytest.mark.parametrize("knob, value, rule", [
         ("oracle_bits", 1, "None or >= 2"), ("oracle_bits", 0, "None or >= 2"),
@@ -365,14 +361,14 @@ class TestPipelineContext:
         ("delta_lower", -0.3, "in (0, 1]"), ("delta_lower", float("nan"), "in (0, 1]"),
         ("oracle_bits", 2.5, "None or an integer"), ("aa_rounds", 2.5, "an integer"),
         ("aa_rounds", float("nan"), "an integer"),
+        ("oracle_bits", True, "None or an integer"), ("aa_rounds", True, "an integer"),
     ])
     def test_no_amplification_or_vanished_state_rejected(self, knob, value, rule):
         # each would build without amplification, or from a prepared state of rounding only
-        cfg = replace(QHTConfig(N=2, eps=0.05, M=256), **{knob: value})
         with pytest.raises(ConfigError, match=re.escape(f"{knob} must be {rule}, got {value}")):
-            QHTOperator(cfg)
+            replace(QHTConfig(N=2, eps=0.05, M=256), **{knob: value})
         with pytest.raises(ConfigError, match=f"{knob} must be"):
-            qht_apply(np.array([1.0, 0.0]), cfg)
+            QHTConfig(N=2, eps=0.05, M=256, **{knob: value})
 
     @pytest.mark.parametrize("N, M, reason", [
         (16, 8, "N=16 must be in \\[1, M=8\\)"), (8, 8, "N=8 must be in \\[1, M=8\\)"),
@@ -385,7 +381,7 @@ class TestPipelineContext:
         # hermite_basis and build_pr_state refused these only once the build ran,
         # a float or bool size with a bare TypeError
         with pytest.raises(ConfigError, match=reason):
-            QHTOperator(QHTConfig(N=N, eps=0.1, M=M))
+            QHTConfig(N=N, eps=0.1, M=M)
 
     def test_smallest_legal_knobs_build(self):
         base = QHTConfig(N=2, eps=0.05, M=256)
@@ -400,12 +396,21 @@ class TestPipelineContext:
         assert np.array_equal(QHTOperator(cfg).matrix(), ref)
 
     def test_non_power_of_two_m_rejected(self):
-        cfg = QHTConfig(N=2, eps=0.01, M=3000)
         with pytest.raises(ConfigError, match="power-of-two"):
-            qht_apply(np.array([0.0, 1.0]), cfg)
-        with pytest.raises(ConfigError):
-            QHTOperator(cfg)
-        build_pr_state(1, cfg.M)   # state preparation does not need QPE
+            QHTConfig(N=2, eps=0.01, M=3000)
+        with pytest.raises(ConfigError, match="power-of-two"):
+            replace(QHTConfig(N=2, eps=0.01, M=2048), M=3000)
+        build_pr_state(1, 3000)   # state preparation does not need QPE
+
+    def test_held_config_does_not_admit_an_equal_invalid_one(self):
+        # the operator cache keys on config equality, and 256.0 == 256, True == 1:
+        # an invalid config must fail at construction, before it can reach the cache
+        cfg = QHTConfig(N=2, eps=0.05, M=256)
+        qht_apply(np.array([1.0, 0.0]), cfg)
+        with pytest.raises(ConfigError, match="M must be an integer, got 256.0"):
+            QHTConfig(N=2, eps=0.05, M=256.0)
+        with pytest.raises(ConfigError, match="N must be an integer, got True"):
+            replace(cfg, N=True)
 
     def test_streamed_output_matches_blockwise_uncompute(self):
         cfg = choose_dimensions(4, 0.05)
