@@ -80,6 +80,8 @@ def _check_out(path) -> None:
     """Refuse an --out that cannot be opened for writing, before any work is done."""
     if path == "-":
         return
+    if not path:
+        raise ValueError("--out is empty")
     if os.path.isdir(path):
         raise ValueError(f"--out {path} is a directory")
     parent = os.path.dirname(path) or "."

@@ -232,7 +232,7 @@ def mixture(terms, n: int, bounded: bool = False) -> OracleFunction:
 
 
 def indicator_bump(half_width: float, n: int = 1) -> OracleFunction:
-    """Indicator of [-w, w]^n: distortion grows as the bump narrows."""
+    """Indicator of [-w, w]^n: sup|f sqrt(nu)| / ||f sqrt(nu)||_2 grows as the bump narrows."""
     n = _arity(n)
     if not half_width > 0:
         raise ValueError(f"half_width must be > 0, got {half_width!r}")

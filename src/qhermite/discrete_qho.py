@@ -525,27 +525,27 @@ def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int):
 
 
 def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
-                         family: str = "x2_p2", dps: int | None = None,
-                         c1: float = 1.0, c2: float = 1.0) -> TailReport:
-    """|| Pi_N sum_t [c1*A, c2*B]_t / t! Pi_N || for the three operator families.
+                         family: str = "x2_p2", dps: int | None = None) -> TailReport:
+    """|| Pi_N sum_t [A, B]_t / t! Pi_N || for the three operator families.
 
     family "x2_p2":  A = xbar^2, B = pbar^2,        sum from t = 3
     family "p2_x2":  A = pbar^2, B = xbar^2,        sum from t = 3
     family "p2_anti": A = pbar^2, B = {xbar, pbar}, sum from t = 2
 
-    The tail bound is stated for any constants with |c1|, |c2| <= 1; they
-    enter exactly as [c1*A, c2*B]_t = c1^t c2 [A, B]_t.  Evaluated in the
-    representation where A is diagonal, where the t-fold nesting is the exact
-    entrywise factor (d_j - d_k)^t = (2 pi c1 / M)^t (J_j^2 - J_k^2)^t.  The
-    columns and symbols are computed in mpmath and rounded once to fixed
-    point at P = ceil(dps log2 10) + 16 bits; the projected sums of
-    (J_j^2 - J_k^2)^t times those integers are exact, and the scale
-    c2 (2 pi c1 / M)^t / t! is applied once per t when converting to
-    float64.  The integer pass runs at P and at P + 64 bits; the second gives
-    `tail_norm` and `term_norms`, and the spectral norm of the difference of
-    the two projected tails is `error_bar`.  N must be an integer in [1, M]
-    (a grid of M labels holds M Hermite columns), t_max an integer, and dps
-    None (`_tail_dps`) or an integer >= 1.
+    The paper's tail bound holds for [c1*A, c2*B]_t with any constants
+    |c1|, |c2| <= 1, which scale term t by c1^t c2; the lab measures
+    c1 = c2 = 1.  Evaluated in the representation where A is diagonal, where
+    the t-fold nesting is the exact entrywise factor
+    (d_j - d_k)^t = (2 pi / M)^t (J_j^2 - J_k^2)^t.  The columns and symbols
+    are computed in mpmath and rounded once to fixed point at
+    P = ceil(dps log2 10) + 16 bits; the projected sums of (J_j^2 - J_k^2)^t
+    times those integers are exact, and the scale (2 pi / M)^t / t! is
+    applied once per t when converting to float64.  The integer pass runs at
+    P and at P + 64 bits; the second gives `tail_norm` and `term_norms`, and
+    the spectral norm of the difference of the two projected tails is
+    `error_bar`.  N must be an integer in [1, M] (a grid of M labels holds M
+    Hermite columns), t_max an integer, and dps None (`_tail_dps`) or an
+    integer >= 1.
     """
     M = qho.M
     if M > TAIL_M_CAP:
@@ -560,8 +560,6 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
         raise ValueError(f"dps must be None or an integer >= 1, got {dps!r}")
     if family not in TAIL_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if not (abs(c1) <= 1.0 and abs(c2) <= 1.0):   # a NaN fails here too
-        raise ValueError("coefficient constants must satisfy |c1|, |c2| <= 1")
     t0 = 2 if family == "p2_anti" else 3
     if t_max < t0:
         return TailReport(family, M, N, t_max, 0.0, {}, 0)
@@ -573,8 +571,8 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     fine = bits + _TAIL_CHECK_BITS
     with mp.workprec(fine + _TAIL_GUARD_BITS):
         u, g = _tail_inputs(M, N, family, fine)
-        step = 2 * mp.pi * mp.mpf(c1) / M
-        scales = {t: mp.mpf(c2) * step ** t / mp.factorial(t) for t in range(t0, t_max + 1)}
+        step = 2 * mp.pi / M
+        scales = {t: step ** t / mp.factorial(t) for t in range(t0, t_max + 1)}
         tails, terms = [], {}
         for drop in (_TAIL_CHECK_BITS, 0):
             S = _integer_tail_sums([tuple((_shift(x, drop), s) for x, s in col) for col in u],

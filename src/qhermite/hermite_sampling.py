@@ -31,7 +31,6 @@ __all__ = [
     "spectrum_table",
     "sample_distribution",
     "draw",
-    "distortion",
     "tv_distance",
 ]
 
@@ -46,14 +45,11 @@ class PostselectionFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleFunction:
-    """Real function on R^n with declared precision, degree cutoff, distortion.
+    """Real function on R^n with declared degree cutoff and kappa.
 
     evaluator acts on arrays of shape (..., n) and returns shape (...).
-    input_bits, when set, snaps inputs to the anchor of their dyadic cube of
-    side 2^-input_bits before evaluation (f is constant on those cubes);
-    output_bits rounds outputs to that many fractional bits.  kappa is the
-    declared well-conditioning parameter: the rejection sampler is promised
-    a per-attempt success probability of at least 1/(2*kappa).
+    kappa is the declared well-conditioning parameter: the rejection sampler
+    is promised a per-attempt success probability of at least 1/(2*kappa).
     range_bounded declares |f| <= 1; unbounded oracles still sample (the
     amplitude rescale is folded into the controlled rotation) but pay for it
     in postselection probability, which the declared kappa must cover.
@@ -62,8 +58,6 @@ class OracleFunction:
     arity: int
     evaluator: object
     degree_cutoff: int = 9
-    input_bits: int | None = None
-    output_bits: int | None = None
     kappa: float = 1.0
     boolean: bool = False
     range_bounded: bool = True
@@ -75,14 +69,7 @@ class OracleFunction:
         pts = np.asarray(x, dtype=float)
         if pts.shape[-1] != self.arity:
             raise ValueError(f"expected points in R^{self.arity}, got shape {pts.shape}")
-        if self.input_bits is not None:
-            scale = 2.0**self.input_bits
-            pts = np.floor(pts * scale) / scale
-        vals = np.asarray(self.evaluator(pts), dtype=float)
-        if self.output_bits is not None:
-            oscale = 2.0**self.output_bits
-            vals = np.round(vals * oscale) / oscale
-        return vals
+        return np.asarray(self.evaluator(pts), dtype=float)
 
 
 def _quad_grid(M_quad: int):
@@ -204,9 +191,6 @@ class SampleDistribution:
         object.__setattr__(self, "cdf", np.cumsum(flat))
         object.__setattr__(self, "total", float(flat.sum() + self.out_mass))
 
-    def prob(self, v) -> float:
-        return float(self.probs[tuple(v)])
-
 
 def _axis_transform_rows(scfg: SamplerConfig) -> np.ndarray:
     """Rows <psibar_v| used for the per-axis inverse transform."""
@@ -268,7 +252,7 @@ def draw(dist: SampleDistribution, rng: np.random.Generator, k: int):
     distribution is drawn by rejection: the per-attempt success probability
     is computed exactly from the state and each attempt count drawn as the
     matching geometric variable (the aggregated Bernoulli sequence); the
-    declared distortion promises success >= 1/(2*kappa), and a batch with a
+    declared kappa promises success >= 1/(2*kappa), and a batch with a
     count beyond the attempt cap is a reported failure, not an exception
     swallowed.  All k counts are drawn before the k uniforms, so k = 1 and
     an unpostselected batch read the rng as k single draws would.
@@ -306,17 +290,6 @@ def _histogram(v: np.ndarray, D: int) -> np.ndarray:
     """
     shape = (D + 2,) * v.shape[1]
     return np.bincount(np.ravel_multi_index(v.T, shape), minlength=math.prod(shape)).reshape(shape)
-
-
-def distortion(f: OracleFunction, M_quad: int = 512) -> float:
-    """kappa(f) = sup|f sqrt(nu)| / ||f sqrt(nu)||_2 over the quadrature grid."""
-    x, h = _quad_grid(M_quad)
-    factors = None if f.product_factors is None else [
-        lambda y, g=g: g(y) * np.sqrt(_nu(y)) for g in f.product_factors]
-    _, sum_sq, sup = _grid_contract(
-        f.arity, lambda pts: f.evaluate(pts) * np.sqrt(np.prod(_nu(pts), axis=-1)), x,
-        factors=factors)
-    return sup / math.sqrt(h**f.arity * sum_sq)
 
 
 def tv_distance(counts: np.ndarray, q: np.ndarray) -> float:

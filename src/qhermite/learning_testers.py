@@ -34,7 +34,6 @@ __all__ = [
     "WeightEstimate",
     "TesterVerdict",
     "GGLResult",
-    "estimate_gamma",
     "weight_estimate",
     "coefficient_estimate",
     "gaussian_goldreich_levin",
@@ -42,6 +41,8 @@ __all__ = [
     "test_low_degree",
     "test_hermite_polynomial",
 ]
+
+LOW_DEGREE_C = 12.0   # test_low_degree draws ceil(LOW_DEGREE_C * ln(1/delta) / eps^2) samples
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,6 @@ class WeightEstimate:
     pattern: CoefficientPattern
     value: float
     half_width: float
-    confidence: float
     samples: int
 
 
@@ -98,31 +98,16 @@ class GGLResult:
     oracle_queries: int
 
 
-def estimate_gamma(f: OracleFunction, rng: np.random.Generator,
-                   n_points: int = 1000) -> float:
-    """Monte-Carlo E||grad f||^2 via central differences of step 1e-4 (heuristic fallback)."""
-    step = 1e-4
-    pts = rng.standard_normal((n_points, f.arity))
-    acc = np.zeros(n_points)
-    for i in range(f.arity):
-        shift = np.zeros(f.arity)
-        shift[i] = step
-        fp = f.evaluate(pts + shift)
-        fm = f.evaluate(pts - shift)
-        acc += ((fp - fm) / (2 * step)) ** 2
-    return float(acc.mean())
-
-
-def _resolve_gamma(f: OracleFunction, rng, gamma):
+def _resolve_gamma(f: OracleFunction, gamma=None) -> float:
+    """The Poincare proxy that sizes a weight estimate: gamma, else f's, else 1 for |f| <= 1."""
     if gamma is not None:
         return float(gamma)
     if f.gamma is not None:
         return max(float(f.gamma), 1e-6)
     if f.boolean or f.range_bounded:
-        # |f| <= 1 bounds the estimator variance directly; finite-difference
-        # gradients are meaningless on sign-type (discontinuous) oracles
+        # |f| <= 1 bounds the estimator variance directly
         return 1.0
-    return max(estimate_gamma(f, rng), 1e-6)
+    raise ValueError(f"oracle {f.label or '(unlabelled)'} is unbounded and declares no gamma")
 
 
 def _check_delta(delta: float) -> None:
@@ -153,15 +138,19 @@ def _pattern_rows(pattern: CoefficientPattern, y: np.ndarray) -> np.ndarray:
 def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: float,
                     delta: float, rng: np.random.Generator,
                     gamma: float | None = None) -> WeightEstimate:
-    """Monte-Carlo W^S(f) to within +-eps_est with probability 1 - delta.
+    """Monte-Carlo W^S(f), within +-eps_est w.p. 1 - delta for an oracle with |f| <= 1.
 
     Averages f(y,z) f(y',z) h_S(y) h_S(y') over ceil(gamma^2/eps^2 ln(2/delta))
-    paired Gaussian draws; the Poincare inequality bounds the estimator
-    variance through gamma = E||grad f||^2.  The reported half-width is the
-    empirical-Bernstein bound at the same confidence.
+    paired Gaussian draws (at least 64), gamma the Poincare proxy
+    E||grad f||^2 from `_resolve_gamma`.  With |f| <= 1 each term has
+    variance at most 1.  For an unbounded f the count does not bound the
+    variance, which follows the fourth moments of f h_S: for h_(2,1) it is
+    2024, a standard error of 0.39 at eps_est = delta = 0.05.  The reported
+    half-width, the empirical-Bernstein bound at the same confidence, is
+    then the error bar to read.
     """
     _check_delta(delta)
-    g = _resolve_gamma(f, rng, gamma)
+    g = _resolve_gamma(f, gamma)
     m = int(math.ceil(max(g, 1.0) ** 2 / eps_est**2 * math.log(2.0 / delta)))
     m = max(m, 64)
     J = pattern.fixed_positions
@@ -181,8 +170,7 @@ def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: flo
     rng_width = float(prods.max() - prods.min()) if m > 1 else 0.0
     log_term = math.log(3.0 / delta)
     half = math.sqrt(2.0 * var * log_term / m) + 3.0 * rng_width * log_term / m
-    return WeightEstimate(pattern=pattern, value=mean, half_width=half,
-                          confidence=1.0 - delta, samples=m)
+    return WeightEstimate(pattern=pattern, value=mean, half_width=half, samples=m)
 
 
 def coefficient_estimate(f: OracleFunction, v, eps_est: float, delta: float,
@@ -201,9 +189,8 @@ def coefficient_estimate(f: OracleFunction, v, eps_est: float, delta: float,
 
 
 def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
-                             rng: np.random.Generator, gamma: float | None = None,
-                             node_budget: int = 4096, mode: str = "classical",
-                             sampler_config: SamplerConfig | None = None) -> GGLResult:
+                             rng: np.random.Generator, node_budget: int = 4096,
+                             mode: str = "classical") -> GGLResult:
     """List every v with |fhat(v)| >= tau; everything listed has |fhat| >= tau/2.
 
     classical mode runs the prefix sweep: at level k each live pattern is
@@ -225,13 +212,13 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
     if not (0 < tau < 1):
         raise ValueError("tau must be in (0, 1)")
     _check_delta(delta)
-    g = _resolve_gamma(f, rng, gamma)
+    g = _resolve_gamma(f)
     cap = int(math.ceil(4.0 * g * g / tau)) + 4
     cap = min(cap, f.degree_cutoff)
     list_cap = max(1, int(math.floor(4.0 / tau**2)))
 
     if mode == "sampler":
-        scfg = sampler_config or SamplerConfig(D=cap)
+        scfg = SamplerConfig(D=cap)
         draws = max(int(math.ceil(32.0 / tau**2 * math.log(2.0 / delta))), 64)
         drawn, attempts = _spectrum_draws(f, scfg, rng, draws)
         counts = _tally(drawn, scfg.D)
@@ -312,6 +299,7 @@ def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
     distance 1 from every k-sign function).
     """
     threshold = _promise(eps1, eps2, delta)
+    _resolve_gamma(f)   # an oracle the weight estimate cannot size fails before any draw
     v_mode, used = _mode_sample(f, sampler_config, rng, delta)
     if v_mode is None:
         return TesterVerdict(accept=False, samples_used=used)
@@ -328,22 +316,21 @@ def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
 
 def test_low_degree(f: OracleFunction, d: int, eps1: float, eps2: float,
                     delta: float, rng: np.random.Generator,
-                    sampler_config: SamplerConfig | None = None,
-                    c_samples: float = 12.0) -> TesterVerdict:
+                    sampler_config: SamplerConfig | None = None) -> TesterVerdict:
     """Tolerantly test (eps, d)-low-degree-ness by counting sampled degrees.
 
-    Draws m = ceil(c * log(1/delta) / eps^2) spectrum samples and computes
-    the fraction X with total degree <= d, an estimate of the low-degree
-    weight; accept when X clears the midpoint 1 - (eps1+eps2)/2.  (Counting
-    low-degree draws estimates the low-degree mass, so the acceptance
-    threshold sits at one minus the distance midpoint.)
+    Draws m = ceil(LOW_DEGREE_C * log(1/delta) / eps^2) spectrum samples and
+    computes the fraction X with total degree <= d, an estimate of the
+    low-degree weight; accept when X clears the midpoint 1 - (eps1+eps2)/2.
+    (Counting low-degree draws estimates the low-degree mass, so the
+    acceptance threshold sits at one minus the distance midpoint.)
     """
     threshold = _promise(eps1, eps2, delta)
     eps = eps2 - eps1
     scfg = sampler_config or SamplerConfig(D=max(9, 2 * d + 1))
     if scfg.D < d:   # a per-axis cutoff below d would count degree-<=d mass as high
         raise ValueError(f"sampler cutoff D={scfg.D} is below the tested degree d={d}")
-    m = int(math.ceil(c_samples * math.log(1.0 / delta) / eps**2))
+    m = int(math.ceil(LOW_DEGREE_C * math.log(1.0 / delta) / eps**2))
     v, _ = _spectrum_draws(f, scfg, rng, m)
     # an out-of-range row sums to n * (D + 1) > d, so the mask drops it
     x = int(np.count_nonzero(v.sum(axis=1) <= d)) / m

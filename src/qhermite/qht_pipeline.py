@@ -118,7 +118,7 @@ class QHTConfig:
         if self.aa_rounds < 0:
             raise ConfigError(f"aa_rounds must be >= 0, got {self.aa_rounds}")
         # an overlap is at most 1; a larger bound only shrinks the degree L toward 1
-        if not (0 < self.delta_lower <= 1):
+        if isinstance(self.delta_lower, bool) or not (0 < self.delta_lower <= 1):
             raise ConfigError(f"delta_lower must be in (0, 1], got {self.delta_lower}")
 
     @property

@@ -30,7 +30,7 @@ from qhermite.hermite_sampling import (
     spectrum_table,
     tv_distance,
 )
-from qhermite.learning_testers import gaussian_goldreich_levin
+from qhermite.learning_testers import LOW_DEGREE_C, gaussian_goldreich_levin
 from qhermite.learning_testers import test_hermite_polynomial as hermite_tester
 from qhermite.learning_testers import test_low_degree as low_degree_tester
 from qhermite.learning_testers import test_product_sign as product_sign_tester
@@ -325,11 +325,10 @@ def test_criterion_09_testers():
         total += n_seeds
         correct += hits
     # exact sample-count contract for the low-degree tester
-    c = 12.0
     rng = np.random.default_rng(0)
     v = low_degree_tester(corpus.mixture([((1, 0), 1.0)], 2, bounded=True),
-                          3, 0.1, 0.3, 0.1, rng, SamplerConfig(M=512, D=9), c_samples=c)
-    expected_m = int(math.ceil(c * math.log(1 / 0.1) / 0.2**2))
+                          3, 0.1, 0.3, 0.1, rng, SamplerConfig(M=512, D=9))
+    expected_m = int(math.ceil(LOW_DEGREE_C * math.log(1 / 0.1) / 0.2**2))
     count_ok = v.samples_used == expected_m
     elapsed = time.time() - t0
     rate = correct / total

@@ -238,14 +238,15 @@ class TestUsageErrors:
         assert err == ["error: eps must be in (0, 1), got 2.0"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["missing_dir/x.csv", "."], ids=["no-parent", "directory"])
+    @pytest.mark.parametrize("where", ["missing_dir/x.csv", ".", None],
+                             ids=["no-parent", "directory", "empty"])
     def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, where):
         def refuse(args):
             raise AssertionError("the subcommand ran")
 
         monkeypatch.setattr(cli, "cmd_overlap", refuse)
-        out = tmp_path / where
-        assert main(["overlap", "--M", "512", "--n", "2", "--out", str(out)]) == 1
+        out = "" if where is None else str(tmp_path / where)
+        assert main(["overlap", "--M", "512", "--n", "2", "--out", out]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: --out {out}")
         assert not (tmp_path / "missing_dir").exists()

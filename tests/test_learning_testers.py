@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import restriction_coefficient
 
 from qhermite import corpus
 from qhermite.hermite_sampling import SamplerConfig
-from qhermite.learning_testers import CoefficientPattern, coefficient_estimate
-from qhermite.learning_testers import estimate_gamma, gaussian_goldreich_levin
+from qhermite.learning_testers import LOW_DEGREE_C, CoefficientPattern, coefficient_estimate
+from qhermite.learning_testers import gaussian_goldreich_levin
 from qhermite.learning_testers import weight_estimate
 from qhermite.learning_testers import test_hermite_polynomial as run_hermite_tester
 from qhermite.learning_testers import test_low_degree as run_low_degree_tester
@@ -24,14 +26,6 @@ class TestPattern:
     def test_extend(self):
         p = CoefficientPattern((3, None, None)).extend(5)
         assert p.entries == (3, 5, None)
-
-
-class TestGammaEstimate:
-    def test_matches_declared_on_planted(self, rng):
-        f = corpus.mixture([((1, 0), 0.8), ((0, 2), 0.6)], 2)
-        est = estimate_gamma(f, rng, n_points=4000)
-        # gamma = 0.64*1 + 0.36*2 = 1.36
-        assert abs(est - f.gamma) < 0.25 * f.gamma
 
 
 class TestWeightEstimate:
@@ -59,6 +53,33 @@ class TestWeightEstimate:
         f = corpus.mixture([((1,), 1.0)], 1)
         est = weight_estimate(f, CoefficientPattern((1,)), 0.1, 0.1, rng, gamma=2.0)
         assert est.samples >= int(np.ceil(4.0 / 0.1**2 * np.log(2 / 0.1)))
+
+    def test_promise_holds_for_a_bounded_oracle(self):
+        # |f| <= 1: within +-eps_est on at least 19 of 20 seeds; fhat_(1,1) of
+        # sgn(x0) sgn(x1) is (E|X|)^2 = 2/pi.  The unbounded h_(2,1) at the same
+        # eps_est and delta misses on 16 of these 20 seeds, hence half_width.
+        f = corpus.product_sign((0, 1), 2)
+        misses = sum(abs(weight_estimate(f, CoefficientPattern((1, 1)), 0.05, 0.05,
+                                         np.random.default_rng(seed)).value - (2 / np.pi) ** 2)
+                     > 0.05 for seed in range(20))
+        assert misses <= 1
+
+
+class TestUndeclaredGamma:
+    # an unbounded oracle without a declared gamma gives the weight estimate no sample count
+    F = replace(corpus.hermite_monomial((2,), 1, bounded=False), gamma=None)
+
+    @pytest.mark.parametrize("call", [
+        lambda f, rng: weight_estimate(f, CoefficientPattern((2,)), 0.1, 0.1, rng),
+        lambda f, rng: gaussian_goldreich_levin(f, 0.5, 0.1, rng),
+        lambda f, rng: gaussian_goldreich_levin(f, 0.5, 0.1, rng, mode="sampler"),
+        lambda f, rng: run_product_sign_tester(f, 1, 0.1, 0.3, 0.1, rng, SCFG),
+    ], ids=["weight_estimate", "ggl_classical", "ggl_sampler", "product_sign_tester"])
+    def test_refused_before_any_draw(self, rng, call):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"oracle h\(2,\)_raw is unbounded and declares no gamma"):
+            call(self.F, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestRestriction:
@@ -148,8 +169,7 @@ class TestGGL:
 
     def test_sampler_mode_agrees(self, rng):
         f = corpus.mixture([((1, 0), 0.9), ((0, 2), 0.436)], 2, bounded=True)
-        res = gaussian_goldreich_levin(f, 0.55, 0.1, rng, mode="sampler",
-                                       sampler_config=SCFG)
+        res = gaussian_goldreich_levin(f, 0.55, 0.1, rng, mode="sampler")
         # bounded rescale shrinks every coefficient by the same factor; with
         # the normalized sampler distribution the heavy index still dominates
         assert (1, 0) in res.found or res.found == ()
@@ -201,9 +221,8 @@ class TestLowDegreeTester:
 
     def test_sample_count_as_configured(self, rng):
         f = corpus.mixture([((1, 0), 1.0)], 2, bounded=True)
-        c = 12.0
-        verdict = run_low_degree_tester(f, 3, 0.1, 0.3, 0.1, rng, SCFG, c_samples=c)
-        expected = int(np.ceil(c * np.log(1 / 0.1) / 0.2**2))
+        verdict = run_low_degree_tester(f, 3, 0.1, 0.3, 0.1, rng, SCFG)
+        expected = int(np.ceil(LOW_DEGREE_C * np.log(1 / 0.1) / 0.2**2))
         assert verdict.samples_used == expected
 
     @pytest.mark.parametrize("D", [0, 2])

@@ -87,6 +87,46 @@ def test_benchmark_imports_resolve():
     assert missing == []
 
 
+# the length of each starred argument in workloads.py: commutator_tail_norm's
+# *self.tail_args is (N, t_max) from data/tail_norms.json
+STARRED_LEN = {"commutator_tail_norm": 2}
+
+
+def test_benchmark_calls_bind():
+    # each call the workloads make into the package binds to the current
+    # signature with the same argument shapes, so a changed signature fails
+    # here and not only when its workload runs
+    tree = _perfbench_trees()["workloads.py"]
+    local = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qhermite"):
+            mod = importlib.import_module(node.module)   # the package resolves its modules lazily
+            local.update({alias.asname or alias.name: getattr(mod, alias.name)
+                          for alias in node.names})
+    unbound, called = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in local:
+            name, fn = func.id, local[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and inspect.ismodule(local.get(func.value.id))):
+            name, fn = func.attr, getattr(local[func.value.id], func.attr)
+        else:
+            continue
+        called.add(name)
+        n_args = sum(STARRED_LEN[name] if isinstance(a, ast.Starred) else 1 for a in node.args)
+        try:
+            inspect.signature(fn).bind(*[None] * n_args, **{k.arg: None for k in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"workloads.py:{node.lineno} {name}: {exc}")
+    assert unbound == []
+    assert {"low_energy_error", "commutator_tail_norm", "sample_distribution", "qht_apply",
+            "qht_reference", "choose_dimensions", "hermite_basis", "constant", "product_sign",
+            "hermite_monomial"} <= called
+
+
 def test_traced_modules_import():
     # the tracer wraps these modules by name; each must import
     (names,) = [ast.literal_eval(node.value) for node in _perfbench_trees()["tracer.py"].body

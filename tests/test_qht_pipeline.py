@@ -362,6 +362,7 @@ class TestPipelineContext:
         ("oracle_bits", 2.5, "None or an integer"), ("aa_rounds", 2.5, "an integer"),
         ("aa_rounds", float("nan"), "an integer"),
         ("oracle_bits", True, "None or an integer"), ("aa_rounds", True, "an integer"),
+        ("delta_lower", True, "in (0, 1]"),
     ])
     def test_no_amplification_or_vanished_state_rejected(self, knob, value, rule):
         # each would build without amplification, or from a prepared state of rounding only
