@@ -12,10 +12,12 @@ sit below 1e-40 already at M=128), so a float64 dense nesting returns pure
 rounding noise.  Because the nesting operator is diagonal in its own
 representation, [diag(d), B]_t has the exact Hadamard form (d_j - d_k)^t B_jk,
 and d_j - d_k = (2*pi/M) (J_j^2 - J_k^2) with an exact integer second factor.
-The lab computes its inputs once in mpmath -- the discrete Hermite columns
+The lab computes its inputs in mpmath -- the discrete Hermite columns
 (the spec'd state-form realization, exact to arbitrary precision via the
 recurrence), their centered DFTs, and closed-form circulant symbols for pbar^2
-and {xbar, pbar} -- and rounds each to fixed point.  That rounding is the only
+and {xbar, pbar} -- and rounds each to fixed point, once per grid: the
+`DiscreteQHO` holds them, and the folded kernels built from the symbols,
+keyed by N and precision, for as long as it lives.  That rounding is the only
 one: the projected sums are then accumulated in exact Python integers, so the
 cancellation costs nothing, and each term's scale is applied once when it is
 converted to float64.  The projector's state form agrees with the eigenvector
@@ -29,8 +31,10 @@ against a mirrored root table, and each projected sum over labels j, k is a
 sum over n = |J_j|, m = |J_k| of u_a[n] K[n, m] u_b[m], with K the symbol
 folded over +-j and +-k with the parts' signs (gathers and sign flips, and
 the anticommutator's exact factor J_j + J_k).  A pair of columns costs a few
-(M/2+1)^2 big-integer products in place of about 8 M^2; at M = 64, N = 1,
-t_max = 30 each family takes about 20-25 ms (one BLAS thread).
+(M/2+1)^2 big-integer products in place of about 8 M^2.  At M = 64, N = 1,
+t_max = 30 (one BLAS thread) a family's first call on a grid takes about 8,
+9 and 11 ms (x2_p2, p2_x2, p2_anti), and a repeat call on the same grid
+about 4.8, 4.7 and 5.9 ms.
 """
 from __future__ import annotations
 
@@ -65,11 +69,16 @@ TAIL_T_CAP = 40
 
 @dataclass(frozen=True)
 class DiscreteQHO:
-    """Grid plus the diagonal of xbar; pbar is implicit via DFT conjugation."""
+    """Grid plus the diagonal of xbar; pbar is implicit via DFT conjugation.
+
+    `_lab` holds the commutator lab's read-only fixed-point inputs, each built
+    on first use by `commutator_tail_norm`; they live as long as the grid.
+    """
 
     spec: GridSpec
     x: np.ndarray = field(repr=False)
     alt: np.ndarray = field(init=False, repr=False)   # (-1)^i, the centered-DFT frame
+    _lab: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         alt = np.ones(self.spec.M)
@@ -140,10 +149,18 @@ def _p2_symbol(M: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvectors of Hbar."""
+    """Ascending eigenvalues and orthonormal eigenvectors of Hbar.
+
+    `_ritz_blocks` holds, per rank N, the time-independent part of
+    `fast_forward.low_energy_error`'s Ritz block on the N lowest columns,
+    built on first use; it lives as long as the decomposition.  Blocks are
+    held only when `vectors` is read-only, as `dense_diagonalize` returns
+    it, so that no held block can go stale.
+    """
 
     energies: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)  # column n is |e_n>
+    _ritz_blocks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -215,7 +232,8 @@ def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     every projected-error meter).  The lowest 64 are therefore recomputed in
     80-bit floats as Rayleigh quotients, the diagonal of `_rayleigh_terms`'s
     block over diag(W^T W): sums of non-negative terms, so rounding stays
-    relative to E.
+    relative to E.  Both arrays are returned read-only, so what an
+    `EigenDecomposition` holds from them cannot go stale.
     """
     M = qho.M
     if M > DENSE_EIG_CAP:
@@ -246,6 +264,8 @@ def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     W = vectors[:, :min(64, M)].astype(np.longdouble)
     terms, weights = _rayleigh_terms(qho, W)
     energies[:W.shape[1]] = (weights * terms * terms).sum(axis=0) / (2 * (W * W).sum(axis=0))
+    energies.setflags(write=False)
+    vectors.setflags(write=False)
     return EigenDecomposition(energies=energies, vectors=vectors)
 
 
@@ -407,27 +427,56 @@ def _fixed_dft_columns(cols, M: int, bits: int):
     return out
 
 
-def _tail_inputs(M: int, N: int, family: str, bits: int):
-    """One family's fixed-point columns and symbol at 2^-bits, at the current mp precision.
+def _tail_columns(M: int, N: int, family: str, bits: int) -> tuple:
+    """One family's N fixed-point columns at 2^-bits, at the current mp precision.
 
     A column is its (real, imaginary) pair of parts, each as (half, parity):
     the entries on `_half_labels` and the sign that gives the entry at -J
-    from the one at J.  The symbol is the (re, im) pair of its M entries.
+    from the one at J.  "x2_p2" takes the Hermite columns, the other two
+    families their centered DFT.
     """
-    import mpmath as mp
-
     cols = _mp_hermite_columns(M, N)
     if family == "x2_p2":
         zero = np.zeros(M // 2 + 1, dtype=object)
-        u = [((_fixed(c, bits), (-1) ** n), (zero, 1)) for n, c in enumerate(cols)]
-    else:
-        u = [((re, 1), (im, -1)) for re, im in _fixed_dft_columns(cols, M, bits)]
+        return tuple(((_fixed(c, bits), (-1) ** n), (zero, 1)) for n, c in enumerate(cols))
+    return tuple(((re, 1), (im, -1)) for re, im in _fixed_dft_columns(cols, M, bits))
+
+
+def _tail_symbol(M: int, family: str, bits: int) -> tuple:
+    """One family's fixed-point symbol at 2^-bits: the (re, im) pair of its M entries.
+
+    h pbar's for "p2_anti", pbar^2's for the other two families.
+    """
+    import mpmath as mp
+
     if family == "p2_anti":
         h = mp.sqrt(2 * mp.pi / M)
         symbol = [h * s for s in _mp_p1_symbol(M)]
     else:
         symbol = _mp_p2_symbol(M)
-    return u, (_fixed([v.real for v in symbol], bits), _fixed([v.imag for v in symbol], bits))
+    return _fixed([v.real for v in symbol], bits), _fixed([v.imag for v in symbol], bits)
+
+
+def _tail_inputs(M: int, N: int, family: str, bits: int):
+    """One family's `_tail_columns` and `_tail_symbol` at 2^-bits, at the current mp precision."""
+    return _tail_columns(M, N, family, bits), _tail_symbol(M, family, bits)
+
+
+def _read_only(value):
+    """Mark every array in a nest of tuples read-only; returns `value`."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for v in value:
+            _read_only(v)
+    return value
+
+
+def _held(qho: DiscreteQHO, key: tuple, build):
+    """What `qho` holds under `key`, made read-only from `build()` on first use."""
+    if key not in qho._lab:
+        qho._lab[key] = _read_only(build())
+    return qho._lab[key]
 
 
 def _folded_symbol(g, sa: int, sb: int, anti: bool) -> list:
@@ -475,7 +524,7 @@ def _power_sums(H: np.ndarray, t0: int, t_max: int) -> list:
     return sums
 
 
-def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int):
+def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict | None = None):
     """Exact S_t[a, b] = sum_jk conj(u_a[j]) W[j, k] (J_j^2 - J_k^2)^t u_b[k], parity-folded.
 
     u holds N columns as `_tail_inputs` gives them and g the fixed-point
@@ -490,9 +539,14 @@ def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int):
     g[M - d] = conj(g[d]), so W is Hermitian and S_t[b, a] = (-1)^t
     conj(S_t[a, b]): only a <= b is summed.  Returns {t: (re, im)} of N x N
     integer arrays, scaled by the product of the three inputs' scales.
+
+    `kernels` keeps the read-only kernels built from g and `anti` by
+    (sa, sb, q); a caller that passes the same dict with the same g and
+    `anti` builds each kernel once.
     """
     size = len(g[0]) // 2 + 1
-    kernels = {}
+    if kernels is None:
+        kernels = {}
 
     def kernel(sa, sb, q):
         """The (re, im) parts of i^q K for the parities sa and sb."""
@@ -500,7 +554,7 @@ def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int):
             kr, ki = _folded_symbol(g, sa, sb, anti)
             for _ in range(q):   # times i: (re, im) -> (-im, re)
                 kr, ki = (None if ki is None else -ki), kr
-            kernels[sa, sb, q] = kr, ki
+            kernels[sa, sb, q] = _read_only((kr, ki))
         return kernels[sa, sb, q]
 
     N = len(u)
@@ -543,8 +597,14 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     applied once per t when converting to float64.  The integer pass runs at
     P and at P + 64 bits; the second gives `tail_norm` and `term_norms`, and
     the spectral norm of the difference of the two projected tails is
-    `error_bar`.  N must be an integer in [1, M] (a grid of M labels holds M
-    Hermite columns), t_max an integer, and dps None (`_tail_dps`) or an
+    `error_bar`.  Each tail is summed entry by entry in t order.
+
+    The grid holds what the passes read, each built on first use and keyed
+    by N and P + 64: the Hermite columns (x2_p2) or their DFT (p2_x2 and
+    p2_anti share them), the symbol (x2_p2 and p2_x2 share pbar^2's) and
+    each pass's folded kernels.  A repeat call on the same grid builds no
+    mpmath input.  N must be an integer in [1, M] (a grid of M labels holds
+    M Hermite columns), t_max an integer, and dps None (`_tail_dps`) or an
     integer >= 1.
     """
     M = qho.M
@@ -569,31 +629,35 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     used_dps = _tail_dps(M, t_max) if dps is None else dps
     bits = math.ceil(used_dps * math.log2(10)) + _TAIL_GUARD_BITS
     fine = bits + _TAIL_CHECK_BITS
+    anti = family == "p2_anti"
     with mp.workprec(fine + _TAIL_GUARD_BITS):
-        u, g = _tail_inputs(M, N, family, fine)
+        u = _held(qho, ("columns", family == "x2_p2", N, fine),
+                  lambda: _tail_columns(M, N, family, fine))
+        g = _held(qho, ("symbol", anti, fine), lambda: _tail_symbol(M, family, fine))
         step = 2 * mp.pi / M
         scales = {t: step ** t / mp.factorial(t) for t in range(t0, t_max + 1)}
-        tails, terms = [], {}
+        tails = []
         for drop in (_TAIL_CHECK_BITS, 0):
             S = _integer_tail_sums([tuple((_shift(x, drop), s) for x, s in col) for col in u],
-                                   tuple(_shift(part, drop) for part in g),
-                                   family == "p2_anti", t0, t_max)
-            terms = {t: _scaled(S[t], mp.ldexp(scales[t], -3 * (fine - drop))) for t in S}
-            tails.append(sum(terms.values(), mp.zeros(N)))
-        error_bar = _spectral_norm(tails[1] - tails[0])
-    term_norms = {t: _spectral_norm(T) for t, T in terms.items()}
-    return TailReport(family, M, N, t_max, _spectral_norm(tails[1]), term_norms, used_dps,
-                      error_bar=error_bar)
+                                   tuple(_shift(part, drop) for part in g), anti, t0, t_max,
+                                   _held(qho, ("kernels", anti, fine, drop), dict))
+            terms = {t: _scaled_rows(S[t], mp.ldexp(scales[t], -3 * (fine - drop))) for t in S}
+            tails.append([[sum((T[a][b] for T in terms.values()), mp.mpf(0)) for b in range(N)]
+                          for a in range(N)])
+        diff = [[p - q for p, q in zip(rp, rq)] for rp, rq in zip(tails[1], tails[0])]
+    return TailReport(family, M, N, t_max, _spectral_norm(tails[1]),
+                      {t: _spectral_norm(T) for t, T in terms.items()}, used_dps,
+                      error_bar=_spectral_norm(diff))
 
 
-def _scaled(S_t, scale):
-    """The projected term scale * S_t as an mp matrix."""
+def _scaled_rows(S_t, scale) -> list:
+    """The projected term scale * S_t as rows of mpc, at the current mp precision."""
     import mpmath as mp
 
     re, im = S_t
-    return mp.matrix([[mp.mpc(int(r), int(i)) * scale for r, i in zip(rr, ii)]
-                      for rr, ii in zip(re, im)])
+    return [[mp.mpc(int(r), int(i)) * scale for r, i in zip(rr, ii)] for rr, ii in zip(re, im)]
 
 
-def _spectral_norm(a) -> float:
-    return float(np.linalg.svd(np.array(a.tolist(), dtype=complex), compute_uv=False)[0])
+def _spectral_norm(rows) -> float:
+    """The largest singular value of a matrix given as rows of mp numbers."""
+    return float(np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)[0])

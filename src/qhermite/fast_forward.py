@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .discrete_qho import (
     DiscreteQHO,
     EigenDecomposition,
     _rayleigh_terms,
+    _read_only,
     apply_hamiltonian,
 )
 from .spectral_core import _is_int
@@ -202,6 +204,52 @@ def apply_tables(tables: EvolutionTables, state: np.ndarray,
 _INVARIANCE_TOL = 4e-9   # largest max(1, |t|) * ||r|| accepted: t^2 ||r||^2 / 2 <= 8e-18
 
 
+class _RitzBlock(NamedTuple):
+    """What `_ritz_evolution` derives from its span before t enters, read-only."""
+
+    r: float                 # spectral norm of the residual Hbar W - W H
+    W: np.ndarray            # the span's columns in longdouble
+    D: np.ndarray            # the Ritz values, the diagonal of R = Q^T Ho Q
+    coupling: np.ndarray     # R - diag(D)
+    gap: np.ndarray          # D_m - D_n, 1 on the diagonal
+    Q: np.ndarray            # the rotation that diagonalizes Ho to first order
+    sqrt_g: np.ndarray       # G^(1/2) = I + S/2, the back-map
+    sqrt_g_q: np.ndarray     # G^(1/2) Q
+
+
+def _ritz_block(qho: DiscreteQHO, low: np.ndarray) -> _RitzBlock:
+    """The time-independent part of `_ritz_evolution` for the columns of `low`."""
+    resid = apply_hamiltonian(qho, low.T).real.T
+    W = low.astype(np.longdouble)
+    terms, weights = _rayleigh_terms(qho, W)
+    H = (weights * terms).T @ terms / 2
+    resid -= low @ H.astype(np.float64)
+    r = float(np.linalg.norm(resid, 2))
+    eye = np.eye(low.shape[1], dtype=np.longdouble)
+    half_s = (W.T @ W - eye) / 2
+    Ho = (eye - half_s) @ H @ (eye - half_s)
+    Q = np.linalg.eigh(Ho.astype(np.float64))[1].astype(np.longdouble)
+    Q = Q @ (eye - (Q.T @ Q - eye) / 2)
+    R = Q.T @ Ho @ Q
+    D = np.diagonal(R).copy()
+    gap = D[:, None] - D[None, :]
+    np.fill_diagonal(gap, 1)
+    return _read_only(_RitzBlock(r=r, W=W, D=D, coupling=R - np.diag(D), gap=gap, Q=Q,
+                                 sqrt_g=eye + half_s, sqrt_g_q=(eye + half_s) @ Q))
+
+
+def _ritz_at(block: _RitzBlock, t: float) -> np.ndarray:
+    """The Ritz block of `block`'s span at time t, once the span passes the invariance guard."""
+    if max(1.0, abs(t)) * block.r > _INVARIANCE_TOL:
+        raise ValueError(f"the {len(block.D)} columns do not span an invariant subspace of Hbar "
+                         f"to the accuracy t = {t:.6g} needs: ||r|| = ||Hbar W - W (W^T Hbar W)||"
+                         f" = {block.r:.3g}, and max(1, |t|) ||r|| must be <= {_INVARIANCE_TOL:g}")
+    phase = np.exp(-1j * np.mod(block.D * np.longdouble(t), 2 * _PI_LD))
+    B = block.coupling * (phase[:, None] - phase[None, :]) / block.gap
+    B[np.diag_indices(len(phase))] = phase
+    return block.sqrt_g_q @ B @ block.Q.T @ block.sqrt_g
+
+
 def _ritz_evolution(qho: DiscreteQHO, low: np.ndarray, t: float) -> np.ndarray:
     """<W| U(t) |W> for the columns W of `low`, by Rayleigh-Ritz on their span, in longdouble.
 
@@ -214,7 +262,8 @@ def _ritz_evolution(qho: DiscreteQHO, low: np.ndarray, t: float) -> np.ndarray:
     Q^T Ho Q = D + Delta with D its diagonal.  exp(-i(D + Delta)t) is taken
     as exp(-iDt), each phase D_m t reduced mod 2*pi in longdouble, plus the
     first-order term Delta_mn (exp(-i D_m t) - exp(-i D_n t)) / (D_m - D_n),
-    and the block is mapped back through G^(1/2) = I + S/2.
+    and the block is mapped back through G^(1/2) = I + S/2.  All but the
+    phases and that term is `_ritz_block`, which does not depend on t.
 
     On an exactly invariant span this is exact.  Otherwise the residual
     r = Hbar W - W H (spectral norm, float64) makes an error of at most
@@ -224,30 +273,7 @@ def _ritz_evolution(qho: DiscreteQHO, low: np.ndarray, t: float) -> np.ndarray:
     3.5e-12 at M = 2048 (N <= 64), rounding of Hbar W; a random orthonormal
     basis gives tens (80 at M = 128, N = 4).
     """
-    N = low.shape[1]
-    resid = apply_hamiltonian(qho, low.T).real.T
-    W = low.astype(np.longdouble)
-    terms, weights = _rayleigh_terms(qho, W)
-    H = (weights * terms).T @ terms / 2
-    resid -= low @ H.astype(np.float64)
-    r = float(np.linalg.norm(resid, 2))
-    if max(1.0, abs(t)) * r > _INVARIANCE_TOL:
-        raise ValueError(f"the {N} columns do not span an invariant subspace of Hbar to the "
-                         f"accuracy t = {t:.6g} needs: ||r|| = ||Hbar W - W (W^T Hbar W)|| = "
-                         f"{r:.3g}, and max(1, |t|) ||r|| must be <= {_INVARIANCE_TOL:g}")
-    eye = np.eye(N, dtype=np.longdouble)
-    half_s = (W.T @ W - eye) / 2
-    Ho = (eye - half_s) @ H @ (eye - half_s)
-    Q = np.linalg.eigh(Ho.astype(np.float64))[1].astype(np.longdouble)
-    Q = Q @ (eye - (Q.T @ Q - eye) / 2)
-    R = Q.T @ Ho @ Q
-    D = np.diagonal(R).copy()
-    phase = np.exp(-1j * np.mod(D * np.longdouble(t), 2 * _PI_LD))
-    gap = D[:, None] - D[None, :]
-    np.fill_diagonal(gap, 1)
-    B = (R - np.diag(D)) * (phase[:, None] - phase[None, :]) / gap
-    B[np.diag_indices(N)] = phase
-    return (eye + half_s) @ Q @ B @ Q.T @ (eye + half_s)
+    return _ritz_at(_ritz_block(qho, low), t)
 
 
 def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float) -> float:
@@ -262,8 +288,18 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
     r, t^2 ||r||^2 / 2 ~ 2e-24 at M = 512 and t = 3.  A basis that is not
     invariant (max(1, |t|) ||r|| > 4e-9) raises ValueError before V is
     applied.  The factored side is one `apply_tables` call on the N columns,
-    projected on W in longdouble.  At M = 512 with one BLAS thread a call takes about
-    2-3, 5-7 and 2-3 ms at (N, t) = (8, 0.45), (16, 1.7) and (8, 3.65).
+    projected on W in longdouble.
+
+    `eig` holds each rank's `_ritz_block` (the residual norm, the Ritz values
+    and rotation, and the back-map), built on the first call at that N and
+    kept as long as `eig`, when its vectors are read-only, as
+    `dense_diagonalize` returns them; with writable vectors every call
+    builds its block.  A later call computes only the phases, the
+    first-order term, the back-map products and the factored side, and
+    still checks the guard first.  At M = 512 with one BLAS thread a call on
+    a held block takes about 0.5, 1.7 and 0.6 ms at (N, t) = (8, 0.45),
+    (16, 1.7) and (8, 3.65); building the block adds about 0.8, 2.2 and
+    0.8 ms to the first call.
 
     The meter's floor is the float64 rounding of the factored side and of
     the eigenvectors: the default `ff-error` grid (M = 128-512, N = 4-16,
@@ -282,8 +318,13 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
     if not math.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t}")
     low = eig.vectors[:, :N]
-    exact = _ritz_evolution(qho, low, t)
+    ritz = eig._ritz_blocks.get(N)
+    if ritz is None:
+        ritz = _ritz_block(qho, low)
+        if not eig.vectors.flags.writeable:   # a block of arrays still open to writes could go stale
+            eig._ritz_blocks[N] = ritz
+    exact = _ritz_at(ritz, t)
     image = apply_tables(evolution_tables(qho.M, decompose(t)), low.T)
-    parts = low.T.astype(np.longdouble) @ np.concatenate([image.real, image.imag]).T
+    parts = ritz.W.T @ np.concatenate([image.real, image.imag]).T
     block = exact - (parts[:, :N] + 1j * parts[:, N:])
     return float(np.linalg.svd(block.astype(complex), compute_uv=False)[0])

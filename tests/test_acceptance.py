@@ -126,8 +126,9 @@ def test_criterion_04_commutator_tail_decay():
     norms = {}
     for M in (64, 128, 256):
         N = max(1, int(M / (40 * math.log2(2 * M))))
+        qho = build(GridSpec(M))   # one grid per M: the families share its held inputs
         for fam in ("x2_p2", "p2_x2", "p2_anti"):
-            norms[(fam, M)] = commutator_tail_norm(build(GridSpec(M)), N, 30, fam).tail_norm
+            norms[(fam, M)] = commutator_tail_norm(qho, N, 30, fam).tail_norm
     decay_ok = all(
         norms[(fam, 2 * M)] <= norms[(fam, M)] / 10.0
         for fam in ("x2_p2", "p2_x2", "p2_anti") for M in (64, 128))

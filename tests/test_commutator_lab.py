@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -8,11 +9,15 @@ from conftest import centered_dft_matrix, dense_momentum_sq
 from qhermite import discrete_qho
 from qhermite.discrete_qho import (
     TAIL_FAMILIES,
+    DiscreteQHO,
     build,
     commutator_tail_norm,
     hermite_basis,
 )
 from qhermite.spectral_core import GridSpec
+
+# the functions that evaluate the lab's inputs in mpmath
+INPUT_BUILDERS = ("_mp_hermite_columns", "_fixed_dft_columns", "_mp_p2_symbol", "_mp_p1_symbol")
 
 
 def dense_tail_reference(qho, N: int, t_max: int, family: str = "x2_p2") -> float:
@@ -277,7 +282,9 @@ class TestInputValidation:
         def no_inputs(*args):
             raise AssertionError("mpmath inputs built for a rejected call")
 
-        monkeypatch.setattr(discrete_qho, "_tail_inputs", no_inputs)
+        for name in INPUT_BUILDERS + ("_tail_inputs", "_tail_columns", "_tail_symbol",
+                                      "_integer_tail_sums"):
+            monkeypatch.setattr(discrete_qho, name, no_inputs)
         args = {"N": 2, "t_max": 6, **kwargs}
         with pytest.raises(ValueError, match=message):
             commutator_tail_norm(build(GridSpec(16)), args.pop("N"), args.pop("t_max"), **args)
@@ -289,6 +296,77 @@ class TestInputValidation:
         ref = commutator_tail_norm(qho, 2, 6, dps=60)
         same = commutator_tail_norm(qho, np.int64(2), np.int32(6), dps=np.int64(60))
         assert same.tail_norm == ref.tail_norm and same.error_bar == ref.error_bar
+
+
+def _hex(rep) -> tuple:
+    """A report's numbers as float hex, for bit-for-bit comparison."""
+    return (rep.tail_norm.hex(), rep.error_bar.hex(), rep.dps,
+            {t: v.hex() for t, v in rep.term_norms.items()})
+
+
+def _held_arrays(value) -> list:
+    """Every array in a grid's held lab inputs (nested tuples and dicts)."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return [a for v in value for a in _held_arrays(v)]
+    return []
+
+
+class TestHeldInputs:
+    """A grid holds the lab's inputs: later calls on it reuse them and report the same bits."""
+
+    def test_held_report_equals_fresh_grid(self):
+        # one grid holds the inputs of every (N, precision, family) before any
+        # comparison, so a key that lost N, the precision or the family shows
+        cases = [(N, dps, family) for N in (1, 2, 6) for dps in (None, 60) for family in TAIL_FAMILIES]
+        held = build(GridSpec(32))
+        for N, dps, family in cases:
+            commutator_tail_norm(held, N, 12, family, dps)
+        for N, dps, family in cases:
+            fresh = commutator_tail_norm(build(GridSpec(32)), N, 12, family, dps)
+            assert _hex(commutator_tail_norm(held, N, 12, family, dps)) == _hex(fresh), (N, dps, family)
+
+    def test_second_call_builds_no_mpmath_input(self, monkeypatch):
+        qho = build(GridSpec(32))
+        first = {family: _hex(commutator_tail_norm(qho, 2, 12, family)) for family in TAIL_FAMILIES}
+
+        def no_inputs(*args):
+            raise AssertionError("mpmath input built on a repeat call")
+
+        for name in INPUT_BUILDERS:
+            monkeypatch.setattr(discrete_qho, name, no_inputs)
+        for family in TAIL_FAMILIES:
+            assert _hex(commutator_tail_norm(qho, 2, 12, family)) == first[family]
+        with pytest.raises(AssertionError, match="repeat call"):   # another N is not held
+            commutator_tail_norm(qho, 3, 12)
+
+    def test_held_arrays_refuse_writes(self):
+        qho = build(GridSpec(16))
+        for family in TAIL_FAMILIES:
+            commutator_tail_norm(qho, 2, 6, family)
+        arrays = _held_arrays(qho._lab)
+        assert len(arrays) > 20
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+        # a pass that drops no bits hands the held arrays on as they are
+        x = arrays[0]
+        assert discrete_qho._shift(x, 0) is x
+
+    def test_equality_repr_and_replace_ignore_held_inputs(self):
+        qho = build(GridSpec(16))
+        text = repr(qho)
+        commutator_tail_norm(qho, 2, 6)
+        assert qho._lab and repr(qho) == text and qho == qho
+        lab = {f.name: f for f in fields(DiscreteQHO)}["_lab"]
+        assert not (lab.init or lab.repr or lab.compare)
+        copy = replace(qho)
+        assert copy._lab == {} and copy.spec == qho.spec and copy.x is qho.x
+        with pytest.raises(ValueError, match="init=False"):
+            replace(qho, _lab={})
 
 
 class TestParityFold:

@@ -226,6 +226,14 @@ class TestDenseDiagonalize:
         with pytest.raises(ValueError):
             dense_diagonalize(build(GridSpec(8192)))
 
+    def test_arrays_refuse_writes(self, eig_cache):
+        # a decomposition's holders (fast_forward's Ritz blocks) cannot go stale
+        eig = eig_cache(64)
+        with pytest.raises(ValueError, match="read-only"):
+            eig.vectors[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            eig.energies[0] = 0.5
+
 
 class TestParitySplit:
     """The two-sector solve against the dense Hbar; tolerances are stated in the data's units.

@@ -6,7 +6,13 @@ import pytest
 from conftest import apply_factored, centered_dft_matrix
 
 from qhermite import fast_forward
-from qhermite.discrete_qho import _PI_LD, DiscreteQHO, EigenDecomposition, build
+from qhermite.discrete_qho import (
+    _PI_LD,
+    DiscreteQHO,
+    EigenDecomposition,
+    build,
+    dense_diagonalize,
+)
 from qhermite.fast_forward import (
     _frame_steps,
     _half_phases,
@@ -685,6 +691,7 @@ class TestRitzBlock:
         M = 128
         qho, eig = build(GridSpec(M)), eig_cache(M)
         scattered = np.linalg.qr(np.random.default_rng(19).normal(size=(M, M)))[0]
+        scattered.setflags(write=False)   # so that the basis holds its block
         basis = EigenDecomposition(energies=eig.energies, vectors=scattered)
 
         def evolved(*args, **kwargs):
@@ -692,15 +699,18 @@ class TestRitzBlock:
 
         for name in ("apply_tables", "evolution_tables"):
             monkeypatch.setattr(fast_forward, name, evolved)
-        for t in (0.0, 0.45, -1.7, 3.65):
+        for t in (0.0, 0.45, -1.7, 3.65):   # the first call builds the block, the rest hold it
             with pytest.raises(ValueError, match="do not span an invariant subspace"):
                 low_energy_error(qho, basis, 4, t)
+        assert 4 in basis._ritz_blocks
 
     def test_guard_weighs_the_residual_by_time(self, eig_cache):
         # ||r|| reads 6.4e-13 at M = 512, N = 16, so |t| up to about 6000
-        # keeps t^2 ||r||^2 / 2 below 8e-18
+        # keeps t^2 ||r||^2 / 2 below 8e-18; the block that passed at t = 1000
+        # is held and still refused at t = 1e5
         qho, eig = build(GridSpec(512)), eig_cache(512)
         assert low_energy_error(qho, eig, 16, 1000.0) < 1e-12
+        assert 16 in eig._ritz_blocks
         with pytest.raises(ValueError, match="max\\(1, \\|t\\|\\)"):
             low_energy_error(qho, eig, 16, 1e5)
 
@@ -711,9 +721,44 @@ class TestRitzBlock:
         def ritz(*args, **kwargs):
             raise AssertionError("Ritz block built for a non-finite time")
 
-        monkeypatch.setattr(fast_forward, "_ritz_evolution", ritz)
+        for name in ("_ritz_block", "_ritz_at"):
+            monkeypatch.setattr(fast_forward, name, ritz)
         with pytest.raises(ValueError, match="evolution time must be finite"):
             low_energy_error(build(GridSpec(64)), eig_cache(64), 4, t)
+
+    def test_sweep_on_one_decomposition_equals_fresh_ones(self):
+        # the held blocks give the same bits as blocks built afresh for each call
+        M = 128
+        qho = build(GridSpec(M))
+        held = dense_diagonalize(qho)
+        for N in (4, 8):
+            for t in (0.25, 0.45, 1.7, -3.65, 3.0, 1000.0):
+                fresh = low_energy_error(qho, dense_diagonalize(build(GridSpec(M))), N, t)
+                assert low_energy_error(qho, held, N, t).hex() == fresh.hex()
+        assert sorted(held._ritz_blocks) == [4, 8]
+
+    def test_writable_vectors_hold_no_block(self, eig_cache):
+        # a block held from arrays the caller can still write would outlive a
+        # write to them and skip the guard on the new columns
+        M = 128
+        qho, eig = build(GridSpec(M)), eig_cache(M)
+        vectors = eig.vectors.copy()
+        own = EigenDecomposition(energies=eig.energies, vectors=vectors)
+        assert low_energy_error(qho, own, 4, 0.45) == low_energy_error(qho, eig, 4, 0.45)
+        assert own._ritz_blocks == {}
+        vectors[:] = np.linalg.qr(np.random.default_rng(1).normal(size=(M, M)))[0]
+        with pytest.raises(ValueError, match="do not span an invariant subspace"):
+            low_energy_error(qho, own, 4, 0.45)
+
+    def test_held_block_is_read_only_and_ignored_by_equality(self, eig_cache):
+        qho, eig = build(GridSpec(64)), eig_cache(64)
+        low_energy_error(qho, eig, 4, 0.45)
+        block = eig._ritz_blocks[4]
+        for a in block[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+        assert eig == eig and "_ritz_blocks" not in repr(eig)
+        assert replace(eig)._ritz_blocks == {}
 
 
 class TestParityPairs:
