@@ -232,16 +232,32 @@ def mixture(terms, n: int, bounded: bool = False) -> OracleFunction:
 
 
 def indicator_bump(half_width: float, n: int = 1) -> OracleFunction:
-    """Indicator of [-w, w]^n: sup|f sqrt(nu)| / ||f sqrt(nu)||_2 grows as the bump narrows."""
+    """Indicator of [-w, w]^n: sup|f sqrt(nu)| / ||f sqrt(nu)||_2 grows as the bump narrows.
+
+    sup|f| = 1, so the normalized sampler's success probability is the
+    bump's mass under the grid's Gaussian weights, near ||f||^2_nu =
+    P(|X| <= w)^n = erf(w / sqrt(2))^n.  On one axis the grid points in
+    [-w, w] hold at least half of erf(w / sqrt(2)), at any spacing: the
+    density falls away from 0, so the point at 0 and those at s, ..., Ks
+    (K = floor(w/s)) each outweigh the cell of width s beyond them.  So
+    kappa = 2^(n-1) erf(w / sqrt(2))^-n, from the width alone, keeps the
+    promise success >= 1/(2 kappa) on every grid.  (erf^-n alone does not
+    for n = 2: at w = 0.2 on M = 256, one point per axis holds the bump.)
+    """
     n = _arity(n)
     if not half_width > 0:
         raise ValueError(f"half_width must be > 0, got {half_width!r}")
+    try:
+        kappa = 2 ** (n - 1) * math.erf(half_width / math.sqrt(2)) ** -n
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"half_width {half_width!r} is too narrow for n={n}: "
+                         f"its Gaussian mass underflows") from None
 
     def ev(x):
         inside = np.all(np.abs(x) <= half_width, axis=-1)
         return inside.astype(float)
 
-    return OracleFunction(arity=n, evaluator=ev, boolean=False,
+    return OracleFunction(arity=n, evaluator=ev, boolean=False, kappa=kappa,
                           degree_cutoff=9, label=f"bump({half_width})")
 
 

@@ -457,11 +457,6 @@ def _tail_symbol(M: int, family: str, bits: int) -> tuple:
     return _fixed([v.real for v in symbol], bits), _fixed([v.imag for v in symbol], bits)
 
 
-def _tail_inputs(M: int, N: int, family: str, bits: int):
-    """One family's `_tail_columns` and `_tail_symbol` at 2^-bits, at the current mp precision."""
-    return _tail_columns(M, N, family, bits), _tail_symbol(M, family, bits)
-
-
 def _read_only(value):
     """Mark every array in a nest of tuples read-only; returns `value`."""
     if isinstance(value, np.ndarray):
@@ -527,7 +522,7 @@ def _power_sums(H: np.ndarray, t0: int, t_max: int) -> list:
 def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict | None = None):
     """Exact S_t[a, b] = sum_jk conj(u_a[j]) W[j, k] (J_j^2 - J_k^2)^t u_b[k], parity-folded.
 
-    u holds N columns as `_tail_inputs` gives them and g the fixed-point
+    u holds N columns as `_tail_columns` gives them and g the fixed-point
     symbol, W[j, k] = g[(j - k) mod M] (times J_j + J_k when `anti`).  With
     j and k grouped by n = |J_j| and m = |J_k| (0..M/2), the weight is
     (n^2 - m^2)^t and the rest is H[n, m], the sum over I(n) x I(m).  Since

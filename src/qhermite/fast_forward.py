@@ -2,20 +2,23 @@
 
 exp(-i*Hbar*t) is approximated by three or five alternating quadratic phase
 factors: exp(-i*a*pbar^2) exp(-i*b*xbar^2) exp(-i*a*pbar^2) with
-a = tan(t/2)/2 and b = sin(t)/2 after reducing t into [-pi, pi); when the
+a = tan(t/2)/2 and b = sin(t)/2 after reducing t into [-pi, pi]; when the
 reduced time exceeds pi/2 in magnitude it is halved and the three-factor
 block repeated, merging the adjacent momentum factors into five total.
-The 2*pi reduction flips the sign of the state once per full period
-(exp(-i*H*(t + 2*pi)) = -exp(-i*H*t) for half-integer spectra), so the
-factorization carries an explicit global sign.
+The 2*pi reduction, made against an 80-bit pi, flips the sign of the state
+once per full period (exp(-i*H*(t + 2*pi)) = -exp(-i*H*t) for half-integer
+spectra), so the factorization carries an explicit global sign.
 
 A factored evolution is applied from `EvolutionTables`, built once per
 evolution and grid: one table exp(-i*c*x_j^2) per distinct coefficient c
-(two for three factors, three for five).  Each table's argument is reduced
-mod 2*pi in 80-bit floats once, when the table is built; at M ~ 1000 the raw
-arguments reach ~10^3 and plain float64 reduction would inject ~1e-13 of
-spurious error into every factor, swamping the quantity the error meter
-measures.  x_j^2 is even in the label j, so a table stores labels 0..M/2 only.
+(two for three factors, three for five).  The raw arguments c x_j^2 reach
+~M/4, so rounding them before the reduction mod 2*pi would put an error
+growing with M into every factor (~1e-13 at M ~ 1000 in float64), swamping
+the quantity the error meter measures.  Since x_j^2 = j^2 (2 pi / M), a
+table instead reduces the turns c j^2 / M mod 1 exactly, in float64 with
+exact split products (see `_half_phases`), before the one multiply by
+2*pi, at every M up to 2^20.  x_j^2 is even in the label j, so a table
+stores labels 0..M/2 only.
 
 `apply_tables` is the one kernel that applies any factored evolution or its
 adjoint (the same tables in reverse order, conjugated).  With
@@ -73,13 +76,20 @@ class FactoredEvolution:
     """Ordered (axis, coefficient) phase factors realizing exp(-i*Hbar*t)."""
 
     factors: tuple          # of ("position" | "momentum", float)
-    t_effective: float      # reduced time in [-pi, pi)
+    t_effective: float      # reduced time in [-pi, pi], rounded to float64
     reps: int               # 1 (three factors) or 2 (five factors)
     global_sign: float      # +1 or -1 from the 2*pi reduction
 
 
 def decompose(t: float) -> FactoredEvolution:
     """Algorithm: reduce t mod 2*pi, then pick the 3- or 5-factor split.
+
+    The period is subtracted in 80-bit floats, against an 80-bit pi, and
+    the coefficients are taken from that 80-bit t_eff: a float64 2*pi is
+    short of the period by 2.4e-16, and rounding t_eff to float64 before
+    tan and sin would cost about as much, a time error that eigenstate n
+    sees as a phase error E_n times it.  For |t| <= pi no period is
+    subtracted, and t_eff is t itself, with float64 tan and sin.
 
     |t_eff| <= pi/2 uses one repetition with a = tan(t_eff/2)/2,
     b = sin(t_eff)/2; larger |t_eff| is halved and squared, giving five
@@ -88,30 +98,70 @@ def decompose(t: float) -> FactoredEvolution:
     """
     if not math.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t}")
-    k = math.floor(t / (2 * math.pi) + 0.5)
-    t2 = t - 2 * math.pi * k
+    k = int(np.floor(t / (2 * _PI_LD) + 0.5))
     sign = -1.0 if k % 2 else 1.0
+    if k:   # the reduced time stays in 80 bits through tan and sin
+        t2, tan, sin = t - 2 * _PI_LD * k, np.tan, np.sin
+    else:
+        t2, tan, sin = t, math.tan, math.sin
     if abs(t2) > math.pi / 2:
-        alpha = math.tan(t2 / 4) / 2
-        beta = math.sin(t2 / 2) / 2
+        alpha = float(tan(t2 / 4) / 2)
+        beta = float(sin(t2 / 2) / 2)
         factors = (("momentum", alpha), ("position", beta), ("momentum", 2 * alpha),
                    ("position", beta), ("momentum", alpha))
         reps = 2
     else:
-        a = math.tan(t2 / 2) / 2
-        b = math.sin(t2) / 2
+        a = float(tan(t2 / 2) / 2)
+        b = float(sin(t2) / 2)
         factors = (("momentum", a), ("position", b), ("momentum", a))
         reps = 1
-    return FactoredEvolution(factors=factors, t_effective=t2, reps=reps, global_sign=sign)
+    return FactoredEvolution(factors=factors, t_effective=float(t2), reps=reps,
+                             global_sign=sign)
+
+
+_TURN_HI = 2 * math.pi                        # float64 2*pi ...
+_TURN_LO = float(2 * _PI_LD - _TURN_HI)       # ... and the 2.4e-16 it falls short by
+
+
+def _split(x: float, bits: int) -> tuple:
+    """x = hi + lo exactly, hi being x rounded to `bits` significant bits."""
+    mant, exp = math.frexp(x)
+    hi = math.ldexp(round(math.ldexp(mant, bits)), exp - bits)
+    return hi, x - hi
 
 
 def _half_phases(M: int, coeffs) -> np.ndarray:
-    """Rows exp(-i * c * x_j^2) for labels j = 0..M/2, reduced mod 2*pi in longdouble."""
-    j = np.arange(M // 2 + 1, dtype=np.longdouble)
-    twopi = 2 * _PI_LD
-    c = np.asarray(coeffs, dtype=np.longdouble)[:, None]
-    theta = np.mod(c * (j * j) * (twopi / np.longdouble(M)), twopi)
-    return np.exp(-1j * theta.astype(np.float64))
+    """Rows exp(-i * c * x_j^2) for labels j = 0..M/2, the turns c j^2 / M reduced exactly.
+
+    x_j^2 = j^2 (2 pi / M), so the phase is 2 pi times the turns c j^2 / M,
+    of which only the fraction matters.  With M = 2^m, j <= 2^(m-1), so j^2
+    is exact in float64 with at most 2m - 2 significant bits, and c / M is
+    c scaled by a power of two.  c / M is split into pieces of 55 - 2m
+    significant bits (15 at M = 2^20), so each piece times j^2 is an exact
+    product, and so is its distance to the nearest integer; the pieces'
+    fractions are summed, reduced into [-1/2, 1/2] after each, and the
+    turns are scaled by 2 pi in two float64 parts.  The argument is then
+    off by a few float64 roundings of a number at most pi, at every M up to
+    2^27, where forming c j^2 2 pi / M in 80-bit floats before the
+    reduction kept that product's rounding, which grows with M.
+    """
+    j = np.arange(M // 2 + 1, dtype=np.float64)
+    sq = j * j
+    bits = 53 - 2 * (M // 2 - 1).bit_length()
+    rows = np.empty((len(coeffs), M // 2 + 1), dtype=complex)
+    for row, c in zip(rows, coeffs):
+        turns = np.zeros_like(sq)
+        rest = c / M
+        while rest:
+            piece, rest = _split(rest, bits)
+            part = piece * sq
+            part -= np.rint(part)
+            turns += part
+            turns -= np.rint(turns)
+        theta = turns * _TURN_LO
+        theta += turns * _TURN_HI
+        np.exp(-1j * theta, out=row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -205,7 +255,7 @@ _INVARIANCE_TOL = 4e-9   # largest max(1, |t|) * ||r|| accepted: t^2 ||r||^2 / 2
 
 
 class _RitzBlock(NamedTuple):
-    """What `_ritz_evolution` derives from its span before t enters, read-only."""
+    """What `_ritz_block` derives from its span before t enters, read-only."""
 
     r: float                 # spectral norm of the residual Hbar W - W H
     W: np.ndarray            # the span's columns in longdouble
@@ -218,7 +268,30 @@ class _RitzBlock(NamedTuple):
 
 
 def _ritz_block(qho: DiscreteQHO, low: np.ndarray) -> _RitzBlock:
-    """The time-independent part of `_ritz_evolution` for the columns of `low`."""
+    """The time-independent part of <W| U(t) |W> for the columns W of `low`, in longdouble.
+
+    <W| U(t) |W> is taken by Rayleigh-Ritz on the span of W (`_ritz_at`
+    evaluates it at t).  H = W^T Hbar W and G = W^T W are formed in 80-bit
+    floats; H is the full block of `discrete_qho._rayleigh_terms`, whose
+    diagonal gives `dense_diagonalize` its refined energies.  To first
+    order in S = G - I, W G^(-1/2) = W (I - S/2) is an orthonormal basis of
+    the span, on which Hbar is Ho = (I - S/2) H (I - S/2).  A float64 `eigh`
+    of Ho gives the rotation Q, re-orthonormalised as Q (I - (Q^T Q - I)/2)
+    in 80 bits, and Q^T Ho Q = D + Delta with D its diagonal.
+    exp(-i(D + Delta)t) is taken as exp(-iDt), each phase D_m t reduced mod
+    2*pi in longdouble, plus the first-order term
+    Delta_mn (exp(-i D_m t) - exp(-i D_n t)) / (D_m - D_n), and the block is
+    mapped back through G^(1/2) = I + S/2.  All but the phases and that term
+    is held here, as it does not depend on t.
+
+    On an exactly invariant span this is exact.  Otherwise the residual
+    r = Hbar W - W H (spectral norm, float64) makes an error of at most
+    t^2 ||r||^2 / 2, so `_ritz_at` rejects a span with max(1, |t|) ||r|| > 4e-9
+    before anything is evolved; that keeps the term below 8e-18.  The lowest
+    eigenvectors of `dense_diagonalize` give ||r|| <= 6.4e-13 at M = 512 and
+    3.5e-12 at M = 2048 (N <= 64), rounding of Hbar W; a random orthonormal
+    basis gives tens (80 at M = 128, N = 4).
+    """
     resid = apply_hamiltonian(qho, low.T).real.T
     W = low.astype(np.longdouble)
     terms, weights = _rayleigh_terms(qho, W)
@@ -250,38 +323,12 @@ def _ritz_at(block: _RitzBlock, t: float) -> np.ndarray:
     return block.sqrt_g_q @ B @ block.Q.T @ block.sqrt_g
 
 
-def _ritz_evolution(qho: DiscreteQHO, low: np.ndarray, t: float) -> np.ndarray:
-    """<W| U(t) |W> for the columns W of `low`, by Rayleigh-Ritz on their span, in longdouble.
-
-    H = W^T Hbar W and G = W^T W are formed in 80-bit floats; H is the full
-    block of `discrete_qho._rayleigh_terms`, whose diagonal gives
-    `dense_diagonalize` its refined energies.  To first order in S = G - I,
-    W G^(-1/2) = W (I - S/2) is an orthonormal basis of the span, on which
-    Hbar is Ho = (I - S/2) H (I - S/2).  A float64 `eigh` of Ho gives the
-    rotation Q, re-orthonormalised as Q (I - (Q^T Q - I)/2) in 80 bits, and
-    Q^T Ho Q = D + Delta with D its diagonal.  exp(-i(D + Delta)t) is taken
-    as exp(-iDt), each phase D_m t reduced mod 2*pi in longdouble, plus the
-    first-order term Delta_mn (exp(-i D_m t) - exp(-i D_n t)) / (D_m - D_n),
-    and the block is mapped back through G^(1/2) = I + S/2.  All but the
-    phases and that term is `_ritz_block`, which does not depend on t.
-
-    On an exactly invariant span this is exact.  Otherwise the residual
-    r = Hbar W - W H (spectral norm, float64) makes an error of at most
-    t^2 ||r||^2 / 2, so a span with max(1, |t|) ||r|| > 4e-9 is rejected
-    before anything is evolved; that keeps the term below 8e-18.  The lowest
-    eigenvectors of `dense_diagonalize` give ||r|| <= 6.4e-13 at M = 512 and
-    3.5e-12 at M = 2048 (N <= 64), rounding of Hbar W; a random orthonormal
-    basis gives tens (80 at M = 128, N = 4).
-    """
-    return _ritz_at(_ritz_block(qho, low), t)
-
-
 def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float) -> float:
     """|| Pi_N (U(t) - V(t)) Pi_N ||: the largest singular value of <e_m| (U - V) |e_n>.
 
     The N x N block on the N lowest eigenvectors W is exactly the theorem's
-    quantity.  Its exact side <W|U(t)|W> is `_ritz_evolution`: a Rayleigh-Ritz
-    block on the span of W in 80-bit floats, which needs no evolution on the
+    quantity.  Its exact side <W|U(t)|W> is a Rayleigh-Ritz block on the span
+    of W in 80-bit floats (`_ritz_block`), which needs no evolution on the
     grid.  Scalar eigenphases exp(-i*E_n*t) would re-inject the eigensolver's
     noise (~1e-13 at M = 512); the Ritz block takes its phases from the span
     itself, and its error is second order in the span's invariance residual

@@ -416,15 +416,18 @@ class QHTOperator:
     takes the same path, so a block is built with its partner.  The rows a
     call needs are computed together, as stacks of at most `_stack_rows(M)`
     rows spread over one worker thread per usable CPU; build_workers is the
-    number of workers that ran the latest build (0 before any).  The 2m+1
-    half phase tables of the m = log2(M) dyadic evolutions V(2^j 2pi/M)
-    take (2m+1)(M/2+1)*16 bytes (3.6 MB at M = 16384) and the columns
+    number of workers that ran the latest build (0 before any).  Of the
+    m = log2(M) dyadic evolutions V(2^j 2pi/M), the sweeps run the top two,
+    V(pi/2) and V(pi), in closed form (see `_sweep`), so the operator holds
+    the half phase tables of the other m - 2 only: 2(m-2) rows of
+    (M/2+1)*16 bytes (3.1 MB at M = 16384), and the columns take
     N*M*16 (4.2 MB at N = 16).  Each worker has scratch of its own, held
     only while the build runs: two frame buffers of 2k*M*16 bytes for a
     stack of k rows (2.1 MB: k = 4 at M = 16384) and three M*16-byte rows
-    (0.79 MB): the odd part between the sweeps, the reflected row and the
-    uncompute's discarded branch.  So two workers take 5.8 MB there at
-    N = 16, and 5.2 MB when blocks 0 and 1 are held already.  v_passes is
+    (0.79 MB): the odd part between the sweeps, the mirrored and scaled row
+    (then the mirrored label pairs) and the uncompute's discarded branch.
+    So two workers take 5.8 MB there at N = 16, and 5.2 MB when blocks 0
+    and 1 are held already.  v_passes is
     derived from the held blocks: 2m passes of V or V^dagger each.
     """
 
@@ -434,7 +437,7 @@ class QHTOperator:
         self.basis = hermite_basis(GridSpec(M), N - 1)   # row n is |psibar_n>
         base = 2 * math.pi / M
         self.dyadic_times = [base * (1 << j) for j in range(config.m_bits)]
-        self.dyadic_tables = [evolution_tables(M, decompose(t)) for t in self.dyadic_times]
+        self.dyadic_tables = [evolution_tables(M, decompose(t)) for t in self.dyadic_times[:-2]]
         self.signs = (-1.0) ** np.arange(N)
         self.columns = np.zeros((N, M), dtype=complex)
         self.held = np.zeros(N, dtype=bool)
@@ -460,6 +463,13 @@ class QHTOperator:
         filter's coefficients rather than evaluating exp(-i ...), so both
         stages see the same bits.
 
+        The two most significant bits evolve for a quarter and a half
+        period, where the factored evolution is exactly a Fourier transform
+        and a reflection: V(pi/2) = e^(-i pi/4) F^-1 (F the centered DFT)
+        and V(pi) = -iP, by the chirp factorization of the DFT (Bluestein,
+        1970).  So stage m-2 is one FFT of the stack and stage m-1 none;
+        the other m - 2 evolutions run from the held `dyadic_tables`.
+
         rows[i] is an even block and an odd one (n, n'), or a lone block
         (n,).  Row i carries e + o, e even and o odd under the reflection P
         (label l -> -l).  V_j commutes with P: the position factors' x^2, the
@@ -470,64 +480,92 @@ class QHTOperator:
         b_j = (c_{n,j} - c_{n',j})/2, taking n' = n for a lone block: one
         evolution serves both blocks, and the row's even and odd parts are
         exactly what each block alone would give.  A lone block's two phases
-        are the same, so a_j = c_{n,j} and b_j = 0 exactly.
+        are the same, so a_j = c_{n,j} and b_j = 0 exactly.  For V(pi),
+        t = -iP w, so the pass is (-i b_j) w + (-i a_j) P w and reads the row
+        itself; on the pipeline's rows c_{n,m-1} V(pi) is 1 on either parity
+        part up to rounding, so that stage keeps the row.
 
         w is a (k, M) stack of position-frame rows.  It enters the momentum
-        frame of `fast_forward` and leaves it at the end; P, `_reflect`, is the
-        same index map in both frames.  Each dyadic evolution runs once on the whole
-        stack, into the (k, M) scratch `tmp`; P t is written row by row into
-        one M-length scratch.  The halvings are left out of the passes and
-        applied once, as 2^-m at the end: power-of-two scaling is exact, so
-        the result is bitwise that of halving each pass.
+        frame of `fast_forward` and leaves it at the end; P is the same
+        index map in both frames, and there V(pi/2) is
+        w -> e^(-i pi/4) (-1)^(M/2) fft(w) / sqrt(M).  Each evolution runs
+        once on the whole stack, into the (k, M) scratch `tmp`, and the
+        constant factors of the closed forms and the tables' global signs
+        ride on a_j and b_j.  P t is read from the reversed view of t into
+        one M-length scratch, scaled on the way.  The halvings are left out
+        of the passes and applied once, as 2^-m at the end: power-of-two
+        scaling is exact, so the result is bitwise that of halving each pass.
 
         With `lost`, a (k, 2) array, the discarded-branch mass
         sum_j ||(I - c_j V_j) x_j / 2||^2 of row i's even part is added to
         lost[i, 0] and that of its odd part to lost[i, 1], x_j being the
-        part before pass j; block n reads slot n mod 2.  The discarded vector
-        is split into its even and odd parts, and each slot gets the sum of
-        squares of its part.  For a block that sum is exactly
-        ||w||^2 - ||out||^2, summed from non-negative terms instead of taken
-        as a difference.  It is measured in the position frame: the momentum
-        frame scales squared norms by 1/M, undone exactly with the halvings.
-        Each row's terms go through M-length scratches, so a row's masses
-        have the same bits whatever stack it runs in.
+        part before pass j; block n reads slot n mod 2.  With d the
+        discarded vector, a mirrored pair of labels l and -l (0 < l < M/2)
+        carries |d_l + d_-l|^2 / 2 of even mass and |d_l - d_-l|^2 / 2 of odd
+        mass, and the labels 0 and -M/2, their own mirrors, carry even mass
+        only.  For a block that sum is exactly ||w||^2 - ||out||^2, summed
+        from non-negative terms instead of taken as a difference.  It is
+        measured in the position frame: the momentum frame scales squared
+        norms by 1/M, undone exactly with the halvings.  Each row's terms go
+        through M-length scratches, so a row's masses have the same bits
+        whatever stack it runs in.
         """
-        M = self.config.M
+        M, m = self.config.M, self.config.m_bits
+        h = M // 2
         first, last = (np.exp(1j * np.asarray(self.dyadic_times)
                               * (np.array([blocks[k] for blocks in rows])[:, None] + 0.5))
                        for k in (0, -1))
         if adjoint:
             first, last = first.conj(), last.conj()
         a, b = (first + last) / 2, (first - last) / 2
+        # V(pi/2) = e^(-i pi/4) F^-1 is w -> e^(-i pi/4) s fft(w) / sqrt(M) in the frame, and
+        # V(pi) = -iP makes a t + b P t = (-i b) w + (-i a) P w; adjoints conjugated
+        quarter = (-1.0) ** h * ((1 + 1j) * math.sqrt(M / 2) if adjoint
+                                 else (1 - 1j) / math.sqrt(2 * M))
+        half = 1j if adjoint else -1j
         tmp = np.empty_like(w) if tmp is None else tmp
-        conj = np.empty(M // 2 + 1, dtype=complex) if adjoint else None
+        conj = np.empty(h + 1, dtype=complex) if adjoint else None
         refl = np.empty(M, dtype=complex)
         diff = None if lost is None else np.empty(M, dtype=complex)
         _enter_frame(w)
-        for j, tables in enumerate(self.dyadic_tables):
-            _frame_steps(tables, w, adjoint, out=tmp, conj=conj)
-            a_j, b_j = a[:, j] * tables.global_sign, b[:, j] * tables.global_sign
+        for j in range(m):
+            if j < m - 2:
+                tables = self.dyadic_tables[j]
+                src = _frame_steps(tables, w, adjoint, out=tmp, conj=conj)
+                gain_a, gain_b = a[:, j] * tables.global_sign, b[:, j] * tables.global_sign
+            elif j == m - 2:
+                src = (np.fft.ifft if adjoint else np.fft.fft)(w, out=tmp)
+                gain_a, gain_b = a[:, j] * quarter, b[:, j] * quarter
+            else:
+                src = w
+                gain_a, gain_b = b[:, j] * half, a[:, j] * half
             scale = M * 0.25 ** (j + 1)
-            for i, (row, kick) in enumerate(zip(w, tmp)):
-                np.multiply(_reflect(kick, out=refl), b_j[i], out=refl)
-                kick *= a_j[i]
+            for i, (row, t, kick) in enumerate(zip(w, src, tmp)):
+                np.multiply(t[:0:-1], gain_b[i], out=refl[1:])
+                np.multiply(t[:1], gain_b[i], out=refl[:1])
+                np.multiply(t, gain_a[i], out=kick)
                 kick += refl
                 if lost is not None:   # row and kick carry 2^j x_j and 2^j c_j V_j x_j
                     np.subtract(row, kick, out=diff)
-                    for k, sign in enumerate((1, -1)):
-                        flat = _parity_part(diff, sign, refl).view(float)
-                        lost[i, k] += np.einsum("i,i->", flat, flat) * scale
+                    pairs = refl[:h - 1]   # the mirrored labels l and -l, 0 < l < M/2
+                    for k, combine in enumerate((np.add, np.subtract)):
+                        flat = combine(diff[1:h], diff[:h:-1], out=pairs).view(float)
+                        lost[i, k] += np.einsum("i,i->", flat, flat) * (scale / 2)
+                    ends = diff[::h]   # labels 0 and -M/2 are their own mirrors: even alone
+                    lost[i, 0] += np.vdot(ends, ends).real * scale
             w += tmp
-        w *= 0.5 ** len(self.dyadic_tables)
+        w *= 0.5 ** m
         return _from_frame(w)
 
     @property
     def v_passes(self) -> int:
         """Circuit passes of V or V^dagger: m by the filter and m by the uncompute per held block.
 
-        The simulator runs one evolution per pass of a row for both of its
-        blocks, so it runs 2m evolutions per row, not per block: `qht --N 16`
-        counts 448 and runs 224.
+        These count the circuit, whatever the simulator runs.  It runs one
+        pass of a row for both of its blocks, so 2m passes per row, not per
+        block: `qht --N 16` counts 448 and runs 224.  Of a row's 2m passes,
+        2(m-2) are factored evolutions; the two top passes of each sweep
+        are a Fourier transform and a reflection (see `_sweep`).
         """
         return 2 * self.config.m_bits * int(self.held.sum())
 

@@ -158,6 +158,12 @@ def has_parity(full, sign: int) -> bool:
     return all(full[half + 1:] == [sign * v for v in full[half - 1:0:-1]])
 
 
+def _tail_inputs(M: int, N: int, family: str, bits: int):
+    """One family's `_tail_columns` and `_tail_symbol` at 2^-bits, at the current mp precision."""
+    return (discrete_qho._tail_columns(M, N, family, bits),
+            discrete_qho._tail_symbol(M, family, bits))
+
+
 def _bits(M: int, t_max: int) -> int:
     return math.ceil(discrete_qho._tail_dps(M, t_max) * math.log2(10)) + discrete_qho._TAIL_GUARD_BITS
 
@@ -282,8 +288,7 @@ class TestInputValidation:
         def no_inputs(*args):
             raise AssertionError("mpmath inputs built for a rejected call")
 
-        for name in INPUT_BUILDERS + ("_tail_inputs", "_tail_columns", "_tail_symbol",
-                                      "_integer_tail_sums"):
+        for name in INPUT_BUILDERS + ("_tail_columns", "_tail_symbol", "_integer_tail_sums"):
             monkeypatch.setattr(discrete_qho, name, no_inputs)
         args = {"N": 2, "t_max": 6, **kwargs}
         with pytest.raises(ValueError, match=message):
@@ -383,7 +388,7 @@ class TestParityFold:
             p2 = discrete_qho._mp_p2_symbol(M)
             h = mp.sqrt(2 * mp.pi / M)
             p1 = [h * s for s in discrete_qho._mp_p1_symbol(M)]
-            folded = {fam: discrete_qho._tail_inputs(M, N, fam, bits) for fam in TAIL_FAMILIES}
+            folded = {fam: _tail_inputs(M, N, fam, bits) for fam in TAIL_FAMILIES}
         d = np.arange(1, M)
         for n in range(N):
             assert has_parity(position[n], (-1) ** n)
@@ -409,7 +414,7 @@ class TestParityFold:
         t_max = 12
         t0, bits = (2 if family == "p2_anti" else 3), _bits(M, t_max)
         with mp.workprec(bits + discrete_qho._TAIL_GUARD_BITS):
-            u, g = discrete_qho._tail_inputs(M, N, family, bits)
+            u, g = _tail_inputs(M, N, family, bits)
         for drop in (discrete_qho._TAIL_CHECK_BITS, 0):   # both passes of the lab
             cols = [tuple((discrete_qho._shift(x, drop), s) for x, s in col) for col in u]
             sym = tuple(discrete_qho._shift(part, drop) for part in g)

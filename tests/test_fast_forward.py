@@ -16,7 +16,8 @@ from qhermite.discrete_qho import (
 from qhermite.fast_forward import (
     _frame_steps,
     _half_phases,
-    _ritz_evolution,
+    _ritz_at,
+    _ritz_block,
     apply_tables,
     decompose,
     evolution_tables,
@@ -35,6 +36,11 @@ def exact_evolution(eig: EigenDecomposition, t: float, state: np.ndarray) -> np.
     """Ground truth U(t) = sum_n exp(-i*E_n*t) |e_n><e_n| applied to state."""
     coeffs = eig.vectors.conj().T @ np.asarray(state, dtype=complex)
     return eig.vectors @ (np.exp(-1j * eig.energies * t) * coeffs)
+
+
+def _ritz_evolution(qho: DiscreteQHO, low: np.ndarray, t: float) -> np.ndarray:
+    """<W| U(t) |W> for the columns W of `low`: the meter's Rayleigh-Ritz block, built afresh."""
+    return _ritz_at(_ritz_block(qho, low), t)
 
 
 _TAIL_SHARE = 1e-16          # dropped coefficients sum to at most this share of all
@@ -212,10 +218,32 @@ class TestDecompose:
             assert -np.pi <= fe.t_effective < np.pi
 
     def test_two_pi_reduction_sign(self):
+        # float64 2 pi falls short of the period by 2.4e-16, and that much time is left
         fe = decompose(2 * np.pi)
         assert fe.global_sign == -1.0
-        assert all(c == 0.0 for _, c in fe.factors)
+        t = np.longdouble(2 * np.pi) - 2 * _PI_LD
+        assert fe.t_effective == float(t) < 0
+        half = float(np.tan(t / 2) / 2)
+        assert [c for _, c in fe.factors] == [half, float(np.sin(t) / 2), half]
+        assert all(abs(c) <= 1.3e-16 for _, c in fe.factors)
         assert decompose(4 * np.pi).global_sign == 1.0
+
+    def test_period_subtracted_in_80_bits(self):
+        # |t| <= pi keeps t and float64 tan and sin bit for bit; past it, t_eff = t - 2 pi k
+        # stays in 80 bits through tan and sin, and each is rounded once
+        for t in (0.3, -2.9, np.pi, -np.pi, np.pi / 2):
+            fe = decompose(t)
+            assert fe.t_effective == t
+            half = t / 4 if fe.reps == 2 else t / 2
+            assert fe.factors[:2] == (("momentum", math.tan(half) / 2),
+                                      ("position", math.sin(2 * half) / 2))
+        for t, k in ((3.65, 1), (-3.65, -1), (2 * np.pi + 0.7, 1), (-4 * np.pi - 2.5, -2)):
+            fe = decompose(t)
+            t_eff = np.longdouble(t) - 2 * _PI_LD * k
+            assert fe.t_effective == float(t_eff)
+            half = t_eff / 4 if fe.reps == 2 else t_eff / 2
+            assert fe.factors[:2] == (("momentum", float(np.tan(half) / 2)),
+                                      ("position", float(np.sin(2 * half) / 2)))
 
     def test_two_pi_shift_keeps_factors_and_flips_sign(self):
         # 3 and 5 factors, both signs of t, both signs of the base sign
@@ -329,11 +357,12 @@ class TestApplyTables:
 
     def test_phase_table_against_mpmath(self):
         # exp(-i c x_j^2) against 2*pi*frac(c j^2 / M) in mpmath, at M = 16384,
-        # for the t = 3 momentum coefficient.  A float64 pi in the reduction
-        # shifts every phase by -2 (pi_64 - pi) frac(c j^2 / M): the mean
-        # signed error read 1.2e-16 with it and 3.3e-18 with an 80-bit pi.
-        # Per label the error stays at the float64 rounding of the argument:
-        # 1.2e-15 at most over the row, 1.2e-16 at label M/2.
+        # for the t = 3 momentum coefficient.  A float64 2 pi alone in the final
+        # multiply would shift every phase by -2 (pi_64 - pi) frac(c j^2 / M),
+        # a mean signed error of about 1.2e-16; with its 2.4e-16 remainder
+        # added the mean read -6.7e-19.  Per label the error stays at the float64
+        # rounding of the argument: 5.3e-16 at most over the row, 3.5e-17 at
+        # label M/2 (1.1e-15 and 1.2e-16 when the 80-bit product was reduced).
         import mpmath as mp
 
         M, c = 16384, np.tan(3.0 / 4) / 2
@@ -347,6 +376,49 @@ class TestApplyTables:
         assert abs(errs[M // 2]) <= 4e-16
         assert np.abs(errs).max() <= 2e-15
         assert abs(errs.mean()) <= 2e-17
+
+    @pytest.mark.parametrize("M", [4096, 16384, 1 << 20, 1 << 21])
+    def test_phase_tables_reduced_exactly(self, M):
+        # c j^2 / M is reduced mod 1 exactly before the 2 pi multiply, so the
+        # argument's error does not grow with M: against mpmath the entries read
+        # at most 6.4e-16 off for these coefficients at every M here, where
+        # reducing the 80-bit product read up to 1.9e-15 at M = 16384 and 9.9e-14
+        # at M = 2^20.  A hand-built config may exceed M_CAP = 2^20, so 2^21 is
+        # checked too.  Labels: all at M = 4096; above it, a sample and the last 512
+        import mpmath as mp
+
+        coeffs = [np.tan(3.0 / 4) / 2, np.tan(np.pi / 4), np.tan(np.pi / M) / 2, 0.5]
+        labels = np.arange(M // 2 + 1)
+        if M > 4096:
+            labels = np.union1d(labels[::M // 2048 - 1], labels[-512:])
+        rows = _half_phases(M, coeffs)
+        with mp.workprec(128):
+            for c, row in zip(coeffs, rows):
+                for j in labels.tolist():
+                    q = mp.mpf(c) * j * j / M
+                    z = complex(row[j])
+                    err = mp.arg(mp.mpc(z.real, z.imag) * mp.expj(2 * mp.pi * (q - mp.floor(q))))
+                    assert abs(err) <= 8e-16, (c, j)
+
+    @pytest.mark.parametrize("M", [1 << k for k in range(2, 15)])
+    def test_top_dyadic_times_in_closed_form(self, M, rng):
+        # the factored V(pi) is the reflection -iP and V(pi/2) is e^(-i pi/4) F^-1, adjoints
+        # conjugated (F the centered DFT, applied as an FFT between alt relabelings).  The gap
+        # is largest at the grid edge, where float64 pi in tan(t/4) shows: on unit vectors
+        # it read at most 7.4e-16 sqrt(M), 9.4e-14 at M = 16384
+        v = rng.normal(size=M) + 1j * rng.normal(size=M)
+        v /= np.linalg.norm(v)
+        alt, s = (-1.0) ** np.arange(M), (-1.0) ** (M // 2)
+        reflected = np.concatenate([v[:1], v[:0:-1]])
+        inverse_dft = s / np.sqrt(M) * alt * np.fft.fft(alt * v)
+        dft = s * np.sqrt(M) * alt * np.fft.ifft(alt * v)
+        for t, ref, ref_adjoint in ((np.pi, -1j * reflected, 1j * reflected),
+                                    (np.pi / 2, np.exp(-1j * np.pi / 4) * inverse_dft,
+                                     np.exp(1j * np.pi / 4) * dft)):
+            tables = evolution_tables(M, decompose(t))
+            assert np.abs(apply_tables(tables, v) - ref).max() <= 1.5e-15 * np.sqrt(M)
+            assert np.abs(apply_tables(tables, v, adjoint=True) - ref_adjoint).max() \
+                <= 1.5e-15 * np.sqrt(M)
 
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_input_left_unchanged(self, rng, adjoint):

@@ -192,9 +192,11 @@ class TestCorpusProducts:
         (lambda: corpus.noisy_product_sign((0,), 1, 0.1, bits=2.5), "got 2.5 and 17"),
         (lambda: corpus.mixture([], 1), "mixture needs at least one term"),
         (lambda: corpus.indicator_bump(-1), "half_width must be > 0, got -1"),
+        (lambda: corpus.indicator_bump(1e-300, n=2), "half_width 1e-300 is too narrow for n=2"),
         (lambda: corpus.indicator_bump(0.5, n=-2), "n must be a positive integer, got -2"),
     ], ids=["n-zero", "n-float", "n-bool", "kappa-zero", "kappa-inf", "eta-above-one",
-            "eta-nan", "negative-seed", "float-bits", "no-terms", "negative-half-width", "bump-n"])
+            "eta-nan", "negative-seed", "float-bits", "no-terms", "negative-half-width",
+            "narrow-half-width", "bump-n"])
     def test_scalar_rejected_by_name_at_build(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -367,6 +369,24 @@ class TestGeneralSampler:
         dist = sample_distribution(f, SamplerConfig(M=256, D=3), normalized=True)
         _, attempts = draw(dist, rng, 1000)
         assert np.mean(attempts) <= 2 * 3.0 + 0.5
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bump_kappa_covers_its_success(self, n):
+        # widths 0.1 to 1 in steps of 0.05; the least success * 2 kappa read 1.02 (n = 1) and
+        # 1.03 (n = 2), where a width just short of a grid point leaves one point fewer per axis
+        scfg = SamplerConfig(M=256, D=5)
+        for w in np.linspace(0.1, 1.0, 19):
+            f = corpus.indicator_bump(float(w), n)
+            assert f.kappa == 2 ** (n - 1) * math.erf(w / math.sqrt(2)) ** -n
+            dist = sample_distribution(f, scfg, normalized=True)
+            assert dist.success_prob >= 1 / (2 * f.kappa), w
+
+    def test_narrow_bump_draws_within_its_cap(self, rng):
+        # at width 0.1 the success is 0.088: kappa 1 capped the attempts at 64 and raised
+        f = corpus.indicator_bump(0.1)
+        dist = sample_distribution(f, SamplerConfig(M=256, D=5), normalized=True)
+        v, attempts = draw(dist, rng, 1000)
+        assert len(v) == 1000 and attempts.max() <= dist.attempt_cap == int(64 * f.kappa)
 
     def test_attempt_cap_reported(self, rng):
         # a declared kappa below 1/64 gives a cap of one attempt; the constant's true

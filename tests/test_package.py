@@ -162,7 +162,10 @@ print(json.dumps([loaded, sorted(k for k in ns if not k.startswith("__"))]))
     # threads, so concurrent.futures stays out unless an executor comes back
     (["overlap", "--M", "512", "--n", "3"],
      ["concurrent.futures", "mpmath", "qhermite.hermite_sampling", "qhermite.learning_testers"]),
-], ids=["ff-error", "sample", "overlap"])
+    # the testers' median of 8 chunk means is taken by hand: np.median loads numpy.ma
+    (["test", "--M", "256", "--seed", "3"],
+     ["mpmath", "numpy.ma", "qhermite.calibration", "qhermite.qht_pipeline"]),
+], ids=["ff-error", "sample", "overlap", "test"])
 def test_subcommand_imports_only_what_it_runs(tmp_path, argv, absent):
     code, loaded = _fresh(f"""
 import json, sys

@@ -8,7 +8,7 @@ from conftest import loewdin_orthonormalize
 
 from qhermite import qht_pipeline
 from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis
-from qhermite.fast_forward import apply_tables
+from qhermite.fast_forward import apply_tables, decompose, evolution_tables
 from qhermite.qht_pipeline import (
     ConfigError,
     QHTConfig,
@@ -218,7 +218,8 @@ class TestEigenstateFilter:
         v = rng.normal(size=M) + 1j * rng.normal(size=M)
         v /= np.linalg.norm(v)
         branches = [v]
-        for tables, t_j in zip(op.dyadic_tables, op.dyadic_times):
+        for t_j in op.dyadic_times:   # every pass factored, the two closed-form ones too
+            tables = evolution_tables(M, decompose(t_j))
             nxt = []
             for b in branches:
                 wb = np.exp(1j * t_j * 1.5) * apply_tables(tables, b)   # W_{1,j} b
@@ -339,11 +340,15 @@ class TestUncompute:
 
 
 class TestPipelineContext:
-    def test_holds_2m_plus_1_half_tables(self):
+    def test_holds_2m_minus_4_half_tables(self):
+        # the half and quarter periods run in closed form, so only m - 2 evolutions are factored,
+        # each in three factors of two distinct coefficients
         cfg = QHTConfig(N=2, eps=0.01, M=1024)
-        tables = qht_operator(cfg).dyadic_tables
-        assert len(tables) == cfg.m_bits
-        assert sum(t.halves.shape[0] for t in tables) == 2 * cfg.m_bits + 1
+        op = qht_operator(cfg)
+        tables = op.dyadic_tables
+        assert len(tables) == cfg.m_bits - 2 and len(op.dyadic_times) == cfg.m_bits
+        assert op.dyadic_times[-2:] == [np.pi / 2, np.pi]
+        assert sum(t.halves.shape[0] for t in tables) == 2 * (cfg.m_bits - 2)
         assert all(t.halves.shape[1] == cfg.M // 2 + 1 for t in tables)
 
     @pytest.mark.parametrize("eps", [1.5, 1.0, 0.0, -0.1, float("nan")])
@@ -506,23 +511,31 @@ class TestFrameSweep:
     CONFIGS = (choose_dimensions(4, 0.05), QHTConfig(N=2, eps=0.05, M=64))
 
     @staticmethod
-    def _filter_passes(op, n, v):
-        for tables, t_j in zip(op.dyadic_tables, op.dyadic_times):
+    def _tables(op):
+        """The factored evolution of every dyadic time, the two the sweeps run in closed form too."""
+        return [evolution_tables(op.config.M, decompose(t_j)) for t_j in op.dyadic_times]
+
+    @classmethod
+    def _filter_passes(cls, op, n, v):
+        for tables, t_j in zip(cls._tables(op), op.dyadic_times):
             c = np.exp(1j * t_j * (n + 0.5))
             v = 0.5 * (v + c * apply_tables(tables, v))
         return v
 
-    @staticmethod
-    def _uncompute_passes(op, n, v):
-        for tables, t_j in zip(op.dyadic_tables, op.dyadic_times):
+    @classmethod
+    def _uncompute_passes(cls, op, n, v):
+        for tables, t_j in zip(cls._tables(op), op.dyadic_times):
             c = np.exp(-1j * t_j * (n + 0.5))
             v = 0.5 * (v + c * apply_tables(tables, v, adjoint=True))
         return v
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["N4", "M64"])
     def test_top_table_has_five_factors(self, cfg):
-        steps = [len(t.steps) for t in qht_operator(cfg).dyadic_tables]
-        assert steps == [3] * (cfg.m_bits - 1) + [5]
+        # the reference factors V(pi) in five factors; the operator holds only the
+        # three-factor tables below the quarter period
+        op = qht_operator(cfg)
+        assert [len(t.steps) for t in self._tables(op)] == [3] * (cfg.m_bits - 1) + [5]
+        assert [len(t.steps) for t in op.dyadic_tables] == [3] * (cfg.m_bits - 2)
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["N4", "M64"])
     def test_sweeps_match_passes(self, cfg, rng):
@@ -547,6 +560,47 @@ class TestFrameSweep:
             work = _amplified(cfg, kept, leak)
             assert abs(op.filter_leaks[n] - leak) < 1e-13
             assert np.abs(U[n] - self._uncompute_passes(op, n, work)).max() < 1e-13
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["filter", "uncompute"])
+    def test_half_period_stage_is_identity_on_pipeline_rows(self, adjoint):
+        # on a row of two prepared states, c_{n,m-1} V(pi) = i (-1)^n (-iP) is 1 on either
+        # parity part, so the sweep equals the passes with the half period left out, and its
+        # discarded mass is theirs: parts within 2.0e-16, masses within 1.5e-15 relative
+        cfg = choose_dimensions(8, 0.01)
+        op = qht_operator(cfg)
+        times = op.dyadic_times[:-1]
+        for n in range(0, cfg.N, 2):
+            parts = [_prepared(cfg, n + k).astype(complex) for k in (0, 1)]
+            lost = np.zeros((1, 2))
+            row = op._sweep((parts[0] + parts[1])[None], [(n, n + 1)], adjoint, lost=lost)[0]
+            for k, v in enumerate(parts):
+                mass = 0.0
+                for t_j in times:
+                    c = np.exp((-1j if adjoint else 1j) * t_j * (n + k + 0.5))
+                    kick = c * apply_tables(evolution_tables(cfg.M, decompose(t_j)), v,
+                                            adjoint=adjoint)
+                    mass += float(np.linalg.norm((v - kick) / 2) ** 2)
+                    v = (v + kick) / 2
+                got = _parity_part(row, (-1) ** k, np.empty_like(row))
+                assert np.abs(got - v).max() <= 1e-15
+                assert abs(lost[0, k] - mass) <= 4e-15 * mass
+
+    @pytest.mark.parametrize("N, per_row", [(8, 46), (16, 54)])
+    def test_row_transforms_per_row(self, N, per_row, monkeypatch):
+        # a sweep enters and leaves the momentum frame (2), runs each of the m - 2 factored
+        # evolutions in two FFTs, V(pi/2) in one and V(pi) in none: 2m - 1, and two sweeps a row
+        cfg = choose_dimensions(N, 0.01)
+        assert per_row == 2 * (2 * cfg.m_bits - 1)
+        op = QHTOperator(cfg)
+        rows = []
+        for name in ("fft", "ifft"):
+            def counted(a, *args, _fft=getattr(np.fft, name), **kwargs):
+                rows.append(a.size // a.shape[-1])
+                return _fft(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        op.matrix()
+        assert sum(rows) == per_row * (N // 2)
 
     def test_pass_counts(self):
         # m filter and m uncompute passes per held block; a block's row partner is built with it
