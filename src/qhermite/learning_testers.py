@@ -23,6 +23,7 @@ import numpy as np
 from .hermite_sampling import (
     OracleFunction,
     SamplerConfig,
+    _SLAB_POINTS,
     _tally,
     draw,
     sample_distribution,
@@ -135,6 +136,20 @@ def _pattern_rows(pattern: CoefficientPattern, y: np.ndarray) -> np.ndarray:
     return probabilist_product(degrees, y, np.ones(y.shape[0]))
 
 
+def _in_slabs(m: int, slab) -> np.ndarray:
+    """The m Monte-Carlo terms, written `_SLAB_POINTS` at a time: `slab(part)` gives terms[part].
+
+    A slab's points and products live only while it runs, so a call holds
+    the m-float result and one slab; each term's bits are the one-shot
+    evaluation's, and so are the draws, taken in order.
+    """
+    out = np.empty(m)
+    for start in range(0, m, _SLAB_POINTS):
+        part = slice(start, min(start + _SLAB_POINTS, m))
+        out[part] = slab(part)
+    return out
+
+
 def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: float,
                     delta: float, rng: np.random.Generator,
                     gamma: float | None = None) -> WeightEstimate:
@@ -158,13 +173,17 @@ def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: flo
     z = rng.standard_normal((m, len(rest)))
     y1 = rng.standard_normal((m, len(J)))
     y2 = rng.standard_normal((m, len(J)))
-    pts1 = np.empty((m, f.arity))
-    pts1[:, list(rest)] = z   # the two points share the wildcard coordinates
-    pts2 = pts1.copy()
-    pts1[:, list(J)] = y1
-    pts2[:, list(J)] = y2
-    prods = (f.evaluate(pts1) * f.evaluate(pts2)
-             * _pattern_rows(pattern, y1) * _pattern_rows(pattern, y2))
+
+    def slab(part):
+        pts1 = np.empty((part.stop - part.start, f.arity))
+        pts1[:, list(rest)] = z[part]   # the two points share the wildcard coordinates
+        pts2 = pts1.copy()
+        pts1[:, list(J)] = y1[part]
+        pts2[:, list(J)] = y2[part]
+        return (f.evaluate(pts1) * f.evaluate(pts2)
+                * _pattern_rows(pattern, y1[part]) * _pattern_rows(pattern, y2[part]))
+
+    prods = _in_slabs(m, slab)
     mean = float(prods.mean())
     var = float(prods.var(ddof=1)) if m > 1 else 0.0
     rng_width = float(prods.max() - prods.min()) if m > 1 else 0.0
@@ -179,8 +198,12 @@ def coefficient_estimate(f: OracleFunction, v, eps_est: float, delta: float,
     _check_delta(delta)
     v = tuple(int(c) for c in v)
     m = max(int(math.ceil(8.0 * max(1.0, sum(v)) / eps_est**2 * math.log(2.0 / delta))), 64)
-    pts = rng.standard_normal((m, f.arity))
-    return float(probabilist_product(v, pts, f.evaluate(pts)).mean())
+
+    def slab(part):
+        pts = rng.standard_normal((part.stop - part.start, f.arity))
+        return probabilist_product(v, pts, f.evaluate(pts))
+
+    return float(_in_slabs(m, slab).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,15 @@ def probabilist_rows(n_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def probabilist_product(v, x: np.ndarray, start):
-    """start * h_v(x) = start * prod_i h_{v_i}(x[..., i]), multiplied axis by axis in order."""
+    """start * h_v(x) = start * prod_i h_{v_i}(x[..., i]), multiplied axis by axis in order.
+
+    Each factor runs `probabilist_rows`'s recurrence, bit for bit, holding
+    two rows where that builds rows 0..v_i.
+    """
     for i, d in enumerate(v):
-        start = start * probabilist_rows(d, x[..., i])[d]
+        xi = np.asarray(x[..., i], dtype=float)
+        prev, cur = np.ones(xi.shape), xi
+        for k in range(1, d):
+            prev, cur = cur, (xi * cur - np.sqrt(k) * prev) / np.sqrt(k + 1.0)
+        start = start * (cur if d else prev)
     return start

@@ -43,6 +43,28 @@ def dense_momentum_sq(spec: GridSpec) -> np.ndarray:
     return c[(j[None, :] - j[:, None]) % spec.M]
 
 
+def sector_blocks_by_gather(M: int) -> tuple:
+    """Hbar's (even, odd) parity blocks by index-grid gathers of the symbol (a reference).
+
+    c[|a-b|] and c[(a+b) mod M] are gathered into two (M/2+1)^2 arrays and
+    the even block is scaled by the factor array 0.5 w_a w_b, where
+    `discrete_qho._sector_blocks` reads strided views and scales in place.
+    """
+    half = M // 2
+    c = _p2_symbol(M)
+    a = np.arange(half + 1)
+    diff = c[np.abs(a[:, None] - a[None, :])]
+    summ = c[(a[:, None] + a[None, :]) % M]
+    diag = np.pi * a * a / M
+    w = np.ones(half + 1)
+    w[[0, half]] = np.sqrt(0.5)
+    even = 0.5 * w[:, None] * w[None, :] * (diff + summ)
+    even[np.diag_indices(half + 1)] += diag
+    odd = 0.5 * (diff[1:half, 1:half] - summ[1:half, 1:half])
+    odd[np.diag_indices(half - 1)] += diag[1:half]
+    return even, odd
+
+
 def apply_factored(qho: DiscreteQHO, fe: FactoredEvolution, state: np.ndarray) -> np.ndarray:
     """Apply the phase factors: build their tables, then run `apply_tables`."""
     return apply_tables(evolution_tables(qho.M, fe), state)

@@ -5,13 +5,14 @@ import pytest
 from conftest import restriction_coefficient
 
 from qhermite import corpus
-from qhermite.hermite_sampling import SamplerConfig
+from qhermite.hermite_sampling import _SLAB_POINTS, SamplerConfig
 from qhermite.learning_testers import LOW_DEGREE_C, CoefficientPattern, coefficient_estimate
 from qhermite.learning_testers import gaussian_goldreich_levin
 from qhermite.learning_testers import weight_estimate
 from qhermite.learning_testers import test_hermite_polynomial as run_hermite_tester
 from qhermite.learning_testers import test_low_degree as run_low_degree_tester
 from qhermite.learning_testers import test_product_sign as run_product_sign_tester
+from qhermite.spectral_core import probabilist_product, probabilist_rows
 
 SCFG = SamplerConfig(M=512, D=9)
 
@@ -63,6 +64,62 @@ class TestWeightEstimate:
                                          np.random.default_rng(seed)).value - (2 / np.pi) ** 2)
                      > 0.05 for seed in range(20))
         assert misses <= 1
+
+
+def _one_shot_weight(f, pattern, m, rng):
+    """weight_estimate's terms drawn and evaluated in one pass over all m points (a reference)."""
+    J, rest = list(pattern.fixed_positions), list(pattern.wildcard_positions)
+    z = rng.standard_normal((m, len(rest)))
+    y1 = rng.standard_normal((m, len(J)))
+    y2 = rng.standard_normal((m, len(J)))
+    pts1 = np.empty((m, f.arity))
+    pts1[:, rest] = z
+    pts2 = pts1.copy()
+    pts1[:, J] = y1
+    pts2[:, J] = y2
+    degrees = [pattern.entries[j] for j in J]
+    return (f.evaluate(pts1) * f.evaluate(pts2)
+            * probabilist_rows_product(degrees, y1) * probabilist_rows_product(degrees, y2))
+
+
+def probabilist_rows_product(v, x, start=1.0):
+    """start * h_v(x) from whole `probabilist_rows` tables, axis by axis (a reference)."""
+    for i, d in enumerate(v):
+        start = start * probabilist_rows(d, x[..., i])[d]
+    return start
+
+
+class TestSlabbedEstimators:
+    """Terms evaluated _SLAB_POINTS at a time give the one-shot estimate bit for bit."""
+
+    F = corpus.mixture([((1, 0), 0.8), ((0, 2), 0.6)], 2)
+
+    def test_coefficient_estimate(self):
+        # m = ceil(8 * 2 / 0.01^2 * ln 40) = 590 221 terms, 10 slabs (the last partial)
+        m = 590_221
+        assert m // _SLAB_POINTS == 9
+        pts = np.random.default_rng(5).standard_normal((m, 2))
+        one_shot = float(probabilist_rows_product((0, 2), pts, self.F.evaluate(pts)).mean())
+        got = coefficient_estimate(self.F, (0, 2), 0.01, 0.05, np.random.default_rng(5))
+        assert got == one_shot
+
+    @pytest.mark.parametrize("pattern", [(0, None), (None, 2), (1, 0)])
+    def test_weight_estimate(self, pattern):
+        # gamma = 2: m = ceil(4 / 0.01^2 * ln 40) = 147 556 terms, 3 slabs
+        pattern = CoefficientPattern(pattern)
+        est = weight_estimate(self.F, pattern, 0.01, 0.05, np.random.default_rng(6), gamma=2.0)
+        assert est.samples == 147_556 and est.samples > 2 * _SLAB_POINTS
+        prods = _one_shot_weight(self.F, pattern, est.samples, np.random.default_rng(6))
+        assert est.value == float(prods.mean())
+        var, width, log_term = float(prods.var(ddof=1)), float(prods.max() - prods.min()), np.log(60)
+        half = np.sqrt(2.0 * var * log_term / est.samples) + 3.0 * width * log_term / est.samples
+        assert est.half_width == half
+
+    @pytest.mark.parametrize("v", [(0,), (1,), (5,), (0, 3), (7, 2, 0)])
+    def test_product_recurrence_equals_the_tables(self, v, rng):
+        x = rng.standard_normal((1000, len(v)))
+        start = rng.standard_normal(1000)
+        assert np.array_equal(probabilist_product(v, x, start), probabilist_rows_product(v, x, start))
 
 
 class TestUndeclaredGamma:

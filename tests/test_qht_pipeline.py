@@ -619,10 +619,13 @@ class TestFrameSweep:
         assert type(op.v_passes) is int                   # the qht footer writes it as JSON
 
 
-def _stack_layout(cfg):
-    """(stack height, stacks) of a full build: ceil(N/2) rows in stacks of _stack_rows(M)."""
+def _stack_layout(cfg, cpus):
+    """(stack height, stacks) of a full build on `cpus` usable CPUs.
+
+    ceil(N/2) rows in stacks of at most _stack_rows(M) rows and at most ceil(rows / cpus).
+    """
     rows = -(-cfg.N // 2)
-    height = _stack_rows(cfg.M)
+    height = min(_stack_rows(cfg.M), -(-rows // cpus))
     return height, -(-rows // height)
 
 
@@ -775,7 +778,7 @@ class TestStackedHold:
             monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda w=workers: w)
             op = QHTOperator(cfg)
             op.matrix()
-            assert op.build_workers == min(workers, _stack_layout(cfg)[1])
+            assert op.build_workers == min(workers, _stack_layout(cfg, workers)[1])
             ops.append(op)
         for name in self.METRICS:
             assert np.array_equal(getattr(ops[0], name), getattr(ops[1], name)), name
@@ -784,7 +787,7 @@ class TestStackedHold:
     def test_worker_error_reaches_the_caller(self, stack, monkeypatch):
         # stack 0 runs on the calling thread, stack 1 on the one thread it starts
         real = qht_pipeline.build_pr_state
-        first = 2 * _stack_layout(self.CFG)[0]   # the blocks of stack 0
+        first = 2 * _stack_layout(self.CFG, 2)[0]   # the blocks of stack 0
         bad = 0 if stack == 0 else self.CFG.N - 1
 
         def refuse(n, *args):
@@ -803,10 +806,10 @@ class TestStackedHold:
         assert op.held.sum() == (self.CFG.N - first if stack == 0 else first)
         assert op.v_passes == 2 * self.CFG.m_bits * op.held.sum()   # only held blocks count
 
-    @pytest.mark.parametrize("N, workers", [(8, 1), (16, 2)])
+    @pytest.mark.parametrize("N, workers", [(8, 2), (16, 2)])
     def test_workers_follow_the_stacks(self, N, workers, monkeypatch):
-        # stacks of _stack_rows(M) rows: N = 8 at M = 4096 is one stack, so one worker
-        # on two CPUs; N = 16 at M = 16384 splits 4 + 3 after the warm-up, on two
+        # stacks of at most ceil(rows / CPUs) rows: the 3 rows of N = 8 (M = 4096) left
+        # after the warm-up split 2 + 1 on two CPUs; N = 16 (M = 16384) splits 4 + 3
         cfg = choose_dimensions(N, 0.01)
         monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 2)
         op = QHTOperator(cfg)
