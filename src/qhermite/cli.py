@@ -271,20 +271,15 @@ def cmd_ggl(args):
 
     mode = args.mode
     rows = []
-    successes = 0
-    total = 0
     for label, f, heavy in _ggl_corpus(args.n, mode):
         for seed in args.seeds:
             rng = np.random.default_rng(seed)
             res = gaussian_goldreich_levin(f, args.tau, args.delta, rng, mode=mode)
-            complete = all(tuple(v) in res.found for v in heavy)
-            successes += complete
-            total += 1
             rows.append([label, mode, seed, res.oracle_queries,
                          ";".join("|".join(map(str, v)) for v in res.found),
-                         int(complete), int(not res.failed)])
+                         int(all(tuple(v) in res.found for v in heavy)), int(not res.failed)])
     return (["instance", "mode", "seed", "queries", "found", "complete", "ok"], rows,
-            {"success_rate": successes / max(total, 1)}, 0)
+            {"success_rate": sum(row[5] for row in rows) / max(len(rows), 1)}, 0)
 
 
 def cmd_test(args):

@@ -200,6 +200,9 @@ def mixture(terms, n: int, bounded: bool = False) -> OracleFunction:
     n = _arity(n)
     bounded = _flag(bounded, "bounded")
     terms = [(_degrees(v, n, "mixture"), float(c)) for v, c in terms]
+    for v, c in terms:   # JSON reads NaN and Infinity
+        if not math.isfinite(c):
+            raise ValueError(f"mixture term {v} must have a finite coefficient, got {c!r}")
     if not terms:
         raise ValueError("mixture needs at least one term")
 

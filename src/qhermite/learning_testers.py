@@ -70,9 +70,7 @@ class CoefficientPattern:
 
     def extend(self, value: int) -> "CoefficientPattern":
         k = self.fixed_len
-        new = list(self.entries)
-        new[k] = int(value)
-        return CoefficientPattern(tuple(new))
+        return CoefficientPattern(self.entries[:k] + (int(value),) + self.entries[k + 1:])
 
 
 @dataclass(frozen=True)
@@ -117,12 +115,40 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
 
 
-def _promise(eps1: float, eps2: float, delta: float) -> float:
-    """Check a tester's promise gap and delta; return the midpoint threshold 1 - (eps1+eps2)/2."""
+def _promise(eps1: float, eps2: float, delta: float):
+    """Check a tester's promise gap and delta: (threshold, eps, what).
+
+    threshold is the midpoint 1 - (eps1+eps2)/2, eps = eps2 - eps1 sizes the
+    tester's counts, and what names the parameters for `_count`.
+    """
     if not 0 < eps1 < eps2:
         raise ValueError("need eps2 > eps1 > 0")
     _check_delta(delta)
-    return 1.0 - (eps1 + eps2) / 2.0
+    return 1.0 - (eps1 + eps2) / 2.0, eps2 - eps1, f"eps1={eps1}, eps2={eps2}, delta={delta}"
+
+
+def _count(rule, what: str, rounding=math.ceil) -> int:
+    """rule() rounded to an int: a draw count or list cap that tau, eps or delta set.
+
+    A rule that overflows to inf, or divides by a square that underflowed to
+    0, sets no finite count; that is a ValueError naming `what`.  Every
+    caller takes its counts before its first draw, so the error leaves the
+    rng as it was.
+    """
+    try:
+        return int(rounding(rule()))
+    except (OverflowError, ZeroDivisionError):   # int(inf), or x / 0.0
+        raise ValueError(f"{what} sets a count that is not finite") from None
+
+
+def _weight_count(g: float, eps_est: float, delta: float, what: str) -> int:
+    """weight_estimate's draws: ceil(max(g, 1)^2/eps_est^2 ln(2/delta)), at least 64."""
+    return max(_count(lambda: max(g, 1.0) ** 2 / eps_est**2 * math.log(2.0 / delta), what), 64)
+
+
+def _coefficient_count(degree: int, eps: float, delta: float, what: str) -> int:
+    """coefficient_estimate's draws: ceil(8 max(1, degree)/eps^2 ln(2/delta)), at least 64."""
+    return max(_count(lambda: 8.0 * max(1.0, degree) / eps**2 * math.log(2.0 / delta), what), 64)
 
 
 def _spectrum_draws(f: OracleFunction, scfg: SamplerConfig, rng, k: int):
@@ -165,9 +191,7 @@ def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: flo
     then the error bar to read.
     """
     _check_delta(delta)
-    g = _resolve_gamma(f, gamma)
-    m = int(math.ceil(max(g, 1.0) ** 2 / eps_est**2 * math.log(2.0 / delta)))
-    m = max(m, 64)
+    m = _weight_count(_resolve_gamma(f, gamma), eps_est, delta, f"eps_est={eps_est}, delta={delta}")
     J = pattern.fixed_positions
     rest = pattern.wildcard_positions
     z = rng.standard_normal((m, len(rest)))
@@ -197,7 +221,7 @@ def coefficient_estimate(f: OracleFunction, v, eps_est: float, delta: float,
     """Monte-Carlo fhat(v) = E[f(x) h_v(x)] to +-eps_est w.p. 1 - delta."""
     _check_delta(delta)
     v = tuple(int(c) for c in v)
-    m = max(int(math.ceil(8.0 * max(1.0, sum(v)) / eps_est**2 * math.log(2.0 / delta))), 64)
+    m = _coefficient_count(sum(v), eps_est, delta, f"eps_est={eps_est}, delta={delta}")
 
     def slab(part):
         pts = rng.standard_normal((part.stop - part.start, f.arity))
@@ -236,13 +260,13 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
         raise ValueError("tau must be in (0, 1)")
     _check_delta(delta)
     g = _resolve_gamma(f)
-    cap = int(math.ceil(4.0 * g * g / tau)) + 4
-    cap = min(cap, f.degree_cutoff)
-    list_cap = max(1, int(math.floor(4.0 / tau**2)))
+    what = f"tau={tau}, delta={delta}"
+    cap = min(_count(lambda: 4.0 * g * g / tau, what) + 4, f.degree_cutoff)
+    list_cap = max(1, _count(lambda: 4.0 / tau**2, what, math.floor))
 
     if mode == "sampler":
         scfg = SamplerConfig(D=cap)
-        draws = max(int(math.ceil(32.0 / tau**2 * math.log(2.0 / delta))), 64)
+        draws = max(_count(lambda: 32.0 / tau**2 * math.log(2.0 / delta), what), 64)
         drawn, attempts = _spectrum_draws(f, scfg, rng, draws)
         counts = _tally(drawn, scfg.D)
         # each kept index holds >= tau^2/2 of the draws, so at most 2/tau^2 <= list_cap are kept
@@ -258,6 +282,7 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
     n = f.arity
     live = [CoefficientPattern((None,) * n)]
     per_node_delta = delta / max(1, 2 * n * list_cap * (cap + 1))
+    _weight_count(g, tau**2 / 4.0, per_node_delta, what)   # every node's, before any draw
     for _level in range(n):
         scored = []
         for pattern in live:
@@ -302,7 +327,7 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
 def _mode_sample(f: OracleFunction, sampler_config: SamplerConfig | None, rng, delta: float):
     """The mode of max(4, ceil(4 ln(2/delta))) spectrum draws (D = 9 by default), and that count."""
     scfg = sampler_config or SamplerConfig(D=9)
-    repeats = max(4, int(math.ceil(4 * math.log(2.0 / delta))))
+    repeats = max(4, _count(lambda: 4 * math.log(2.0 / delta), f"delta={delta}"))
     counts = _tally(_spectrum_draws(f, scfg, rng, repeats)[0], scfg.D)
     if not counts:
         return None, repeats
@@ -321,8 +346,9 @@ def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
     wrong size is an immediate reject (a k'-sign function with k' != k is at
     distance 1 from every k-sign function).
     """
-    threshold = _promise(eps1, eps2, delta)
-    _resolve_gamma(f)   # an oracle the weight estimate cannot size fails before any draw
+    threshold, eps, what = _promise(eps1, eps2, delta)
+    # an oracle or a count the weight estimate cannot size fails before any draw
+    _weight_count(_resolve_gamma(f), eps / 4.0, delta / 2.0, what)
     v_mode, used = _mode_sample(f, sampler_config, rng, delta)
     if v_mode is None:
         return TesterVerdict(accept=False, samples_used=used)
@@ -331,7 +357,6 @@ def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
         return TesterVerdict(accept=False, witness=support, samples_used=used)
     entries = [None if i in support else 0 for i in range(f.arity)]
     pattern = CoefficientPattern(tuple(entries))
-    eps = eps2 - eps1
     est = weight_estimate(f, pattern, eps / 4.0, delta / 2.0, rng)
     return TesterVerdict(accept=bool(est.value >= threshold), witness=pattern,
                          estimate=est.value, samples_used=used + est.samples)
@@ -348,12 +373,11 @@ def test_low_degree(f: OracleFunction, d: int, eps1: float, eps2: float,
     (Counting low-degree draws estimates the low-degree mass, so the
     acceptance threshold sits at one minus the distance midpoint.)
     """
-    threshold = _promise(eps1, eps2, delta)
-    eps = eps2 - eps1
+    threshold, eps, what = _promise(eps1, eps2, delta)
     scfg = sampler_config or SamplerConfig(D=max(9, 2 * d + 1))
     if scfg.D < d:   # a per-axis cutoff below d would count degree-<=d mass as high
         raise ValueError(f"sampler cutoff D={scfg.D} is below the tested degree d={d}")
-    m = int(math.ceil(LOW_DEGREE_C * math.log(1.0 / delta) / eps**2))
+    m = _count(lambda: LOW_DEGREE_C * math.log(1.0 / delta) / eps**2, what)
     v, _ = _spectrum_draws(f, scfg, rng, m)
     # an out-of-range row sums to n * (D + 1) > d, so the mask drops it
     x = int(np.count_nonzero(v.sum(axis=1) <= d)) / m
@@ -373,19 +397,21 @@ def test_hermite_polynomial(f: OracleFunction, k: int, eps1: float, eps2: float,
     sampler's own distribution fhat^2/||f||^2 is normalized the same way.)
     Candidates with the wrong variable count are rejected outright.
     """
-    threshold = _promise(eps1, eps2, delta)
-    v_mode, used = _mode_sample(f, sampler_config, rng, delta)
+    threshold, eps, what = _promise(eps1, eps2, delta)
+    scfg = sampler_config or SamplerConfig(D=9)
+    # the norm estimate sees fourth moments of f, so it gets the larger
+    # constant; median-of-means tames the heavy tail of f^2.  Both counts are
+    # taken before any draw, the coefficient's at the largest degree a draw can have
+    m = max(_count(lambda: 64.0 / eps**2 * math.log(4.0 / delta), what), 256)
+    _coefficient_count(f.arity * scfg.D, eps / 8.0, delta / 4.0, what)
+    v_mode, used = _mode_sample(f, scfg, rng, delta)
     if v_mode is None:
         return TesterVerdict(accept=False, samples_used=used)
     if sum(1 for c in v_mode if c > 0) != k:
         return TesterVerdict(accept=False, witness=v_mode, samples_used=used)
-    eps = eps2 - eps1
     coeff = coefficient_estimate(f, v_mode, eps / 8.0, delta / 4.0, rng)
-    # the norm estimate sees fourth moments of f, so it gets the larger
-    # constant; median-of-means tames the heavy tail of f^2.  The median of
-    # the 8 chunk means is the mean of the middle two, as np.median takes it
-    # (which would load numpy.ma)
-    m = max(int(math.ceil(64.0 / eps**2 * math.log(4.0 / delta))), 256)
+    # the median of the 8 chunk means is the mean of the middle two, as
+    # np.median takes it (which would load numpy.ma)
     pts = rng.standard_normal((m, f.arity))
     sq = f.evaluate(pts) ** 2
     means = sorted(c.mean() for c in np.array_split(sq, 8))

@@ -10,8 +10,10 @@ Every pipeline unitary is block-diagonal in the index n, so each block is
 simulated independently on a dimension-M work register and the blocks are
 recombined linearly; this replaces the M^2-dimensional joint statevector with
 N independent M-vectors, held per config as the columns of `QHTOperator`.
-Every column takes one path through the stages, `QHTOperator._hold_stacks`,
-and `QHTOperator._sweep` is both its filter and its uncompute.
+Every column takes one path through the stages, `QHTOperator._hold_stacks`.
+The filter is the m - 1 grid stages of `QHTOperator._sweep`, then the
+parity split, which is the half-period stage; the uncompute is the same
+under the adjoint.
 Within a block, the amplification walk lives exactly in the 2-D span
 {flagged, rest} of the prepared joint state, where fixed-point search is
 defined (Yoder, Low & Chuang, PRL 113, 210501, 2014), so the M-qubit filter
@@ -141,12 +143,15 @@ def choose_dimensions(N: int, eps: float) -> QHTConfig:
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
     _check_eps(eps)
+    over = f"exceeds the hard cap {M_CAP}; requested (N={N}, eps={eps}) with c0={C0}"
+    # in log2 first: N**2.25 overflows and eps**3.25 underflows far past the cap; under it
+    # N/eps <= N**2.25/eps**3.25 <= M_CAP/C0, so every floor below is a finite float
+    if math.log2(C0) + 2.25 * math.log2(N) - 3.25 * math.log2(eps) > math.log2(M_CAP):
+        raise ConfigError(f"required M {over}")
     floor = max(C0 * N**2.25 / eps**3.25, high_energy_cutoff(N, eps) + 2, 16 * N, 16)
     M = 1 << max(4, int(math.ceil(math.log2(floor))))
     if M > M_CAP:
-        raise ConfigError(
-            f"required M={M} exceeds the hard cap {M_CAP}; "
-            f"requested (N={N}, eps={eps}) with c0={C0}")
+        raise ConfigError(f"required M={M} {over}")
     return QHTConfig(N=N, eps=eps, M=M)
 
 
@@ -371,16 +376,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _reflect(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _reflect(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """x at the mirrored labels, l -> -l: index i -> -i mod M along the last axis.
 
-    Written from two slices into `out` (allocated when not given), so no
-    index array is built.  The map is the same in the position frame and
-    `fast_forward`'s momentum frame: alt is symmetric and the DFT commutes
-    with it.
+    Written from two slices into `out`, so no index array is built.  The
+    map is the same in the position frame and `fast_forward`'s momentum
+    frame: alt is symmetric and the DFT commutes with it.
     """
-    if out is None:
-        out = np.empty_like(x)
     out[..., 0] = x[..., 0]
     out[..., 1:] = x[..., :0:-1]
     return out
@@ -424,8 +426,9 @@ class QHTOperator:
     4 rows of N = 8 at M = 4096) still reaches every CPU, spread over one
     worker thread per usable CPU; build_workers is the number of workers
     that ran the latest build (0 before any).  Of the
-    m = log2(M) dyadic evolutions V(2^j 2pi/M), the sweeps run the top two,
-    V(pi/2) and V(pi), in closed form (see `_sweep`), so the operator holds
+    m = log2(M) dyadic evolutions V(2^j 2pi/M), the filter is the m - 1
+    grid stages, then the parity split: V(pi) is the split and V(pi/2) one
+    FFT (see `_sweep`), so the operator holds
     the half phase tables of the other m - 2 only: 2(m-2) rows of
     (M/2+1)*16 bytes (3.1 MB at M = 16384), and the columns take
     N*M*16 (4.2 MB at N = 16).  Each worker has scratch of its own, held
@@ -457,7 +460,9 @@ class QHTOperator:
 
     def _sweep(self, w: np.ndarray, rows, adjoint: bool,
                tmp: np.ndarray | None = None, lost: np.ndarray | None = None) -> np.ndarray:
-        """The QPE filter (uncompute under adjoint) of the blocks rows[i] on row i of w, in place.
+        """The grid stages of the QPE filter (uncompute under adjoint) of rows[i] on row i of w.
+
+        w is swept in place.
 
         The filter is the m-ancilla QPE interferometer flagging |psibar_n>.
         Its flagged component (ancillas |0...0>) is prod_j (I + c_{n,j} V_j)/2,
@@ -470,12 +475,16 @@ class QHTOperator:
         filter's coefficients rather than evaluating exp(-i ...), so both
         stages see the same bits.
 
-        The two most significant bits evolve for a quarter and a half
-        period, where the factored evolution is exactly a Fourier transform
-        and a reflection: V(pi/2) = e^(-i pi/4) F^-1 (F the centered DFT)
-        and V(pi) = -iP, by the chirp factorization of the DFT (Bluestein,
-        1970).  So stage m-2 is one FFT of the stack and stage m-1 none;
-        the other m - 2 evolutions run from the held `dyadic_tables`.
+        The filter is the m - 1 grid stages, then the parity split.  The most
+        significant bit evolves for half a period, where V(pi) = -iP (P the
+        reflection below), so c_{n,m-1} V(pi) = (-1)^n P and its stage is the
+        projector onto psi_n's parity: `_hold_stacks` applies it as the split
+        into parity parts that follows each sweep, and the sweep runs the
+        m - 1 stages below it.  The next bit evolves for a quarter period,
+        where V(pi/2) = e^(-i pi/4) F^-1 (F the centered DFT) by the chirp
+        factorization of the DFT (Bluestein, 1970), so stage m-2 is one FFT
+        of the stack; the other m - 2 evolutions run from the held
+        `dyadic_tables`.
 
         rows[i] is an even block and an odd one (n, n'), or a lone block
         (n,).  Row i carries e + o, e even and o odd under the reflection P
@@ -487,31 +496,29 @@ class QHTOperator:
         b_j = (c_{n,j} - c_{n',j})/2, taking n' = n for a lone block: one
         evolution serves both blocks, and the row's even and odd parts are
         exactly what each block alone would give.  A lone block's two phases
-        are the same, so a_j = c_{n,j} and b_j = 0 exactly.  For V(pi),
-        t = -iP w, so the pass is (-i b_j) w + (-i a_j) P w and reads the row
-        itself; on the pipeline's rows c_{n,m-1} V(pi) is 1 on either parity
-        part up to rounding, so that stage keeps the row.
+        are the same, so a_j = c_{n,j} and b_j = 0 exactly.
 
         w is a (k, M) stack of position-frame rows.  It enters the momentum
         frame of `fast_forward` and leaves it at the end; P is the same
         index map in both frames, and there V(pi/2) is
         w -> e^(-i pi/4) (-1)^(M/2) fft(w) / sqrt(M).  Each evolution runs
         once on the whole stack, into the (k, M) scratch `tmp`, and the
-        constant factors of the closed forms and the tables' global signs
-        ride on a_j and b_j.  P t is read from the reversed view of t into
+        constant factor of V(pi/2)'s closed form and the tables' global
+        signs ride on a_j and b_j.  P t is read from the reversed view of t into
         one M-length scratch, scaled on the way.  The halvings are left out
-        of the passes and applied once, as 2^-m at the end: power-of-two
+        of the passes and applied once, as 2^-(m-1) at the end: power-of-two
         scaling is exact, so the result is bitwise that of halving each pass.
 
         With `lost`, a (k, 2) array, the discarded-branch mass
-        sum_j ||(I - c_j V_j) x_j / 2||^2 of row i's even part is added to
+        sum_{j<m-1} ||(I - c_j V_j) x_j / 2||^2 of row i's even part is added to
         lost[i, 0] and that of its odd part to lost[i, 1], x_j being the
         part before pass j; block n reads slot n mod 2.  With d the
         discarded vector, a mirrored pair of labels l and -l (0 < l < M/2)
         carries |d_l + d_-l|^2 / 2 of even mass and |d_l - d_-l|^2 / 2 of odd
         mass, and the labels 0 and -M/2, their own mirrors, carry even mass
         only.  For a block that sum is exactly ||w||^2 - ||out||^2, summed
-        from non-negative terms instead of taken as a difference.  It is
+        from non-negative terms instead of taken as a difference, out being
+        the block's parity part of the swept row.  It is
         measured in the position frame: the momentum frame scales squared
         norms by 1/M, undone exactly with the halvings.  Each row's terms go
         through M-length scratches, so a row's masses have the same bits
@@ -519,33 +526,30 @@ class QHTOperator:
         """
         M, m = self.config.M, self.config.m_bits
         h = M // 2
-        first, last = (np.exp(1j * np.asarray(self.dyadic_times)
+        first, last = (np.exp(1j * np.asarray(self.dyadic_times[:-1])
                               * (np.array([blocks[k] for blocks in rows])[:, None] + 0.5))
                        for k in (0, -1))
         if adjoint:
             first, last = first.conj(), last.conj()
         a, b = (first + last) / 2, (first - last) / 2
-        # V(pi/2) = e^(-i pi/4) F^-1 is w -> e^(-i pi/4) s fft(w) / sqrt(M) in the frame, and
-        # V(pi) = -iP makes a t + b P t = (-i b) w + (-i a) P w; adjoints conjugated
+        # V(pi/2) = e^(-i pi/4) F^-1 is w -> e^(-i pi/4) s fft(w) / sqrt(M) in the frame;
+        # the adjoint conjugated
         quarter = (-1.0) ** h * ((1 + 1j) * math.sqrt(M / 2) if adjoint
                                  else (1 - 1j) / math.sqrt(2 * M))
-        half = 1j if adjoint else -1j
         tmp = np.empty_like(w) if tmp is None else tmp
         conj = np.empty(h + 1, dtype=complex) if adjoint else None
         refl = np.empty(M, dtype=complex)
         diff = None if lost is None else np.empty(M, dtype=complex)
         _enter_frame(w)
-        for j in range(m):
+        for j in range(m - 1):
             if j < m - 2:
                 tables = self.dyadic_tables[j]
                 src = _frame_steps(tables, w, adjoint, out=tmp, conj=conj)
-                gain_a, gain_b = a[:, j] * tables.global_sign, b[:, j] * tables.global_sign
-            elif j == m - 2:
-                src = (np.fft.ifft if adjoint else np.fft.fft)(w, out=tmp)
-                gain_a, gain_b = a[:, j] * quarter, b[:, j] * quarter
+                gain = tables.global_sign
             else:
-                src = w
-                gain_a, gain_b = b[:, j] * half, a[:, j] * half
+                src = (np.fft.ifft if adjoint else np.fft.fft)(w, out=tmp)
+                gain = quarter
+            gain_a, gain_b = a[:, j] * gain, b[:, j] * gain
             scale = M * 0.25 ** (j + 1)
             for i, (row, t, kick) in enumerate(zip(w, src, tmp)):
                 np.multiply(t[:0:-1], gain_b[i], out=refl[1:])
@@ -561,7 +565,7 @@ class QHTOperator:
                     ends = diff[::h]   # labels 0 and -M/2 are their own mirrors: even alone
                     lost[i, 0] += np.vdot(ends, ends).real * scale
             w += tmp
-        w *= 0.5 ** m
+        w *= 0.5 ** (m - 1)
         return _from_frame(w)
 
     @property
@@ -570,9 +574,10 @@ class QHTOperator:
 
         These count the circuit, whatever the simulator runs.  It runs one
         pass of a row for both of its blocks, so 2m passes per row, not per
-        block: `qht --N 16` counts 448 and runs 224.  Of a row's 2m passes,
-        2(m-2) are factored evolutions; the two top passes of each sweep
-        are a Fourier transform and a reflection (see `_sweep`).
+        block: `qht --N 16` counts 448 and runs 224.  The filter is the
+        m - 1 grid stages, then the parity split, and so is the uncompute:
+        of a row's 2m passes, 2(m-2) are factored evolutions, two are
+        Fourier transforms and two are the parity splits (see `_sweep`).
         """
         return 2 * self.config.m_bits * int(self.held.sum())
 
@@ -631,13 +636,14 @@ class QHTOperator:
     def _hold_stacks(self, stacks) -> None:
         """Run the stacks of rows through one pair of frame buffers, holding each as it ends.
 
-        A row's PR states are summed into the frame buffer and filtered
-        there.  The row is then split into its blocks' parity parts: the
-        even block's in the stack's scratch, the odd block's in one M-length
-        spare row.  Each part is amplified as its own block and the row is
-        set to the sum of the parts, so between the sweeps every block is
-        its row's parity part.  The stack is uncomputed in place, and the
-        same split writes the columns, so column n has (-1)^n parity bit for
+        A row's PR states are summed into the frame buffer and swept there.
+        The row is then split into its blocks' parity parts, the filter's
+        half-period stage: the even block's in the stack's scratch, the odd
+        block's in one M-length spare row.  Each part is amplified as its
+        own block and the row is set to the sum of the parts, so between the
+        sweeps every block is its row's parity part.  The stack is swept
+        back in place, and the same split, the uncompute's half-period
+        stage, writes the columns, so column n has (-1)^n parity bit for
         bit.
         """
         cfg = self.config

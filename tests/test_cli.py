@@ -251,6 +251,31 @@ class TestUsageErrors:
         assert len(err) == 1 and err[0].startswith(f"error: --out {out}")
         assert not (tmp_path / "missing_dir").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["qht", "--eps", "1e-100"], ["qht", "--eps", "5e-324"], ["qht", "--eps", "1e-97"],
+        ["qht", "--N", "1" + "0" * 400],
+        ["ggl", "--tau", "1e-300"], ["ggl", "--tau", "1e-160"],
+        ["ggl", "--mode", "sampler", "--tau", "1e-160"], ["ggl", "--delta", "1e-320"],
+        ["test", "--delta", "1e-320"],
+        ["sample", "--corpus", "NaN"], ["sample", "--corpus", "Infinity"],
+    ], ids=["qht-eps-underflow", "qht-eps-subnormal", "qht-eps-overflow", "qht-N-overflow",
+            "ggl-tau-zero-square", "ggl-tau", "ggl-sampler-tau", "ggl-delta", "test-delta",
+            "corpus-nan", "corpus-infinity"])
+    def test_extreme_value_is_one_error_line(self, tmp_path, capsys, args):
+        # each used to end in a ZeroDivisionError or OverflowError traceback, or (the corpus
+        # coefficients) to exit 0 with every draw at v = 0 and "tv": NaN in the summary
+        if args[0] == "sample":   # args[2] is the coefficient as json writes it
+            entry = '{"family": "mixture", "n": 1, "terms": [[[1], %s]]}' % args[2]
+            corpus_file = tmp_path / "corpus.json"
+            corpus_file.write_text(f"[{entry}]")
+            args = ["sample", "--trials", "5", "--corpus", str(corpus_file)]
+        code, out = _run(tmp_path, "x.csv", args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_corpus_is_an_error_line(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["sample", "--corpus", str(tmp_path / "missing.json"),

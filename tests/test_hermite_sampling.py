@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -178,6 +179,16 @@ class TestCorpusProducts:
     def test_index_not_a_degree_or_axis_rejected_at_build(self, entry, message):
         # an index is a plain integer: a float is not truncated, a bool not read as 1
         with pytest.raises(ValueError, match=message):
+            corpus.build_entry(entry)
+
+    @pytest.mark.parametrize("coefficient", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected_at_build(self, coefficient):
+        # json reads NaN and Infinity; such a term used to build an oracle that drew every
+        # sample at v = 0 and reported a tv of NaN
+        entry = json.loads(json.dumps({"family": "mixture", "n": 2,
+                                       "terms": [[[0, 1], 0.5], [[1, 0], coefficient]]}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"mixture term (1, 0) must have a finite coefficient, got {coefficient!r}")):
             corpus.build_entry(entry)
 
     @pytest.mark.parametrize("build, message", [

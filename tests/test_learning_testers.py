@@ -338,3 +338,38 @@ class TestConfidenceParameter:
         for call in calls:
             with pytest.raises(ValueError, match="delta"):
                 call()
+
+
+SIGN = corpus.product_sign((0, 1), 2)
+MIX = corpus.mixture([((1, 0), 1.0)], 2)
+
+
+class TestCountsOverflow:
+    # a tau or eps gap whose square underflows, or a delta whose ln(2/delta) overflows, used to
+    # raise ZeroDivisionError or OverflowError (int(inf)), some of them after the first draws
+    @pytest.mark.parametrize("call, name", [
+        (lambda rng: weight_estimate(SIGN, CoefficientPattern((1, None)), 1e-200, 0.1, rng),
+         "eps_est=1e-200"),
+        (lambda rng: coefficient_estimate(SIGN, (1, 1), 0.1, 1e-320, rng), "delta=1e-320"),
+        (lambda rng: gaussian_goldreich_levin(MIX, 1e-300, 0.1, rng), "tau=1e-300"),
+        (lambda rng: gaussian_goldreich_levin(MIX, 1e-160, 0.1, rng), "tau=1e-160"),
+        (lambda rng: gaussian_goldreich_levin(SIGN, 1e-160, 0.1, rng, mode="sampler"),
+         "tau=1e-160"),
+        (lambda rng: gaussian_goldreich_levin(MIX, 0.5, 1e-320, rng), "delta=1e-320"),
+        (lambda rng: run_product_sign_tester(SIGN, 2, 0.1, 0.3, 1e-320, rng, SCFG),
+         "delta=1e-320"),
+        (lambda rng: run_product_sign_tester(SIGN, 2, 1e-200, 2e-200, 0.1, rng, SCFG),
+         "eps1=1e-200"),
+        (lambda rng: run_low_degree_tester(SIGN, 3, 1e-200, 2e-200, 0.1, rng, SCFG),
+         "eps1=1e-200"),
+        (lambda rng: run_hermite_tester(SIGN, 1, 0.1, 0.3, 1e-320, rng, SCFG), "delta=1e-320"),
+        (lambda rng: run_hermite_tester(SIGN, 1, 1e-200, 2e-200, 0.1, rng, SCFG),
+         "eps1=1e-200"),
+    ], ids=["weight_estimate", "coefficient_estimate", "ggl_tau_zero_square", "ggl_tau",
+            "ggl_sampler_tau", "ggl_delta", "product_sign_delta", "product_sign_eps",
+            "low_degree_eps", "hermite_delta", "hermite_eps"])
+    def test_refused_before_any_draw(self, rng, call, name):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"{name}.* sets a count that is not finite"):
+            call(rng)
+        assert rng.bit_generator.state == state
