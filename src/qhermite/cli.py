@@ -181,8 +181,7 @@ def cmd_qht(args):
     rows = []
     for n, u in enumerate(columns):
         # the output for |n> is s_n u_n and its reference s_n |psibar_n>: the signs cancel
-        psi = op.basis[n]
-        fid = abs(np.vdot((psi / np.linalg.norm(psi)).astype(complex), u))
+        fid = abs(np.vdot(op.basis[n], u))
         block_fid = op.block_fidelities[n]
         rows.append([n, f"{fid:.8f}", f"{block_fid:.8f}", f"{1.0 - fid:.3e}",
                      f"{1.0 - block_fid:.3e}", f"{op.filter_leaks[n]:.3e}",

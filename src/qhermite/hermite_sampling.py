@@ -88,16 +88,16 @@ def _nu(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
 
 
-def _grid_contract(n: int, evaluate, grid: np.ndarray, mats=None, factors=None, weights=None):
+def _grid_contract(n: int, evaluate, grid: np.ndarray, mats, factors=None, weights=None):
     """Contract f over the n-fold tensor grid, one mode product per axis.
 
     With W = f * prod_k weights[k] on the grid (weights default to 1), returns
-    (T, sum |W|^2, max |f|), where T[r_1..r_n] = sum_i W(i) prod_k mats[k][r_k, i_k]
-    (T is None without mats).  A product oracle (`factors`, one callable per
-    axis) is rank-1: T is the outer product of the per-axis contractions.  Any
-    other `evaluate` (points of shape (..., n) to values (...)) is evaluated
-    in slabs of at most 2^16 points -- the trailing axes whole, the leading
-    ones flattened and walked in slices -- under the one budget
+    (T, sum |W|^2, max |f|), where T[r_1..r_n] = sum_i W(i) prod_k mats[k][r_k, i_k].
+    A product oracle (`factors`, one callable per axis) is rank-1: T is the
+    outer product of the per-axis contractions.  Any other `evaluate`
+    (points of shape (..., n) to values (...)) is evaluated in slabs of at
+    most 2^16 points -- the trailing axes whole, the leading ones flattened
+    and walked in slices -- under the one budget
     n * log2(len(grid)) <= FULL_GRID_BUDGET.
     """
     G = len(grid)
@@ -109,7 +109,7 @@ def _grid_contract(n: int, evaluate, grid: np.ndarray, mats=None, factors=None, 
             W = weights[k] * fk
             sum_sq *= float(np.sum(np.abs(W) ** 2))
             sup *= float(np.abs(fk).max())
-            T = None if mats is None else np.multiply.outer(T, mats[k] @ W)
+            T = np.multiply.outer(T, mats[k] @ W)
         return T, sum_sq, sup
     if n * math.log2(G) > FULL_GRID_BUDGET:
         raise ValueError(f"full-grid budget exceeded (n={n}, {G} points per axis)")
@@ -121,10 +121,9 @@ def _grid_contract(n: int, evaluate, grid: np.ndarray, mats=None, factors=None, 
     trail_pts = grid[np.moveaxis(np.indices((G,) * trail), 0, -1)]
     lead_w = np.prod([w[i] for w, i in zip(weights, lead_idx)], axis=0)
     trail_w = functools.reduce(np.multiply.outer, weights[lead:], 1.0)
-    if mats is not None:   # the leading axes' matrices, Kronecker-merged column-wise
-        lead_mat = mats[0][:, lead_idx[0]]
-        for m, i in zip(mats[1:lead], lead_idx[1:]):
-            lead_mat = (lead_mat[:, None, :] * m[:, i]).reshape(-1, len(i))
+    lead_mat = mats[0][:, lead_idx[0]]   # the leading axes' matrices, Kronecker-merged column-wise
+    for m, i in zip(mats[1:lead], lead_idx[1:]):
+        lead_mat = (lead_mat[:, None, :] * m[:, i]).reshape(-1, len(i))
     T, sum_sq, sup = 0.0, 0.0, 0.0
     step = _SLAB_POINTS // G ** trail
     slab = (-1,) + (1,) * trail
@@ -137,11 +136,10 @@ def _grid_contract(n: int, evaluate, grid: np.ndarray, mats=None, factors=None, 
         sup = max(sup, float(np.abs(vals).max()))
         W = vals * (lead_w[s:s + step].reshape(slab) * trail_w)
         sum_sq += float(np.sum(np.abs(W) ** 2))
-        if mats is not None:
-            for m in mats[lead:]:
-                W = np.tensordot(W, m, axes=([1], [1]))
-            T = T + lead_mat[:, s:s + step] @ W.reshape(len(W), -1)
-    return (None if mats is None else T.reshape([len(m) for m in mats])), sum_sq, sup
+        for m in mats[lead:]:
+            W = np.tensordot(W, m, axes=([1], [1]))
+        T = T + lead_mat[:, s:s + step] @ W.reshape(len(W), -1)
+    return T.reshape([len(m) for m in mats]), sum_sq, sup
 
 
 def spectrum_table(f: OracleFunction, D: int | None = None, M_quad: int = 512) -> np.ndarray:

@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 LOW_DEGREE_C = 12.0   # test_low_degree draws ceil(LOW_DEGREE_C * ln(1/delta) / eps^2) samples
+# Largest count `_count` returns.  An 8-byte array with one entry per draw
+# takes 128 MiB at the cap, and a call holds a few of them per oracle axis:
+# weight_estimate, the largest, holds 2n + 1 for an n-axis oracle (640 MiB
+# at n = 2).  The default runs ask for at most about 1e6.
+COUNT_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -97,10 +102,8 @@ class GGLResult:
     oracle_queries: int
 
 
-def _resolve_gamma(f: OracleFunction, gamma=None) -> float:
-    """The Poincare proxy that sizes a weight estimate: gamma, else f's, else 1 for |f| <= 1."""
-    if gamma is not None:
-        return float(gamma)
+def _resolve_gamma(f: OracleFunction) -> float:
+    """The Poincare proxy that sizes a weight estimate: f's gamma, else 1 for |f| <= 1."""
     if f.gamma is not None:
         return max(float(f.gamma), 1e-6)
     if f.boolean or f.range_bounded:
@@ -131,14 +134,17 @@ def _count(rule, what: str, rounding=math.ceil) -> int:
     """rule() rounded to an int: a draw count or list cap that tau, eps or delta set.
 
     A rule that overflows to inf, or divides by a square that underflowed to
-    0, sets no finite count; that is a ValueError naming `what`.  Every
-    caller takes its counts before its first draw, so the error leaves the
-    rng as it was.
+    0, sets no finite count, and a count above COUNT_CAP no draws can hold;
+    either is a ValueError naming `what`.  Every caller takes its counts
+    before its first draw, so the error leaves the rng as it was.
     """
     try:
-        return int(rounding(rule()))
+        count = int(rounding(rule()))
     except (OverflowError, ZeroDivisionError):   # int(inf), or x / 0.0
         raise ValueError(f"{what} sets a count that is not finite") from None
+    if count > COUNT_CAP:
+        raise ValueError(f"{what} sets a count of {count:.3g}, above the cap of {COUNT_CAP}")
+    return count
 
 
 def _weight_count(g: float, eps_est: float, delta: float, what: str) -> int:
@@ -177,8 +183,7 @@ def _in_slabs(m: int, slab) -> np.ndarray:
 
 
 def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: float,
-                    delta: float, rng: np.random.Generator,
-                    gamma: float | None = None) -> WeightEstimate:
+                    delta: float, rng: np.random.Generator) -> WeightEstimate:
     """Monte-Carlo W^S(f), within +-eps_est w.p. 1 - delta for an oracle with |f| <= 1.
 
     Averages f(y,z) f(y',z) h_S(y) h_S(y') over ceil(gamma^2/eps^2 ln(2/delta))
@@ -191,7 +196,7 @@ def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: flo
     then the error bar to read.
     """
     _check_delta(delta)
-    m = _weight_count(_resolve_gamma(f, gamma), eps_est, delta, f"eps_est={eps_est}, delta={delta}")
+    m = _weight_count(_resolve_gamma(f), eps_est, delta, f"eps_est={eps_est}, delta={delta}")
     J = pattern.fixed_positions
     rest = pattern.wildcard_positions
     z = rng.standard_normal((m, len(rest)))
@@ -261,7 +266,8 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
     _check_delta(delta)
     g = _resolve_gamma(f)
     what = f"tau={tau}, delta={delta}"
-    cap = min(_count(lambda: 4.0 * g * g / tau, what) + 4, f.degree_cutoff)
+    # a degree cap past the cutoff is the cutoff, so it never meets COUNT_CAP
+    cap = min(math.ceil(min(4.0 * g * g / tau, f.degree_cutoff)) + 4, f.degree_cutoff)
     list_cap = max(1, _count(lambda: 4.0 / tau**2, what, math.floor))
 
     if mode == "sampler":
@@ -292,7 +298,7 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
                     return GGLResult(found=(), failed=True, nodes_examined=nodes,
                                      oracle_queries=queries)
                 cand = pattern.extend(a_k)
-                est = weight_estimate(f, cand, tau**2 / 4.0, per_node_delta, rng, gamma=g)
+                est = weight_estimate(f, cand, tau**2 / 4.0, per_node_delta, rng)
                 queries += 2 * est.samples
                 if est.value >= tau**2 / 2.0:
                     scored.append((est.value, cand))

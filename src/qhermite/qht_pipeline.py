@@ -421,11 +421,11 @@ class QHTOperator:
     ||w_n||^2 - ||u_n||^2.  Block 2p and block 2p+1 share one row of the
     sweeps, and block N-1 has a row of its own when N is odd; every row
     takes the same path, so a block is built with its partner.  The rows a
-    call needs are computed together, as stacks of at most `_stack_rows(M)`
-    rows, and of at most ceil(rows / usable CPUs) so that a small build (the
-    4 rows of N = 8 at M = 4096) still reaches every CPU, spread over one
-    worker thread per usable CPU; build_workers is the number of workers
-    that ran the latest build (0 before any).  Of the
+    call needs are dealt to one worker thread per usable CPU, and each
+    worker runs its share as stacks of `_stack_rows(M)` rows (see `_hold`);
+    build_workers is the number of workers that ran the latest build (0
+    before any).  `basis` holds the normalized rows |psibar_n>, and `phases`
+    the QPE phases c_{n,j} of the m - 1 grid stages (see `_sweep`).  Of the
     m = log2(M) dyadic evolutions V(2^j 2pi/M), the filter is the m - 1
     grid stages, then the parity split: V(pi) is the split and V(pi/2) one
     FFT (see `_sweep`), so the operator holds
@@ -444,10 +444,15 @@ class QHTOperator:
     def __init__(self, config: QHTConfig):
         M, N = config.M, config.N
         self.config = config
-        self.basis = hermite_basis(GridSpec(M), N - 1)   # row n is |psibar_n>
+        self.basis = hermite_basis(GridSpec(M), N - 1)   # row n is |psibar_n>, normalized
+        for row in self.basis:
+            row /= np.linalg.norm(row)
         base = 2 * math.pi / M
         self.dyadic_times = [base * (1 << j) for j in range(config.m_bits)]
         self.dyadic_tables = [evolution_tables(M, decompose(t)) for t in self.dyadic_times[:-2]]
+        # c_{n,j} of the m - 1 grid stages, row n
+        self.phases = np.exp(1j * np.asarray(self.dyadic_times[:-1])
+                             * (np.arange(N)[:, None] + 0.5))
         self.signs = (-1.0) ** np.arange(N)
         self.columns = np.zeros((N, M), dtype=complex)
         self.held = np.zeros(N, dtype=bool)
@@ -472,8 +477,8 @@ class QHTOperator:
         ||w||^2 - ||kept||^2.  Exchanging the sum over index basis states with
         the dyadic product collapses the inverse QPE to m products per block:
         prod_j (I + conj(c_{n,j}) V_j^dagger)/2.  The uncompute conjugates the
-        filter's coefficients rather than evaluating exp(-i ...), so both
-        stages see the same bits.
+        filter's coefficients, held once in `phases`, rather than evaluating
+        exp(-i ...), so both stages see the same bits.
 
         The filter is the m - 1 grid stages, then the parity split.  The most
         significant bit evolves for half a period, where V(pi) = -iP (P the
@@ -504,7 +509,8 @@ class QHTOperator:
         w -> e^(-i pi/4) (-1)^(M/2) fft(w) / sqrt(M).  Each evolution runs
         once on the whole stack, into the (k, M) scratch `tmp`, and the
         constant factor of V(pi/2)'s closed form and the tables' global
-        signs ride on a_j and b_j.  P t is read from the reversed view of t into
+        signs ride on a_j and b_j: both are scaled by the stage gains in one
+        array product.  P t is read from the reversed view of t into
         one M-length scratch, scaled on the way.  The halvings are left out
         of the passes and applied once, as 2^-(m-1) at the end: power-of-two
         scaling is exact, so the result is bitwise that of halving each pass.
@@ -526,16 +532,15 @@ class QHTOperator:
         """
         M, m = self.config.M, self.config.m_bits
         h = M // 2
-        first, last = (np.exp(1j * np.asarray(self.dyadic_times[:-1])
-                              * (np.array([blocks[k] for blocks in rows])[:, None] + 0.5))
-                       for k in (0, -1))
+        first, last = (self.phases[[blocks[k] for blocks in rows]] for k in (0, -1))
         if adjoint:
             first, last = first.conj(), last.conj()
-        a, b = (first + last) / 2, (first - last) / 2
         # V(pi/2) = e^(-i pi/4) F^-1 is w -> e^(-i pi/4) s fft(w) / sqrt(M) in the frame;
         # the adjoint conjugated
         quarter = (-1.0) ** h * ((1 + 1j) * math.sqrt(M / 2) if adjoint
                                  else (1 - 1j) / math.sqrt(2 * M))
+        gains = np.array([tables.global_sign for tables in self.dyadic_tables] + [quarter])
+        gain_a, gain_b = (first + last) / 2 * gains, (first - last) / 2 * gains
         tmp = np.empty_like(w) if tmp is None else tmp
         conj = np.empty(h + 1, dtype=complex) if adjoint else None
         refl = np.empty(M, dtype=complex)
@@ -543,18 +548,14 @@ class QHTOperator:
         _enter_frame(w)
         for j in range(m - 1):
             if j < m - 2:
-                tables = self.dyadic_tables[j]
-                src = _frame_steps(tables, w, adjoint, out=tmp, conj=conj)
-                gain = tables.global_sign
+                src = _frame_steps(self.dyadic_tables[j], w, adjoint, out=tmp, conj=conj)
             else:
                 src = (np.fft.ifft if adjoint else np.fft.fft)(w, out=tmp)
-                gain = quarter
-            gain_a, gain_b = a[:, j] * gain, b[:, j] * gain
             scale = M * 0.25 ** (j + 1)
             for i, (row, t, kick) in enumerate(zip(w, src, tmp)):
-                np.multiply(t[:0:-1], gain_b[i], out=refl[1:])
-                np.multiply(t[:1], gain_b[i], out=refl[:1])
-                np.multiply(t, gain_a[i], out=kick)
+                np.multiply(t[:0:-1], gain_b[i, j], out=refl[1:])
+                np.multiply(t[:1], gain_b[i, j], out=refl[:1])
+                np.multiply(t, gain_a[i, j], out=kick)
                 kick += refl
                 if lost is not None:   # row and kick carry 2^j x_j and 2^j c_j V_j x_j
                     np.subtract(row, kick, out=diff)
@@ -591,27 +592,24 @@ class QHTOperator:
 
         The blocks run as rows of `_row`, so a block's partner is built with
         it and the bits of a column do not depend on which blocks a call
-        asked for.  The rows run as stacks of at most `_stack_rows(M)` rows
-        and at most ceil(rows / usable CPUs) (the last may be shorter), dealt
-        round-robin to one worker per usable CPU, but no more workers than
-        stacks: on two CPUs the 4 rows of N = 8 at M = 4096 build as two
-        stacks of 2 on two workers.  A row's bits do not depend on its stack,
-        so neither do the columns.  Each worker runs its stacks through
-        scratch of its own.
+        asked for.  The rows are dealt to one worker per usable CPU, but no
+        more workers than rows: worker i takes rows i, i + workers, ..., so
+        the shares differ by at most one row (on two CPUs the 40 rows of
+        N = 80 at M = 4096 give each worker 20).  Each worker runs its share
+        as stacks through scratch of its own (see `_hold_stacks`).  A row's
+        bits do not depend on its worker or its stack, so neither do the
+        columns.
         The calling thread is the first worker and starts a thread for each
         other one, so with one worker no thread is started.  numpy's FFTs
         release the interpreter lock, so the workers' sweeps overlap.  A
         worker's error is raised here once every worker has stopped; the
-        blocks of a stack that did not finish stay unheld.  Returns the
-        number of blocks built.
+        blocks of the stack that failed, and of that worker's later stacks,
+        stay unheld.  Returns the number of blocks built.
         """
         rows = sorted({self._row(int(n)) for n in blocks if not self.held[n]})
         if not rows:
             return 0
-        cpus = _usable_cpus()
-        height = min(_stack_rows(self.config.M), -(-len(rows) // cpus))
-        stacks = [rows[start:start + height] for start in range(0, len(rows), height)]
-        workers = self.build_workers = min(cpus, len(stacks))
+        workers = self.build_workers = min(_usable_cpus(), len(rows))
         errors = []
 
         def work(share):
@@ -620,12 +618,12 @@ class QHTOperator:
             except Exception as exc:   # raised again in the calling thread
                 errors.append(exc)
 
-        threads = [threading.Thread(target=work, args=(stacks[i::workers],))
+        threads = [threading.Thread(target=work, args=(rows[i::workers],))
                    for i in range(1, workers)]
         for thread in threads:
             thread.start()
         try:
-            self._hold_stacks(stacks[::workers])
+            self._hold_stacks(rows[::workers])
         finally:
             for thread in threads:
                 thread.join()
@@ -633,10 +631,12 @@ class QHTOperator:
             raise errors[0]
         return sum(map(len, rows))
 
-    def _hold_stacks(self, stacks) -> None:
-        """Run the stacks of rows through one pair of frame buffers, holding each as it ends.
+    def _hold_stacks(self, rows) -> None:
+        """Run rows as stacks of `_stack_rows(M)` through one pair of frame buffers.
 
-        A row's PR states are summed into the frame buffer and swept there.
+        The memory budget alone sets the stack height; the last stack may be
+        shorter, and each stack's blocks are held as it ends.  A row's PR
+        states, normalized, are summed into the frame buffer and swept there.
         The row is then split into its blocks' parity parts, the filter's
         half-period stage: the even block's in the stack's scratch, the odd
         block's in one M-length spare row.  Each part is amplified as its
@@ -647,10 +647,12 @@ class QHTOperator:
         bit.
         """
         cfg = self.config
-        buf = np.empty((max(map(len, stacks)), cfg.M), dtype=complex)
+        height = _stack_rows(cfg.M)
+        buf = np.empty((min(len(rows), height), cfg.M), dtype=complex)
         scratch = np.empty_like(buf)
         spare = np.empty(cfg.M, dtype=complex)
-        for chunk in stacks:
+        for start in range(0, len(rows), height):
+            chunk = rows[start:start + height]
             w, tmp = buf[:len(chunk)], scratch[:len(chunk)]
             w[:] = 0.0
             in_sq = []
@@ -673,10 +675,9 @@ class QHTOperator:
                                                      cfg.eps, cfg.aa_rounds)
                     if kept_norm:
                         vec *= goal / kept_norm
-                    psi_n = self.basis[n] / np.linalg.norm(self.basis[n])
                     self.filter_leaks[n] = leak
                     self.aa_residuals[n] = abs(rest) ** 2
-                    self.block_fidelities[n] = abs(np.vdot(psi_n, vec))
+                    self.block_fidelities[n] = abs(np.vdot(self.basis[n], vec))
                     self.input_mass[n] = float(np.vdot(vec, vec).real)
                     row += vec
             lost = np.zeros((len(chunk), 2))

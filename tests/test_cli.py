@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,28 @@ class TestDeterminism:
         h1 = hashlib.sha256(out1.read_bytes()).hexdigest()
         h2 = hashlib.sha256(out2.read_bytes()).hexdigest()
         assert h1 == h2
+
+    @pytest.mark.slow
+    def test_qht_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # one fresh process per OPENBLAS_NUM_THREADS, which is read only at numpy's import.
+        # N = 16 is left out: its columns move by about 1e-15 between one and two threads
+        code = (
+            "import hashlib, json, sys\n"
+            "from qhermite.cli import main\n"
+            "from qhermite.qht_pipeline import QHTOperator, choose_dimensions\n"
+            "assert main(['qht', '--N', '8', '--out', sys.argv[1]]) == 0\n"
+            "columns = QHTOperator(choose_dimensions(8, 0.01)).matrix().tobytes()\n"
+            "print(json.dumps([hashlib.sha256(open(sys.argv[1], 'rb').read()).hexdigest(),\n"
+            "                  hashlib.sha256(columns).hexdigest()]))\n"
+        )
+        src = str(Path(cli.__file__).parent.parent)
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / f"{threads}.csv")],
+                                  env=env, capture_output=True, text=True, timeout=120, check=True)
+            digests.append(json.loads(proc.stdout.splitlines()[-1]))
+        assert digests[0] == digests[1]
 
     def test_header_echoes_config(self, tmp_path):
         _, out = _run(tmp_path, "a.csv", ["sample", "--M", "512", "--trials", "10", "--seed", "9"])
@@ -275,6 +301,22 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, named", [
+        (["ggl", "--tau", "1e-70"], "tau=1e-70"),
+        (["ggl", "--mode", "sampler", "--tau", "1e-100"], "tau=1e-100"),
+        (["test", "--eps1", "1e-100", "--eps2", "2e-100"], "eps1=1e-100, eps2=2e-100"),
+        (["ggl", "--tau", "1e-4"], "tau=0.0001"),
+    ], ids=["ggl-tau", "ggl-sampler-tau", "test-eps", "ggl-tau-too-big"])
+    def test_count_above_the_cap_names_its_parameter(self, tmp_path, capsys, args, named):
+        # finite counts that numpy refused ("Maximum allowed dimension exceeded", or "array is
+        # too big" at tau = 1e-4) in an error line that named no parameter
+        code, out = _run(tmp_path, "x.csv", args)
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith(f"error: {named}")
+        assert f"above the cap of {learning_testers.COUNT_CAP}" in err
 
     def test_missing_corpus_is_an_error_line(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,8 @@ from conftest import restriction_coefficient
 
 from qhermite import corpus
 from qhermite.hermite_sampling import _SLAB_POINTS, SamplerConfig
-from qhermite.learning_testers import LOW_DEGREE_C, CoefficientPattern, coefficient_estimate
+from qhermite.learning_testers import COUNT_CAP, LOW_DEGREE_C, CoefficientPattern, _count
+from qhermite.learning_testers import coefficient_estimate
 from qhermite.learning_testers import gaussian_goldreich_levin
 from qhermite.learning_testers import weight_estimate
 from qhermite.learning_testers import test_hermite_polynomial as run_hermite_tester
@@ -52,7 +54,7 @@ class TestWeightEstimate:
 
     def test_sample_count_follows_contract(self, rng):
         f = corpus.mixture([((1,), 1.0)], 1)
-        est = weight_estimate(f, CoefficientPattern((1,)), 0.1, 0.1, rng, gamma=2.0)
+        est = weight_estimate(replace(f, gamma=2.0), CoefficientPattern((1,)), 0.1, 0.1, rng)
         assert est.samples >= int(np.ceil(4.0 / 0.1**2 * np.log(2 / 0.1)))
 
     def test_promise_holds_for_a_bounded_oracle(self):
@@ -107,7 +109,8 @@ class TestSlabbedEstimators:
     def test_weight_estimate(self, pattern):
         # gamma = 2: m = ceil(4 / 0.01^2 * ln 40) = 147 556 terms, 3 slabs
         pattern = CoefficientPattern(pattern)
-        est = weight_estimate(self.F, pattern, 0.01, 0.05, np.random.default_rng(6), gamma=2.0)
+        f = replace(self.F, gamma=2.0)
+        est = weight_estimate(f, pattern, 0.01, 0.05, np.random.default_rng(6))
         assert est.samples == 147_556 and est.samples > 2 * _SLAB_POINTS
         prods = _one_shot_weight(self.F, pattern, est.samples, np.random.default_rng(6))
         assert est.value == float(prods.mean())
@@ -373,3 +376,24 @@ class TestCountsOverflow:
         with pytest.raises(ValueError, match=f"{name}.* sets a count that is not finite"):
             call(rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda rng: weight_estimate(SIGN, CoefficientPattern((1, None)), 1e-4, 0.1, rng),
+         "eps_est=0.0001"),
+        (lambda rng: gaussian_goldreich_levin(MIX, 1e-4, 0.1, rng), "tau=0.0001"),
+        (lambda rng: run_low_degree_tester(SIGN, 3, 1e-4, 2e-4, 0.1, rng, SCFG), "eps1=0.0001"),
+    ], ids=["weight_estimate", "ggl", "low_degree"])
+    def test_count_above_the_cap_is_refused_before_any_draw(self, rng, call, name):
+        # finite counts of 3e8 to 3e9, whose draws would take gigabytes per array
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"{name}.* above the cap of {COUNT_CAP}"):
+            call(rng)
+        assert rng.bit_generator.state == state
+
+    def test_cap_is_the_largest_count(self):
+        # stub rules: no count here is drawn
+        assert _count(lambda: COUNT_CAP, "x=1") == COUNT_CAP
+        for rule, rounding in ((lambda: COUNT_CAP + 0.5, math.ceil),
+                               (lambda: COUNT_CAP + 1.0, math.floor)):
+            with pytest.raises(ValueError, match=f"x=1 sets a count of 1.68e\\+07, above the cap"):
+                _count(rule, "x=1", rounding)

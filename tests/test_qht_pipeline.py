@@ -1,5 +1,6 @@
 import re
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -600,9 +601,8 @@ class TestFrameSweep:
                     assert np.abs(U[n] - work).max() <= 5e-16
                     assert abs(op.uncompute_residuals[n] - lost) <= 2e-21
                 else:
-                    psi = op.basis[n] / np.linalg.norm(op.basis[n])
                     assert abs(op.filter_leaks[n] - leak) <= 4e-15
-                    assert abs(op.block_fidelities[n] - abs(np.vdot(psi, work))) <= 2e-15
+                    assert abs(op.block_fidelities[n] - abs(np.vdot(op.basis[n], work))) <= 2e-15
 
     @pytest.mark.parametrize("N, per_row", [(8, 46), (16, 54)])
     def test_row_transforms_per_row(self, N, per_row, monkeypatch):
@@ -640,13 +640,16 @@ class TestFrameSweep:
 
 
 def _stack_layout(cfg, cpus):
-    """(stack height, stacks) of a full build on `cpus` usable CPUs.
+    """The stacks of blocks each worker runs in a full build on `cpus` usable CPUs.
 
-    ceil(N/2) rows in stacks of at most _stack_rows(M) rows and at most ceil(rows / cpus).
+    Worker i takes rows i, i + workers, ... of the ceil(N/2) rows and cuts them into stacks
+    of _stack_rows(M) rows.
     """
-    rows = -(-cfg.N // 2)
-    height = min(_stack_rows(cfg.M), -(-rows // cpus))
-    return height, -(-rows // height)
+    rows = [tuple(range(n, min(n + 2, cfg.N))) for n in range(0, cfg.N, 2)]
+    workers = min(cpus, len(rows))
+    height = _stack_rows(cfg.M)
+    return [[[n for row in share[s:s + height] for n in row] for s in range(0, len(share), height)]
+            for share in (rows[i::workers] for i in range(workers))]
 
 
 class TestStackedHold:
@@ -655,6 +658,7 @@ class TestStackedHold:
     M = 4096
     CFG = QHTConfig(N=2 * _stack_rows(M) + 3, eps=0.01, M=M)
     SMALL = QHTConfig(N=2, eps=0.05, M=64)
+    WIDE = QHTConfig(N=80, eps=0.01, M=4096)   # 40 rows: 20 a worker on two, as 16 + 4
     HELD = ("columns", "block_fidelities", "filter_leaks", "aa_residuals", "input_mass",
             "uncompute_residuals")
     METRICS = HELD + ("held", "v_passes")
@@ -791,24 +795,30 @@ class TestStackedHold:
             op._sweep(stack[i:i + 1].copy(), [blocks], True, lost=alone)
             assert np.array_equal(alone[0], lost[i])
 
-    @pytest.mark.parametrize("cfg", [choose_dimensions(8, 0.01), CFG], ids=["N8", "two-stacks"])
+    @pytest.mark.parametrize("cfg", [choose_dimensions(8, 0.01), CFG, WIDE],
+                             ids=["N8", "two-stacks", "two-stacks-a-worker"])
     def test_parallel_build_equals_serial(self, cfg, monkeypatch):
         ops = []
         for workers in (1, 2):
             monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda w=workers: w)
             op = QHTOperator(cfg)
             op.matrix()
-            assert op.build_workers == min(workers, _stack_layout(cfg, workers)[1])
+            assert op.build_workers == len(_stack_layout(cfg, workers))
             ops.append(op)
         for name in self.METRICS:
             assert np.array_equal(getattr(ops[0], name), getattr(ops[1], name)), name
 
-    @pytest.mark.parametrize("stack", [0, 1], ids=["calling-thread", "started-thread"])
-    def test_worker_error_reaches_the_caller(self, stack, monkeypatch):
-        # stack 0 runs on the calling thread, stack 1 on the one thread it starts
+    @pytest.mark.parametrize("worker, stack", [(0, 0), (1, 1)],
+                             ids=["calling-thread", "started-thread"])
+    def test_worker_error_reaches_the_caller(self, worker, stack, monkeypatch):
+        # worker 0 is the calling thread and worker 1 the one thread it starts; each runs its
+        # 20 rows as a stack of 16 and one of 4.  Worker 0 fails in its first stack, so its
+        # second never runs; worker 1 fails in its second, after its first is held
+        stacks = _stack_layout(self.WIDE, 2)[worker]
+        assert len(stacks) == 2
+        unfinished = [n for blocks in stacks[stack:] for n in blocks]
         real = qht_pipeline.build_pr_state
-        first = 2 * _stack_layout(self.CFG, 2)[0]   # the blocks of stack 0
-        bad = 0 if stack == 0 else self.CFG.N - 1
+        bad = stacks[stack][0]
 
         def refuse(n, *args):
             if n == bad:
@@ -817,18 +827,35 @@ class TestStackedHold:
 
         monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(qht_pipeline, "build_pr_state", refuse)
-        op = QHTOperator(self.CFG)
+        op = QHTOperator(self.WIDE)
         with pytest.raises(ConfigError, match=f"refused n={bad}"):
             op.matrix()
         assert op.build_workers == 2
-        unfinished = slice(0, first) if stack == 0 else slice(first, None)
         assert not op.held[unfinished].any() and not op.columns[unfinished].any()
-        assert op.held.sum() == (self.CFG.N - first if stack == 0 else first)
-        assert op.v_passes == 2 * self.CFG.m_bits * op.held.sum()   # only held blocks count
+        assert op.held.sum() == self.WIDE.N - len(unfinished)
+        assert op.v_passes == 2 * self.WIDE.m_bits * op.held.sum()   # only held blocks count
+
+    def test_rows_are_dealt_evenly(self, monkeypatch):
+        # the 40 rows of N = 80 at M = 4096 (stacks of 16) give each of two workers 20; dealing
+        # whole stacks gave 24 and 16
+        real = QHTOperator._sweep
+        rows = Counter()
+
+        def counted(op, w, stack, adjoint, *args, **kwargs):
+            if not adjoint:
+                rows[threading.get_ident()] += len(stack)
+            return real(op, w, stack, adjoint, *args, **kwargs)
+
+        monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(QHTOperator, "_sweep", counted)
+        op = QHTOperator(self.WIDE)
+        op.matrix()
+        assert op.build_workers == 2 and op.held.all()
+        assert sorted(rows.values()) == [20, 20]
 
     @pytest.mark.parametrize("N, workers", [(8, 2), (16, 2)])
     def test_workers_follow_the_stacks(self, N, workers, monkeypatch):
-        # stacks of at most ceil(rows / CPUs) rows: the 3 rows of N = 8 (M = 4096) left
+        # one worker per CPU, but no more than rows: the 3 rows of N = 8 (M = 4096) left
         # after the warm-up split 2 + 1 on two CPUs; N = 16 (M = 16384) splits 4 + 3
         cfg = choose_dimensions(N, 0.01)
         monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 2)
