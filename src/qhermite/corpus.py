@@ -29,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from .hermite_sampling import OracleFunction
-from .spectral_core import _is_int, probabilist_product, probabilist_rows
+from .spectral_core import _is_int, probabilist_product
 
 __all__ = [
     "constant",
@@ -174,10 +174,11 @@ def hermite_monomial(v, n: int, bounded: bool = True) -> OracleFunction:
     v = _degrees(v, n, "monomial")
     bounded = _flag(bounded, "bounded")
     grid = np.linspace(-SUP_RANGE, SUP_RANGE, 4001)
-    scales = [max(float(np.abs(probabilist_rows(c, grid)[c]).max()), 1.0) if bounded else 1.0
-              for c in v]
+    scales = [max(float(np.abs(probabilist_product((c,), grid[:, None], 1.0)).max()), 1.0)
+              if bounded else 1.0 for c in v]
     cap = 1.0 if bounded else np.inf
-    factors = tuple(lambda x, c=c, s=s: np.clip(probabilist_rows(c, x)[c] / s, -cap, cap)
+    factors = tuple(lambda x, c=c, s=s: np.clip(probabilist_product((c,), x[..., None], 1.0) / s,
+                                                -cap, cap)
                     for c, s in zip(v, scales))
     scale = math.prod(scales)
     gamma = float(sum(v)) / scale**2

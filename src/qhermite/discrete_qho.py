@@ -47,6 +47,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .spectral_core import (
     GridSpec,
     InvalidSpecError,
+    _enter_frame,
+    _from_frame,
     _is_int,
     hermite_function_rows,
 )
@@ -55,8 +57,6 @@ __all__ = [
     "DiscreteQHO",
     "EigenDecomposition",
     "build",
-    "apply_position_sq",
-    "apply_momentum_sq",
     "apply_hamiltonian",
     "dense_diagonalize",
     "hermite_basis",
@@ -79,13 +79,7 @@ class DiscreteQHO:
 
     spec: GridSpec
     x: np.ndarray = field(repr=False)
-    alt: np.ndarray = field(init=False, repr=False)   # (-1)^i, the centered-DFT frame
     _lab: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        alt = np.ones(self.spec.M)
-        alt[1::2] = -1.0
-        object.__setattr__(self, "alt", alt)
 
     @property
     def M(self) -> int:
@@ -98,26 +92,17 @@ def build(spec: GridSpec) -> DiscreteQHO:
     return DiscreteQHO(spec=spec, x=spec.points())
 
 
-def apply_position_sq(qho: DiscreteQHO, state: np.ndarray) -> np.ndarray:
-    return qho.x * qho.x * np.asarray(state, dtype=complex)
-
-
-def apply_momentum_sq(qho: DiscreteQHO, state: np.ndarray) -> np.ndarray:
-    """pbar^2 v = F^-1 diag(x^2) F v = alt*fft(x^2*ifft(alt*v)) along the last axis.
-
-    The centered DFT's sign (-1)^(M/2), its sqrt(M) and the inner pair of alt
-    cancel in the conjugation (the identity `fast_forward.apply_tables` uses).
-    """
-    v = np.asarray(state, dtype=complex)
-    return qho.alt * np.fft.fft(qho.x * qho.x * np.fft.ifft(qho.alt * v))
-
-
 def apply_hamiltonian(qho: DiscreteQHO, state: np.ndarray) -> np.ndarray:
-    """Hbar v = (xbar^2 + pbar^2) v / 2 using two DFTs per application."""
+    """Hbar v = (xbar^2 + pbar^2) v / 2 along the last axis, using two FFTs.
+
+    pbar^2 = F^-1 diag(x^2) F is x^2 applied in the momentum frame of
+    `spectral_core`.
+    """
     v = np.asarray(state, dtype=complex)
     if v.shape[-1] != qho.M:
         raise ValueError(f"dimension mismatch: {v.shape[-1]} vs M={qho.M}")
-    return 0.5 * (apply_position_sq(qho, v) + apply_momentum_sq(qho, v))
+    x2 = qho.x * qho.x
+    return 0.5 * (x2 * v + _from_frame(x2 * _enter_frame(v.copy())))
 
 
 _PI_LD = 4 * np.arctan(np.longdouble(1))   # np.longdouble(np.pi) is float64's pi
@@ -215,7 +200,7 @@ def _sector_blocks(M: int):
 def _rayleigh_terms(qho: DiscreteQHO, W: np.ndarray) -> tuple:
     """Terms T and weights g of a real (M, k) longdouble block W: W^T Hbar W = (g*T)^T T / 2.
 
-    In the frame of the FFT kernel, pbar^2 = F^-1 xbar^2 F, so with
+    In the momentum frame of `spectral_core`, pbar^2 = F^-1 xbar^2 F, so with
     u = ifft(alt*w) a quotient is w^T Hbar w' = (sum_i x_i^2 w_i w'_i
     + M sum_i x_i^2 conj(u_i) u'_i) / 2.  W is real, so u is Hermitian (u at
     index k and M - k are conjugates, and so is x^2's weight there): the
@@ -225,7 +210,9 @@ def _rayleigh_terms(qho: DiscreteQHO, W: np.ndarray) -> tuple:
     (2M + 2, 1) column of non-negative weights, all in 80-bit floats.
     """
     M = qho.M
-    v = np.fft.rfft(qho.alt[:, None] * W, axis=0)
+    alt_w = W.copy()
+    alt_w[1::2] *= -1
+    v = np.fft.rfft(alt_w, axis=0)
     x2 = np.arange(-M // 2, M // 2, dtype=np.longdouble) ** 2 * (2 * _PI_LD / M)
     half = x2[:M // 2 + 1] * (2 / np.longdouble(M))
     half[[0, -1]] /= 2

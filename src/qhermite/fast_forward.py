@@ -9,36 +9,35 @@ The 2*pi reduction, made against an 80-bit pi, flips the sign of the state
 once per full period (exp(-i*H*(t + 2*pi)) = -exp(-i*H*t) for half-integer
 spectra), so the factorization carries an explicit global sign.
 
-A factored evolution is applied from `EvolutionTables`, built once per
-evolution and grid: one table exp(-i*c*x_j^2) per distinct coefficient c
-(two for three factors, three for five).  The raw arguments c x_j^2 reach
-~M/4, so rounding them before the reduction mod 2*pi would put an error
-growing with M into every factor (~1e-13 at M ~ 1000 in float64), swamping
-the quantity the error meter measures.  Since x_j^2 = j^2 (2 pi / M), a
-table instead reduces the turns c j^2 / M mod 1 exactly, in float64 with
-exact split products (see `_half_phases`), before the one multiply by
-2*pi, at every M up to 2^20.  x_j^2 is even in the label j, so a table
-stores labels 0..M/2 only.
+Both factor lists read the same reversed, so the split is symmetric and its
+adjoint is the same factors conjugated, in the same order (Yoshida,
+Phys. Lett. A 150, 262, 1990).  A factored evolution is applied from
+`EvolutionTables`, built once per evolution and grid: one table
+exp(-i*c*x_j^2) per factor of the palindrome's first half, up to and with
+its middle factor (two for three factors, three for five).  The raw
+arguments c x_j^2 reach ~M/4, so rounding them before the reduction mod
+2*pi would put an error growing with M into every factor (~1e-13 at
+M ~ 1000 in float64), swamping the quantity the error meter measures.  Since
+x_j^2 = j^2 (2 pi / M), a table instead reduces the turns c j^2 / M mod 1
+exactly, in float64 with exact split products (see `_half_phases`), before
+the one multiply by 2*pi, at every M up to 2^20.  x_j^2 is even in the
+label j, so a table stores labels 0..M/2 only.
 
 `apply_tables` is the one kernel that applies any factored evolution or its
-adjoint (the same tables in reverse order, conjugated).  With
-alt = diag((-1)^i), the centered DFT is F = s*sqrt(M)*alt*ifft*alt with
-s = (-1)^(M/2), so in a momentum factor F^-1 diag(P) F the sign s, the
-sqrt(M) and the inner pair of alt cancel: F^-1 diag(P) F v =
-alt*fft(P*ifft(alt*v)).  The kernel therefore works in the momentum frame
-w = ifft(alt*v): a momentum factor is the plain product P*w and a position
-factor is ifft(P*fft(w)).  A whole evolution table starts and ends with a
-momentum factor, so entering the frame (alt, then ifft), running the factors
-and leaving it (fft, then alt) is the sequence
-alt, ifft, P_a, fft, P_b, ifft, P_a, fft, alt: the same operations, in the
-same order, as applying each momentum factor as alt*fft(P*ifft(alt*v)) with
-alt taken out to the two ends, so one `apply_tables` call pays nothing for
-the frame.  Products and linear combinations of several evolutions, like
-the transform's dyadic filter and uncompute sweeps, stay in the frame
-between evolutions: a three-factor pass costs two FFTs there and a
-five-factor pass four, against four and six when each pass enters and
-leaves the frame.  The FFTs run in place; every entry into the frame copies
-its input first.
+adjoint (the same tables conjugated).  It works in the momentum frame of
+`spectral_core`, w = ifft(alt*v) with alt = diag((-1)^i): a momentum factor
+is the plain product P*w and a position factor is ifft(P*fft(w)).  A whole
+evolution starts and ends with a momentum factor, so entering the frame
+(alt, then ifft), running the factors and leaving it (fft, then alt) is the
+sequence alt, ifft, P_a, fft, P_b, ifft, P_a, fft, alt: the same
+operations, in the same order, as applying each momentum factor as
+alt*fft(P*ifft(alt*v)) with alt taken out to the two ends, so one
+`apply_tables` call pays nothing for the frame.  Products and linear
+combinations of several evolutions, like the transform's dyadic filter and
+uncompute sweeps, stay in the frame between evolutions: a three-factor pass
+costs two FFTs there and a five-factor pass four, against four and six when
+each pass enters and leaves the frame.  The FFTs run in place; every entry
+into the frame copies its input first.
 """
 from __future__ import annotations
 
@@ -56,7 +55,7 @@ from .discrete_qho import (
     _read_only,
     apply_hamiltonian,
 )
-from .spectral_core import _is_int
+from .spectral_core import _enter_frame, _from_frame, _is_int
 
 __all__ = [
     "FactoredEvolution",
@@ -69,13 +68,18 @@ __all__ = [
 ]
 
 LOW_ENERGY_M_CAP = 2048   # largest grid low_energy_error accepts
+_T_CAP = 2.0 ** 52        # decompose refuses |t| at or above this
 
 
 @dataclass(frozen=True)
 class FactoredEvolution:
-    """Ordered (axis, coefficient) phase factors realizing exp(-i*Hbar*t)."""
+    """Ordered (axis, coefficient) phase factors realizing exp(-i*Hbar*t).
 
-    factors: tuple          # of ("position" | "momentum", float)
+    The factors alternate momentum, position, ..., momentum and read the
+    same reversed.
+    """
+
+    factors: tuple          # of ("momentum" | "position", float)
     t_effective: float      # reduced time in [-pi, pi], rounded to float64
     reps: int               # 1 (three factors) or 2 (five factors)
     global_sign: float      # +1 or -1 from the 2*pi reduction
@@ -95,9 +99,15 @@ def decompose(t: float) -> FactoredEvolution:
     b = sin(t_eff)/2; larger |t_eff| is halved and squared, giving five
     factors (alpha, beta, 2*alpha, beta, alpha).  The boundary |t_eff| = pi/2
     stays on the single-repetition branch, where tan is still finite.
+
+    |t| >= 2^52 raises ValueError: float64 times there are 1 or more apart,
+    so t does not fix the phase, and the 80-bit reduction's error grows
+    with |t| (1.8e-5 at t = 1e15).
     """
     if not math.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t}")
+    if abs(t) >= _T_CAP:
+        raise ValueError(f"evolution time must satisfy |t| < 2^52, got {t}")
     k = int(np.floor(t / (2 * _PI_LD) + 0.5))
     sign = -1.0 if k % 2 else 1.0
     if k:   # the reduced time stays in 80 bits through tan and sin
@@ -168,71 +178,61 @@ def _half_phases(M: int, coeffs) -> np.ndarray:
 class EvolutionTables:
     """Half-length phase tables of one FactoredEvolution on an M-point grid.
 
-    Row k of `halves` is exp(-i*c_k*x_j^2) for labels j = 0..M/2, one row per
-    distinct coefficient c_k; `steps` lists (axis, row) in factor order.
+    Row k of `halves` is exp(-i*c_k*x_j^2) for labels j = 0..M/2, c_k the
+    coefficient of factor k of the palindrome's first half, up to and with
+    its middle factor: even rows are momentum factors and odd rows position
+    factors, and the evolution reads rows 0..last..0.
     """
 
     M: int
-    steps: tuple            # of ("position" | "momentum", row index)
-    halves: np.ndarray = field(repr=False)   # (distinct coefficients, M/2 + 1)
+    halves: np.ndarray = field(repr=False)   # (factors + 1) / 2 rows of M/2 + 1
     global_sign: float
 
 
 def evolution_tables(M: int, fe: FactoredEvolution) -> EvolutionTables:
-    """Build the phase tables of `fe`, one per distinct coefficient."""
-    coeffs: list = []
-    steps = []
-    for axis, c in fe.factors:
-        if c not in coeffs:
-            coeffs.append(c)
-        steps.append((axis, coeffs.index(c)))
-    return EvolutionTables(M=M, steps=tuple(steps), halves=_half_phases(M, coeffs),
+    """Build the phase tables of `fe`'s first half.
+
+    Raises ValueError unless the factors read the same reversed and
+    alternate momentum, position, ..., starting with momentum.
+    """
+    n = len(fe.factors)
+    if fe.factors != fe.factors[::-1] or tuple(axis for axis, _ in fe.factors) \
+            != ("momentum", "position") * (n // 2) + ("momentum",):
+        raise ValueError("factors must be a palindrome alternating momentum and position "
+                         f"from a momentum factor, got {fe.factors}")
+    return EvolutionTables(M=M, halves=_half_phases(M, [c for _, c in fe.factors[:n // 2 + 1]]),
                            global_sign=fe.global_sign)
 
 
-def _enter_frame(w: np.ndarray) -> np.ndarray:
-    """w <- ifft(alt*w) along the last axis, in place: enter the momentum frame."""
-    w[..., 1::2] *= -1.0
-    return np.fft.ifft(w, out=w)
-
-
 def _frame_steps(tables: EvolutionTables, w: np.ndarray, adjoint: bool = False,
-                 out: np.ndarray | None = None, conj: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Apply the factors (or their adjoints) to a momentum-frame w; returns `out`.
 
     A momentum factor is w <- P*w and a position factor w <- ifft(P*fft(w)).
     A half table covers the labels 0..M/2-1 of array indices M/2.. and, read
     backwards, the labels -M/2..-1 of indices ..M/2-1.  Without `out` the
-    factors run on w in place; with it, the first factor reads w and writes
-    `out`, so w is left as it was and the copy costs nothing.  An
-    adjoint run conjugates each table once, into `conj` (an M/2+1 scratch,
-    allocated when not given), whatever the number of rows in w.  The global
-    sign is left to the caller.
+    factors run on w in place; with it, the first factor, a momentum one,
+    reads w and writes `out`, so w is left as it was and the copy costs
+    nothing.  The factors read the same reversed, so the adjoint runs them
+    in the same order, each table conjugated into one M/2+1 scratch.  The
+    global sign is left to the caller.
     """
     h = tables.M // 2
     if out is None:
         out = w
-    if adjoint and conj is None:
-        conj = np.empty(h + 1, dtype=complex)
+    conj = np.empty(h + 1, dtype=complex) if adjoint else None
+    last = len(tables.halves) - 1
     src = w
-    for axis, k in (reversed(tables.steps) if adjoint else tables.steps):
+    for k in (*range(last), *range(last, -1, -1)):
         half = np.conjugate(tables.halves[k], out=conj) if adjoint else tables.halves[k]
-        if axis == "position":
-            np.fft.fft(src, out=out)
-            src = out
+        if k % 2:   # a position factor, never the first, so src is out
+            np.fft.fft(out, out=out)
         np.multiply(src[..., h:], half[:h], out=out[..., h:])
         np.multiply(src[..., :h], half[h:0:-1], out=out[..., :h])
         src = out
-        if axis == "position":
+        if k % 2:
             np.fft.ifft(out, out=out)
     return out
-
-
-def _from_frame(w: np.ndarray) -> np.ndarray:
-    """v = alt*fft(w), in place: leave the momentum frame."""
-    np.fft.fft(w, out=w)
-    w[..., 1::2] *= -1.0
-    return w
 
 
 def apply_tables(tables: EvolutionTables, state: np.ndarray,

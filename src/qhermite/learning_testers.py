@@ -28,7 +28,7 @@ from .hermite_sampling import (
     draw,
     sample_distribution,
 )
-from .spectral_core import probabilist_product
+from .spectral_core import _is_int, probabilist_product
 
 __all__ = [
     "CoefficientPattern",
@@ -51,6 +51,13 @@ LOW_DEGREE_C = 12.0   # test_low_degree draws ceil(LOW_DEGREE_C * ln(1/delta) / 
 COUNT_CAP = 1 << 24
 
 
+def _degree(d) -> int:
+    """d as an int; ValueError unless it is a non-negative integer (a bool or a float is not)."""
+    if not _is_int(d) or d < 0:
+        raise ValueError(f"a degree must be a non-negative integer, got {d!r}")
+    return int(d)
+
+
 @dataclass(frozen=True)
 class CoefficientPattern:
     """Entries in (N u {*})^n; None marks a wildcard coordinate."""
@@ -59,7 +66,7 @@ class CoefficientPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "entries",
-                           tuple(None if e is None else int(e) for e in self.entries))
+                           tuple(None if e is None else _degree(e) for e in self.entries))
 
     @property
     def fixed_positions(self) -> tuple:
@@ -75,7 +82,7 @@ class CoefficientPattern:
 
     def extend(self, value: int) -> "CoefficientPattern":
         k = self.fixed_len
-        return CoefficientPattern(self.entries[:k] + (int(value),) + self.entries[k + 1:])
+        return CoefficientPattern(self.entries[:k] + (value,) + self.entries[k + 1:])
 
 
 @dataclass(frozen=True)
@@ -225,7 +232,7 @@ def coefficient_estimate(f: OracleFunction, v, eps_est: float, delta: float,
                          rng: np.random.Generator) -> float:
     """Monte-Carlo fhat(v) = E[f(x) h_v(x)] to +-eps_est w.p. 1 - delta."""
     _check_delta(delta)
-    v = tuple(int(c) for c in v)
+    v = tuple(map(_degree, v))
     m = _coefficient_count(sum(v), eps_est, delta, f"eps_est={eps_est}, delta={delta}")
 
     def slab(part):

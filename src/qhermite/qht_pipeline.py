@@ -34,14 +34,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .calibration import C0, C1
 from .discrete_qho import hermite_basis
-from .fast_forward import (
-    _enter_frame,
-    _frame_steps,
-    _from_frame,
-    decompose,
-    evolution_tables,
-)
-from .spectral_core import GridSpec, _is_int
+from .fast_forward import _frame_steps, decompose, evolution_tables
+from .spectral_core import GridSpec, _enter_frame, _from_frame, _is_int
 
 __all__ = [
     "QHTConfig",
@@ -380,7 +374,7 @@ def _reflect(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """x at the mirrored labels, l -> -l: index i -> -i mod M along the last axis.
 
     Written from two slices into `out`, so no index array is built.  The
-    map is the same in the position frame and `fast_forward`'s momentum
+    map is the same in the position frame and `spectral_core`'s momentum
     frame: alt is symmetric and the DFT commutes with it.
     """
     out[..., 0] = x[..., 0]
@@ -504,7 +498,7 @@ class QHTOperator:
         are the same, so a_j = c_{n,j} and b_j = 0 exactly.
 
         w is a (k, M) stack of position-frame rows.  It enters the momentum
-        frame of `fast_forward` and leaves it at the end; P is the same
+        frame of `spectral_core` and leaves it at the end; P is the same
         index map in both frames, and there V(pi/2) is
         w -> e^(-i pi/4) (-1)^(M/2) fft(w) / sqrt(M).  Each evolution runs
         once on the whole stack, into the (k, M) scratch `tmp`, and the
@@ -542,13 +536,12 @@ class QHTOperator:
         gains = np.array([tables.global_sign for tables in self.dyadic_tables] + [quarter])
         gain_a, gain_b = (first + last) / 2 * gains, (first - last) / 2 * gains
         tmp = np.empty_like(w) if tmp is None else tmp
-        conj = np.empty(h + 1, dtype=complex) if adjoint else None
         refl = np.empty(M, dtype=complex)
         diff = None if lost is None else np.empty(M, dtype=complex)
         _enter_frame(w)
         for j in range(m - 1):
             if j < m - 2:
-                src = _frame_steps(self.dyadic_tables[j], w, adjoint, out=tmp, conj=conj)
+                src = _frame_steps(self.dyadic_tables[j], w, adjoint, out=tmp)
             else:
                 src = (np.fft.ifft if adjoint else np.fft.fft)(w, out=tmp)
             scale = M * 0.25 ** (j + 1)

@@ -4,8 +4,15 @@ Everything downstream builds on three objects defined here: the uniform
 position grid x_j = j*sqrt(2*pi/M) with signed labels j in {-M/2, ..., M/2-1},
 orthonormal Hermite functions psi_n evaluated on that grid, and the centered
 discrete Fourier transform F_{jk} = exp(2*pi*i*j*k/M)/sqrt(M) that conjugates
-the position operator into the momentum operator.  F is never formed: the
-kernels apply it as an FFT between (-1)^i relabelings (see `fast_forward`).
+the position operator into the momentum operator.
+
+F is never formed.  With alt = diag((-1)^i) and s = (-1)^(M/2), it is
+F = s*sqrt(M)*alt*ifft*alt, so in a momentum operator F^-1 diag(P) F the
+sign s, the sqrt(M) and the inner pair of alt cancel:
+F^-1 diag(P) F v = alt*fft(P*ifft(alt*v)).  The kernels therefore work in
+the momentum frame w = ifft(alt*v), entered by `_enter_frame` and left by
+`_from_frame`: there a momentum operator is the plain product P*w and a
+position operator is ifft(P*fft(w)).
 
 Statevectors are plain complex numpy arrays of length M; array index i
 corresponds to grid label j = i - M/2 throughout the package, so arrays are
@@ -120,3 +127,16 @@ def probabilist_product(v, x: np.ndarray, start):
             prev, cur = cur, (xi * cur - np.sqrt(k) * prev) / np.sqrt(k + 1.0)
         start = start * (cur if d else prev)
     return start
+
+
+def _enter_frame(w: np.ndarray) -> np.ndarray:
+    """w <- ifft(alt*w) along the last axis, in place: enter the momentum frame."""
+    w[..., 1::2] *= -1.0
+    return np.fft.ifft(w, out=w)
+
+
+def _from_frame(w: np.ndarray) -> np.ndarray:
+    """w <- alt*fft(w) along the last axis, in place: leave the momentum frame."""
+    np.fft.fft(w, out=w)
+    w[..., 1::2] *= -1.0
+    return w

@@ -248,6 +248,19 @@ class TestUsageErrors:
         assert "argument --t: invalid finite float list" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t", ["1e20", "-4503599627370496"])
+    def test_huge_time_fails_before_the_eigensolve(self, tmp_path, capsys, monkeypatch, t):
+        # past 2^52 the time does not fix the evolution's phase
+        def refuse(qho):
+            raise AssertionError("the eigensolve ran")
+
+        monkeypatch.setattr(discrete_qho, "dense_diagonalize", refuse)
+        out = tmp_path / "x.csv"
+        assert main(["ff-error", "--M", "128", f"--t=0.5,{t}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: evolution time must satisfy |t| < 2^52")
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [["test", "--delta", "1.5"], ["test", "--delta", "0"],
                                       ["ggl", "--delta", "0"]])
     def test_confidence_outside_unit_interval_is_an_error(self, tmp_path, capsys, args):

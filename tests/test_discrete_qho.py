@@ -15,7 +15,6 @@ from qhermite.discrete_qho import (
     _rayleigh_terms,
     _sector_blocks,
     apply_hamiltonian,
-    apply_momentum_sq,
     build,
     dense_diagonalize,
     hermite_basis,
@@ -121,12 +120,14 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("M", CONJUGATION_SIZES)
     def test_momentum_kernel_matches_dft_conjugation(self, M, rng):
-        # the FFT kernel against F^dagger diag(x^2) F, the sign (-1)^(M/2) included
+        # the FFT kernel's momentum term against F^dagger diag(x^2) F, the sign
+        # (-1)^(M/2) included, through Hbar v = (x^2 v + F^dagger x^2 F v) / 2
         qho = build(GridSpec(M))
         F = centered_dft_matrix(M)
         v = rng.normal(size=M) + 1j * rng.normal(size=M)
-        ref = F.conj().T @ (qho.x * qho.x * (F @ v))
-        assert np.abs(apply_momentum_sq(qho, v) - ref).max() < 1e-11 * np.linalg.norm(ref)
+        x2 = qho.x * qho.x
+        ref = (x2 * v + F.conj().T @ (x2 * (F @ v))) / 2
+        assert np.abs(apply_hamiltonian(qho, v) - ref).max() < 1e-11 * np.linalg.norm(ref)
 
     def test_hermitian_on_random_pairs(self, qho128, rng):
         for _ in range(5):

@@ -14,6 +14,7 @@ from qhermite.discrete_qho import (
     dense_diagonalize,
 )
 from qhermite.fast_forward import (
+    FactoredEvolution,
     _frame_steps,
     _half_phases,
     _ritz_at,
@@ -128,11 +129,12 @@ def chebyshev_evolution(qho: DiscreteQHO, t: float, state: np.ndarray) -> np.nda
     re, im = (c.astype(np.float64) for c in _bessel_coefficients(z))
     rows = v.reshape(-1, M)
     n = len(rows)
+    alt = (-1.0) ** np.arange(M)
     stacked = np.iscomplexobj(rows)
     y = np.empty((2 * n if stacked else n, M))
-    np.multiply(rows.real, qho.alt, out=y[:n])
+    np.multiply(rows.real, alt, out=y[:n])
     if stacked:
-        np.multiply(rows.imag, qho.alt, out=y[n:])
+        np.multiply(rows.imag, alt, out=y[n:])
     j2 = (np.arange(M) - M // 2) ** 2
     diag2 = (8 * j2 - 2 * M * M) / (M * M)      # 2*Htilde's diagonal, 8j^2/M^2 - 2
     symbol2 = 8 * j2[:M // 2 + 1] / (M * M)     # 2*pbar^2/rho on frequencies 0..M/2
@@ -171,7 +173,7 @@ def chebyshev_evolution(qho: DiscreteQHO, t: float, state: np.ndarray) -> np.nda
         real, imag = even, odd
     out = np.empty(rows.shape, dtype=complex)
     out.real, out.imag = real, imag
-    out *= np.exp(-1j * float(np.mod(z, 2 * _PI_LD))) * qho.alt
+    out *= np.exp(-1j * float(np.mod(z, 2 * _PI_LD))) * alt
     return out.reshape(v.shape)
 
 
@@ -258,6 +260,31 @@ class TestDecompose:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             decompose(np.inf)
+
+    def test_factors_read_the_same_reversed(self):
+        # the split is symmetric, so the tables hold its first half and the adjoint keeps the
+        # order: zero, the quarter-period boundary, 3 and 5 factors, and after the sign flip
+        times = (0.0, np.pi / 2, -np.pi / 2, 0.4, -1.2, 2.0, -2.9, 2 * np.pi + 0.7,
+                 -2 * np.pi - 2.5, 3.65)
+        assert {decompose(t).reps for t in times} == {1, 2}
+        assert {decompose(t).global_sign for t in times} == {1.0, -1.0}
+        for t in times:
+            factors = decompose(t).factors
+            assert factors == factors[::-1]
+            assert [a for a, _ in factors[::2]] == ["momentum"] * (len(factors) // 2 + 1)
+            assert [a for a, _ in factors[1::2]] == ["position"] * (len(factors) // 2)
+
+    @pytest.mark.parametrize("t", [2.0**52, -2.0**52, 1e20, -1e20, 1e22, 1e300])
+    def test_huge_time_refused(self, t):
+        # float64 times past 2^52 are 1 or more apart, so t does not fix its phase
+        with pytest.raises(ValueError, match=r"\|t\| < 2\^52"):
+            decompose(t)
+
+    def test_largest_time_below_the_cap_decomposes(self):
+        for t in (np.nextafter(2.0**52, 0), -np.nextafter(2.0**52, 0)):
+            fe = decompose(t)
+            assert math.isfinite(fe.t_effective) and abs(fe.t_effective) <= 4
+            assert all(math.isfinite(c) and abs(c) <= 1.0 for _, c in fe.factors)
 
 
 class TestApplyFactored:
@@ -433,19 +460,30 @@ class TestApplyTables:
                 assert np.array_equal(v, before)
                 assert not np.shares_memory(out, v)
 
+    @pytest.mark.parametrize("factors", [
+        (("momentum", 0.1), ("position", 0.2), ("momentum", 0.3)),
+        (("position", 0.1), ("momentum", 0.2), ("position", 0.1)),
+        (("momentum", 0.1), ("momentum", 0.2), ("momentum", 0.1)),
+        (("momentum", 0.1), ("position", 0.2)),
+        (("momentum", 0.1), ("position", 0.2), ("momentum", 0.3), ("position", 0.2),
+         ("momentum", 0.1), ("position", 0.0)),
+    ], ids=["coefficients", "position-first", "not-alternating", "even", "tail"])
+    def test_tables_refuse_a_non_palindrome(self, factors):
+        fe = FactoredEvolution(factors=factors, t_effective=0.0, reps=1, global_sign=1.0)
+        with pytest.raises(ValueError, match="palindrome"):
+            evolution_tables(64, fe)
+
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_steps_into_out_equal_steps_in_place(self, rng, adjoint):
-        # every prefix of the factors, so some adjoint runs start on a position factor
+        # whole 3- and 5-factor tables, before and after the sign flip
         M = 64
         for t in self.TIMES:
             tables = evolution_tables(M, decompose(t))
-            for k in range(1, len(tables.steps) + 1):
-                prefix = replace(tables, steps=tables.steps[:k])
-                w = rng.normal(size=(3, M)) + 1j * rng.normal(size=(3, M))
-                before = w.copy()
-                out = _frame_steps(prefix, w, adjoint, out=np.empty_like(w))
-                assert np.array_equal(w, before)
-                assert np.array_equal(out, _frame_steps(prefix, w.copy(), adjoint))
+            w = rng.normal(size=(3, M)) + 1j * rng.normal(size=(3, M))
+            before = w.copy()
+            out = _frame_steps(tables, w, adjoint, out=np.empty_like(w))
+            assert np.array_equal(w, before)
+            assert np.array_equal(out, _frame_steps(tables, w.copy(), adjoint))
 
 
 class TestExactEvolution:

@@ -30,6 +30,45 @@ class TestPattern:
         p = CoefficientPattern((3, None, None)).extend(5)
         assert p.entries == (3, 5, None)
 
+    @pytest.mark.parametrize("entries", [(-1, None), (1.5, None), (True, None), (None, 2.0),
+                                         ("1", None)])
+    def test_degree_must_be_a_non_negative_integer(self, entries):
+        # int() would read 1.5 and True as 1, and a product reads degree -1 as 1
+        with pytest.raises(ValueError, match="non-negative integer"):
+            CoefficientPattern(entries)
+
+    def test_numpy_degrees_are_held_as_ints(self):
+        p = CoefficientPattern((np.int64(2), None, np.uint8(0)))
+        assert p.entries == (2, None, 0)
+        assert [type(e) for e in p.entries] == [int, type(None), int]
+
+    def test_extend_refuses_a_bad_degree(self):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            CoefficientPattern((3, None)).extend(-2)
+
+    def test_weight_estimate_refuses_a_negative_degree_before_any_draw(self, rng):
+        f = corpus.mixture([((1, 0), 1.0)], 2)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="non-negative integer"):
+            weight_estimate(f, CoefficientPattern((-1, None)), 0.05, 0.05, rng)
+        assert rng.bit_generator.state == state
+
+
+class TestCoefficientEstimate:
+    @pytest.mark.parametrize("v", [(-1,), (1.5,), (True,), (np.float64(1.0),)])
+    def test_degree_must_be_a_non_negative_integer(self, rng, v):
+        # a product reads degree -1 as 1, so (-1,) would estimate fhat(1)
+        f = corpus.hermite_monomial((1,), 1, bounded=False)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="non-negative integer"):
+            coefficient_estimate(f, v, 0.05, 0.05, rng)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_degrees_accepted(self):
+        f = corpus.hermite_monomial((1,), 1, bounded=False)
+        got = coefficient_estimate(f, (np.int64(1),), 0.05, 0.05, np.random.default_rng(3))
+        assert got == coefficient_estimate(f, (1,), 0.05, 0.05, np.random.default_rng(3))
+
 
 class TestWeightEstimate:
     def test_single_coefficient_fully_fixed(self, rng):

@@ -69,6 +69,35 @@ def test_no_unused_top_level_import(path):
     assert unused == []
 
 
+# each module's top-level relative imports name only modules before it here, so
+# no import cycle can form: the centered-DFT frame lives in spectral_core because
+# both discrete_qho and fast_forward apply it, and fast_forward imports discrete_qho
+LAYERS = ("spectral_core", "calibration", "discrete_qho", "fast_forward", "qht_pipeline",
+          "hermite_sampling", "corpus", "learning_testers", "cli")
+
+
+def test_layers_name_every_module():
+    assert sorted(p.stem for p in SOURCES if p.stem != "__init__") == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_module_imports_only_earlier_layers(name):
+    # imports inside functions run on first call and are exempt
+    tree = ast.parse((Path(qhermite.__file__).parent / f"{name}.py").read_text())
+    earlier = LAYERS[:LAYERS.index(name)]
+    stack, later = list(tree.body), []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # `from .x import y` names module x; `from . import x` names x itself
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            later += [t for t in targets if t.split(".")[0] not in earlier]
+    assert later == []
+
+
 def _perfbench_trees():
     return {path.name: ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))}
 

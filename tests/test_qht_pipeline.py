@@ -548,8 +548,9 @@ class TestFrameSweep:
         # the reference factors V(pi) in five factors; the operator holds only the
         # three-factor tables below the quarter period
         op = qht_operator(cfg)
-        assert [len(t.steps) for t in self._tables(op)] == [3] * (cfg.m_bits - 1) + [5]
-        assert [len(t.steps) for t in op.dyadic_tables] == [3] * (cfg.m_bits - 2)
+        assert [len(decompose(t).factors) for t in op.dyadic_times] == [3] * (cfg.m_bits - 1) + [5]
+        # a table holds the first (factors + 1) / 2 of its palindrome's factors
+        assert [2 * len(t.halves) - 1 for t in op.dyadic_tables] == [3] * (cfg.m_bits - 2)
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["N4", "M64"])
     def test_sweeps_match_passes(self, cfg, rng):
