@@ -100,20 +100,31 @@ def decompose(t: float) -> FactoredEvolution:
     factors (alpha, beta, 2*alpha, beta, alpha).  The boundary |t_eff| = pi/2
     stays on the single-repetition branch, where tan is still finite.
 
+    The 80-bit product 2*pi*k rounds, so near an odd multiple of pi the
+    reduction can land just outside [-pi, pi] (by 8.9e-6 at
+    t = 2818447464634594); k is then moved by one period, which flips
+    global_sign, so |t_eff| <= pi always.  Against mpmath the reduced time
+    is off by 5.7e-15 at t = 1e6, 1.1e-11 at 1e9, 2.2e-8 at 1e12, 1.8e-5 at
+    1e15 and 1.3e-4 at 2^52 - 1, and by at most 1.9e-4 over 20000 times
+    drawn uniformly from [1e14, 2^52); the phase exp(-i t/2) is off by half
+    that.
+
     |t| >= 2^52 raises ValueError: float64 times there are 1 or more apart,
     so t does not fix the phase, and the 80-bit reduction's error grows
-    with |t| (1.8e-5 at t = 1e15).
+    with |t|.
     """
     if not math.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t}")
     if abs(t) >= _T_CAP:
         raise ValueError(f"evolution time must satisfy |t| < 2^52, got {t}")
     k = int(np.floor(t / (2 * _PI_LD) + 0.5))
-    sign = -1.0 if k % 2 else 1.0
     if k:   # the reduced time stays in 80 bits through tan and sin
         t2, tan, sin = t - 2 * _PI_LD * k, np.tan, np.sin
+        if abs(t2) > _PI_LD:   # 2 pi k rounded across -pi or pi: move k one period
+            k, t2 = k + int(np.sign(t2)), t2 - 2 * _PI_LD * np.sign(t2)
     else:
         t2, tan, sin = t, math.tan, math.sin
+    sign = -1.0 if k % 2 else 1.0
     if abs(t2) > math.pi / 2:
         alpha = float(tan(t2 / 4) / 2)
         beta = float(sin(t2 / 2) / 2)

@@ -10,7 +10,7 @@ Every pipeline unitary is block-diagonal in the index n, so each block is
 simulated independently on a dimension-M work register and the blocks are
 recombined linearly; this replaces the M^2-dimensional joint statevector with
 N independent M-vectors, held per config as the columns of `QHTOperator`.
-Every column takes one path through the stages, `QHTOperator._hold_stacks`.
+Every column takes one path through the stages, `QHTOperator._hold_rows`.
 The filter is the m - 1 grid stages of `QHTOperator._sweep`, then the
 parity split, which is the half-period stage; the uncompute is the same
 under the adjoint.
@@ -355,14 +355,6 @@ def fixed_point_amplify(kept_norm: float, leak_norm: float, delta_lower: float,
 # ---------------------------------------------------------------------------
 
 
-FRAME_BUDGET_BYTES = 1 << 21   # the two (k, M) frame buffers of one build worker
-
-
-def _stack_rows(M: int) -> int:
-    """Rows k of a stacked hold: two complex (k, M) buffers within FRAME_BUDGET_BYTES."""
-    return max(1, FRAME_BUDGET_BYTES // (2 * 16 * M))
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -370,26 +362,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _reflect(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x at the mirrored labels, l -> -l: index i -> -i mod M along the last axis.
-
-    Written from two slices into `out`, so no index array is built.  The
-    map is the same in the position frame and `spectral_core`'s momentum
-    frame: alt is symmetric and the DFT commutes with it.
-    """
-    out[..., 0] = x[..., 0]
-    out[..., 1:] = x[..., :0:-1]
-    return out
-
-
 def _parity_part(row: np.ndarray, sign: float, out: np.ndarray) -> np.ndarray:
     """out <- (row + sign * P row)/2: the even part of row for sign +1, its odd part for -1.
 
-    P is `_reflect`, written into `out` first, so `out` may not be `row`.
-    The part is (anti)symmetric bit for bit, since x + y = y + x and
-    x - y = -(y - x) in floating point.
+    P mirrors the labels, l -> -l: index i -> -i mod M.  The map is the same
+    in the position frame and `spectral_core`'s momentum frame: alt is
+    symmetric and the DFT commutes with it.  `out` may be `row`: the
+    labels -M/2 and 0 are their own mirrors, and each other label's pair is
+    read before either of its entries is written, through one (M/2-1)-entry
+    temporary.  The part is (anti)symmetric bit for bit, since x + y = y + x
+    and x - y = -(y - x) in floating point, and has the same bits in place
+    or not.
     """
-    (np.add if sign > 0 else np.subtract)(row, _reflect(row, out=out), out=out)
+    combine = np.add if sign > 0 else np.subtract
+    h = row.shape[-1] // 2
+    upper = combine(row[:h:-1], row[1:h])   # labels M/2-1 .. 1, from their mirrors
+    combine(row[1:h], row[:h:-1], out=out[1:h])
+    out[:h:-1] = upper
+    combine(row[::h], row[::h], out=out[::h])
     out *= 0.5
     return out
 
@@ -409,30 +399,39 @@ class QHTResult:
 class QHTOperator:
     """The simulated transform of one config: sum_n a_n |n> -> sum_n a_n s_n u_n.
 
-    s_n = (-1)^n; u_n, the uncompute of amplified block
-    n, is computed on first use of n and held with its block fidelity,
-    filter leak, AA residual, input mass ||w_n||^2 and uncompute residual
-    ||w_n||^2 - ||u_n||^2.  Block 2p and block 2p+1 share one row of the
-    sweeps, and block N-1 has a row of its own when N is odd; every row
-    takes the same path, so a block is built with its partner.  The rows a
-    call needs are dealt to one worker thread per usable CPU, and each
-    worker runs its share as stacks of `_stack_rows(M)` rows (see `_hold`);
-    build_workers is the number of workers that ran the latest build (0
-    before any).  `basis` holds the normalized rows |psibar_n>, and `phases`
-    the QPE phases c_{n,j} of the m - 1 grid stages (see `_sweep`).  Of the
-    m = log2(M) dyadic evolutions V(2^j 2pi/M), the filter is the m - 1
-    grid stages, then the parity split: V(pi) is the split and V(pi/2) one
-    FFT (see `_sweep`), so the operator holds
-    the half phase tables of the other m - 2 only: 2(m-2) rows of
-    (M/2+1)*16 bytes (3.1 MB at M = 16384), and the columns take
-    N*M*16 (4.2 MB at N = 16).  Each worker has scratch of its own, held
-    only while the build runs: two frame buffers of 2k*M*16 bytes for a
-    stack of k rows (2.1 MB: k = 4 at M = 16384) and three M*16-byte rows
-    (0.79 MB): the odd part between the sweeps, the mirrored and scaled row
-    (then the mirrored label pairs) and the uncompute's discarded branch.
-    So two workers take 5.8 MB there at N = 16, and 5.2 MB when blocks 0
-    and 1 are held already.  v_passes is
-    derived from the held blocks: 2m passes of V or V^dagger each.
+    s_n = (-1)^n; u_n, the uncompute of amplified block n, is held in
+    `columns` with its block fidelity, filter leak, AA residual, input mass
+    ||w_n||^2 and uncompute residual ||w_n||^2 - ||u_n||^2.  Block 2r and
+    block 2r+1 share row r of the sweeps, and block N-1 has a row of its own
+    when N is odd; every row takes the same path, so a block is built with
+    its partner.  The rows are held as a prefix: rows_held rows, blocks
+    0 .. 2 rows_held - 1 (N - 1 at most), and a call holds every row up to
+    the last block it touches (see `_hold`).  `basis` holds the normalized
+    rows |psibar_n>, and `phases` the QPE phases c_{n,j} of the m - 1 grid
+    stages (see `_sweep`).  Of the m = log2(M) dyadic evolutions
+    V(2^j 2pi/M), the filter is the m - 1 grid stages, then the parity
+    split: V(pi) is the split and V(pi/2) one FFT, so the operator holds the
+    half phase tables of the other m - 2 only: 2(m-2) rows of (M/2+1)*16
+    bytes (3.1 MB at M = 16384).
+
+    The columns are the build's workspace: `columns` is the first N rows of
+    `_store`, which has N + N % 2, so the lone row of an odd N has a spare
+    (4.2 MB at N = 16).  Row r is prepared, swept, split, amplified and
+    uncomputed in column 2r, with column 2r+1 as its scratch (see
+    `_hold_rows`); no frame buffer is allocated.  The rows a build needs are
+    dealt to one worker thread per usable CPU, and each worker sweeps its
+    share as one stack; build_workers is the number of workers that ran the
+    latest build (0 before any).  Beyond the columns a worker holds only
+    M-length rows while it runs: the mirrored and scaled row (then the
+    mirrored label pairs), the uncompute's discarded branch and the parity
+    split's half row; numpy's FFT adds a batch buffer to each multi-row
+    call (about 6 MB at M = 131072).  On a 2-core x86 box with one BLAS
+    thread, the build of N = 16 (M = 16384) after the one-hot warm-up of
+    block 0 peaks 1.6 MB above the operator's own arrays (tracemalloc; a
+    private pair of 2 MiB frame buffers a worker took 5.8 MB), and
+    `matrix()` at N = 32 (M = 131072) takes 1.0 s with a peak RSS of
+    192 MB (1.6 s and 180 MB with the frame buffers).  v_passes is derived
+    from the held blocks: 2m passes of V or V^dagger each.
     """
 
     def __init__(self, config: QHTConfig):
@@ -448,8 +447,10 @@ class QHTOperator:
         self.phases = np.exp(1j * np.asarray(self.dyadic_times[:-1])
                              * (np.arange(N)[:, None] + 0.5))
         self.signs = (-1.0) ** np.arange(N)
-        self.columns = np.zeros((N, M), dtype=complex)
-        self.held = np.zeros(N, dtype=bool)
+        self._store = np.zeros((N + N % 2, M), dtype=complex)
+        self.columns = self._store[:N]
+        self.rows_held = 0
+        self._lock = threading.Lock()
         self.block_fidelities = np.zeros(N)
         self.filter_leaks = np.zeros(N)
         self.aa_residuals = np.zeros(N)
@@ -477,7 +478,7 @@ class QHTOperator:
         The filter is the m - 1 grid stages, then the parity split.  The most
         significant bit evolves for half a period, where V(pi) = -iP (P the
         reflection below), so c_{n,m-1} V(pi) = (-1)^n P and its stage is the
-        projector onto psi_n's parity: `_hold_stacks` applies it as the split
+        projector onto psi_n's parity: `_hold_rows` applies it as the split
         into parity parts that follows each sweep, and the sweep runs the
         m - 1 stages below it.  The next bit evolves for a quarter period,
         where V(pi/2) = e^(-i pi/4) F^-1 (F the centered DFT) by the chirp
@@ -497,7 +498,10 @@ class QHTOperator:
         exactly what each block alone would give.  A lone block's two phases
         are the same, so a_j = c_{n,j} and b_j = 0 exactly.
 
-        w is a (k, M) stack of position-frame rows.  It enters the momentum
+        w is a (k, M) stack of position-frame rows; in a build it is every
+        other row of `_store` and `tmp` the rows between (see `_hold_rows`),
+        and numpy's FFTs give a row the same bits in that strided stack as
+        alone.  It enters the momentum
         frame of `spectral_core` and leaves it at the end; P is the same
         index map in both frames, and there V(pi/2) is
         w -> e^(-i pi/4) (-1)^(M/2) fft(w) / sqrt(M).  Each evolution runs
@@ -573,117 +577,113 @@ class QHTOperator:
         of a row's 2m passes, 2(m-2) are factored evolutions, two are
         Fourier transforms and two are the parity splits (see `_sweep`).
         """
-        return 2 * self.config.m_bits * int(self.held.sum())
+        return 2 * self.config.m_bits * min(2 * self.rows_held, self.config.N)
 
-    def _row(self, n: int) -> tuple:
-        """The blocks that share block n's row: (2p, 2p+1), or (N-1,) alone when N is odd."""
-        even = n - n % 2
-        return (even, even + 1) if even + 1 < self.config.N else (even,)
+    def _hold(self, k: int) -> int:
+        """Hold blocks 0..k-1: build the rows past rows_held up to block k-1's, with their metrics.
 
-    def _hold(self, blocks) -> int:
-        """Prepare, filter, amplify and uncompute the blocks not held yet; hold u_n and metrics.
-
-        The blocks run as rows of `_row`, so a block's partner is built with
-        it and the bits of a column do not depend on which blocks a call
-        asked for.  The rows are dealt to one worker per usable CPU, but no
-        more workers than rows: worker i takes rows i, i + workers, ..., so
-        the shares differ by at most one row (on two CPUs the 40 rows of
-        N = 80 at M = 4096 give each worker 20).  Each worker runs its share
-        as stacks through scratch of its own (see `_hold_stacks`).  A row's
-        bits do not depend on its worker or its stack, so neither do the
-        columns.
+        The rows held are always a prefix, so a block is built with its row
+        partner and every row before it, and the bits of a column do not
+        depend on which blocks a call asked for.  The rows to build are
+        dealt to one worker per usable CPU, but no more workers than rows:
+        worker i takes rows start + i, start + i + workers, ..., so the
+        shares differ by at most one row (on two CPUs the 40 rows of N = 80
+        at M = 4096 give each worker 20), and sweeps its share as one stack
+        of strided views into `_store` (see `_hold_rows`).  A row's bits do
+        not depend on its worker or on the other rows of its stack, so
+        neither do the columns.
         The calling thread is the first worker and starts a thread for each
         other one, so with one worker no thread is started.  numpy's FFTs
         release the interpreter lock, so the workers' sweeps overlap.  A
         worker's error is raised here once every worker has stopped; the
-        blocks of the stack that failed, and of that worker's later stacks,
-        stay unheld.  Returns the number of blocks built.
+        build then holds none of its rows, and their columns are zeroed.
+        One lock per operator serialises the holds: two threads that build
+        one cached operator would otherwise sweep in the same columns, and a
+        thread that waited finds its rows held.  Returns the number of
+        blocks built.
         """
-        rows = sorted({self._row(int(n)) for n in blocks if not self.held[n]})
-        if not rows:
-            return 0
-        workers = self.build_workers = min(_usable_cpus(), len(rows))
-        errors = []
+        stop = (k + 1) // 2
+        with self._lock:
+            start = self.rows_held
+            if stop <= start:
+                return 0
+            workers = self.build_workers = min(_usable_cpus(), stop - start)
+            errors = []
 
-        def work(share):
-            try:
-                self._hold_stacks(share)
-            except Exception as exc:   # raised again in the calling thread
-                errors.append(exc)
+            def work(i):
+                try:
+                    self._hold_rows(range(start + i, stop, workers))
+                except Exception as exc:   # raised again in the calling thread
+                    errors.append(exc)
 
-        threads = [threading.Thread(target=work, args=(rows[i::workers],))
-                   for i in range(1, workers)]
-        for thread in threads:
-            thread.start()
-        try:
-            self._hold_stacks(rows[::workers])
-        finally:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(1, workers)]
             for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
-        return sum(map(len, rows))
+                thread.start()
+            try:
+                work(0)
+            finally:
+                for thread in threads:
+                    thread.join()
+            if errors:
+                self._store[2 * start:2 * stop] = 0.0
+                raise errors[0]
+            self.rows_held = stop
+            return min(2 * stop, self.config.N) - 2 * start
 
-    def _hold_stacks(self, rows) -> None:
-        """Run rows as stacks of `_stack_rows(M)` through one pair of frame buffers.
+    def _hold_rows(self, rows: range) -> None:
+        """Build rows as one stack in `_store`: row r in column 2r, column 2r+1 its scratch.
 
-        The memory budget alone sets the stack height; the last stack may be
-        shorter, and each stack's blocks are held as it ends.  A row's PR
-        states, normalized, are summed into the frame buffer and swept there.
-        The row is then split into its blocks' parity parts, the filter's
-        half-period stage: the even block's in the stack's scratch, the odd
-        block's in one M-length spare row.  Each part is amplified as its
-        own block and the row is set to the sum of the parts, so between the
-        sweeps every block is its row's parity part.  The stack is swept
-        back in place, and the same split, the uncompute's half-period
-        stage, writes the columns, so column n has (-1)^n parity bit for
-        bit.
+        The stack is the strided view of columns 2r over the rows, and its
+        scratch the view of columns 2r+1.  The row is cleared, its PR
+        states, normalized, are written to the scratch in turn and summed
+        into it, and the stack is swept.  The row is then split into its
+        blocks' parity parts, the filter's half-period stage: the even
+        block's into the scratch, then the odd block's in place.  Each part
+        is amplified as its own block and the row is set to the sum of the
+        parts (a lone block's part added to zero), so between the sweeps
+        every block is its row's parity part.  The stack is swept back in
+        place, and the same split, the uncompute's half-period stage, writes
+        the columns, odd block first into the scratch, then even in place,
+        so column n has (-1)^n parity bit for bit.
         """
         cfg = self.config
-        height = _stack_rows(cfg.M)
-        buf = np.empty((min(len(rows), height), cfg.M), dtype=complex)
-        scratch = np.empty_like(buf)
-        spare = np.empty(cfg.M, dtype=complex)
-        for start in range(0, len(rows), height):
-            chunk = rows[start:start + height]
-            w, tmp = buf[:len(chunk)], scratch[:len(chunk)]
-            w[:] = 0.0
-            in_sq = []
-            for row, part, blocks in zip(w, tmp, chunk):
-                for n in blocks:
-                    amps = build_pr_state(n, cfg.M, cfg.oracle_bits)
-                    part[:] = amps / np.linalg.norm(amps)
-                    in_sq.append(float(np.vdot(part, part).real))
-                    row += part
-            self._sweep(w, chunk, False, tmp)
-            masses = iter(in_sq)
-            for row, part, blocks in zip(w, tmp, chunk):
-                parts = [_parity_part(row, (-1) ** n, out) for n, out in zip(blocks, (part, spare))]
-                row[:] = 0.0
-                for vec, n in zip(parts, blocks):
-                    mass = next(masses)
-                    leak = max(mass - float(np.vdot(vec, vec).real), 0.0)
-                    kept_norm = float(np.linalg.norm(vec))
-                    goal, rest = fixed_point_amplify(kept_norm, math.sqrt(leak), cfg.delta_lower,
-                                                     cfg.eps, cfg.aa_rounds)
-                    if kept_norm:
-                        vec *= goal / kept_norm
-                    self.filter_leaks[n] = leak
-                    self.aa_residuals[n] = abs(rest) ** 2
-                    self.block_fidelities[n] = abs(np.vdot(self.basis[n], vec))
-                    self.input_mass[n] = float(np.vdot(vec, vec).real)
-                    row += vec
-            lost = np.zeros((len(chunk), 2))
-            self._sweep(w, chunk, True, tmp, lost)
-            for row, blocks, row_lost in zip(w, chunk, lost):
-                for n in blocks:
-                    _parity_part(row, (-1) ** n, self.columns[n])
-                    self.uncompute_residuals[n] = row_lost[n % 2]
-            self.held[[n for blocks in chunk for n in blocks]] = True
+        w = self._store[2 * rows.start:2 * rows.stop:2 * rows.step]
+        tmp = self._store[2 * rows.start + 1:2 * rows.stop:2 * rows.step]
+        blocks = [tuple(range(2 * r, min(2 * r + 2, cfg.N))) for r in rows]
+        w[:] = 0.0
+        in_sq = []
+        for row, part, pair in zip(w, tmp, blocks):
+            for n in pair:
+                amps = build_pr_state(n, cfg.M, cfg.oracle_bits)
+                part[:] = amps / np.linalg.norm(amps)
+                in_sq.append(float(np.vdot(part, part).real))
+                row += part
+        self._sweep(w, blocks, False, tmp)
+        masses = iter(in_sq)
+        for row, part, pair in zip(w, tmp, blocks):
+            parts = [_parity_part(row, (-1) ** n, out) for n, out in zip(pair, (part, row))]
+            for vec, n in zip(parts, pair):
+                leak = max(next(masses) - float(np.vdot(vec, vec).real), 0.0)
+                kept_norm = float(np.linalg.norm(vec))
+                goal, rest = fixed_point_amplify(kept_norm, math.sqrt(leak), cfg.delta_lower,
+                                                 cfg.eps, cfg.aa_rounds)
+                if kept_norm:
+                    vec *= goal / kept_norm
+                self.filter_leaks[n] = leak
+                self.aa_residuals[n] = abs(rest) ** 2
+                self.block_fidelities[n] = abs(np.vdot(self.basis[n], vec))
+                self.input_mass[n] = float(np.vdot(vec, vec).real)
+            np.add(row if len(pair) == 2 else 0.0, part, out=row)   # a lone block: its part alone
+        lost = np.zeros((len(blocks), 2))
+        self._sweep(w, blocks, True, tmp, lost)
+        for row, pair, row_lost in zip(w, blocks, lost):
+            for n in reversed(pair):
+                _parity_part(row, (-1) ** n, self.columns[n])
+                self.uncompute_residuals[n] = row_lost[n % 2]
 
     def matrix(self) -> np.ndarray:
         """All N columns u_n as rows, read-only: every caller of a config shares them."""
-        self._hold(range(self.config.N))
+        self._hold(self.config.N)
         view = self.columns.view()
         view.flags.writeable = False
         return view
@@ -691,11 +691,13 @@ class QHTOperator:
     def apply(self, alpha: np.ndarray) -> QHTResult:
         """sum_n a_n s_n u_n for len(alpha) <= N; blocks with a_n = 0 report 0 metrics.
 
-        The uncompute residual is sum_n |a_n|^2 ||w_n||^2 - ||out||^2.
+        Holds every row up to the last block alpha touches.  The uncompute
+        residual is sum_n |a_n|^2 ||w_n||^2 - ||out||^2.
         """
         alpha = np.asarray(alpha, dtype=complex)
         k, touched = len(alpha), alpha != 0
-        built = self._hold(np.flatnonzero(touched))
+        last = np.flatnonzero(touched)[-1:]   # the last block alpha touches, if any
+        built = self._hold(int(last[0]) + 1 if last.size else 0)
         out = (alpha * self.signs[:k]) @ self.columns[:k]
         total_in = float(np.abs(alpha) ** 2 @ self.input_mass[:k])
         fid, leak, aa = (np.where(touched, x[:k], 0.0) for x in

@@ -97,35 +97,40 @@ def hermite_function_rows(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def probabilist_rows(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal probabilist Hermite polynomials h_0..h_n_max at x.
+def _probabilist_polynomials(n_max: int, x: np.ndarray):
+    """Yield the orthonormal probabilist Hermite polynomials h_0..h_n_max at x, one row at a time.
 
     These satisfy E[h_j(X) h_k(X)] = delta_jk for X ~ N(0, 1); the sampling
     and learning modules expand functions in this basis.  Recurrence:
-    h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1).
+    h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1).  Only the last two
+    rows are held, as in `hermite_functions`.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros((n_max + 1,) + x.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = x
-    for k in range(1, n_max):
-        out[k + 1] = (x * out[k] - np.sqrt(k) * out[k - 1]) / np.sqrt(k + 1.0)
+    prev, cur = 0.0, np.ones(x.shape)
+    yield cur
+    for k in range(n_max):
+        prev, cur = cur, (x * cur - np.sqrt(k) * prev) / np.sqrt(k + 1.0)
+        yield cur
+
+
+def probabilist_rows(n_max: int, x: np.ndarray) -> np.ndarray:
+    """The rows of `_probabilist_polynomials` as one (n_max+1,) + x.shape array."""
+    out = np.empty((n_max + 1,) + np.shape(x))
+    for n, row in enumerate(_probabilist_polynomials(n_max, x)):
+        out[n] = row
     return out
 
 
 def probabilist_product(v, x: np.ndarray, start):
     """start * h_v(x) = start * prod_i h_{v_i}(x[..., i]), multiplied axis by axis in order.
 
-    Each factor runs `probabilist_rows`'s recurrence, bit for bit, holding
-    two rows where that builds rows 0..v_i.
+    Each factor is the last row of `_probabilist_polynomials`, so it has
+    `probabilist_rows`'s bits and only two rows are held.
     """
     for i, d in enumerate(v):
-        xi = np.asarray(x[..., i], dtype=float)
-        prev, cur = np.ones(xi.shape), xi
-        for k in range(1, d):
-            prev, cur = cur, (xi * cur - np.sqrt(k) * prev) / np.sqrt(k + 1.0)
-        start = start * (cur if d else prev)
+        for row in _probabilist_polynomials(d, x[..., i]):
+            pass   # h_0 .. h_d in turn; the factor is h_d
+        start = start * row
     return start
 
 

@@ -286,6 +286,20 @@ class TestDecompose:
             assert math.isfinite(fe.t_effective) and abs(fe.t_effective) <= 4
             assert all(math.isfinite(c) and abs(c) <= 1.0 for _, c in fe.factors)
 
+    @pytest.mark.parametrize("t", [2818447464634594.0, 2893030547262390.0, 3123091668435073.0,
+                                   3466689319193284.0])
+    def test_reduction_near_an_odd_multiple_of_pi_stays_in_range(self, t):
+        # the 80-bit 2 pi k rounds across the half period at these times, drawn by
+        # default_rng(0).uniform(1e14, 2**52): t_eff read -pi - 8.9e-6.  The phase
+        # sign * exp(-i t_eff / 2) is exp(-i t / 2) within half the stated reduction error
+        import mpmath
+
+        fe = decompose(t)
+        assert abs(fe.t_effective) <= np.pi
+        with mpmath.workdps(40):
+            want = complex(mpmath.expj(-mpmath.mpf(t) / 2))
+        assert abs(fe.global_sign * np.exp(-0.5j * fe.t_effective) - want) <= 1.9e-4 / 2
+
 
 class TestApplyFactored:
     def test_identity_at_zero(self, rng):

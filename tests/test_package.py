@@ -69,6 +69,43 @@ def test_no_unused_top_level_import(path):
     assert unused == []
 
 
+def _reads(tree) -> set:
+    """Every name a module reads: a loaded name, an attribute or an imported name."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_top_level_name(path):
+    # a function, class or constant outside __all__ is read somewhere in the package, so a
+    # removed path's helper or budget constant cannot stay behind
+    tree = ast.parse(path.read_text())
+    defined, exported = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined.append(name.id)
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported = set(ast.literal_eval(node.value))
+    read = set().union(*(_reads(ast.parse(p.read_text())) for p in SOURCES))
+    dead = sorted(name for name in defined
+                  if not (name.startswith("__") and name.endswith("__"))
+                  and name not in exported and name not in read)
+    assert dead == []
+
+
 # each module's top-level relative imports name only modules before it here, so
 # no import cycle can form: the centered-DFT frame lives in spectral_core because
 # both discrete_qho and fast_forward apply it, and fast_forward imports discrete_qho

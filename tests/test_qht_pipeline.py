@@ -16,8 +16,6 @@ from qhermite.qht_pipeline import (
     QHTOperator,
     WindowFunction,
     _parity_part,
-    _reflect,
-    _stack_rows,
     build_pr_state,
     choose_dimensions,
     fixed_point_amplify,
@@ -37,6 +35,11 @@ def _prepared(cfg, n):
     """The normalized prepared state of block n, as QHTOperator holds it."""
     amps = build_pr_state(n, cfg.M)
     return amps / np.linalg.norm(amps)
+
+
+def _reflect(x):
+    """x at the mirrored labels, l -> -l: index i -> -i mod M."""
+    return np.concatenate([x[:1], x[:0:-1]])
 
 
 def _split(row, n):
@@ -165,7 +168,7 @@ class TestPRStates:
         # label -l holds (-1)^n times label l, bit for bit; odd states vanish at label 0
         for n in range(21):
             amps = build_pr_state(n, M, bits)
-            assert np.array_equal(_reflect(amps, np.empty_like(amps)), (-1.0) ** n * amps), n
+            assert np.array_equal(_reflect(amps), (-1.0) ** n * amps), n
             assert n % 2 == 0 or amps[M // 2] == 0.0
 
     def test_ground_overlap(self, basis_cache):
@@ -480,7 +483,7 @@ class TestOperator:
         e1 = np.array([0.0, 1.0])
         first = op.apply(e1)
         assert first.op_passes == 2 * 2 * cfg.m_bits  # block 1 and its row partner, block 0
-        assert list(op.held) == [True, True, False, False]
+        assert op.rows_held == 1
         assert first.block_fidelities[0] == 0.0       # untouched block reports 0
         again = op.apply(e1)
         assert again.op_passes == 0
@@ -629,46 +632,26 @@ class TestFrameSweep:
         m = cfg.m_bits
         op = QHTOperator(cfg)
         assert op.v_passes == 0
-        alpha = np.array([0.0, 0.0, 0.6])
-        assert op.apply(alpha).op_passes == 2 * 2 * m     # block 2 and its partner, block 3
+        alpha = np.array([0.0, 0.6])
+        assert op.apply(alpha).op_passes == 2 * 2 * m     # block 1 and its partner, block 0
         assert op.v_passes == 4 * m
         assert op.apply(alpha).op_passes == 0             # both held
-        assert op.apply(np.array([0.0, 0.0, 0.6, 0.8])).op_passes == 0
+        assert op.apply(np.array([0.6, 0.8])).op_passes == 0
         assert op.v_passes == 4 * m
         op.matrix()                                       # the two blocks not held yet
         assert op.v_passes == 8 * m
         assert type(op.v_passes) is int                   # the qht footer writes it as JSON
 
 
-def _stack_layout(cfg, cpus):
-    """The stacks of blocks each worker runs in a full build on `cpus` usable CPUs.
-
-    Worker i takes rows i, i + workers, ... of the ceil(N/2) rows and cuts them into stacks
-    of _stack_rows(M) rows.
-    """
-    rows = [tuple(range(n, min(n + 2, cfg.N))) for n in range(0, cfg.N, 2)]
-    workers = min(cpus, len(rows))
-    height = _stack_rows(cfg.M)
-    return [[[n for row in share[s:s + height] for n in row] for s in range(0, len(share), height)]
-            for share in (rows[i::workers] for i in range(workers))]
-
-
 class TestStackedHold:
-    """Paired rows held in stacks, across a stack boundary, against one-at-a-time holds."""
+    """Paired rows held as a prefix, in place as one stack a worker, against one-at-a-time holds."""
 
-    M = 4096
-    CFG = QHTConfig(N=2 * _stack_rows(M) + 3, eps=0.01, M=M)
+    CFG = QHTConfig(N=35, eps=0.01, M=4096)    # an odd N: the last block has a row of its own
     SMALL = QHTConfig(N=2, eps=0.05, M=64)
-    WIDE = QHTConfig(N=80, eps=0.01, M=4096)   # 40 rows: 20 a worker on two, as 16 + 4
+    WIDE = QHTConfig(N=80, eps=0.01, M=4096)   # 40 rows: 20 a worker on two
     HELD = ("columns", "block_fidelities", "filter_leaks", "aa_residuals", "input_mass",
             "uncompute_residuals")
-    METRICS = HELD + ("held", "v_passes")
-
-    def test_config_crosses_a_chunk_boundary(self):
-        # more rows than one stack holds, and an odd N, so the last block has a row of its own
-        rows = -(-self.CFG.N // 2)
-        assert _stack_rows(self.M) < rows < 2 * _stack_rows(self.M)
-        assert self.CFG.N % 2 == 1
+    METRICS = HELD + ("rows_held", "v_passes")
 
     @pytest.mark.parametrize("bits", [None, 32], ids=["exact", "quantized"])
     def test_one_block_at_a_time_equals_matrix(self, bits):
@@ -678,7 +661,8 @@ class TestStackedHold:
         single = QHTOperator(cfg)
         order = np.random.default_rng(3).permutation(cfg.N)
         for n in order:
-            built = 0 if single.held[n] else len(single._row(n))   # a partner comes along
+            # the rows up to block n's come along, its partner included
+            built = max(min(n - n % 2 + 2, cfg.N) - 2 * single.rows_held, 0)
             res = single.apply(np.eye(cfg.N)[n])
             assert res.op_passes == 2 * cfg.m_bits * built
         for name in self.METRICS:
@@ -751,7 +735,7 @@ class TestStackedHold:
     def test_held_columns_have_the_parity_of_psi_n(self, N):
         U = QHTOperator(choose_dimensions(N, 0.01)).matrix()
         for n, col in enumerate(U):
-            assert np.array_equal(_reflect(col, np.empty_like(col)), (-1.0) ** n * col), n
+            assert np.array_equal(_reflect(col), (-1.0) ** n * col), n
 
     @pytest.mark.parametrize("N", [7, 8, 16])
     def test_columns_do_not_depend_on_call_order_or_workers(self, N, monkeypatch):
@@ -804,22 +788,18 @@ class TestStackedHold:
             monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda w=workers: w)
             op = QHTOperator(cfg)
             op.matrix()
-            assert op.build_workers == len(_stack_layout(cfg, workers))
+            assert op.build_workers == min(workers, -(-cfg.N // 2))
             ops.append(op)
         for name in self.METRICS:
             assert np.array_equal(getattr(ops[0], name), getattr(ops[1], name)), name
 
-    @pytest.mark.parametrize("worker, stack", [(0, 0), (1, 1)],
-                             ids=["calling-thread", "started-thread"])
-    def test_worker_error_reaches_the_caller(self, worker, stack, monkeypatch):
-        # worker 0 is the calling thread and worker 1 the one thread it starts; each runs its
-        # 20 rows as a stack of 16 and one of 4.  Worker 0 fails in its first stack, so its
-        # second never runs; worker 1 fails in its second, after its first is held
-        stacks = _stack_layout(self.WIDE, 2)[worker]
-        assert len(stacks) == 2
-        unfinished = [n for blocks in stacks[stack:] for n in blocks]
+    @pytest.mark.parametrize("worker", [0, 1], ids=["calling-thread", "started-thread"])
+    def test_worker_error_reaches_the_caller(self, worker, monkeypatch):
+        # worker 0 is the calling thread and worker 1 the one thread it starts.  With row 0
+        # held, the full build deals rows 1 + worker, 3 + worker, ... to each; a fault in the
+        # sixth row of either share holds none of the build's rows and zeroes their columns
         real = qht_pipeline.build_pr_state
-        bad = stacks[stack][0]
+        bad = 2 * (1 + worker + 2 * 5)
 
         def refuse(n, *args):
             if n == bad:
@@ -827,18 +807,79 @@ class TestStackedHold:
             return real(n, *args)
 
         monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(qht_pipeline, "build_pr_state", refuse)
         op = QHTOperator(self.WIDE)
+        op.apply(np.eye(self.WIDE.N)[0])
+        held = op.columns[:2].copy()
+        monkeypatch.setattr(qht_pipeline, "build_pr_state", refuse)
         with pytest.raises(ConfigError, match=f"refused n={bad}"):
             op.matrix()
-        assert op.build_workers == 2
-        assert not op.held[unfinished].any() and not op.columns[unfinished].any()
-        assert op.held.sum() == self.WIDE.N - len(unfinished)
-        assert op.v_passes == 2 * self.WIDE.m_bits * op.held.sum()   # only held blocks count
+        assert op.build_workers == 2 and op.rows_held == 1
+        assert np.array_equal(op.columns[:2], held) and not op.columns[2:].any()
+        assert op.v_passes == 2 * self.WIDE.m_bits * 2   # only held blocks count
+        monkeypatch.setattr(qht_pipeline, "build_pr_state", real)
+        assert op.apply(np.eye(self.WIDE.N)[-1]).op_passes == 2 * self.WIDE.m_bits * 78
+        clean = QHTOperator(self.WIDE)
+        clean.matrix()
+        for name in self.METRICS:
+            assert np.array_equal(getattr(op, name), getattr(clean, name)), name
+
+    @pytest.mark.parametrize("n", [0, 3, 5, 6])
+    def test_one_hot_holds_the_rows_up_to_its_own(self, n):
+        # a one-hot at block n builds rows 0..n//2, every block before n and n's partner
+        cfg = QHTConfig(N=7, eps=0.05, M=512)
+        op = QHTOperator(cfg)
+        res = op.apply(np.eye(cfg.N)[n])
+        built = min(n - n % 2 + 2, cfg.N)
+        assert op.rows_held == n // 2 + 1
+        assert res.op_passes == op.v_passes == 2 * cfg.m_bits * built
+        assert op.columns[:built].any(axis=1).all() and not op.columns[built:].any()
+        assert np.all(op.input_mass[:built] > 0) and not op.input_mass[built:].any()
+
+    def test_threads_building_one_operator_get_the_serial_bits(self, monkeypatch):
+        # the holds of one operator are serialised: each thread's build would sweep in the
+        # same columns
+        monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 2)
+        serial = QHTOperator(self.CFG)
+        serial.matrix()
+        op = QHTOperator(self.CFG)
+        barrier = threading.Barrier(2)
+        seen, errors = [], []
+
+        def call():
+            try:
+                barrier.wait()
+                seen.append(op.matrix().copy())
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == [] and len(seen) == 2
+        for cols in seen:
+            assert np.array_equal(cols, serial.columns)
+        for name in self.METRICS:
+            assert np.array_equal(getattr(op, name), getattr(serial, name)), name
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["even", "odd"])
+    def test_in_place_split_equals_out_of_place(self, sign, rng):
+        # bit for bit, signed zeros included, at labels -M/2 and 0 (their own mirrors) too
+        M = 64
+        zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        for k in range(16):
+            row = rng.normal(size=M) + 1j * rng.normal(size=M)
+            row[0], row[M // 2] = zeros[k % 4], zeros[k // 4]
+            ref = _parity_part(row, sign, np.empty_like(row))
+            combine = np.add if sign > 0 else np.subtract
+            assert ref.tobytes() == (combine(row, _reflect(row)) * 0.5).tobytes()
+            same = row.copy()
+            assert _parity_part(same, sign, same) is same
+            assert same.tobytes() == ref.tobytes()
 
     def test_rows_are_dealt_evenly(self, monkeypatch):
-        # the 40 rows of N = 80 at M = 4096 (stacks of 16) give each of two workers 20; dealing
-        # whole stacks gave 24 and 16
+        # the 40 rows of N = 80 at M = 4096 give each of two workers 20, as one stack each
         real = QHTOperator._sweep
         rows = Counter()
 
@@ -851,7 +892,7 @@ class TestStackedHold:
         monkeypatch.setattr(QHTOperator, "_sweep", counted)
         op = QHTOperator(self.WIDE)
         op.matrix()
-        assert op.build_workers == 2 and op.held.all()
+        assert op.build_workers == 2 and op.rows_held == 40
         assert sorted(rows.values()) == [20, 20]
 
     @pytest.mark.parametrize("N, workers", [(8, 2), (16, 2)])
@@ -863,7 +904,7 @@ class TestStackedHold:
         op = QHTOperator(cfg)
         op.apply(np.eye(cfg.N)[0])
         op.matrix()
-        assert op.build_workers == workers and op.held.all()
+        assert op.build_workers == workers and op.rows_held == N // 2
 
     def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
         def refuse(thread):
@@ -873,7 +914,7 @@ class TestStackedHold:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         op = QHTOperator(self.CFG)
         op.matrix()
-        assert op.build_workers == 1 and op.held.all()
+        assert op.build_workers == 1 and op.rows_held == 18
 
 
 class TestEndToEnd:

@@ -7,6 +7,7 @@ from qhermite.spectral_core import (
     InvalidSpecError,
     hermite_function_rows,
     hermite_functions,
+    probabilist_product,
     probabilist_rows,
 )
 
@@ -119,6 +120,15 @@ class TestProbabilistRows:
         assert np.allclose(rows[0], 1.0)
         assert np.allclose(rows[1], x)
         assert np.allclose(rows[2], (x * x - 1) / np.sqrt(2))
+
+    def test_rows_and_product_share_the_recurrence_bit_for_bit(self, rng):
+        x = 4 * rng.normal(size=50)
+        ref = [np.ones_like(x), x]
+        for k in range(1, 11):
+            ref.append((x * ref[k] - np.sqrt(k) * ref[k - 1]) / np.sqrt(k + 1.0))
+        assert np.array_equal(probabilist_rows(11, x), np.array(ref))
+        for d in range(12):
+            assert np.array_equal(probabilist_product((d,), x[:, None], 1.0), ref[d])
 
 
 class TestCenteredDFT:
