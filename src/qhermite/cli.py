@@ -384,12 +384,7 @@ def main(argv=None) -> int:
         if args.timings:
             footer["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
         _write_table(args.out, _meta(args), header, rows, args.format, footer)
-    except (ValueError, RuntimeError, OSError) as exc:   # ConfigError is a ValueError
-        if isinstance(exc, RuntimeError):   # hermite_sampling is loaded only on this path
-            from .hermite_sampling import PostselectionFailure
-
-            if not isinstance(exc, PostselectionFailure):
-                raise
+    except (ValueError, OSError) as exc:   # ConfigError and PostselectionFailure are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

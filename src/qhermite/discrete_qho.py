@@ -542,7 +542,7 @@ def _power_sums(H: np.ndarray, t0: int, t_max: int) -> list:
     return sums
 
 
-def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict | None = None):
+def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict):
     """Exact S_t[a, b] = sum_jk conj(u_a[j]) W[j, k] (J_j^2 - J_k^2)^t u_b[k], parity-folded.
 
     u holds N columns as `_tail_columns` gives them and g the fixed-point
@@ -563,8 +563,6 @@ def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict | No
     `anti` builds each kernel once.
     """
     size = len(g[0]) // 2 + 1
-    if kernels is None:
-        kernels = {}
 
     def kernel(sa, sb, q):
         """The (re, im) parts of i^q K for the parities sa and sb."""

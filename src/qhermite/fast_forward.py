@@ -9,12 +9,12 @@ The 2*pi reduction, made against an 80-bit pi, flips the sign of the state
 once per full period (exp(-i*H*(t + 2*pi)) = -exp(-i*H*t) for half-integer
 spectra), so the factorization carries an explicit global sign.
 
-Both factor lists read the same reversed, so the split is symmetric and its
-adjoint is the same factors conjugated, in the same order (Yoshida,
-Phys. Lett. A 150, 262, 1990).  A factored evolution is applied from
-`EvolutionTables`, built once per evolution and grid: one table
-exp(-i*c*x_j^2) per factor of the palindrome's first half, up to and with
-its middle factor (two for three factors, three for five).  The raw
+Both splits read the same reversed, so each is symmetric and its adjoint
+is the same factors conjugated, in the same order (Yoshida, Phys. Lett. A
+150, 262, 1990).  A `FactoredEvolution` therefore holds only the first
+half, up to and with the middle factor: (a, b) or (alpha, beta, 2*alpha).
+It is applied from `EvolutionTables`, built once per evolution and grid:
+one table exp(-i*c*x_j^2) per coefficient of that half.  The raw
 arguments c x_j^2 reach ~M/4, so rounding them before the reduction mod
 2*pi would put an error growing with M into every factor (~1e-13 at
 M ~ 1000 in float64), swamping the quantity the error meter measures.  Since
@@ -73,16 +73,23 @@ _T_CAP = 2.0 ** 52        # decompose refuses |t| at or above this
 
 @dataclass(frozen=True)
 class FactoredEvolution:
-    """Ordered (axis, coefficient) phase factors realizing exp(-i*Hbar*t).
+    """The first half of a symmetric phase-factor split of exp(-i*Hbar*t).
 
-    The factors alternate momentum, position, ..., momentum and read the
-    same reversed.
+    `half` holds the coefficients of alternating momentum and position
+    factors, momentum first, up to and with the middle factor; the
+    evolution runs them forward and then back without the middle one, so
+    (a, b) is a, b, a and (alpha, beta, 2*alpha) is alpha, beta, 2*alpha,
+    beta, alpha.  Any nonempty tuple stands for such a palindrome.
     """
 
-    factors: tuple          # of ("momentum" | "position", float)
+    half: tuple             # of float, momentum first
     t_effective: float      # reduced time in [-pi, pi], rounded to float64
-    reps: int               # 1 (three factors) or 2 (five factors)
     global_sign: float      # +1 or -1 from the 2*pi reduction
+
+    @property
+    def reps(self) -> int:
+        """1 (three factors) or 2 (five factors)."""
+        return len(self.half) - 1
 
 
 def decompose(t: float) -> FactoredEvolution:
@@ -95,10 +102,11 @@ def decompose(t: float) -> FactoredEvolution:
     sees as a phase error E_n times it.  For |t| <= pi no period is
     subtracted, and t_eff is t itself, with float64 tan and sin.
 
-    |t_eff| <= pi/2 uses one repetition with a = tan(t_eff/2)/2,
-    b = sin(t_eff)/2; larger |t_eff| is halved and squared, giving five
-    factors (alpha, beta, 2*alpha, beta, alpha).  The boundary |t_eff| = pi/2
-    stays on the single-repetition branch, where tan is still finite.
+    |t_eff| <= pi/2 uses one repetition, half = (a, b) with
+    a = tan(t_eff/2)/2 and b = sin(t_eff)/2; larger |t_eff| is halved and
+    squared, giving five factors, half = (alpha, beta, 2*alpha) with alpha
+    and beta those of t_eff/2.  The boundary |t_eff| = pi/2 stays on the
+    single-repetition branch, where tan is still finite.
 
     The 80-bit product 2*pi*k rounds, so near an odd multiple of pi the
     reduction can land just outside [-pi, pi] (by 8.9e-6 at
@@ -127,17 +135,10 @@ def decompose(t: float) -> FactoredEvolution:
     sign = -1.0 if k % 2 else 1.0
     if abs(t2) > math.pi / 2:
         alpha = float(tan(t2 / 4) / 2)
-        beta = float(sin(t2 / 2) / 2)
-        factors = (("momentum", alpha), ("position", beta), ("momentum", 2 * alpha),
-                   ("position", beta), ("momentum", alpha))
-        reps = 2
+        half = (alpha, float(sin(t2 / 2) / 2), 2 * alpha)
     else:
-        a = float(tan(t2 / 2) / 2)
-        b = float(sin(t2) / 2)
-        factors = (("momentum", a), ("position", b), ("momentum", a))
-        reps = 1
-    return FactoredEvolution(factors=factors, t_effective=float(t2), reps=reps,
-                             global_sign=sign)
+        half = (float(tan(t2 / 2) / 2), float(sin(t2) / 2))
+    return FactoredEvolution(half=half, t_effective=float(t2), global_sign=sign)
 
 
 _TURN_HI = 2 * math.pi                        # float64 2*pi ...
@@ -163,8 +164,7 @@ def _half_phases(M: int, coeffs) -> np.ndarray:
     fractions are summed, reduced into [-1/2, 1/2] after each, and the
     turns are scaled by 2 pi in two float64 parts.  The argument is then
     off by a few float64 roundings of a number at most pi, at every M up to
-    2^27, where forming c j^2 2 pi / M in 80-bit floats before the
-    reduction kept that product's rounding, which grows with M.
+    2^27.
     """
     j = np.arange(M // 2 + 1, dtype=np.float64)
     sq = j * j
@@ -189,30 +189,19 @@ def _half_phases(M: int, coeffs) -> np.ndarray:
 class EvolutionTables:
     """Half-length phase tables of one FactoredEvolution on an M-point grid.
 
-    Row k of `halves` is exp(-i*c_k*x_j^2) for labels j = 0..M/2, c_k the
-    coefficient of factor k of the palindrome's first half, up to and with
-    its middle factor: even rows are momentum factors and odd rows position
-    factors, and the evolution reads rows 0..last..0.
+    Row k of `halves` is exp(-i*c_k*x_j^2) for labels j = 0..M/2, c_k =
+    half[k]: even rows are momentum factors and odd rows position factors,
+    and the evolution reads rows 0..last..0.
     """
 
     M: int
-    halves: np.ndarray = field(repr=False)   # (factors + 1) / 2 rows of M/2 + 1
+    halves: np.ndarray = field(repr=False)   # len(half) rows of M/2 + 1
     global_sign: float
 
 
 def evolution_tables(M: int, fe: FactoredEvolution) -> EvolutionTables:
-    """Build the phase tables of `fe`'s first half.
-
-    Raises ValueError unless the factors read the same reversed and
-    alternate momentum, position, ..., starting with momentum.
-    """
-    n = len(fe.factors)
-    if fe.factors != fe.factors[::-1] or tuple(axis for axis, _ in fe.factors) \
-            != ("momentum", "position") * (n // 2) + ("momentum",):
-        raise ValueError("factors must be a palindrome alternating momentum and position "
-                         f"from a momentum factor, got {fe.factors}")
-    return EvolutionTables(M=M, halves=_half_phases(M, [c for _, c in fe.factors[:n // 2 + 1]]),
-                           global_sign=fe.global_sign)
+    """Build the phase tables of `fe.half`."""
+    return EvolutionTables(M=M, halves=_half_phases(M, fe.half), global_sign=fe.global_sign)
 
 
 def _frame_steps(tables: EvolutionTables, w: np.ndarray, adjoint: bool = False,

@@ -39,8 +39,8 @@ _SLAB_POINTS = 1 << 16  # dense oracles are evaluated this many grid points at a
 ATTEMPT_CAP_FACTOR = 64  # a normalized distribution's rejection cap is this times kappa
 
 
-class PostselectionFailure(RuntimeError):
-    """Rejection loop exceeded its attempt cap."""
+class PostselectionFailure(ValueError):
+    """Rejection loop exceeded its attempt cap: the oracle's declared kappa does not hold."""
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,8 @@ def _grid_contract(n: int, evaluate, grid: np.ndarray, mats, factors=None, weigh
     return T.reshape([len(m) for m in mats]), sum_sq, sup
 
 
-def spectrum_table(f: OracleFunction, D: int | None = None, M_quad: int = 512) -> np.ndarray:
+def spectrum_table(f: OracleFunction, D: int, M_quad: int) -> np.ndarray:
     """The (D+1,)*n array of fhat(v), v in [0, D]^n, in one tensor contraction per axis."""
-    D = f.degree_cutoff if D is None else D
     x, h = _quad_grid(M_quad)
     weighted = h * probabilist_rows(D, x) * _nu(x)
     c, _, _ = _grid_contract(f.arity, f.evaluate, x, [weighted] * f.arity, f.product_factors)

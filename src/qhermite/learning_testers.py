@@ -221,8 +221,8 @@ def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: flo
 
     prods = _in_slabs(m, slab)
     mean = float(prods.mean())
-    var = float(prods.var(ddof=1)) if m > 1 else 0.0
-    rng_width = float(prods.max() - prods.min()) if m > 1 else 0.0
+    var = float(prods.var(ddof=1))
+    rng_width = float(prods.max() - prods.min())
     log_term = math.log(3.0 / delta)
     half = math.sqrt(2.0 * var * log_term / m) + 3.0 * rng_width * log_term / m
     return WeightEstimate(pattern=pattern, value=mean, half_width=half, samples=m)

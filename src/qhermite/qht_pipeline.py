@@ -418,19 +418,17 @@ class QHTOperator:
     `_store`, which has N + N % 2, so the lone row of an odd N has a spare
     (4.2 MB at N = 16).  Row r is prepared, swept, split, amplified and
     uncomputed in column 2r, with column 2r+1 as its scratch (see
-    `_hold_rows`); no frame buffer is allocated.  The rows a build needs are
-    dealt to one worker thread per usable CPU, and each worker sweeps its
-    share as one stack; build_workers is the number of workers that ran the
-    latest build (0 before any).  Beyond the columns a worker holds only
-    M-length rows while it runs: the mirrored and scaled row (then the
-    mirrored label pairs), the uncompute's discarded branch and the parity
-    split's half row; numpy's FFT adds a batch buffer to each multi-row
-    call (about 6 MB at M = 131072).  On a 2-core x86 box with one BLAS
-    thread, the build of N = 16 (M = 16384) after the one-hot warm-up of
-    block 0 peaks 1.6 MB above the operator's own arrays (tracemalloc; a
-    private pair of 2 MiB frame buffers a worker took 5.8 MB), and
-    `matrix()` at N = 32 (M = 131072) takes 1.0 s with a peak RSS of
-    192 MB (1.6 s and 180 MB with the frame buffers).  v_passes is derived
+    `_hold_rows`).  The rows a build needs are dealt to one worker thread
+    per usable CPU, and each worker sweeps its share as one stack;
+    build_workers is the number of workers that ran the latest build (0
+    before any).  Beyond the columns a worker holds only M-length rows
+    while it runs: the mirrored and scaled row (then the mirrored label
+    pairs), the uncompute's discarded branch and the parity split's half
+    row; numpy's FFT adds a batch buffer to each multi-row call (about 6 MB
+    at M = 131072).  On a 2-core x86 box with one BLAS thread, the build of
+    N = 16 (M = 16384) after the one-hot warm-up of block 0 peaks 1.6 MB
+    above the operator's own arrays (tracemalloc), and `matrix()` at N = 32
+    (M = 131072) takes 1.0 s with a peak RSS of 192 MB.  v_passes is derived
     from the held blocks: 2m passes of V or V^dagger each.
     """
 

@@ -123,24 +123,38 @@ class TestDeterminism:
 
     @pytest.mark.slow
     def test_qht_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # one fresh process per OPENBLAS_NUM_THREADS, which is read only at numpy's import.
-        # N = 16 is left out: its columns move by about 1e-15 between one and two threads
+        # one fresh process per OPENBLAS_NUM_THREADS, which is read only at numpy's import,
+        # writes the ten default files below and hashes them with the N = 8 columns.
+        # Left out: `ff-error`, whose M = 512 rows move with the thread count (ROADMAP items
+        # 13 and 17), and the N = 16 columns, which move by about 1e-15 (the `qht --N 16`
+        # file does not show it)
+        runs = [["qht", "--N", "4"], ["qht", "--N", "8"], ["qht", "--N", "16"],
+                ["overlap", "--M", "20000", "--n", "40"],
+                ["sample", "--n", "1"], ["sample", "--n", "2"], ["sample", "--n", "3"],
+                ["ggl"], ["ggl", "--mode", "sampler"], ["test"]]
         code = (
-            "import hashlib, json, sys\n"
+            "import hashlib, json, os, sys\n"
             "from qhermite.cli import main\n"
             "from qhermite.qht_pipeline import QHTOperator, choose_dimensions\n"
-            "assert main(['qht', '--N', '8', '--out', sys.argv[1]]) == 0\n"
+            "digests = []\n"
+            "for i, args in enumerate(json.loads(sys.argv[2])):\n"
+            "    out = os.path.join(sys.argv[1], f'{i}.csv')\n"
+            "    assert main(args + ['--out', out]) == 0, args\n"
+            "    digests.append(hashlib.sha256(open(out, 'rb').read()).hexdigest())\n"
             "columns = QHTOperator(choose_dimensions(8, 0.01)).matrix().tobytes()\n"
-            "print(json.dumps([hashlib.sha256(open(sys.argv[1], 'rb').read()).hexdigest(),\n"
-            "                  hashlib.sha256(columns).hexdigest()]))\n"
+            "digests.append(hashlib.sha256(columns).hexdigest())\n"
+            "print(json.dumps(digests))\n"
         )
         src = str(Path(cli.__file__).parent.parent)
         digests = []
         for threads in ("1", "2"):
+            out_dir = tmp_path / threads
+            out_dir.mkdir()
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / f"{threads}.csv")],
-                                  env=env, capture_output=True, text=True, timeout=120, check=True)
+            proc = subprocess.run([sys.executable, "-c", code, str(out_dir), json.dumps(runs)],
+                                  env=env, capture_output=True, text=True, timeout=300, check=True)
             digests.append(json.loads(proc.stdout.splitlines()[-1]))
+        assert len(digests[0]) == len(runs) + 1
         assert digests[0] == digests[1]
 
     def test_header_echoes_config(self, tmp_path):
@@ -368,6 +382,17 @@ class TestSampleCorpusFile:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: no acceptance in ")
         assert not out.exists()
+
+    def test_other_runtime_error_propagates(self, tmp_path, monkeypatch, capsys):
+        # only ValueError (config, corpus, postselection) and OSError become an error line
+        def broken(args):
+            raise RuntimeError("internal fault")
+
+        monkeypatch.setattr(cli, "cmd_test", broken)
+        with pytest.raises(RuntimeError, match="internal fault"):
+            _run(tmp_path, "t.csv", ["test"])
+        assert capsys.readouterr().err == ""
+        assert not (tmp_path / "t.csv").exists()
 
     def test_entry_outside_its_arity_is_an_error_line(self, tmp_path, capsys):
         corpus_file = tmp_path / "corpus.json"

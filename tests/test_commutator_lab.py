@@ -418,7 +418,7 @@ class TestParityFold:
         for drop in (discrete_qho._TAIL_CHECK_BITS, 0):   # both passes of the lab
             cols = [tuple((discrete_qho._shift(x, drop), s) for x, s in col) for col in u]
             sym = tuple(discrete_qho._shift(part, drop) for part in g)
-            folded = discrete_qho._integer_tail_sums(cols, sym, family == "p2_anti", t0, t_max)
+            folded = discrete_qho._integer_tail_sums(cols, sym, family == "p2_anti", t0, t_max, {})
             full = [tuple(unfold(x, s) for x, s in col) for col in cols]
             brute = unfolded_tail_sums(full, sym, family == "p2_anti", t0, t_max)
             assert folded.keys() == brute.keys()

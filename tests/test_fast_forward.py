@@ -183,8 +183,8 @@ class TestDecompose:
     def test_zero_time_identity(self):
         fe = decompose(0.0)
         assert fe.reps == 1
-        assert len(fe.factors) == 3
-        assert all(c == 0.0 for _, c in fe.factors)
+        assert len(fe.half) == 2
+        assert all(c == 0.0 for c in fe.half)
         assert fe.global_sign == 1.0
 
     def test_half_pi_closed_forms(self):
@@ -192,9 +192,9 @@ class TestDecompose:
         assert fe.reps == 1
         a = np.tan(np.pi / 4) / 2
         b = np.sin(np.pi / 2) / 2
-        assert abs(fe.factors[0][1] - a) < 1e-15
-        assert abs(fe.factors[1][1] - b) < 1e-15
-        assert fe.factors[0][1] == fe.factors[2][1]
+        assert abs(fe.half[0] - a) < 1e-15
+        assert abs(fe.half[1] - b) < 1e-15
+        assert len(fe.half) == 2   # the third factor is the first, read back
         assert abs(a - 0.5) < 1e-15 and abs(b - 0.5) < 1e-15
 
     def test_near_pi_five_factors(self):
@@ -203,10 +203,8 @@ class TestDecompose:
         assert fe.reps == 2
         alpha = np.tan(t / 4) / 2
         beta = np.sin(t / 2) / 2
-        axes = [a for a, _ in fe.factors]
-        coeffs = [c for _, c in fe.factors]
-        assert axes == ["momentum", "position", "momentum", "position", "momentum"]
-        assert np.allclose(coeffs, [alpha, beta, 2 * alpha, beta, alpha], rtol=1e-12)
+        assert len(fe.half) == 3   # alpha, beta, 2 alpha, then beta, alpha read back
+        assert np.allclose(fe.half, [alpha, beta, 2 * alpha], rtol=1e-12)
 
     def test_boundary_assigned_to_single_rep(self):
         assert decompose(np.pi / 2).reps == 1
@@ -216,7 +214,7 @@ class TestDecompose:
     def test_coefficients_bounded(self):
         for t in np.linspace(-20, 20, 801):
             fe = decompose(t)
-            assert all(abs(c) <= 1.0 + 1e-12 for _, c in fe.factors)
+            assert all(abs(c) <= 1.0 + 1e-12 for c in fe.half)
             assert -np.pi <= fe.t_effective < np.pi
 
     def test_two_pi_reduction_sign(self):
@@ -226,8 +224,8 @@ class TestDecompose:
         t = np.longdouble(2 * np.pi) - 2 * _PI_LD
         assert fe.t_effective == float(t) < 0
         half = float(np.tan(t / 2) / 2)
-        assert [c for _, c in fe.factors] == [half, float(np.sin(t) / 2), half]
-        assert all(abs(c) <= 1.3e-16 for _, c in fe.factors)
+        assert fe.half == (half, float(np.sin(t) / 2))
+        assert all(abs(c) <= 1.3e-16 for c in fe.half)
         assert decompose(4 * np.pi).global_sign == 1.0
 
     def test_period_subtracted_in_80_bits(self):
@@ -237,15 +235,13 @@ class TestDecompose:
             fe = decompose(t)
             assert fe.t_effective == t
             half = t / 4 if fe.reps == 2 else t / 2
-            assert fe.factors[:2] == (("momentum", math.tan(half) / 2),
-                                      ("position", math.sin(2 * half) / 2))
+            assert fe.half[:2] == (math.tan(half) / 2, math.sin(2 * half) / 2)
         for t, k in ((3.65, 1), (-3.65, -1), (2 * np.pi + 0.7, 1), (-4 * np.pi - 2.5, -2)):
             fe = decompose(t)
             t_eff = np.longdouble(t) - 2 * _PI_LD * k
             assert fe.t_effective == float(t_eff)
             half = t_eff / 4 if fe.reps == 2 else t_eff / 2
-            assert fe.factors[:2] == (("momentum", float(np.tan(half) / 2)),
-                                      ("position", float(np.sin(2 * half) / 2)))
+            assert fe.half[:2] == (float(np.tan(half) / 2), float(np.sin(2 * half) / 2))
 
     def test_two_pi_shift_keeps_factors_and_flips_sign(self):
         # 3 and 5 factors, both signs of t, both signs of the base sign
@@ -253,26 +249,31 @@ class TestDecompose:
             fe, shifted = decompose(t), decompose(t + 2 * np.pi)
             assert shifted.global_sign == -fe.global_sign
             assert shifted.reps == fe.reps
-            assert [a for a, _ in shifted.factors] == [a for a, _ in fe.factors]
-            np.testing.assert_allclose([c for _, c in shifted.factors],
-                                       [c for _, c in fe.factors], rtol=1e-12, atol=1e-15)
+            assert len(shifted.half) == len(fe.half)
+            np.testing.assert_allclose(shifted.half, fe.half, rtol=1e-12, atol=1e-15)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             decompose(np.inf)
 
     def test_factors_read_the_same_reversed(self):
-        # the split is symmetric, so the tables hold its first half and the adjoint keeps the
-        # order: zero, the quarter-period boundary, 3 and 5 factors, and after the sign flip
+        # the split is symmetric, so it is held as its first half, (a, b) for a, b, a and
+        # (alpha, beta, 2 alpha) for alpha, beta, 2 alpha, beta, alpha: zero, the
+        # quarter-period boundary, 3 and 5 factors, and after the sign flip
         times = (0.0, np.pi / 2, -np.pi / 2, 0.4, -1.2, 2.0, -2.9, 2 * np.pi + 0.7,
                  -2 * np.pi - 2.5, 3.65)
         assert {decompose(t).reps for t in times} == {1, 2}
         assert {decompose(t).global_sign for t in times} == {1.0, -1.0}
         for t in times:
-            factors = decompose(t).factors
-            assert factors == factors[::-1]
-            assert [a for a, _ in factors[::2]] == ["momentum"] * (len(factors) // 2 + 1)
-            assert [a for a, _ in factors[1::2]] == ["position"] * (len(factors) // 2)
+            fe = decompose(t)
+            t_eff = fe.t_effective
+            if fe.reps == 2:
+                want = [math.tan(t_eff / 4) / 2, math.sin(t_eff / 2) / 2, math.tan(t_eff / 4)]
+                assert fe.half[2] == 2 * fe.half[0]
+            else:
+                want = [math.tan(t_eff / 2) / 2, math.sin(t_eff) / 2]
+            assert len(fe.half) == len(want)
+            np.testing.assert_allclose(fe.half, want, rtol=1e-12, atol=1e-16)
 
     @pytest.mark.parametrize("t", [2.0**52, -2.0**52, 1e20, -1e20, 1e22, 1e300])
     def test_huge_time_refused(self, t):
@@ -284,7 +285,7 @@ class TestDecompose:
         for t in (np.nextafter(2.0**52, 0), -np.nextafter(2.0**52, 0)):
             fe = decompose(t)
             assert math.isfinite(fe.t_effective) and abs(fe.t_effective) <= 4
-            assert all(math.isfinite(c) and abs(c) <= 1.0 for _, c in fe.factors)
+            assert all(math.isfinite(c) and abs(c) <= 1.0 for c in fe.half)
 
     @pytest.mark.parametrize("t", [2818447464634594.0, 2893030547262390.0, 3123091668435073.0,
                                    3466689319193284.0])
@@ -353,13 +354,17 @@ class TestApplyFactored:
 
 
 def _dense_factored(M, fe):
-    """Dense product of the factors, momentum ones as F^-1 diag(P) F."""
+    """Dense product of the palindrome `fe.half` stands for, momentum factors as F^-1 diag(P) F.
+
+    The factors are half, then half read back without its last entry, and
+    alternate momentum, position, ..., from a momentum factor.
+    """
     x2 = GridSpec(M).points() ** 2
     F = centered_dft_matrix(M)
     V = np.eye(M, dtype=complex)
-    for axis, c in fe.factors:
+    for k, c in enumerate(fe.half + fe.half[-2::-1]):
         P = np.diag(np.exp(-1j * c * x2))
-        V = (P if axis == "position" else F.conj().T @ P @ F) @ V
+        V = (P if k % 2 else F.conj().T @ P @ F) @ V
     return fe.global_sign * V
 
 
@@ -474,18 +479,18 @@ class TestApplyTables:
                 assert np.array_equal(v, before)
                 assert not np.shares_memory(out, v)
 
-    @pytest.mark.parametrize("factors", [
-        (("momentum", 0.1), ("position", 0.2), ("momentum", 0.3)),
-        (("position", 0.1), ("momentum", 0.2), ("position", 0.1)),
-        (("momentum", 0.1), ("momentum", 0.2), ("momentum", 0.1)),
-        (("momentum", 0.1), ("position", 0.2)),
-        (("momentum", 0.1), ("position", 0.2), ("momentum", 0.3), ("position", 0.2),
-         ("momentum", 0.1), ("position", 0.0)),
-    ], ids=["coefficients", "position-first", "not-alternating", "even", "tail"])
-    def test_tables_refuse_a_non_palindrome(self, factors):
-        fe = FactoredEvolution(factors=factors, t_effective=0.0, reps=1, global_sign=1.0)
-        with pytest.raises(ValueError, match="palindrome"):
-            evolution_tables(64, fe)
+    @pytest.mark.parametrize("half", [(0.3,), (0.3, -0.7), (0.3, -0.7, 0.45),
+                                      (0.3, -0.7, 0.45, 0.2)], ids=["1", "2", "3", "4"])
+    def test_any_half_applies_as_its_palindrome(self, half, rng):
+        # 1, 3, 5 and 7 factors, none of them from decompose, with either sign
+        M = 30
+        v = rng.normal(size=M) + 1j * rng.normal(size=M)
+        for sign in (1.0, -1.0):
+            fe = FactoredEvolution(half=half, t_effective=0.0, global_sign=sign)
+            tables = evolution_tables(M, fe)
+            V = _dense_factored(M, fe)
+            assert np.abs(apply_tables(tables, v) - V @ v).max() < 1e-12
+            assert np.abs(apply_tables(tables, v, adjoint=True) - V.conj().T @ v).max() < 1e-12
 
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_steps_into_out_equal_steps_in_place(self, rng, adjoint):

@@ -551,7 +551,7 @@ class TestFrameSweep:
         # the reference factors V(pi) in five factors; the operator holds only the
         # three-factor tables below the quarter period
         op = qht_operator(cfg)
-        assert [len(decompose(t).factors) for t in op.dyadic_times] == [3] * (cfg.m_bits - 1) + [5]
+        assert [len(decompose(t).half) for t in op.dyadic_times] == [2] * (cfg.m_bits - 1) + [3]
         # a table holds the first (factors + 1) / 2 of its palindrome's factors
         assert [2 * len(t.halves) - 1 for t in op.dyadic_tables] == [3] * (cfg.m_bits - 2)
 
