@@ -31,7 +31,6 @@ def _write_table(path, meta: dict, header: list, rows: list, fmt: str, footer: d
         if len(r) != len(header):
             raise ValueError(f"row {r} has {len(r)} fields under the {len(header)}-field "
                              f"header {header}")
-    meta_json = json.dumps(meta, sort_keys=True)
     if fmt == "json":
         payload = {"meta": meta, "rows": [dict(zip(header, r)) for r in rows]}
         if footer:
@@ -39,11 +38,10 @@ def _write_table(path, meta: dict, header: list, rows: list, fmt: str, footer: d
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     else:
         buf = io.StringIO()
-        buf.write(f"# {meta_json}\n")
+        buf.write(f"# {json.dumps(meta, sort_keys=True)}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for r in rows:
-            writer.writerow(r)
+        writer.writerows(rows)
         if footer:
             buf.write(f"# summary {json.dumps(footer, sort_keys=True)}\n")
         text = buf.getvalue()

@@ -406,7 +406,10 @@ class QHTOperator:
     when N is odd; every row takes the same path, so a block is built with
     its partner.  The rows are held as a prefix: rows_held rows, blocks
     0 .. 2 rows_held - 1 (N - 1 at most), and a call holds every row up to
-    the last block it touches (see `_hold`).  `basis` holds the normalized
+    the last block it touches (see `_hold`).  A call whose rows are held
+    takes no lock and costs one check of alpha and one N x M product; the
+    five metrics are the rows of one array, so a call masks the three it
+    reports in one step.  `basis` holds the normalized
     rows |psibar_n>, and `phases` the QPE phases c_{n,j} of the m - 1 grid
     stages (see `_sweep`).  Of the m = log2(M) dyadic evolutions
     V(2^j 2pi/M), the filter is the m - 1 grid stages, then the parity
@@ -449,11 +452,9 @@ class QHTOperator:
         self.columns = self._store[:N]
         self.rows_held = 0
         self._lock = threading.Lock()
-        self.block_fidelities = np.zeros(N)
-        self.filter_leaks = np.zeros(N)
-        self.aa_residuals = np.zeros(N)
-        self.input_mass = np.zeros(N)
-        self.uncompute_residuals = np.zeros(N)
+        self._metrics = np.zeros((5, N))   # one row each; a call masks the first three
+        (self.block_fidelities, self.filter_leaks, self.aa_residuals, self.input_mass,
+         self.uncompute_residuals) = self._metrics
         self.build_workers = 0
 
     def _sweep(self, w: np.ndarray, rows, adjoint: bool,
@@ -595,12 +596,16 @@ class QHTOperator:
         release the interpreter lock, so the workers' sweeps overlap.  A
         worker's error is raised here once every worker has stopped; the
         build then holds none of its rows, and their columns are zeroed.
-        One lock per operator serialises the holds: two threads that build
+        One lock per operator serialises the builds: two threads that build
         one cached operator would otherwise sweep in the same columns, and a
-        thread that waited finds its rows held.  Returns the number of
-        blocks built.
+        thread that waited finds its rows held.  A call whose rows are held
+        returns before the lock, so it never waits for another thread's
+        build: rows_held only grows, and is written after its columns and
+        metrics.  Returns the number of blocks built.
         """
         stop = (k + 1) // 2
+        if stop <= self.rows_held:
+            return 0
         with self._lock:
             start = self.rows_held
             if stop <= start:
@@ -642,26 +647,27 @@ class QHTOperator:
         every block is its row's parity part.  The stack is swept back in
         place, and the same split, the uncompute's half-period stage, writes
         the columns, odd block first into the scratch, then even in place,
-        so column n has (-1)^n parity bit for bit.
+        so column n has (-1)^n parity bit for bit.  Until its block is
+        amplified, input_mass[n] holds the prepared state's mass, from which
+        the filter leak is read; the row is not held until every metric is
+        final.
         """
         cfg = self.config
         w = self._store[2 * rows.start:2 * rows.stop:2 * rows.step]
         tmp = self._store[2 * rows.start + 1:2 * rows.stop:2 * rows.step]
         blocks = [tuple(range(2 * r, min(2 * r + 2, cfg.N))) for r in rows]
         w[:] = 0.0
-        in_sq = []
         for row, part, pair in zip(w, tmp, blocks):
             for n in pair:
                 amps = build_pr_state(n, cfg.M, cfg.oracle_bits)
                 part[:] = amps / np.linalg.norm(amps)
-                in_sq.append(float(np.vdot(part, part).real))
+                self.input_mass[n] = np.vdot(part, part).real   # the filter's, until amplified
                 row += part
         self._sweep(w, blocks, False, tmp)
-        masses = iter(in_sq)
         for row, part, pair in zip(w, tmp, blocks):
             parts = [_parity_part(row, (-1) ** n, out) for n, out in zip(pair, (part, row))]
             for vec, n in zip(parts, pair):
-                leak = max(next(masses) - float(np.vdot(vec, vec).real), 0.0)
+                leak = max(self.input_mass[n] - float(np.vdot(vec, vec).real), 0.0)
                 kept_norm = float(np.linalg.norm(vec))
                 goal, rest = fixed_point_amplify(kept_norm, math.sqrt(leak), cfg.delta_lower,
                                                  cfg.eps, cfg.aa_rounds)
@@ -689,20 +695,45 @@ class QHTOperator:
     def apply(self, alpha: np.ndarray) -> QHTResult:
         """sum_n a_n s_n u_n for len(alpha) <= N; blocks with a_n = 0 report 0 metrics.
 
+        Before any row is built, alpha is refused unless it is 1-D, finite
+        and at most N long, as in `qht_apply`; unlike there, any norm passes.
+        """
+        return self._answer(_checked_alpha(alpha, self.config.N)[0])
+
+    def _answer(self, alpha: np.ndarray) -> QHTResult:
+        """`apply` on a checked alpha: hold the rows it touches, then one product.
+
         Holds every row up to the last block alpha touches.  The uncompute
         residual is sum_n |a_n|^2 ||w_n||^2 - ||out||^2.
         """
-        alpha = np.asarray(alpha, dtype=complex)
         k, touched = len(alpha), alpha != 0
-        last = np.flatnonzero(touched)[-1:]   # the last block alpha touches, if any
+        last = touched.nonzero()[0][-1:]   # the last block alpha touches, if any
         built = self._hold(int(last[0]) + 1 if last.size else 0)
         out = (alpha * self.signs[:k]) @ self.columns[:k]
         total_in = float(np.abs(alpha) ** 2 @ self.input_mass[:k])
-        fid, leak, aa = (np.where(touched, x[:k], 0.0) for x in
-                         (self.block_fidelities, self.filter_leaks, self.aa_residuals))
+        fid, leak, aa = np.where(touched, self._metrics[:3, :k], 0.0)
         return QHTResult(output=out, block_fidelities=fid, filter_leaks=leak, aa_residuals=aa,
                          uncompute_residual=max(total_in - float(np.vdot(out, out).real), 0.0),
                          op_passes=2 * self.config.m_bits * built)
+
+
+def _checked_alpha(alpha, N: int) -> tuple[np.ndarray, float]:
+    """alpha as a complex 1-D array of at most N finite entries, and its squared norm.
+
+    The squared norm, one `np.vdot`, is finite whenever every entry is, so
+    the entries are looked at only when it is not: a NaN or an infinity
+    fails as not finite, and finite entries whose squares overflow pass,
+    with an infinite norm.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.ndim != 1:
+        raise ValueError(f"alpha must be a 1-D amplitude vector, got shape {alpha.shape}")
+    if len(alpha) > N:
+        raise ConfigError(f"alpha has {len(alpha)} entries but config.N={N}")
+    norm_sq = np.vdot(alpha, alpha).real
+    if not math.isfinite(norm_sq) and not np.isfinite(alpha).all():
+        raise ValueError("alpha must be finite")
+    return alpha, norm_sq
 
 
 @functools.lru_cache(maxsize=4)
@@ -721,20 +752,15 @@ def qht_reference(alpha: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def qht_apply(alpha: np.ndarray, config: QHTConfig) -> QHTResult:
     """Simulate the transform on amplitude vector alpha (length <= N).
 
-    The first call at a config computes the columns alpha touches; a later
-    call whose columns are all held is one matrix-vector product.  alpha is
-    checked before any column is built.
+    alpha is checked once, as `QHTOperator.apply` checks it and for unit
+    norm, before any column is built.  The first call at a config computes
+    the columns alpha touches; a later call whose columns are all held is
+    that check and one matrix-vector product.
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.ndim != 1:
-        raise ValueError(f"alpha must be a 1-D amplitude vector, got shape {alpha.shape}")
-    if len(alpha) > config.N:
-        raise ConfigError(f"alpha has {len(alpha)} entries but config.N={config.N}")
-    if not np.isfinite(alpha).all():
-        raise ValueError("alpha must be finite")
-    if not abs(np.linalg.norm(alpha) - 1.0) <= 1e-9:   # NaN fails too
+    alpha, norm_sq = _checked_alpha(alpha, config.N)
+    if not abs(math.sqrt(norm_sq) - 1.0) <= 1e-9:
         raise ValueError("alpha must be normalized")
-    return qht_operator(config).apply(alpha)
+    return qht_operator(config)._answer(alpha)
 
 
 def isometry_singular_values(config: QHTConfig) -> np.ndarray:

@@ -124,18 +124,20 @@ class TestDeterminism:
     @pytest.mark.slow
     def test_qht_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # one fresh process per OPENBLAS_NUM_THREADS, which is read only at numpy's import,
-        # writes the ten default files below and hashes them with the N = 8 columns.
-        # Left out: `ff-error`, whose M = 512 rows move with the thread count (ROADMAP items
-        # 13 and 17), and the N = 16 columns, which move by about 1e-15 (the `qht --N 16`
-        # file does not show it)
+        # writes the ten default files below and hashes them with the N = 8 columns and the
+        # `QHTResult`s of 20 seeded held calls at N = 8.  Left out: `ff-error`, whose M = 512
+        # rows move with the thread count (ROADMAP items 13 and 17), and N = 16, whose columns
+        # move by about 1e-15 (the `qht --N 16` file does not show it) and whose held calls'
+        # ||out||^2, a vdot over M = 16384, OpenBLAS threads
         runs = [["qht", "--N", "4"], ["qht", "--N", "8"], ["qht", "--N", "16"],
                 ["overlap", "--M", "20000", "--n", "40"],
                 ["sample", "--n", "1"], ["sample", "--n", "2"], ["sample", "--n", "3"],
                 ["ggl"], ["ggl", "--mode", "sampler"], ["test"]]
         code = (
             "import hashlib, json, os, sys\n"
+            "import numpy as np\n"
             "from qhermite.cli import main\n"
-            "from qhermite.qht_pipeline import QHTOperator, choose_dimensions\n"
+            "from qhermite.qht_pipeline import QHTOperator, choose_dimensions, qht_apply\n"
             "digests = []\n"
             "for i, args in enumerate(json.loads(sys.argv[2])):\n"
             "    out = os.path.join(sys.argv[1], f'{i}.csv')\n"
@@ -143,6 +145,14 @@ class TestDeterminism:
             "    digests.append(hashlib.sha256(open(out, 'rb').read()).hexdigest())\n"
             "columns = QHTOperator(choose_dimensions(8, 0.01)).matrix().tobytes()\n"
             "digests.append(hashlib.sha256(columns).hexdigest())\n"
+            "rng = np.random.default_rng(8)\n"
+            "for _ in range(20):\n"
+            "    alpha = rng.standard_normal(8) + 1j * rng.standard_normal(8)\n"
+            "    res = qht_apply(alpha / np.linalg.norm(alpha), choose_dimensions(8, 0.01))\n"
+            "    fields = (res.output, res.block_fidelities, res.filter_leaks, res.aa_residuals,\n"
+            "              res.uncompute_residual, res.op_passes)\n"
+            "    digests.append(hashlib.sha256(b''.join(np.asarray(x).tobytes()\n"
+            "                                           for x in fields)).hexdigest())\n"
             "print(json.dumps(digests))\n"
         )
         src = str(Path(cli.__file__).parent.parent)
@@ -154,7 +164,7 @@ class TestDeterminism:
             proc = subprocess.run([sys.executable, "-c", code, str(out_dir), json.dumps(runs)],
                                   env=env, capture_output=True, text=True, timeout=300, check=True)
             digests.append(json.loads(proc.stdout.splitlines()[-1]))
-        assert len(digests[0]) == len(runs) + 1
+        assert len(digests[0]) == len(runs) + 1 + 20
         assert digests[0] == digests[1]
 
     def test_header_echoes_config(self, tmp_path):

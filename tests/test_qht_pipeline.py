@@ -1,4 +1,5 @@
 import re
+import sys
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -505,6 +506,36 @@ class TestOperator:
         assert np.array_equal(first.output, second.output)
         assert qht_operator(cfg) is qht_operator(replace(cfg))   # keyed on the config's value
 
+    @pytest.mark.parametrize("N", [3, 7, 8, 16])
+    def test_held_call_is_the_explicit_product(self, N):
+        # every field of a held call, through either entry point, bit for bit against the
+        # formula it stands for: dense alphas, sparse ones with leading and trailing zeros,
+        # and ones shorter than N
+        cfg = choose_dimensions(N, 0.01)
+        op = qht_operator(cfg)
+        op.matrix()
+        rng = np.random.default_rng(N)
+        alphas = []
+        for k, zeros in ((N, ()), (N, ()), (N, (0, N - 1)), (N, (0, 1, N - 1)),
+                         (max(N - 2, 1), ()), (N - 1, (0,)), (1, ())):
+            alpha = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            alpha[list(zeros)] = 0.0
+            if alpha.any():   # N = 3 leaves the three-zero case nothing to normalize
+                alphas.append(alpha / np.linalg.norm(alpha))
+        for alpha in alphas:
+            k, touched = len(alpha), alpha != 0
+            out = (alpha * (-1.0) ** np.arange(k)) @ op.columns[:k]
+            total_in = float(np.abs(alpha) ** 2 @ op.input_mass[:k])
+            residual = max(total_in - float(np.vdot(out, out).real), 0.0)
+            for res in (qht_apply(alpha, cfg), op.apply(alpha)):
+                assert res.output.tobytes() == out.tobytes()
+                for name in ("block_fidelities", "filter_leaks", "aa_residuals"):
+                    masked = np.where(touched, getattr(op, name)[:k], 0.0)
+                    assert getattr(res, name).tobytes() == masked.tobytes(), name
+                assert np.float64(res.uncompute_residual).tobytes() == \
+                    np.float64(residual).tobytes()
+                assert res.op_passes == 0
+
     def test_configs_differing_in_any_knob_hold_their_own_columns(self):
         base = choose_dimensions(2, 0.05)
         others = [replace(base, eps=0.2), replace(base, oracle_bits=6),
@@ -760,8 +791,16 @@ class TestStackedHold:
         def refuse(*args, **kwargs):
             raise AssertionError("a held block was rebuilt")
 
+        class Refused:
+            def __enter__(self):
+                raise AssertionError("a held call took the build lock")
+
+            def __exit__(self, *exc):
+                return False
+
         monkeypatch.setattr(qht_pipeline, "build_pr_state", refuse)
         monkeypatch.setattr(op, "_sweep", refuse)
+        op._lock = Refused()
         again = op.apply(alpha)
         assert again.op_passes == 0
         assert np.array_equal(again.output, first.output)
@@ -862,6 +901,92 @@ class TestStackedHold:
             assert np.array_equal(cols, serial.columns)
         for name in self.METRICS:
             assert np.array_equal(getattr(op, name), getattr(serial, name)), name
+
+    def test_held_call_does_not_wait_for_a_build(self, monkeypatch):
+        # one thread holds the build lock, paused inside `_hold_rows`, while another answers a
+        # one-hot at the held block 0 with the serial operator's bits
+        monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 1)
+        cfg = choose_dimensions(8, 0.01)
+        one_hot = np.eye(cfg.N)[0]
+        serial = QHTOperator(cfg)
+        serial.matrix()
+        expected = serial.apply(one_hot)
+        op = QHTOperator(cfg)
+        op.apply(one_hot)
+        real = QHTOperator._hold_rows
+        paused, resume = threading.Event(), threading.Event()
+
+        def pausing(self, rows):
+            paused.set()
+            assert resume.wait(timeout=30)
+            real(self, rows)
+
+        monkeypatch.setattr(QHTOperator, "_hold_rows", pausing)
+        answers = []
+        builder = threading.Thread(target=op.matrix)
+        caller = threading.Thread(target=lambda: answers.append(op.apply(one_hot)))
+        builder.start()
+        try:
+            assert paused.wait(timeout=30)
+            caller.start()
+            caller.join(timeout=10)
+            waited = caller.is_alive()
+        finally:
+            resume.set()
+            builder.join(timeout=30)
+        caller.join(timeout=30)
+        assert not builder.is_alive() and not caller.is_alive()
+        assert not waited, "a held call waited for the build lock"
+        res = answers[0]
+        assert res.op_passes == 0
+        for name in ("output", "block_fidelities", "filter_leaks", "aa_residuals"):
+            assert np.array_equal(getattr(res, name), getattr(expected, name)), name
+        assert res.uncompute_residual == expected.uncompute_residual
+        assert op.rows_held == cfg.N // 2
+        assert np.array_equal(op.columns, serial.columns)
+
+    def test_concurrent_calls_get_the_serial_bits(self, monkeypatch):
+        # six threads, more than the cores, call fresh operators at every block in their own
+        # orders under a short switch interval: a call that found rows_held advanced before
+        # the columns and metrics of those rows were written would answer with other bits
+        monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 2)
+        cfg = choose_dimensions(8, 0.05)
+        serial = QHTOperator(cfg)
+        serial.matrix()
+        rng = np.random.default_rng(6)
+        alphas = list(np.eye(cfg.N)) + [np.full(cfg.N, cfg.N ** -0.5)]
+        expected = [serial.apply(alpha) for alpha in alphas]
+        orders = [rng.permutation(len(alphas)) for _ in range(6)]
+        wrong, errors = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                op = QHTOperator(cfg)
+                barrier = threading.Barrier(len(orders))
+
+                def call(order, op=op, barrier=barrier):
+                    try:
+                        barrier.wait(timeout=30)
+                        for i in order:
+                            res, ref = op.apply(alphas[i]), expected[i]
+                            if (res.output.tobytes() != ref.output.tobytes()
+                                    or res.block_fidelities.tobytes()
+                                    != ref.block_fidelities.tobytes()
+                                    or res.uncompute_residual != ref.uncompute_residual):
+                                wrong.append(i)
+                    except Exception as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=call, args=(order,)) for order in orders]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and wrong == []
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["even", "odd"])
     def test_in_place_split_equals_out_of_place(self, sign, rng):
@@ -986,19 +1111,51 @@ class TestEndToEnd:
         with pytest.raises(ValueError):
             qht_apply(np.array([1.0, 1.0]), cfg)
 
-    @pytest.mark.parametrize("alpha, message", [
-        ([np.nan, 0.0, 0.0, 0.0], "alpha must be finite"),
-        ([np.inf, 0.0, 0.0, 0.0], "alpha must be finite"),
-        ([[1.0, 0.0], [0.0, 0.0]], "alpha must be a 1-D amplitude vector, got shape \\(2, 2\\)"),
-    ], ids=["nan", "inf", "2-D"])
-    def test_malformed_alpha_rejected_before_any_build(self, monkeypatch, alpha, message):
-        # a NaN norm passed `abs(norm - 1) > 1e-9` and built the column it touched
+    MALFORMED = [
+        ("nan", [np.nan, 0.0, 0.0, 0.0], ValueError, "alpha must be finite"),
+        ("inf", [np.inf, 0.0, 0.0, 0.0], ValueError, "alpha must be finite"),
+        ("2-D", [[1.0, 0.0], [0.0, 0.0]], ValueError,
+         "alpha must be a 1-D amplitude vector, got shape \\(2, 2\\)"),
+        ("too-long", [1.0, 0.0, 0.0, 0.0, 0.0], ConfigError, "alpha has 5 entries but config.N=4"),
+    ]
+
+    @pytest.mark.parametrize("entry, alpha, error, message", [
+        pytest.param(entry, alpha, error, message, id=prefix + name)
+        for name, alpha, error, message in MALFORMED
+        for prefix, entry in (("", "qht_apply"), ("apply-", "apply"))])
+    def test_malformed_alpha_rejected_before_any_build(self, monkeypatch, entry, alpha, error,
+                                                        message):
+        # both entry points refuse before building a row: unchecked, 10 amplitudes on an N = 8
+        # operator build every row and then fail with an IndexError, and a NaN alpha builds
+        # the rows it touches and returns a NaN output
         def hold(self, blocks):
             raise AssertionError("built a column for a malformed alpha")
 
+        cfg = QHTConfig(N=4, eps=0.1, M=64)
+        op = QHTOperator(cfg)
         monkeypatch.setattr(QHTOperator, "_hold", hold)
+        with pytest.raises(error, match=message):
+            if entry == "apply":
+                op.apply(np.array(alpha))
+            else:
+                qht_apply(np.array(alpha), cfg)
+        assert op.rows_held == 0
+
+    @pytest.mark.parametrize("alpha, message", [
+        ([1.0 + 2e-9, 0.0], "alpha must be normalized"),
+        ([1e200, 1e200], "alpha must be normalized"),   # the squared sum overflows
+    ], ids=["long-by-2e-9", "overflowing-squares"])
+    def test_norm_boundary_refused(self, alpha, message):
         with pytest.raises(ValueError, match=message):
             qht_apply(np.array(alpha), QHTConfig(N=4, eps=0.1, M=64))
+
+    @pytest.mark.parametrize("alpha", [
+        np.array([1.0 + 5e-10, 0.0]), np.array([0.0, 1.0 - 5e-10]), [0.6, 0.8j],
+    ], ids=["long-by-5e-10", "short-by-5e-10", "python-list"])
+    def test_norm_boundary_passes(self, alpha):
+        cfg = QHTConfig(N=4, eps=0.1, M=64)
+        res = qht_apply(alpha, cfg)
+        assert np.array_equal(res.output, qht_operator(cfg).apply(np.array(alpha)).output)
 
     def test_oracle_bit_sweep(self, basis_cache):
         # r-bit rounding of the amplitude/phase oracles perturbs the prepared
