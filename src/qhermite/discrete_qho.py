@@ -44,14 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectral_core import (
-    GridSpec,
-    InvalidSpecError,
-    _enter_frame,
-    _from_frame,
-    _is_int,
-    hermite_function_rows,
-)
+from . import spectral_core
+from .spectral_core import _PI_LD, GridSpec, InvalidSpecError, _enter_frame, _from_frame, _is_int
 
 __all__ = [
     "DiscreteQHO",
@@ -59,7 +53,6 @@ __all__ = [
     "build",
     "apply_hamiltonian",
     "dense_diagonalize",
-    "hermite_basis",
     "commutator_tail_norm",
 ]
 
@@ -103,9 +96,6 @@ def apply_hamiltonian(qho: DiscreteQHO, state: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {v.shape[-1]} vs M={qho.M}")
     x2 = qho.x * qho.x
     return 0.5 * (x2 * v + _from_frame(x2 * _enter_frame(v.copy())))
-
-
-_PI_LD = 4 * np.arctan(np.longdouble(1))   # np.longdouble(np.pi) is float64's pi
 
 
 def _p2_symbol_ld(M: int) -> np.ndarray:
@@ -238,7 +228,10 @@ def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     80-bit floats as Rayleigh quotients, the diagonal of `_rayleigh_terms`'s
     block over diag(W^T W): sums of non-negative terms, so rounding stays
     relative to E.  Both arrays are returned read-only, so what an
-    `EigenDecomposition` holds from them cannot go stale.
+    `EigenDecomposition` holds from them cannot go stale.  `vectors` is
+    F-ordered: it is the transpose of a row-major (M, M) store whose row n
+    is eigenvector n, so each column is contiguous, and the sector vectors
+    are scattered into it row by row, not across M strided columns.
 
     Working set: each sector's block exists only while its `eigh` runs (the
     odd one first), each set of sector vectors only until it is scattered
@@ -271,32 +264,31 @@ def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     column = np.empty(M, dtype=np.intp)   # sector eigenvector i becomes column[i]
     column[order] = np.arange(M)
     ce, co = column[:half + 1], column[half + 1:]
-    vectors = np.zeros((M, M))
-    vectors[half:, ce] = y_even[:half]
-    vectors[half - 1:0:-1, ce] = y_even[1:half]
-    vectors[0, ce] = y_even[half]
+    rows = np.zeros((M, M))   # row n is |e_n>, written as one contiguous run per sector part
+    rows[ce, half:] = y_even[:half].T
+    rows[ce, half - 1:0:-1] = y_even[1:half].T
+    rows[ce, 0] = y_even[half]
     del y_even
-    vectors[half + 1:, co] = y_odd
+    rows[co, half + 1:] = y_odd.T
     np.negative(y_odd, out=y_odd)
-    vectors[half - 1:0:-1, co] = y_odd
+    rows[co, half - 1:0:-1] = y_odd.T
     del y_odd
+    rows.setflags(write=False)
+    vectors = rows.T
     energies = energies[order]
     for start in range(0, min(64, M), _RAYLEIGH_SLAB):
-        W = vectors[:, start:start + _RAYLEIGH_SLAB].astype(np.longdouble)
+        # a C-ordered slab, so the sums over the grid run in the same order as on a row-major store
+        W = vectors[:, start:start + _RAYLEIGH_SLAB].astype(np.longdouble, order="C")
         terms, weights = _rayleigh_terms(qho, W)
         products = weights * terms
         products *= terms   # (g T) T
         energies[start:start + W.shape[1]] = products.sum(axis=0) / (2 * (W * W).sum(axis=0))
     energies.setflags(write=False)
-    vectors.setflags(write=False)
     return EigenDecomposition(energies=energies, vectors=vectors)
 
 
-def hermite_basis(spec: GridSpec, n_max: int) -> np.ndarray:
-    """The (n_max+1, M) rows |psibar_n> = (2*pi/M)^(1/4) sum_j psi_n(x_j)|j>, not re-normalized."""
-    if n_max >= spec.M:
-        raise ValueError(f"n_max={n_max} must be < M={spec.M}")
-    return hermite_function_rows(n_max, spec.points()) * np.sqrt(spec.h)
+# the basis lives in spectral_core; the benchmark harness still imports it from here
+hermite_basis = spectral_core.hermite_basis
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +512,33 @@ def _folded_symbol(g, sa: int, sb: int, anti: bool) -> list:
     return [k if k is not None and any(k.flat) else None for k in K]
 
 
-def _power_sums(H: np.ndarray, t0: int, t_max: int) -> list:
+def _weight_groups(size: int) -> tuple:
+    """The pairs n < m of 0..size-1 grouped by their weight n^2 - m^2: (n, m, starts, d).
+
+    The pairs are sorted by weight (stably), group g starts at pair
+    starts[g], and d[g] is its weight as a Python int.  At size = 33
+    (M = 64) the 528 pairs fall into 363 groups.
+    """
+    n, m = np.triu_indices(size, 1)
+    weight = n * n - m * m
+    order = np.argsort(weight, kind="stable")
+    n, m, weight = n[order], m[order], weight[order]
+    starts = np.flatnonzero(np.concatenate([[True], weight[1:] != weight[:-1]]))
+    return n, m, starts, weight[starts].astype(object)
+
+
+def _power_sums(H: np.ndarray, t0: int, t_max: int, groups: tuple) -> list:
     """sum_{n,m} (n^2 - m^2)^t H[n, m] for t = t0..t_max, exactly.
 
     The weight is antisymmetric in (n, m) and zero on the diagonal, so only
-    n < m is visited: with H + H^T for even t and H - H^T for odd t.  A parity
+    n < m is visited: with H + H^T for even t and H - H^T for odd t.  The
+    pairs of one weight are summed first (`groups` is `_weight_groups` of
+    H's size), so each power multiplies one integer per weight.  A parity
     that is all zero (real data gives one) is skipped.
     """
-    n, m = np.triu_indices(H.shape[0], 1)
-    d = (n * n - m * m).astype(object)
+    n, m, starts, d = groups
     upper, lower = H[n, m], H[m, n]
-    parity = (upper + lower, upper - lower)   # even t, odd t
+    parity = [np.add.reduceat(p, starts) for p in (upper + lower, upper - lower)]   # even t, odd t
     cur = [parity[t % 2] * d**t if any(parity[t % 2]) else None for t in (t0, t0 + 1)]
     d2 = d * d
     sums = []
@@ -542,7 +550,7 @@ def _power_sums(H: np.ndarray, t0: int, t_max: int) -> list:
     return sums
 
 
-def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict):
+def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict, groups: tuple):
     """Exact S_t[a, b] = sum_jk conj(u_a[j]) W[j, k] (J_j^2 - J_k^2)^t u_b[k], parity-folded.
 
     u holds N columns as `_tail_columns` gives them and g the fixed-point
@@ -560,7 +568,7 @@ def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict):
 
     `kernels` keeps the read-only kernels built from g and `anti` by
     (sa, sb, q); a caller that passes the same dict with the same g and
-    `anti` builds each kernel once.
+    `anti` builds each kernel once.  `groups` is `_weight_groups(M/2 + 1)`.
     """
     size = len(g[0]) // 2 + 1
 
@@ -587,7 +595,8 @@ def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict):
                     for h, k in zip(H, kernel(sa, sb, (q - p) % 4)):
                         if k is not None:
                             h += X * k
-            for t, re, im in zip(S, _power_sums(H[0], t0, t_max), _power_sums(H[1], t0, t_max)):
+            for t, re, im in zip(S, _power_sums(H[0], t0, t_max, groups),
+                                 _power_sums(H[1], t0, t_max, groups)):
                 sign = -1 if t % 2 else 1
                 S[t][0][a, b], S[t][1][a, b] = re, im
                 S[t][0][b, a], S[t][1][b, a] = sign * re, -sign * im
@@ -618,8 +627,9 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     The grid holds what the passes read, each built on first use and keyed
     by N and P + 64: the Hermite columns (x2_p2) or their DFT (p2_x2 and
     p2_anti share them), the symbol (x2_p2 and p2_x2 share pbar^2's) and
-    each pass's folded kernels.  A repeat call on the same grid builds no
-    mpmath input.  N must be an integer in [1, M] (a grid of M labels holds
+    each pass's folded kernels; and, under one key that every N and P
+    share, the pairs of the folded index grouped by weight.  A repeat call on the same grid builds
+    no mpmath input.  N must be an integer in [1, M] (a grid of M labels holds
     M Hermite columns), t_max an integer, and dps None (`_tail_dps`) or an
     integer >= 1.
     """
@@ -652,11 +662,12 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
         g = _held(qho, ("symbol", anti, fine), lambda: _tail_symbol(M, family, fine))
         step = 2 * mp.pi / M
         scales = {t: step ** t / mp.factorial(t) for t in range(t0, t_max + 1)}
+        groups = _held(qho, ("weight groups",), lambda: _weight_groups(M // 2 + 1))
         tails = []
         for drop in (_TAIL_CHECK_BITS, 0):
             S = _integer_tail_sums([tuple((_shift(x, drop), s) for x, s in col) for col in u],
                                    tuple(_shift(part, drop) for part in g), anti, t0, t_max,
-                                   _held(qho, ("kernels", anti, fine, drop), dict))
+                                   _held(qho, ("kernels", anti, fine, drop), dict), groups)
             terms = {t: _scaled_rows(S[t], mp.ldexp(scales[t], -3 * (fine - drop))) for t in S}
             tails.append([[sum((T[a][b] for T in terms.values()), mp.mpf(0)) for b in range(N)]
                           for a in range(N)])

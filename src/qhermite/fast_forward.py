@@ -43,19 +43,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .discrete_qho import (
-    _PI_LD,
-    DiscreteQHO,
-    EigenDecomposition,
-    _rayleigh_terms,
-    _read_only,
-    apply_hamiltonian,
-)
-from .spectral_core import _enter_frame, _from_frame, _is_int
+from .spectral_core import _PI_LD, _enter_frame, _from_frame, _is_int
+
+if TYPE_CHECKING:   # annotations only: the meter imports discrete_qho when it first runs
+    from .discrete_qho import DiscreteQHO, EigenDecomposition
 
 __all__ = [
     "FactoredEvolution",
@@ -292,6 +287,8 @@ def _ritz_block(qho: DiscreteQHO, low: np.ndarray) -> _RitzBlock:
     3.5e-12 at M = 2048 (N <= 64), rounding of Hbar W; a random orthonormal
     basis gives tens (80 at M = 128, N = 4).
     """
+    from .discrete_qho import _rayleigh_terms, _read_only, apply_hamiltonian
+
     resid = apply_hamiltonian(qho, low.T).real.T
     W = low.astype(np.longdouble)
     terms, weights = _rayleigh_terms(qho, W)

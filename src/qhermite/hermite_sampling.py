@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete_qho import hermite_basis
-from .spectral_core import GridSpec, probabilist_rows
+from .spectral_core import GridSpec, hermite_basis, probabilist_rows
 
 __all__ = [
     "OracleFunction",

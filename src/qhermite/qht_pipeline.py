@@ -33,9 +33,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .calibration import C0, C1
-from .discrete_qho import hermite_basis
 from .fast_forward import _frame_steps, decompose, evolution_tables
-from .spectral_core import GridSpec, _enter_frame, _from_frame, _is_int
+from .spectral_core import GridSpec, _enter_frame, _from_frame, _is_int, hermite_basis
 
 __all__ = [
     "QHTConfig",

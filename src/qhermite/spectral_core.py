@@ -29,9 +29,12 @@ __all__ = [
     "GridSpec",
     "hermite_functions",
     "hermite_function_rows",
+    "hermite_basis",
     "probabilist_rows",
     "probabilist_product",
 ]
+
+_PI_LD = 4 * np.arctan(np.longdouble(1))   # np.longdouble(np.pi) is float64's pi
 
 
 def _is_int(value) -> bool:
@@ -95,6 +98,13 @@ def hermite_function_rows(n_max: int, x: np.ndarray) -> np.ndarray:
     for n, row in enumerate(hermite_functions(n_max, x)):
         out[n] = row
     return out
+
+
+def hermite_basis(spec: GridSpec, n_max: int) -> np.ndarray:
+    """The (n_max+1, M) rows |psibar_n> = (2*pi/M)^(1/4) sum_j psi_n(x_j)|j>, not re-normalized."""
+    if n_max >= spec.M:
+        raise ValueError(f"n_max={n_max} must be < M={spec.M}")
+    return hermite_function_rows(n_max, spec.points()) * np.sqrt(spec.h)
 
 
 def _probabilist_polynomials(n_max: int, x: np.ndarray):

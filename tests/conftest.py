@@ -10,12 +10,11 @@ from qhermite.discrete_qho import (
     _p2_symbol,
     build,
     dense_diagonalize,
-    hermite_basis,
 )
 from qhermite.fast_forward import FactoredEvolution, apply_tables, evolution_tables
 from qhermite.hermite_sampling import OracleFunction, _grid_contract, _nu, _quad_grid
 from qhermite.learning_testers import CoefficientPattern
-from qhermite.spectral_core import GridSpec, probabilist_rows
+from qhermite.spectral_core import GridSpec, hermite_basis, probabilist_rows
 
 
 def loewdin_orthonormalize(states: np.ndarray) -> np.ndarray:

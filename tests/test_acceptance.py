@@ -19,7 +19,6 @@ from qhermite.discrete_qho import (
     build,
     commutator_tail_norm,
     dense_diagonalize,
-    hermite_basis,
 )
 from qhermite.fast_forward import decompose, low_energy_error
 from qhermite.hermite_sampling import (
@@ -41,7 +40,7 @@ from qhermite.qht_pipeline import (
     qht_apply,
     qht_reference,
 )
-from qhermite.spectral_core import GridSpec, hermite_function_rows
+from qhermite.spectral_core import GridSpec, hermite_basis, hermite_function_rows
 
 pytestmark = pytest.mark.acceptance
 

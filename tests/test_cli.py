@@ -80,9 +80,8 @@ class TestOverlap:
         # each row is the overlap of row n of `hermite_basis` with the prepared state
         import numpy as np
 
-        from qhermite.discrete_qho import hermite_basis
         from qhermite.qht_pipeline import build_pr_state
-        from qhermite.spectral_core import GridSpec
+        from qhermite.spectral_core import GridSpec, hermite_basis
 
         M, n_max = 512, 8
         code, out = _run(tmp_path, "ov.csv", ["overlap", "--M", str(M), "--n", str(n_max)])

@@ -12,9 +12,8 @@ from qhermite.discrete_qho import (
     DiscreteQHO,
     build,
     commutator_tail_norm,
-    hermite_basis,
 )
-from qhermite.spectral_core import GridSpec
+from qhermite.spectral_core import GridSpec, hermite_basis
 
 # the functions that evaluate the lab's inputs in mpmath
 INPUT_BUILDERS = ("_mp_hermite_columns", "_fixed_dft_columns", "_mp_p2_symbol", "_mp_p1_symbol")
@@ -99,8 +98,9 @@ def unfolded_tail_sums(u, g, anti: bool, t0: int, t_max: int):
             # H[n, m] = sum over |J_j| = n of conj(u_a[j]) G_b[j, m]
             hr = _fold(ar[:, None] * gr + ai[:, None] * gi, 0)
             hi = _fold(ar[:, None] * gi - ai[:, None] * gr, 0)
-            for t, re, im in zip(S, discrete_qho._power_sums(hr, t0, t_max),
-                                 discrete_qho._power_sums(hi, t0, t_max)):
+            groups = discrete_qho._weight_groups(len(hr))
+            for t, re, im in zip(S, discrete_qho._power_sums(hr, t0, t_max, groups),
+                                 discrete_qho._power_sums(hi, t0, t_max, groups)):
                 sign = -1 if t % 2 else 1
                 S[t][0][a, b], S[t][1][a, b] = re, im
                 S[t][0][b, a], S[t][1][b, a] = sign * re, -sign * im
@@ -244,6 +244,47 @@ class TestExactAccumulation:
     def test_error_bar(self, M, family):
         rep = commutator_tail_norm(build(GridSpec(M)), 1, 30, family)
         assert 0.0 < rep.error_bar <= 1e-6 * rep.tail_norm
+
+
+class TestPowerSums:
+    @staticmethod
+    def brute(H, t0: int, t_max: int) -> list:
+        """sum over every (n, m), the diagonal and both orders included, of (n^2 - m^2)^t H[n, m]."""
+        size = H.shape[0]
+        return [sum((n * n - m * m) ** t * int(H[n, m]) for n in range(size) for m in range(size))
+                for t in range(t0, t_max + 1)]
+
+    @pytest.mark.parametrize("size, t0, t_max", [(2, 2, 5), (9, 3, 12), (33, 3, 30), (33, 2, 30)])
+    def test_grouped_sums_equal_the_sum_over_all_pairs(self, rng, size, t0, t_max):
+        # wide integers of both signs, as the lab's H; a symmetric and an
+        # antisymmetric H leave only the even and only the odd terms
+        H = np.array([[int(v) << 200 for v in row]
+                      for row in rng.integers(-2**40, 2**40, (size, size))], dtype=object)
+        groups = discrete_qho._weight_groups(size)
+        for data in (H, H + H.T, H - H.T):
+            assert discrete_qho._power_sums(data, t0, t_max, groups) == self.brute(data, t0, t_max)
+
+    def test_groups_cover_each_pair_once_by_weight(self):
+        n, m, starts, d = discrete_qho._weight_groups(33)
+        assert len(n) == 33 * 32 // 2 and len(d) == 363
+        assert sorted(zip(n.tolist(), m.tolist())) == [(a, b) for a in range(33) for b in range(a + 1, 33)]
+        ends = np.append(starts[1:], len(n))
+        for lo, hi, w in zip(starts, ends, d):
+            assert isinstance(w, int) and set((n[lo:hi] ** 2 - m[lo:hi] ** 2).tolist()) == {w}
+        assert all(np.diff(d.astype(np.int64)) > 0)
+
+    def test_the_grid_holds_its_groups(self, monkeypatch):
+        qho = build(GridSpec(32))
+        first = {family: _hex(commutator_tail_norm(qho, 1, 12, family)) for family in TAIL_FAMILIES}
+        assert qho._lab[("weight groups",)][3].tolist() == discrete_qho._weight_groups(17)[3].tolist()
+
+        def no_groups(*args):
+            raise AssertionError("weight groups built on a repeat call")
+
+        monkeypatch.setattr(discrete_qho, "_weight_groups", no_groups)
+        for family in TAIL_FAMILIES:
+            commutator_tail_norm(qho, 2, 12, family)   # another N builds its inputs, not the groups
+            assert _hex(commutator_tail_norm(qho, 1, 12, family)) == first[family]
 
 
 class TestTailDecay:
@@ -418,7 +459,8 @@ class TestParityFold:
         for drop in (discrete_qho._TAIL_CHECK_BITS, 0):   # both passes of the lab
             cols = [tuple((discrete_qho._shift(x, drop), s) for x, s in col) for col in u]
             sym = tuple(discrete_qho._shift(part, drop) for part in g)
-            folded = discrete_qho._integer_tail_sums(cols, sym, family == "p2_anti", t0, t_max, {})
+            folded = discrete_qho._integer_tail_sums(cols, sym, family == "p2_anti", t0, t_max, {},
+                                                     discrete_qho._weight_groups(M // 2 + 1))
             full = [tuple(unfold(x, s) for x, s in col) for col in cols]
             brute = unfolded_tail_sums(full, sym, family == "p2_anti", t0, t_max)
             assert folded.keys() == brute.keys()

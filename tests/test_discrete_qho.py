@@ -10,16 +10,14 @@ from conftest import (
 )
 
 from qhermite.discrete_qho import (
-    _PI_LD,
     _p2_symbol_ld,
     _rayleigh_terms,
     _sector_blocks,
     apply_hamiltonian,
     build,
     dense_diagonalize,
-    hermite_basis,
 )
-from qhermite.spectral_core import GridSpec
+from qhermite.spectral_core import _PI_LD, GridSpec, hermite_basis
 
 # grid sizes for the DFT conjugation checks; 10 and 30 are 2 (mod 4)
 CONJUGATION_SIZES = (10, 30, 64)
@@ -233,6 +231,13 @@ class TestDenseDiagonalize:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             dense_diagonalize(build(GridSpec(8192)))
+
+    @pytest.mark.parametrize("M", [64, 256])
+    def test_vectors_are_columns_of_a_row_major_store(self, eig_cache, M):
+        # the docstring's layout: vectors is F-ordered, so column n is one contiguous run
+        eig = eig_cache(M)
+        assert eig.vectors.flags.f_contiguous and eig.vectors.T.flags.c_contiguous
+        assert eig.vectors[:, :8].flags.f_contiguous
 
     def test_arrays_refuse_writes(self, eig_cache):
         # a decomposition's holders (fast_forward's Ritz blocks) cannot go stale

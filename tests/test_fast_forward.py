@@ -7,7 +7,6 @@ from conftest import apply_factored, centered_dft_matrix
 
 from qhermite import fast_forward
 from qhermite.discrete_qho import (
-    _PI_LD,
     DiscreteQHO,
     EigenDecomposition,
     build,
@@ -24,7 +23,7 @@ from qhermite.fast_forward import (
     evolution_tables,
     low_energy_error,
 )
-from qhermite.spectral_core import GridSpec
+from qhermite.spectral_core import _PI_LD, GridSpec
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,8 @@ def test_no_dead_top_level_name(path):
 
 # each module's top-level relative imports name only modules before it here, so
 # no import cycle can form: the centered-DFT frame lives in spectral_core because
-# both discrete_qho and fast_forward apply it, and fast_forward imports discrete_qho
+# both discrete_qho and fast_forward apply it; fast_forward imports discrete_qho
+# only inside its meter, so the transform's processes never load the eigen-oracle
 LAYERS = ("spectral_core", "calibration", "discrete_qho", "fast_forward", "qht_pipeline",
           "hermite_sampling", "corpus", "learning_testers", "cli")
 
@@ -221,17 +222,26 @@ print(json.dumps([loaded, sorted(k for k in ns if not k.startswith("__"))]))
     (["ff-error", "--M", "64", "--N", "2", "--t", "0.5"],
      ["mpmath", "numpy.ma", "qhermite.calibration", "qhermite.hermite_sampling",
       "qhermite.learning_testers", "qhermite.qht_pipeline"]),
+    # hermite_basis lives in spectral_core, so only ff-error loads discrete_qho
     (["sample", "--n", "1", "--M", "64", "--D", "3", "--trials", "5"],
-     ["mpmath", "qhermite.calibration", "qhermite.qht_pipeline", "qhermite.fast_forward",
-      "qhermite.learning_testers"]),
+     ["mpmath", "qhermite.calibration", "qhermite.discrete_qho", "qhermite.qht_pipeline",
+      "qhermite.fast_forward", "qhermite.learning_testers"]),
     # loads qht_pipeline but builds no column; the column build runs on plain
     # threads, so concurrent.futures stays out unless an executor comes back
     (["overlap", "--M", "512", "--n", "3"],
-     ["concurrent.futures", "mpmath", "qhermite.hermite_sampling", "qhermite.learning_testers"]),
+     ["concurrent.futures", "mpmath", "qhermite.discrete_qho", "qhermite.hermite_sampling",
+      "qhermite.learning_testers"]),
+    (["qht", "--N", "4", "--eps", "0.1"],
+     ["mpmath", "qhermite.discrete_qho", "qhermite.hermite_sampling",
+      "qhermite.learning_testers"]),
     # the testers' median of 8 chunk means is taken by hand: np.median loads numpy.ma
     (["test", "--M", "256", "--seed", "3"],
-     ["mpmath", "numpy.ma", "qhermite.calibration", "qhermite.qht_pipeline"]),
-], ids=["ff-error", "sample", "overlap", "test"])
+     ["mpmath", "numpy.ma", "qhermite.calibration", "qhermite.discrete_qho",
+      "qhermite.qht_pipeline", "qhermite.fast_forward"]),
+    (["ggl", "--n", "2", "--mode", "sampler", "--seeds", "0"],
+     ["mpmath", "qhermite.calibration", "qhermite.discrete_qho", "qhermite.qht_pipeline",
+      "qhermite.fast_forward"]),
+], ids=["ff-error", "sample", "overlap", "qht", "test", "ggl"])
 def test_subcommand_imports_only_what_it_runs(tmp_path, argv, absent):
     code, loaded = _fresh(f"""
 import json, sys
@@ -241,6 +251,25 @@ print(json.dumps([code, {LOADED}]))
 """)
     assert code == 0
     assert sorted(set(absent) & set(loaded)) == []
+
+
+def test_fast_forward_loads_discrete_qho_on_demand():
+    # the transform applies fast_forward's tables; only the meter needs the eigen-oracle,
+    # and it imports what it uses from discrete_qho itself
+    before, error = _fresh(f"""
+import json, sys
+import numpy as np
+from qhermite.fast_forward import apply_tables, decompose, evolution_tables, low_energy_error
+apply_tables(evolution_tables(64, decompose(0.5)), np.eye(64)[:2])
+before = {LOADED}
+from qhermite.discrete_qho import build, dense_diagonalize
+from qhermite.spectral_core import GridSpec
+qho = build(GridSpec(64))
+error = low_energy_error(qho, dense_diagonalize(qho), 4, 0.5)
+print(json.dumps([before, error]))
+""")
+    assert "qhermite.discrete_qho" not in before
+    assert 0.0 <= error < 1e-12
 
 
 def test_commutator_lab_loads_mpmath_on_demand():

@@ -9,7 +9,7 @@ import pytest
 from conftest import loewdin_orthonormalize
 
 from qhermite import qht_pipeline
-from qhermite.discrete_qho import build, dense_diagonalize, hermite_basis
+from qhermite.discrete_qho import build, dense_diagonalize
 from qhermite.fast_forward import apply_tables, decompose, evolution_tables
 from qhermite.qht_pipeline import (
     ConfigError,
@@ -29,7 +29,7 @@ from qhermite.qht_pipeline import (
     qht_operator,
     qht_reference,
 )
-from qhermite.spectral_core import GridSpec
+from qhermite.spectral_core import GridSpec, hermite_basis
 
 
 def _prepared(cfg, n):

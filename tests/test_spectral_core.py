@@ -5,6 +5,7 @@ from conftest import centered_dft_matrix
 from qhermite.spectral_core import (
     GridSpec,
     InvalidSpecError,
+    hermite_basis,
     hermite_function_rows,
     hermite_functions,
     probabilist_product,
@@ -102,6 +103,26 @@ class TestHermiteTable:
     def test_underflow_flushes_to_zero(self):
         psi = hermite_function_rows(2, GridSpec(4096).points())
         assert psi[0, 0] == 0.0  # x ~ -80, exp(-3200) underflows
+
+
+class TestHermiteBasis:
+    @pytest.mark.parametrize("M, n_max", [(4, 0), (16, 15), (256, 32), (4096, 7)])
+    def test_rows_are_the_scaled_function_rows_bitwise(self, M, n_max):
+        spec = GridSpec(M)
+        basis = hermite_basis(spec, n_max)
+        assert basis.shape == (n_max + 1, M)
+        assert np.array_equal(basis, hermite_function_rows(n_max, spec.points()) * np.sqrt(spec.h))
+
+    @pytest.mark.parametrize("M, n_max", [(4, 4), (16, 16), (16, 40)])
+    def test_refuses_n_max_at_or_above_the_dimension(self, M, n_max):
+        with pytest.raises(ValueError, match=f"must be < M={M}"):
+            hermite_basis(GridSpec(M), n_max)
+
+    def test_discrete_qho_binds_the_same_function(self):
+        from qhermite import discrete_qho
+
+        assert discrete_qho.hermite_basis is hermite_basis
+        assert "hermite_basis" not in discrete_qho.__all__
 
 
 class TestProbabilistRows:
