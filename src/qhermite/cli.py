@@ -170,7 +170,7 @@ def cmd_overlap(args):
 
 
 def cmd_qht(args):
-    from .qht_pipeline import choose_dimensions, high_energy_cutoff, qht_operator
+    from .qht_pipeline import choose_dimensions, high_energy_cutoff, psibar_rows, qht_operator
 
     cfg = choose_dimensions(args.N, args.eps)
     op = qht_operator(cfg)
@@ -178,9 +178,9 @@ def cmd_qht(args):
     columns = op.matrix()
     build_s = time.perf_counter() - t0
     rows = []
-    for n, u in enumerate(columns):
+    for n, (u, target) in enumerate(zip(columns, psibar_rows(cfg.M, range(cfg.N)))):
         # the output for |n> is s_n u_n and its reference s_n |psibar_n>: the signs cancel
-        fid = abs(np.vdot(op.basis[n], u))
+        fid = abs(np.vdot(target, u))
         block_fid = op.block_fidelities[n]
         rows.append([n, f"{fid:.8f}", f"{block_fid:.8f}", f"{1.0 - fid:.3e}",
                      f"{1.0 - block_fid:.3e}", f"{op.filter_leaks[n]:.3e}",

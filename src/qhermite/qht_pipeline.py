@@ -23,6 +23,7 @@ flagged output rescaled by the final flagged amplitude.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
@@ -34,7 +35,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .calibration import C0, C1
 from .fast_forward import _frame_steps, decompose, evolution_tables
-from .spectral_core import GridSpec, _enter_frame, _from_frame, _is_int, hermite_basis
+from .spectral_core import GridSpec, _enter_frame, _from_frame, _is_int, hermite_functions
 
 __all__ = [
     "QHTConfig",
@@ -51,6 +52,7 @@ __all__ = [
     "qht_operator",
     "qht_apply",
     "qht_reference",
+    "psibar_rows",
     "isometry_singular_values",
     "pr_high_energy_leakage",
     "QHTResult",
@@ -96,7 +98,7 @@ class QHTConfig:
         _check_size("M", M)
         if M < 1 or M & (M - 1):
             raise ConfigError(f"phase estimation needs a power-of-two M, got M={M}")
-        # hermite_basis and build_pr_state would refuse these only inside the build
+        # build_pr_state would refuse these only inside the build
         if not 1 <= N < M:
             raise ConfigError(f"N={N} must be in [1, M={M})")
         if pr_support(N - 1, M) >= M // 2:
@@ -383,6 +385,22 @@ def _parity_part(row: np.ndarray, sign: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def psibar_rows(M: int, blocks):
+    """Yield |psibar_n>, normalized, for each n in `blocks`, in ascending order, one at a time.
+
+    Row n is row n of `hermite_basis(GridSpec(M), ...)` divided by its norm,
+    with those bits.  One pass of `hermite_functions` serves every block, so
+    only its two rows and the row yielded are held, and no (N, M) array is.
+    """
+    spec, wanted = GridSpec(M), set(blocks)
+    scale = np.sqrt(spec.h)
+    for n, psi in enumerate(hermite_functions(max(wanted), spec.points())):
+        if n in wanted:
+            row = psi * scale
+            row /= np.linalg.norm(row)
+            yield row
+
+
 @dataclass(frozen=True)
 class QHTResult:
     """One transform call; op_passes counts the V passes this call ran (0 once held)."""
@@ -399,47 +417,49 @@ class QHTOperator:
     """The simulated transform of one config: sum_n a_n |n> -> sum_n a_n s_n u_n.
 
     s_n = (-1)^n; u_n, the uncompute of amplified block n, is held in
-    `columns` with its block fidelity, filter leak, AA residual, input mass
-    ||w_n||^2 and uncompute residual ||w_n||^2 - ||u_n||^2.  Block 2r and
-    block 2r+1 share row r of the sweeps, and block N-1 has a row of its own
-    when N is odd; every row takes the same path, so a block is built with
-    its partner.  The rows are held as a prefix: rows_held rows, blocks
-    0 .. 2 rows_held - 1 (N - 1 at most), and a call holds every row up to
-    the last block it touches (see `_hold`).  A call whose rows are held
-    takes no lock and costs one check of alpha and one N x M product; the
-    five metrics are the rows of one array, so a call masks the three it
-    reports in one step.  `basis` holds the normalized
-    rows |psibar_n>, and `phases` the QPE phases c_{n,j} of the m - 1 grid
-    stages (see `_sweep`).  Of the m = log2(M) dyadic evolutions
-    V(2^j 2pi/M), the filter is the m - 1 grid stages, then the parity
-    split: V(pi) is the split and V(pi/2) one FFT, so the operator holds the
-    half phase tables of the other m - 2 only: 2(m-2) rows of (M/2+1)*16
-    bytes (3.1 MB at M = 16384).
+    `columns`.  Block 2r and block 2r+1 share row r of the sweeps, and block
+    N-1 has a row of its own when N is odd; every row takes the same path,
+    so a block is built with its partner.  The rows are held as a prefix:
+    rows_held rows, blocks 0 .. 2 rows_held - 1 (N - 1 at most), and a call
+    holds every row up to the last block it touches (see `_hold`).  A call
+    whose rows are held takes no lock and costs one check of alpha and one
+    N x M product.  v_passes is derived from the held blocks: 2m passes of
+    V or V^dagger each.
 
-    The columns are the build's workspace: `columns` is the first N rows of
-    `_store`, which has N + N % 2, so the lone row of an odd N has a spare
-    (4.2 MB at N = 16).  Row r is prepared, swept, split, amplified and
-    uncomputed in column 2r, with column 2r+1 as its scratch (see
-    `_hold_rows`).  The rows a build needs are dealt to one worker thread
-    per usable CPU, and each worker sweeps its share as one stack;
+    What it holds, and nothing else of size M:
+    - the columns: `columns` is the first N rows of `_store`, which has
+      N + N % 2 rows of M complex, so the lone row of an odd N has a spare;
+    - the half phase tables of m - 2 dyadic evolutions: of the m = log2(M)
+      evolutions V(2^j 2pi/M), the filter is the m - 1 grid stages, then
+      the parity split, where V(pi) is the split and V(pi/2) one FFT, so
+      2(m-2) rows of (M/2+1)*16 bytes;
+    - `phases`, the QPE phases c_{n,j} of the m - 1 grid stages, N x (m - 1)
+      (see `_sweep`);
+    - the six metrics, one row each of the 6 x N array `_metrics`: block
+      fidelity, filter leak, AA residual, input mass ||w_n||^2, uncompute
+      residual ||w_n||^2 - ||u_n||^2 and aa_phases, the angle of the `goal`
+      amplitude that `fixed_point_amplify` returned for the block.  A call
+      masks the first three, the ones it reports, in one step.
+    It holds no basis: a build reads |psibar_n> once, for block n's
+    fidelity, from `psibar_rows`.
+
+    The columns are the build's workspace.  Row r is prepared, swept, split,
+    amplified and uncomputed in column 2r, with column 2r+1 as its scratch
+    (see `_hold_rows`).  The rows a build needs are dealt to one worker
+    thread per usable CPU, and each worker sweeps its share as one stack;
     build_workers is the number of workers that ran the latest build (0
-    before any).  Beyond the columns a worker holds only M-length rows
+    before any).  Beyond the columns a worker allocates only M-length rows
     while it runs: the mirrored and scaled row (then the mirrored label
-    pairs), the uncompute's discarded branch and the parity split's half
-    row; numpy's FFT adds a batch buffer to each multi-row call (about 6 MB
-    at M = 131072).  On a 2-core x86 box with one BLAS thread, the build of
-    N = 16 (M = 16384) after the one-hot warm-up of block 0 peaks 1.6 MB
-    above the operator's own arrays (tracemalloc), and `matrix()` at N = 32
-    (M = 131072) takes 1.0 s with a peak RSS of 192 MB.  v_passes is derived
-    from the held blocks: 2m passes of V or V^dagger each.
+    pairs), the uncompute's discarded branch, the parity split's half row,
+    and, from its first amplification to its last, the two real rows of
+    the Hermite recurrence and the normalized |psibar_n>.  numpy's FFT adds
+    a batch buffer to each multi-row call.  BENCH_42.json records what an
+    operator and its build measure.
     """
 
     def __init__(self, config: QHTConfig):
         M, N = config.M, config.N
         self.config = config
-        self.basis = hermite_basis(GridSpec(M), N - 1)   # row n is |psibar_n>, normalized
-        for row in self.basis:
-            row /= np.linalg.norm(row)
         base = 2 * math.pi / M
         self.dyadic_times = [base * (1 << j) for j in range(config.m_bits)]
         self.dyadic_tables = [evolution_tables(M, decompose(t)) for t in self.dyadic_times[:-2]]
@@ -451,9 +471,9 @@ class QHTOperator:
         self.columns = self._store[:N]
         self.rows_held = 0
         self._lock = threading.Lock()
-        self._metrics = np.zeros((5, N))   # one row each; a call masks the first three
+        self._metrics = np.zeros((6, N))   # one row each; a call masks the first three
         (self.block_fidelities, self.filter_leaks, self.aa_residuals, self.input_mass,
-         self.uncompute_residuals) = self._metrics
+         self.uncompute_residuals, self.aa_phases) = self._metrics
         self.build_workers = 0
 
     def _sweep(self, w: np.ndarray, rows, adjoint: bool,
@@ -649,12 +669,15 @@ class QHTOperator:
         so column n has (-1)^n parity bit for bit.  Until its block is
         amplified, input_mass[n] holds the prepared state's mass, from which
         the filter leak is read; the row is not held until every metric is
-        final.
+        final.  The block fidelities read |psibar_n> from one pass of
+        `psibar_rows` over the stack's blocks, in the order they are
+        amplified, and the pass is closed before the uncompute.
         """
         cfg = self.config
         w = self._store[2 * rows.start:2 * rows.stop:2 * rows.step]
         tmp = self._store[2 * rows.start + 1:2 * rows.stop:2 * rows.step]
         blocks = [tuple(range(2 * r, min(2 * r + 2, cfg.N))) for r in rows]
+        targets = psibar_rows(cfg.M, [n for pair in blocks for n in pair])
         w[:] = 0.0
         for row, part, pair in zip(w, tmp, blocks):
             for n in pair:
@@ -674,9 +697,11 @@ class QHTOperator:
                     vec *= goal / kept_norm
                 self.filter_leaks[n] = leak
                 self.aa_residuals[n] = abs(rest) ** 2
-                self.block_fidelities[n] = abs(np.vdot(self.basis[n], vec))
+                self.block_fidelities[n] = abs(np.vdot(next(targets), vec))
+                self.aa_phases[n] = cmath.phase(goal)
                 self.input_mass[n] = float(np.vdot(vec, vec).real)
             np.add(row if len(pair) == 2 else 0.0, part, out=row)   # a lone block: its part alone
+        targets.close()   # its recurrence rows are not held through the uncompute
         lost = np.zeros((len(blocks), 2))
         self._sweep(w, blocks, True, tmp, lost)
         for row, pair, row_lost in zip(w, blocks, lost):

@@ -106,6 +106,23 @@ class TestQHTColumns:
                 # each printed value is rounded: 4 significant digits against 8 decimals
                 assert abs(float(r[infid]) - (1 - float(r[fid]))) <= 5e-4 * float(r[infid]) + 5e-9
 
+    def test_fidelity_is_the_overlap_with_the_basis_rows(self, tmp_path):
+        # |<psibar_n|u_n>| from the normalized rows of `hermite_basis`, printed as `qht` prints it
+        import numpy as np
+
+        from qhermite.qht_pipeline import choose_dimensions, qht_operator
+        from qhermite.spectral_core import GridSpec, hermite_basis
+
+        code, out = _run(tmp_path, "q.csv", ["qht", "--N", "8"])
+        assert code == 0
+        cfg = choose_dimensions(8, 0.01)
+        columns = qht_operator(cfg).matrix()
+        basis = hermite_basis(GridSpec(cfg.M), 7)
+        _, rows, _ = read_table(out)
+        for n, r in enumerate(rows):
+            fid = abs(np.vdot(basis[n] / np.linalg.norm(basis[n]), columns[n]))
+            assert (r["fidelity"], r["infidelity"]) == (f"{fid:.8f}", f"{1.0 - fid:.3e}")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [

@@ -1,6 +1,8 @@
+import cmath
 import re
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -25,6 +27,7 @@ from qhermite.qht_pipeline import (
     isometry_singular_values,
     pr_high_energy_leakage,
     pr_support,
+    psibar_rows,
     qht_apply,
     qht_operator,
     qht_reference,
@@ -553,6 +556,78 @@ class TestOperator:
         assert np.array_equal(qht_apply(e1, base).output, ref.output)
 
 
+class TestHeldBasis:
+    """The operator holds no basis: |psibar_n> is streamed where a build reads it."""
+
+    @pytest.mark.parametrize("M, blocks", [(64, range(8)), (4096, [1, 2, 5, 14]), (16384, [15])])
+    def test_rows_are_the_normalized_basis_rows(self, M, blocks):
+        basis = hermite_basis(GridSpec(M), max(blocks))
+        rows = list(psibar_rows(M, blocks))
+        assert len(rows) == len(blocks)
+        for n, row in zip(blocks, rows):
+            assert row.tobytes() == (basis[n] / np.linalg.norm(basis[n])).tobytes()
+
+    def test_operator_has_no_basis(self):
+        op = QHTOperator(choose_dimensions(4, 0.05))
+        op.matrix()
+        assert not hasattr(op, "basis")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_built_operator_holds_columns_and_tables(self, workers, monkeypatch):
+        # tracemalloc at N = 16 (M = 16384), one BLAS thread: the operator holds its 4.0 MiB
+        # store, 3.0 MiB of half tables and 9.3-10.2 KiB besides (phases, metrics, signs);
+        # an (N, M) real basis would be 2.0 MiB more.  The build peaked 1.00 MiB above that
+        # on one worker and 1.64-2.01 MiB on two (how far the workers' peaks overlap varies),
+        # each worker's sweep scratch and Hermite recurrence rows; the bound is 1.2 MiB a worker
+        monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: workers)
+        cfg = choose_dimensions(16, 0.01)
+        QHTOperator(cfg).matrix()   # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            op = QHTOperator(cfg)
+            op.matrix()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = current - start
+        tables = sum(tables.halves.nbytes for tables in op.dyadic_tables)
+        assert op.build_workers == workers
+        assert 0 <= held - op._store.nbytes - tables < cfg.M * 8   # less than one real row
+        assert peak - current <= workers * 1.2 * 2**20
+
+
+class TestAmplificationPhase:
+    """aa_phases, the sixth metric row: the angle of each block's amplified flagged amplitude."""
+
+    @pytest.mark.parametrize("N", [4, 5, 8])
+    def test_row_is_the_phase_fixed_point_amplify_returns(self, N, monkeypatch):
+        goals = []
+
+        def recorded(*args, _amplify=fixed_point_amplify):
+            goal, rest = _amplify(*args)
+            goals.append(goal)
+            return goal, rest
+
+        monkeypatch.setattr(qht_pipeline, "fixed_point_amplify", recorded)
+        monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 1)   # blocks in order
+        op = QHTOperator(choose_dimensions(N, 0.01))
+        op.matrix()
+        assert len(goals) == N
+        assert op.aa_phases.tobytes() == np.array([cmath.phase(g) for g in goals]).tobytes()
+
+    @pytest.mark.parametrize("N, eps", [(4, 0.05), (4, 0.01), (6, 0.01), (7, 0.05), (8, 0.01)])
+    def test_column_overlap_carries_the_phase(self, N, eps):
+        # arg<psibar_n|u_n> - aa_phases[n] read 4.7e-16 to 9.9e-16 at N = 4-8 (phases of
+        # -2.97 to -3.11 rad, so the difference is taken on the circle); the bound is twice that
+        cfg = choose_dimensions(N, eps)
+        op = QHTOperator(cfg)
+        U = op.matrix()
+        for n, target in enumerate(psibar_rows(cfg.M, range(N))):
+            turned = np.vdot(target, U[n]) * np.exp(-1j * op.aa_phases[n])
+            assert abs(np.angle(turned)) <= 2e-15
+
+
 class TestFrameSweep:
     """The filter and uncompute sweeps against a pass-by-pass composition."""
 
@@ -621,6 +696,7 @@ class TestFrameSweep:
             cfg = choose_dimensions(N, 0.01)
             op = QHTOperator(cfg)
             U = op.matrix()
+            basis = hermite_basis(GridSpec(cfg.M), N - 1)
             for n in range(N):
                 v = _prepared(cfg, n).astype(complex)
                 kept = self._filter_passes(op, n, v)
@@ -637,7 +713,8 @@ class TestFrameSweep:
                     assert abs(op.uncompute_residuals[n] - lost) <= 2e-21
                 else:
                     assert abs(op.filter_leaks[n] - leak) <= 4e-15
-                    assert abs(op.block_fidelities[n] - abs(np.vdot(op.basis[n], work))) <= 2e-15
+                    target = basis[n] / np.linalg.norm(basis[n])
+                    assert abs(op.block_fidelities[n] - abs(np.vdot(target, work))) <= 2e-15
 
     @pytest.mark.parametrize("N, per_row", [(8, 46), (16, 54)])
     def test_row_transforms_per_row(self, N, per_row, monkeypatch):
@@ -681,7 +758,7 @@ class TestStackedHold:
     SMALL = QHTConfig(N=2, eps=0.05, M=64)
     WIDE = QHTConfig(N=80, eps=0.01, M=4096)   # 40 rows: 20 a worker on two
     HELD = ("columns", "block_fidelities", "filter_leaks", "aa_residuals", "input_mass",
-            "uncompute_residuals")
+            "uncompute_residuals", "aa_phases")
     METRICS = HELD + ("rows_held", "v_passes")
 
     @pytest.mark.parametrize("bits", [None, 32], ids=["exact", "quantized"])
