@@ -127,12 +127,16 @@ def cmd_ff_error(args):
 
     reps = {t: decompose(t).reps for t in args.t}   # refuses a huge t before the eigensolve
     rows = []
+    solves_ms, solves_workers = {}, {}   # per M whose eigensolve ran
     for M in args.M:
         try:
             if M > LOW_ENERGY_M_CAP:   # checked before the eigensolve
                 raise ValueError(f"projected-error budget is M <= {LOW_ENERGY_M_CAP}")
             qho = build(GridSpec(M))
+            t0 = time.perf_counter()
             eig = dense_diagonalize(qho)
+            solves_ms[str(M)] = int((time.perf_counter() - t0) * 1000)
+            solves_workers[str(M)] = eig.workers
         except ValueError:
             qho = None
         for N in args.N:
@@ -149,9 +153,11 @@ def cmd_ff_error(args):
                     row.append(int((time.perf_counter() - t0) * 1000) if error else "")
                 rows.append(row)
     header = ["M", "N", "t", "reps", "projected_error", "status"]
+    footer = {}
     if args.timings:
         header.append("runtime_ms")
-    return header, rows, {}, 2 if any(r[5] == "infeasible" for r in rows) else 0
+        footer = {"eigensolve_ms": solves_ms, "eigensolve_workers": solves_workers}
+    return header, rows, footer, 2 if any(r[5] == "infeasible" for r in rows) else 0
 
 
 def cmd_overlap(args):

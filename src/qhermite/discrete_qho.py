@@ -39,13 +39,23 @@ about 4.8, 4.7 and 5.9 ms.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import spectral_core
-from .spectral_core import _PI_LD, GridSpec, InvalidSpecError, _enter_frame, _from_frame, _is_int
+from .spectral_core import (
+    _PI_LD,
+    GridSpec,
+    InvalidSpecError,
+    _enter_frame,
+    _from_frame,
+    _is_int,
+    _run_workers,
+    _usable_cpus,
+)
 
 __all__ = [
     "DiscreteQHO",
@@ -60,6 +70,8 @@ DENSE_EIG_CAP = 4096
 _RAYLEIGH_SLAB = 16   # columns per 80-bit Rayleigh pass of dense_diagonalize
 TAIL_M_CAP = 256
 TAIL_T_CAP = 40
+# what OpenBLAS reads its thread count from at load, in the order it reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -128,6 +140,8 @@ def _p2_symbol(M: int) -> np.ndarray:
 class EigenDecomposition:
     """Ascending eigenvalues and orthonormal eigenvectors of Hbar.
 
+    `workers` is the number of threads that solved the two parity sectors
+    (see `dense_diagonalize`); it does not take part in comparisons.
     `_ritz_blocks` holds, per rank N, the time-independent part of
     `fast_forward.low_energy_error`'s Ritz block on the N lowest columns,
     built on first use; it lives as long as the decomposition.  Blocks are
@@ -137,6 +151,7 @@ class EigenDecomposition:
 
     energies: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)  # column n is |e_n>
+    workers: int = field(default=1, compare=False)
     _ritz_blocks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
@@ -155,8 +170,10 @@ def _sector_blocks(M: int):
         odd[a, b]  = (c[a-b] - c[a+b]) / 2 + delta_ab pi a^2 / M,
     with w = 1/sqrt(2) at a = 0 and a = M/2 and w = 1 otherwise.  Yields the
     (M/2-1, M/2-1) odd block, then the (M/2+1, M/2+1) even block, each built
-    when it is asked for, so a caller that drops the first before asking for
-    the second holds one block at a time.
+    when it is asked for.  A caller that drops the first before asking for
+    the second holds one block at a time, as `dense_diagonalize`'s one-worker
+    path does; its two-worker path asks for the even block while the odd one
+    is still being solved, and so holds both.
 
     The Toeplitz part c[|a-b|] and the Hankel part c[(a+b) mod M] are
     strided views of two (M+1)-entry copies of the symbol, so no index grid
@@ -209,18 +226,44 @@ def _rayleigh_terms(qho: DiscreteQHO, W: np.ndarray) -> tuple:
     return np.concatenate([W, v.real, v.imag]), np.concatenate([x2, half, half])[:, None]
 
 
+def _sector_workers() -> int:
+    """How many threads `dense_diagonalize` solves its two sectors on: 2 or 1.
+
+    Two only where each `eigh` runs on one BLAS thread and a second CPU is
+    free: at least two usable CPUs, numpy built on OpenBLAS (the name that
+    `np.show_config` reports), and the first of `_BLAS_THREAD_VARS` that is
+    set reads 1.  OpenBLAS takes its thread count from those variables when
+    it loads, so this reads what it read unless the process changed them
+    since.  Anything else, an unset or unparsable value included, is one
+    worker: under a threaded BLAS two concurrent solves ran slower than one
+    after the other.
+    """
+    if _usable_cpus() < 2:
+        return 1
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError, ValueError):
+        return 1
+    value = next((os.environ[v] for v in _BLAS_THREAD_VARS if v in os.environ), "")
+    return 2 if "openblas" in str(blas).lower() and value.strip() == "1" else 1
+
+
 def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     """Ground-truth eigendecomposition of Hbar (M <= 4096), solved per parity sector.
 
     Hbar commutes with the grid reflection l -> -l (mod M), so one `eigh` of
     the (M/2+1)-dimensional even block and one of the (M/2-1)-dimensional odd
     block (see `_sector_blocks`, built from the circulant symbol of pbar^2; no
-    M x M Hamiltonian is formed) give the whole spectrum.  Each sector vector
-    is scattered back to the grid, so every column is exactly parity-definite:
-    v[-l] = v[l] or v[-l] = -v[l] bit for bit.  The energies of both sectors
-    are merged by a stable sort (even first on a tie).  Sign rule: each
-    column's largest-magnitude entry at a label >= 0 is positive, the first
-    such label on a tie.
+    M x M Hamiltonian is formed) give the whole spectrum.  With one worker
+    (`_sector_workers`) the calling thread solves the odd sector, then the
+    even one.  With two, a started thread solves the odd sector while the
+    calling thread builds and solves the even block; each `eigh` is the same
+    one-thread LAPACK call on the same block, so the bits are the same.  Each
+    sector vector is scattered back to the grid, so every column is exactly
+    parity-definite: v[-l] = v[l] or v[-l] = -v[l] bit for bit.  The energies
+    of both sectors are merged by a stable sort (even first on a tie).  Sign
+    rule: each column's largest-magnitude entry at a label >= 0 is positive,
+    the first such label on a tie.
 
     LAPACK returns the eigenvalues with absolute error ~eps*||H||, which at
     M=1024 already exceeds the true distance to n + 1/2 (and would dominate
@@ -233,25 +276,36 @@ def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     is eigenvector n, so each column is contiguous, and the sector vectors
     are scattered into it row by row, not across M strided columns.
 
-    Working set: each sector's block exists only while its `eigh` runs (the
-    odd one first), each set of sector vectors only until it is scattered
-    (the odd set negated in place for the mirrored labels), and the 80-bit
-    refinement runs on slabs of `_RAYLEIGH_SLAB` columns.  Besides the
-    returned arrays, numpy then holds at most three (M/2+1)^2 float arrays:
-    the even block, its vectors and the odd vectors, while the even `eigh`
-    runs next to LAPACK's own workspace.  In a fresh process with one BLAS
-    thread a call's peak RSS rises 1.4, 4.7, 67.5 and 214.7 MB above its
-    start at M = 256, 512, 2048 and 4096, of which the vectors returned take
-    0.5, 2, 32 and 128 MB.
+    Working set: each sector's block exists only while its `eigh` runs, each
+    set of sector vectors only until it is scattered (the odd set negated in
+    place for the mirrored labels), and the 80-bit refinement runs on slabs
+    of `_RAYLEIGH_SLAB` columns.  Besides the returned arrays, numpy then
+    holds at most three (M/2+1)^2 float arrays on the one-worker path: the
+    even block, its vectors and the odd vectors, while the even `eigh` runs
+    next to LAPACK's own workspace.  On the two-worker path the odd block
+    and its `eigh`'s workspace are alive next to the even ones, so a fourth
+    such array and a second workspace.  BENCH_44.json records each path's
+    time and peak RSS.
     """
     M = qho.M
     if M > DENSE_EIG_CAP:
         raise ValueError(f"dense budget exceeded: M={M}")
     half = M // 2
+    workers = _sector_workers()
     blocks = _sector_blocks(M)
-    e_odd, y_odd = np.linalg.eigh(next(blocks))
-    e_even, y_even = np.linalg.eigh(next(blocks))
+    odd = [next(blocks)]   # popped by its eigh, so no name holds it past the solve
+    solved = [None, None]  # (energies, vectors) of the even and the odd sector
+
+    def solve(i):
+        if i or workers == 1:
+            solved[1] = np.linalg.eigh(odd.pop())
+        if not i:
+            solved[0] = np.linalg.eigh(next(blocks))
+
+    _run_workers(solve, workers)
     blocks.close()   # the generator's hold on the even block ends here
+    (e_even, y_even), (e_odd, y_odd) = solved
+    del solved
     # the grid entries: y_even[:half] at labels 0..M/2-1 and y_even[half] at -M/2;
     # y_odd at labels 1..M/2-1
     y_even[1:half] *= np.sqrt(0.5)
@@ -284,7 +338,7 @@ def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
         products *= terms   # (g T) T
         energies[start:start + W.shape[1]] = products.sum(axis=0) / (2 * (W * W).sum(axis=0))
     energies.setflags(write=False)
-    return EigenDecomposition(energies=energies, vectors=vectors)
+    return EigenDecomposition(energies=energies, vectors=vectors, workers=workers)
 
 
 # the basis lives in spectral_core; the benchmark harness still imports it from here

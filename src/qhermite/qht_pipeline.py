@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -35,7 +34,15 @@ from numpy.polynomial.legendre import leggauss
 
 from .calibration import C0, C1
 from .fast_forward import _frame_steps, decompose, evolution_tables
-from .spectral_core import GridSpec, _enter_frame, _from_frame, _is_int, hermite_functions
+from .spectral_core import (
+    GridSpec,
+    _enter_frame,
+    _from_frame,
+    _is_int,
+    _run_workers,
+    _usable_cpus,
+    hermite_functions,
+)
 
 __all__ = [
     "QHTConfig",
@@ -356,13 +363,6 @@ def fixed_point_amplify(kept_norm: float, leak_norm: float, delta_lower: float,
 # ---------------------------------------------------------------------------
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _parity_part(row: np.ndarray, sign: float, out: np.ndarray) -> np.ndarray:
     """out <- (row + sign * P row)/2: the even part of row for sign +1, its odd part for -1.
 
@@ -610,9 +610,9 @@ class QHTOperator:
         of strided views into `_store` (see `_hold_rows`).  A row's bits do
         not depend on its worker or on the other rows of its stack, so
         neither do the columns.
-        The calling thread is the first worker and starts a thread for each
-        other one, so with one worker no thread is started.  numpy's FFTs
-        release the interpreter lock, so the workers' sweeps overlap.  A
+        `spectral_core._run_workers` runs them: the calling thread is the
+        first worker, so with one worker no thread is started, and numpy's
+        FFTs release the interpreter lock, so the workers' sweeps overlap.  A
         worker's error is raised here once every worker has stopped; the
         build then holds none of its rows, and their columns are zeroed.
         One lock per operator serialises the builds: two threads that build
@@ -630,25 +630,11 @@ class QHTOperator:
             if stop <= start:
                 return 0
             workers = self.build_workers = min(_usable_cpus(), stop - start)
-            errors = []
-
-            def work(i):
-                try:
-                    self._hold_rows(range(start + i, stop, workers))
-                except Exception as exc:   # raised again in the calling thread
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(1, workers)]
-            for thread in threads:
-                thread.start()
             try:
-                work(0)
-            finally:
-                for thread in threads:
-                    thread.join()
-            if errors:
+                _run_workers(lambda i: self._hold_rows(range(start + i, stop, workers)), workers)
+            except Exception:
                 self._store[2 * start:2 * stop] = 0.0
-                raise errors[0]
+                raise
             self.rows_held = stop
             return min(2 * stop, self.config.N) - 2 * start
 

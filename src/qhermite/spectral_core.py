@@ -17,10 +17,17 @@ position operator is ifft(P*fft(w)).
 Statevectors are plain complex numpy arrays of length M; array index i
 corresponds to grid label j = i - M/2 throughout the package, so arrays are
 already ordered by increasing position.
+
+Native work that does not share state (the transform's row shares, the
+eigen-oracle's two parity sectors) runs on threads through one helper,
+`_run_workers`, sized by `_usable_cpus`: numpy's FFTs and LAPACK release the
+interpreter lock, so the workers overlap.
 """
 from __future__ import annotations
 
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +47,44 @@ _PI_LD = 4 * np.arctan(np.longdouble(1))   # np.longdouble(np.pi) is float64's p
 def _is_int(value) -> bool:
     """An integer count or size: numpy integers pass, a bool or a float does not."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_workers(work, workers: int) -> None:
+    """Run work(i) for i < workers: worker 0 on the calling thread, each other on its own thread.
+
+    The other workers' threads are started first, so with one worker no
+    thread is started.  Every started thread is joined before this returns
+    or raises; then the error of the lowest-numbered worker that failed, if
+    any, is raised here.
+    """
+    errors = [None] * workers
+
+    def run(i):
+        try:
+            work(i)
+        except Exception as exc:   # raised again in the calling thread
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 class InvalidSpecError(ValueError):

@@ -538,12 +538,13 @@ class TestTestCommand:
 class TestTimings:
     """--timings adds one wall-clock footer field; without it the output is unchanged.
 
-    ff-error also adds a per-row runtime_ms column, and qht its build's
-    columns_ms and workers.
+    ff-error also adds a per-row runtime_ms column and each M's eigensolve
+    milliseconds and workers, and qht its build's columns_ms and workers.
     """
 
     @pytest.mark.parametrize("args, row_fields, footer_fields", [
-        (["ff-error", "--M", "64", "--N", "2,4", "--t", "0.5"], ["runtime_ms"], []),
+        (["ff-error", "--M", "64", "--N", "2,4", "--t", "0.5"], ["runtime_ms"],
+         ["eigensolve_ms", "eigensolve_workers"]),
         (["overlap", "--M", "512", "--n", "3"], [], []),
         (["qht", "--N", "2", "--eps", "0.1"], [], ["columns_ms", "workers"]),
         (["sample", "--n", "1", "--trials", "30", "--seed", "5"], [], []),
@@ -560,8 +561,9 @@ class TestTimings:
         assert code == 0
         timed_meta, timed_rows, timed_summary = read_table(timed)
         assert isinstance(timed_summary.pop("runtime_ms"), int)
-        for field in footer_fields:
-            assert timed_summary.pop(field) >= 0
+        for field in footer_fields:   # a number, or one per M
+            value = timed_summary.pop(field)
+            assert min(value.values()) >= 0 if isinstance(value, dict) else value >= 0
         assert timed_summary == (summary or {})
         for field in row_fields:
             assert all(int(r.pop(field)) >= 0 for r in timed_rows)
@@ -580,6 +582,19 @@ class TestTimings:
         assert [(r["status"], r["runtime_ms"] == "") for r in rows] == [
             ("ok", False), ("infeasible", True), ("infeasible", True), ("infeasible", True)]
         assert summary["runtime_ms"] >= 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ff_error_footer_names_each_eigensolve(self, tmp_path, monkeypatch, workers):
+        # M = 4096 is past the meter's budget and M = 6 below the grid's minimum: neither
+        # runs an eigensolve, so neither is in the footer
+        monkeypatch.setattr(discrete_qho, "_sector_workers", lambda: workers)
+        args = ["ff-error", "--M", "64,6,128,4096", "--N", "2", "--t", "0.5"]
+        code, timed = _run(tmp_path, "t.csv", args + ["--timings"])
+        assert code == 2
+        summary = read_table(timed)[2]
+        assert summary["eigensolve_workers"] == {"64": workers, "128": workers}
+        assert sorted(summary["eigensolve_ms"]) == ["128", "64"]
+        assert min(summary["eigensolve_ms"].values()) >= 0
 
     def test_writer_refuses_a_ragged_row(self, tmp_path):
         out = tmp_path / "x.csv"

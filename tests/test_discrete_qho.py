@@ -1,3 +1,5 @@
+import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,10 +11,13 @@ from conftest import (
     sector_blocks_by_gather,
 )
 
+from qhermite import discrete_qho
 from qhermite.discrete_qho import (
+    EigenDecomposition,
     _p2_symbol_ld,
     _rayleigh_terms,
     _sector_blocks,
+    _sector_workers,
     apply_hamiltonian,
     build,
     dense_diagonalize,
@@ -215,6 +220,20 @@ class TestDenseDiagonalize:
         energies = (np.diagonal(block) / np.diagonal(W.T @ W)).astype(np.float64)
         assert np.array_equal(eig.energies[:64], energies)
 
+    def test_rayleigh_slabs_are_row_major(self, monkeypatch):
+        # the 80-bit sums over the grid run in one order only on a C-ordered slab: an
+        # F-ordered copy of the F-ordered vectors sums in another and may round differently
+        real = discrete_qho._rayleigh_terms
+        slabs = []
+
+        def record(qho, W):
+            slabs.append((W.shape, W.flags.c_contiguous))
+            return real(qho, W)
+
+        monkeypatch.setattr(discrete_qho, "_rayleigh_terms", record)
+        dense_diagonalize(build(GridSpec(128)))
+        assert slabs == [((128, 16), True)] * 4
+
     @pytest.mark.parametrize("M", [64, 128, 256, 512, 1024, 2048, 4096])
     def test_symbol_is_mirror_symmetric(self, M):
         # pbar^2 is symmetric, so c[d] = c[M - d] must hold to the last bit
@@ -301,11 +320,20 @@ class TestParitySplit:
         assert np.array_equal(next(blocks), even)
         assert next(blocks, None) is None
 
-    def test_working_set(self):
-        # tracemalloc's peak over one call at M = 512, less the returned arrays (2.0 MB):
-        # 1.56 MB measured (one BLAS thread), the eigh of the even block with the odd
-        # sector's vectors alive, about three (M/2+1)^2 float arrays; 4.66 MB when both
-        # blocks, their gathers and 64-column 80-bit Rayleigh temporaries were held
+    @staticmethod
+    def _peaks(monkeypatch, workers: int) -> tuple:
+        """tracemalloc's peaks over one call at M = 512 on `workers` workers, in MB:
+        the whole call's less the returned arrays (2.0 MB), and the peak up to the end
+        of the two solves."""
+        monkeypatch.setattr(discrete_qho, "_sector_workers", lambda: workers)
+        real = discrete_qho._run_workers
+        solves = []
+
+        def run(work, count):
+            real(work, count)
+            solves.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(discrete_qho, "_run_workers", run)
         qho = build(GridSpec(512))
         tracemalloc.start()
         try:
@@ -313,7 +341,27 @@ class TestParitySplit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - eig.vectors.nbytes - eig.energies.nbytes <= 2.0 * 2**20
+        assert eig.workers == workers
+        return (peak - eig.vectors.nbytes - eig.energies.nbytes) / 2**20, solves[0] / 2**20
+
+    def test_working_set(self, monkeypatch):
+        # 1.56-1.80 MB measured (one BLAS thread), while the returned rows are filled
+        # from both sectors' vectors; 4.66 MB when both blocks, their gathers and
+        # 64-column 80-bit Rayleigh temporaries were held.  Up to the end of the solves
+        # 1.53 MB: the even eigh with the odd sector's vectors alive, three (M/2+1)^2
+        # float arrays of 0.5 MB; the bound adds half an array
+        call, solves = self._peaks(monkeypatch, 1)
+        assert call <= 2.0
+        assert solves <= 1.75
+
+    def test_working_set_two_workers(self, monkeypatch):
+        # the whole call measured 1.68 MB, as on one worker: filling the returned rows
+        # still sets the peak.  Up to the end of the solves 2.03 MB: both blocks and both
+        # sectors' vectors are alive at once, four (M/2+1)^2 arrays; the bound adds half
+        # an array
+        call, solves = self._peaks(monkeypatch, 2)
+        assert call <= 2.0
+        assert solves <= 2.25
 
     @pytest.mark.parametrize("M", SPLIT_SIZES)
     def test_energies_match_full_eigh(self, eig_cache, M):
@@ -332,6 +380,87 @@ class TestParitySplit:
         assert np.abs(eig.energies[:16] - (np.arange(16) + 0.5)).max() <= 1e-13
         low = eig.vectors[:, :64]
         assert np.abs(low.T @ low - np.eye(64)).max() <= 32 * EPS
+
+
+class TestSectorWorkers:
+    """The two sectors solved on two threads: the one-worker bits, errors, and the policy."""
+
+    @pytest.mark.parametrize("M", [64, 128, 512, 1024])
+    def test_two_workers_give_the_one_worker_bits(self, M, monkeypatch):
+        eigs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(discrete_qho, "_sector_workers", lambda w=workers: w)
+            eigs.append(dense_diagonalize(build(GridSpec(M))))
+        one, two = eigs
+        assert (one.workers, two.workers) == (1, 2)
+        assert np.array_equal(one.energies, two.energies)
+        assert np.array_equal(one.vectors, two.vectors)
+        workers = next(f for f in dataclasses.fields(EigenDecomposition) if f.name == "workers")
+        assert workers.default == 1 and not workers.compare
+
+    @pytest.mark.parametrize("sector", ["odd", "even"])
+    def test_sector_error_reaches_the_caller(self, sector, monkeypatch):
+        # with two workers the odd sector is solved on the started thread and the even one
+        # on the calling thread; a fault in either is raised once both have stopped
+        M = 128
+        size = M // 2 - 1 if sector == "odd" else M // 2 + 1
+        real = np.linalg.eigh
+        threads = {}
+
+        def solve(block):
+            threads[len(block)] = threading.current_thread()
+            if len(block) == size:
+                raise FloatingPointError(f"refused the {sector} sector")
+            return real(block)
+
+        monkeypatch.setattr(discrete_qho, "_sector_workers", lambda: 2)
+        monkeypatch.setattr(np.linalg, "eigh", solve)
+        with pytest.raises(FloatingPointError, match=f"refused the {sector} sector"):
+            dense_diagonalize(build(GridSpec(M)))
+        started, caller = threads[M // 2 - 1], threads[M // 2 + 1]
+        assert caller is threading.current_thread() and started is not caller
+        started.join(timeout=5)
+        assert not started.is_alive()
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a solve thread was started")
+
+        monkeypatch.setattr(discrete_qho, "_sector_workers", lambda: 1)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert dense_diagonalize(build(GridSpec(64))).workers == 1
+
+    @pytest.mark.parametrize("env, cpus, expected", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2, 1),
+        ({"OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+    ], ids=["openblas-1", "unset", "openblas-4-omp-1", "omp-1", "goto-1-omp-2",
+            "unparsable", "one-cpu"])
+    def test_policy_reads_openblas_thread_variables(self, env, cpus, expected, monkeypatch):
+        # the first variable that is set, in OpenBLAS's order, decides; anything but 1 is
+        # one worker
+        openblas = {"Build Dependencies": {"blas": {"name": "scipy-openblas"}}}
+        monkeypatch.setattr(np, "show_config", lambda mode: openblas)
+        for var in discrete_qho._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(discrete_qho, "_usable_cpus", lambda: cpus)
+        assert _sector_workers() == expected
+
+    @pytest.mark.parametrize("config", [
+        {"Build Dependencies": {"blas": {"name": "mkl-sdl"}}},
+        {"Build Dependencies": {}},
+    ], ids=["mkl", "no-blas-entry"])
+    def test_policy_needs_an_openblas_build(self, config, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(discrete_qho, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(np, "show_config", lambda mode: config)
+        assert _sector_workers() == 1
 
 
 class TestHermiteBasis:

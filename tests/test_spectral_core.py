@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from conftest import centered_dft_matrix
@@ -5,6 +8,7 @@ from conftest import centered_dft_matrix
 from qhermite.spectral_core import (
     GridSpec,
     InvalidSpecError,
+    _run_workers,
     hermite_basis,
     hermite_function_rows,
     hermite_functions,
@@ -196,3 +200,38 @@ class TestCenteredDFT:
         qft = np.exp(2j * np.pi * np.outer(s, s) / M) / np.sqrt(M)
         sz = np.diag((-1.0) ** s)
         assert np.abs(sz @ qft @ sz - centered_dft_matrix(M)).max() < 1e-12
+
+
+class TestRunWorkers:
+    def test_every_worker_runs_once_and_the_lowest_error_is_raised(self):
+        # more workers than CPUs and a short switch interval: each worker ends by
+        # bumping a shared count, and only after every worker has stopped does the
+        # lowest failing worker's error reach the caller
+        lock = threading.Lock()
+        ran, threads = [0] * 8, {}
+
+        def work(i):
+            threads[i] = threading.current_thread()
+            for _ in range(200):
+                with lock:
+                    ran[i] += 1
+            if i in (3, 5):
+                raise KeyError(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(KeyError, match="3"):
+                _run_workers(work, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert ran == [200] * 8
+        assert threads[0] is threading.current_thread()
+        for thread in (threads[i] for i in range(1, 8)):
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+    def test_one_worker_runs_on_the_calling_thread(self):
+        seen = []
+        _run_workers(lambda i: seen.append((i, threading.current_thread())), 1)
+        assert seen == [(0, threading.current_thread())]
