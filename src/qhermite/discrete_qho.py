@@ -30,11 +30,12 @@ evaluated on labels 0..M/2-1 and -M/2, the DFT pairs the inputs +K and -K
 against a mirrored root table, and each projected sum over labels j, k is a
 sum over n = |J_j|, m = |J_k| of u_a[n] K[n, m] u_b[m], with K the symbol
 folded over +-j and +-k with the parts' signs (gathers and sign flips, and
-the anticommutator's exact factor J_j + J_k).  A pair of columns costs a few
-(M/2+1)^2 big-integer products in place of about 8 M^2.  At M = 64, N = 1,
-t_max = 30 (one BLAS thread) a family's first call on a grid takes about 8,
-9 and 11 ms (x2_p2, p2_x2, p2_anti), and a repeat call on the same grid
-about 4.8, 4.7 and 5.9 ms.
+the anticommutator's exact factor J_j + J_k).  The weight n^2 - m^2 is
+antisymmetric and zero on the diagonal, so only the pairs n < m count, and
+each pass sums H[n, m] +- H[m, n] on them directly: a pair of columns costs
+about (M/2+1)^2 big-integer products per nonzero part of K (half that for a
+column with itself) in place of about 8 M^2.  `TailReport.products` counts
+them; BENCH_45.json has the lab's per-call times.
 """
 from __future__ import annotations
 
@@ -362,6 +363,7 @@ class TailReport:
     term_norms: dict          # t -> spectral norm of the projected t-th term
     dps: int
     error_bar: float = 0.0    # ||tail(P + 64 bits) - tail(P bits)||, see commutator_tail_norm
+    products: int = field(default=0, compare=False)   # wide-integer products of both passes
 
 
 def _half_labels(M: int) -> tuple:
@@ -581,27 +583,35 @@ def _weight_groups(size: int) -> tuple:
     return n, m, starts, weight[starts].astype(object)
 
 
-def _power_sums(H: np.ndarray, t0: int, t_max: int, groups: tuple) -> list:
-    """sum_{n,m} (n^2 - m^2)^t H[n, m] for t = t0..t_max, exactly.
+def _power_sums(parity, d: np.ndarray, t0: int, t_max: int) -> tuple:
+    """sum_g parity[t % 2][g] d[g]^t for t = t0..t_max, exactly, and the products taken.
 
-    The weight is antisymmetric in (n, m) and zero on the diagonal, so only
-    n < m is visited: with H + H^T for even t and H - H^T for odd t.  The
-    pairs of one weight are summed first (`groups` is `_weight_groups` of
-    H's size), so each power multiplies one integer per weight.  A parity
-    that is all zero (real data gives one) is skipped.
+    parity is the pair (even t, odd t) of integer arrays over the weights
+    d: per weight, the sum of H[n, m] + H[m, n] and of H[n, m] - H[m, n]
+    over its pairs n < m.  The weight n^2 - m^2 is antisymmetric in (n, m)
+    and zero on the diagonal, so these give sum_{n,m} (n^2 - m^2)^t H[n, m].
+    Each power multiplies one integer per weight.  A parity that is None or
+    all zero (real data gives one) is skipped.  The count is one per weight
+    for each multiplication, a power d^t counting as one.
     """
-    n, m, starts, d = groups
-    upper, lower = H[n, m], H[m, n]
-    parity = [np.add.reduceat(p, starts) for p in (upper + lower, upper - lower)]   # even t, odd t
-    cur = [parity[t % 2] * d**t if any(parity[t % 2]) else None for t in (t0, t0 + 1)]
-    d2 = d * d
-    sums = []
-    for i in range(t_max - t0 + 1):
-        c = cur[i % 2]
-        if c is not None and i >= 2:
-            c *= d2
-        sums.append(0 if c is None else int(c.sum()))
-    return sums
+    live = [p if p is not None and any(p) else None for p in parity]
+    cur, d2, products, sums = [None, None], None, 0, []
+    for t in range(t0, t_max + 1):
+        i = t % 2
+        if live[i] is None:
+            sums.append(0)
+            continue
+        if cur[i] is None:
+            cur[i] = live[i] * d**t
+            products += 2 * len(d)
+        else:
+            if d2 is None:
+                d2 = d * d
+                products += len(d)
+            cur[i] *= d2
+            products += len(d)
+        sums.append(int(cur[i].sum()))
+    return sums, products
 
 
 def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict, groups: tuple):
@@ -613,48 +623,101 @@ def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict, gro
     (n^2 - m^2)^t and the rest is H[n, m], the sum over I(n) x I(m).  Since
     conj(u_a) = re_a - i im_a and u_b = re_b + i im_b, the parts p of u_a and
     q of u_b (0 real, 1 imaginary) add u_a,p[n] i^(q-p) K[n, m] u_b,q[m] to
-    H, K being `_folded_symbol` for their two parities: (M/2+1)^2 products
-    for the outer product of the two halves and as many per nonzero part of
-    K, where the unfolded sum took about 8 M^2 per pair of columns.
+    H, K being `_folded_symbol` for their two parities.  `_power_sums` reads
+    H only as H[n, m] + H[m, n] and H[n, m] - H[m, n] on the pairs n < m, so
+    those two parity sums are formed directly, for each part of H, on the
+    pairs of `groups` in weight order, then summed per weight:
+    - a cross pair (a < b, or p != q) multiplies u_a,p[n] u_b,q[m] by
+      K[n, m] and u_a,p[m] u_b,q[n] by K[m, n]: two products per pair for
+      the two orders and two per nonzero part of K;
+    - a self pair (a = b and p = q) has the one product u[n] u[m] for both
+      orders, times K[n, m] + K[m, n] and K[n, m] - K[m, n].  Its K is
+      Hermitian, so per part one of the two is 2 K[n, m] and the other is
+      zero and skipped: one product per pair per nonzero part of K.
+    The unfolded sum took about 8 M^2 products per pair of columns.
     g[M - d] = conj(g[d]), so W is Hermitian and S_t[b, a] = (-1)^t
     conj(S_t[a, b]): only a <= b is summed.  Returns {t: (re, im)} of N x N
-    integer arrays, scaled by the product of the three inputs' scales.
+    integer arrays, scaled by the product of the three inputs' scales, and
+    the number of wide-integer products taken, `_power_sums`' included.
 
     `kernels` keeps the read-only kernels built from g and `anti` by
-    (sa, sb, q); a caller that passes the same dict with the same g and
-    `anti` builds each kernel once.  `groups` is `_weight_groups(M/2 + 1)`.
+    (sa, sb, q): each part of i^q K on the pairs, as K[n, m], K[m, n] and
+    the parity that a self pair adds it to (0 when K[m, n] = K[n, m], and
+    then one array serves as both, 1 when K[m, n] = -K[n, m], else None),
+    or None when the part is zero.  A caller that passes the same dict with
+    the same g and `anti` builds each kernel once.  `groups` is
+    `_weight_groups(M/2 + 1)`.
     """
-    size = len(g[0]) // 2 + 1
+    n, m, starts, d = groups
+
+    def on_pairs(k):
+        """K[n, m], K[m, n] and a self pair's parity; one array for a symmetric part."""
+        if k is None:
+            return None
+        fwd, bwd = k[n, m], k[m, n]
+        if np.array_equal(bwd, fwd):
+            return fwd, fwd, 0
+        return fwd, bwd, 1 if np.array_equal(bwd, -fwd) else None
 
     def kernel(sa, sb, q):
-        """The (re, im) parts of i^q K for the parities sa and sb."""
+        """The (re, im) parts of i^q K for the parities sa and sb, on the pairs."""
         if (sa, sb, q) not in kernels:
             kr, ki = _folded_symbol(g, sa, sb, anti)
             for _ in range(q):   # times i: (re, im) -> (-im, re)
                 kr, ki = (None if ki is None else -ki), kr
-            kernels[sa, sb, q] = _read_only((kr, ki))
+            kernels[sa, sb, q] = _read_only((on_pairs(kr), on_pairs(ki)))
         return kernels[sa, sb, q]
 
-    N = len(u)
+    def add(sums, i, value):
+        if sums[i] is None:
+            sums[i] = value
+        else:
+            sums[i] += value
+
+    # each nonzero column part on the pairs, once: (x[n], x[m], parity sign)
+    cols = [[(x[n], x[m], s) if any(x) else None for x, s in col] for col in u]
+    N, pairs = len(u), len(n)
     S = {t: (np.zeros((N, N), dtype=object), np.zeros((N, N), dtype=object))
          for t in range(t0, t_max + 1)}
-    for b, col_b in enumerate(u):
-        for a, col_a in enumerate(u[:b + 1]):
-            H = np.zeros((2, size, size), dtype=object)
-            for p, (xa, sa) in enumerate(col_a):
-                for q, (xb, sb) in enumerate(col_b):
-                    if not (any(xa) and any(xb)):
+    products = 0
+    for b, col_b in enumerate(cols):
+        for a, col_a in enumerate(cols[:b + 1]):
+            H = [[None, None], [None, None]]   # per part of H: (H[n, m] + H[m, n], H[n, m] - H[m, n])
+            for p, part_a in enumerate(col_a):
+                for q, part_b in enumerate(col_b):
+                    if part_a is None or part_b is None:
                         continue
-                    X = np.outer(xa, xb)
-                    for h, k in zip(H, kernel(sa, sb, (q - p) % 4)):
+                    (an, am, sa), (bn, bm, sb) = part_a, part_b
+                    ks = kernel(sa, sb, (q - p) % 4)
+                    if a == b and p == q:
+                        y = an * am
+                        products += pairs
+                        for sums, k in zip(H, ks):
+                            if k is not None:
+                                both = y * k[0]
+                                both += both
+                                add(sums, k[2], both)
+                                products += pairs
+                        continue
+                    fwd, bwd = an * bm, am * bn
+                    products += 2 * pairs
+                    for sums, k in zip(H, ks):
                         if k is not None:
-                            h += X * k
-            for t, re, im in zip(S, _power_sums(H[0], t0, t_max, groups),
-                                 _power_sums(H[1], t0, t_max, groups)):
+                            upper, lower = fwd * k[0], bwd * k[1]
+                            add(sums, 0, upper + lower)
+                            add(sums, 1, upper - lower)
+                            products += 2 * pairs
+            parts = []
+            for sums in H:
+                grouped = [None if s is None else np.add.reduceat(s, starts) for s in sums]
+                part, count = _power_sums(grouped, d, t0, t_max)
+                parts.append(part)
+                products += count
+            for t, re, im in zip(S, *parts):
                 sign = -1 if t % 2 else 1
                 S[t][0][a, b], S[t][1][a, b] = re, im
                 S[t][0][b, a], S[t][1][b, a] = sign * re, -sign * im
-    return S
+    return S, products
 
 
 def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
@@ -672,20 +735,24 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     (d_j - d_k)^t = (2 pi / M)^t (J_j^2 - J_k^2)^t.  The columns and symbols
     are computed in mpmath and rounded once to fixed point at
     P = ceil(dps log2 10) + 16 bits; the projected sums of (J_j^2 - J_k^2)^t
-    times those integers are exact, and the scale (2 pi / M)^t / t! is
-    applied once per t when converting to float64.  The integer pass runs at
-    P and at P + 64 bits; the second gives `tail_norm` and `term_norms`, and
-    the spectral norm of the difference of the two projected tails is
-    `error_bar`.  Each tail is summed entry by entry in t order.
+    times those integers are exact (`_integer_tail_sums`), and the scale
+    (2 pi / M)^t / t! is applied once per t when converting to float64.  The
+    integer pass runs at P and at P + 64 bits; the second gives `tail_norm`
+    and `term_norms`, and the spectral norm of the difference of the two
+    projected tails is `error_bar`.  Each tail is summed entry by entry in t
+    order, and every norm comes from one stacked SVD.  `products` counts the
+    wide-integer products of both passes.
 
     The grid holds what the passes read, each built on first use and keyed
     by N and P + 64: the Hermite columns (x2_p2) or their DFT (p2_x2 and
-    p2_anti share them), the symbol (x2_p2 and p2_x2 share pbar^2's) and
-    each pass's folded kernels; and, under one key that every N and P
-    share, the pairs of the folded index grouped by weight.  A repeat call on the same grid builds
-    no mpmath input.  N must be an integer in [1, M] (a grid of M labels holds
-    M Hermite columns), t_max an integer, and dps None (`_tail_dps`) or an
-    integer >= 1.
+    p2_anti share them); by P + 64: the symbol (x2_p2 and p2_x2 share
+    pbar^2's), each pass's folded kernels on the pairs n < m, and the
+    scales for every t up to TAIL_T_CAP (the three families share them);
+    and, under one key that every N and P share, the pairs of the folded
+    index grouped by weight.  A repeat call on the same grid builds no
+    mpmath input, kernel or scale.  N must be an integer in [1, M] (a grid
+    of M labels holds M Hermite columns), t_max an integer, and dps None
+    (`_tail_dps`) or an integer >= 1.
     """
     M = qho.M
     if M > TAIL_M_CAP:
@@ -714,31 +781,50 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
         u = _held(qho, ("columns", family == "x2_p2", N, fine),
                   lambda: _tail_columns(M, N, family, fine))
         g = _held(qho, ("symbol", anti, fine), lambda: _tail_symbol(M, family, fine))
-        step = 2 * mp.pi / M
-        scales = {t: step ** t / mp.factorial(t) for t in range(t0, t_max + 1)}
+        scales = _held(qho, ("scales", fine), lambda: _tail_scales(M))
         groups = _held(qho, ("weight groups",), lambda: _weight_groups(M // 2 + 1))
-        tails = []
+        tails, products = [], 0
         for drop in (_TAIL_CHECK_BITS, 0):
-            S = _integer_tail_sums([tuple((_shift(x, drop), s) for x, s in col) for col in u],
-                                   tuple(_shift(part, drop) for part in g), anti, t0, t_max,
-                                   _held(qho, ("kernels", anti, fine, drop), dict), groups)
+            S, count = _integer_tail_sums(
+                [tuple((_shift(x, drop), s) for x, s in col) for col in u],
+                tuple(_shift(part, drop) for part in g), anti, t0, t_max,
+                _held(qho, ("kernels", anti, fine, drop), dict), groups)
+            products += count
             terms = {t: _scaled_rows(S[t], mp.ldexp(scales[t], -3 * (fine - drop))) for t in S}
             tails.append([[sum((T[a][b] for T in terms.values()), mp.mpf(0)) for b in range(N)]
                           for a in range(N)])
         diff = [[p - q for p, q in zip(rp, rq)] for rp, rq in zip(tails[1], tails[0])]
-    return TailReport(family, M, N, t_max, _spectral_norm(tails[1]),
-                      {t: _spectral_norm(T) for t, T in terms.items()}, used_dps,
-                      error_bar=_spectral_norm(diff))
+    tail_norm, error_bar, *term_norms = _spectral_norms([tails[1], diff, *terms.values()])
+    return TailReport(family, M, N, t_max, tail_norm, dict(zip(terms, term_norms)), used_dps,
+                      error_bar=error_bar, products=products)
+
+
+def _tail_scales(M: int) -> tuple:
+    """(2 pi / M)^t / t! for t = 0..TAIL_T_CAP, at the current mp precision."""
+    import mpmath as mp
+
+    step = 2 * mp.pi / M
+    return tuple(step ** t / mp.factorial(t) for t in range(TAIL_T_CAP + 1))
 
 
 def _scaled_rows(S_t, scale) -> list:
-    """The projected term scale * S_t as rows of mpc, at the current mp precision."""
+    """The projected term scale * S_t as rows of mpc, at the current mp precision and rounding.
+
+    Each part is rounded from its integer and then multiplied, as
+    `mp.mpc(int(r), int(i)) * scale` does, through libmp directly.
+    """
     import mpmath as mp
+    from mpmath.libmp import from_int, mpf_mul
 
+    prec, rnd = mp.mp._prec_rounding
+    s, make = scale._mpf_, mp.mp.make_mpc
     re, im = S_t
-    return [[mp.mpc(int(r), int(i)) * scale for r, i in zip(rr, ii)] for rr, ii in zip(re, im)]
+    return [[make((mpf_mul(from_int(int(r), prec, rnd), s, prec, rnd),
+                   mpf_mul(from_int(int(i), prec, rnd), s, prec, rnd)))
+             for r, i in zip(rr, ii)] for rr, ii in zip(re, im)]
 
 
-def _spectral_norm(rows) -> float:
-    """The largest singular value of a matrix given as rows of mp numbers."""
-    return float(np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)[0])
+def _spectral_norms(matrices) -> list:
+    """The largest singular value of each matrix given as rows of mp numbers, in one call."""
+    stack = np.array(matrices, dtype=complex)
+    return np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()

@@ -66,6 +66,9 @@ __all__ = [
 ]
 
 M_CAP = 1 << 20   # largest grid choose_dimensions returns
+# the row-labels (rows x M) each share of a build must hold for a second worker to pay;
+# BENCH_45.json has the measurements: one worker wins at 8192, two at 32768 and above
+_WORKER_SHARE = 1 << 15
 
 
 class ConfigError(ValueError):
@@ -401,6 +404,19 @@ def psibar_rows(M: int, blocks):
             yield row
 
 
+def _build_workers(rows: int, M: int) -> int:
+    """Workers for a build of `rows` rows of M labels.
+
+    One per usable CPU, but no more than rows, and fewer while a share
+    (rows // workers rows) would hold less than _WORKER_SHARE row-labels:
+    on less work a second thread costs more than it saves.  At least one.
+    """
+    workers = min(_usable_cpus(), rows)
+    while workers > 1 and rows // workers * M < _WORKER_SHARE:
+        workers -= 1
+    return workers
+
+
 @dataclass(frozen=True)
 class QHTResult:
     """One transform call; op_passes counts the V passes this call ran (0 once held)."""
@@ -445,10 +461,12 @@ class QHTOperator:
 
     The columns are the build's workspace.  Row r is prepared, swept, split,
     amplified and uncomputed in column 2r, with column 2r+1 as its scratch
-    (see `_hold_rows`).  The rows a build needs are dealt to one worker
-    thread per usable CPU, and each worker sweeps its share as one stack;
+    (see `_hold_rows`).  The rows a build needs are dealt to worker
+    threads, one per usable CPU when each share holds enough work (see
+    `_build_workers`), and each worker sweeps its share as one stack;
     build_workers is the number of workers that ran the latest build (0
-    before any).  Beyond the columns a worker allocates only M-length rows
+    before any): at the default grids, 1 up to N = 8 and 2 at N = 16 on
+    two CPUs.  Beyond the columns a worker allocates only M-length rows
     while it runs: the mirrored and scaled row (then the mirrored label
     pairs), the uncompute's discarded branch, the parity split's half row,
     and, from its first amplification to its last, the two real rows of
@@ -603,11 +621,13 @@ class QHTOperator:
         The rows held are always a prefix, so a block is built with its row
         partner and every row before it, and the bits of a column do not
         depend on which blocks a call asked for.  The rows to build are
-        dealt to one worker per usable CPU, but no more workers than rows:
-        worker i takes rows start + i, start + i + workers, ..., so the
-        shares differ by at most one row (on two CPUs the 40 rows of N = 80
-        at M = 4096 give each worker 20), and sweeps its share as one stack
-        of strided views into `_store` (see `_hold_rows`).  A row's bits do
+        dealt to `_build_workers` workers: one per usable CPU, but no more
+        than rows, and only as many as leave each share _WORKER_SHARE
+        row-labels.  Worker i takes rows start + i, start + i + workers,
+        ..., so the shares differ by at most one row (on two CPUs the 40
+        rows of N = 80 at M = 4096 give each worker 20), and sweeps its
+        share as one stack of strided views into `_store` (see
+        `_hold_rows`).  A row's bits do
         not depend on its worker or on the other rows of its stack, so
         neither do the columns.
         `spectral_core._run_workers` runs them: the calling thread is the
@@ -629,7 +649,7 @@ class QHTOperator:
             start = self.rows_held
             if stop <= start:
                 return 0
-            workers = self.build_workers = min(_usable_cpus(), stop - start)
+            workers = self.build_workers = _build_workers(stop - start, self.config.M)
             try:
                 _run_workers(lambda i: self._hold_rows(range(start + i, stop, workers)), workers)
             except Exception:

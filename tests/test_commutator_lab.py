@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import mpmath as mp
@@ -79,7 +81,8 @@ def unfolded_tail_sums(u, g, anti: bool, t0: int, t_max: int):
     u is a list of N full fixed-point columns (re, im) in label order
     -M/2..M/2-1 and g the fixed-point symbol; W[j, k] = g[(j - k) mod M],
     times the exact integer J_j + J_k when `anti`.  About 8 M^2 products per
-    pair (a, b).
+    pair (a, b), and the weighted sum over every (n, m), the diagonal and both
+    orders included: nothing of the lab's folds, pairs or power sums.
     """
     M = len(g[0])
     labels = np.arange(M)
@@ -88,6 +91,9 @@ def unfolded_tail_sums(u, g, anti: bool, t0: int, t_max: int):
     if anti:
         jsum = (labels[:, None] + labels[None, :] - M).astype(object)
         wr, wi = wr * jsum, wi * jsum
+    size = M // 2 + 1
+    n = np.arange(size).astype(object)
+    weight = n[:, None] ** 2 - n[None, :] ** 2
     N = len(u)
     S = {t: (np.zeros((N, N), dtype=object), np.zeros((N, N), dtype=object))
          for t in range(t0, t_max + 1)}
@@ -96,14 +102,16 @@ def unfolded_tail_sums(u, g, anti: bool, t0: int, t_max: int):
         gr, gi = _fold(wr * ur - wi * ui, 1), _fold(wr * ui + wi * ur, 1)
         for a, (ar, ai) in enumerate(u[:b + 1]):
             # H[n, m] = sum over |J_j| = n of conj(u_a[j]) G_b[j, m]
-            hr = _fold(ar[:, None] * gr + ai[:, None] * gi, 0)
-            hi = _fold(ar[:, None] * gi - ai[:, None] * gr, 0)
-            groups = discrete_qho._weight_groups(len(hr))
-            for t, re, im in zip(S, discrete_qho._power_sums(hr, t0, t_max, groups),
-                                 discrete_qho._power_sums(hi, t0, t_max, groups)):
+            H = (_fold(ar[:, None] * gr + ai[:, None] * gi, 0),
+                 _fold(ar[:, None] * gi - ai[:, None] * gr, 0))
+            powered = [h * weight ** t0 for h in H]
+            for t in S:
+                re, im = (int(p.sum()) for p in powered)
                 sign = -1 if t % 2 else 1
                 S[t][0][a, b], S[t][1][a, b] = re, im
                 S[t][0][b, a], S[t][1][b, a] = sign * re, -sign * im
+                for p in powered:
+                    p *= weight
     return S
 
 
@@ -246,6 +254,12 @@ class TestExactAccumulation:
         assert 0.0 < rep.error_bar <= 1e-6 * rep.tail_norm
 
 
+def power_sum_products(G: int, *terms: int) -> int:
+    """`_power_sums`' count over G weights and live parities of `terms` terms each: d^t and its
+    product for the first term, one product per later term, and d^2 once."""
+    return G * (sum(k + 1 for k in terms) + any(k > 1 for k in terms))
+
+
 class TestPowerSums:
     @staticmethod
     def brute(H, t0: int, t_max: int) -> list:
@@ -254,6 +268,13 @@ class TestPowerSums:
         return [sum((n * n - m * m) ** t * int(H[n, m]) for n in range(size) for m in range(size))
                 for t in range(t0, t_max + 1)]
 
+    @staticmethod
+    def grouped(H, groups) -> list:
+        """H[n, m] + H[m, n] and H[n, m] - H[m, n] on the pairs n < m, summed per weight."""
+        n, m, starts, _ = groups
+        upper, lower = H[n, m], H[m, n]
+        return [np.add.reduceat(p, starts) for p in (upper + lower, upper - lower)]
+
     @pytest.mark.parametrize("size, t0, t_max", [(2, 2, 5), (9, 3, 12), (33, 3, 30), (33, 2, 30)])
     def test_grouped_sums_equal_the_sum_over_all_pairs(self, rng, size, t0, t_max):
         # wide integers of both signs, as the lab's H; a symmetric and an
@@ -261,8 +282,20 @@ class TestPowerSums:
         H = np.array([[int(v) << 200 for v in row]
                       for row in rng.integers(-2**40, 2**40, (size, size))], dtype=object)
         groups = discrete_qho._weight_groups(size)
+        d = groups[3]
         for data in (H, H + H.T, H - H.T):
-            assert discrete_qho._power_sums(data, t0, t_max, groups) == self.brute(data, t0, t_max)
+            sums, products = discrete_qho._power_sums(self.grouped(data, groups), d, t0, t_max)
+            assert sums == self.brute(data, t0, t_max)
+            ts = range(t0, t_max + 1)
+            terms = sum(t % 2 == 0 for t in ts), sum(t % 2 == 1 for t in ts)
+            live = [k for k, p in zip(terms, self.grouped(data, groups)) if any(p)]
+            assert products == power_sum_products(len(d), *live)
+
+    def test_a_parity_that_is_none_or_zero_is_skipped(self):
+        d = discrete_qho._weight_groups(9)[3]
+        zero = np.zeros(len(d), dtype=object)
+        for parity in ([None, None], [zero, None], [None, zero.copy()]):
+            assert discrete_qho._power_sums(parity, d, 3, 12) == ([0] * 10, 0)
 
     def test_groups_cover_each_pair_once_by_weight(self):
         n, m, starts, d = discrete_qho._weight_groups(33)
@@ -449,21 +482,172 @@ class TestParityFold:
             assert all(np.array_equal(a, b) for a, b in zip(folded[fam][1], (gr, gi)))
         assert not any(folded["x2_p2"][1][1]) and any(folded["p2_anti"][1][1])   # pbar^2 is real
 
-    @pytest.mark.parametrize("M, N", [(16, 3), (64, 2), (128, 1)])
+    @pytest.mark.parametrize("M, N, t_max", [
+        pytest.param(M, N, t_max, id=f"{M}-{N}" if t_max == 12 else f"{M}-{N}-{t_max}")
+        for M, N, t_max in [(16, 3, 12), (64, 2, 12), (128, 1, 12), (32, 4, 30)]])
     @pytest.mark.parametrize("family", TAIL_FAMILIES)
-    def test_sums_equal_unfolded_oracle(self, M, N, family):
-        t_max = 12
+    def test_sums_equal_unfolded_oracle(self, M, N, t_max, family):
         t0, bits = (2 if family == "p2_anti" else 3), _bits(M, t_max)
         with mp.workprec(bits + discrete_qho._TAIL_GUARD_BITS):
             u, g = _tail_inputs(M, N, family, bits)
         for drop in (discrete_qho._TAIL_CHECK_BITS, 0):   # both passes of the lab
             cols = [tuple((discrete_qho._shift(x, drop), s) for x, s in col) for col in u]
             sym = tuple(discrete_qho._shift(part, drop) for part in g)
-            folded = discrete_qho._integer_tail_sums(cols, sym, family == "p2_anti", t0, t_max, {},
-                                                     discrete_qho._weight_groups(M // 2 + 1))
+            folded, _ = discrete_qho._integer_tail_sums(cols, sym, family == "p2_anti", t0, t_max, {},
+                                                        discrete_qho._weight_groups(M // 2 + 1))
             full = [tuple(unfold(x, s) for x, s in col) for col in cols]
             brute = unfolded_tail_sums(full, sym, family == "p2_anti", t0, t_max)
             assert folded.keys() == brute.keys()
             for t in brute:
                 assert all(np.array_equal(f, b) for f, b in zip(folded[t], brute[t])), t
             assert any(np.any(part != 0) for t in brute for part in brute[t])
+
+
+class TestProductCount:
+    """`TailReport.products` counts the wide-integer products of both passes, power sums included."""
+
+    @staticmethod
+    def sizes(M: int) -> tuple:
+        """The pairs n < m of the folded index 0..M/2 and their weights: (P, G)."""
+        return (M // 2 + 1) * (M // 2) // 2, len(discrete_qho._weight_groups(M // 2 + 1)[3])
+
+    @pytest.mark.parametrize("family, pair_parts, parities", [
+        ("x2_p2", 1, ((14,), ())),      # real data: one kernel part, even t only
+        ("p2_x2", 1, ((14,), ())),
+        ("p2_anti", 2, ((15,), (14,))),   # t from 2: the real part even t, the imaginary part odd t
+    ])
+    def test_one_column_closed_form(self, family, pair_parts, parities):
+        # N = 1: one self pair per pass, u[n] u[m] and one product per nonzero kernel part
+        P, G = self.sizes(64)
+        rep = commutator_tail_norm(build(GridSpec(64)), 1, 30, family)
+        per_pass = P * (1 + pair_parts) + sum(power_sum_products(G, *k) for k in parities if k)
+        assert rep.products == 2 * per_pass
+
+    def test_three_real_columns_closed_form(self):
+        # x2_p2 at (M, N) = (16, 3): real columns and a real kernel.  N self pairs of
+        # 2P products and N(N-1)/2 cross pairs of 4P (two orders, one kernel part each);
+        # a self pair's H is symmetric (even t only), a cross pair's has both parities
+        P, G = self.sizes(16)
+        N, even, odd = 3, 5, 5   # t = 3..12
+        rep = commutator_tail_norm(build(GridSpec(16)), N, 12, "x2_p2")
+        cross = N * (N - 1) // 2
+        per_pass = (N * (2 * P + power_sum_products(G, even))
+                    + cross * (4 * P + power_sum_products(G, even, odd)))
+        assert rep.products == 2 * per_pass == 5016
+
+    @pytest.mark.parametrize("M", [16, 64])
+    @pytest.mark.parametrize("family", TAIL_FAMILIES)
+    def test_a_self_pair_takes_half_the_products(self, M, family):
+        # before, a pair of parts took (M/2+1)^2 products for the outer product and as
+        # many per nonzero kernel part; a self pair now takes at most half of that
+        t0, bits = (2 if family == "p2_anti" else 3), _bits(M, 12)
+        with mp.workprec(bits + discrete_qho._TAIL_GUARD_BITS):
+            u, g = _tail_inputs(M, 1, family, bits)
+        kernels = {}
+        S, products = discrete_qho._integer_tail_sums(u, g, family == "p2_anti", t0, t0 - 1, kernels,
+                                                      discrete_qho._weight_groups(M // 2 + 1))
+        assert S == {}   # no term, so no power sum: the count is the pair's alone
+        parts = sum(k is not None for k in kernels[1, 1, 0])
+        P, _ = self.sizes(M)
+        assert products == P * (1 + parts) <= (M // 2 + 1) ** 2 * (1 + parts) / 2
+
+    def test_count_is_deterministic_and_not_compared(self):
+        qho = build(GridSpec(32))
+        first = commutator_tail_norm(qho, 2, 12, "p2_anti")
+        again = commutator_tail_norm(qho, 2, 12, "p2_anti")
+        assert first.products == again.products > 0
+        assert replace(first, products=0) == first
+        assert commutator_tail_norm(qho, 1, 2).products == 0   # an empty sum takes none
+
+
+class TestEpilogue:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_stacked_norms_equal_one_svd_per_term(self, N):
+        qho = build(GridSpec(32))
+        rep = commutator_tail_norm(qho, N, 16, "p2_anti")
+        t0, bits = 2, _bits(32, 16)
+        fine = bits + discrete_qho._TAIL_CHECK_BITS
+        with mp.workprec(fine + discrete_qho._TAIL_GUARD_BITS):
+            u = qho._lab["columns", False, N, fine]
+            g = qho._lab["symbol", True, fine]
+            S, _ = discrete_qho._integer_tail_sums(u, g, True, t0, 16, {},
+                                                   discrete_qho._weight_groups(17))
+            scales = qho._lab["scales", fine]
+            rows = [discrete_qho._scaled_rows(S[t], mp.ldexp(scales[t], -3 * fine)) for t in S]
+        one_by_one = [float(np.linalg.svd(np.array(r, dtype=complex), compute_uv=False)[0])
+                      for r in rows]
+        stacked = discrete_qho._spectral_norms(rows)
+        assert [v.hex() for v in stacked] == [v.hex() for v in one_by_one]
+        assert [rep.term_norms[t].hex() for t in S] == [v.hex() for v in one_by_one]
+
+    @pytest.mark.parametrize("prec", [53, 300])
+    def test_rows_round_as_mpc_times_scale(self, prec):
+        wide = (1 << (prec + 37)) + 12345   # wider than the precision: rounded on entry
+        values = [0, 1, -1, 3, -7, wide, -wide, wide + 1, -(wide << 5) - 3]
+        re = np.array([values], dtype=object)
+        im = np.array([values[::-1]], dtype=object)
+        with mp.workprec(prec):
+            for scale in (mp.mpf(1) / 3, -mp.pi, mp.ldexp(mp.mpf(5), -900)):
+                got = discrete_qho._scaled_rows((re, im), scale)[0]
+                want = [mp.mpc(int(r), int(i)) * scale for r, i in zip(re[0], im[0])]
+                assert [z._mpc_ for z in got] == [z._mpc_ for z in want]
+        with mp.workprec(prec):   # and the context's rounding, which mpmath keeps privately
+            third = mp.mpf(1) / 3
+            mp.mp._prec_rounding[1] = "f"
+            try:
+                got = discrete_qho._scaled_rows((re, im), third)[0]
+                want = [mp.mpc(int(r), int(i)) * third for r, i in zip(re[0], im[0])]
+            finally:
+                mp.mp._prec_rounding[1] = "n"
+            nearest = discrete_qho._scaled_rows((re, im), third)[0]
+        assert [z._mpc_ for z in got] == [z._mpc_ for z in want] != [z._mpc_ for z in nearest]
+
+    def test_repeat_call_builds_no_kernel_and_no_scale(self, monkeypatch):
+        qho = build(GridSpec(32))
+        first = {family: _hex(commutator_tail_norm(qho, 2, 12, family)) for family in TAIL_FAMILIES}
+
+        def no_build(*args):
+            raise AssertionError("kernel or scale built on a repeat call")
+
+        monkeypatch.setattr(discrete_qho, "_folded_symbol", no_build)
+        monkeypatch.setattr(mp, "factorial", no_build)
+        for family in TAIL_FAMILIES:
+            assert _hex(commutator_tail_norm(qho, 2, 12, family)) == first[family]
+        commutator_tail_norm(qho, 2, 20, "x2_p2")   # a longer tail reads the same held scales
+        with pytest.raises(AssertionError, match="repeat call"):   # another precision is not held
+            commutator_tail_norm(qho, 2, 12, dps=70)
+
+    def test_kernels_held_on_the_pairs(self):
+        qho = build(GridSpec(64))
+        for family in TAIL_FAMILIES:
+            commutator_tail_norm(qho, 1, 30, family)
+        kernels = [v for k, v in qho._lab.items() if k[0] == "kernels"]
+        assert len(kernels) == 4   # two symbols, two passes each
+        for held in kernels:
+            for parts in held.values():
+                for part in parts:
+                    if part is not None:
+                        fwd, bwd, parity = part
+                        assert fwd.shape == bwd.shape == (33 * 32 // 2,)
+                        assert (bwd is fwd) == (parity == 0)   # a symmetric part holds one array
+
+    # tracemalloc bytes of `_lab` after the three families at N = 1, as held when each
+    # kernel was the full (M/2+1)^2 fold: 457092 at M = 64, 9592140 at M = 256, for t_max = 3
+    # and 30 alike (what is held depends on t_max only through the precision, fixed up to 30)
+    HELD_BEFORE = {64: 457092, 256: 9592140}
+
+    @pytest.mark.parametrize("M", [64, 256])
+    def test_what_the_grid_holds_is_no_larger(self, M):
+        tracemalloc.start()
+        try:
+            qho = build(GridSpec(M))
+            for family in TAIL_FAMILIES:
+                commutator_tail_norm(qho, 1, 3, family)
+            gc.collect()
+            full = tracemalloc.get_traced_memory()[0]
+            qho._lab.clear()
+            gc.collect()
+            held = full - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < held <= self.HELD_BEFORE[M]

@@ -41,6 +41,12 @@ def _prepared(cfg, n):
     return amps / np.linalg.norm(amps)
 
 
+def _force_workers(monkeypatch, workers: int) -> None:
+    """Build on `workers` workers whenever there are that many rows, however small the grid."""
+    monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(qht_pipeline, "_WORKER_SHARE", 0)
+
+
 def _reflect(x):
     """x at the mirrored labels, l -> -l: index i -> -i mod M."""
     return np.concatenate([x[:1], x[:0:-1]])
@@ -850,7 +856,7 @@ class TestStackedHold:
         cfg = choose_dimensions(N, 0.01)
         ops = []
         for workers, order in ((1, None), (2, None), (2, [N - 1, 2, 1]), (1, [3, 0])):
-            monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda w=workers: w)
+            _force_workers(monkeypatch, workers)
             op = QHTOperator(cfg)
             for n in order or []:
                 op.apply(np.eye(N)[n])
@@ -901,7 +907,7 @@ class TestStackedHold:
     def test_parallel_build_equals_serial(self, cfg, monkeypatch):
         ops = []
         for workers in (1, 2):
-            monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda w=workers: w)
+            _force_workers(monkeypatch, workers)
             op = QHTOperator(cfg)
             op.matrix()
             assert op.build_workers == min(workers, -(-cfg.N // 2))
@@ -1026,7 +1032,7 @@ class TestStackedHold:
         # six threads, more than the cores, call fresh operators at every block in their own
         # orders under a short switch interval: a call that found rows_held advanced before
         # the columns and metrics of those rows were written would answer with other bits
-        monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 2)
+        _force_workers(monkeypatch, 2)
         cfg = choose_dimensions(8, 0.05)
         serial = QHTOperator(cfg)
         serial.matrix()
@@ -1097,16 +1103,33 @@ class TestStackedHold:
         assert op.build_workers == 2 and op.rows_held == 40
         assert sorted(rows.values()) == [20, 20]
 
-    @pytest.mark.parametrize("N, workers", [(8, 2), (16, 2)])
-    def test_workers_follow_the_stacks(self, N, workers, monkeypatch):
-        # one worker per CPU, but no more than rows: the 3 rows of N = 8 (M = 4096) left
-        # after the warm-up split 2 + 1 on two CPUs; N = 16 (M = 16384) splits 4 + 3
+    @pytest.mark.parametrize("N, forced, workers", [
+        pytest.param(8, True, 2, id="8-2"), pytest.param(16, False, 2, id="16-2"),
+        pytest.param(8, False, 1, id="8-1")])
+    def test_workers_follow_the_stacks(self, N, forced, workers, monkeypatch):
+        # on two CPUs the 3 rows of N = 8 (M = 4096) left after the warm-up are one share,
+        # too little work for two, unless forced (then 2 + 1); N = 16 (M = 16384) splits 4 + 3
         cfg = choose_dimensions(N, 0.01)
-        monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 2)
+        if forced:
+            _force_workers(monkeypatch, 2)
+        else:
+            monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: 2)
         op = QHTOperator(cfg)
         op.apply(np.eye(cfg.N)[0])
         op.matrix()
         assert op.build_workers == workers and op.rows_held == N // 2
+
+    @pytest.mark.parametrize("cpus, rows, M, workers", [
+        (2, 2, 2048, 1), (2, 4, 4096, 1), (2, 3, 4096, 1), (2, 8, 4096, 1),   # shares of 2^11-2^14
+        (2, 16, 4096, 2), (2, 4, 16384, 2), (2, 7, 16384, 2), (2, 8, 16384, 2),
+        (2, 1, 2**17, 1), (2, 3, 2**14, 1), (1, 40, 4096, 1),
+        (4, 8, 16384, 4), (4, 6, 16384, 3), (4, 5, 16384, 2), (4, 16, 4096, 2),
+    ])
+    def test_workers_sized_by_the_work(self, cpus, rows, M, workers, monkeypatch):
+        # a second worker starts only when every share holds _WORKER_SHARE = 2^15 row-labels
+        monkeypatch.setattr(qht_pipeline, "_usable_cpus", lambda: cpus)
+        assert qht_pipeline._WORKER_SHARE == 2**15
+        assert qht_pipeline._build_workers(rows, M) == workers
 
     def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
         def refuse(thread):
