@@ -32,10 +32,11 @@ sum over n = |J_j|, m = |J_k| of u_a[n] K[n, m] u_b[m], with K the symbol
 folded over +-j and +-k with the parts' signs (gathers and sign flips, and
 the anticommutator's exact factor J_j + J_k).  The weight n^2 - m^2 is
 antisymmetric and zero on the diagonal, so only the pairs n < m count, and
-each pass sums H[n, m] +- H[m, n] on them directly: a pair of columns costs
-about (M/2+1)^2 big-integer products per nonzero part of K (half that for a
-column with itself) in place of about 8 M^2.  `TailReport.products` counts
-them; BENCH_45.json has the lab's per-call times.
+the one exact pass sums H[n, m] +- H[m, n] on them directly: a pair of
+columns costs about (M/2+1)^2 big-integer products per nonzero part of K
+(half that for a column with itself) in place of about 8 M^2.
+`TailReport.products` counts them; BENCH_46.json has the lab's per-call
+times.
 """
 from __future__ import annotations
 
@@ -362,8 +363,8 @@ class TailReport:
     tail_norm: float
     term_norms: dict          # t -> spectral norm of the projected t-th term
     dps: int
-    error_bar: float = 0.0    # ||tail(P + 64 bits) - tail(P bits)||, see commutator_tail_norm
-    products: int = field(default=0, compare=False)   # wide-integer products of both passes
+    error_bar: float = 0.0    # a bound on ||tail - exact tail||, see _rounding_bound
+    products: int = field(default=0, compare=False)   # wide-integer products of the exact pass
 
 
 def _half_labels(M: int) -> tuple:
@@ -435,14 +436,15 @@ def _tail_dps(M: int, t_max: int) -> int:
     """Working precision: intermediate magnitude plus the value's own scale.
 
     The largest surviving contribution behaves like d^t/t! damped by the
-    Gaussian weight exp(-d/2); the projected result itself shrinks roughly
-    like exp(-c*M), so the digit budget grows linearly in M.
+    Gaussian weight exp(-d/2); the sum truncated at t_max shrinks roughly
+    like exp(-c*M) (the complete tail at c1 = c2 = 1 grows with M; see
+    `commutator_tail_norm`), so the digit budget grows linearly in M.
     """
     return 60 + int(0.55 * M) + max(0, 2 * (t_max - 30))
 
 
-_TAIL_GUARD_BITS = 16   # fixed-point bits beyond the decimal working precision
-_TAIL_CHECK_BITS = 64   # extra bits of the second pass that sets error_bar
+_TAIL_EXTRA_BITS = 80   # fixed-point bits beyond the decimal working precision
+_TAIL_GUARD_BITS = 16   # mp working bits beyond the fixed point, and the DFT root table's
 
 
 def _fixed(values, bits: int) -> np.ndarray:
@@ -450,17 +452,6 @@ def _fixed(values, bits: int) -> np.ndarray:
     from mpmath.libmp import mpf_shift, round_nearest, to_int
 
     return np.array([to_int(mpf_shift(v._mpf_, bits), round_nearest) for v in values], dtype=object)
-
-
-def _shift(a: np.ndarray, bits: int) -> np.ndarray:
-    """Re-round a fixed-point integer array to `bits` fewer fractional bits.
-
-    Ties round away from zero, so negation (and conjugation) commutes with it.
-    """
-    if not bits:
-        return a
-    half = 1 << (bits - 1)
-    return np.array([(v + half) >> bits if v >= 0 else -((half - v) >> bits) for v in a], dtype=object)
 
 
 def _fixed_dft_columns(cols, M: int, bits: int):
@@ -728,31 +719,41 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     family "p2_x2":  A = pbar^2, B = xbar^2,        sum from t = 3
     family "p2_anti": A = pbar^2, B = {xbar, pbar}, sum from t = 2
 
-    The paper's tail bound holds for [c1*A, c2*B]_t with any constants
-    |c1|, |c2| <= 1, which scale term t by c1^t c2; the lab measures
-    c1 = c2 = 1.  Evaluated in the representation where A is diagonal, where
-    the t-fold nesting is the exact entrywise factor
+    A factored evolution's error reads [c1*A, c2*B]_t with the coefficients
+    of `fast_forward.decompose`'s split, |c1|, |c2| <= 1 (the five-factor
+    middle coefficient reaches 1, every other one is at most 1/2), which
+    scale term t by c1^t c2.  That is a reading of the split; the paper's
+    abstract states no such bound.  The lab measures c1 = c2 = 1.  There the
+    projected terms of each parity of t grow with t up to about t = 1.75 M
+    (at M = 64 and 128, N = 1, they grow strictly to t = 40, and the t = 40
+    or 39 term is at least 90% of the sum to 40; a test pins it), so a sum
+    to t_max = 30 is a truncation and mostly its last term.  Acceptance
+    criterion 4's decay across M is a property of that truncation, not of a
+    complete tail, and its band stays as written.
+
+    Evaluated in the representation where A is diagonal, where the t-fold
+    nesting is the exact entrywise factor
     (d_j - d_k)^t = (2 pi / M)^t (J_j^2 - J_k^2)^t.  The columns and symbols
     are computed in mpmath and rounded once to fixed point at
-    P = ceil(dps log2 10) + 16 bits; the projected sums of (J_j^2 - J_k^2)^t
+    P = ceil(dps log2 10) + 80 bits; the projected sums of (J_j^2 - J_k^2)^t
     times those integers are exact (`_integer_tail_sums`), and the scale
-    (2 pi / M)^t / t! is applied once per t when converting to float64.  The
-    integer pass runs at P and at P + 64 bits; the second gives `tail_norm`
-    and `term_norms`, and the spectral norm of the difference of the two
-    projected tails is `error_bar`.  Each tail is summed entry by entry in t
-    order, and every norm comes from one stacked SVD.  `products` counts the
-    wide-integer products of both passes.
+    (2 pi / M)^t / t! is applied once per t when converting to mp at
+    P + 16 bits.  The tail is summed entry by entry in t order, and its
+    norm and every term's come from one stacked SVD.  `error_bar` is
+    `_rounding_bound`, a proven bound on how far rounding the inputs to
+    2^-P (and the conversions) can move the projected tail; the exact pass
+    runs once.  `products` counts its wide-integer products.
 
-    The grid holds what the passes read, each built on first use and keyed
-    by N and P + 64: the Hermite columns (x2_p2) or their DFT (p2_x2 and
-    p2_anti share them); by P + 64: the symbol (x2_p2 and p2_x2 share
-    pbar^2's), each pass's folded kernels on the pairs n < m, and the
-    scales for every t up to TAIL_T_CAP (the three families share them);
-    and, under one key that every N and P share, the pairs of the folded
-    index grouped by weight.  A repeat call on the same grid builds no
-    mpmath input, kernel or scale.  N must be an integer in [1, M] (a grid
-    of M labels holds M Hermite columns), t_max an integer, and dps None
-    (`_tail_dps`) or an integer >= 1.
+    The grid holds what the pass reads, each built on first use and keyed
+    by N and P: the Hermite columns (x2_p2) or their DFT (p2_x2 and
+    p2_anti share them); by P: the symbol (x2_p2 and p2_x2 share
+    pbar^2's), the folded kernels on the pairs n < m, and the scales for
+    every t up to TAIL_T_CAP (the three families share them); and, under
+    one key that every N and P share, the pairs of the folded index grouped
+    by weight.  A repeat call on the same grid builds no mpmath input,
+    kernel or scale.  N must be an integer in [1, M] (a grid of M labels
+    holds M Hermite columns), t_max an integer, and dps None (`_tail_dps`)
+    or an integer >= 1.
     """
     M = qho.M
     if M > TAIL_M_CAP:
@@ -774,29 +775,77 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     import mpmath as mp
 
     used_dps = _tail_dps(M, t_max) if dps is None else dps
-    bits = math.ceil(used_dps * math.log2(10)) + _TAIL_GUARD_BITS
-    fine = bits + _TAIL_CHECK_BITS
+    bits = math.ceil(used_dps * math.log2(10)) + _TAIL_EXTRA_BITS
     anti = family == "p2_anti"
-    with mp.workprec(fine + _TAIL_GUARD_BITS):
-        u = _held(qho, ("columns", family == "x2_p2", N, fine),
-                  lambda: _tail_columns(M, N, family, fine))
-        g = _held(qho, ("symbol", anti, fine), lambda: _tail_symbol(M, family, fine))
-        scales = _held(qho, ("scales", fine), lambda: _tail_scales(M))
+    with mp.workprec(bits + _TAIL_GUARD_BITS):
+        u = _held(qho, ("columns", family == "x2_p2", N, bits),
+                  lambda: _tail_columns(M, N, family, bits))
+        g = _held(qho, ("symbol", anti, bits), lambda: _tail_symbol(M, family, bits))
+        scales = _held(qho, ("scales", bits), lambda: _tail_scales(M))
         groups = _held(qho, ("weight groups",), lambda: _weight_groups(M // 2 + 1))
-        tails, products = [], 0
-        for drop in (_TAIL_CHECK_BITS, 0):
-            S, count = _integer_tail_sums(
-                [tuple((_shift(x, drop), s) for x, s in col) for col in u],
-                tuple(_shift(part, drop) for part in g), anti, t0, t_max,
-                _held(qho, ("kernels", anti, fine, drop), dict), groups)
-            products += count
-            terms = {t: _scaled_rows(S[t], mp.ldexp(scales[t], -3 * (fine - drop))) for t in S}
-            tails.append([[sum((T[a][b] for T in terms.values()), mp.mpf(0)) for b in range(N)]
-                          for a in range(N)])
-        diff = [[p - q for p, q in zip(rp, rq)] for rp, rq in zip(tails[1], tails[0])]
-    tail_norm, error_bar, *term_norms = _spectral_norms([tails[1], diff, *terms.values()])
+        S, products = _integer_tail_sums(u, g, anti, t0, t_max,
+                                         _held(qho, ("kernels", anti, bits), dict), groups)
+        terms = {t: _scaled_rows(S[t], mp.ldexp(scales[t], -3 * bits)) for t in S}
+        tail = [[sum((T[a][b] for T in terms.values()), mp.mpf(0)) for b in range(N)]
+                for a in range(N)]
+        error_bar = _rounding_bound(g, scales, M, N, anti, bits, t0, t_max)
+    tail_norm, *term_norms = _spectral_norms([tail, *terms.values()])
     return TailReport(family, M, N, t_max, tail_norm, dict(zip(terms, term_norms)), used_dps,
                       error_bar=error_bar, products=products)
+
+
+def _rounding_bound(g, scales, M: int, N: int, anti: bool, bits: int, t0: int, t_max: int) -> float:
+    """An upper bound on ||tail - exact tail|| from rounding the lab's inputs, as float64.
+
+    tail is the N x N projected sum that `commutator_tail_norm` forms in mp
+    from its fixed-point inputs at eps = 2^-bits, and exact tail the same
+    sum over exact inputs; the norm is spectral.  a = `anti` is 1 for
+    p2_anti and 0 otherwise, g the held fixed-point symbol of M entries and
+    scales the held (2 pi / M)^t / t!.
+    - Every part of every fixed-point input (column entry, DFT output,
+      symbol entry) is within eps of its exact value: each is rounded once
+      from a value computed _TAIL_GUARD_BITS finer (tests check this
+      against inputs built 64 bits finer).  So a complex column entry is
+      within sqrt(2) eps, and the rounding error du of a column u has
+      ||du||_2 <= sqrt(2 M) eps, while each exact column has ||u||_2 = 1.
+    - W[j, k] = g[(J_j - J_k) mod M] (J_j + J_k)^a with |J_j + J_k| <= M:
+      |W| has row and column sums of at most
+      G = M^a sum_d (|Re g_d| + |Im g_d|), at least M^a sum_d |g_d| (an
+      exact integer sum, where |g_d| itself cost a square root per entry),
+      so || |W| ||_2 <= G; each entry of the rounding error dW is at most
+      sqrt(2) M^a eps, and an M x M matrix's spectral norm is at most M
+      times its largest entry, so || |dW| ||_2 <= sqrt(2) M^(1+a) eps.
+    - Term t weights W[j, k] by (2 pi / M)^t (J_j^2 - J_k^2)^t / t!, and
+      |J_j^2 - J_k^2| <= M^2 / 4, so by at most w_t = (pi M / 2)^t / t!.
+    To first order in eps, the entry of term t between columns u and v
+    then moves by at most
+    w_t (||du|| G + G ||dv|| + || |dW| ||) = w_t eps (2 sqrt(2 M) G + sqrt(2) M^(1+a)),
+    and it is at most w_t G in size.  Converting a term to mp at
+    r = 2^-(bits + _TAIL_GUARD_BITS) costs a relative (2t + 4) r (the
+    scale's 2 pi / M, its power and t!, the integer's rounding and the
+    product), and the sum over t at most another t_max r of the terms'
+    absolute sum per part, so together at most (4 t_max + 8) r w_t G per
+    term.  Summing over t, and taking an N x N matrix's norm as at most N
+    times its largest entry:
+
+        bound = (1 + 2^-32) N eps C sum_{t=t0..t_max} w_t,
+        C = (2 sqrt(2 M) + (4 t_max + 8) 2^-_TAIL_GUARD_BITS) G + sqrt(2) M^(1+a).
+
+    The factor 1 + 2^-32 covers the terms of second order in eps, G read
+    from the rounded symbol, and the bound's own evaluation in mp at the
+    working precision.  The result is rounded up to float64, so a bound
+    below float64's range reads as its least positive value, never 0.  It
+    bounds the mp matrix; `tail_norm`, that matrix's norm taken in float64,
+    adds LAPACK's relative rounding on top.
+    """
+    import mpmath as mp
+
+    G = M**anti * mp.ldexp(int(np.abs(g[0]).sum() + np.abs(g[1]).sum()), -bits)
+    C = (2 * mp.sqrt(2 * M) + (4 * t_max + 8) * 2.0**-_TAIL_GUARD_BITS) * G + mp.sqrt(2) * M**(1 + anti)
+    weights = mp.fsum(scales[t] * (M * M // 4)**t for t in range(t0, t_max + 1))
+    bound = (1 + mp.ldexp(1, -32)) * N * mp.ldexp(C * weights, -bits)
+    up = float(bound)
+    return up if mp.mpf(up) >= bound else math.nextafter(up, math.inf)
 
 
 def _tail_scales(M: int) -> tuple:
