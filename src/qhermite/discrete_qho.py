@@ -161,8 +161,8 @@ class EigenDecomposition:
         return len(self.energies)
 
 
-def _sector_blocks(M: int):
-    """Hbar restricted to the odd and then the even sector of the reflection l -> -l (mod M).
+def _sector_block(M: int, odd: bool) -> np.ndarray:
+    """Hbar restricted to the odd or the even sector of the reflection l -> -l (mod M).
 
     Hbar = (xbar^2 + C)/2 with C_{lk} = c[(k - l) mod M] commutes with the
     reflection.  The even sector has the orthonormal basis |0>, |-M/2> (labels
@@ -170,12 +170,8 @@ def _sector_blocks(M: int):
     odd sector has (|a> - |-a>)/sqrt(2), a = 1..M/2-1.  In these bases
         even[a, b] = w_a w_b (c[a-b] + c[a+b]) / 2 + delta_ab pi a^2 / M,
         odd[a, b]  = (c[a-b] - c[a+b]) / 2 + delta_ab pi a^2 / M,
-    with w = 1/sqrt(2) at a = 0 and a = M/2 and w = 1 otherwise.  Yields the
-    (M/2-1, M/2-1) odd block, then the (M/2+1, M/2+1) even block, each built
-    when it is asked for.  A caller that drops the first before asking for
-    the second holds one block at a time, as `dense_diagonalize`'s one-worker
-    path does; its two-worker path asks for the even block while the odd one
-    is still being solved, and so holds both.
+    with w = 1/sqrt(2) at a = 0 and a = M/2 and w = 1 otherwise.  Returns the
+    (M/2-1, M/2-1) odd block or the (M/2+1, M/2+1) even block.
 
     The Toeplitz part c[|a-b|] and the Hankel part c[(a+b) mod M] are
     strided views of two (M+1)-entry copies of the symbol, so no index grid
@@ -189,21 +185,19 @@ def _sector_blocks(M: int):
     # toeplitz[a, b] = c[half - a + b] over c[half..1, 0..half]; hankel[a, b] = c[(a + b) mod M]
     toeplitz = sliding_window_view(np.concatenate([c[half:0:-1], c[:half + 1]]), half + 1)[::-1]
     hankel = sliding_window_view(np.append(c, c[0]), half + 1)
-    a = np.arange(half + 1)
-    diag = np.pi * a * a / M
-    odd = np.subtract(toeplitz[1:half, 1:half], hankel[1:half, 1:half])
-    odd *= 0.5
-    odd[np.diag_indices(half - 1)] += diag[1:half]
-    yield odd
-    del odd   # the caller is done with it
-    w = np.ones(half + 1)
-    w[[0, half]] = np.sqrt(0.5)
-    even = np.add(toeplitz, hankel)
-    even[1:half] *= 0.5 * w
-    for edge in (0, half):
-        even[edge] *= (0.5 * w[edge]) * w
-    even[np.diag_indices(half + 1)] += diag
-    yield even
+    a = np.arange(1, half) if odd else np.arange(half + 1)   # the sector's labels
+    if odd:
+        block = np.subtract(toeplitz[1:half, 1:half], hankel[1:half, 1:half])
+        block *= 0.5
+    else:
+        w = np.ones(half + 1)
+        w[[0, half]] = np.sqrt(0.5)
+        block = np.add(toeplitz, hankel)
+        block[1:half] *= 0.5 * w
+        for edge in (0, half):
+            block[edge] *= (0.5 * w[edge]) * w
+    block[np.diag_indices(len(a))] += np.pi * a * a / M
+    return block
 
 
 def _rayleigh_terms(qho: DiscreteQHO, W: np.ndarray) -> tuple:
@@ -255,12 +249,13 @@ def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
 
     Hbar commutes with the grid reflection l -> -l (mod M), so one `eigh` of
     the (M/2+1)-dimensional even block and one of the (M/2-1)-dimensional odd
-    block (see `_sector_blocks`, built from the circulant symbol of pbar^2; no
-    M x M Hamiltonian is formed) give the whole spectrum.  With one worker
-    (`_sector_workers`) the calling thread solves the odd sector, then the
-    even one.  With two, a started thread solves the odd sector while the
-    calling thread builds and solves the even block; each `eigh` is the same
-    one-thread LAPACK call on the same block, so the bits are the same.  Each
+    block (see `_sector_block`, built from the circulant symbol of pbar^2; no
+    M x M Hamiltonian is formed) give the whole spectrum.  The sectors, even
+    then odd, are dealt to `_sector_workers` workers by `_run_workers`: with
+    one, the calling thread solves the even sector, then the odd one; with
+    two, it solves the even sector while a started thread solves the odd
+    one.  Each `eigh` is the same one-thread LAPACK call on the same block,
+    so the bits are the same.  Each
     sector vector is scattered back to the grid, so every column is exactly
     parity-definite: v[-l] = v[l] or v[-l] = -v[l] bit for bit.  The energies
     of both sectors are merged by a stable sort (even first on a tie).  Sign
@@ -283,29 +278,23 @@ def dense_diagonalize(qho: DiscreteQHO) -> EigenDecomposition:
     place for the mirrored labels), and the 80-bit refinement runs on slabs
     of `_RAYLEIGH_SLAB` columns.  Besides the returned arrays, numpy then
     holds at most three (M/2+1)^2 float arrays on the one-worker path: the
-    even block, its vectors and the odd vectors, while the even `eigh` runs
-    next to LAPACK's own workspace.  On the two-worker path the odd block
-    and its `eigh`'s workspace are alive next to the even ones, so a fourth
-    such array and a second workspace.  BENCH_44.json records each path's
-    time and peak RSS.
+    even vectors, the odd block and its vectors, while the odd `eigh` runs
+    next to LAPACK's own workspace.  On the two-worker path both blocks and
+    both `eigh` workspaces are alive at once, so a fourth such array and a
+    second workspace.  BENCH_44.json records each path's time and peak RSS.
     """
     M = qho.M
     if M > DENSE_EIG_CAP:
         raise ValueError(f"dense budget exceeded: M={M}")
     half = M // 2
     workers = _sector_workers()
-    blocks = _sector_blocks(M)
-    odd = [next(blocks)]   # popped by its eigh, so no name holds it past the solve
     solved = [None, None]  # (energies, vectors) of the even and the odd sector
 
-    def solve(i):
-        if i or workers == 1:
-            solved[1] = np.linalg.eigh(odd.pop())
-        if not i:
-            solved[0] = np.linalg.eigh(next(blocks))
+    def solve(share):
+        for odd in share:
+            solved[odd] = np.linalg.eigh(_sector_block(M, odd))
 
-    _run_workers(solve, workers)
-    blocks.close()   # the generator's hold on the even block ends here
+    _run_workers(solve, (False, True), workers)
     (e_even, y_even), (e_odd, y_odd) = solved
     del solved
     # the grid entries: y_even[:half] at labels 0..M/2-1 and y_even[half] at -M/2;

@@ -18,10 +18,11 @@ Statevectors are plain complex numpy arrays of length M; array index i
 corresponds to grid label j = i - M/2 throughout the package, so arrays are
 already ordered by increasing position.
 
-Native work that does not share state (the transform's row shares, the
-eigen-oracle's two parity sectors) runs on threads through one helper,
-`_run_workers`, sized by `_usable_cpus`: numpy's FFTs and LAPACK release the
-interpreter lock, so the workers overlap.
+Native work that does not share state (the transform's rows, the
+eigen-oracle's two parity sectors) is dealt to threads by one helper,
+`_run_workers`, and each worker runs its share; the callers size the workers
+from `_usable_cpus`.  numpy's FFTs and LAPACK release the interpreter lock,
+so the workers overlap.
 """
 from __future__ import annotations
 
@@ -56,19 +57,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_workers(work, workers: int) -> None:
-    """Run work(i) for i < workers: worker 0 on the calling thread, each other on its own thread.
+def _run_workers(work, items, workers: int) -> None:
+    """Deal items to workers: worker i runs work(items[i::workers]), worker 0 on the calling thread.
 
-    The other workers' threads are started first, so with one worker no
-    thread is started.  Every started thread is joined before this returns
-    or raises; then the error of the lowest-numbered worker that failed, if
-    any, is raised here.
+    The shares differ in length by at most one; callers ask for at most
+    len(items) workers, so none is empty.  The other workers' threads are
+    started first, so with one worker no thread is started.  Every started
+    thread is joined before this returns or raises; then the error of the
+    lowest-numbered worker that failed, if any, is raised here.
     """
     errors = [None] * workers
 
     def run(i):
         try:
-            work(i)
+            work(items[i::workers])
         except Exception as exc:   # raised again in the calling thread
             errors[i] = exc
 

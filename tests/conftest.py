@@ -47,7 +47,7 @@ def sector_blocks_by_gather(M: int) -> tuple:
 
     c[|a-b|] and c[(a+b) mod M] are gathered into two (M/2+1)^2 arrays and
     the even block is scaled by the factor array 0.5 w_a w_b, where
-    `discrete_qho._sector_blocks` reads strided views and scales in place.
+    `discrete_qho._sector_block` reads strided views and scales in place.
     """
     half = M // 2
     c = _p2_symbol(M)

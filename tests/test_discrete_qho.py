@@ -16,7 +16,7 @@ from qhermite.discrete_qho import (
     EigenDecomposition,
     _p2_symbol_ld,
     _rayleigh_terms,
-    _sector_blocks,
+    _sector_block,
     _sector_workers,
     apply_hamiltonian,
     build,
@@ -301,7 +301,7 @@ class TestParitySplit:
     @pytest.mark.parametrize("M", SPLIT_SIZES)
     def test_sector_blocks_reassemble_hamiltonian(self, eig_cache, M):
         half = M // 2
-        odd, even = _sector_blocks(M)
+        odd, even = _sector_block(M, True), _sector_block(M, False)
         a = np.arange(1, half)
         Qe, Qo = np.zeros((M, half + 1)), np.zeros((M, half - 1))
         Qe[half, 0] = Qe[0, half] = 1.0
@@ -315,10 +315,8 @@ class TestParitySplit:
     def test_sector_blocks_equal_the_gathers(self, M):
         # the strided views and the in-place scaling give the gathers' bits
         even, odd = sector_blocks_by_gather(M)
-        blocks = _sector_blocks(M)
-        assert np.array_equal(next(blocks), odd)
-        assert np.array_equal(next(blocks), even)
-        assert next(blocks, None) is None
+        assert np.array_equal(_sector_block(M, True), odd)
+        assert np.array_equal(_sector_block(M, False), even)
 
     @staticmethod
     def _peaks(monkeypatch, workers: int) -> tuple:
@@ -329,8 +327,8 @@ class TestParitySplit:
         real = discrete_qho._run_workers
         solves = []
 
-        def run(work, count):
-            real(work, count)
+        def run(work, items, count):
+            real(work, items, count)
             solves.append(tracemalloc.get_traced_memory()[1])
 
         monkeypatch.setattr(discrete_qho, "_run_workers", run)

@@ -283,3 +283,34 @@ print(json.dumps([before, report.tail_norm, "mpmath" in sys.modules]))
 """)
     assert not before and after
     assert 0.0 < tail < 1.0
+
+
+CODE_LINES = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+
+
+def test_code_line_counter_sums_its_modules():
+    # one line per module of the package, in name order, then the total
+    proc = subprocess.run([sys.executable, str(CODE_LINES), str(Path(qhermite.__file__).parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    *modules, (label, total) = [line.split() for line in proc.stdout.splitlines()]
+    assert label == "total"
+    assert [name for name, _ in modules] == [path.name for path in SOURCES]
+    assert sum(int(count) for _, count in modules) == int(total) > 0
+
+
+def test_code_line_counter_skips_comments_and_docstrings():
+    spec = importlib.util.spec_from_file_location("code_lines", CODE_LINES)
+    counter = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counter)
+    source = ('"""Module docstring."""\n'
+              "import os  # a comment on a code line\n"
+              "\n"
+              "# a comment line\n"
+              "class A:\n"
+              "    'Class docstring.'\n"
+              "    def f(self):\n"
+              '        """Function docstring,\n'
+              '        on two lines."""\n'
+              "        return (1,\n"
+              "                '''a string that is not a docstring''')\n")
+    assert counter.code_lines(source) == 5

@@ -565,13 +565,35 @@ class TestOperator:
 class TestHeldBasis:
     """The operator holds no basis: |psibar_n> is streamed where a build reads it."""
 
-    @pytest.mark.parametrize("M, blocks", [(64, range(8)), (4096, [1, 2, 5, 14]), (16384, [15])])
+    @pytest.mark.parametrize("M, blocks", [(64, range(8)), (4096, [1, 2, 5, 14]), (16384, [15]),
+                                           (256, np.array([0, 3, 7]))])
     def test_rows_are_the_normalized_basis_rows(self, M, blocks):
         basis = hermite_basis(GridSpec(M), max(blocks))
         rows = list(psibar_rows(M, blocks))
         assert len(rows) == len(blocks)
         for n, row in zip(blocks, rows):
             assert row.tobytes() == (basis[n] / np.linalg.norm(basis[n])).tobytes()
+
+    @pytest.mark.parametrize("M, blocks, named", [
+        (64, [-1, 2], "-1"),
+        (64, [2.5, 3], "2.5"),
+        (64, [3, True], "True"),
+        (16, [3, 20], "20"),
+        (16, [16], "16"),
+    ], ids=["negative", "float", "bool", "past-grid", "at-grid"])
+    def test_bad_block_is_named_before_any_row(self, M, blocks, named, monkeypatch):
+        # a block that is not an integer in [0, M) would yield a misaligned or extra row;
+        # it is refused before the recurrence runs
+        def refuse(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(qht_pipeline, "hermite_functions", refuse)
+        with pytest.raises(ValueError, match=rf"block {re.escape(named)} is not an integer"):
+            next(psibar_rows(M, blocks))
+
+    def test_no_blocks_yield_no_rows(self):
+        assert list(psibar_rows(64, [])) == []
+        assert list(psibar_rows(64, range(0))) == []
 
     def test_operator_has_no_basis(self):
         op = QHTOperator(choose_dimensions(4, 0.05))

@@ -208,10 +208,12 @@ class TestRunWorkers:
         # bumping a shared count, and only after every worker has stopped does the
         # lowest failing worker's error reach the caller
         lock = threading.Lock()
-        ran, threads = [0] * 8, {}
+        items = range(20)
+        ran, threads, shares = [0] * 8, {}, {}
 
-        def work(i):
-            threads[i] = threading.current_thread()
+        def work(share):
+            i = share.start   # items[i::8] starts at item i
+            threads[i], shares[i] = threading.current_thread(), share
             for _ in range(200):
                 with lock:
                     ran[i] += 1
@@ -222,10 +224,11 @@ class TestRunWorkers:
         sys.setswitchinterval(1e-6)
         try:
             with pytest.raises(KeyError, match="3"):
-                _run_workers(work, 8)
+                _run_workers(work, items, 8)
         finally:
             sys.setswitchinterval(interval)
         assert ran == [200] * 8
+        assert shares == {i: items[i::8] for i in range(8)}
         assert threads[0] is threading.current_thread()
         for thread in (threads[i] for i in range(1, 8)):
             thread.join(timeout=5)
@@ -233,5 +236,5 @@ class TestRunWorkers:
 
     def test_one_worker_runs_on_the_calling_thread(self):
         seen = []
-        _run_workers(lambda i: seen.append((i, threading.current_thread())), 1)
-        assert seen == [(0, threading.current_thread())]
+        _run_workers(lambda share: seen.append((share, threading.current_thread())), "abc", 1)
+        assert seen == [("abc", threading.current_thread())]
