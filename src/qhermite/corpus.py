@@ -80,15 +80,10 @@ def constant(n: int = 1, value: float = 1.0) -> OracleFunction:
     n = _arity(n)
     if not -1.0 <= value <= 1.0:
         raise ValueError("constant must lie in [-1, 1]")
-    mag = abs(value) ** (1.0 / n)
-    axis_vals = [mag] * n
-    axis_vals[0] *= math.copysign(1.0, value) if value else 1.0
-    factors = tuple(lambda x, v=v: np.full_like(x, v) for v in axis_vals)
-    return OracleFunction(
-        arity=n, evaluator=lambda x: np.full(x.shape[:-1], value),
+    return OracleFunction(   # value on axis 0, ones elsewhere: evaluate returns value exactly
+        arity=n, product_factors=(lambda x: np.full_like(x, value),) + (np.ones_like,) * (n - 1),
         degree_cutoff=0, kappa=max(1.0, 1.0 / (2 * value * value)) if value else math.inf,
-        boolean=(abs(value) == 1.0), gamma=0.0, label=f"const({value})",
-        product_factors=factors)
+        boolean=(abs(value) == 1.0), gamma=0.0, label=f"const({value})")
 
 
 def scaled_constant(kappa: float, n: int = 1) -> OracleFunction:
@@ -97,18 +92,6 @@ def scaled_constant(kappa: float, n: int = 1) -> OracleFunction:
         raise ValueError(f"kappa must be finite and at least 1/2, got {kappa!r}")
     s = math.sqrt(1.0 / (2.0 * kappa))
     return replace(constant(n, s), kappa=kappa, label=f"const_kappa{kappa}")
-
-
-def _product(factors):
-    """The evaluator prod_i factors[i](x_i) of a product oracle."""
-
-    def ev(x):
-        out = np.ones(x.shape[:-1])
-        for i, factor in enumerate(factors):
-            out = out * factor(x[..., i])
-        return out
-
-    return ev
 
 
 def product_sign(support, n: int) -> OracleFunction:
@@ -122,9 +105,8 @@ def product_sign(support, n: int) -> OracleFunction:
         raise ValueError(f"support {support} must list distinct axes in [0, {n})")
     factors = tuple((lambda x: np.where(x < 0, -1.0, 1.0)) if i in support else np.ones_like
                     for i in range(n))
-    return OracleFunction(arity=n, evaluator=_product(factors), boolean=True, kappa=1.0,
-                          degree_cutoff=9, gamma=1.0, label=f"chi{support}",
-                          product_factors=factors)
+    return OracleFunction(arity=n, product_factors=factors, boolean=True, kappa=1.0,
+                          degree_cutoff=9, gamma=1.0, label=f"chi{support}")
 
 
 def _cell_noise_flip(x: np.ndarray, eta: float, bits: int, seed: int) -> np.ndarray:
@@ -155,7 +137,7 @@ def noisy_product_sign(support, n: int, eta: float, bits: int = 6,
     base = product_sign(support, n)
 
     def ev(x):
-        return base.evaluator(x) * _cell_noise_flip(x, eta, bits, seed)
+        return base.evaluate(x) * _cell_noise_flip(x, eta, bits, seed)
 
     return replace(base, evaluator=ev, product_factors=None, label=f"noisy_{base.label}@{eta}")
 
@@ -182,11 +164,10 @@ def hermite_monomial(v, n: int, bounded: bool = True) -> OracleFunction:
                     for c, s in zip(v, scales))
     scale = math.prod(scales)
     gamma = float(sum(v)) / scale**2
-    return OracleFunction(arity=n, evaluator=_product(factors), boolean=False,
+    return OracleFunction(arity=n, product_factors=factors, boolean=False,
                           degree_cutoff=max(max(v), 1), gamma=gamma,
                           range_bounded=bounded, kappa=max(1.0, scale * scale),
-                          label=f"h{v}" + ("" if bounded else "_raw"),
-                          product_factors=factors)
+                          label=f"h{v}" + ("" if bounded else "_raw"))
 
 
 def mixture(terms, n: int, bounded: bool = False) -> OracleFunction:

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 FULL_GRID_BUDGET = 26  # n * log2(points per axis) cap for a dense tensor grid
+TABLE_BUDGET = 27  # log2 of the entries a contracted table may hold, on either path
 _SLAB_POINTS = 1 << 16  # dense oracles are evaluated this many grid points at a time
 ATTEMPT_CAP_FACTOR = 64  # a normalized distribution's rejection cap is this times kappa
 
@@ -46,7 +47,13 @@ class PostselectionFailure(ValueError):
 class OracleFunction:
     """Real function on R^n with declared degree cutoff and kappa.
 
-    evaluator acts on arrays of shape (..., n) and returns shape (...).
+    The function is held once, in exactly one of two forms: `evaluator`,
+    acting on arrays of shape (..., n) and returning shape (...), or
+    `product_factors`, one callable per axis (shape (...) to (...)) whose
+    product in axis order is f.  Both, neither, or a factor count other
+    than arity is a ValueError.  `evaluate` reads whichever is held, so the
+    samplers' grid contraction (which takes a product oracle's factors as a
+    rank-1 table) and the Monte-Carlo estimators query the same function.
     kappa is the declared well-conditioning parameter: the rejection sampler
     is promised a per-attempt success probability of at least 1/(2*kappa).
     range_bounded declares |f| <= 1; unbounded oracles still sample (the
@@ -55,20 +62,30 @@ class OracleFunction:
     """
 
     arity: int
-    evaluator: object
+    evaluator: object = None
     degree_cutoff: int = 9
     kappa: float = 1.0
     boolean: bool = False
     range_bounded: bool = True
     gamma: float | None = None   # declared E||grad f||^2 proxy, when known
     label: str = ""
-    product_factors: tuple | None = None  # optional per-axis callables
+    product_factors: tuple | None = None  # per-axis callables, in place of evaluator
+
+    def __post_init__(self):
+        count = self.arity if self.product_factors is None else len(self.product_factors)
+        if (self.evaluator is None) == (self.product_factors is None) or count != self.arity:
+            raise ValueError(f"oracle {self.label!r} needs an evaluator or one factor per axis")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
         if pts.shape[-1] != self.arity:
             raise ValueError(f"expected points in R^{self.arity}, got shape {pts.shape}")
-        return np.asarray(self.evaluator(pts), dtype=float)
+        if self.evaluator is not None:
+            return np.asarray(self.evaluator(pts), dtype=float)
+        out = np.ones(pts.shape[:-1])
+        for i, factor in enumerate(self.product_factors):
+            out = out * factor(pts[..., i])
+        return out
 
 
 def _quad_grid(M_quad: int):
@@ -96,10 +113,15 @@ def _grid_contract(n: int, evaluate, grid: np.ndarray, mats, factors=None, weigh
     outer product of the per-axis contractions.  Any other `evaluate`
     (points of shape (..., n) to values (...)) is evaluated in slabs of at
     most 2^16 points -- the trailing axes whole, the leading ones flattened
-    and walked in slices -- under the one budget
-    n * log2(len(grid)) <= FULL_GRID_BUDGET.
+    and walked in slices.  Two budgets bound the work, each checked before
+    anything is allocated: on either path the table T holds at most
+    2^TABLE_BUDGET entries, and on the dense path the grid holds at most
+    2^FULL_GRID_BUDGET points (n * log2(len(grid)) <= FULL_GRID_BUDGET).
     """
     G = len(grid)
+    shape = [len(m) for m in mats]
+    if math.prod(shape) > 2 ** TABLE_BUDGET:
+        raise ValueError(f"table budget exceeded (n={n}, {max(shape)} indices per axis)")
     weights = [np.ones(G)] * n if weights is None else weights
     if factors is not None:
         T, sum_sq, sup = 1.0, 1.0, 1.0
@@ -138,7 +160,7 @@ def _grid_contract(n: int, evaluate, grid: np.ndarray, mats, factors=None, weigh
         for m in mats[lead:]:
             W = np.tensordot(W, m, axes=([1], [1]))
         T = T + lead_mat[:, s:s + step] @ W.reshape(len(W), -1)
-    return T.reshape([len(m) for m in mats]), sum_sq, sup
+    return T.reshape(shape), sum_sq, sup
 
 
 def spectrum_table(f: OracleFunction, D: int, M_quad: int) -> np.ndarray:

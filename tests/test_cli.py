@@ -355,6 +355,18 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["ggl", "--mode", "sampler", "--n", "12"], "(n=12, 10 indices per axis)"),
+        (["sample", "--n", "4", "--D", "200"], "(n=4, 201 indices per axis)"),
+    ], ids=["ggl-sampler-n12", "sample-n4-D200"])
+    def test_oversized_table_is_one_error_line(self, tmp_path, capsys, args, message):
+        # each used to end in numpy's _ArrayMemoryError traceback (14.9 GiB and 24.3 GiB
+        # tables) where the allocation failed, and to try it where it did not
+        code, out = _run(tmp_path, "x.csv", args)
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.splitlines() == [f"error: table budget exceeded {message}"]
+
     @pytest.mark.parametrize("args, named", [
         (["ggl", "--tau", "1e-70"], "tau=1e-70"),
         (["ggl", "--mode", "sampler", "--tau", "1e-100"], "tau=1e-100"),

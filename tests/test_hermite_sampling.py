@@ -2,13 +2,14 @@ import inspect
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import coefficient_oracle, restriction_coefficient
 
-from qhermite import corpus
+from qhermite import corpus, hermite_sampling
 from qhermite.hermite_sampling import (
     OracleFunction,
     PostselectionFailure,
@@ -48,7 +49,7 @@ class TestCoefficientOracle:
     def test_product_structure_agrees_with_grid(self):
         chi = corpus.product_sign((0, 1), 2)
         full, _ = coefficient_oracle(
-            OracleFunction(arity=2, evaluator=chi.evaluator, boolean=True), (1, 3), 256)
+            OracleFunction(arity=2, evaluator=chi.evaluate, boolean=True), (1, 3), 256)
         prod, _ = coefficient_oracle(chi, (1, 3), 256)
         assert abs(full - prod) < 1e-6
 
@@ -66,7 +67,7 @@ class TestCoefficientOracle:
 
 def _dense(f):
     """The same oracle without its per-axis factors, so it takes the dense-grid path."""
-    return OracleFunction(arity=f.arity, evaluator=f.evaluator, boolean=f.boolean,
+    return OracleFunction(arity=f.arity, evaluator=f.evaluate, boolean=f.boolean,
                           kappa=f.kappa, label=f.label)
 
 
@@ -110,6 +111,31 @@ class TestGridContraction:
         with pytest.raises(ValueError, match="full-grid budget exceeded"):
             entry(f)
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["product", "dense"])
+    @pytest.mark.parametrize("n, D, entry", [
+        (12, 9, lambda f, D: sample_distribution(f, SamplerConfig(M=512, D=D))),
+        (12, 9, lambda f, D: spectrum_table(f, D, 512)),
+        (4, 200, lambda f, D: sample_distribution(f, SamplerConfig(M=512, D=D), normalized=True)),
+    ], ids=["sample-n12", "spectrum-n12", "sample-n4-D200"])
+    def test_table_budget_refused_before_allocation(self, dense, n, D, entry):
+        # the refused tables hold 10^12 and 201^4 complex entries (14.9 GiB and 24.3 GiB);
+        # a refusal allocates no more than the per-axis rows, under 4 MiB
+        f = corpus.product_sign((0, 1), n)
+        f = _dense(f) if dense else f
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"table budget exceeded (n={n}, {D + 1} indices per axis)")):
+                entry(f, D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_table_budget_admits_n8_and_refuses_n9_at_D9(self):
+        # sampler-mode ggl at n = 8 (10^8 entries, 3.1 GB peak) still runs; n = 9 does not
+        assert 10**8 <= 2**hermite_sampling.TABLE_BUDGET < 10**9
+
 
 class TestCorpusProducts:
     # one instance per corpus family; the product families carry per-axis factors
@@ -142,8 +168,7 @@ class TestCorpusProducts:
             product = np.ones(pts.shape[:-1])
             for i, factor in enumerate(f.product_factors):
                 product = product * factor(pts[..., i])
-            np.testing.assert_allclose(f.evaluate(pts), product, rtol=1e-13, atol=1e-15,
-                                       err_msg=f.label)
+            np.testing.assert_array_equal(f.evaluate(pts), product, err_msg=f.label)
             checked += 1
         assert checked == 6
 
@@ -262,6 +287,28 @@ class TestOraclePrecision:
         f = OracleFunction(arity=2, evaluator=lambda x: np.ones(x.shape[:-1]))
         with pytest.raises(ValueError):
             f.evaluate(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: OracleFunction(arity=1),
+        lambda: OracleFunction(arity=1, evaluator=np.ones_like, product_factors=(np.ones_like,)),
+        lambda: replace(corpus.product_sign((0, 1), 2), evaluator=lambda x: np.ones(x.shape[:-1])),
+        lambda: OracleFunction(arity=2, product_factors=(np.ones_like,)),
+        lambda: OracleFunction(arity=2, product_factors=(np.ones_like,) * 3),
+        lambda: OracleFunction(arity=1, product_factors=()),
+    ], ids=["neither", "both", "replace-adds-evaluator", "too-few-factors", "too-many-factors",
+            "no-factors"])
+    def test_exactly_one_representation(self, build):
+        # an oracle holds its function once: an evaluator, or one factor per axis
+        with pytest.raises(ValueError, match="needs an evaluator or one factor per axis"):
+            build()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("value", [-1, -0.5, 0, 0.3, 0.5, 1])
+    def test_constant_evaluates_to_its_value_bitwise(self, n, value):
+        # its factors are the value on axis 0 and ones elsewhere, so their product is the value
+        pts = np.random.default_rng(n).normal(size=(5, 4, n))
+        got = corpus.constant(n, value).evaluate(pts)
+        assert got.tobytes() == np.full((5, 4), value, dtype=float).tobytes()
 
 
 class TestSpectrumTable:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import qhermite
+from qhermite.cli import main
 
 MODULES = ["cli", *qhermite.__all__]
 SOURCES = sorted(Path(qhermite.__file__).parent.glob("*.py"))
@@ -283,6 +285,30 @@ print(json.dumps([before, report.tail_norm, "mpmath" in sys.modules]))
 """)
     assert not before and after
     assert 0.0 < tail < 1.0
+
+
+CLI_HASHES = Path(__file__).resolve().parent.parent / "tools" / "cli_hashes.py"
+
+
+def test_cli_hashes_prints_the_selected_outputs(tmp_path):
+    # one "sha256  name" line per selected output, in the order named; a second run prints
+    # the same lines, and a line is the digest of the file the CLI writes
+    def run(*names):
+        return subprocess.run([sys.executable, str(CLI_HASHES), *names], capture_output=True,
+                              text=True, timeout=120)
+
+    first = run("sample_n1", "qht_N4")
+    assert first.returncode == 0
+    lines = [line.split("  ") for line in first.stdout.splitlines()]
+    assert [name for _, name in lines] == ["sample_n1", "qht_N4"]
+    assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+               for digest, _ in lines)
+    assert run("sample_n1", "qht_N4").stdout == first.stdout
+    assert main(["qht", "--N", "4", "--out", str(tmp_path / "qht.csv")]) == 0
+    assert lines[1][0] == hashlib.sha256((tmp_path / "qht.csv").read_bytes()).hexdigest()
+    unknown = run("qht_N4", "qht_N5")
+    assert unknown.returncode == 1 and unknown.stdout == ""
+    assert unknown.stderr.startswith("error: unknown output ['qht_N5']")
 
 
 CODE_LINES = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
