@@ -214,9 +214,8 @@ def cmd_sample(args):
     from . import corpus as corpus_mod
     from .hermite_sampling import (
         SamplerConfig,
-        _histogram,
-        draw,
-        sample_distribution,
+        _spectrum_draws,
+        _tally,
         spectrum_table,
         tv_distance,
     )
@@ -231,20 +230,19 @@ def cmd_sample(args):
     rows = []
     summaries = {}
     for label, f in funcs:
-        dist = sample_distribution(f, scfg, normalized=not f.boolean)
-        v, attempts = draw(dist, rng, trials)
-        counts = _histogram(v, D)
+        v, attempts = _spectrum_draws(f, scfg, rng, trials)
+        counts = _tally(v)
         if args.log:
             rows += [[label, trial, "|".join(map(str, vt)), a]
                      for trial, (vt, a) in enumerate(zip(v.tolist(), attempts.tolist()))]
-        c = spectrum_table(f, D, M_quad=scfg.M)
-        dist_norm = 1.0 if f.boolean else max(float(np.sum(c * c)), 1e-12)
-        tv = tv_distance(counts, c * c / dist_norm)
-        if not args.log:
-            for u in zip(*np.nonzero(counts)):   # C order: the drawn indices ascending
-                rows.append([label, "|".join(map(str, u)), int(counts[u]),
-                             f"{counts[u] / trials:.6f}"])
-        summaries[label] = {"tv": round(tv, 6), "mean_attempts": float(np.mean(attempts))}
+        else:   # the drawn indices ascending, out-of-range (D+1, ..., D+1) last
+            rows += [[label, "|".join(map(str, u)), counts[u], f"{counts[u] / trials:.6f}"]
+                     for u in sorted(counts)]
+        q = spectrum_table(f, D, M_quad=scfg.M) ** 2
+        if not f.boolean:
+            q /= max(float(q.sum()), 1e-12)
+        summaries[label] = {"tv": round(tv_distance(counts, q), 6),
+                            "mean_attempts": float(np.mean(attempts))}
     header = (["instance", "trial", "v", "accepted_attempts"] if args.log
               else ["instance", "v", "count", "frequency"])
     return header, rows, {"trials": trials, "instances": summaries}, 0

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral_core import GridSpec, hermite_basis, probabilist_rows
+from .spectral_core import GridSpec, _is_int, hermite_basis, probabilist_rows
 
 __all__ = [
     "OracleFunction",
@@ -178,11 +179,31 @@ def spectrum_table(f: OracleFunction, D: int, M_quad: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Grid size per axis, measured degree window, and transform accuracy."""
+    """Grid size per axis, measured degree window, and transform accuracy.
+
+    Every field is checked at construction, as `QHTConfig`'s are, so an
+    invalid config never exists: M must be a grid `GridSpec` accepts, D an
+    integer in [0, M), qht_eps None or in (0, 1), and the per-axis rows,
+    (D + 1) x M entries, at most 2^TABLE_BUDGET, before `hermite_basis`
+    allocates them.
+    """
 
     M: int = 512
     D: int = 9
     qht_eps: float | None = None     # simulated-transform eps; None takes the exact rows
+
+    def __post_init__(self):
+        M, D, eps = self.M, self.D, self.qht_eps
+        GridSpec(M)
+        if not _is_int(D) or not 0 <= D < M:
+            raise ValueError(f"D must be an integer in [0, M={M}), got {D!r}")
+        if eps is not None and not 0 < eps < 1:
+            from .qht_pipeline import ConfigError
+
+            raise ConfigError(f"qht_eps must be in (0, 1), got {eps}")
+        if (D + 1) * M > 2 ** TABLE_BUDGET:
+            raise ValueError(f"per-axis rows (D+1) x M = {(D + 1) * M} exceed the table "
+                             f"budget 2^{TABLE_BUDGET} (D={D}, M={M})")
 
 
 @dataclass(frozen=True)
@@ -290,35 +311,38 @@ def draw(dist: SampleDistribution, rng: np.random.Generator, k: int):
     return v, attempts
 
 
+def _spectrum_draws(f: OracleFunction, scfg: SamplerConfig, rng, k: int):
+    """k draws (v, attempts) from f's sampler distribution, postselected unless f is boolean.
+
+    The distribution lives only for the call, so a caller holds the draws,
+    not its probabilities and CDF.
+    """
+    return draw(sample_distribution(f, scfg, normalized=not f.boolean), rng, k)
+
+
 def _tally(v: np.ndarray, D: int | None = None) -> dict:
     """Count per drawn index, keyed in order of first draw (so ties break by it).
 
     With D, the out-of-range rows (coordinates above D) are dropped.
     """
-    rows, first, counts = np.unique(v, axis=0, return_index=True, return_counts=True)
-    return {tuple(rows[i].tolist()): int(counts[i]) for i in np.argsort(first)
-            if D is None or rows[i][0] <= D}
+    counts = Counter(zip(*v.T.tolist()))
+    return counts if D is None else {u: c for u, c in counts.items() if u[0] <= D}
 
 
-def _histogram(v: np.ndarray, D: int) -> np.ndarray:
-    """Counts of the (k, n) draws v on the (D+2,)*n grid.
-
-    The out-of-range rows read D + 1 in every coordinate, so they all land
-    in the corner (D+1, ..., D+1); every other entry outside [0, D]^n is 0.
-    """
-    shape = (D + 2,) * v.shape[1]
-    return np.bincount(np.ravel_multi_index(v.T, shape), minlength=math.prod(shape)).reshape(shape)
-
-
-def tv_distance(counts: np.ndarray, q: np.ndarray) -> float:
+def tv_distance(counts: dict, q: np.ndarray) -> float:
     """(1/2) sum_v |phat_v - q_v| over [0, D]^n plus the out-of-range share.
 
-    counts is the (D+2,)*n `_histogram` of the draws and q the (D+1,)*n
-    target distribution; phat = counts / k over the k draws.
+    counts is the `_tally` of all the draws, out-of-range rows included, and
+    q the (D+1,)*n target distribution; phat = counts / k over the k draws.  An index never drawn
+    adds q_v, so the sum is (1/2)(sum q + sum over drawn v of
+    (|phat_v - q_v| - q_v)): only the drawn indices are visited, and no
+    grid of counts is built.
     """
-    k = counts.sum()
+    k = sum(counts.values())
     if k <= 0:
-        raise ValueError("empty histogram")
-    n = counts.ndim
-    inside = counts[(slice(-1),) * n] / k
-    return 0.5 * float(np.abs(inside - q).sum()) + float(counts[(-1,) * n] / k)
+        raise ValueError("empty histogram: no draws")
+    inside = [u for u in counts if u[0] < len(q)]
+    phat = np.array([counts[u] for u in inside], dtype=float) / k
+    qv = q[tuple(np.array(inside, dtype=np.intp).reshape(len(inside), q.ndim).T)]
+    out = k - sum(counts[u] for u in inside)
+    return 0.5 * (float(q.sum()) + float(np.sum(np.abs(phat - qv) - qv))) + out / k

@@ -24,9 +24,8 @@ from .hermite_sampling import (
     OracleFunction,
     SamplerConfig,
     _SLAB_POINTS,
+    _spectrum_draws,
     _tally,
-    draw,
-    sample_distribution,
 )
 from .spectral_core import _is_int, probabilist_product
 
@@ -98,7 +97,7 @@ class TesterVerdict:
     accept: bool
     witness: object = None
     estimate: float | None = None
-    samples_used: int = 0
+    samples_used: int = 0   # spectrum draws plus Monte-Carlo samples
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ class GGLResult:
     found: tuple
     failed: bool
     nodes_examined: int
-    oracle_queries: int
+    oracle_queries: int   # sampler attempts, or every point f was evaluated at (classical)
 
 
 def _resolve_gamma(f: OracleFunction) -> float:
@@ -162,11 +161,6 @@ def _weight_count(g: float, eps_est: float, delta: float, what: str) -> int:
 def _coefficient_count(degree: int, eps: float, delta: float, what: str) -> int:
     """coefficient_estimate's draws: ceil(8 max(1, degree)/eps^2 ln(2/delta)), at least 64."""
     return max(_count(lambda: 8.0 * max(1.0, degree) / eps**2 * math.log(2.0 / delta), what), 64)
-
-
-def _spectrum_draws(f: OracleFunction, scfg: SamplerConfig, rng, k: int):
-    """k draws (v, attempts) from f's sampler distribution, postselected unless f is boolean."""
-    return draw(sample_distribution(f, scfg, normalized=not f.boolean), rng, k)
 
 
 def _pattern_rows(pattern: CoefficientPattern, y: np.ndarray) -> np.ndarray:
@@ -321,11 +315,11 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
     # always clears the 3*tau/4 bar).
     found = []
     completed = [p for p in live if p.fixed_len == n]
+    final_delta = delta / max(1, 2 * len(completed))
     for pattern in completed:
         v = tuple(pattern.entries)
-        est = coefficient_estimate(f, v, tau / 4.0,
-                                   delta / max(1, 2 * len(completed)), rng)
-        queries += 1
+        est = coefficient_estimate(f, v, tau / 4.0, final_delta, rng)
+        queries += _coefficient_count(sum(v), tau / 4.0, final_delta, what)   # its draws
         if abs(est) >= 0.75 * tau:
             found.append(v)
     return GGLResult(found=tuple(sorted(found)), failed=False, nodes_examined=nodes,
@@ -423,10 +417,11 @@ def test_hermite_polynomial(f: OracleFunction, k: int, eps1: float, eps2: float,
     if sum(1 for c in v_mode if c > 0) != k:
         return TesterVerdict(accept=False, witness=v_mode, samples_used=used)
     coeff = coefficient_estimate(f, v_mode, eps / 8.0, delta / 4.0, rng)
+    used += _coefficient_count(sum(v_mode), eps / 8.0, delta / 4.0, what)   # its draws
     # the median of the 8 chunk means is the mean of the middle two, as
     # np.median takes it (which would load numpy.ma)
-    pts = rng.standard_normal((m, f.arity))
-    sq = f.evaluate(pts) ** 2
+    sq = _in_slabs(m, lambda part: f.evaluate(
+        rng.standard_normal((part.stop - part.start, f.arity))) ** 2)
     means = sorted(c.mean() for c in np.array_split(sq, 8))
     norm = math.sqrt(max(float((means[3] + means[4]) / 2), 1e-12))
     est = coeff / norm

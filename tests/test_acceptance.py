@@ -23,7 +23,7 @@ from qhermite.discrete_qho import (
 from qhermite.fast_forward import decompose, low_energy_error
 from qhermite.hermite_sampling import (
     SamplerConfig,
-    _histogram,
+    _tally,
     draw,
     sample_distribution,
     spectrum_table,
@@ -197,7 +197,7 @@ def test_criterion_06_hermite_sampling_correctness():
         q = c * c / norm_sq
         pointwise = float(np.abs(dist.probs - q).max())
         worst_pointwise = max(worst_pointwise, pointwise)
-        counts = _histogram(draw(dist, rng, 10000)[0], 9)
+        counts = _tally(draw(dist, rng, 10000)[0])
         # out-of-window concentration: boolean spectra may carry real mass
         # beyond D (sgn decays like k^(-3/4)); normalized spectra capture
         # everything up to the clipping residue

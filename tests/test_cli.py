@@ -383,6 +383,15 @@ class TestUsageErrors:
         assert err.startswith(f"error: {named}")
         assert f"above the cap of {learning_testers.COUNT_CAP}" in err
 
+    @pytest.mark.parametrize("command", ["sample", "test"])
+    def test_oversized_sampler_grid_is_one_error_line(self, tmp_path, capsys, command):
+        # --M 100000000 ended in numpy's _ArrayMemoryError traceback from the per-axis rows
+        code, out = _run(tmp_path, "x.csv", [command, "--M", "100000000"])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.splitlines() == ["error: per-axis rows (D+1) x M = 1000000000 exceed the "
+                                    "table budget 2^27 (D=9, M=100000000)"]
+
     def test_missing_corpus_is_an_error_line(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["sample", "--corpus", str(tmp_path / "missing.json"),

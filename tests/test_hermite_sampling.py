@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -10,12 +11,12 @@ import pytest
 from conftest import coefficient_oracle, restriction_coefficient
 
 from qhermite import corpus, hermite_sampling
+from qhermite.cli import main
 from qhermite.hermite_sampling import (
     OracleFunction,
     PostselectionFailure,
     SampleDistribution,
     SamplerConfig,
-    _histogram,
     _tally,
     draw,
     sample_distribution,
@@ -456,6 +457,41 @@ class TestGeneralSampler:
             draw(dist, rng, 50)
 
 
+class TestSamplerConfigChecks:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(M=5), "grid size must be even and >= 4, got 5"),
+        (dict(M=2), "grid size must be even and >= 4, got 2"),
+        (dict(D=-1), "D must be an integer in [0, M=512), got -1"),
+        (dict(D=1.5), "D must be an integer in [0, M=512), got 1.5"),
+        (dict(D=True), "D must be an integer in [0, M=512), got True"),
+        (dict(M=64, D=64), "D must be an integer in [0, M=64), got 64"),
+        (dict(qht_eps=0.0), "qht_eps must be in (0, 1), got 0.0"),
+        (dict(qht_eps=1.0), "qht_eps must be in (0, 1), got 1.0"),
+        (dict(M=100_000_000), "per-axis rows (D+1) x M = 1000000000 exceed the table budget"),
+        (dict(M=2**20, D=200), "per-axis rows (D+1) x M = 210763776 exceed the table budget"),
+    ], ids=["M-odd", "M-two", "D-negative", "D-float", "D-bool", "D-at-M", "eps-zero",
+            "eps-one", "M-1e8", "rows-D200"])
+    def test_refused_at_construction(self, fields, message):
+        # the 1e8 grid's rows would take 8 GB; a refusal allocates next to nothing
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SamplerConfig(**fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ValueError, match=re.escape("D must be an integer in [0, M=8)")):
+            replace(SamplerConfig(M=8, D=3), D=8)
+
+    def test_boundaries_are_admitted(self):
+        # the smallest grid with its largest D, and per-axis rows of exactly 2^27 entries
+        assert SamplerConfig(M=4, D=3).D == 3
+        assert SamplerConfig(M=2**23, D=15).M == 2**23
+
+
 class TestPipelineTransformBackend:
     def test_pipeline_mode_close_to_reference(self):
         # the simulated-transform backend replaces the exact psibar rows with
@@ -471,6 +507,46 @@ class TestPipelineTransformBackend:
         with pytest.raises(ConfigError, match=f"got {eps}"):
             sample_distribution(corpus.product_sign((0,), 1),
                                 SamplerConfig(M=256, D=3, qht_eps=eps), normalized=True)
+
+
+def _unique_tally(v, D=None):
+    """The tally by np.unique(axis=0), in order of first draw: a reference for `_tally`."""
+    rows, first, counts = np.unique(v, axis=0, return_index=True, return_counts=True)
+    return {tuple(rows[i].tolist()): int(counts[i]) for i in np.argsort(first)
+            if D is None or rows[i][0] <= D}
+
+
+def _dense_tv(v, q):
+    """TV from the (D+2,)*n histogram of the draws: a dense reference for the tally form."""
+    n, D = v.shape[1], q.shape[0] - 1
+    shape = (D + 2,) * n
+    counts = np.bincount(np.ravel_multi_index(v.T, shape),
+                         minlength=math.prod(shape)).reshape(shape)
+    k = counts.sum()
+    inside = counts[(slice(-1),) * n] / k
+    return 0.5 * float(np.abs(inside - q).sum()) + float(counts[(-1,) * n] / k)
+
+
+def _draws_with_out_of_range(rng, k, n, D):
+    """k random rows in [0, D]^n, about a quarter of them out of range (D + 1 throughout)."""
+    v = rng.integers(0, D + 1, (k, n))
+    v[rng.random(k) < 0.25] = D + 1
+    return v
+
+
+class TestTally:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_unique_reference(self, n, rng):
+        # keys, counts and first-draw order, with and without the D filter
+        for k, D in ((1, 3), (50, 1), (2000, 3), (2000, 9)):
+            v = _draws_with_out_of_range(rng, k, n, D)
+            for cut in (None, D):
+                assert list(_tally(v, cut).items()) == list(_unique_tally(v, cut).items())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_draw(self, n):
+        v = np.zeros((0, n), dtype=np.int64)
+        assert _tally(v) == {} and _tally(v, 9) == {}
 
 
 def _dict_tv(v, c, D, norm_sq=1.0):
@@ -490,30 +566,30 @@ def _dict_tv(v, c, D, norm_sq=1.0):
 
 class TestTVDistance:
     @staticmethod
-    def _counts(rows, D):
-        return _histogram(np.array(rows).reshape(len(rows), -1), D)
+    def _counts(rows):
+        return _tally(np.array(rows).reshape(len(rows), -1))
 
     def test_identical_distributions(self):
         q = np.array([0.36, 0.0, 0.64, 0.0])
-        counts = self._counts([0] * 360 + [2] * 640, 3)
+        counts = self._counts([0] * 360 + [2] * 640)
         assert tv_distance(counts, q) < 1e-12
 
     def test_disjoint_singletons(self):
         q = np.array([0.0, 1.0, 0.0, 0.0])
-        assert abs(tv_distance(self._counts([2] * 100, 3), q) - 1.0) < 1e-12
+        assert abs(tv_distance(self._counts([2] * 100), q) - 1.0) < 1e-12
 
     def test_out_of_range_counted(self):
         # an out-of-range draw reads D + 1 = 4 in every coordinate
         q = np.array([1.0, 0.0, 0.0, 0.0])
-        counts = self._counts([0] * 50 + [4] * 50, 3)
-        assert counts.shape == (5,) and counts[4] == 50
+        counts = self._counts([0] * 50 + [4] * 50)
+        assert counts == {(0,): 50, (4,): 50}
         # half the mass out of range: 0.5*(|0.5-1|) + 0.5 = 0.75
         assert abs(tv_distance(counts, q) - 0.75) < 1e-12
 
     def test_out_of_range_row_lands_in_the_corner(self):
-        counts = self._counts([[0, 1], [3, 3], [3, 3]], 2)
-        assert counts.shape == (4, 4) and counts[0, 1] == 1 and counts[3, 3] == 2
-        assert counts.sum() == 3
+        counts = self._counts([[0, 1], [3, 3], [3, 3]])
+        assert counts == {(0, 1): 1, (3, 3): 2}
+        assert sum(counts.values()) == 3
         q = np.zeros((3, 3))
         q[0, 1] = 1.0
         # 0.5 * (|1/3 - 1|) + 2/3
@@ -521,13 +597,22 @@ class TestTVDistance:
 
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError, match="empty histogram"):
-            tv_distance(np.zeros(5, dtype=int), np.ones(4) / 4)
+            tv_distance({}, np.ones(4) / 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tally_form_matches_the_dense_histogram(self, n, rng):
+        # random targets of mass 0.9 and draws with out-of-range rows, at several D
+        for D, k in ((1, 7), (3, 500), (5, 2000)):
+            q = rng.random((D + 1,) * n)
+            q *= 0.9 / q.sum()
+            v = _draws_with_out_of_range(rng, k, n, D)
+            assert abs(tv_distance(_tally(v), q) - _dense_tv(v, q)) <= 1e-15
 
     def test_sampled_planted_function(self, rng):
         f = corpus.product_sign((0, 1), 2)
         dist = sample_distribution(f, SamplerConfig(M=512, D=9))
         trials = 4000
-        counts = _histogram(draw(dist, rng, trials)[0], 9)
+        counts = _tally(draw(dist, rng, trials)[0])
         c = spectrum_table(f, 9, 512)
         upsilon = max(1.0 - np.sum(c * c), 0.0)
         noise = 3.0 * math.sqrt(c.size / trials) / 2
@@ -546,8 +631,22 @@ class TestTVDistance:
             norm_sq = 1.0 if f.boolean else float(np.sum(c * c))
             for seed in range(4):
                 v, _ = draw(dist, np.random.default_rng(seed), 500)
-                tv = tv_distance(_histogram(v, D), c * c / norm_sq)
+                tv = tv_distance(_tally(v), c * c / norm_sq)
                 assert abs(tv - _dict_tv(v, c, D, norm_sq)) <= 1e-15
+
+
+class TestSampleMemory:
+    def test_n6_builds_no_dense_histogram(self):
+        # traced peak at M = 64: 38.3 MiB here, where a (D+2)^n histogram beside a held
+        # distribution (its probabilities and CDF) peaked at 67.1 MiB
+        main(["sample", "--n", "1", "--M", "64", "--trials", "5", "--out", os.devnull])
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--n", "6", "--M", "64", "--out", os.devnull]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestRiemannHybridBound:

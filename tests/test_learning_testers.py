@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from conftest import restriction_coefficient
 
-from qhermite import corpus
-from qhermite.hermite_sampling import _SLAB_POINTS, SamplerConfig
+from qhermite import corpus, learning_testers
+from qhermite.hermite_sampling import _SLAB_POINTS, OracleFunction, SamplerConfig
 from qhermite.learning_testers import COUNT_CAP, LOW_DEGREE_C, CoefficientPattern, _count
 from qhermite.learning_testers import coefficient_estimate
 from qhermite.learning_testers import gaussian_goldreich_levin
@@ -162,6 +162,75 @@ class TestSlabbedEstimators:
         x = rng.standard_normal((1000, len(v)))
         start = rng.standard_normal(1000)
         assert np.array_equal(probabilist_product(v, x, start), probabilist_rows_product(v, x, start))
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """A list that grows by the point count of every `OracleFunction.evaluate` call."""
+    points, evaluate = [], OracleFunction.evaluate
+
+    def counting(self, x):
+        points.append(math.prod(np.shape(x)[:-1]))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(OracleFunction, "evaluate", counting)
+    return points
+
+
+def _record_coefficient_draws(monkeypatch, evaluated):
+    """Wrap coefficient_estimate: the list of the points each call evaluates."""
+    calls, estimate = [], learning_testers.coefficient_estimate
+
+    def wrapped(*args, **kwargs):
+        before = sum(evaluated)
+        out = estimate(*args, **kwargs)
+        calls.append(sum(evaluated) - before)
+        return out
+
+    monkeypatch.setattr(learning_testers, "coefficient_estimate", wrapped)
+    return calls
+
+
+class TestQueryCounts:
+    """Each reported count equals the oracle points the run evaluates, final estimates included."""
+
+    @pytest.mark.parametrize("label, terms, seed, reported", [
+        ("spike", [((1, 0), 1.0)], 0, 17_969),
+        ("two_term", [((1, 0), 0.9), ((0, 3), 0.436)], 3, 155_374),
+    ])
+    def test_classical_ggl(self, monkeypatch, evaluated, label, terms, seed, reported):
+        # the default `ggl` run's instances; their final estimates drew 1 888 and 22 059
+        # points that the count left out (16 081 and 133 315 were reported)
+        final = _record_coefficient_draws(monkeypatch, evaluated)
+        res = gaussian_goldreich_levin(corpus.mixture(terms, 2), 0.5, 0.1,
+                                       np.random.default_rng(seed))
+        assert final and all(final)
+        assert res.oracle_queries == sum(evaluated) == reported
+
+    def test_hermite_tester(self, monkeypatch, evaluated):
+        # the default `test` run's h2_yes instance: the sampler contracts the product
+        # oracle's factors, so evaluate sees only the coefficient and norm draws
+        final = _record_coefficient_draws(monkeypatch, evaluated)
+        f = corpus.hermite_monomial((2, 0), 2)
+        repeats = max(4, math.ceil(4 * math.log(2 / 0.1)))
+        verdict = run_hermite_tester(f, 1, 0.1, 0.3, 0.1, np.random.default_rng(0), SCFG)
+        assert verdict.accept and len(final) == 1
+        assert final == [112_180]
+        assert verdict.samples_used == repeats + sum(evaluated) == 118_095
+
+
+class TestHermiteTesterSlabs:
+    def test_norm_average_is_drawn_in_slabs(self, monkeypatch, evaluated):
+        # m = ceil(64 / 0.2^2 ln 40) = 5 903 norm draws, each slab at most 1 000 points,
+        # with the verdict and the estimate of the one-slab run, bit for bit
+        f = corpus.hermite_monomial((2, 0), 2)
+        want = run_hermite_tester(f, 1, 0.1, 0.3, 0.1, np.random.default_rng(3), SCFG)
+        assert max(evaluated) > 1000
+        evaluated.clear()
+        monkeypatch.setattr(learning_testers, "_SLAB_POINTS", 1000)
+        got = run_hermite_tester(f, 1, 0.1, 0.3, 0.1, np.random.default_rng(3), SCFG)
+        assert 0 < max(evaluated) <= 1000
+        assert got == want
 
 
 class TestUndeclaredGamma:

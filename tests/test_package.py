@@ -196,6 +196,31 @@ def test_benchmark_calls_bind():
             "hermite_monomial"} <= called
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_benchmark_corpus_matches_the_cli(n):
+    # cli_sweeps checks `sample`'s counts against its own copy of the default corpus,
+    # so a drift between the two would first show as wrong benchmark outputs
+    import numpy as np
+
+    from qhermite import cli
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # its dataclasses look their module up while built
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    bench = workloads._default_corpus(n)
+    ours = dict(cli._default_corpus(n))
+    assert list(bench) == list(ours)
+    grid = np.stack(np.meshgrid(*[np.linspace(-3.0, 3.0, 13)] * n, indexing="ij"), axis=-1)
+    for label, f in ours.items():
+        g = bench[label]
+        assert (f.arity, f.boolean, f.label) == (g.arity, g.boolean, g.label)
+        assert np.array_equal(f.evaluate(grid), g.evaluate(grid))
+
+
 def test_traced_modules_import():
     # the tracer wraps these modules by name; each must import
     (names,) = [ast.literal_eval(node.value) for node in _perfbench_trees()["tracer.py"].body
