@@ -20,8 +20,10 @@ and {xbar, pbar} -- and rounds each to fixed point, once per grid: the
 keyed by N and precision, for as long as it lives.  That rounding is the only
 one: the projected sums are then accumulated in exact Python integers, so the
 cancellation costs nothing, and each term's scale is applied once when it is
-converted to float64.  The projector's state form agrees with the eigenvector
-form to well below the quantities measured.
+converted to float64.  The grid also holds those integer sums, with their
+product count and rounding bound, keyed by family, N, precision and t_max,
+so a repeat call takes no wide-integer product.  The projector's state form
+agrees with the eigenvector form to well below the quantities measured.
 
 Every input is parity-folded, bit for bit.  Each part (real or imaginary) of a
 fixed-point column is even or odd under J -> -J, the symbols satisfy
@@ -35,8 +37,8 @@ antisymmetric and zero on the diagonal, so only the pairs n < m count, and
 the one exact pass sums H[n, m] +- H[m, n] on them directly: a pair of
 columns costs about (M/2+1)^2 big-integer products per nonzero part of K
 (half that for a column with itself) in place of about 8 M^2.
-`TailReport.products` counts them; BENCH_46.json has the lab's per-call
-times.
+`TailReport.products` counts them; BENCH_46.json and BENCH_50.json have
+the lab's per-call times.
 """
 from __future__ import annotations
 
@@ -393,8 +395,8 @@ def _mp_hermite_columns(M: int, N: int):
         r[half] *= (-1) ** n
         sq = [v * v for v in r]
         nrm = mp.sqrt(mp.fsum(sq[half:] + sq[half - 1:0:-1] + sq[:half]))
-        out.append([v / nrm for v in r])
-    return out
+        out.append(tuple(v / nrm for v in r))
+    return tuple(out)
 
 
 def _mp_p2_symbol(M: int):
@@ -409,14 +411,25 @@ def _mp_p2_symbol(M: int):
     return c
 
 
-def _mp_p1_symbol(M: int):
-    """Symbol of F xbar F^-1: entries c1[(j-k) mod M], c1[M - d] = conj(c1[d])."""
+def _mp_roots(M: int) -> tuple:
+    """The DFT roots exp(2 pi i d / M) for d = 0..M/2, at current mp precision."""
     import mpmath as mp
 
+    return tuple(mp.expjpi(mp.mpf(2 * d) / M) for d in range(M // 2 + 1))
+
+
+def _mp_p1_symbol(M: int, roots: tuple | None = None):
+    """Symbol of F xbar F^-1: entries c1[(j-k) mod M], c1[M - d] = conj(c1[d]).
+
+    roots is `_mp_roots(M)` at the current precision, evaluated here when None.
+    """
+    import mpmath as mp
+
+    roots = _mp_roots(M) if roots is None else roots
     h = mp.sqrt(2 * mp.pi / M)
     c = [mp.mpc(-h / 2)] + [mp.mpc(0)] * (M - 1)
     for d in range(1, M // 2 + 1):
-        c[d] = h * ((-1) ** d) / (mp.expjpi(mp.mpf(2 * d) / M) - 1)
+        c[d] = h * ((-1) ** d) / (roots[d] - 1)
         c[M - d] = mp.conj(c[d])
     return c
 
@@ -443,11 +456,11 @@ def _fixed(values, bits: int) -> np.ndarray:
     return np.array([to_int(mpf_shift(v._mpf_, bits), round_nearest) for v in values], dtype=object)
 
 
-def _fixed_dft_columns(cols, M: int, bits: int):
+def _fixed_dft_columns(cols, M: int, bits: int, roots: tuple):
     """Centered DFT of the mp half columns, rounded to fixed point at 2^-bits: (re, im) halves.
 
     Column n has parity (-1)^n, and the root table r[d] = exp(2 pi i d / M)
-    is evaluated for d <= M/2 and mirrored, r[M - d] = conj(r[d]).  So input
+    is `roots` (`_mp_roots`, d <= M/2) mirrored, r[M - d] = conj(r[d]).  So input
     labels +K and -K (0 < K < M/2) contribute 2 c[K] Re r[JK] to output J for
     an even column and 2i c[K] Im r[JK] for an odd one, while the lone labels
     0 and -M/2 meet the real roots 1 and (-1)^J.  The real part is even in J
@@ -459,7 +472,6 @@ def _fixed_dft_columns(cols, M: int, bits: int):
 
     fine = bits + _TAIL_GUARD_BITS
     half = M // 2
-    roots = [mp.expjpi(mp.mpf(2 * d) / M) for d in range(half + 1)]
     rr, ri = _fixed([z.real for z in roots], fine), _fixed([z.imag for z in roots], fine)
     tables = (np.concatenate([rr, rr[half - 1:0:-1]]), np.concatenate([ri, -ri[half - 1:0:-1]]))
     labels, paired = _half_labels(M)
@@ -478,31 +490,35 @@ def _fixed_dft_columns(cols, M: int, bits: int):
     return out
 
 
-def _tail_columns(M: int, N: int, family: str, bits: int) -> tuple:
+def _tail_columns(M: int, N: int, family: str, bits: int,
+                  cols: tuple | None = None, roots: tuple | None = None) -> tuple:
     """One family's N fixed-point columns at 2^-bits, at the current mp precision.
 
     A column is its (real, imaginary) pair of parts, each as (half, parity):
     the entries on `_half_labels` and the sign that gives the entry at -J
     from the one at J.  "x2_p2" takes the Hermite columns, the other two
-    families their centered DFT.
+    families their centered DFT.  cols is `_mp_hermite_columns(M, N)` and
+    roots `_mp_roots(M)`, each evaluated here when None.
     """
-    cols = _mp_hermite_columns(M, N)
+    cols = _mp_hermite_columns(M, N) if cols is None else cols
     if family == "x2_p2":
         zero = np.zeros(M // 2 + 1, dtype=object)
         return tuple(((_fixed(c, bits), (-1) ** n), (zero, 1)) for n, c in enumerate(cols))
-    return tuple(((re, 1), (im, -1)) for re, im in _fixed_dft_columns(cols, M, bits))
+    roots = _mp_roots(M) if roots is None else roots
+    return tuple(((re, 1), (im, -1)) for re, im in _fixed_dft_columns(cols, M, bits, roots))
 
 
-def _tail_symbol(M: int, family: str, bits: int) -> tuple:
+def _tail_symbol(M: int, family: str, bits: int, roots: tuple | None = None) -> tuple:
     """One family's fixed-point symbol at 2^-bits: the (re, im) pair of its M entries.
 
-    h pbar's for "p2_anti", pbar^2's for the other two families.
+    h pbar's for "p2_anti" (from roots, as `_mp_p1_symbol` reads them),
+    pbar^2's for the other two families.
     """
     import mpmath as mp
 
     if family == "p2_anti":
         h = mp.sqrt(2 * mp.pi / M)
-        symbol = [h * s for s in _mp_p1_symbol(M)]
+        symbol = [h * s for s in _mp_p1_symbol(M, roots)]
     else:
         symbol = _mp_p2_symbol(M)
     return _fixed([v.real for v in symbol], bits), _fixed([v.imag for v in symbol], bits)
@@ -734,15 +750,22 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     runs once.  `products` counts its wide-integer products.
 
     The grid holds what the pass reads, each built on first use and keyed
-    by N and P: the Hermite columns (x2_p2) or their DFT (p2_x2 and
-    p2_anti share them); by P: the symbol (x2_p2 and p2_x2 share
-    pbar^2's), the folded kernels on the pairs n < m, and the scales for
-    every t up to TAIL_T_CAP (the three families share them); and, under
-    one key that every N and P share, the pairs of the folded index grouped
-    by weight.  A repeat call on the same grid builds no mpmath input,
-    kernel or scale.  N must be an integer in [1, M] (a grid of M labels
-    holds M Hermite columns), t_max an integer, and dps None (`_tail_dps`)
-    or an integer >= 1.
+    by N and P: the mp Hermite columns (the recurrence runs once for all
+    three families) and the fixed-point columns, x2_p2's or their DFT
+    (p2_x2 and p2_anti share them); by P: the mp root table
+    exp(2 pi i d / M), d <= M/2 (the DFT and h pbar's symbol read it), the
+    symbol (x2_p2 and p2_x2 share pbar^2's), the folded kernels on the
+    pairs n < m, and the scales for every t up to TAIL_T_CAP (the three
+    families share them); and, under one key that every N and P share, the
+    pairs of the folded index grouped by weight.  It also holds the pass's
+    output, which depends on nothing else, under
+    ("terms", family, N, P, t_max): the integer terms S_t in t order, their
+    `products` count and `error_bar`.  So a repeat call takes no
+    wide-integer product: it scales the held terms, sums them over t and
+    takes the one stacked SVD, and its report, `products` included, has
+    the first call's bits.  N must be an integer in [1, M] (a grid of M
+    labels holds M Hermite columns), t_max an integer, and dps None
+    (`_tail_dps`) or an integer >= 1.
     """
     M = qho.M
     if M > TAIL_M_CAP:
@@ -767,17 +790,29 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     bits = math.ceil(used_dps * math.log2(10)) + _TAIL_EXTRA_BITS
     anti = family == "p2_anti"
     with mp.workprec(bits + _TAIL_GUARD_BITS):
-        u = _held(qho, ("columns", family == "x2_p2", N, bits),
-                  lambda: _tail_columns(M, N, family, bits))
-        g = _held(qho, ("symbol", anti, bits), lambda: _tail_symbol(M, family, bits))
         scales = _held(qho, ("scales", bits), lambda: _tail_scales(M))
-        groups = _held(qho, ("weight groups",), lambda: _weight_groups(M // 2 + 1))
-        S, products = _integer_tail_sums(u, g, anti, t0, t_max,
-                                         _held(qho, ("kernels", anti, bits), dict), groups)
-        terms = {t: _scaled_rows(S[t], mp.ldexp(scales[t], -3 * bits)) for t in S}
+
+        def exact_pass():
+            """The integer terms S_t in t order, the products they took, and the bound."""
+            # only the DFT columns and h pbar's symbol read the roots
+            roots = None if family == "x2_p2" else _held(qho, ("roots", bits), lambda: _mp_roots(M))
+
+            def columns():
+                cols = _held(qho, ("hermite", N, bits), lambda: _mp_hermite_columns(M, N))
+                return _tail_columns(M, N, family, bits, cols, roots)
+
+            u = _held(qho, ("columns", family == "x2_p2", N, bits), columns)
+            g = _held(qho, ("symbol", anti, bits), lambda: _tail_symbol(M, family, bits, roots))
+            groups = _held(qho, ("weight groups",), lambda: _weight_groups(M // 2 + 1))
+            S, products = _integer_tail_sums(u, g, anti, t0, t_max,
+                                             _held(qho, ("kernels", anti, bits), dict), groups)
+            return (tuple(S.items()), products,
+                    _rounding_bound(g, scales, M, N, anti, bits, t0, t_max))
+
+        S, products, error_bar = _held(qho, ("terms", family, N, bits, t_max), exact_pass)
+        terms = {t: _scaled_rows(S_t, mp.ldexp(scales[t], -3 * bits)) for t, S_t in S}
         tail = [[sum((T[a][b] for T in terms.values()), mp.mpf(0)) for b in range(N)]
                 for a in range(N)]
-        error_bar = _rounding_bound(g, scales, M, N, anti, bits, t0, t_max)
     tail_norm, *term_norms = _spectral_norms([tail, *terms.values()])
     return TailReport(family, M, N, t_max, tail_norm, dict(zip(terms, term_norms)), used_dps,
                       error_bar=error_bar, products=products)

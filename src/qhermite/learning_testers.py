@@ -97,7 +97,7 @@ class TesterVerdict:
     accept: bool
     witness: object = None
     estimate: float | None = None
-    samples_used: int = 0   # spectrum draws plus Monte-Carlo samples
+    samples_used: int = 0   # spectrum draws plus the points f is evaluated at
 
 
 @dataclass(frozen=True)
@@ -366,7 +366,7 @@ def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
     pattern = CoefficientPattern(tuple(entries))
     est = weight_estimate(f, pattern, eps / 4.0, delta / 2.0, rng)
     return TesterVerdict(accept=bool(est.value >= threshold), witness=pattern,
-                         estimate=est.value, samples_used=used + est.samples)
+                         estimate=est.value, samples_used=used + 2 * est.samples)
 
 
 def test_low_degree(f: OracleFunction, d: int, eps1: float, eps2: float,

@@ -496,12 +496,42 @@ class TestHeldInputs:
         with pytest.raises(AssertionError, match="repeat call"):   # another N is not held
             commutator_tail_norm(qho, 3, 12)
 
+    def test_recurrence_and_roots_run_once_per_grid(self, monkeypatch):
+        # the three families at one (N, precision) run the mp Hermite recurrence once and
+        # evaluate each root exp(2 pi i d / M), d <= M/2, once: the DFT and h pbar's symbol
+        # share the table.  Another N runs the recurrence again and no root
+        calls = {"recurrence": 0, "roots": 0}
+        recurrence, expjpi = discrete_qho._mp_hermite_columns, mp.expjpi
+
+        def counting_recurrence(*args):
+            calls["recurrence"] += 1
+            return recurrence(*args)
+
+        def counting_roots(*args):
+            calls["roots"] += 1
+            return expjpi(*args)
+
+        monkeypatch.setattr(discrete_qho, "_mp_hermite_columns", counting_recurrence)
+        monkeypatch.setattr(mp, "expjpi", counting_roots)
+        qho = build(GridSpec(32))
+        for family in TAIL_FAMILIES:
+            commutator_tail_norm(qho, 2, 12, family)
+        assert calls == {"recurrence": 1, "roots": 17}
+        for family in TAIL_FAMILIES:
+            commutator_tail_norm(qho, 3, 12, family)
+        assert calls == {"recurrence": 2, "roots": 17}
+
     def test_held_arrays_refuse_writes(self):
         qho = build(GridSpec(16))
         for family in TAIL_FAMILIES:
             commutator_tail_norm(qho, 2, 6, family)
         arrays = _held_arrays(qho._lab)
         assert len(arrays) > 20
+        terms = [v for k, v in qho._lab.items() if k[0] == "terms"]
+        assert len(terms) == 3   # each family's exact pass: S_t for t = 3..6 (2..6 for p2_anti)
+        held_terms = _held_arrays(tuple(S_t for S, _, _ in terms for _, S_t in S))
+        assert len(held_terms) == 2 * (4 + 4 + 5)
+        assert {id(a) for a in held_terms} <= {id(a) for a in arrays}
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1
@@ -517,6 +547,52 @@ class TestHeldInputs:
         assert copy._lab == {} and copy.spec == qho.spec and copy.x is qho.x
         with pytest.raises(ValueError, match="init=False"):
             replace(qho, _lab={})
+
+
+class TestHeldTerms:
+    """A grid holds each exact pass's output by family, N, precision and t_max."""
+
+    def test_repeat_call_runs_no_exact_pass(self, monkeypatch):
+        qho = build(GridSpec(32))
+        for family in TAIL_FAMILIES:
+            commutator_tail_norm(qho, 2, 12, family)
+        fresh = {family: commutator_tail_norm(build(GridSpec(32)), 2, 12, family)
+                 for family in TAIL_FAMILIES}
+
+        def no_pass(*args):
+            raise AssertionError("exact pass run on a repeat call")
+
+        for name in ("_integer_tail_sums", "_power_sums", "_rounding_bound"):
+            monkeypatch.setattr(discrete_qho, name, no_pass)
+        for family in TAIL_FAMILIES:
+            again = commutator_tail_norm(qho, 2, 12, family)
+            assert _hex(again) == _hex(fresh[family]), family
+            assert again.products == fresh[family].products > 0   # the count of the pass that made them
+        with pytest.raises(AssertionError, match="repeat call"):   # another t_max is not held
+            commutator_tail_norm(qho, 2, 13)
+
+    def test_each_key_runs_one_pass(self, monkeypatch):
+        # each call differs from the first in one part of the key; a key that lost it
+        # would hand back the first call's terms, count and bound
+        runs = {name: [] for name in ("_integer_tail_sums", "_rounding_bound")}
+        for name, calls in runs.items():
+            def counting(*args, _run=getattr(discrete_qho, name), _calls=calls):
+                _calls.append(args)
+                return _run(*args)
+
+            monkeypatch.setattr(discrete_qho, name, counting)
+        cases = [(2, 12, "x2_p2", None), (2, 12, "p2_x2", None), (2, 12, "p2_anti", None),
+                 (3, 12, "x2_p2", None), (2, 12, "x2_p2", 60), (2, 13, "x2_p2", None)]
+        qho = build(GridSpec(32))
+        for N, t_max, family, dps in cases:
+            first = commutator_tail_norm(qho, N, t_max, family, dps)
+            again = commutator_tail_norm(qho, N, t_max, family, dps)
+            fresh = commutator_tail_norm(build(GridSpec(32)), N, t_max, family, dps)
+            assert _hex(first) == _hex(again) == _hex(fresh), (N, t_max, family, dps)
+            assert first.products == again.products == fresh.products
+        # one pass per case on the held grid and one on each fresh grid
+        assert [len(calls) for calls in runs.values()] == [2 * len(cases)] * 2
+        assert sum(key[0] == "terms" for key in qho._lab) == len(cases)
 
 
 class TestParityFold:
@@ -717,3 +793,25 @@ class TestEpilogue:
         finally:
             tracemalloc.stop()
         assert 0 < held <= 0.75 * self.HELD_BEFORE[M]
+
+    # at t_max = 30 the grid also holds each family's 28 or 29 integer terms (13-20 KB a
+    # family at M = 64 and 256), the mp Hermite columns and the root table the families
+    # share: 285 624 bytes at M = 64 and 4 146 316 at M = 256 where it held 215 308 and
+    # 3 972 548 without them.  5% above the measured bytes leaves room for the allocator
+    HELD_AT_30 = {64: 285_624, 256: 4_146_316}
+
+    @pytest.mark.parametrize("M", [64, 256])
+    def test_what_the_grid_holds_with_its_terms(self, M):
+        tracemalloc.start()
+        try:
+            qho = build(GridSpec(M))
+            for family in TAIL_FAMILIES:
+                commutator_tail_norm(qho, 1, 30, family)
+            gc.collect()
+            full = tracemalloc.get_traced_memory()[0]
+            qho._lab.clear()
+            gc.collect()
+            held = full - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < held <= 1.05 * self.HELD_AT_30[M]

@@ -218,6 +218,21 @@ class TestQueryCounts:
         assert final == [112_180]
         assert verdict.samples_used == repeats + sum(evaluated) == 118_095
 
+    def test_product_sign_tester(self, monkeypatch, evaluated):
+        # the default `test` run's chi01_yes instance: the weight estimate evaluates f at
+        # two points per sample (1 476 samples), which the count once took as one each (1 488)
+        draws, spectrum_draws = [], learning_testers._spectrum_draws
+
+        def counting(f, scfg, rng, k):
+            draws.append(k)
+            return spectrum_draws(f, scfg, rng, k)
+
+        monkeypatch.setattr(learning_testers, "_spectrum_draws", counting)
+        f = corpus.product_sign((0, 1), 2)
+        verdict = run_product_sign_tester(f, 2, 0.1, 0.3, 0.1, np.random.default_rng(0), SCFG)
+        assert verdict.accept and draws == [12] and sum(evaluated) == 2_952
+        assert verdict.samples_used == sum(draws) + sum(evaluated) == 2_964
+
 
 class TestHermiteTesterSlabs:
     def test_norm_average_is_drawn_in_slabs(self, monkeypatch, evaluated):

@@ -336,6 +336,40 @@ def test_cli_hashes_prints_the_selected_outputs(tmp_path):
     assert unknown.stderr.startswith("error: unknown output ['qht_N5']")
 
 
+LAB_HASHES = Path(__file__).resolve().parent.parent / "tools" / "lab_hashes.py"
+
+
+def test_lab_hashes_prints_every_field_of_the_selected_grids():
+    # the three families' first calls, then their repeat calls on the same grid, one
+    # "sha256  family M N t_max call field" line per report field; a second run prints the
+    # same lines, a repeat call hashes as its first call, and a line is the field's digest
+    from dataclasses import fields
+
+    from qhermite.discrete_qho import TAIL_FAMILIES, TailReport, build, commutator_tail_norm
+    from qhermite.spectral_core import GridSpec
+
+    def run(*names):
+        return subprocess.run([sys.executable, str(LAB_HASHES), *names], capture_output=True,
+                              text=True, timeout=120)
+
+    first = run("64")
+    assert first.returncode == 0
+    digests = dict(line.split("  ")[::-1] for line in first.stdout.splitlines())
+    names = [f.name for f in fields(TailReport)]
+    assert list(digests) == [f"{family} M=64 N=1 t_max=30 {call} {name}" for call in ("first", "repeat")
+                             for family in TAIL_FAMILIES for name in names]
+    assert all(digests[name.replace("first", "repeat")] == digest
+               for name, digest in digests.items() if "first" in name)
+    assert run("64").stdout == first.stdout
+    rep = commutator_tail_norm(build(GridSpec(64)), 1, 30, "p2_anti")
+    for name, value in (("tail_norm", rep.tail_norm.hex()), ("products", rep.products)):
+        text = json.dumps(value).encode()
+        assert digests[f"p2_anti M=64 N=1 t_max=30 first {name}"] == hashlib.sha256(text).hexdigest()
+    unknown = run("64", "512")
+    assert unknown.returncode == 1 and unknown.stdout == ""
+    assert unknown.stderr.startswith("error: unknown grid ['512']")
+
+
 CODE_LINES = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 
 
