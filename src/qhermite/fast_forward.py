@@ -279,6 +279,14 @@ def _ritz_block(qho: DiscreteQHO, low: np.ndarray) -> _RitzBlock:
     mapped back through G^(1/2) = I + S/2.  All but the phases and that term
     is held here, as it does not depend on t.
 
+    Every 80-bit product here, in `_ritz_at` and in `low_energy_error`'s
+    projection, goes through np.dot, not `@`: numpy has no BLAS for
+    longdouble, and on these shapes `@`'s generic loop is 2.7-2.9x slower
+    than dot's, which sums in the same index order and so gives the same
+    bits (the projection at M = 512 takes 0.093 ms for 0.248 at N = 8 and
+    0.32 for 0.93 at N = 16).  Each chain keeps `@`'s left-to-right
+    association.
+
     On an exactly invariant span this is exact.  Otherwise the residual
     r = Hbar W - W H (spectral norm, float64) makes an error of at most
     t^2 ||r||^2 / 2, so `_ritz_at` rejects a span with max(1, |t|) ||r|| > 4e-9
@@ -292,20 +300,20 @@ def _ritz_block(qho: DiscreteQHO, low: np.ndarray) -> _RitzBlock:
     resid = apply_hamiltonian(qho, low.T).real.T
     W = low.astype(np.longdouble)
     terms, weights = _rayleigh_terms(qho, W)
-    H = (weights * terms).T @ terms / 2
+    H = np.dot((weights * terms).T, terms) / 2
     resid -= low @ H.astype(np.float64)
     r = float(np.linalg.norm(resid, 2))
     eye = np.eye(low.shape[1], dtype=np.longdouble)
-    half_s = (W.T @ W - eye) / 2
-    Ho = (eye - half_s) @ H @ (eye - half_s)
+    half_s = (np.dot(W.T, W) - eye) / 2
+    Ho = np.dot(np.dot(eye - half_s, H), eye - half_s)
     Q = np.linalg.eigh(Ho.astype(np.float64))[1].astype(np.longdouble)
-    Q = Q @ (eye - (Q.T @ Q - eye) / 2)
-    R = Q.T @ Ho @ Q
+    Q = np.dot(Q, eye - (np.dot(Q.T, Q) - eye) / 2)
+    R = np.dot(np.dot(Q.T, Ho), Q)
     D = np.diagonal(R).copy()
     gap = D[:, None] - D[None, :]
     np.fill_diagonal(gap, 1)
     return _read_only(_RitzBlock(r=r, W=W, D=D, coupling=R - np.diag(D), gap=gap, Q=Q,
-                                 sqrt_g=eye + half_s, sqrt_g_q=(eye + half_s) @ Q))
+                                 sqrt_g=eye + half_s, sqrt_g_q=np.dot(eye + half_s, Q)))
 
 
 def _ritz_at(block: _RitzBlock, t: float) -> np.ndarray:
@@ -317,7 +325,7 @@ def _ritz_at(block: _RitzBlock, t: float) -> np.ndarray:
     phase = np.exp(-1j * np.mod(block.D * np.longdouble(t), 2 * _PI_LD))
     B = block.coupling * (phase[:, None] - phase[None, :]) / block.gap
     B[np.diag_indices(len(phase))] = phase
-    return block.sqrt_g_q @ B @ block.Q.T @ block.sqrt_g
+    return np.dot(np.dot(np.dot(block.sqrt_g_q, B), block.Q.T), block.sqrt_g)
 
 
 def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float) -> float:
@@ -340,10 +348,11 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
     `dense_diagonalize` returns them; with writable vectors every call
     builds its block.  A later call computes only the phases, the
     first-order term, the back-map products and the factored side, and
-    still checks the guard first.  At M = 512 with one BLAS thread a call on
-    a held block takes about 0.5, 1.7 and 0.6 ms at (N, t) = (8, 0.45),
-    (16, 1.7) and (8, 3.65); building the block adds about 0.8, 2.2 and
-    0.8 ms to the first call.
+    still checks the guard first.  Its 80-bit products run through np.dot
+    (see `_ritz_block`).  At M = 512 with one BLAS thread a call on a held
+    block takes about 0.33, 0.87 and 0.42 ms at (N, t) = (8, 0.45),
+    (16, 1.7) and (8, 3.65); building the block adds about 0.6, 1.6 and
+    0.65 ms to the first call (BENCH_51.json).
 
     The meter's floor is the float64 rounding of the factored side and of
     the eigenvectors: the default `ff-error` grid (M = 128-512, N = 4-16,
@@ -369,6 +378,6 @@ def low_energy_error(qho: DiscreteQHO, eig: EigenDecomposition, N: int, t: float
             eig._ritz_blocks[N] = ritz
     exact = _ritz_at(ritz, t)
     image = apply_tables(evolution_tables(qho.M, decompose(t)), low.T)
-    parts = ritz.W.T @ np.concatenate([image.real, image.imag]).T
+    parts = np.dot(ritz.W.T, np.concatenate([image.real, image.imag]).T)
     block = exact - (parts[:, :N] + 1j * parts[:, N:])
     return float(np.linalg.svd(block.astype(complex), compute_uv=False)[0])

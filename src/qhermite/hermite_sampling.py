@@ -330,13 +330,15 @@ def _tally(v: np.ndarray, D: int | None = None) -> dict:
 
 
 def tv_distance(counts: dict, q: np.ndarray) -> float:
-    """(1/2) sum_v |phat_v - q_v| over [0, D]^n plus the out-of-range share.
+    """(1/2) sum |phat - q| over the cells of [0, D]^n and one out-of-range cell.
 
     counts is the `_tally` of all the draws, out-of-range rows included, and
-    q the (D+1,)*n target distribution; phat = counts / k over the k draws.  An index never drawn
-    adds q_v, so the sum is (1/2)(sum q + sum over drawn v of
-    (|phat_v - q_v| - q_v)): only the drawn indices are visited, and no
-    grid of counts is built.
+    q the (D+1,)*n target distribution; phat = counts / k over the k draws.
+    The out-of-range cell holds the draws outside [0, D]^n on one side and
+    q_out = max(1 - sum q, 0) on the other, so the distance stays in [0, 1]
+    for any q of mass at most 1.  An index never drawn adds q_v, so the
+    in-range sum is sum q + sum over drawn v of (|phat_v - q_v| - q_v): only
+    the drawn indices are visited, and no grid of counts is built.
     """
     k = sum(counts.values())
     if k <= 0:
@@ -344,5 +346,6 @@ def tv_distance(counts: dict, q: np.ndarray) -> float:
     inside = [u for u in counts if u[0] < len(q)]
     phat = np.array([counts[u] for u in inside], dtype=float) / k
     qv = q[tuple(np.array(inside, dtype=np.intp).reshape(len(inside), q.ndim).T)]
-    out = k - sum(counts[u] for u in inside)
-    return 0.5 * (float(q.sum()) + float(np.sum(np.abs(phat - qv) - qv))) + out / k
+    mass = float(q.sum())
+    out = (k - sum(counts[u] for u in inside)) / k
+    return 0.5 * (mass + float(np.sum(np.abs(phat - qv) - qv)) + abs(out - max(1.0 - mass, 0.0)))

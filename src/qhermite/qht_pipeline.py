@@ -60,8 +60,6 @@ __all__ = [
     "qht_apply",
     "qht_reference",
     "psibar_rows",
-    "isometry_singular_values",
-    "pr_high_energy_leakage",
     "QHTResult",
 ]
 
@@ -805,16 +803,3 @@ def qht_apply(alpha: np.ndarray, config: QHTConfig) -> QHTResult:
     if not abs(math.sqrt(norm_sq) - 1.0) <= 1e-9:
         raise ValueError("alpha must be normalized")
     return qht_operator(config)._answer(alpha)
-
-
-def isometry_singular_values(config: QHTConfig) -> np.ndarray:
-    """Singular values of the simulated transform restricted to n < N."""
-    return np.linalg.svd(qht_operator(config).matrix().T, compute_uv=False)
-
-
-def pr_high_energy_leakage(n: int, n_high: int, eig) -> float:
-    """||Pi_{>n_high} |phi_n>||^2 for the unnormalized prepared state on eig's grid."""
-    low = eig.vectors[:, :n_high + 1]
-    amps = build_pr_state(n, eig.vectors.shape[0]).astype(complex)
-    inside = low.conj().T @ amps
-    return float(max(np.vdot(amps, amps).real - np.vdot(inside, inside).real, 0.0))

@@ -14,6 +14,7 @@ from qhermite.discrete_qho import (
 from qhermite.fast_forward import FactoredEvolution, apply_tables, evolution_tables
 from qhermite.hermite_sampling import OracleFunction, _grid_contract, _nu, _quad_grid
 from qhermite.learning_testers import CoefficientPattern
+from qhermite.qht_pipeline import QHTConfig, qht_operator
 from qhermite.spectral_core import GridSpec, hermite_basis, probabilist_rows
 
 
@@ -23,6 +24,11 @@ def loewdin_orthonormalize(states: np.ndarray) -> np.ndarray:
     evals, evecs = np.linalg.eigh(g)
     inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
     return inv_sqrt @ states
+
+
+def isometry_singular_values(config: QHTConfig) -> np.ndarray:
+    """Singular values of the simulated transform restricted to n < N."""
+    return np.linalg.svd(qht_operator(config).matrix().T, compute_uv=False)
 
 
 def centered_dft_matrix(M: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import apply_factored, coefficient_oracle
+from conftest import apply_factored, coefficient_oracle, isometry_singular_values
 
 from qhermite import corpus
 from qhermite.discrete_qho import (
@@ -36,7 +36,6 @@ from qhermite.learning_testers import test_product_sign as product_sign_tester
 from qhermite.qht_pipeline import (
     build_pr_state,
     choose_dimensions,
-    isometry_singular_values,
     qht_apply,
     qht_reference,
 )

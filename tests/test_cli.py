@@ -417,6 +417,20 @@ class TestSampleCorpusFile:
         assert set(rows[0]) == {"instance", "trial", "v", "accepted_attempts"}
         assert summary["instances"]["const(1.0)"]["tv"] <= 1e-6
 
+    def test_tv_of_a_mostly_out_of_range_draw_stays_at_most_one(self, tmp_path):
+        # 72% of the draws fall outside [0, 2]^2, where the normalized target puts
+        # nothing: the out-of-range cell alone gives tv >= that share, and the
+        # old form (half the in-range sum plus the whole share) read 1.08675
+        corpus_file = tmp_path / "corpus.json"
+        corpus_file.write_text(json.dumps([{"family": "indicator_bump", "n": 2, "half_width": 0.4}]))
+        code, out = _run(tmp_path, "s.csv", ["sample", "--D", "2", "--M", "128", "--seed", "7",
+                                            "--corpus", str(corpus_file)])
+        assert code == 0
+        _, rows, summary = read_table(out)
+        share = sum(int(r["count"]) for r in rows if r["v"] == "3|3") / summary["trials"]
+        assert share > 0.7
+        assert share <= summary["instances"]["bump(0.4)"]["tv"] <= 1.0
+
 
     def test_postselection_failure_is_an_error_line(self, tmp_path, capsys):
         # unbounded, with its default kappa = 1: the rejection loop gives up

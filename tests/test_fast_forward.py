@@ -9,6 +9,8 @@ from qhermite import fast_forward
 from qhermite.discrete_qho import (
     DiscreteQHO,
     EigenDecomposition,
+    _rayleigh_terms,
+    apply_hamiltonian,
     build,
     dense_diagonalize,
 )
@@ -18,6 +20,7 @@ from qhermite.fast_forward import (
     _half_phases,
     _ritz_at,
     _ritz_block,
+    _RitzBlock,
     apply_tables,
     decompose,
     evolution_tables,
@@ -887,6 +890,62 @@ class TestRitzBlock:
                 a[(0,) * a.ndim] = 1
         assert eig == eig and "_ritz_blocks" not in repr(eig)
         assert replace(eig)._ritz_blocks == {}
+
+
+def _matmul_block(qho: DiscreteQHO, low: np.ndarray) -> _RitzBlock:
+    """`_ritz_block` with its 80-bit products written as `@`: the meter's bits before np.dot."""
+    resid = apply_hamiltonian(qho, low.T).real.T
+    W = low.astype(np.longdouble)
+    terms, weights = _rayleigh_terms(qho, W)
+    H = (weights * terms).T @ terms / 2
+    resid -= low @ H.astype(np.float64)
+    eye = np.eye(low.shape[1], dtype=np.longdouble)
+    half_s = (W.T @ W - eye) / 2
+    Ho = (eye - half_s) @ H @ (eye - half_s)
+    Q = np.linalg.eigh(Ho.astype(np.float64))[1].astype(np.longdouble)
+    Q = Q @ (eye - (Q.T @ Q - eye) / 2)
+    R = Q.T @ Ho @ Q
+    D = np.diagonal(R).copy()
+    gap = D[:, None] - D[None, :]
+    np.fill_diagonal(gap, 1)
+    return _RitzBlock(r=float(np.linalg.norm(resid, 2)), W=W, D=D, coupling=R - np.diag(D),
+                      gap=gap, Q=Q, sqrt_g=eye + half_s, sqrt_g_q=(eye + half_s) @ Q)
+
+
+def _matmul_error(qho: DiscreteQHO, low: np.ndarray, block: _RitzBlock, t: float) -> float:
+    """`low_energy_error` on `block` with its 80-bit products written as `@`."""
+    N = low.shape[1]
+    phase = np.exp(-1j * np.mod(block.D * np.longdouble(t), 2 * _PI_LD))
+    B = block.coupling * (phase[:, None] - phase[None, :]) / block.gap
+    B[np.diag_indices(N)] = phase
+    exact = block.sqrt_g_q @ B @ block.Q.T @ block.sqrt_g
+    image = apply_tables(evolution_tables(qho.M, decompose(t)), low.T)
+    parts = block.W.T @ np.concatenate([image.real, image.imag]).T
+    return float(np.linalg.svd((exact - (parts[:, :N] + 1j * parts[:, N:])).astype(complex),
+                               compute_uv=False)[0])
+
+
+class TestMeterBits:
+    """The meter's np.dot products give the bits of the `@` products they replaced."""
+
+    # three and five factors, both signs, and two times reduced by 2 pi (7.0 and -9.5)
+    TIMES = (0.45, -1.7, 3.0, 3.65, 7.0, -9.5)
+
+    @pytest.mark.parametrize("M", [64, 512, 1024])
+    def test_meter_and_block_equal_the_matmul_reference(self, eig_cache, M):
+        # np.array_equal, not tobytes(): a longdouble's storage carries padding bytes
+        qho, eig = build(GridSpec(M)), eig_cache(M)
+        for N in (1, 8, 16):
+            low = eig.vectors[:, :N]
+            block, want = _ritz_block(qho, low), _matmul_block(qho, low)
+            for name, value in block._asdict().items():
+                assert np.array_equal(value, getattr(want, name)), (N, name)
+                assert np.asarray(value).dtype == np.asarray(getattr(want, name)).dtype
+            for t in self.TIMES:
+                value, fresh = _matmul_error(qho, low, want, t), replace(eig)
+                assert low_energy_error(qho, fresh, N, t) == value, (N, t, "first")
+                assert low_energy_error(qho, fresh, N, t) == value, (N, t, "held")
+                assert N in fresh._ritz_blocks
 
 
 class TestParityPairs:

@@ -524,7 +524,8 @@ def _dense_tv(v, q):
                          minlength=math.prod(shape)).reshape(shape)
     k = counts.sum()
     inside = counts[(slice(-1),) * n] / k
-    return 0.5 * float(np.abs(inside - q).sum()) + float(counts[(-1,) * n] / k)
+    out = abs(counts[(-1,) * n] / k - max(1.0 - float(q.sum()), 0.0))
+    return 0.5 * (float(np.abs(inside - q).sum()) + out)
 
 
 def _draws_with_out_of_range(rng, k, n, D):
@@ -561,7 +562,7 @@ def _dict_tv(v, c, D, norm_sq=1.0):
         else:
             acc += abs(count / total - q[u])
     acc += sum(qu for u, qu in q.items() if u not in hist)
-    return 0.5 * acc + out_mass
+    return 0.5 * (acc + abs(out_mass - max(1.0 - sum(q.values()), 0.0)))
 
 
 class TestTVDistance:
@@ -583,8 +584,8 @@ class TestTVDistance:
         q = np.array([1.0, 0.0, 0.0, 0.0])
         counts = self._counts([0] * 50 + [4] * 50)
         assert counts == {(0,): 50, (4,): 50}
-        # half the mass out of range: 0.5*(|0.5-1|) + 0.5 = 0.75
-        assert abs(tv_distance(counts, q) - 0.75) < 1e-12
+        # half the draws out of range, where q puts nothing: 0.5*(|0.5-1| + |0.5-0|) = 0.5
+        assert abs(tv_distance(counts, q) - 0.5) < 1e-12
 
     def test_out_of_range_row_lands_in_the_corner(self):
         counts = self._counts([[0, 1], [3, 3], [3, 3]])
@@ -592,8 +593,27 @@ class TestTVDistance:
         assert sum(counts.values()) == 3
         q = np.zeros((3, 3))
         q[0, 1] = 1.0
-        # 0.5 * (|1/3 - 1|) + 2/3
-        assert abs(tv_distance(counts, q) - 1.0) < 1e-12
+        # 0.5 * (|1/3 - 1| + |2/3 - 0|)
+        assert abs(tv_distance(counts, q) - 2 / 3) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stays_between_zero_and_one(self, n, rng):
+        # targets of mass 1 down to 0.1 (the rest is q_out), draws from none to all out of
+        # range; the old form, half the in-range sum plus the whole out-of-range share,
+        # read up to 1.5 here
+        D = 3
+        for mass in (1.0, 0.9, 0.5, 0.1):
+            q = rng.random((D + 1,) * n)
+            q *= mass / q.sum()
+            for share in (0.0, 0.25, 0.72, 0.99, 1.0):
+                v = rng.integers(0, D + 1, (400, n))
+                v[: int(share * 400)] = D + 1
+                tv = tv_distance(_tally(v), q)
+                assert 0.0 <= tv <= 1.0
+                assert abs(tv - _dense_tv(v, q)) <= 1e-15
+        # every draw out of range, as q_out = 1 - sum q asks: distance 0 from the corner
+        q = np.zeros((D + 1,) * n)
+        assert tv_distance(_tally(np.full((10, n), D + 1)), q) == 0.0
 
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError, match="empty histogram"):

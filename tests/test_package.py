@@ -370,6 +370,30 @@ def test_lab_hashes_prints_every_field_of_the_selected_grids():
     assert unknown.stderr.startswith("error: unknown grid ['512']")
 
 
+def test_lab_hashes_prints_the_meter_after_the_grids_named_before_it():
+    # "meter" hashes low_energy_error at M = 128 and 512 on its seven (N, t) points, a first
+    # call on a fresh dense_diagonalize and then a held one, each line the value's digest
+    from qhermite.discrete_qho import build, dense_diagonalize
+    from qhermite.fast_forward import low_energy_error
+    from qhermite.spectral_core import GridSpec
+
+    points = [(8, 0.45), (8, -0.45), (16, 1.7), (16, -1.7), (8, 3.65), (8, -3.65), (16, 3.0)]
+    proc = subprocess.run([sys.executable, str(LAB_HASHES), "64", "meter"], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0
+    lines = [line.split("  ")[::-1] for line in proc.stdout.splitlines()]
+    assert len(lines) > 28 and all(" M=64 " in name for name, _ in lines[:-28])
+    digests = dict(lines[-28:])
+    assert list(digests) == [f"meter M={M} N={N} t={t} {call}" for M in (128, 512)
+                             for N, t in points for call in ("first", "held")]
+    assert all(digests[name.replace("first", "held")] == digest
+               for name, digest in digests.items() if "first" in name)
+    qho = build(GridSpec(512))
+    value = low_energy_error(qho, dense_diagonalize(qho), 16, -1.7)
+    text = json.dumps(value.hex()).encode()
+    assert digests["meter M=512 N=16 t=-1.7 first"] == hashlib.sha256(text).hexdigest()
+
+
 CODE_LINES = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 
 

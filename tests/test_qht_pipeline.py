@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import loewdin_orthonormalize
+from conftest import isometry_singular_values, loewdin_orthonormalize
 
 from qhermite import qht_pipeline
 from qhermite.discrete_qho import build, dense_diagonalize
@@ -25,8 +25,6 @@ from qhermite.qht_pipeline import (
     fixed_point_amplify,
     fixed_point_schedule,
     high_energy_cutoff,
-    isometry_singular_values,
-    pr_high_energy_leakage,
     pr_support,
     psibar_rows,
     qht_apply,
@@ -40,6 +38,14 @@ def _prepared(cfg, n):
     """The normalized prepared state of block n, as QHTOperator holds it."""
     amps = build_pr_state(n, cfg.M)
     return amps / np.linalg.norm(amps)
+
+
+def pr_high_energy_leakage(n: int, n_high: int, eig) -> float:
+    """||Pi_{>n_high} |phi_n>||^2 for the unnormalized prepared state on eig's grid."""
+    low = eig.vectors[:, :n_high + 1]
+    amps = build_pr_state(n, eig.vectors.shape[0]).astype(complex)
+    inside = low.conj().T @ amps
+    return float(max(np.vdot(amps, amps).real - np.vdot(inside, inside).real, 0.0))
 
 
 def _force_workers(monkeypatch, workers: int) -> None:
