@@ -53,25 +53,27 @@ def _write_table(path, meta: dict, header: list, rows: list, fmt: str, footer: d
 
 
 def read_table(path):
-    """Load a CSV or JSON table written by this CLI: (meta, rows, summary)."""
+    """Load a CSV or JSON table written by this CLI: (meta, rows, summary).
+
+    A JSON table is read as written.  In a CSV table the `# ` line is the
+    meta and the `# summary ` line the summary; the other lines are read by
+    one `csv.DictReader`, so a row is a dict of strings keyed by the header
+    and a quoted field keeps its commas.
+    """
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         data = json.loads(text)
         return data["meta"], data["rows"], data.get("summary")
-    meta, summary = {}, None
-    rows = []
-    header = None
+    meta, summary, body = {}, None, []
     for line in text.splitlines():
         if line.startswith("# summary "):
             summary = json.loads(line[len("# summary "):])
         elif line.startswith("# "):
             meta = json.loads(line[2:])
-        elif header is None:
-            header = line.split(",")
-        elif line:
-            rows.append(dict(zip(header, next(csv.reader([line])))))
-    return meta, rows, summary
+        else:
+            body.append(line)
+    return meta, list(csv.DictReader(body)), summary
 
 
 def _check_out(path) -> None:

@@ -136,10 +136,6 @@ def _p2_symbol_ld(M: int) -> np.ndarray:
     return c
 
 
-def _p2_symbol(M: int) -> np.ndarray:
-    return _p2_symbol_ld(M).astype(np.float64)
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Ascending eigenvalues and orthonormal eigenvectors of Hbar.
@@ -167,9 +163,10 @@ def _sector_block(M: int, odd: bool) -> np.ndarray:
     """Hbar restricted to the odd or the even sector of the reflection l -> -l (mod M).
 
     Hbar = (xbar^2 + C)/2 with C_{lk} = c[(k - l) mod M] commutes with the
-    reflection.  The even sector has the orthonormal basis |0>, |-M/2> (labels
-    that are their own mirror) and (|a> + |-a>)/sqrt(2), a = 1..M/2-1; the
-    odd sector has (|a> - |-a>)/sqrt(2), a = 1..M/2-1.  In these bases
+    reflection; c is `_p2_symbol_ld(M)` rounded once to float64.  The even
+    sector has the orthonormal basis |0>, |-M/2> (labels that are their own
+    mirror) and (|a> + |-a>)/sqrt(2), a = 1..M/2-1; the odd sector has
+    (|a> - |-a>)/sqrt(2), a = 1..M/2-1.  In these bases
         even[a, b] = w_a w_b (c[a-b] + c[a+b]) / 2 + delta_ab pi a^2 / M,
         odd[a, b]  = (c[a-b] - c[a+b]) / 2 + delta_ab pi a^2 / M,
     with w = 1/sqrt(2) at a = 0 and a = M/2 and w = 1 otherwise.  Returns the
@@ -183,7 +180,7 @@ def _sector_block(M: int, odd: bool) -> np.ndarray:
     M = 4096 takes that one (M/2+1)^2 array and nothing more.
     """
     half = M // 2
-    c = _p2_symbol(M)
+    c = _p2_symbol_ld(M).astype(np.float64)
     # toeplitz[a, b] = c[half - a + b] over c[half..1, 0..half]; hankel[a, b] = c[(a + b) mod M]
     toeplitz = sliding_window_view(np.concatenate([c[half:0:-1], c[:half + 1]]), half + 1)[::-1]
     hankel = sliding_window_view(np.append(c, c[0]), half + 1)
@@ -418,14 +415,13 @@ def _mp_roots(M: int) -> tuple:
     return tuple(mp.expjpi(mp.mpf(2 * d) / M) for d in range(M // 2 + 1))
 
 
-def _mp_p1_symbol(M: int, roots: tuple | None = None):
+def _mp_p1_symbol(M: int, roots: tuple):
     """Symbol of F xbar F^-1: entries c1[(j-k) mod M], c1[M - d] = conj(c1[d]).
 
-    roots is `_mp_roots(M)` at the current precision, evaluated here when None.
+    roots is the root table `_mp_roots(M)` at the current precision.
     """
     import mpmath as mp
 
-    roots = _mp_roots(M) if roots is None else roots
     h = mp.sqrt(2 * mp.pi / M)
     c = [mp.mpc(-h / 2)] + [mp.mpc(0)] * (M - 1)
     for d in range(1, M // 2 + 1):
@@ -490,29 +486,28 @@ def _fixed_dft_columns(cols, M: int, bits: int, roots: tuple):
     return out
 
 
-def _tail_columns(M: int, N: int, family: str, bits: int,
-                  cols: tuple | None = None, roots: tuple | None = None) -> tuple:
-    """One family's N fixed-point columns at 2^-bits, at the current mp precision.
+def _tail_columns(M: int, family: str, bits: int, cols: tuple, roots: tuple | None) -> tuple:
+    """One family's fixed-point columns at 2^-bits, one per column of cols.
 
     A column is its (real, imaginary) pair of parts, each as (half, parity):
     the entries on `_half_labels` and the sign that gives the entry at -J
     from the one at J.  "x2_p2" takes the Hermite columns, the other two
     families their centered DFT.  cols is `_mp_hermite_columns(M, N)` and
-    roots `_mp_roots(M)`, each evaluated here when None.
+    roots the root table `_mp_roots(M)`, both at the current mp precision;
+    only the DFT reads roots, so "x2_p2" takes None.
     """
-    cols = _mp_hermite_columns(M, N) if cols is None else cols
     if family == "x2_p2":
         zero = np.zeros(M // 2 + 1, dtype=object)
         return tuple(((_fixed(c, bits), (-1) ** n), (zero, 1)) for n, c in enumerate(cols))
-    roots = _mp_roots(M) if roots is None else roots
     return tuple(((re, 1), (im, -1)) for re, im in _fixed_dft_columns(cols, M, bits, roots))
 
 
-def _tail_symbol(M: int, family: str, bits: int, roots: tuple | None = None) -> tuple:
+def _tail_symbol(M: int, family: str, bits: int, roots: tuple | None) -> tuple:
     """One family's fixed-point symbol at 2^-bits: the (re, im) pair of its M entries.
 
-    h pbar's for "p2_anti" (from roots, as `_mp_p1_symbol` reads them),
-    pbar^2's for the other two families.
+    h pbar's for "p2_anti", from the root table roots (`_mp_roots(M)`, as
+    `_mp_p1_symbol` reads it), pbar^2's for the other two families, which
+    read no roots and take None.
     """
     import mpmath as mp
 
@@ -757,7 +752,9 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
     symbol (x2_p2 and p2_x2 share pbar^2's), the folded kernels on the
     pairs n < m, and the scales for every t up to TAIL_T_CAP (the three
     families share them); and, under one key that every N and P share, the
-    pairs of the folded index grouped by weight.  It also holds the pass's
+    pairs of the folded index grouped by weight.  This is the one place the
+    lab's inputs are made: `_tail_columns` and `_tail_symbol` take the
+    Hermite columns and the root table as arguments.  It also holds the pass's
     output, which depends on nothing else, under
     ("terms", family, N, P, t_max): the integer terms S_t in t order, their
     `products` count and `error_bar`.  So a repeat call takes no
@@ -799,7 +796,7 @@ def commutator_tail_norm(qho: DiscreteQHO, N: int, t_max: int,
 
             def columns():
                 cols = _held(qho, ("hermite", N, bits), lambda: _mp_hermite_columns(M, N))
-                return _tail_columns(M, N, family, bits, cols, roots)
+                return _tail_columns(M, family, bits, cols, roots)
 
             u = _held(qho, ("columns", family == "x2_p2", N, bits), columns)
             g = _held(qho, ("symbol", anti, bits), lambda: _tail_symbol(M, family, bits, roots))

@@ -199,22 +199,21 @@ def evolution_tables(M: int, fe: FactoredEvolution) -> EvolutionTables:
     return EvolutionTables(M=M, halves=_half_phases(M, fe.half), global_sign=fe.global_sign)
 
 
-def _frame_steps(tables: EvolutionTables, w: np.ndarray, adjoint: bool = False,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def _frame_steps(tables: EvolutionTables, w: np.ndarray, adjoint: bool,
+                 out: np.ndarray) -> np.ndarray:
     """Apply the factors (or their adjoints) to a momentum-frame w; returns `out`.
 
     A momentum factor is w <- P*w and a position factor w <- ifft(P*fft(w)).
     A half table covers the labels 0..M/2-1 of array indices M/2.. and, read
-    backwards, the labels -M/2..-1 of indices ..M/2-1.  Without `out` the
-    factors run on w in place; with it, the first factor, a momentum one,
-    reads w and writes `out`, so w is left as it was and the copy costs
-    nothing.  The factors read the same reversed, so the adjoint runs them
-    in the same order, each table conjugated into one M/2+1 scratch.  The
-    global sign is left to the caller.
+    backwards, the labels -M/2..-1 of indices ..M/2-1.  The first factor, a
+    momentum one, reads w and writes `out`, and every later one runs on
+    `out` in place.  So `out=w` runs the factors on w in place, and any other
+    `out` leaves w as it was at no cost for the copy.  The factors read the
+    same reversed, so the adjoint runs them in the same order, each table
+    conjugated into one M/2+1 scratch.  The global sign is left to the
+    caller.
     """
     h = tables.M // 2
-    if out is None:
-        out = w
     conj = np.empty(h + 1, dtype=complex) if adjoint else None
     last = len(tables.halves) - 1
     src = w
@@ -234,13 +233,14 @@ def apply_tables(tables: EvolutionTables, state: np.ndarray,
                  adjoint: bool = False) -> np.ndarray:
     """Apply the tabulated evolution (or its adjoint) along the last axis.
 
-    Enters the momentum frame, runs the factors there and leaves it; `state`
-    is not modified.
+    Copies `state`, then enters the momentum frame, runs the factors there
+    and leaves it, each in place on the copy (`_frame_steps` with `out=w`);
+    `state` is not modified.
     """
     w = np.array(state, dtype=complex)
     if w.shape[-1] != tables.M:
         raise ValueError(f"dimension mismatch: {w.shape[-1]} vs M={tables.M}")
-    v = _from_frame(_frame_steps(tables, _enter_frame(w), adjoint))
+    v = _from_frame(_frame_steps(tables, _enter_frame(w), adjoint, out=w))
     if tables.global_sign < 0:
         v *= -1.0
     return v

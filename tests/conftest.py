@@ -7,7 +7,7 @@ import pytest
 from qhermite.discrete_qho import (
     DENSE_EIG_CAP,
     DiscreteQHO,
-    _p2_symbol,
+    _p2_symbol_ld,
     build,
     dense_diagonalize,
 )
@@ -43,7 +43,7 @@ def dense_momentum_sq(spec: GridSpec) -> np.ndarray:
     """Dense pbar^2 from the circulant symbol (oracle; M <= 4096)."""
     if spec.M > DENSE_EIG_CAP:
         raise ValueError(f"dense budget exceeded: M={spec.M}")
-    c = _p2_symbol(spec.M)
+    c = _p2_symbol_ld(spec.M).astype(np.float64)
     j = np.arange(spec.M)
     return c[(j[None, :] - j[:, None]) % spec.M]
 
@@ -56,7 +56,7 @@ def sector_blocks_by_gather(M: int) -> tuple:
     `discrete_qho._sector_block` reads strided views and scales in place.
     """
     half = M // 2
-    c = _p2_symbol(M)
+    c = _p2_symbol_ld(M).astype(np.float64)
     a = np.arange(half + 1)
     diff = c[np.abs(a[:, None] - a[None, :])]
     summ = c[(a[:, None] + a[None, :]) % M]

@@ -238,6 +238,22 @@ class TestRoundTrip:
         assert summary["trials"] == 40
         assert "const" in summary["instances"]
 
+    def test_csv_and_json_read_back_equal(self, tmp_path):
+        # string fields, as CSV gives them back: a field with commas, and the empty
+        # error and runtime_ms of an infeasible `ff-error --timings` row
+        meta = {"M": [128, 512], "command": "ff-error", "timings": True}
+        header = ["M", "t", "grid", "projected_error", "status", "runtime_ms"]
+        rows = [["128", "1.0", "64,128,512", "3.1e-12", "ok", "4"],
+                ["512", "10000.0", "64,128,512", "", "infeasible", ""]]
+        footer = {"eigensolve_ms": {"128": 2, "512": 30}}
+        tables = []
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"table.{fmt}"
+            _write_table(str(path), meta, header, rows, fmt, footer)
+            tables.append(read_table(path))
+        assert tables[0] == tables[1]
+        assert tables[0] == (meta, [dict(zip(header, r)) for r in rows], footer)
+
     def test_loader_sees_all_rows(self, tmp_path):
         _, out = _run(tmp_path, "f.csv", ["ff-error", "--M", "64", "--N", "2,4", "--t", "0.3"])
         _, rows, _ = read_table(out)

@@ -168,8 +168,9 @@ def has_parity(full, sign: int) -> bool:
 
 def _tail_inputs(M: int, N: int, family: str, bits: int):
     """One family's `_tail_columns` and `_tail_symbol` at 2^-bits, at the current mp precision."""
-    return (discrete_qho._tail_columns(M, N, family, bits),
-            discrete_qho._tail_symbol(M, family, bits))
+    cols, roots = discrete_qho._mp_hermite_columns(M, N), discrete_qho._mp_roots(M)
+    return (discrete_qho._tail_columns(M, family, bits, cols, roots),
+            discrete_qho._tail_symbol(M, family, bits, roots))
 
 
 def _bits(M: int, t_max: int) -> int:
@@ -608,7 +609,7 @@ class TestParityFold:
             rr, ri = full_roots(M, bits)
             p2 = discrete_qho._mp_p2_symbol(M)
             h = mp.sqrt(2 * mp.pi / M)
-            p1 = [h * s for s in discrete_qho._mp_p1_symbol(M)]
+            p1 = [h * s for s in discrete_qho._mp_p1_symbol(M, discrete_qho._mp_roots(M))]
             folded = {fam: _tail_inputs(M, N, fam, bits) for fam in TAIL_FAMILIES}
         d = np.arange(1, M)
         for n in range(N):

@@ -504,7 +504,8 @@ class TestApplyTables:
             before = w.copy()
             out = _frame_steps(tables, w, adjoint, out=np.empty_like(w))
             assert np.array_equal(w, before)
-            assert np.array_equal(out, _frame_steps(tables, w.copy(), adjoint))
+            in_place = w.copy()
+            assert np.array_equal(out, _frame_steps(tables, in_place, adjoint, out=in_place))
 
 
 class TestExactEvolution:

@@ -634,9 +634,10 @@ class TestTVDistance:
         trials = 4000
         counts = _tally(draw(dist, rng, trials)[0])
         c = spectrum_table(f, 9, 512)
-        upsilon = max(1.0 - np.sum(c * c), 0.0)
+        # the TV scores the out-of-range share 1 - sum c^2 as one cell, so the budget
+        # needs no term for it; tv read 0.023 at this seed, 0.027 median and 0.035 max at seeds 0-19
         noise = 3.0 * math.sqrt(c.size / trials) / 2
-        assert tv_distance(counts, c * c) <= 0.05 + upsilon + noise
+        assert tv_distance(counts, c * c) <= 0.05 + noise
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_array_form_matches_dict_form(self, n):
