@@ -185,7 +185,9 @@ class SamplerConfig:
     invalid config never exists: M must be a grid `GridSpec` accepts, D an
     integer in [0, M), qht_eps None or in (0, 1), and the per-axis rows,
     (D + 1) x M entries, at most 2^TABLE_BUDGET, before `hermite_basis`
-    allocates them.
+    allocates them.  With qht_eps set, QHTConfig(N=D + 1, eps=qht_eps, M=M)
+    is built too, so a transform that would refuse the grid (an M that is
+    not a power of two, say) refuses the config.
     """
 
     M: int = 512
@@ -197,10 +199,12 @@ class SamplerConfig:
         GridSpec(M)
         if not _is_int(D) or not 0 <= D < M:
             raise ValueError(f"D must be an integer in [0, M={M}), got {D!r}")
-        if eps is not None and not 0 < eps < 1:
-            from .qht_pipeline import ConfigError
+        if eps is not None:
+            from .qht_pipeline import ConfigError, QHTConfig
 
-            raise ConfigError(f"qht_eps must be in (0, 1), got {eps}")
+            if not 0 < eps < 1:
+                raise ConfigError(f"qht_eps must be in (0, 1), got {eps}")
+            QHTConfig(N=D + 1, eps=eps, M=M)
         if (D + 1) * M > 2 ** TABLE_BUDGET:
             raise ValueError(f"per-axis rows (D+1) x M = {(D + 1) * M} exceed the table "
                              f"budget 2^{TABLE_BUDGET} (D={D}, M={M})")

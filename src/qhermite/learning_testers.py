@@ -8,10 +8,12 @@ keeping a pattern when its estimated weight clears tau^2/2; Parseval then
 caps the live list at 4/tau^2.
 
 Verdicts are deterministic given the seed; ties at a tester threshold
-accept.  Testers draw their candidate indices from the sampler simulation
-and verify with Monte-Carlo estimates, repeating the sampling stage
-O(log 1/delta) times so the stated confidence survives the noisy-instance
-case (a single draw only locates the support with constant probability).
+accept.  The product-sign and Hermite testers take their candidate index as
+the mode of O(log 1/delta) spectrum draws, so the stated confidence
+survives the noisy-instance case (a single draw only locates the support
+with constant probability).  The product-sign tester verifies it with a
+Monte-Carlo weight estimate; the Hermite tester reads the candidate's share
+of further draws of the same distribution and never evaluates f itself.
 """
 from __future__ import annotations
 
@@ -97,7 +99,7 @@ class TesterVerdict:
     accept: bool
     witness: object = None
     estimate: float | None = None
-    samples_used: int = 0   # spectrum draws plus the points f is evaluated at
+    samples_used: int = 0   # spectrum draws, plus the points f is evaluated at (product sign)
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class GGLResult:
     found: tuple
     failed: bool
     nodes_examined: int
-    oracle_queries: int   # sampler attempts, or every point f was evaluated at (classical)
+    oracle_queries: int   # postselection attempts (sampler) or points f is evaluated at
 
 
 def _resolve_gamma(f: OracleFunction) -> float:
@@ -163,6 +165,12 @@ def _coefficient_count(degree: int, eps: float, delta: float, what: str) -> int:
     return max(_count(lambda: 8.0 * max(1.0, degree) / eps**2 * math.log(2.0 / delta), what), 64)
 
 
+def _check_length(index: tuple, f: OracleFunction) -> None:
+    """ValueError unless the multi-index has one entry per axis of f."""
+    if len(index) != f.arity:
+        raise ValueError(f"a multi-index of length {len(index)} does not fit f.arity={f.arity}")
+
+
 def _pattern_rows(pattern: CoefficientPattern, y: np.ndarray) -> np.ndarray:
     """h_S(y) for draws y over the fixed coordinates (columns follow J order)."""
     degrees = [pattern.entries[pos] for pos in pattern.fixed_positions]
@@ -194,8 +202,10 @@ def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: flo
     variance, which follows the fourth moments of f h_S: for h_(2,1) it is
     2024, a standard error of 0.39 at eps_est = delta = 0.05.  The reported
     half-width, the empirical-Bernstein bound at the same confidence, is
-    then the error bar to read.
+    then the error bar to read.  A pattern whose length is not f.arity is a
+    ValueError before any draw.
     """
+    _check_length(pattern.entries, f)
     _check_delta(delta)
     m = _weight_count(_resolve_gamma(f), eps_est, delta, f"eps_est={eps_est}, delta={delta}")
     J = pattern.fixed_positions
@@ -224,9 +234,10 @@ def weight_estimate(f: OracleFunction, pattern: CoefficientPattern, eps_est: flo
 
 def coefficient_estimate(f: OracleFunction, v, eps_est: float, delta: float,
                          rng: np.random.Generator) -> float:
-    """Monte-Carlo fhat(v) = E[f(x) h_v(x)] to +-eps_est w.p. 1 - delta."""
+    """Monte-Carlo fhat(v) = E[f(x) h_v(x)] to +-eps_est w.p. 1 - delta; len(v) is f.arity."""
     _check_delta(delta)
     v = tuple(map(_degree, v))
+    _check_length(v, f)
     m = _coefficient_count(sum(v), eps_est, delta, f"eps_est={eps_est}, delta={delta}")
 
     def slab(part):
@@ -331,14 +342,19 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
 # ---------------------------------------------------------------------------
 
 
-def _mode_sample(f: OracleFunction, sampler_config: SamplerConfig | None, rng, delta: float):
-    """The mode of max(4, ceil(4 ln(2/delta))) spectrum draws (D = 9 by default), and that count."""
+def _mode_sample(f: OracleFunction, sampler_config: SamplerConfig | None, rng, delta: float,
+                 extra: int = 0):
+    """(mode, repeats, rest): one batch of repeats + extra spectrum draws (D = 9 by default).
+
+    The mode is that of the first repeats = max(4, ceil(4 ln(2/delta)))
+    draws, None when every one is out of range, the first-drawn index on a
+    tie; rest holds the extra draws that follow them.
+    """
     scfg = sampler_config or SamplerConfig(D=9)
     repeats = max(4, _count(lambda: 4 * math.log(2.0 / delta), f"delta={delta}"))
-    counts = _tally(_spectrum_draws(f, scfg, rng, repeats)[0], scfg.D)
-    if not counts:
-        return None, repeats
-    return max(counts, key=counts.get), repeats   # the first-drawn index on a tie
+    v = _spectrum_draws(f, scfg, rng, repeats + extra)[0]
+    counts = _tally(v[:repeats], scfg.D)
+    return (max(counts, key=counts.get) if counts else None), repeats, v[repeats:]
 
 
 def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
@@ -356,7 +372,7 @@ def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
     threshold, eps, what = _promise(eps1, eps2, delta)
     # an oracle or a count the weight estimate cannot size fails before any draw
     _weight_count(_resolve_gamma(f), eps / 4.0, delta / 2.0, what)
-    v_mode, used = _mode_sample(f, sampler_config, rng, delta)
+    v_mode, used, _ = _mode_sample(f, sampler_config, rng, delta)
     if v_mode is None:
         return TesterVerdict(accept=False, samples_used=used)
     support = tuple(i for i, c in enumerate(v_mode) if c > 0)
@@ -397,33 +413,30 @@ def test_hermite_polynomial(f: OracleFunction, k: int, eps1: float, eps2: float,
     """Tolerantly test closeness to a single Hermite polynomial on k variables.
 
     A function eps1-close to some h_S concentrates its normalized spectrum on
-    S, so the sampler reveals S within O(log 1/delta) draws; the candidate's
-    normalized correlation fhat(S)/||f|| is then estimated to +-eps/4 and
-    accepted at the midpoint threshold.  (Normalizing keeps the verdict
-    invariant under the output rescaling a bounded oracle must apply; the
-    sampler's own distribution fhat^2/||f||^2 is normalized the same way.)
-    Candidates with the wrong variable count are rejected outright.
+    S, so the sampler reveals S as the mode of its first O(log 1/delta)
+    draws.  The sampler draws v with probability p_v = fhat(v)^2/||f||^2
+    (the mass beyond the cutoff D is its out-of-range rest), so the share of
+    S among m further draws of the same distribution estimates p_S, and f is
+    never evaluated outside the sampler.  The promise puts p_S >= (1-eps1)^2
+    or p_S <= (1-eps2)^2; estimate = sqrt(share), the normalized
+    |fhat(S)|/||f||, and accept iff it reaches threshold = 1 - (eps1+eps2)/2,
+    that is, iff the share reaches threshold^2.  The nearer promise level is
+    g = (eps/2)(threshold + 1 - eps2) from threshold^2, eps = eps2 - eps1,
+    and the share is a mean of m indicators, so by Hoeffding's inequality
+    m = ceil(ln(4/delta) / (2 g^2)) draws put it on the wrong side with
+    probability at most delta/4.  Candidates with the wrong variable count
+    are rejected outright.  samples_used counts every draw of the one batch,
+    mode and share alike.
     """
     threshold, eps, what = _promise(eps1, eps2, delta)
-    scfg = sampler_config or SamplerConfig(D=9)
-    # the norm estimate sees fourth moments of f, so it gets the larger
-    # constant; median-of-means tames the heavy tail of f^2.  Both counts are
-    # taken before any draw, the coefficient's at the largest degree a draw can have
-    m = max(_count(lambda: 64.0 / eps**2 * math.log(4.0 / delta), what), 256)
-    _coefficient_count(f.arity * scfg.D, eps / 8.0, delta / 4.0, what)
-    v_mode, used = _mode_sample(f, scfg, rng, delta)
+    g = eps / 2.0 * (threshold + 1.0 - eps2)
+    m = _count(lambda: math.log(4.0 / delta) / (2.0 * g * g), what)
+    v_mode, repeats, rest = _mode_sample(f, sampler_config, rng, delta, m)
+    used = repeats + m
     if v_mode is None:
         return TesterVerdict(accept=False, samples_used=used)
     if sum(1 for c in v_mode if c > 0) != k:
         return TesterVerdict(accept=False, witness=v_mode, samples_used=used)
-    coeff = coefficient_estimate(f, v_mode, eps / 8.0, delta / 4.0, rng)
-    used += _coefficient_count(sum(v_mode), eps / 8.0, delta / 4.0, what)   # its draws
-    # the median of the 8 chunk means is the mean of the middle two, as
-    # np.median takes it (which would load numpy.ma)
-    sq = _in_slabs(m, lambda part: f.evaluate(
-        rng.standard_normal((part.stop - part.start, f.arity))) ** 2)
-    means = sorted(c.mean() for c in np.array_split(sq, 8))
-    norm = math.sqrt(max(float((means[3] + means[4]) / 2), 1e-12))
-    est = coeff / norm
-    return TesterVerdict(accept=bool(abs(est) >= threshold), witness=v_mode,
-                         estimate=est, samples_used=used + m)
+    est = math.sqrt(_tally(rest).get(v_mode, 0) / m)
+    return TesterVerdict(accept=est >= threshold, witness=v_mode, estimate=est,
+                         samples_used=used)

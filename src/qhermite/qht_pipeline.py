@@ -320,8 +320,10 @@ def fixed_point_schedule(delta_lower: float, eps: float,
     alpha_k = 2 arccot(tan(2 pi k / L) sqrt(1 - gamma^2)) with
     gamma^-1 = cosh(arccosh(1/eps)/L) and beta_k = -alpha_{l-k+1}, the
     standard fixed-point sequence that drives any initial overlap
-    a >= delta_lower to at least 1 - eps without overshoot.
+    a >= delta_lower to at least 1 - eps without overshoot.  An eps outside
+    (0, 1), NaN included, is the ConfigError that `QHTConfig` raises.
     """
+    _check_eps(eps)
     if not delta_lower > 0:   # NaN included
         raise ValueError(f"overlap lower bound must be positive, got {delta_lower}")
     if degree_override < 0:
@@ -351,8 +353,10 @@ def fixed_point_amplify(kept_norm: float, leak_norm: float, delta_lower: float,
     prepared state is rank one.  Both amplitudes are inputs because
     sqrt(1 - a^2) cancels near a = 1.  A zero state returns (0, 0), and
     a >= 1 - 1e-12 returns (a, b) unamplified.  The flagged work vector is
-    kept * goal/kept_norm and |rest|^2 the unflagged mass left.
+    kept * goal/kept_norm and |rest|^2 the unflagged mass left.  The
+    schedule is taken first, so its checks hold on every path.
     """
+    _, phases = fixed_point_schedule(delta_lower, eps, degree_override)
     norm = math.hypot(kept_norm, leak_norm)
     if norm == 0:
         return 0j, 0j
@@ -360,7 +364,6 @@ def fixed_point_amplify(kept_norm: float, leak_norm: float, delta_lower: float,
     goal, rest = complex(a), complex(b)
     if a >= 1.0 - 1e-12:
         return goal, rest
-    _, phases = fixed_point_schedule(delta_lower, eps, degree_override)
     for alpha, beta in phases:
         goal *= np.exp(-1j * beta)
         kick = (np.exp(1j * alpha) - 1.0) * (a * goal + b * rest)

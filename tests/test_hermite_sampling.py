@@ -402,8 +402,8 @@ class TestDraw:
             if v.max() <= dist.D and sum(c == top for _, c in counts) > 1:
                 break
         # delta = 0.9 asks for the fewest draws, max(4, ceil(4 ln(2/0.9))) = 4
-        mode, used = _mode_sample(f, scfg, np.random.default_rng(seed), 0.9)
-        assert sum(c == top for _, c in counts) > 1 and used == 4
+        mode, used, rest = _mode_sample(f, scfg, np.random.default_rng(seed), 0.9)
+        assert sum(c == top for _, c in counts) > 1 and used == 4 and len(rest) == 0
         assert mode == next(u for u, c in counts if c == top)
 
 
@@ -485,6 +485,16 @@ class TestSamplerConfigChecks:
     def test_replace_is_checked(self):
         with pytest.raises(ValueError, match=re.escape("D must be an integer in [0, M=8)")):
             replace(SamplerConfig(M=8, D=3), D=8)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(M=500, D=9), "phase estimation needs a power-of-two M, got M=500"),
+        (dict(M=16, D=15), "N=16 must be in [1, M=16)"),
+    ], ids=["M-500", "D-at-last-label"])
+    def test_transform_grid_refused_at_construction(self, fields, message):
+        # a config the transform cannot build once failed only when a distribution was built
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SamplerConfig(qht_eps=0.1, **fields)
+        assert SamplerConfig(qht_eps=None, **fields).M == fields["M"]
 
     def test_boundaries_are_admitted(self):
         # the smallest grid with its largest D, and per-axis rows of exactly 2^27 entries

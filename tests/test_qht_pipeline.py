@@ -244,6 +244,21 @@ class TestEigenstateFilter:
         beta = abs(float(psi @ _prepared(cfg, n)))
         assert abs(np.linalg.norm(kept) - beta) <= 2 * cfg.eps
 
+    @pytest.mark.parametrize("N, eps, M, bound", [
+        (8, 0.01, 64, 6e-5), (32, 0.01, 256, 7e-7), (16, 0.01, 1024, 1.2e-8),
+        (8, 0.01, 4096, 1.2e-10),
+    ])
+    def test_leak_is_one_minus_the_overlap(self, N, eps, M, bound):
+        # on the levels with E_k = k + 1/2 the m-stage filter is the projector onto e_n, so
+        # the leak is 1 - |<psibar_n|phi_n>|^2 up to the prepared state's mass where E_k
+        # departs from k + 1/2.  Largest differences over the blocks read 2.88e-5, 3.44e-7,
+        # 5.66e-9 and 5.71e-11 against leaks of 0.20-0.42; the bounds are about twice those
+        op = QHTOperator(QHTConfig(N=N, eps=eps, M=M))
+        op.matrix()
+        for n, row in enumerate(psibar_rows(M, range(N))):
+            phi = _prepared(op.config, n)
+            assert abs(op.filter_leaks[n] - (1.0 - abs(np.vdot(row, phi)) ** 2)) <= bound
+
     def test_interferometer_mass_conservation(self, rng):
         # materialize all 2^m ancilla branches at M=64 and check completeness
         M = 64
@@ -331,6 +346,18 @@ class TestFixedPointAmplify:
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             fixed_point_schedule(0.0, 1e-2)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), 1.5])
+    def test_rejects_eps_outside_unit_interval(self, eps):
+        # these raised ZeroDivisionError, a math domain error and a NaN-to-int error, and
+        # eps = 1.5 gave L = 1, no amplification at all; a unit or zero state, which
+        # needs no walk, returned without a check
+        for call in (lambda: fixed_point_schedule(0.5, eps),
+                     lambda: fixed_point_amplify(0.6, 0.8, 0.5, eps),
+                     lambda: fixed_point_amplify(1.0, 0.0, 0.5, eps),
+                     lambda: fixed_point_amplify(0.0, 0.0, 0.5, eps)):
+            with pytest.raises(ConfigError, match=re.escape(f"eps must be in (0, 1), got {eps}")):
+                call()
 
     @pytest.mark.parametrize("delta_lower, degree", [(float("nan"), 0), (float("nan"), 5),
                                                      (0.3, -3)])
