@@ -232,6 +232,10 @@ def cmd_sample(args):
     rows = []
     summaries = {}
     for label, f in funcs:
+        base, k = label, 1
+        while label in summaries:   # a repeated label takes the first free suffix #2, #3, ...
+            k += 1
+            label = f"{base}#{k}"
         v, attempts = _spectrum_draws(f, scfg, rng, trials)
         counts = _tally(v)
         if args.log:
@@ -240,10 +244,8 @@ def cmd_sample(args):
         else:   # the drawn indices ascending, out-of-range (D+1, ..., D+1) last
             rows += [[label, "|".join(map(str, u)), counts[u], f"{counts[u] / trials:.6f}"]
                      for u in sorted(counts)]
-        q = spectrum_table(f, D, M_quad=scfg.M) ** 2
-        if not f.boolean:
-            q /= max(float(q.sum()), 1e-12)
-        summaries[label] = {"tv": round(tv_distance(counts, q), 6),
+        c, norm_sq = spectrum_table(f, D, M_quad=scfg.M)   # the sampler's fhat^2 / ||f||^2
+        summaries[label] = {"tv": round(tv_distance(counts, c * c / norm_sq), 6),
                             "mean_attempts": float(np.mean(attempts))}
     header = (["instance", "trial", "v", "accepted_attempts"] if args.log
               else ["instance", "v", "count", "frequency"])

@@ -34,11 +34,12 @@ sum over n = |J_j|, m = |J_k| of u_a[n] K[n, m] u_b[m], with K the symbol
 folded over +-j and +-k with the parts' signs (gathers and sign flips, and
 the anticommutator's exact factor J_j + J_k).  The weight n^2 - m^2 is
 antisymmetric and zero on the diagonal, so only the pairs n < m count, and
-the one exact pass sums H[n, m] +- H[m, n] on them directly: a pair of
-columns costs about (M/2+1)^2 big-integer products per nonzero part of K
-(half that for a column with itself) in place of about 8 M^2.
-`TailReport.products` counts them; BENCH_46.json and BENCH_50.json have
-the lab's per-call times.
+the one exact pass sums H[n, m] +- H[m, n] on them directly.  It has one
+route: every pair of column parts, a part with itself included, costs about
+(M/2+1)^2 big-integer products for its outer products and as many per
+nonzero part of K, in place of about 8 M^2.  `TailReport.products` counts
+them, the power sums' included; BENCH_46.json and BENCH_50.json have the
+lab's per-call times.
 """
 from __future__ import annotations
 
@@ -352,7 +353,8 @@ class TailReport:
     term_norms: dict          # t -> spectral norm of the projected t-th term
     dps: int
     error_bar: float = 0.0    # a bound on ||tail - exact tail||, see _rounding_bound
-    products: int = field(default=0, compare=False)   # wide-integer products of the exact pass
+    # wide-integer products of the exact pass, which takes one route for every pair of column parts
+    products: int = field(default=0, compare=False)
 
 
 def _half_labels(M: int) -> tuple:
@@ -617,38 +619,32 @@ def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict, gro
     H, K being `_folded_symbol` for their two parities.  `_power_sums` reads
     H only as H[n, m] + H[m, n] and H[n, m] - H[m, n] on the pairs n < m, so
     those two parity sums are formed directly, for each part of H, on the
-    pairs of `groups` in weight order, then summed per weight:
-    - a cross pair (a < b, or p != q) multiplies u_a,p[n] u_b,q[m] by
-      K[n, m] and u_a,p[m] u_b,q[n] by K[m, n]: two products per pair for
-      the two orders and two per nonzero part of K;
-    - a self pair (a = b and p = q) has the one product u[n] u[m] for both
-      orders, times K[n, m] + K[m, n] and K[n, m] - K[m, n].  Its K is
-      Hermitian, so per part one of the two is 2 K[n, m] and the other is
-      zero and skipped: one product per pair per nonzero part of K.
-    The unfolded sum took about 8 M^2 products per pair of columns.
+    pairs of `groups` in weight order, then summed per weight.  Every pair
+    of parts, a self pair (a = b and p = q) included, multiplies
+    u_a,p[n] u_b,q[m] by K[n, m] and u_a,p[m] u_b,q[n] by K[m, n]: two
+    products per pair for the two orders and two per nonzero part of K.  A
+    self pair's K is Hermitian, so one of its two parity sums is zero, and
+    `_power_sums` skips it.  The unfolded sum took about 8 M^2 products per
+    pair of columns.
     g[M - d] = conj(g[d]), so W is Hermitian and S_t[b, a] = (-1)^t
     conj(S_t[a, b]): only a <= b is summed.  Returns {t: (re, im)} of N x N
     integer arrays, scaled by the product of the three inputs' scales, and
     the number of wide-integer products taken, `_power_sums`' included.
 
     `kernels` keeps the read-only kernels built from g and `anti` by
-    (sa, sb, q): each part of i^q K on the pairs, as K[n, m], K[m, n] and
-    the parity that a self pair adds it to (0 when K[m, n] = K[n, m], and
-    then one array serves as both, 1 when K[m, n] = -K[n, m], else None),
-    or None when the part is zero.  A caller that passes the same dict with
-    the same g and `anti` builds each kernel once.  `groups` is
-    `_weight_groups(M/2 + 1)`.
+    (sa, sb, q): each part of i^q K on the pairs, as K[n, m] and K[m, n]
+    (one array serves as both when they are equal), or None when the part
+    is zero.  A caller that passes the same dict with the same g and `anti`
+    builds each kernel once.  `groups` is `_weight_groups(M/2 + 1)`.
     """
     n, m, starts, d = groups
 
     def on_pairs(k):
-        """K[n, m], K[m, n] and a self pair's parity; one array for a symmetric part."""
+        """K[n, m] and K[m, n]; one array for a symmetric part."""
         if k is None:
             return None
         fwd, bwd = k[n, m], k[m, n]
-        if np.array_equal(bwd, fwd):
-            return fwd, fwd, 0
-        return fwd, bwd, 1 if np.array_equal(bwd, -fwd) else None
+        return (fwd, fwd) if np.array_equal(bwd, fwd) else (fwd, bwd)
 
     def kernel(sa, sb, q):
         """The (re, im) parts of i^q K for the parities sa and sb, on the pairs."""
@@ -679,20 +675,9 @@ def _integer_tail_sums(u, g, anti: bool, t0: int, t_max: int, kernels: dict, gro
                     if part_a is None or part_b is None:
                         continue
                     (an, am, sa), (bn, bm, sb) = part_a, part_b
-                    ks = kernel(sa, sb, (q - p) % 4)
-                    if a == b and p == q:
-                        y = an * am
-                        products += pairs
-                        for sums, k in zip(H, ks):
-                            if k is not None:
-                                both = y * k[0]
-                                both += both
-                                add(sums, k[2], both)
-                                products += pairs
-                        continue
                     fwd, bwd = an * bm, am * bn
                     products += 2 * pairs
-                    for sums, k in zip(H, ks):
+                    for sums, k in zip(H, kernel(sa, sb, (q - p) % 4)):
                         if k is not None:
                             upper, lower = fwd * k[0], bwd * k[1]
                             add(sums, 0, upper + lower)

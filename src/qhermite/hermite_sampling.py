@@ -164,12 +164,20 @@ def _grid_contract(n: int, evaluate, grid: np.ndarray, mats, factors=None, weigh
     return T.reshape(shape), sum_sq, sup
 
 
-def spectrum_table(f: OracleFunction, D: int, M_quad: int) -> np.ndarray:
-    """The (D+1,)*n array of fhat(v), v in [0, D]^n, in one tensor contraction per axis."""
+def spectrum_table(f: OracleFunction, D: int, M_quad: int) -> tuple:
+    """(c, ||f||^2): the (D+1,)*n array of fhat(v), v in [0, D]^n, and f's Gaussian norm.
+
+    One tensor contraction per axis on the midpoint grid, whose weight
+    h nu(x) per axis is split as sqrt(h nu) on f and on the rows, so the
+    contraction's own sum of squares is the same quadrature of
+    ||f||^2 = E[f(X)^2] (1 to rounding for a boolean f).
+    """
     x, h = _quad_grid(M_quad)
-    weighted = h * probabilist_rows(D, x) * _nu(x)
-    c, _, _ = _grid_contract(f.arity, f.evaluate, x, [weighted] * f.arity, f.product_factors)
-    return c
+    root = np.sqrt(h * _nu(x))
+    rows = root * probabilist_rows(D, x)
+    c, norm_sq, _ = _grid_contract(f.arity, f.evaluate, x, [rows] * f.arity, f.product_factors,
+                                   [root] * f.arity)
+    return c, norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +323,18 @@ def draw(dist: SampleDistribution, rng: np.random.Generator, k: int):
     return v, attempts
 
 
+def _spectrum_distribution(f: OracleFunction, scfg: SamplerConfig) -> SampleDistribution:
+    """f's sampler distribution, postselected unless f is boolean; every spectrum draw reads it."""
+    return sample_distribution(f, scfg, normalized=not f.boolean)
+
+
 def _spectrum_draws(f: OracleFunction, scfg: SamplerConfig, rng, k: int):
-    """k draws (v, attempts) from f's sampler distribution, postselected unless f is boolean.
+    """k draws (v, attempts) from `_spectrum_distribution(f, scfg)`.
 
     The distribution lives only for the call, so a caller holds the draws,
     not its probabilities and CDF.
     """
-    return draw(sample_distribution(f, scfg, normalized=not f.boolean), rng, k)
+    return draw(_spectrum_distribution(f, scfg), rng, k)
 
 
 def _tally(v: np.ndarray, D: int | None = None) -> dict:

@@ -26,8 +26,10 @@ from .hermite_sampling import (
     OracleFunction,
     SamplerConfig,
     _SLAB_POINTS,
+    _spectrum_distribution,
     _spectrum_draws,
     _tally,
+    draw,
 )
 from .spectral_core import _is_int, probabilist_product
 
@@ -342,19 +344,19 @@ def gaussian_goldreich_levin(f: OracleFunction, tau: float, delta: float,
 # ---------------------------------------------------------------------------
 
 
-def _mode_sample(f: OracleFunction, sampler_config: SamplerConfig | None, rng, delta: float,
-                 extra: int = 0):
-    """(mode, repeats, rest): one batch of repeats + extra spectrum draws (D = 9 by default).
+def _mode_sample(f: OracleFunction, sampler_config: SamplerConfig | None, rng, delta: float):
+    """(mode, repeats, dist): the mode of repeats spectrum draws and the distribution drawn.
 
-    The mode is that of the first repeats = max(4, ceil(4 ln(2/delta)))
-    draws, None when every one is out of range, the first-drawn index on a
-    tie; rest holds the extra draws that follow them.
+    dist is `_spectrum_distribution` (D = 9 by default), built once, so a
+    caller draws more from it.  The mode is that of its repeats =
+    max(4, ceil(4 ln(2/delta))) draws, None when every one is out of
+    range, the first-drawn index on a tie.
     """
     scfg = sampler_config or SamplerConfig(D=9)
     repeats = max(4, _count(lambda: 4 * math.log(2.0 / delta), f"delta={delta}"))
-    v = _spectrum_draws(f, scfg, rng, repeats + extra)[0]
-    counts = _tally(v[:repeats], scfg.D)
-    return (max(counts, key=counts.get) if counts else None), repeats, v[repeats:]
+    dist = _spectrum_distribution(f, scfg)
+    counts = _tally(draw(dist, rng, repeats)[0], scfg.D)
+    return (max(counts, key=counts.get) if counts else None), repeats, dist
 
 
 def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
@@ -372,7 +374,7 @@ def test_product_sign(f: OracleFunction, k: int, eps1: float, eps2: float,
     threshold, eps, what = _promise(eps1, eps2, delta)
     # an oracle or a count the weight estimate cannot size fails before any draw
     _weight_count(_resolve_gamma(f), eps / 4.0, delta / 2.0, what)
-    v_mode, used, _ = _mode_sample(f, sampler_config, rng, delta)
+    v_mode, used = _mode_sample(f, sampler_config, rng, delta)[:2]   # the distribution goes
     if v_mode is None:
         return TesterVerdict(accept=False, samples_used=used)
     support = tuple(i for i, c in enumerate(v_mode) if c > 0)
@@ -424,19 +426,19 @@ def test_hermite_polynomial(f: OracleFunction, k: int, eps1: float, eps2: float,
     g = (eps/2)(threshold + 1 - eps2) from threshold^2, eps = eps2 - eps1,
     and the share is a mean of m indicators, so by Hoeffding's inequality
     m = ceil(ln(4/delta) / (2 g^2)) draws put it on the wrong side with
-    probability at most delta/4.  Candidates with the wrong variable count
-    are rejected outright.  samples_used counts every draw of the one batch,
-    mode and share alike.
+    probability at most delta/4.  The draws come in two stages from the one
+    distribution: the mode's, then, only for a candidate with k variables
+    (any other is rejected outright), the m share draws.  samples_used
+    counts the draws taken, mode and share alike.
     """
     threshold, eps, what = _promise(eps1, eps2, delta)
     g = eps / 2.0 * (threshold + 1.0 - eps2)
     m = _count(lambda: math.log(4.0 / delta) / (2.0 * g * g), what)
-    v_mode, repeats, rest = _mode_sample(f, sampler_config, rng, delta, m)
-    used = repeats + m
+    v_mode, repeats, dist = _mode_sample(f, sampler_config, rng, delta)
     if v_mode is None:
-        return TesterVerdict(accept=False, samples_used=used)
+        return TesterVerdict(accept=False, samples_used=repeats)
     if sum(1 for c in v_mode if c > 0) != k:
-        return TesterVerdict(accept=False, witness=v_mode, samples_used=used)
-    est = math.sqrt(_tally(rest).get(v_mode, 0) / m)
+        return TesterVerdict(accept=False, witness=v_mode, samples_used=repeats)
+    est = math.sqrt(_tally(draw(dist, rng, m)[0]).get(v_mode, 0) / m)
     return TesterVerdict(accept=est >= threshold, witness=v_mode, estimate=est,
-                         samples_used=used)
+                         samples_used=repeats + m)

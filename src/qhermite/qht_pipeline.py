@@ -510,8 +510,8 @@ class QHTOperator:
          self.uncompute_residuals, self.aa_phases) = self._metrics
         self.build_workers = 0
 
-    def _sweep(self, w: np.ndarray, rows, adjoint: bool,
-               tmp: np.ndarray | None = None, lost: np.ndarray | None = None) -> np.ndarray:
+    def _sweep(self, w: np.ndarray, rows, adjoint: bool, tmp: np.ndarray,
+               lost: np.ndarray | None = None) -> np.ndarray:
         """The grid stages of the QPE filter (uncompute under adjoint) of rows[i] on row i of w.
 
         w is swept in place.
@@ -557,7 +557,7 @@ class QHTOperator:
         frame of `spectral_core` and leaves it at the end; P is the same
         index map in both frames, and there V(pi/2) is
         w -> e^(-i pi/4) (-1)^(M/2) fft(w) / sqrt(M).  Each evolution runs
-        once on the whole stack, into the (k, M) scratch `tmp`, and the
+        once on the whole stack, into the caller's (k, M) scratch `tmp`, and the
         constant factor of V(pi/2)'s closed form and the tables' global
         signs ride on a_j and b_j: both are scaled by the stage gains in one
         array product.  P t is read from the reversed view of t into
@@ -591,7 +591,6 @@ class QHTOperator:
                                  else (1 - 1j) / math.sqrt(2 * M))
         gains = np.array([tables.global_sign for tables in self.dyadic_tables] + [quarter])
         gain_a, gain_b = (first + last) / 2 * gains, (first - last) / 2 * gains
-        tmp = np.empty_like(w) if tmp is None else tmp
         refl = np.empty(M, dtype=complex)
         diff = None if lost is None else np.empty(M, dtype=complex)
         _enter_frame(w)

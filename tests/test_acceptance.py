@@ -189,7 +189,7 @@ def test_criterion_06_hermite_sampling_correctness():
     all_ok = True
     for f in _sampling_corpus():
         scfg = SamplerConfig(M=512, D=9)
-        c = spectrum_table(f, 9, 512)
+        c, _ = spectrum_table(f, 9, 512)
         mass = float(np.sum(c * c))
         norm_sq = 1.0 if f.boolean else max(mass, 1e-12)
         dist = sample_distribution(f, scfg, normalized=not f.boolean)

@@ -434,9 +434,9 @@ class TestSampleCorpusFile:
         assert summary["instances"]["const(1.0)"]["tv"] <= 1e-6
 
     def test_tv_of_a_mostly_out_of_range_draw_stays_at_most_one(self, tmp_path):
-        # 72% of the draws fall outside [0, 2]^2, where the normalized target puts
-        # nothing: the out-of-range cell alone gives tv >= that share, and the
-        # old form (half the in-range sum plus the whole share) read 1.08675
+        # 72% of the draws fall outside [0, 2]^2; the old form (half the in-range sum plus
+        # the whole share) read 1.08675, and a target normalized over [0, 2]^2 alone put
+        # nothing out of range, so the share alone gave tv >= 0.72 (it read 0.7245)
         corpus_file = tmp_path / "corpus.json"
         corpus_file.write_text(json.dumps([{"family": "indicator_bump", "n": 2, "half_width": 0.4}]))
         code, out = _run(tmp_path, "s.csv", ["sample", "--D", "2", "--M", "128", "--seed", "7",
@@ -445,7 +445,40 @@ class TestSampleCorpusFile:
         _, rows, summary = read_table(out)
         share = sum(int(r["count"]) for r in rows if r["v"] == "3|3") / summary["trials"]
         assert share > 0.7
-        assert share <= summary["instances"]["bump(0.4)"]["tv"] <= 1.0
+        assert 0.0 <= summary["instances"]["bump(0.4)"]["tv"] <= 1.0
+
+    @pytest.mark.parametrize("n, D, bound", [(2, 2, 0.06), (1, 9, 0.07)])
+    def test_non_boolean_reference_is_divided_by_its_gaussian_norm(self, tmp_path, n, D, bound):
+        # the sampler draws fhat^2 / ||f||^2 and sends the rest out of range, so the
+        # reference is divided by ||f||^2 too.  At seed 7 tv reads 0.031 and 0.036 (over
+        # seeds 0-39 at most 0.048 and 0.057; between the exact distributions 0.028 and
+        # 0.034); divided by the in-range sum it read 0.7245 and 0.245
+        corpus_file = tmp_path / "corpus.json"
+        entry = {"family": "indicator_bump", "n": n, "half_width": 0.4}
+        corpus_file.write_text(json.dumps([entry]))
+        code, out = _run(tmp_path, "s.csv", ["sample", "--D", str(D), "--M", "128", "--seed", "7",
+                                            "--corpus", str(corpus_file)])
+        assert code == 0
+        _, rows, summary = read_table(out)
+        share = sum(int(r["count"]) for r in rows if int(r["v"].split("|")[0]) > D)
+        assert share / summary["trials"] > 0.2   # a real out-of-range share, not read as tv
+        assert summary["instances"]["bump(0.4)"]["tv"] <= bound
+
+    def test_repeated_label_keeps_one_summary_per_entry(self, tmp_path):
+        # the bump's label does not carry n, so both entries read bump(0.4); the second
+        # takes a suffix, and each keeps its rows and its summary
+        corpus_file = tmp_path / "corpus.json"
+        corpus_file.write_text(json.dumps([{"family": "indicator_bump", "n": n, "half_width": 0.4}
+                                           for n in (1, 2)]))
+        code, out = _run(tmp_path, "s.csv", ["sample", "--D", "2", "--M", "128", "--seed", "7",
+                                            "--corpus", str(corpus_file)])
+        assert code == 0
+        _, rows, summary = read_table(out)
+        assert list(summary["instances"]) == ["bump(0.4)", "bump(0.4)#2"]
+        for label, n in (("bump(0.4)", 1), ("bump(0.4)#2", 2)):
+            mine = [r for r in rows if r["instance"] == label]
+            assert sum(int(r["count"]) for r in mine) == summary["trials"]
+            assert all(len(r["v"].split("|")) == n for r in mine)
 
 
     def test_postselection_failure_is_an_error_line(self, tmp_path, capsys):

@@ -662,37 +662,23 @@ class TestProductCount:
         ("p2_anti", 2, ((15,), (14,))),   # t from 2: the real part even t, the imaginary part odd t
     ])
     def test_one_column_closed_form(self, family, pair_parts, parities):
-        # N = 1: one self pair, u[n] u[m] and one product per nonzero kernel part
+        # N = 1: one self pair of parts, two orders for the outer products and two
+        # products per nonzero kernel part, as every pair takes
         P, G = self.sizes(64)
         rep = commutator_tail_norm(build(GridSpec(64)), 1, 30, family)
-        assert rep.products == P * (1 + pair_parts) + sum(power_sum_products(G, *k) for k in parities if k)
+        assert rep.products == 2 * P * (1 + pair_parts) + sum(power_sum_products(G, *k)
+                                                               for k in parities if k)
 
     def test_three_real_columns_closed_form(self):
-        # x2_p2 at (M, N) = (16, 3): real columns and a real kernel.  N self pairs of
-        # 2P products and N(N-1)/2 cross pairs of 4P (two orders, one kernel part each);
+        # x2_p2 at (M, N) = (16, 3): real columns and a real kernel.  N self pairs and
+        # N(N-1)/2 cross pairs, each of 4P products (two orders, one kernel part);
         # a self pair's H is symmetric (even t only), a cross pair's has both parities
         P, G = self.sizes(16)
         N, even, odd = 3, 5, 5   # t = 3..12
         rep = commutator_tail_norm(build(GridSpec(16)), N, 12, "x2_p2")
         cross = N * (N - 1) // 2
-        assert rep.products == (N * (2 * P + power_sum_products(G, even))
-                                + cross * (4 * P + power_sum_products(G, even, odd))) == 2508
-
-    @pytest.mark.parametrize("M", [16, 64])
-    @pytest.mark.parametrize("family", TAIL_FAMILIES)
-    def test_a_self_pair_takes_half_the_products(self, M, family):
-        # before, a pair of parts took (M/2+1)^2 products for the outer product and as
-        # many per nonzero kernel part; a self pair now takes at most half of that
-        t0, bits = (2 if family == "p2_anti" else 3), _bits(M, 12)
-        with mp.workprec(bits + discrete_qho._TAIL_GUARD_BITS):
-            u, g = _tail_inputs(M, 1, family, bits)
-        kernels = {}
-        S, products = discrete_qho._integer_tail_sums(u, g, family == "p2_anti", t0, t0 - 1, kernels,
-                                                      discrete_qho._weight_groups(M // 2 + 1))
-        assert S == {}   # no term, so no power sum: the count is the pair's alone
-        parts = sum(k is not None for k in kernels[1, 1, 0])
-        P, _ = self.sizes(M)
-        assert products == P * (1 + parts) <= (M // 2 + 1) ** 2 * (1 + parts) / 2
+        assert rep.products == (N * (4 * P + power_sum_products(G, even))
+                                + cross * (4 * P + power_sum_products(G, even, odd))) == 2724
 
     def test_count_is_deterministic_and_not_compared(self):
         qho = build(GridSpec(32))
@@ -769,9 +755,10 @@ class TestEpilogue:
             for parts in held.values():
                 for part in parts:
                     if part is not None:
-                        fwd, bwd, parity = part
+                        fwd, bwd = part
                         assert fwd.shape == bwd.shape == (33 * 32 // 2,)
-                        assert (bwd is fwd) == (parity == 0)   # a symmetric part holds one array
+                        # a symmetric part holds one array
+                        assert (bwd is fwd) == np.array_equal(bwd, fwd)
 
     # tracemalloc bytes of `_lab` after the three families at N = 1, as held with a second,
     # coarser pass's kernel set: 357204 at M = 64, 7225044 at M = 256 (BENCH_45.json), for

@@ -17,6 +17,8 @@ from qhermite.hermite_sampling import (
     PostselectionFailure,
     SampleDistribution,
     SamplerConfig,
+    _nu,
+    _quad_grid,
     _tally,
     draw,
     sample_distribution,
@@ -85,7 +87,7 @@ class TestGridContraction:
 
     def test_three_axis_spectrum_matches_pointwise_oracle(self):
         f = corpus.mixture([((1, 2, 0), 0.8), ((0, 0, 3), 0.6)], 3)
-        c = spectrum_table(f, 3, 128)
+        c, _ = spectrum_table(f, 3, 128)
         assert c.shape == (4, 4, 4)
         for v in ((1, 2, 0), (0, 0, 3), (0, 0, 0), (3, 1, 2), (2, 2, 2)):
             direct, _ = coefficient_oracle(f, v, 64)   # its fine grid is M_quad = 128
@@ -95,8 +97,8 @@ class TestGridContraction:
     def test_leading_axes_walked_in_slabs(self):
         # 8^6 points exceed one slab, so two leading axes are flattened and walked
         f = corpus.product_sign(tuple(range(7)), 7)
-        prod = spectrum_table(f, 1, 8)
-        dense = spectrum_table(_dense(f), 1, 8)
+        prod, _ = spectrum_table(f, 1, 8)
+        dense, _ = spectrum_table(_dense(f), 1, 8)
         assert np.abs(prod - dense).max() <= 1e-12
 
     @pytest.mark.parametrize("entry", [
@@ -315,7 +317,7 @@ class TestOraclePrecision:
 class TestSpectrumTable:
     def test_matches_pointwise_oracle(self):
         f = corpus.mixture([((1, 0), 0.8), ((0, 2), 0.6)], 2)
-        c = spectrum_table(f, 3, 256)
+        c, _ = spectrum_table(f, 3, 256)
         for v in ((1, 0), (0, 2), (0, 0), (3, 3)):
             direct, _ = coefficient_oracle(f, v, 256)
             assert abs(c[v] - direct) < 1e-8
@@ -323,9 +325,28 @@ class TestSpectrumTable:
     def test_parseval_at_desk_scale(self):
         # planted smooth f: captured mass <= quadrature ||f||^2 + 1e-6
         f = corpus.mixture([((1, 0), 0.8), ((0, 2), 0.6)], 2)
-        mass = np.sum(spectrum_table(f, 6, 256) ** 2)
+        mass = np.sum(spectrum_table(f, 6, 256)[0] ** 2)
         assert mass <= 1.0 + 1e-6
         assert abs(mass - 1.0) < 1e-6  # exactly the planted mass
+
+    @pytest.mark.parametrize("f, planted", [
+        (corpus.mixture([((1, 0), 0.8), ((0, 2), 0.6)], 2), 1.0),
+        (corpus.product_sign((0, 1), 2), 1.0),
+        (corpus.indicator_bump(0.4, 2), None),
+    ], ids=["mixture", "boolean", "bump"])
+    def test_norm_is_the_quadrature_of_f_squared(self, f, planted):
+        # the contraction's own sum of squares is sum f(x)^2 h nu(x) h nu(y) over the midpoint
+        # grid; a planted unit norm reads 1 to rounding (1 + 2.2e-16 and 1), and the bump's
+        # 0.1176, where its Gaussian mass is 0.0966: four midpoints per axis lie in [-0.4, 0.4]
+        c, got = spectrum_table(f, 3, 128)
+        x, h = _quad_grid(128)
+        w = h * _nu(x)
+        pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+        want = float(np.sum(f.evaluate(pts) ** 2 * np.outer(w, w)))
+        assert abs(got - want) <= 1e-14 * want
+        if planted is not None:
+            assert abs(got - planted) <= 1e-15
+        assert float(np.sum(c * c)) <= got * (1 + 1e-12)   # Bessel: the window holds no more
 
 
 class TestBooleanSampler:
@@ -348,7 +369,7 @@ class TestBooleanSampler:
         f = corpus.product_sign((0, 1), 2)
         scfg = SamplerConfig(M=512, D=9)
         dist = sample_distribution(f, scfg)
-        worst = np.abs(dist.probs - spectrum_table(f, 9, 512) ** 2).max()
+        worst = np.abs(dist.probs - spectrum_table(f, 9, 512)[0] ** 2).max()
         assert worst <= 0.05
 
 
@@ -402,9 +423,10 @@ class TestDraw:
             if v.max() <= dist.D and sum(c == top for _, c in counts) > 1:
                 break
         # delta = 0.9 asks for the fewest draws, max(4, ceil(4 ln(2/0.9))) = 4
-        mode, used, rest = _mode_sample(f, scfg, np.random.default_rng(seed), 0.9)
-        assert sum(c == top for _, c in counts) > 1 and used == 4 and len(rest) == 0
+        mode, used, held = _mode_sample(f, scfg, np.random.default_rng(seed), 0.9)
+        assert sum(c == top for _, c in counts) > 1 and used == 4
         assert mode == next(u for u, c in counts if c == top)
+        assert np.array_equal(held.probs, dist.probs)   # the distribution it drew from
 
 
 class TestGeneralSampler:
@@ -643,7 +665,7 @@ class TestTVDistance:
         dist = sample_distribution(f, SamplerConfig(M=512, D=9))
         trials = 4000
         counts = _tally(draw(dist, rng, trials)[0])
-        c = spectrum_table(f, 9, 512)
+        c, _ = spectrum_table(f, 9, 512)
         # the TV scores the out-of-range share 1 - sum c^2 as one cell, so the budget
         # needs no term for it; tv read 0.023 at this seed, 0.027 median and 0.035 max at seeds 0-19
         noise = 3.0 * math.sqrt(c.size / trials) / 2
@@ -658,7 +680,7 @@ class TestTVDistance:
                      corpus.hermite_monomial((2,) + (0,) * (n - 1), n)]
         for f in instances:
             dist = sample_distribution(f, scfg, normalized=not f.boolean)
-            c = spectrum_table(f, D, M_quad=scfg.M)
+            c, _ = spectrum_table(f, D, M_quad=scfg.M)
             norm_sq = 1.0 if f.boolean else float(np.sum(c * c))
             for seed in range(4):
                 v, _ = draw(dist, np.random.default_rng(seed), 500)

@@ -209,6 +209,24 @@ def _record_coefficient_draws(monkeypatch, evaluated):
     return calls
 
 
+def _record_tester_draws(monkeypatch):
+    """Wrap the testers' distribution builds and draws: (oracles built, the k of each draw)."""
+    builds, draws = [], []
+    build, take = learning_testers._spectrum_distribution, learning_testers.draw
+
+    def building(f, scfg):
+        builds.append(f)
+        return build(f, scfg)
+
+    def drawing(dist, rng, k):
+        draws.append(k)
+        return take(dist, rng, k)
+
+    monkeypatch.setattr(learning_testers, "_spectrum_distribution", building)
+    monkeypatch.setattr(learning_testers, "draw", drawing)
+    return builds, draws
+
+
 class TestQueryCounts:
     """Each reported count equals the oracle points the run evaluates, final estimates included."""
 
@@ -226,38 +244,37 @@ class TestQueryCounts:
         assert res.oracle_queries == sum(evaluated) == reported
 
     def test_hermite_tester(self, monkeypatch, evaluated):
-        # the default `test` run's h2_yes instance: one batch of 12 mode draws and 82 share
-        # draws from one distribution, and f evaluated nowhere but in the sampler's contraction
-        # of the product oracle's factors (the removed coefficient and norm estimates
-        # evaluated it at 112 180 + 5 903 points and reported 118 095)
-        draws, spectrum_draws = [], learning_testers._spectrum_draws
-
-        def counting(f, scfg, rng, k):
-            draws.append(k)
-            return spectrum_draws(f, scfg, rng, k)
-
-        monkeypatch.setattr(learning_testers, "_spectrum_draws", counting)
+        # the default `test` run's h2_yes instance: 12 mode draws, then 82 share draws, from
+        # one distribution, and f evaluated nowhere but in the sampler's contraction of the
+        # product oracle's factors (the removed coefficient and norm estimates evaluated it
+        # at 112 180 + 5 903 points and reported 118 095)
+        builds, draws = _record_tester_draws(monkeypatch)
         f = corpus.hermite_monomial((2, 0), 2)
         repeats = max(4, math.ceil(4 * math.log(2 / 0.1)))
         m = math.ceil(math.log(4 / 0.1) / (2 * (0.1 * (0.8 + 1 - 0.3)) ** 2))
         verdict = run_hermite_tester(f, 1, 0.1, 0.3, 0.1, np.random.default_rng(0), SCFG)
         assert verdict.accept and (repeats, m) == (12, 82)
-        assert draws == [repeats + m] and sum(evaluated) == 0
+        assert builds == [f] and draws == [repeats, m] and sum(evaluated) == 0
         assert verdict.samples_used == 94
+
+    def test_hermite_tester_rejects_before_the_share_draws(self, monkeypatch, evaluated):
+        # a candidate with the wrong variable count is rejected after the 12 mode draws: the
+        # mode of product_sign((0, 1), 2) is (1, 1), two variables against k = 1 (drawn in
+        # one batch with the share draws, the reject read 94)
+        builds, draws = _record_tester_draws(monkeypatch)
+        f = corpus.product_sign((0, 1), 2)
+        verdict = run_hermite_tester(f, 1, 0.1, 0.3, 0.1, np.random.default_rng(0), SCFG)
+        assert not verdict.accept and verdict.witness == (1, 1)
+        assert builds == [f] and draws == [12] and sum(evaluated) == 0
+        assert verdict.samples_used == 12
 
     def test_product_sign_tester(self, monkeypatch, evaluated):
         # the default `test` run's chi01_yes instance: the weight estimate evaluates f at
         # two points per sample (1 476 samples), which the count once took as one each (1 488)
-        draws, spectrum_draws = [], learning_testers._spectrum_draws
-
-        def counting(f, scfg, rng, k):
-            draws.append(k)
-            return spectrum_draws(f, scfg, rng, k)
-
-        monkeypatch.setattr(learning_testers, "_spectrum_draws", counting)
+        builds, draws = _record_tester_draws(monkeypatch)
         f = corpus.product_sign((0, 1), 2)
         verdict = run_product_sign_tester(f, 2, 0.1, 0.3, 0.1, np.random.default_rng(0), SCFG)
-        assert verdict.accept and draws == [12] and sum(evaluated) == 2_952
+        assert verdict.accept and builds == [f] and draws == [12] and sum(evaluated) == 2_952
         assert verdict.samples_used == sum(draws) + sum(evaluated) == 2_964
 
 

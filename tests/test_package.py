@@ -352,22 +352,28 @@ def test_lab_hashes_prints_every_field_of_the_selected_grids():
         return subprocess.run([sys.executable, str(LAB_HASHES), *names], capture_output=True,
                               text=True, timeout=120)
 
-    first = run("64")
+    # criterion 4's M = 64 grid (N = 1, self pairs only), then "64n4" (N = 4, cross pairs too)
+    first = run("64", "64n4")
     assert first.returncode == 0
     digests = dict(line.split("  ")[::-1] for line in first.stdout.splitlines())
     names = [f.name for f in fields(TailReport)]
-    assert list(digests) == [f"{family} M=64 N=1 t_max=30 {call} {name}" for call in ("first", "repeat")
+    assert list(digests) == [f"{family} M=64 N={N} t_max=30 {call} {name}" for N in (1, 4)
+                             for call in ("first", "repeat")
                              for family in TAIL_FAMILIES for name in names]
     assert all(digests[name.replace("first", "repeat")] == digest
                for name, digest in digests.items() if "first" in name)
-    assert run("64").stdout == first.stdout
-    rep = commutator_tail_norm(build(GridSpec(64)), 1, 30, "p2_anti")
-    for name, value in (("tail_norm", rep.tail_norm.hex()), ("products", rep.products)):
-        text = json.dumps(value).encode()
-        assert digests[f"p2_anti M=64 N=1 t_max=30 first {name}"] == hashlib.sha256(text).hexdigest()
+    assert run("64", "64n4").stdout == first.stdout
+    qho = build(GridSpec(64))
+    for N in (1, 4):
+        rep = commutator_tail_norm(qho, N, 30, "p2_anti")
+        for name, value in (("tail_norm", rep.tail_norm.hex()), ("products", rep.products)):
+            digest = hashlib.sha256(json.dumps(value).encode()).hexdigest()
+            assert digests[f"p2_anti M=64 N={N} t_max=30 first {name}"] == digest
     unknown = run("64", "512")
     assert unknown.returncode == 1 and unknown.stdout == ""
-    assert unknown.stderr.startswith("error: unknown grid ['512']")
+    # the names in their default order
+    assert unknown.stderr.startswith("error: unknown grid ['512']; choose from "
+                                     "['64', '128', '256', '64n4', 'meter']")
 
 
 def test_lab_hashes_prints_the_meter_after_the_grids_named_before_it():

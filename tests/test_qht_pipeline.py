@@ -68,13 +68,14 @@ def _filtered(op, v, n):
     """Block n's filter on the row v, `_sweep` then the split: (kept, unflagged mass)."""
     w = np.array(v, dtype=complex)[None]
     in_sq = float(np.vdot(w, w).real)
-    kept = _split(op._sweep(w, [(n,)], False)[0], n)
+    kept = _split(op._sweep(w, [(n,)], False, np.empty_like(w))[0], n)
     return kept, max(in_sq - float(np.vdot(kept, kept).real), 0.0)
 
 
 def _uncomputed(op, n, v):
     """Block n's uncompute of the row v, `_sweep` then the split."""
-    return _split(op._sweep(np.array(v, dtype=complex)[None], [(n,)], True)[0], n)
+    w = np.array(v, dtype=complex)[None]
+    return _split(op._sweep(w, [(n,)], True, np.empty_like(w))[0], n)
 
 
 def _amplified(cfg, kept, leak):
@@ -729,8 +730,8 @@ class TestFrameSweep:
         stack = np.array([rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
                           for _ in range(cfg.N)])
         rows = [(n,) for n in range(cfg.N)]
-        kept = op._sweep(stack.copy(), rows, False)
-        out = op._sweep(stack.copy(), rows, True)
+        kept = op._sweep(stack.copy(), rows, False, np.empty_like(stack))
+        out = op._sweep(stack.copy(), rows, True, np.empty_like(stack))
         for n, v in enumerate(stack):
             assert np.abs(_split(kept[n], n) - self._filter_passes(op, n, v)).max() < 1e-13
             assert np.abs(_split(out[n], n) - self._uncompute_passes(op, n, v)).max() < 1e-13
@@ -844,10 +845,11 @@ class TestStackedHold:
         rows = [(0, 1), (1,), (0, 1), (0,), (1,)]
         stack = rng.normal(size=(len(rows), 64)) + 1j * rng.normal(size=(len(rows), 64))
         lost = np.zeros((len(rows), 2))
-        out = op._sweep(stack.copy(), rows, adjoint, lost=lost)
+        out = op._sweep(stack.copy(), rows, adjoint, np.empty_like(stack), lost)
         for i, blocks in enumerate(rows):
             alone = np.zeros((1, 2))
-            assert np.array_equal(op._sweep(stack[i:i + 1].copy(), [blocks], adjoint, lost=alone),
+            row = stack[i:i + 1].copy()
+            assert np.array_equal(op._sweep(row, [blocks], adjoint, np.empty_like(row), alone),
                                   out[i:i + 1])
             assert np.array_equal(alone[0], lost[i])
         # a lone row's slots hold its even and odd parts' masses, which add up to the
@@ -865,7 +867,8 @@ class TestStackedHold:
         op = QHTOperator(cfg)
         for n in range(N):
             lost = np.zeros((1, 2))
-            op._sweep(_prepared(cfg, n).astype(complex)[None], [(n,)], adjoint, lost=lost)
+            w = _prepared(cfg, n).astype(complex)[None]
+            op._sweep(w, [(n,)], adjoint, np.empty_like(w), lost)
             own, other = lost[0, n % 2], lost[0, 1 - n % 2]
             assert own > 0.1 and other <= 1e-29 * own, n
 
@@ -878,11 +881,13 @@ class TestStackedHold:
         even, odd = (_parity_part(v / np.linalg.norm(v), s, np.empty_like(v)) for s in (1, -1))
         for n in range(0, cfg.N, 2):
             lost = np.zeros((1, 2))
-            row = op._sweep((even + odd)[None], [(n, n + 1)], adjoint, lost=lost)[0]
+            w = (even + odd)[None]
+            row = op._sweep(w, [(n, n + 1)], adjoint, np.empty_like(w), lost)[0]
             parts = [_parity_part(row, s, np.empty_like(row)) for s in (1, -1)]
             for k, vec in enumerate((even, odd)):
                 alone = np.zeros((1, 2))
-                ref = op._sweep(vec[None].copy(), [(n + k,)], adjoint, lost=alone)[0]
+                w = vec[None].copy()
+                ref = op._sweep(w, [(n + k,)], adjoint, np.empty_like(w), alone)[0]
                 assert np.abs(parts[k] - ref).max() <= 1e-15
                 assert abs(lost[0, k] - alone[0, k]) <= 1e-14 * alone[0, k]   # slot n mod 2
 
@@ -896,7 +901,7 @@ class TestStackedHold:
             assert abs(op.filter_leaks[n] - leak) <= 1e-15
             work = _amplified(cfg, kept, leak)
             lost = np.zeros((1, 2))
-            col = op._sweep(work[None], [(n,)], True, lost=lost)[0]
+            col = op._sweep(work[None], [(n,)], True, np.empty_like(work[None]), lost)[0]
             assert np.abs(U[n] - col).max() <= 1e-15
             # masses of 1e-15 to 1e-7, moved by the inputs' last bits
             assert abs(op.uncompute_residuals[n] - lost[0, n % 2]) <= 1e-18
@@ -951,11 +956,12 @@ class TestStackedHold:
         rows = [(0, 1), (2,)]
         stack = rng.normal(size=(2, M)) + 1j * rng.normal(size=(2, M))
         lost = np.zeros((2, 2))
-        op._sweep(stack.copy(), rows, True, lost=lost)
+        op._sweep(stack.copy(), rows, True, np.empty_like(stack), lost)
         assert lost.all()   # each parity part of every row has its own mass
         for i, blocks in enumerate(rows):
             alone = np.zeros((1, 2))
-            op._sweep(stack[i:i + 1].copy(), [blocks], True, lost=alone)
+            row = stack[i:i + 1].copy()
+            op._sweep(row, [blocks], True, np.empty_like(row), alone)
             assert np.array_equal(alone[0], lost[i])
 
     @pytest.mark.parametrize("cfg", [choose_dimensions(8, 0.01), CFG, WIDE],
